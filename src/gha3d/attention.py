@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError
-from .hierarchy import Hierarchy, children_csr
+from .hierarchy import Hierarchy
 
 
 # ---------------------------------------------------------------------------
@@ -227,23 +227,43 @@ def dense_attention(inputs: AttentionInputs) -> AttentionResult:
     )
 
 
+class _LevelCache(NamedTuple):
+    rows: np.ndarray
+    cols: np.ndarray
+    indptr: np.ndarray
+    t: np.ndarray  # exp(s - mu[row]) per edge
+    mu: np.ndarray  # per-token local max score
+
+
+def _level_softmax(q, k, v, positions, topology, embedding, mode, scale):
+    """Max-shifted softmax sums over one topology.
+
+    Returns the per-edge cache, the shifted denominators and the shifted
+    unnormalized outputs: denom_i * exp(mu_i) and y_i * exp(mu_i) are the
+    true local sums."""
+    indptr, cols = topology.indptr, topology.indices
+    rows = np.repeat(np.arange(topology.n_tokens), topology.sizes)
+    s = _edge_scores(q, k, positions, rows, cols, embedding, mode, scale)
+    mu = np.maximum.reduceat(s, indptr[:-1])
+    t = np.exp(s - mu[rows])
+    denom = np.add.reduceat(t, indptr[:-1])
+    weighted = v[cols]
+    weighted *= t[:, None]  # in place: one edge-by-column temporary, not two
+    y = np.add.reduceat(weighted, indptr[:-1], axis=0)
+    return _LevelCache(rows=rows, cols=cols, indptr=indptr, t=t, mu=mu), denom, y
+
+
 def local_attention(inputs: AttentionInputs, topology) -> AttentionResult:
     """Softmax attention restricted to j in T_i."""
     if topology.n_tokens != inputs.n_tokens:
         raise InvalidInputError("topology token count does not match inputs")
-    indptr, cols = topology.indptr, topology.indices
-    rows = np.repeat(np.arange(topology.n_tokens), topology.sizes)
-    s = _edge_scores(
-        inputs.q, inputs.k, inputs.positions, rows, cols,
+    cache, denom, y = _level_softmax(
+        inputs.q, inputs.k, inputs.v, inputs.positions, topology,
         inputs.embedding, inputs.embedding_mode, math.sqrt(inputs.d),
     )
-    mu = np.maximum.reduceat(s, indptr[:-1])
-    t = np.exp(s - mu[rows])
-    denom = np.add.reduceat(t, indptr[:-1])
-    y = np.add.reduceat(t[:, None] * inputs.v[cols], indptr[:-1], axis=0)
     e = topology.total_edges
     with np.errstate(over="ignore"):
-        normalizers = denom * np.exp(mu)
+        normalizers = denom * np.exp(cache.mu)
     return AttentionResult(
         z=y / denom[:, None],
         normalizers=normalizers,
@@ -256,14 +276,6 @@ def local_attention(inputs: AttentionInputs, topology) -> AttentionResult:
 # Hierarchical forward
 # ---------------------------------------------------------------------------
 
-class _LevelCache(NamedTuple):
-    rows: np.ndarray
-    cols: np.ndarray
-    indptr: np.ndarray
-    t: np.ndarray  # exp(s - mu[row]) per edge
-    mu: np.ndarray  # per-token local max score
-
-
 def _forward_core(hierarchy: Hierarchy, embedding, mode: str, want_cache: bool):
     d = hierarchy.levels[0].q_tilde.shape[1]
     _check_mode(embedding, mode, d)
@@ -275,16 +287,13 @@ def _forward_core(hierarchy: Hierarchy, embedding, mode: str, want_cache: bool):
     carry_y = carry_d = carry_m = None
     for h in range(depth, -1, -1):
         lv = hierarchy.levels[h]
-        indptr, cols = lv.topology.indptr, lv.topology.indices
-        rows = np.repeat(np.arange(lv.n_tokens), lv.topology.sizes)
-        s = _edge_scores(lv.q_tilde, lv.k_tilde, lv.positions, rows, cols, embedding, mode, scale)
-        mu = np.maximum.reduceat(s, indptr[:-1])
-        t = np.exp(s - mu[rows])
-        d_loc = np.add.reduceat(t, indptr[:-1])
-        y_loc = np.add.reduceat(t[:, None] * lv.v_tilde[cols], indptr[:-1], axis=0)
+        cache, d_loc, y_loc = _level_softmax(
+            lv.q_tilde, lv.k_tilde, lv.v_tilde, lv.positions, lv.topology, embedding, mode, scale
+        )
+        mu = cache.mu
         per_level[h] = lv.topology.total_edges
         if want_cache:
-            caches[h] = _LevelCache(rows=rows, cols=cols, indptr=indptr, t=t, mu=mu)
+            caches[h] = cache
 
         if carry_y is None:  # top level: nothing above contributes
             carry_y, carry_d, carry_m = y_loc, d_loc, mu
@@ -399,26 +408,16 @@ def gha_backward(hierarchy: Hierarchy, dz: np.ndarray,
         if h < depth:
             anc = lv.parent_of[anc]
 
-    # Pull per-level gradients back to level 0 through the coarsening maps.
+    # Pull per-level gradients back to level 0 through the transposed
+    # pooling maps. A token occurs at most once per group, so its sum runs
+    # over groups in ascending order whatever the order within each group.
     def fold(per_level):
         g = per_level[depth]
         for h in range(depth - 1, -1, -1):
-            fine = hierarchy.levels[h]
-            out = np.zeros((fine.n_tokens, g.shape[1]))
-            if hierarchy.flavor == "point":
-                # coarse row jc averaged fine rows over T(selected[jc])
-                topo = fine.topology
-                sel = hierarchy.levels[h + 1].selected
-                starts = topo.indptr[sel]
-                stops = topo.indptr[sel + 1]
-                sizes = stops - starts
-                members = np.concatenate([topo.indices[a:b] for a, b in zip(starts, stops)])
-                contrib = np.repeat(g / sizes[:, None], sizes, axis=0)
-                np.add.at(out, members, contrib)
-            else:
-                indptr, child_idx = children_csr(fine.parent_of, g.shape[0])
-                sizes = np.diff(indptr)
-                np.add.at(out, child_idx, np.repeat(g / sizes[:, None], sizes, axis=0))
+            coarse = hierarchy.levels[h + 1]
+            sizes = np.diff(coarse.pool_indptr)
+            out = np.zeros((hierarchy.levels[h].n_tokens, g.shape[1]))
+            np.add.at(out, coarse.pool_indices, np.repeat(g / sizes[:, None], sizes, axis=0))
             out += per_level[h]
             g = out
         return g

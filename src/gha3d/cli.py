@@ -58,11 +58,6 @@ from .geometry import load_point_cloud, save_point_cloud_binary, voxelize
 from .hierarchy import build_hierarchy, truncate, with_values
 from .seeding import substream
 
-# Fault-injection knob for exercising selftest's failure path from the test
-# harness: it flips the sign of the q rows fed to the kernels under test
-# (references are unaffected). Production value is 1.0.
-_FAULT_SCORE_SIGN = 1.0
-
 
 # ---------------------------------------------------------------------------
 # Config file expansion
@@ -381,8 +376,7 @@ def _selftest_golden(seed):
     """Two separated pairs, k=2, r=2: forward must match the closed form."""
     rng = substream(seed, "probe", 0)
     q, k, v = (rng.normal(size=(4, 3)) for _ in range(3))
-    h = build_hierarchy(_SELFTEST_POSITIONS, q * _FAULT_SCORE_SIGN, k, v,
-                        flavor="point", k=2, r=2)
+    h = build_hierarchy(_SELFTEST_POSITIONS, q, k, v, flavor="point", k=2, r=2)
     z = gha_forward(h).z
 
     s = math.sqrt(3)
@@ -413,7 +407,7 @@ def _selftest_dense_equivalence(seed):
         d = int(rng.choice([2, 4, 8]))
         pos = rng.normal(size=(n, 3))
         q, k, v = (rng.normal(size=(n, d)) for _ in range(3))
-        h = build_hierarchy(pos, q * _FAULT_SCORE_SIGN, k, v, flavor="point", k=n, r=2)
+        h = build_hierarchy(pos, q, k, v, flavor="point", k=n, r=2)
         z = gha_forward(h).z
         ref = dense_attention(AttentionInputs(q=q, k=k, v=v, positions=pos)).z
         rel = np.linalg.norm(z - ref, axis=1) / np.maximum(np.linalg.norm(ref, axis=1), 1e-300)
@@ -429,7 +423,7 @@ def _selftest_truncation(seed):
         n = int(rng.integers(10, 28))
         pos = rng.normal(size=(n, 3))
         q, k, v = (rng.normal(size=(n, 4)) for _ in range(3))
-        h = build_hierarchy(pos, q * _FAULT_SCORE_SIGN, k, v, flavor="point", k=3, r=2)
+        h = build_hierarchy(pos, q, k, v, flavor="point", k=3, r=2)
         z = gha_forward(truncate(h, 0)).z
         ref = local_attention(
             AttentionInputs(q=q, k=k, v=v, positions=pos), h.levels[0].topology
@@ -445,9 +439,8 @@ def _selftest_gradient(seed):
     pos = rng.normal(size=(n, 3))
     q, k, v = (rng.normal(size=(n, d)) for _ in range(3))
     dz = rng.normal(size=(n, d))
-    h_sys = build_hierarchy(pos, q * _FAULT_SCORE_SIGN, k, v, flavor="point", k=3, r=2)
-    h_ref = build_hierarchy(pos, q, k, v, flavor="point", k=3, r=2)
-    grads = gha_backward(h_sys, dz)
+    h = build_hierarchy(pos, q, k, v, flavor="point", k=3, r=2)
+    grads = gha_backward(h, dz)
 
     step = 1e-5
     worst = 0.0
@@ -456,8 +449,8 @@ def _selftest_gradient(seed):
         vp, vm = v.copy(), v.copy()
         vp[i, j] += step
         vm[i, j] -= step
-        lp = float(np.sum(dz * gha_forward(with_values(h_ref, v=vp)).z))
-        lm = float(np.sum(dz * gha_forward(with_values(h_ref, v=vm)).z))
+        lp = float(np.sum(dz * gha_forward(with_values(h, v=vp)).z))
+        lm = float(np.sum(dz * gha_forward(with_values(h, v=vm)).z))
         fd = (lp - lm) / (2 * step)
         a = float(grads.dv[i, j])
         worst = max(worst, abs(a - fd) / max(1.0, abs(a), abs(fd)))

@@ -1,10 +1,12 @@
 """Multi-level coarsening hierarchies.
 
 A hierarchy carries, per level, the coarsened q/k/v rows, token positions,
-the local neighborhood topology, and the parent map that links each token
-to the next-coarser level. Structure (topologies, parent maps, positions)
-depends only on geometry; values can be swapped out and re-coarsened
-through the same structure with ``with_values``.
+the local neighborhood topology, the parent map that links each token to
+the next-coarser level, and the pooling map that averaged the finer level
+into this one. Structure (topologies, parent and pooling maps, positions)
+depends only on geometry and is built once; values can be swapped out and
+re-coarsened through the same structure with ``with_values``, which is one
+``segment_mean`` over each level's pooling map.
 """
 
 from dataclasses import dataclass, replace
@@ -14,6 +16,7 @@ import numpy as np
 from .errors import InvalidCoarsenError, InvalidInputError
 from .geometry import (
     NeighborhoodTopology,
+    _freeze,
     deterministic_knn,
     fps_from_positions,
     kernel_window_topology,
@@ -24,12 +27,6 @@ from .geometry import (
 # Max occupancy of the 3x3x3 voxel window; doubles as the voxel-flavor
 # stopping threshold (a level this small fits one neighborhood).
 VOXEL_WINDOW_K = 27
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.flags.writeable = False
-    return a
 
 
 def segment_mean(values: np.ndarray, indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -66,6 +63,14 @@ class HierarchyLevel:
     None at the top. ``selected`` (point flavor) lists the finer-level
     indices this level was subsampled from; ``coords`` (voxel flavor) are
     this level's integer cell coordinates.
+
+    ``pool_indptr``/``pool_indices`` (None at level 0) are the pooling map
+    from the finer level, in CSR form: row i of this level is the mean of
+    the finer rows ``pool_indices[pool_indptr[i]:pool_indptr[i+1]]``,
+    summed in that order. Point flavor stores the neighborhood of
+    ``selected[i]`` in member-coordinate order; voxel flavor stores the
+    children of cell i in child-cell-coordinate order. Either order is
+    independent of token numbering, so equal groups round identically.
     """
 
     level_index: int
@@ -77,11 +82,13 @@ class HierarchyLevel:
     parent_of: np.ndarray | None = None  # (n_h,) int64 into level h+1
     selected: np.ndarray | None = None
     coords: np.ndarray | None = None  # (n_h, 3) int64
+    pool_indptr: np.ndarray | None = None  # (n_h + 1,) int64
+    pool_indices: np.ndarray | None = None  # int64 into level h-1
 
     def __post_init__(self):
         for name in ("positions", "q_tilde", "k_tilde", "v_tilde"):
             object.__setattr__(self, name, _freeze(np.asarray(getattr(self, name), dtype=np.float64)))
-        for name in ("parent_of", "selected", "coords"):
+        for name in ("parent_of", "selected", "coords", "pool_indptr", "pool_indices"):
             val = getattr(self, name)
             if val is not None:
                 object.__setattr__(self, name, _freeze(np.asarray(val, dtype=np.int64)))
@@ -91,6 +98,10 @@ class HierarchyLevel:
                 raise InvalidInputError(f"{name} must have {n} rows")
         if self.topology.n_tokens != n:
             raise InvalidInputError("topology token count does not match level size")
+        if (self.pool_indptr is None) != (self.pool_indices is None):
+            raise InvalidInputError("pool_indptr and pool_indices must be given together")
+        if self.pool_indptr is not None and self.pool_indptr.shape != (n + 1,):
+            raise InvalidInputError(f"pool_indptr must have {n + 1} entries")
 
     @property
     def n_tokens(self) -> int:
@@ -114,6 +125,8 @@ class Hierarchy:
                 raise InvalidInputError("levels must be strictly coarsening")
             if self.levels[h].parent_of is None:
                 raise InvalidInputError(f"level {h} is missing its parent map")
+            if self.levels[h + 1].pool_indptr is None:
+                raise InvalidInputError(f"level {h + 1} is missing its pooling map")
 
     @property
     def depth(self) -> int:
@@ -128,35 +141,11 @@ class Hierarchy:
         return [lv.n_tokens for lv in self.levels]
 
 
-def children_csr(parent_of: np.ndarray, n_parents: int) -> tuple[np.ndarray, np.ndarray]:
-    """Invert a parent map into CSR child lists, children ascending."""
-    counts = np.bincount(parent_of, minlength=n_parents)
-    indptr = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
-    order = np.argsort(parent_of, kind="stable").astype(np.int64)
-    return indptr, order
-
-
-def _voxel_children_csr(
-    child_coords: np.ndarray, parent_of: np.ndarray, n_parents: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """CSR child lists with each group ordered by child cell coordinates.
-
-    Cell keys are unique, so this order is total and independent of token
-    numbering; pooled means then round identically however the caller
-    ordered the cells."""
-    counts = np.bincount(parent_of, minlength=n_parents)
-    indptr = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
-    order = np.lexsort((pack_voxel_coords(child_coords), parent_of))
-    return indptr, order
-
-
 def children_of(hierarchy: Hierarchy, level: int, parent: int) -> np.ndarray:
-    """Tokens at ``level`` whose parent at ``level + 1`` is ``parent``."""
+    """Tokens at ``level`` whose parent at ``level + 1`` is ``parent``, ascending."""
     if not 0 <= level < hierarchy.depth:
         raise InvalidInputError(f"level {level} has no parent level")
-    parent_of = hierarchy.levels[level].parent_of
-    indptr, idx = children_csr(parent_of, hierarchy.levels[level + 1].n_tokens)
-    return idx[indptr[parent] : indptr[parent + 1]]
+    return np.flatnonzero(hierarchy.levels[level].parent_of == parent)
 
 
 # ---------------------------------------------------------------------------
@@ -178,12 +167,6 @@ def coarsen_point(level: HierarchyLevel, r: int) -> tuple[HierarchyLevel, np.nda
     if r < 2:
         raise InvalidInputError(f"coarsen ratio must be >= 2, got {r}")
     topo = level.topology
-    canon = _coordinate_ordered_groups(topo.indptr, topo.indices, level.positions)
-    smoothed_pos = segment_mean(level.positions, topo.indptr, canon)
-    smoothed_q = segment_mean(level.q_tilde, topo.indptr, canon)
-    smoothed_k = segment_mean(level.k_tilde, topo.indptr, canon)
-    smoothed_v = segment_mean(level.v_tilde, topo.indptr, canon)
-
     m = -(-n // r)  # ceil
     selected = fps_from_positions(level.positions, m)
 
@@ -193,16 +176,25 @@ def coarsen_point(level: HierarchyLevel, r: int) -> tuple[HierarchyLevel, np.nda
     # selected tokens equidistant: a selected token parents itself.
     parent_of[selected] = np.arange(m, dtype=np.int64)
 
-    coarse_pos = smoothed_pos[selected]
+    # Only the selected tokens' smoothed rows survive, so only their
+    # neighborhoods become pooling groups.
+    sizes = topo.sizes[selected]
+    pool_indptr = np.concatenate(([0], np.cumsum(sizes)))
+    flat = np.repeat(topo.indptr[selected] - pool_indptr[:-1], sizes) + np.arange(pool_indptr[-1])
+    pool_indices = _coordinate_ordered_groups(pool_indptr, topo.indices[flat], level.positions)
+
+    coarse_pos = segment_mean(level.positions, pool_indptr, pool_indices)
     k = topo.k if topo.k is not None else n
     coarse = HierarchyLevel(
         level_index=level.level_index + 1,
         positions=coarse_pos,
-        q_tilde=smoothed_q[selected],
-        k_tilde=smoothed_k[selected],
-        v_tilde=smoothed_v[selected],
+        q_tilde=segment_mean(level.q_tilde, pool_indptr, pool_indices),
+        k_tilde=segment_mean(level.k_tilde, pool_indptr, pool_indices),
+        v_tilde=segment_mean(level.v_tilde, pool_indptr, pool_indices),
         topology=knn_from_positions(coarse_pos, k),
         selected=selected,
+        pool_indptr=pool_indptr,
+        pool_indices=pool_indices,
     )
     return coarse, parent_of
 
@@ -217,15 +209,20 @@ def _coarsen_voxel_by(level: HierarchyLevel, halvings: int) -> tuple[HierarchyLe
     parent_of = parent_of.astype(np.int64)
     m = uniq_keys.shape[0]
 
-    indptr, child_idx = _voxel_children_csr(coords, parent_of, m)
+    # Children grouped by parent, each group in child-cell order: cell keys
+    # are unique, so the order is total and independent of token numbering.
+    pool_indptr = np.concatenate(([0], np.cumsum(np.bincount(parent_of, minlength=m))))
+    pool_indices = np.lexsort((pack_voxel_coords(coords), parent_of))
     coarse = HierarchyLevel(
         level_index=level.level_index + 1,
-        positions=segment_mean(level.positions, indptr, child_idx),
-        q_tilde=segment_mean(level.q_tilde, indptr, child_idx),
-        k_tilde=segment_mean(level.k_tilde, indptr, child_idx),
-        v_tilde=segment_mean(level.v_tilde, indptr, child_idx),
+        positions=segment_mean(level.positions, pool_indptr, pool_indices),
+        q_tilde=segment_mean(level.q_tilde, pool_indptr, pool_indices),
+        k_tilde=segment_mean(level.k_tilde, pool_indptr, pool_indices),
+        v_tilde=segment_mean(level.v_tilde, pool_indptr, pool_indices),
         topology=kernel_window_topology(parent_coords_all[first_idx]),
         coords=parent_coords_all[first_idx],
+        pool_indptr=pool_indptr,
+        pool_indices=pool_indices,
     )
     return coarse, parent_of
 
@@ -292,6 +289,9 @@ def build_hierarchy(
         raise InvalidInputError(f"q and k shapes differ: {q.shape} vs {k_mat.shape}")
     if q.shape[0] != n or v.shape[0] != n:
         raise InvalidInputError("q/k/v row counts must match positions")
+    for name, mat in (("positions", positions), ("q", q), ("k", k_mat), ("v", v)):
+        if not np.all(np.isfinite(mat)):
+            raise InvalidInputError(f"{name} contains non-finite values")
 
     if flavor == "point":
         if k < 1:
@@ -342,8 +342,8 @@ def with_values(
 ) -> Hierarchy:
     """Re-coarsen new level-0 values through the existing structure.
 
-    Only the matrices passed are replaced; geometry, topologies, and parent
-    maps are shared with the input hierarchy.
+    Only the matrices passed are replaced; geometry, topologies, parent
+    and pooling maps are shared with the input hierarchy.
     """
     n = hierarchy.n_tokens
     new_rows = {}
@@ -352,6 +352,8 @@ def with_values(
             mat = np.asarray(mat, dtype=np.float64)
             if mat.ndim != 2 or mat.shape[0] != n:
                 raise InvalidInputError(f"replacement {name} must have {n} rows")
+            if not np.all(np.isfinite(mat)):
+                raise InvalidInputError(f"replacement {name} contains non-finite values")
             new_rows[name] = mat
 
     levels = []
@@ -363,18 +365,10 @@ def with_values(
             levels.extend(hierarchy.levels[h + 1 :])
             break
         nxt = hierarchy.levels[h + 1]
-        if hierarchy.flavor == "point":
-            topo = lv.topology
-            canon = _coordinate_ordered_groups(topo.indptr, topo.indices, lv.positions)
-            current = {
-                name: segment_mean(mat, topo.indptr, canon)[nxt.selected]
-                for name, mat in current.items()
-            }
-        else:
-            indptr, child_idx = _voxel_children_csr(lv.coords, lv.parent_of, nxt.n_tokens)
-            current = {
-                name: segment_mean(mat, indptr, child_idx) for name, mat in current.items()
-            }
+        current = {
+            name: segment_mean(mat, nxt.pool_indptr, nxt.pool_indices)
+            for name, mat in current.items()
+        }
     return Hierarchy(
         flavor=hierarchy.flavor,
         neighborhood_k=hierarchy.neighborhood_k,

@@ -376,6 +376,11 @@ def test_forward_mechanism_validation():
     wrong = attention_structure(pos[:5], flavor="point", k=3, r=2)
     with pytest.raises(InvalidInputError):
         block_forward(x, pos, params, structure=wrong)
+    for bad in (np.nan, np.inf):
+        bad_pos = pos.copy()
+        bad_pos[2, 1] = bad
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            attention_structure(bad_pos, flavor="point", k=3, r=2)
 
 
 def test_forward_frozen_regression_values():

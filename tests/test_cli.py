@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -258,7 +259,13 @@ def test_selftest_passes(capsys):
 
 
 def test_selftest_fault_injection_fails(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "_FAULT_SCORE_SIGN", -1.0)
+    real_forward = cli.gha_forward
+
+    def flipped_forward(*args, **kwargs):
+        res = real_forward(*args, **kwargs)
+        return dataclasses.replace(res, z=-res.z)
+
+    monkeypatch.setattr(cli, "gha_forward", flipped_forward)
     assert main(["selftest"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out

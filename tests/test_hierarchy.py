@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from gha3d.hierarchy import (
     coarsen_voxel,
     dump_hierarchy,
     interpolate,
+    segment_mean,
     truncate,
     with_values,
 )
@@ -320,6 +323,64 @@ def test_build_rejects_bad_input():
         build_hierarchy(np.zeros((2, 3)), np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)), flavor="voxel")
     with pytest.raises(InvalidInputError):
         build_hierarchy(np.zeros((2, 3)), np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)), flavor="mesh")
+
+
+@pytest.mark.parametrize("flavor", ["point", "voxel"])
+@pytest.mark.parametrize("name", ["positions", "q", "k", "v"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_values_rejected(flavor, name, bad):
+    rng = np.random.default_rng(16)
+    coords = np.unique(rng.integers(0, 4, size=(40, 3)), axis=0)
+    n = coords.shape[0]
+    args = dict(zip(("q", "k", "v"), rand_qkv(rng, n, 2)), positions=coords + 0.5)
+    h = build_hierarchy(args["positions"], args["q"], args["k"], args["v"],
+                        flavor=flavor, k=4, coords=coords)
+    args[name] = args[name].copy()
+    args[name][n // 2, 1] = bad
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        build_hierarchy(args["positions"], args["q"], args["k"], args["v"],
+                        flavor=flavor, k=4, coords=coords)
+    if name != "positions":
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            with_values(h, **{name: args[name]})
+
+
+@pytest.mark.parametrize("case", ["point", "point_duplicates", "voxel"])
+def test_pooling_map_reproduces_every_coarse_level(case):
+    rng = np.random.default_rng(17)
+    if case == "voxel":
+        coords = np.unique(rng.integers(0, 8, size=(150, 3)), axis=0)
+        coords = coords[rng.permutation(coords.shape[0])]
+        q, k_mat, v = rand_qkv(rng, coords.shape[0], 3)
+        h = build_hierarchy(coords + 0.5, q, k_mat, v, flavor="voxel", coords=coords)
+    else:
+        pos = rng.normal(size=(90, 3))
+        if case == "point_duplicates":
+            pos = pos[rng.integers(0, 12, size=90)]
+        q, k_mat, v = rand_qkv(rng, 90, 3)
+        h = build_hierarchy(pos, q, k_mat, v, flavor="point", k=5, r=2)
+    assert h.depth >= 2
+    assert h.levels[0].pool_indptr is None
+    for lev in range(h.depth):
+        fine, coarse = h.levels[lev], h.levels[lev + 1]
+        indptr, indices = coarse.pool_indptr, coarse.pool_indices
+        assert not indptr.flags.writeable and not indices.flags.writeable
+        for name in ("positions", "q_tilde", "k_tilde", "v_tilde"):
+            pooled = segment_mean(getattr(fine, name), indptr, indices)
+            assert pooled.tobytes() == getattr(coarse, name).tobytes()
+        for jc in range(coarse.n_tokens):
+            group = indices[indptr[jc] : indptr[jc + 1]].tolist()
+            if h.flavor == "point":
+                members = fine.topology.neighbors(coarse.selected[jc])
+                key = lambda i: (*fine.positions[i], i)
+            else:
+                members = children_of(h, lev, jc)
+                key = lambda i: tuple(fine.coords[i])
+            assert group == sorted(members.tolist(), key=key)
+    stripped = replace(h.levels[1], pool_indptr=None, pool_indices=None)
+    with pytest.raises(InvalidInputError, match="pooling map"):
+        Hierarchy(flavor=h.flavor, neighborhood_k=h.neighborhood_k, coarsen_ratio=h.coarsen_ratio,
+                  levels=(h.levels[0], stripped, *h.levels[2:]))
 
 
 # ---------------------------------------------------------------------------
