@@ -6,6 +6,8 @@ coordinates where stated), and every neighbor list is stored in a canonical
 order so downstream floating-point reductions are reproducible.
 """
 
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,14 +33,15 @@ class PointCloud:
     features: np.ndarray | None = None  # (N, d) float64
 
     def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=np.float64)
+        # Copies: freezing the stored arrays must not freeze the caller's.
+        pos = np.array(self.positions, dtype=np.float64, order="C")
         if pos.ndim != 2 or pos.shape[1] != 3 or pos.shape[0] < 1:
             raise InvalidInputError(f"positions must be (N, 3) with N >= 1, got {pos.shape}")
         if not np.all(np.isfinite(pos)):
             raise InvalidInputError("positions contain non-finite values")
         object.__setattr__(self, "positions", _freeze(pos))
         if self.features is not None:
-            feats = np.asarray(self.features, dtype=np.float64)
+            feats = np.array(self.features, dtype=np.float64, order="C")
             if feats.ndim != 2 or feats.shape[0] != pos.shape[0]:
                 raise InvalidInputError(
                     f"features must have {pos.shape[0]} rows, got shape {feats.shape}"
@@ -114,29 +117,51 @@ def _squared_dist_to(points: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", d, d)
 
 
-def _pick_extremal(values: np.ndarray, positions: np.ndarray, mask: np.ndarray) -> int:
-    """Index of the max of ``values`` over ``mask``; ties broken by
-    lexicographically smallest coordinates, then lowest index."""
-    masked = np.where(mask, values, -np.inf)
-    best = masked.max()
-    cand = np.flatnonzero(masked == best)
-    if cand.shape[0] == 1:
-        return int(cand[0])
-    p = positions[cand]
-    order = np.lexsort((cand, p[:, 2], p[:, 1], p[:, 0]))
-    return int(cand[order[0]])
+# Squared distances are formed as dx*dx + dy*dy + dz*dz. Bounding the
+# squared diagonal of the bounding box well below the float64 maximum keeps
+# every squared distance (and the kd-tree's own bounds) finite.
+_MAX_SQUARED_EXTENT = np.finfo(np.float64).max / 16
+
+# Relative radius margin of the FPS ball update. Computed squared distances
+# carry a relative error of a few ulp (about 1e-15) wherever no term is
+# subnormal, so a 1e-9 margin makes the kd-tree ball a strict superset of
+# the points whose computed squared distance can fall below the radius.
+_BALL_MARGIN = 1e-9
+# Below this, terms of a squared distance may be subnormal and the relative
+# error bound no longer holds; the FPS update then visits every point.
+_BALL_MIN_D2 = 1e-250
+
+# Candidates ordered per batch on the tied-boundary kNN path.
+_KNN_CANDIDATE_BUDGET = 1 << 20
 
 
-def deterministic_knn(points: np.ndarray, queries: np.ndarray, k: int) -> list[np.ndarray]:
+def _check_extent(*point_sets: np.ndarray) -> None:
+    """Reject point sets whose squared distances could overflow."""
+    lo = np.min([p.min(axis=0) for p in point_sets], axis=0)
+    hi = np.max([p.max(axis=0) for p in point_sets], axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = hi - lo
+        sq_extent = span @ span
+    if not sq_extent <= _MAX_SQUARED_EXTENT:
+        raise InvalidInputError(
+            "positions must be finite and span a bounding box whose squared "
+            f"diagonal is at most {_MAX_SQUARED_EXTENT:.3g} (got {sq_extent:.3g})"
+        )
+
+
+def deterministic_knn(points: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
     """Exact k nearest neighbors of each query among ``points``.
 
-    Returns, per query, indices sorted by (squared distance, index). A
-    kd-tree provides candidates; selection and ordering always use the
-    direct per-pair squared distance so results do not depend on tree
-    internals or input order (beyond index relabeling).
+    Returns an ``(n_queries, min(k, n))`` int64 array whose rows are sorted
+    by (squared distance, index). A kd-tree provides candidates; selection
+    and ordering always use the direct per-pair squared distance so results
+    do not depend on tree internals or input order (beyond index
+    relabeling). Rows are ordered in one batched sort; only queries whose
+    distance tie straddles the k-th place fetch a full ball of candidates.
     """
     n = points.shape[0]
     k = min(k, n)
+    _check_extent(points, queries)
     tree = cKDTree(points)
     # One extra neighbor tells us whether a tie straddles the k-th place.
     kq = min(k + 1, n)
@@ -145,28 +170,35 @@ def deterministic_knn(points: np.ndarray, queries: np.ndarray, k: int) -> list[n
         dist = dist[:, None]
         idx = idx[:, None]
 
+    every_row = np.repeat(np.arange(queries.shape[0]), k)
+    out = _order_rows(points, queries, every_row, np.sort(idx[:, :k], axis=1).ravel(), k)
     if kq > k:
-        boundary_tied = dist[:, k] <= dist[:, k - 1] * (1.0 + 1e-12)
-    else:
-        boundary_tied = np.zeros(queries.shape[0], dtype=bool)
-
-    out: list[np.ndarray] = []
-    ambiguous = np.flatnonzero(boundary_tied)
-    ball_cands = None
-    if ambiguous.size:
+        ambiguous = np.flatnonzero(dist[:, k] <= dist[:, k - 1] * (1.0 + 1e-12))
         radii = dist[ambiguous, k - 1] * (1.0 + 1e-9)
-        ball_cands = tree.query_ball_point(queries[ambiguous], radii)
-
-    amb_pos = {int(q): j for j, q in enumerate(ambiguous)}
-    for qi in range(queries.shape[0]):
-        if qi in amb_pos:
-            cand = np.asarray(ball_cands[amb_pos[qi]], dtype=np.int64)
-        else:
-            cand = idx[qi, :k].astype(np.int64)
-        d2 = _squared_dist_to(points[cand], queries[qi])
-        order = np.lexsort((cand, d2))
-        out.append(cand[order[:k]])
+        # A ball holds up to n candidates, so bound the batch by its total.
+        step = max(1, _KNN_CANDIDATE_BUDGET // n)
+        for lo in range(0, ambiguous.shape[0], step):
+            rows = ambiguous[lo : lo + step]
+            balls = tree.query_ball_point(queries[rows], radii[lo : lo + step], return_sorted=True)
+            sizes = np.fromiter(map(len, balls), dtype=np.int64, count=rows.shape[0])
+            cand = np.fromiter(itertools.chain.from_iterable(balls), dtype=np.int64, count=int(sizes.sum()))
+            out[rows] = _order_rows(points, queries, np.repeat(rows, sizes), cand, k)
     return out
+
+
+def _order_rows(
+    points: np.ndarray, queries: np.ndarray, rows: np.ndarray, cand: np.ndarray, k: int
+) -> np.ndarray:
+    """First k candidates of each row by (squared distance, index).
+
+    ``rows`` (non-decreasing) names the query of each entry of ``cand``;
+    every row must hold at least k candidates, in ascending index order.
+    """
+    d2 = _squared_dist_to(points[cand], queries[rows])
+    # lexsort is stable, so equal distances keep the ascending index order.
+    order = np.lexsort((d2, rows))
+    starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+    return cand[order][starts[:, None] + np.arange(k)]
 
 
 def knn(cloud: PointCloud, k: int) -> NeighborhoodTopology:
@@ -183,11 +215,9 @@ def knn_from_positions(positions: np.ndarray, k: int) -> NeighborhoodTopology:
     n = positions.shape[0]
     if n < 1:
         raise InvalidInputError("empty point set")
-    lists = deterministic_knn(positions, positions, k)
-    sizes = np.fromiter((len(l) for l in lists), dtype=np.int64, count=n)
-    indptr = np.concatenate(([0], np.cumsum(sizes)))
-    indices = np.concatenate(lists) if n else np.empty(0, dtype=np.int64)
-    return NeighborhoodTopology(kind="knn", indptr=indptr, indices=indices, k=k)
+    nbrs = deterministic_knn(positions, positions, k)
+    indptr = np.arange(n + 1, dtype=np.int64) * nbrs.shape[1]
+    return NeighborhoodTopology(kind="knn", indptr=indptr, indices=nbrs.ravel(), k=k)
 
 
 def farthest_point_sample(cloud: PointCloud, m: int) -> np.ndarray:
@@ -202,44 +232,52 @@ def farthest_point_sample(cloud: PointCloud, m: int) -> np.ndarray:
 
 
 def fps_from_positions(positions: np.ndarray, m: int) -> np.ndarray:
+    """Farthest point sampling (see ``farthest_point_sample``).
+
+    The points are sorted once into canonical (x, y, z, index) order and
+    the whole sample runs in that order. There, ``np.argmax`` returning
+    the first of several equal maxima *is* the tie rule: the first
+    candidate has the lexicographically smallest coordinates, then the
+    lowest index. Output is mapped back to input indices.
+
+    After a pick at min-distance ``best``, a point's min-distance can only
+    drop if its squared distance to the pick is below ``best``, so only the
+    points in a kd-tree ball of radius sqrt(best) (plus a margin) are
+    updated; each squared distance is the same ``_squared_dist_to``
+    arithmetic as a full update, so the sample is exactly that of the
+    plain O(N*m) loop.
+    """
     n = positions.shape[0]
     if not 1 <= m <= n:
         raise InvalidInputError(f"m must be in [1, {n}], got {m}")
-    unselected = np.ones(n, dtype=bool)
-
-    # Sum rows in lexicographic coordinate order: float addition is not
-    # associative, so averaging in input order would make the start pick
-    # (and thus the whole sample) depend on how the caller happened to
-    # order the points.
+    _check_extent(positions)
     canon = np.lexsort((positions[:, 2], positions[:, 1], positions[:, 0]))
-    centroid = positions[canon].mean(axis=0)
-    first = _pick_extremal(_squared_dist_to(positions, centroid), positions, unselected)
-    selected = [first]
-    min_d2 = _squared_dist_to(positions, positions[first])
+    pts = positions[canon]
+
+    # Summing rows in canonical order keeps the start pick (and thus the
+    # whole sample) independent of how the caller ordered the points.
+    centroid = pts.mean(axis=0)
+    picks = np.empty(m, dtype=np.int64)
+    picks[0] = np.argmax(_squared_dist_to(pts, centroid))
+    min_d2 = _squared_dist_to(pts, pts[picks[0]])
     # Selected entries are parked at -1, below any real squared distance, so
     # the argmax below never revisits them and no separate mask is needed.
-    min_d2[first] = -1.0
+    min_d2[picks[0]] = -1.0
 
-    diff = np.empty_like(positions)
-    d2 = np.empty(n, dtype=np.float64)
-    for _ in range(m - 1):
-        nxt = int(np.argmax(min_d2))
-        best = min_d2[nxt]
-        if np.count_nonzero(min_d2 == best) > 1:
-            # argmax already gives the lowest index; the tie rule wants
-            # lexicographically smallest coordinates first.
-            cand = np.flatnonzero(min_d2 == best)
-            p = positions[cand]
-            order = np.lexsort((cand, p[:, 2], p[:, 1], p[:, 0]))
-            nxt = int(cand[order[0]])
-        selected.append(nxt)
-        np.subtract(positions, positions[nxt], out=diff)
-        np.einsum("ij,ij->i", diff, diff, out=d2)
-        np.minimum(min_d2, d2, out=min_d2)
+    tree = cKDTree(pts)
+    for j in range(1, m):
+        nxt = int(min_d2.argmax())
+        best = float(min_d2[nxt])
+        picks[j] = nxt
+        if best >= _BALL_MIN_D2:
+            radius = math.sqrt(best) * (1.0 + _BALL_MARGIN)
+            ball = np.asarray(tree.query_ball_point(pts[nxt], radius), dtype=np.intp)
+            min_d2[ball] = np.minimum(min_d2[ball], _squared_dist_to(pts[ball], pts[nxt]))
+        elif best > 0.0:
+            np.minimum(min_d2, _squared_dist_to(pts, pts[nxt]), out=min_d2)
+        # best == 0: every remaining min-distance is already 0.
         min_d2[nxt] = -1.0
-
-    out = np.array(sorted(selected), dtype=np.int64)
-    return out
+    return np.sort(canon[picks])
 
 
 def pack_voxel_coords(coords: np.ndarray) -> np.ndarray:

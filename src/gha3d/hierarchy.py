@@ -170,8 +170,7 @@ def coarsen_point(level: HierarchyLevel, r: int) -> tuple[HierarchyLevel, np.nda
     m = -(-n // r)  # ceil
     selected = fps_from_positions(level.positions, m)
 
-    parent_lists = deterministic_knn(level.positions[selected], level.positions, 1)
-    parent_of = np.fromiter((int(p[0]) for p in parent_lists), dtype=np.int64, count=n)
+    parent_of = deterministic_knn(level.positions[selected], level.positions, 1)[:, 0]
     # Keep every parent non-empty even when duplicate positions make several
     # selected tokens equidistant: a selected token parents itself.
     parent_of[selected] = np.arange(m, dtype=np.int64)
@@ -278,10 +277,12 @@ def build_hierarchy(
     topologies and stride-2 pooling, folding consecutive non-reducing
     halvings into one level so every recorded level strictly shrinks.
     """
-    positions = np.asarray(positions, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    k_mat = np.asarray(k_mat, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
+    # Copies: level 0 freezes what it stores, and the caller's own arrays
+    # must stay writeable without reaching into the built structure.
+    positions = np.array(positions, dtype=np.float64, order="C")
+    q = np.array(q, dtype=np.float64, order="C")
+    k_mat = np.array(k_mat, dtype=np.float64, order="C")
+    v = np.array(v, dtype=np.float64, order="C")
     n = positions.shape[0]
     if n < 1:
         raise InvalidInputError("need at least one token")
@@ -304,7 +305,7 @@ def build_hierarchy(
     elif flavor == "voxel":
         if coords is None:
             raise InvalidInputError("voxel flavor requires occupied-cell coords")
-        coords = np.asarray(coords, dtype=np.int64)
+        coords = np.array(coords, dtype=np.int64)
         if coords.shape != (n, 3):
             raise InvalidInputError(f"coords must be ({n}, 3), got {coords.shape}")
         stop_k = VOXEL_WINDOW_K
@@ -349,7 +350,7 @@ def with_values(
     new_rows = {}
     for name, mat in (("q_tilde", q), ("k_tilde", k), ("v_tilde", v)):
         if mat is not None:
-            mat = np.asarray(mat, dtype=np.float64)
+            mat = np.array(mat, dtype=np.float64, order="C")  # copy: level 0 freezes it
             if mat.ndim != 2 or mat.shape[0] != n:
                 raise InvalidInputError(f"replacement {name} must have {n} rows")
             if not np.all(np.isfinite(mat)):

@@ -1,22 +1,38 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from gha3d.errors import FormatError, InvalidInputError
 from gha3d.geometry import (
     PointCloud,
+    deterministic_knn,
     farthest_point_sample,
+    fps_from_positions,
     kernel_window_topology,
     knn,
     load_point_cloud,
     save_point_cloud_binary,
     voxelize,
 )
+from gha3d.hierarchy import build_hierarchy
 
 
 # ---------------------------------------------------------------------------
 # Brute-force oracles. These deliberately avoid kd-trees and vectorized
 # shortcuts used by the implementation.
+#
+# Ties are defined on computed float64 squared distances, so the oracles use
+# the package's squared-distance formula (an einsum over the coordinate
+# differences). A BLAS dot product may round differently, for instance by
+# fusing multiply-adds, and then splits ties the package keeps.
 # ---------------------------------------------------------------------------
+
+def _sq_dist(points, p):
+    d = points - p
+    return np.einsum("ij,ij->i", d, d)
+
 
 def brute_knn(positions, k):
     """All-pairs squared distances, sorted by (d2, index), first k."""
@@ -24,7 +40,7 @@ def brute_knn(positions, k):
     k = min(k, n)
     out = []
     for i in range(n):
-        d2 = [float(np.dot(positions[i] - positions[j], positions[i] - positions[j])) for j in range(n)]
+        d2 = _sq_dist(positions, positions[i]).tolist()
         order = sorted(range(n), key=lambda j: (d2[j], j))
         out.append(order[:k])
     return out
@@ -32,11 +48,12 @@ def brute_knn(positions, k):
 
 def brute_fps(positions, m):
     n = positions.shape[0]
-    centroid = positions.mean(axis=0)
+    # The start point is defined against the centroid summed in
+    # lexicographic coordinate order, so it does not depend on input order.
+    centroid = positions[np.lexsort(positions.T[::-1])].mean(axis=0)
 
     def d2(a, b):
-        diff = a - b
-        return float(np.dot(diff, diff))
+        return float(_sq_dist(a[None, :], b)[0])
 
     def pick(scores, available):
         best = max(scores[i] for i in available)
@@ -184,6 +201,218 @@ def test_fps_rejects_bad_m():
         farthest_point_sample(pc, 0)
     with pytest.raises(InvalidInputError):
         farthest_point_sample(pc, 4)
+
+
+# ---------------------------------------------------------------------------
+# Loop oracles: the plain O(N*m) farthest-point loop and the per-query kNN
+# loop that the kd-tree-pruned implementations replaced. Same arithmetic, so
+# the outputs must match bit for bit.
+# ---------------------------------------------------------------------------
+
+def loop_fps(positions, m):
+    """Every pick updates every point; ties go to the lexicographically
+    smallest coordinates, then the lowest index."""
+
+    def pick(values):
+        best = values.max()
+        cand = np.flatnonzero(values == best)
+        p = positions[cand]
+        return int(cand[np.lexsort((cand, p[:, 2], p[:, 1], p[:, 0]))[0]])
+
+    canon = np.lexsort((positions[:, 2], positions[:, 1], positions[:, 0]))
+    centroid = positions[canon].mean(axis=0)
+    selected = [pick(_sq_dist(positions, centroid))]
+    min_d2 = _sq_dist(positions, positions[selected[0]])
+    min_d2[selected[0]] = -1.0
+    for _ in range(m - 1):
+        nxt = pick(min_d2)
+        selected.append(nxt)
+        np.minimum(min_d2, _sq_dist(positions, positions[nxt]), out=min_d2)
+        min_d2[nxt] = -1.0
+    return np.array(sorted(selected), dtype=np.int64)
+
+
+def loop_knn(points, queries, k):
+    """Per query: the kd-tree's k nearest, or every point in the ball of the
+    k-th distance when a tie may straddle the k-th place; then the first k
+    by (squared distance, index)."""
+    n = points.shape[0]
+    k = min(k, n)
+    tree = cKDTree(points)
+    kq = min(k + 1, n)
+    dist, idx = tree.query(queries, k=kq)
+    if kq == 1:
+        dist, idx = dist[:, None], idx[:, None]
+    rows = []
+    for qi, q in enumerate(queries):
+        if kq > k and dist[qi, k] <= dist[qi, k - 1] * (1.0 + 1e-12):
+            cand = np.asarray(tree.query_ball_point(q, dist[qi, k - 1] * (1.0 + 1e-9)), dtype=np.int64)
+        else:
+            cand = idx[qi, :k].astype(np.int64)
+        rows.append(cand[np.lexsort((cand, _sq_dist(points[cand], q)))[:k]])
+    return np.array(rows, dtype=np.int64).reshape(len(queries), k)
+
+
+def loop_parent_of(positions, selected):
+    parent = loop_knn(positions[selected], positions, 1)[:, 0]
+    parent[selected] = np.arange(selected.shape[0])
+    return parent
+
+
+def _scene(rng, n):
+    """Floor z=0 and wall x=0 over the unit square plus a sphere, stored as
+    float32 values: planar ties and repeated coordinates, as in scans."""
+    part = rng.choice(3, size=n, p=[0.4, 0.4, 0.2])
+    uv = rng.uniform(0.0, 1.0, size=(n, 2))
+    out = np.empty((n, 3))
+    floor, wall, ball = part == 0, part == 1, part == 2
+    out[floor] = np.column_stack([uv[floor], np.zeros(floor.sum())])
+    out[wall] = np.column_stack([np.zeros(wall.sum()), uv[wall]])
+    d = rng.normal(size=(int(ball.sum()), 3))
+    out[ball] = np.array([0.55, 0.5, 0.3]) + 0.2 * d / np.linalg.norm(d, axis=1, keepdims=True)
+    return out.astype(np.float32).astype(np.float64)
+
+
+def _oracle_cloud(name):
+    rng = np.random.default_rng(20231)
+    if name == "uniform":
+        return rng.uniform(size=(4096, 3))
+    if name == "scene":
+        return _scene(rng, 4096)
+    if name == "distinct10":
+        base = _scene(rng, 410)
+        return base[rng.integers(0, base.shape[0], size=4096)]
+    if name == "near_duplicates":
+        # Clusters 1e-12 wide in a unit cloud: late FPS balls are tiny next
+        # to the kd-tree's extent.
+        base = rng.uniform(size=(200, 3))
+        return base[rng.integers(0, 200, size=2000)] + rng.normal(size=(2000, 3)) * 1e-12
+    if name == "identical":
+        return np.full((300, 3), 0.25)
+    if name == "collinear":
+        t = np.arange(600, dtype=np.float64)
+        return np.column_stack([t, 2.0 * t, -t])[rng.permutation(600)]
+    if name == "coplanar_grid":
+        g = np.stack(np.meshgrid(np.arange(24.0), np.arange(24.0), [3.0], indexing="ij"), -1)
+        return g.reshape(-1, 3)[rng.permutation(576)]
+    if name == "signed_zeros":
+        return rng.choice([-0.0, 0.0, 1.0, -1.0], size=(500, 3))
+    raise ValueError(name)
+
+
+ORACLE_CLOUDS = [
+    "uniform", "scene", "distinct10", "near_duplicates",
+    "identical", "collinear", "coplanar_grid", "signed_zeros",
+]
+
+
+def _assert_matches_loop_oracles(pos):
+    n = pos.shape[0]
+    for m in sorted({1, 2, n}):  # the build below covers m = n/2
+        assert np.array_equal(fps_from_positions(pos, m), loop_fps(pos, m)), m
+    for k in (1, 8):
+        got = deterministic_knn(pos, pos, k)
+        assert got.dtype == np.int64 and got.shape == (n, min(k, n))
+        assert np.array_equal(got, loop_knn(pos, pos, k)), k
+    # The point hierarchy's samples, parent maps and topologies, level by level.
+    h = build_hierarchy(pos, np.zeros((n, 1)), np.zeros((n, 1)), np.zeros((n, 1)), k=8, r=2)
+    for fine, coarse in zip(h.levels[:-1], h.levels[1:]):
+        m = coarse.n_tokens
+        assert np.array_equal(coarse.selected, loop_fps(fine.positions, m))
+        assert np.array_equal(fine.parent_of, loop_parent_of(fine.positions, coarse.selected))
+    for lv in h.levels:
+        assert np.array_equal(lv.topology.indices, loop_knn(lv.positions, lv.positions, 8).ravel())
+
+
+@pytest.mark.parametrize("name", ORACLE_CLOUDS)
+def test_fps_knn_parents_match_loop_oracles(name):
+    _assert_matches_loop_oracles(_oracle_cloud(name))
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e-155, 1e-150, 1e-100, 1e-10, 1e10, 1e100, 1e150])
+def test_fps_knn_parents_match_loop_oracles_at_extreme_scales(scale):
+    # Near 1e-160 every squared-distance term is subnormal, at 1e-170 they
+    # all underflow to 0; at 1e150 they approach the float64 maximum.
+    pos = np.random.default_rng(77).uniform(-1.0, 1.0, size=(1000, 3)) * scale
+    _assert_matches_loop_oracles(pos)
+
+
+def test_fps_updates_points_just_inside_the_pick_radius():
+    # Picks go F (far outlier), S, then P: P and X tie at squared distance
+    # 65^2 from S and P is lexicographically smaller. X lies 0.992*65 from
+    # P, so P's update must lower X to 4160, below Y's 4200, and Y comes
+    # next. A ball even 1% too small would leave X at 4225 and pick it.
+    pos = np.array([
+        [-10000.0, 0.0, 0.0],  # F
+        [0.0, 0.0, 0.0],  # S
+        [-65.0, 0.0, 0.0],  # P
+        [-33.0, 56.0, 0.0],  # X
+        [-30.0, -np.sqrt(3300.0), 0.0],  # Y
+    ])
+    assert list(fps_from_positions(pos, 4)) == [0, 1, 2, 4] == brute_fps(pos, 4)
+
+
+@pytest.mark.parametrize("name", ["uniform", "scene", "coplanar_grid"])
+def test_fps_relabels_under_permutation(name):
+    # Distinct positions: the tie rule never reaches the index, so the
+    # sample of a permuted cloud is exactly the relabeled sample.
+    pos = _oracle_cloud(name)
+    n = pos.shape[0]
+    perm = np.random.default_rng(5).permutation(n)
+    inv = np.argsort(perm)
+    for m in (1, 2, n // 3, n // 2):
+        want = np.sort(inv[fps_from_positions(pos, m)])
+        assert np.array_equal(fps_from_positions(pos[perm], m), want)
+
+
+@pytest.mark.parametrize("scale", [1e154, 1e160])
+def test_huge_coordinates_rejected(scale):
+    pos = np.random.default_rng(3).uniform(size=(50, 3)) * scale
+    cloud = PointCloud(positions=pos)
+    with pytest.raises(InvalidInputError):
+        knn(cloud, 4)
+    with pytest.raises(InvalidInputError):
+        farthest_point_sample(cloud, 10)
+    with pytest.raises(InvalidInputError):
+        build_hierarchy(pos, np.zeros((50, 1)), np.zeros((50, 1)), np.zeros((50, 1)), k=4)
+
+
+def test_far_translated_cloud_accepted():
+    # The limit is on squared distances, not on coordinates: a small cloud
+    # far from the origin is fine.
+    pos = np.random.default_rng(4).uniform(size=(200, 3)) + 1e200
+    assert np.array_equal(fps_from_positions(pos, 50), loop_fps(pos, 50))
+    assert np.array_equal(deterministic_knn(pos, pos, 8), loop_knn(pos, pos, 8))
+
+
+_coordinate = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.sampled_from([-0.0, 0.0, 0.5, -0.5, 1e-3, 2.0**-30]),
+)
+
+
+@st.composite
+def degenerate_clouds(draw):
+    """Small clouds with duplicates, integer grids and mixed scales: rows are
+    drawn from a handful of grid points, some rows scaled by a power of ten,
+    then the whole cloud by one of 1, 1e-160 (subnormal products) or 1e100."""
+    n = draw(st.integers(1, 24))
+    pool = draw(st.lists(st.tuples(_coordinate, _coordinate, _coordinate), min_size=1, max_size=n))
+    rows = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    scales = draw(st.lists(st.sampled_from([1.0, 1.0, 1e-8, 1e3, 1e-150]), min_size=n, max_size=n))
+    return np.array(rows, dtype=np.float64) * np.array(scales)[:, None] * draw(
+        st.sampled_from([1.0, 1e-160, 1e100])
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(pos=degenerate_clouds(), data=st.data())
+def test_fps_and_knn_match_brute_force_on_degenerate_clouds(pos, data):
+    n = pos.shape[0]
+    m = data.draw(st.integers(1, n), label="m")
+    k = data.draw(st.integers(1, n + 1), label="k")
+    assert list(fps_from_positions(pos, m)) == brute_fps(pos, m)
+    assert deterministic_knn(pos, pos, k).tolist() == brute_knn(pos, k)
 
 
 # ---------------------------------------------------------------------------

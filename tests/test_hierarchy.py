@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gha3d.errors import InvalidCoarsenError, InvalidInputError
-from gha3d.geometry import kernel_window_topology, knn_from_positions
+from gha3d.geometry import PointCloud, kernel_window_topology, knn_from_positions
 from gha3d.hierarchy import (
     Hierarchy,
     HierarchyLevel,
@@ -386,6 +386,38 @@ def test_pooling_map_reproduces_every_coarse_level(case):
 # ---------------------------------------------------------------------------
 # with_values / truncate / interpolate
 # ---------------------------------------------------------------------------
+
+def test_callers_arrays_stay_writeable_and_detached():
+    """Entry points copy what they store: the caller may keep writing to its
+    own arrays, and those writes never reach the built structure."""
+    rng = np.random.default_rng(12)
+    pos = rng.uniform(size=(40, 3))
+    q, k_mat, v = rand_qkv(rng, 40, 3)
+    coords = np.unique(rng.integers(0, 6, size=(40, 3)), axis=0)
+    m = coords.shape[0]
+    vq, vk, vv = rand_qkv(rng, m, 2)
+    vpos = coords + 0.5
+    h = build_hierarchy(pos, q, k_mat, v, k=4, r=2)
+    hv = build_hierarchy(vpos, vq, vk, vv, flavor="voxel", coords=coords)
+    q2 = rng.normal(size=(40, 3))
+    hw = with_values(h, q=q2)
+    feats = rng.normal(size=(40, 2))
+    cloud = PointCloud(positions=pos, features=feats)
+    before = [dump_hierarchy(x) for x in (h, hv, hw)]
+    rows = [lv.q_tilde.copy() for lv in hw.levels] + [h.levels[0].v_tilde.copy(), hv.levels[0].k_tilde.copy()]
+    cloud_before = (cloud.positions.copy(), cloud.features.copy())
+
+    callers = (pos, q, k_mat, v, coords, vpos, vq, vk, vv, q2, feats)
+    assert all(a.flags.writeable for a in callers)
+    for a in callers:
+        a[...] = 7
+
+    assert [dump_hierarchy(x) for x in (h, hv, hw)] == before
+    after = [lv.q_tilde for lv in hw.levels] + [h.levels[0].v_tilde, hv.levels[0].k_tilde]
+    assert all(np.array_equal(x, y) for x, y in zip(after, rows))
+    assert np.array_equal(cloud.positions, cloud_before[0])
+    assert np.array_equal(cloud.features, cloud_before[1])
+
 
 def test_with_values_matches_fresh_build():
     rng = np.random.default_rng(14)
