@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import AttentionInputs, _edge_scores, dense_attention, gha_forward
+from .attention import AttentionInputs, _dense_softmax_chunks, dense_attention, gha_forward
 from .errors import CapacityError, InvalidInputError, InvariantViolation
 from .geometry import PointCloud, voxelize
 from .hierarchy import VOXEL_WINDOW_K, Hierarchy, build_hierarchy, truncate, with_values
@@ -62,6 +62,19 @@ def _probe_columns(hierarchy: Hierarchy, lo: int, hi: int, embedding, mode) -> n
     return gha_forward(probed, embedding, mode).z
 
 
+def _probe_blocks(hierarchy: Hierarchy, embedding, mode, probe_cap: int, block_size: int,
+                  threads: int, keep) -> list:
+    """keep(z) of each one-hot probe block, in column order."""
+    n = hierarchy.levels[0].n_tokens
+    _check_probe_cap(n, probe_cap)
+    if block_size < 1:
+        raise InvalidInputError(f"block_size must be >= 1, got {block_size}")
+    spans = [(lo, min(n, lo + block_size)) for lo in range(0, n, block_size)]
+    return _map_ordered(
+        lambda s: keep(_probe_columns(hierarchy, s[0], s[1], embedding, mode)), spans, threads
+    )
+
+
 def effective_attention(hierarchy: Hierarchy, embedding=None, embedding_mode: str = "none",
                         *, probe_cap: int = PROBE_CAP, block_size: int = 512,
                         threads: int = 1) -> np.ndarray:
@@ -72,51 +85,20 @@ def effective_attention(hierarchy: Hierarchy, embedding=None, embedding_mode: st
     nonnegative and sum to 1. Blocks are independent, making the result
     invariant to both block_size and thread count.
     """
-    n = hierarchy.levels[0].n_tokens
-    _check_probe_cap(n, probe_cap)
-    if block_size < 1:
-        raise InvalidInputError(f"block_size must be >= 1, got {block_size}")
-    spans = [(lo, min(n, lo + block_size)) for lo in range(0, n, block_size)]
-    blocks = _map_ordered(
-        lambda s: _probe_columns(hierarchy, s[0], s[1], embedding, embedding_mode),
-        spans, threads,
-    )
-    return np.hstack(blocks)
+    return np.hstack(_probe_blocks(hierarchy, embedding, embedding_mode, probe_cap,
+                                   block_size, threads, keep=lambda z: z))
 
 
 def effective_attention_row(hierarchy: Hierarchy, i: int, embedding=None,
                             embedding_mode: str = "none", *, probe_cap: int = PROBE_CAP,
                             block_size: int = 512, threads: int = 1) -> np.ndarray:
-    """Effective weights of query i over all N tokens (nonnegative, sum 1)."""
+    """Effective weights of query i over all N tokens (nonnegative, sum 1);
+    row i of ``effective_attention``, without holding the other rows."""
     n = hierarchy.levels[0].n_tokens
     if not 0 <= i < n:
         raise InvalidInputError(f"query index {i} out of range for {n} tokens")
-    _check_probe_cap(n, probe_cap)
-    spans = [(lo, min(n, lo + block_size)) for lo in range(0, n, block_size)]
-    blocks = _map_ordered(
-        lambda s: _probe_columns(hierarchy, s[0], s[1], embedding, embedding_mode)[i],
-        spans, threads,
-    )
-    return np.concatenate(blocks)
-
-
-def _dense_weight_matrix(hierarchy: Hierarchy, embedding, mode: str) -> np.ndarray:
-    """Row-stochastic softmax weights of the dense reference on level 0."""
-    lv = hierarchy.levels[0]
-    q, k, pos = lv.q_tilde, lv.k_tilde, lv.positions
-    n, d = q.shape
-    scale = math.sqrt(d)
-    out = np.empty((n, n), dtype=np.float64)
-    cols = np.arange(n, dtype=np.int64)
-    chunk = max(1, (1 << 22) // n)
-    for start in range(0, n, chunk):
-        stop = min(n, start + chunk)
-        rows = np.repeat(np.arange(start, stop, dtype=np.int64), n)
-        s = _edge_scores(q, k, pos, rows, np.tile(cols, stop - start), embedding, mode, scale)
-        s = s.reshape(stop - start, n)
-        e = np.exp(s - s.max(axis=1, keepdims=True))
-        out[start:stop] = e / e.sum(axis=1, keepdims=True)
-    return out
+    return np.concatenate(_probe_blocks(hierarchy, embedding, embedding_mode, probe_cap,
+                                        block_size, threads, keep=lambda z: z[i].copy()))
 
 
 def mechanism_weights(hierarchy: Hierarchy, mechanism: str, embedding=None,
@@ -131,8 +113,14 @@ def mechanism_weights(hierarchy: Hierarchy, mechanism: str, embedding=None,
     if mechanism not in MECHANISMS:
         raise InvalidInputError(f"mechanism must be one of {MECHANISMS}, got {mechanism!r}")
     if mechanism == "dense":
-        _check_probe_cap(hierarchy.levels[0].n_tokens, probe_cap)
-        return _dense_weight_matrix(hierarchy, embedding, embedding_mode)
+        lv = hierarchy.levels[0]
+        _check_probe_cap(lv.n_tokens, probe_cap)
+        out = np.empty((lv.n_tokens, lv.n_tokens), dtype=np.float64)
+        for start, stop, a, denom, _ in _dense_softmax_chunks(
+            lv.q_tilde, lv.k_tilde, lv.positions, embedding, embedding_mode
+        ):
+            out[start:stop] = a / denom[:, None]
+        return out
     h = truncate(hierarchy, 0) if mechanism == "local" else hierarchy
     return effective_attention(h, embedding, embedding_mode, probe_cap=probe_cap,
                                threads=threads)
@@ -259,6 +247,8 @@ def locality_ratio(positions: np.ndarray, weights: np.ndarray, n_extreme: int = 
 def approximation_report(hierarchy: Hierarchy, embedding=None, embedding_mode: str = "none",
                          *, probe_cap: int = PROBE_CAP,
                          threads: int = 1) -> ApproximationReport:
+    """gha vs the dense reference; raises InvariantViolation if the probed
+    effective weights are not row-stochastic."""
     lv = hierarchy.levels[0]
     n = lv.n_tokens
     _check_probe_cap(n, probe_cap)
@@ -272,6 +262,12 @@ def approximation_report(hierarchy: Hierarchy, embedding=None, embedding_mode: s
     rel = diff / np.maximum(ref, np.finfo(np.float64).tiny)
     weights = effective_attention(hierarchy, embedding, embedding_mode,
                                   probe_cap=probe_cap, threads=threads)
+    worst = np.max(np.abs(weights.sum(axis=1) - 1.0))
+    if weights.min() < 0.0 or worst > 1e-10:
+        raise InvariantViolation(
+            "effective attention rows are not a probability distribution "
+            f"(min weight {weights.min():.3e}, worst row sum deviation {worst:.3e})"
+        )
     return ApproximationReport(
         n_tokens=n,
         flavor=hierarchy.flavor,

@@ -19,6 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError
+from .geometry import _freeze
 from .hierarchy import Hierarchy
 
 
@@ -36,12 +37,11 @@ class FourierEmbedding:
     frequencies: np.ndarray  # (m, 3) float64
 
     def __post_init__(self):
-        f = np.ascontiguousarray(np.asarray(self.frequencies, dtype=np.float64))
+        f = _freeze(self.frequencies, np.float64)
         if f.ndim != 2 or f.shape[1] != 3 or f.shape[0] < 1:
             raise InvalidInputError(f"frequencies must be (m, 3) with m >= 1, got {f.shape}")
         if not np.all(np.isfinite(f)):
             raise InvalidInputError("frequencies contain non-finite values")
-        f.flags.writeable = False
         object.__setattr__(self, "frequencies", f)
 
     @property
@@ -71,7 +71,10 @@ def fourier_embed(emb: FourierEmbedding, p) -> np.ndarray:
 
 def embed_points(emb: FourierEmbedding, pts: np.ndarray) -> np.ndarray:
     """Vectorized gamma over rows of an (n, 3) array -> (n, 2m)."""
-    angles = (2.0 * np.pi) * (np.asarray(pts, dtype=np.float64) @ emb.frequencies.T)
+    pts = np.asarray(pts, dtype=np.float64)
+    if not np.all(np.isfinite(pts)):
+        raise InvalidInputError("positions contain non-finite values")
+    angles = (2.0 * np.pi) * (pts @ emb.frequencies.T)
     out = np.empty((angles.shape[0], 2 * emb.m), dtype=np.float64)
     out[:, 0::2] = np.cos(angles)
     out[:, 1::2] = np.sin(angles)
@@ -190,19 +193,17 @@ def _edge_scores(q, k, positions, rows, cols, embedding, mode, scale) -> np.ndar
 # Dense and local references
 # ---------------------------------------------------------------------------
 
-def dense_attention(inputs: AttentionInputs) -> AttentionResult:
-    """Exact softmax(q k^T / sqrt(d)) v with per-row max subtraction."""
-    q, k, v, pos = inputs.q, inputs.k, inputs.v, inputs.positions
-    emb, mode = inputs.embedding, inputs.embedding_mode
+def _dense_softmax_chunks(q, k, pos, emb, mode):
+    """Row chunks (start, stop, a, denom, mu) of the dense reference softmax:
+    a = exp(s - mu) for query rows start:stop against all keys, with row
+    maxima mu and row sums denom, so the weights are a / denom."""
     n, d = q.shape
+    _check_mode(emb, mode, d)
     scale = math.sqrt(d)
     if mode == "absolute":
         gamma = embed_points(emb, pos)
         q = q + gamma
         k = k + gamma
-
-    z = np.empty_like(v)
-    normalizers = np.empty(n, dtype=np.float64)
     # Row chunks keep the relative-mode pair tensor bounded.
     if mode == "relative":
         chunk = max(1, min(n, (1 << 22) // max(1, n * emb.m)))
@@ -218,8 +219,18 @@ def dense_attention(inputs: AttentionInputs) -> AttentionResult:
         s /= scale
         mu = s.max(axis=1)
         a = np.exp(s - mu[:, None])
-        denom = a.sum(axis=1)
-        z[start:stop] = (a @ v) / denom[:, None]
+        yield start, stop, a, a.sum(axis=1), mu
+
+
+def dense_attention(inputs: AttentionInputs) -> AttentionResult:
+    """Exact softmax(q k^T / sqrt(d)) v with per-row max subtraction."""
+    n = inputs.n_tokens
+    z = np.empty_like(inputs.v)
+    normalizers = np.empty(n, dtype=np.float64)
+    for start, stop, a, denom, mu in _dense_softmax_chunks(
+        inputs.q, inputs.k, inputs.positions, inputs.embedding, inputs.embedding_mode
+    ):
+        z[start:stop] = (a @ inputs.v) / denom[:, None]
         with np.errstate(over="ignore"):  # extreme scores saturate to inf
             normalizers[start:stop] = denom * np.exp(mu)
     return AttentionResult(
@@ -357,6 +368,8 @@ def gha_backward(hierarchy: Hierarchy, dz: np.ndarray,
     dz = np.asarray(dz, dtype=np.float64)
     if dz.shape != (n, d_v):
         raise InvalidInputError(f"dz must be ({n}, {d_v}), got {dz.shape}")
+    if not np.all(np.isfinite(dz)):
+        raise InvalidInputError("dz contains non-finite values")
     scale = math.sqrt(d)
 
     _, caches, d_hat, m_q, z = _forward_core(hierarchy, embedding, embedding_mode, want_cache=True)

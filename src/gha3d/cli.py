@@ -31,7 +31,6 @@ from .analysis import (
     approximation_csv,
     approximation_report,
     attention_histogram,
-    effective_attention,
     effective_attention_row,
     heatmap_csv,
     histogram_csv,
@@ -314,16 +313,6 @@ def cmd_compare(args) -> int:
     threads = _resolve_threads(args)
     positions, coords, _ = _load_tokens(args)
     h, emb = _seeded_hierarchy(args, positions, coords)
-
-    weights = effective_attention(h, emb, args.embedding, threads=threads)
-    row_sums = weights.sum(axis=1)
-    if weights.min() < 0.0 or np.max(np.abs(row_sums - 1.0)) > 1e-10:
-        raise InvariantViolation(
-            "effective attention rows are not a probability distribution "
-            f"(min weight {weights.min():.3e}, worst row sum deviation "
-            f"{np.max(np.abs(row_sums - 1.0)):.3e})"
-        )
-
     report = approximation_report(h, emb, args.embedding, threads=threads)
     _emit(approximation_csv(report), args.output)
     return 0

@@ -19,8 +19,23 @@ from .errors import InvalidInputError
 _VOXEL_COORD_BOUND = 1 << 20
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
+def _freeze(a, dtype=None) -> np.ndarray:
+    """Read-only C-contiguous array holding ``a``.
+
+    An array that arrives writeable is copied, so the caller's own array
+    stays writeable and never reaches the stored one. One that already is
+    read-only is stored as is: the package marks the arrays it makes with
+    ``_readonly`` before passing them on, and pays no copy.
+    """
+    out = np.ascontiguousarray(a, dtype=dtype)
+    if out.flags.writeable and (out is a or not out.flags.owndata):
+        out = out.copy()
+    out.flags.writeable = False
+    return out
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    """Mark an array the package just made read-only, in place."""
     a.flags.writeable = False
     return a
 
@@ -33,22 +48,21 @@ class PointCloud:
     features: np.ndarray | None = None  # (N, d) float64
 
     def __post_init__(self):
-        # Copies: freezing the stored arrays must not freeze the caller's.
-        pos = np.array(self.positions, dtype=np.float64, order="C")
+        pos = _freeze(self.positions, np.float64)
         if pos.ndim != 2 or pos.shape[1] != 3 or pos.shape[0] < 1:
             raise InvalidInputError(f"positions must be (N, 3) with N >= 1, got {pos.shape}")
         if not np.all(np.isfinite(pos)):
             raise InvalidInputError("positions contain non-finite values")
-        object.__setattr__(self, "positions", _freeze(pos))
+        object.__setattr__(self, "positions", pos)
         if self.features is not None:
-            feats = np.array(self.features, dtype=np.float64, order="C")
+            feats = _freeze(self.features, np.float64)
             if feats.ndim != 2 or feats.shape[0] != pos.shape[0]:
                 raise InvalidInputError(
                     f"features must have {pos.shape[0]} rows, got shape {feats.shape}"
                 )
             if not np.all(np.isfinite(feats)):
                 raise InvalidInputError("features contain non-finite values")
-            object.__setattr__(self, "features", _freeze(feats))
+            object.__setattr__(self, "features", feats)
 
     @property
     def n_points(self) -> int:
@@ -72,8 +86,8 @@ class NeighborhoodTopology:
     def __post_init__(self):
         if self.kind not in ("knn", "kernel_window"):
             raise InvalidInputError(f"unknown topology kind {self.kind!r}")
-        object.__setattr__(self, "indptr", _freeze(np.asarray(self.indptr, dtype=np.int64)))
-        object.__setattr__(self, "indices", _freeze(np.asarray(self.indices, dtype=np.int64)))
+        object.__setattr__(self, "indptr", _freeze(self.indptr, np.int64))
+        object.__setattr__(self, "indices", _freeze(self.indices, np.int64))
 
     @property
     def n_tokens(self) -> int:
@@ -102,10 +116,10 @@ class SparseVoxelGrid:
     cell_count: np.ndarray  # (M,) int64 number of source points
 
     def __post_init__(self):
-        object.__setattr__(self, "occupied", _freeze(np.asarray(self.occupied, dtype=np.int64)))
-        object.__setattr__(self, "cell_features", _freeze(np.asarray(self.cell_features, dtype=np.float64)))
-        object.__setattr__(self, "cell_centroid", _freeze(np.asarray(self.cell_centroid, dtype=np.float64)))
-        object.__setattr__(self, "cell_count", _freeze(np.asarray(self.cell_count, dtype=np.int64)))
+        object.__setattr__(self, "occupied", _freeze(self.occupied, np.int64))
+        object.__setattr__(self, "cell_features", _freeze(self.cell_features, np.float64))
+        object.__setattr__(self, "cell_centroid", _freeze(self.cell_centroid, np.float64))
+        object.__setattr__(self, "cell_count", _freeze(self.cell_count, np.int64))
 
     @property
     def n_voxels(self) -> int:
@@ -217,7 +231,8 @@ def knn_from_positions(positions: np.ndarray, k: int) -> NeighborhoodTopology:
         raise InvalidInputError("empty point set")
     nbrs = deterministic_knn(positions, positions, k)
     indptr = np.arange(n + 1, dtype=np.int64) * nbrs.shape[1]
-    return NeighborhoodTopology(kind="knn", indptr=indptr, indices=nbrs.ravel(), k=k)
+    return NeighborhoodTopology(kind="knn", indptr=_readonly(indptr),
+                                indices=_readonly(nbrs.ravel()), k=k)
 
 
 def farthest_point_sample(cloud: PointCloud, m: int) -> np.ndarray:
@@ -316,10 +331,10 @@ def voxelize(cloud: PointCloud, voxel_size: float) -> SparseVoxelGrid:
         feats = np.empty((uniq_keys.shape[0], 0), dtype=np.float64)
     return SparseVoxelGrid(
         voxel_size=float(voxel_size),
-        occupied=occ,
-        cell_features=feats,
-        cell_centroid=centroid,
-        cell_count=counts.astype(np.int64),
+        occupied=_readonly(occ),
+        cell_features=_readonly(feats),
+        cell_centroid=_readonly(centroid),
+        cell_count=_readonly(counts.astype(np.int64)),
     )
 
 
@@ -363,7 +378,8 @@ def kernel_window_topology(occupied: np.ndarray | SparseVoxelGrid) -> Neighborho
     # coordinates — a canonical order that does not depend on how the
     # caller numbered the cells.
     indices = hit_mat[hit_mat >= 0]
-    return NeighborhoodTopology(kind="kernel_window", indptr=indptr, indices=indices)
+    return NeighborhoodTopology(kind="kernel_window", indptr=_readonly(indptr),
+                                indices=_readonly(indices))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from .errors import InvalidCoarsenError, InvalidInputError
 from .geometry import (
     NeighborhoodTopology,
     _freeze,
+    _readonly,
     deterministic_knn,
     fps_from_positions,
     kernel_window_topology,
@@ -87,11 +88,11 @@ class HierarchyLevel:
 
     def __post_init__(self):
         for name in ("positions", "q_tilde", "k_tilde", "v_tilde"):
-            object.__setattr__(self, name, _freeze(np.asarray(getattr(self, name), dtype=np.float64)))
+            object.__setattr__(self, name, _freeze(getattr(self, name), np.float64))
         for name in ("parent_of", "selected", "coords", "pool_indptr", "pool_indices"):
             val = getattr(self, name)
             if val is not None:
-                object.__setattr__(self, name, _freeze(np.asarray(val, dtype=np.int64)))
+                object.__setattr__(self, name, _freeze(val, np.int64))
         n = self.positions.shape[0]
         for name in ("q_tilde", "k_tilde", "v_tilde"):
             if getattr(self, name).shape[0] != n:
@@ -106,6 +107,15 @@ class HierarchyLevel:
     @property
     def n_tokens(self) -> int:
         return self.positions.shape[0]
+
+
+def _made_level(**fields) -> HierarchyLevel:
+    """A level over arrays made here, marked read-only so it stores them
+    without a copy."""
+    for a in fields.values():
+        if isinstance(a, np.ndarray):
+            _readonly(a)
+    return HierarchyLevel(**fields)
 
 
 @dataclass(frozen=True)
@@ -184,7 +194,7 @@ def coarsen_point(level: HierarchyLevel, r: int) -> tuple[HierarchyLevel, np.nda
 
     coarse_pos = segment_mean(level.positions, pool_indptr, pool_indices)
     k = topo.k if topo.k is not None else n
-    coarse = HierarchyLevel(
+    coarse = _made_level(
         level_index=level.level_index + 1,
         positions=coarse_pos,
         q_tilde=segment_mean(level.q_tilde, pool_indptr, pool_indices),
@@ -212,7 +222,7 @@ def _coarsen_voxel_by(level: HierarchyLevel, halvings: int) -> tuple[HierarchyLe
     # are unique, so the order is total and independent of token numbering.
     pool_indptr = np.concatenate(([0], np.cumsum(np.bincount(parent_of, minlength=m))))
     pool_indices = np.lexsort((pack_voxel_coords(coords), parent_of))
-    coarse = HierarchyLevel(
+    coarse = _made_level(
         level_index=level.level_index + 1,
         positions=segment_mean(level.positions, pool_indptr, pool_indices),
         q_tilde=segment_mean(level.q_tilde, pool_indptr, pool_indices),
@@ -277,12 +287,12 @@ def build_hierarchy(
     topologies and stride-2 pooling, folding consecutive non-reducing
     halvings into one level so every recorded level strictly shrinks.
     """
-    # Copies: level 0 freezes what it stores, and the caller's own arrays
-    # must stay writeable without reaching into the built structure.
-    positions = np.array(positions, dtype=np.float64, order="C")
-    q = np.array(q, dtype=np.float64, order="C")
-    k_mat = np.array(k_mat, dtype=np.float64, order="C")
-    v = np.array(v, dtype=np.float64, order="C")
+    # Read-only copies of writeable inputs: the caller's own arrays stay
+    # writeable without reaching into the built structure.
+    positions = _freeze(positions, np.float64)
+    q = _freeze(q, np.float64)
+    k_mat = _freeze(k_mat, np.float64)
+    v = _freeze(v, np.float64)
     n = positions.shape[0]
     if n < 1:
         raise InvalidInputError("need at least one token")
@@ -305,7 +315,7 @@ def build_hierarchy(
     elif flavor == "voxel":
         if coords is None:
             raise InvalidInputError("voxel flavor requires occupied-cell coords")
-        coords = np.array(coords, dtype=np.int64)
+        coords = _freeze(coords, np.int64)
         if coords.shape != (n, 3):
             raise InvalidInputError(f"coords must be ({n}, 3), got {coords.shape}")
         stop_k = VOXEL_WINDOW_K
@@ -329,7 +339,7 @@ def build_hierarchy(
             coarse, parent_of = coarsen_point(level, r)
         else:
             coarse, parent_of = _coarsen_voxel_reducing(level)
-        levels.append(replace(level, parent_of=parent_of))
+        levels.append(replace(level, parent_of=_readonly(parent_of)))
         level = coarse
     levels.append(level)
     return Hierarchy(flavor=flavor, neighborhood_k=k, coarsen_ratio=r, levels=tuple(levels))
@@ -350,7 +360,7 @@ def with_values(
     new_rows = {}
     for name, mat in (("q_tilde", q), ("k_tilde", k), ("v_tilde", v)):
         if mat is not None:
-            mat = np.array(mat, dtype=np.float64, order="C")  # copy: level 0 freezes it
+            mat = _freeze(mat, np.float64)  # a read-only copy unless already read-only
             if mat.ndim != 2 or mat.shape[0] != n:
                 raise InvalidInputError(f"replacement {name} must have {n} rows")
             if not np.all(np.isfinite(mat)):
@@ -367,7 +377,7 @@ def with_values(
             break
         nxt = hierarchy.levels[h + 1]
         current = {
-            name: segment_mean(mat, nxt.pool_indptr, nxt.pool_indices)
+            name: _readonly(segment_mean(mat, nxt.pool_indptr, nxt.pool_indices))
             for name, mat in current.items()
         }
     return Hierarchy(

@@ -156,6 +156,11 @@ def test_effective_row_matches_matrix():
         np.testing.assert_array_equal(effective_attention_row(h, i, block_size=4), w[i])
     with pytest.raises(InvalidInputError):
         effective_attention_row(h, 13)
+    for bad in (0, -1):  # the row and matrix paths share one probe loop
+        with pytest.raises(InvalidInputError):
+            effective_attention(h, block_size=bad)
+        with pytest.raises(InvalidInputError):
+            effective_attention_row(h, 0, block_size=bad)
 
 
 def test_effective_weights_flat_hierarchy_equal_dense_softmax():
@@ -229,7 +234,7 @@ def test_local_weights_are_masked_softmax():
     assert np.all(w[outside] == 0.0)  # structurally untouched, not just tiny
 
 
-@pytest.mark.parametrize("mode", ["none", "relative"])
+@pytest.mark.parametrize("mode", ["none", "relative", "absolute"])
 def test_dense_weights_match_oracle(mode):
     h = rand_hierarchy(16, n=11, d=4, k=3)
     emb = make_fourier_embedding(4, np.random.default_rng(160)) if mode != "none" else None

@@ -127,6 +127,17 @@ def test_fourier_rejects_odd_width():
         make_fourier_embedding(0, np.random.default_rng(0))
 
 
+def test_embedding_rejects_non_finite_positions():
+    emb = make_fourier_embedding(4, np.random.default_rng(3))
+    for bad in (np.nan, np.inf, -np.inf):
+        pts = np.zeros((5, 3))
+        pts[3, 2] = bad
+        with pytest.raises(InvalidInputError):
+            embed_points(emb, pts)
+        with pytest.raises(InvalidInputError):
+            fourier_embed(emb, [0.0, bad, 0.0])
+
+
 def test_fourier_frequencies_frozen():
     emb = make_fourier_embedding(4, np.random.default_rng(2))
     with pytest.raises(ValueError):
@@ -483,6 +494,11 @@ def test_backward_rejects_bad_shapes_and_modes():
     h = build_hierarchy(pos, q, k, v, flavor="point", k=3, r=2)
     with pytest.raises(InvalidInputError):
         gha_backward(h, np.zeros((5, 4)))
+    for bad in (np.nan, np.inf, -np.inf):
+        dz = np.zeros((6, 4))
+        dz[2, 1] = bad
+        with pytest.raises(InvalidInputError):
+            gha_backward(h, dz)
     with pytest.raises(ConfigError):
         gha_backward(h, np.zeros((6, 4)), embedding=make_fourier_embedding(4, rng),
                      embedding_mode="absolute")

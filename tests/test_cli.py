@@ -4,6 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import gha3d.analysis as analysis
 import gha3d.cli as cli
 from gha3d.block import BlockConfig, init_params, save_params
 from gha3d.cli import _expand_config, main
@@ -184,10 +185,25 @@ def test_compare_writes_report(cloud_file, tmp_path):
 
 
 def test_compare_broken_rows_exit_1(cloud_file, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "effective_attention",
+    # The row-stochastic check lives in approximation_report, on its probe.
+    monkeypatch.setattr(analysis, "effective_attention",
                         lambda *a, **kw: np.full((48, 48), 0.5))
     assert main(["compare", "--input", cloud_file, "--k", "4"]) == 1
     assert "invariant violation" in capsys.readouterr().err
+
+
+def test_compare_probes_once(cloud_file, monkeypatch, capsys):
+    spans = []
+    probe = analysis._probe_columns
+
+    def counting(h, lo, hi, *rest):
+        spans.append((lo, hi))
+        return probe(h, lo, hi, *rest)
+
+    monkeypatch.setattr(analysis, "_probe_columns", counting)
+    assert main(["compare", "--input", cloud_file, "--k", "4"]) == 0
+    capsys.readouterr()
+    assert spans == [(0, 48)]  # one effective_attention: one 48-column block
 
 
 def test_bench_stdout_and_dense_counts(capsys):

@@ -3,8 +3,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from gha3d.attention import FourierEmbedding
 from gha3d.errors import InvalidCoarsenError, InvalidInputError
-from gha3d.geometry import PointCloud, kernel_window_topology, knn_from_positions
+from gha3d.geometry import (
+    NeighborhoodTopology,
+    PointCloud,
+    SparseVoxelGrid,
+    kernel_window_topology,
+    knn_from_positions,
+)
 from gha3d.hierarchy import (
     Hierarchy,
     HierarchyLevel,
@@ -403,11 +410,30 @@ def test_callers_arrays_stay_writeable_and_detached():
     hw = with_values(h, q=q2)
     feats = rng.normal(size=(40, 2))
     cloud = PointCloud(positions=pos, features=feats)
+    # The dataclass constructors store what they are given, copied only
+    # when it arrives writeable.
+    freqs = rng.normal(size=(2, 3))
+    emb = FourierEmbedding(frequencies=freqs)
+    indptr, indices = np.array([0, 2, 3]), np.array([0, 1, 1])
+    topo = NeighborhoodTopology(kind="knn", indptr=indptr, indices=indices, k=2)
+    occ, cn = np.array([[0, 0, 0], [1, 0, 0]]), np.array([3, 1])
+    cf, cc = rng.normal(size=(2, 1)), rng.uniform(size=(2, 3))
+    grid = SparseVoxelGrid(voxel_size=1.0, occupied=occ, cell_features=cf,
+                           cell_centroid=cc, cell_count=cn)
+    lpos, lq, lk, lv_, sel = rng.uniform(size=(2, 3)), *rand_qkv(rng, 2, 2), np.array([0, 1])
+    level = HierarchyLevel(level_index=0, positions=lpos, q_tilde=lq, k_tilde=lk, v_tilde=lv_,
+                           topology=topo, selected=sel)
+    stored = (emb.frequencies, topo.indptr, topo.indices, grid.occupied, grid.cell_features,
+              grid.cell_centroid, grid.cell_count, level.positions, level.q_tilde,
+              level.k_tilde, level.v_tilde, level.selected)
+    assert not any(a.flags.writeable for a in stored)
     before = [dump_hierarchy(x) for x in (h, hv, hw)]
     rows = [lv.q_tilde.copy() for lv in hw.levels] + [h.levels[0].v_tilde.copy(), hv.levels[0].k_tilde.copy()]
     cloud_before = (cloud.positions.copy(), cloud.features.copy())
+    stored_before = [a.copy() for a in stored]
 
-    callers = (pos, q, k_mat, v, coords, vpos, vq, vk, vv, q2, feats)
+    callers = (pos, q, k_mat, v, coords, vpos, vq, vk, vv, q2, feats,
+               freqs, indptr, indices, occ, cf, cc, cn, lpos, lq, lk, lv_, sel)
     assert all(a.flags.writeable for a in callers)
     for a in callers:
         a[...] = 7
@@ -417,6 +443,7 @@ def test_callers_arrays_stay_writeable_and_detached():
     assert all(np.array_equal(x, y) for x, y in zip(after, rows))
     assert np.array_equal(cloud.positions, cloud_before[0])
     assert np.array_equal(cloud.features, cloud_before[1])
+    assert all(np.array_equal(x, y) for x, y in zip(stored, stored_before))
 
 
 def test_with_values_matches_fresh_build():
