@@ -54,7 +54,6 @@ from .block import (
     save_params,
     xavier_bound,
 )
-from .cli import main
 from .errors import (
     CapacityError,
     ConfigError,
@@ -90,6 +89,16 @@ from .hierarchy import (
 from .seeding import substream
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # The CLI loads on first use: imported here eagerly, it would already sit
+    # in sys.modules when ``python -m gha3d.cli`` runs it, and runpy warns.
+    if name == "main":
+        from .cli import main
+        return main
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "PROBE_CAP",

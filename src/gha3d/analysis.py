@@ -1,8 +1,11 @@
 """Introspection and evaluation of attention mechanisms.
 
-Effective attention weights are recovered by probing: running the forward
-pass with one-hot value columns reads the row-stochastic weight matrix a
-query effectively applies to the original tokens, coarsening included.
+The output z is linear in the values with value-independent weights, so
+the effective weight matrix W (z = W v, coarsening included) is read two
+ways. Row i, the vector W^T e_i, is the value gradient of the exact
+adjoint for a one-hot output cotangent at query i: one forward and one
+backward pass, O(N k), with no token cap. The full N x N matrix is read by probing:
+forward passes with one-hot value columns, capped at ``PROBE_CAP`` tokens.
 On top of that sit distance histograms (where does attention mass go?),
 an approximation report against the dense reference, and a scaling sweep
 that measures weight counts against the guaranteed linear bound.
@@ -17,7 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import AttentionInputs, _dense_softmax_chunks, dense_attention, gha_forward
+from .attention import (
+    AttentionInputs,
+    _adjoint_core,
+    _dense_softmax_chunks,
+    _forward_core,
+    dense_attention,
+    gha_forward,
+)
 from .errors import CapacityError, InvalidInputError, InvariantViolation
 from .geometry import PointCloud, voxelize
 from .hierarchy import VOXEL_WINDOW_K, Hierarchy, build_hierarchy, truncate, with_values
@@ -43,7 +53,7 @@ def _map_ordered(fn, items, threads: int):
 
 
 # ---------------------------------------------------------------------------
-# Effective attention weights via one-hot value probes
+# Effective attention weights: the adjoint for one row, probes for the matrix
 # ---------------------------------------------------------------------------
 
 def _check_probe_cap(n: int, probe_cap: int) -> None:
@@ -62,19 +72,6 @@ def _probe_columns(hierarchy: Hierarchy, lo: int, hi: int, embedding, mode) -> n
     return gha_forward(probed, embedding, mode).z
 
 
-def _probe_blocks(hierarchy: Hierarchy, embedding, mode, probe_cap: int, block_size: int,
-                  threads: int, keep) -> list:
-    """keep(z) of each one-hot probe block, in column order."""
-    n = hierarchy.levels[0].n_tokens
-    _check_probe_cap(n, probe_cap)
-    if block_size < 1:
-        raise InvalidInputError(f"block_size must be >= 1, got {block_size}")
-    spans = [(lo, min(n, lo + block_size)) for lo in range(0, n, block_size)]
-    return _map_ordered(
-        lambda s: keep(_probe_columns(hierarchy, s[0], s[1], embedding, mode)), spans, threads
-    )
-
-
 def effective_attention(hierarchy: Hierarchy, embedding=None, embedding_mode: str = "none",
                         *, probe_cap: int = PROBE_CAP, block_size: int = 512,
                         threads: int = 1) -> np.ndarray:
@@ -85,20 +82,35 @@ def effective_attention(hierarchy: Hierarchy, embedding=None, embedding_mode: st
     nonnegative and sum to 1. Blocks are independent, making the result
     invariant to both block_size and thread count.
     """
-    return np.hstack(_probe_blocks(hierarchy, embedding, embedding_mode, probe_cap,
-                                   block_size, threads, keep=lambda z: z))
+    n = hierarchy.levels[0].n_tokens
+    _check_probe_cap(n, probe_cap)
+    if block_size < 1:
+        raise InvalidInputError(f"block_size must be >= 1, got {block_size}")
+    spans = [(lo, min(n, lo + block_size)) for lo in range(0, n, block_size)]
+    return np.hstack(_map_ordered(
+        lambda s: _probe_columns(hierarchy, s[0], s[1], embedding, embedding_mode), spans, threads
+    ))
 
 
 def effective_attention_row(hierarchy: Hierarchy, i: int, embedding=None,
-                            embedding_mode: str = "none", *, probe_cap: int = PROBE_CAP,
-                            block_size: int = 512, threads: int = 1) -> np.ndarray:
-    """Effective weights of query i over all N tokens (nonnegative, sum 1);
-    row i of ``effective_attention``, without holding the other rows."""
+                            embedding_mode: str = "none") -> np.ndarray:
+    """Effective weights of query i over all N tokens (nonnegative, sum 1).
+
+    Row i of ``effective_attention``, read as the value gradient of the
+    exact adjoint for a one-hot output cotangent at query i: one forward
+    and one single-column backward pass, O(N k) for any N and any
+    embedding mode. Its sums run in a canonical order, so the row is
+    bitwise permutation-equivariant, as the probed matrix is.
+    """
     n = hierarchy.levels[0].n_tokens
     if not 0 <= i < n:
         raise InvalidInputError(f"query index {i} out of range for {n} tokens")
-    return np.concatenate(_probe_blocks(hierarchy, embedding, embedding_mode, probe_cap,
-                                        block_size, threads, keep=lambda z: z[i].copy()))
+    _, caches, d_hat, m_q, _ = _forward_core(hierarchy, embedding, embedding_mode,
+                                             want_cache=True)
+    c = np.zeros((n, 1))
+    c[i, 0] = 1.0 / d_hat[i]  # the one-hot dz, scaled as gha_backward scales it
+    dv, _ = _adjoint_core(hierarchy, caches, m_q, c, canonical=True)
+    return dv[:, 0]
 
 
 def mechanism_weights(hierarchy: Hierarchy, mechanism: str, embedding=None,

@@ -350,6 +350,72 @@ class Gradients(NamedTuple):
     dv: np.ndarray
 
 
+def _scatter_add(index: np.ndarray, values: np.ndarray, n_out: int,
+                 canonical: bool = False) -> np.ndarray:
+    """out[index[e]] += values[e] for rows e of a 1-D or 2-D array, through
+    one ``np.bincount`` over the flattened key index * width + column.
+
+    Each output sums its terms in input order, as ``np.add.at`` does, or
+    with ``canonical`` in ascending order of value, which depends only on
+    the terms themselves and not on the order the tokens are numbered in.
+    """
+    width = 1 if values.ndim == 1 else values.shape[1]
+    key = (index[:, None] * width + np.arange(width)).ravel()
+    vals = values.ravel()
+    if canonical:
+        order = np.lexsort((vals, key))
+        key, vals = key[order], vals[order]
+    out = np.bincount(key, weights=vals, minlength=n_out * width)
+    return out if values.ndim == 1 else out.reshape(n_out, width)
+
+
+def _pull_back(hierarchy: Hierarchy, per_level: list, canonical: bool = False) -> np.ndarray:
+    """Sum per-level gradients onto level 0 through the transposed pooling
+    maps. A token occurs at most once per group; its sum runs over groups
+    in ascending group order, or in the ``canonical`` order of
+    ``_scatter_add``."""
+    g = per_level[-1]
+    for h in range(hierarchy.depth - 1, -1, -1):
+        coarse = hierarchy.levels[h + 1]
+        sizes = np.diff(coarse.pool_indptr)
+        g = _scatter_add(coarse.pool_indices, np.repeat(g / sizes[:, None], sizes, axis=0),
+                         hierarchy.levels[h].n_tokens, canonical)
+        g += per_level[h]
+    return g
+
+
+def _adjoint_core(hierarchy: Hierarchy, caches: list, m_q: np.ndarray, c: np.ndarray,
+                  b: np.ndarray | None = None, canonical: bool = False):
+    """Exact adjoint of the forward map w.r.t. the level-0 values.
+
+    c holds the per-query scaled output cotangents dz_q / d_hat_q. Each level
+    folds them onto the queries' level-h ancestors (a_bar), carrying the
+    exponent gap between the level's local max and the query's running max
+    (always <= 0, so the weights stay in (0, 1]), scatters t * a_bar[rows]
+    onto cols, and the per-level results are pulled back to level 0. Only the
+    forward's t, mu and m_q enter, so this holds in every embedding mode.
+    The optional per-query normalizer cotangents b are folded the same way.
+    Point-flavor coarse tokens are numbered in input order and their pooling
+    groups overlap, so input-order sums follow the token numbering; with
+    ``canonical`` every sum runs in ascending order of its terms, which
+    makes dv bitwise permutation-equivariant.
+    Returns dv and the per-level (a_bar, b_bar) folds (b_bar None without b).
+    """
+    depth = hierarchy.depth
+    anc = np.arange(c.shape[0], dtype=np.int64)
+    folds, dv_levels = [], []
+    for h, (lv, cache) in enumerate(zip(hierarchy.levels, caches)):
+        w = np.exp(cache.mu[anc] - m_q)
+        a_bar = _scatter_add(anc, w[:, None] * c, lv.n_tokens, canonical)
+        b_bar = None if b is None else _scatter_add(anc, w * b, lv.n_tokens, canonical)
+        folds.append((a_bar, b_bar))
+        dv_levels.append(_scatter_add(cache.cols, cache.t[:, None] * a_bar[cache.rows],
+                                      lv.n_tokens, canonical))
+        if h < depth:
+            anc = lv.parent_of[anc]
+    return _pull_back(hierarchy, dv_levels, canonical), folds
+
+
 def gha_backward(hierarchy: Hierarchy, dz: np.ndarray,
                  embedding: FourierEmbedding | None = None,
                  embedding_mode: str = "none") -> Gradients:
@@ -357,8 +423,8 @@ def gha_backward(hierarchy: Hierarchy, dz: np.ndarray,
 
     Differentiates through the per-level softmax terms, the parent-copy
     accumulation, the final normalization, and the coarsening averages.
-    Positional frequencies are constants, so only modes without a gamma
-    term attached to q (none, relative) are supported.
+    Positional frequencies are constants, and dq/dk support only the modes
+    without a gamma term attached to q and k (none, relative).
     """
     if embedding_mode not in ("none", "relative"):
         raise ConfigError(f"backward supports modes ('none', 'relative'), got {embedding_mode!r}")
@@ -378,32 +444,12 @@ def gha_backward(hierarchy: Hierarchy, dz: np.ndarray,
     # with D_q = d_hat_q * exp(m_q) kept in the shifted form.
     c = dz / d_hat[:, None]  # (N, d_v)
     b = np.einsum("qd,qd->q", dz, z) / d_hat  # (N,)
+    dv, folds = _adjoint_core(hierarchy, caches, m_q, c, b)
 
-    depth = hierarchy.depth
-    dq_levels = [None] * (depth + 1)
-    dk_levels = [None] * (depth + 1)
-    dv_levels = [None] * (depth + 1)
-
-    anc = np.arange(n, dtype=np.int64)
-    for h in range(depth + 1):
-        lv = hierarchy.levels[h]
-        cache = caches[h]
-        n_h = lv.n_tokens
-        # Fold each query's cotangent onto its level-h ancestor, carrying the
-        # exponent gap between the level's local max and the query's running
-        # max (always <= 0, so the weights stay in (0, 1]).
-        w = np.exp(cache.mu[anc] - m_q)
-        a_bar = np.zeros((n_h, d_v))
-        np.add.at(a_bar, anc, w[:, None] * c)
-        b_bar = np.zeros(n_h)
-        np.add.at(b_bar, anc, w * b)
-
+    dq_levels, dk_levels = [], []
+    for lv, cache, (a_bar, b_bar) in zip(hierarchy.levels, caches, folds):
         rows, cols, t = cache.rows, cache.cols, cache.t
         ds = t * (np.einsum("ed,ed->e", a_bar[rows], lv.v_tilde[cols]) - b_bar[rows])
-
-        dv_h = np.zeros((n_h, d_v))
-        np.add.at(dv_h, cols, t[:, None] * a_bar[rows])
-
         if embedding_mode == "relative":
             angles = (2.0 * np.pi) * (
                 (lv.positions[rows] - lv.positions[cols]) @ embedding.frequencies.T
@@ -413,26 +459,8 @@ def gha_backward(hierarchy: Hierarchy, dz: np.ndarray,
             k_eff[:, 1::2] += np.sin(angles)
         else:
             k_eff = lv.k_tilde[cols]
-        dq_h = np.add.reduceat((ds[:, None] / scale) * k_eff, cache.indptr[:-1], axis=0)
-        dk_h = np.zeros((n_h, d))
-        np.add.at(dk_h, cols, (ds[:, None] / scale) * lv.q_tilde[rows])
+        dq_levels.append(np.add.reduceat((ds[:, None] / scale) * k_eff, cache.indptr[:-1], axis=0))
+        dk_levels.append(_scatter_add(cols, (ds[:, None] / scale) * lv.q_tilde[rows], lv.n_tokens))
 
-        dq_levels[h], dk_levels[h], dv_levels[h] = dq_h, dk_h, dv_h
-        if h < depth:
-            anc = lv.parent_of[anc]
-
-    # Pull per-level gradients back to level 0 through the transposed
-    # pooling maps. A token occurs at most once per group, so its sum runs
-    # over groups in ascending order whatever the order within each group.
-    def fold(per_level):
-        g = per_level[depth]
-        for h in range(depth - 1, -1, -1):
-            coarse = hierarchy.levels[h + 1]
-            sizes = np.diff(coarse.pool_indptr)
-            out = np.zeros((hierarchy.levels[h].n_tokens, g.shape[1]))
-            np.add.at(out, coarse.pool_indices, np.repeat(g / sizes[:, None], sizes, axis=0))
-            out += per_level[h]
-            g = out
-        return g
-
-    return Gradients(dq=fold(dq_levels), dk=fold(dk_levels), dv=fold(dv_levels))
+    return Gradients(dq=_pull_back(hierarchy, dq_levels), dk=_pull_back(hierarchy, dk_levels),
+                     dv=dv)

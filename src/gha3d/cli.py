@@ -112,8 +112,8 @@ def _add_common(p):
     p.add_argument("--seed", type=int, default=0,
                    help="master seed; named substreams derive from it")
     p.add_argument("--threads", type=int, default=None,
-                   help="probe-block parallelism (default: GHA_THREADS or 1); "
-                        "never affects results")
+                   help="probe-block parallelism of the compare and hist weight "
+                        "matrices (default: GHA_THREADS or 1); never affects results")
     p.add_argument("--config", metavar="FILE",
                    help="key = value defaults; explicit flags override")
 
@@ -344,10 +344,10 @@ def cmd_hist(args) -> int:
 
 
 def cmd_heatmap(args) -> int:
-    threads = _resolve_threads(args)
+    _resolve_threads(args)  # validated for a consistent CLI; the row is one adjoint pass
     positions, coords, _ = _load_tokens(args)
     h, emb = _seeded_hierarchy(args, positions, coords)
-    row = effective_attention_row(h, args.query, emb, args.embedding, threads=threads)
+    row = effective_attention_row(h, args.query, emb, args.embedding)
     _emit(heatmap_csv(h.levels[0].positions, row), args.output)
     return 0
 

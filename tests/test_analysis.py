@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gha3d.analysis import (
+    PROBE_CAP,
     ApproximationReport,
     ScalingRow,
     approximation_csv,
@@ -22,6 +23,7 @@ from gha3d.analysis import (
     scaling_sweep,
     weight_bound,
     _check_weight_bound,
+    _probe_columns,
 )
 from gha3d.attention import gha_forward, make_fourier_embedding
 from gha3d.errors import CapacityError, InvalidInputError, InvariantViolation
@@ -150,17 +152,98 @@ def test_effective_weights_reconstruct_forward_output():
 
 
 def test_effective_row_matches_matrix():
+    # The row comes from the adjoint and the matrix from probing: two exact
+    # algorithms whose sums round differently, so not bitwise.
     h = rand_hierarchy(10, n=13, d=4, k=3)
     w = effective_attention(h, block_size=4)
     for i in (0, 5, 12):
-        np.testing.assert_array_equal(effective_attention_row(h, i, block_size=4), w[i])
+        assert np.max(np.abs(effective_attention_row(h, i) - w[i])) <= 1e-15
     with pytest.raises(InvalidInputError):
         effective_attention_row(h, 13)
-    for bad in (0, -1):  # the row and matrix paths share one probe loop
+    for bad in (0, -1):
         with pytest.raises(InvalidInputError):
             effective_attention(h, block_size=bad)
-        with pytest.raises(InvalidInputError):
-            effective_attention_row(h, 0, block_size=bad)
+
+
+def duplicate_hierarchy(seed, n=40, d=4):
+    """Point hierarchy over a cloud where every position occurs 4 times."""
+    rng = np.random.default_rng(seed)
+    pos = np.repeat(rng.normal(size=(n // 4, 3)), 4, axis=0)
+    q, k, v = (rng.normal(size=(n, d)) for _ in range(3))
+    return build_hierarchy(pos, q, k, v, flavor="point", k=5, r=2)
+
+
+ROW_HIERARCHIES = {
+    "point": lambda: rand_hierarchy(30, n=60, d=4, k=5),
+    "voxel": lambda: rand_hierarchy(31, n=200, d=4, k=0, flavor="voxel"),
+    "duplicates": lambda: duplicate_hierarchy(32),
+}
+
+
+@pytest.mark.parametrize("mode", ["none", "relative", "absolute"])
+@pytest.mark.parametrize("kind", sorted(ROW_HIERARCHIES))
+def test_adjoint_row_matches_probed_matrix(kind, mode):
+    h = ROW_HIERARCHIES[kind]()
+    assert h.depth >= 1
+    emb = make_fourier_embedding(4, np.random.default_rng(33)) if mode != "none" else None
+    w = effective_attention(h, emb, mode)
+    for i in range(h.levels[0].n_tokens):
+        row = effective_attention_row(h, i, emb, mode)
+        assert np.max(np.abs(row - w[i])) <= 1e-15
+        assert row.min() >= 0.0
+        assert abs(row.sum() - 1.0) <= 1e-12
+
+
+def test_adjoint_row_is_deterministic():
+    h = rand_hierarchy(34, n=50, d=4, k=4)
+    emb = make_fourier_embedding(4, np.random.default_rng(34))
+    first = effective_attention_row(h, 7, emb, "relative").tobytes()
+    for _ in range(3):
+        assert effective_attention_row(h, 7, emb, "relative").tobytes() == first
+
+
+def test_adjoint_row_permutation_equivariance_exact():
+    rng = np.random.default_rng(35)
+    n = 30
+    pos = rng.normal(size=(n, 3))
+    q, k, v = (rng.normal(size=(n, 4)) for _ in range(3))
+    emb = make_fourier_embedding(4, rng)
+    perm = rng.permutation(n)
+    h = build_hierarchy(pos, q, k, v, flavor="point", k=4, r=2)
+    hp = build_hierarchy(pos[perm], q[perm], k[perm], v[perm], flavor="point", k=4, r=2)
+    for mode, e in (("none", None), ("relative", emb), ("absolute", emb)):
+        for a in (0, 11, 29):
+            np.testing.assert_array_equal(effective_attention_row(hp, a, e, mode),
+                                          effective_attention_row(h, perm[a], e, mode)[perm])
+
+    coords = np.unique(rng.integers(-5, 6, size=(90, 3)), axis=0)
+    m = coords.shape[0]
+    vpos = coords + rng.uniform(0.1, 0.9, size=(m, 3))
+    q, k, v = (rng.normal(size=(m, 4)) for _ in range(3))
+    cperm = rng.permutation(m)
+    h = build_hierarchy(vpos, q, k, v, flavor="voxel", coords=coords)
+    hp = build_hierarchy(vpos[cperm], q[cperm], k[cperm], v[cperm], flavor="voxel",
+                         coords=coords[cperm])
+    for a in (0, m // 2, m - 1):
+        np.testing.assert_array_equal(effective_attention_row(hp, a, emb, "relative"),
+                                      effective_attention_row(h, cperm[a], emb, "relative")[cperm])
+
+
+def test_adjoint_row_beyond_probe_cap():
+    n = 5000
+    assert n > PROBE_CAP
+    rng = np.random.default_rng(36)
+    pos = rng.uniform(size=(n, 3))
+    q, k, v = (rng.normal(size=(n, 4)) for _ in range(3))
+    h = build_hierarchy(pos, q, k, v, flavor="point", k=8, r=2)
+    with pytest.raises(CapacityError):
+        effective_attention(h)
+    row = effective_attention_row(h, 4321)
+    assert row.shape == (n,) and row.min() >= 0.0
+    assert abs(row.sum() - 1.0) <= 1e-12
+    for lo in (0, 4300):  # spot-check column blocks against one-hot probes
+        probed = _probe_columns(h, lo, lo + 64, None, "none")[4321]
+        assert np.max(np.abs(row[lo:lo + 64] - probed)) <= 1e-15
 
 
 def test_effective_weights_flat_hierarchy_equal_dense_softmax():
@@ -206,8 +289,6 @@ def test_probe_cap_enforced():
     h = rand_hierarchy(14, n=16, d=4, k=3)
     with pytest.raises(CapacityError):
         effective_attention(h, probe_cap=8)
-    with pytest.raises(CapacityError):
-        effective_attention_row(h, 0, probe_cap=15)
     assert effective_attention(h, probe_cap=16).shape == (16, 16)
 
 

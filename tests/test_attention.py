@@ -6,6 +6,7 @@ import pytest
 from gha3d.attention import (
     AttentionInputs,
     FourierEmbedding,
+    _scatter_add,
     dense_attention,
     embed_points,
     fourier_embed,
@@ -424,6 +425,21 @@ def fd_gradient(h0, which, dz, emb=None, mode="none", step=1e-5):
 
 def max_rel_err(a, f):
     return float(np.max(np.abs(a - f) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(f)))))
+
+
+def test_scatter_add_matches_add_at_and_canonical_ignores_input_order():
+    rng = np.random.default_rng(22)
+    index = rng.integers(0, 50, size=4000)
+    for values in (rng.normal(size=4000) * 10.0 ** rng.integers(-8, 8, size=4000),
+                   rng.normal(size=(4000, 3))):
+        want = np.zeros((60,) + values.shape[1:])
+        np.add.at(want, index, values)
+        np.testing.assert_array_equal(_scatter_add(index, values, 60), want)
+        canon = _scatter_add(index, values, 60, canonical=True)
+        np.testing.assert_allclose(canon, want, rtol=1e-12, atol=1e-12 * np.abs(values).max())
+        perm = rng.permutation(4000)
+        np.testing.assert_array_equal(_scatter_add(index[perm], values[perm], 60, canonical=True),
+                                      canon)
 
 
 def test_backward_zero_cotangent():

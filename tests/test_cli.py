@@ -1,5 +1,8 @@
 import csv
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -242,6 +245,26 @@ def test_heatmap_row_is_distribution(cloud_file, capsys):
     assert weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_heatmap_bytes_independent_of_threads(cloud_file, tmp_path):
+    outs = []
+    for name, threads in (("a", "1"), ("b", "4"), ("c", "1")):
+        out = tmp_path / f"{name}.csv"
+        assert main(["heatmap", "--input", cloud_file, "--k", "4", "--query", "11",
+                     "--embedding", "relative", "--threads", threads,
+                     "--output", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1] == outs[2]
+
+
+def test_heatmap_absolute_embedding(cloud_file, capsys):
+    assert main(["heatmap", "--input", cloud_file, "--k", "4", "--query", "3",
+                 "--embedding", "absolute"]) == 0
+    _, rows = read_csv(capsys.readouterr().out)
+    weights = np.array([float(r[3]) for r in rows])
+    assert len(rows) == 48 and weights.min() >= 0.0
+    assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+
 def test_heatmap_query_out_of_range(cloud_file, capsys):
     assert main(["heatmap", "--input", cloud_file, "--query", "999"]) == 2
     capsys.readouterr()
@@ -291,6 +314,21 @@ def test_selftest_fault_injection_fails(monkeypatch, capsys):
 # ---------------------------------------------------------------------------
 # argparse plumbing
 # ---------------------------------------------------------------------------
+
+def test_module_entry_point_runs_without_warnings():
+    # `python -m gha3d.cli` must not find gha3d.cli already imported by the
+    # package, which makes runpy emit a RuntimeWarning.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "gha3d.cli", "selftest"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert "4/4 checks passed" in proc.stdout
+
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
