@@ -105,8 +105,8 @@ def effective_attention_row(hierarchy: Hierarchy, i: int, embedding=None,
     n = hierarchy.levels[0].n_tokens
     if not 0 <= i < n:
         raise InvalidInputError(f"query index {i} out of range for {n} tokens")
-    _, caches, d_hat, m_q, _ = _forward_core(hierarchy, embedding, embedding_mode,
-                                             want_cache=True)
+    _, caches, d_hat, m_q = _forward_core(hierarchy, embedding, embedding_mode,
+                                          want_cache=True)
     c = np.zeros((n, 1))
     c[i, 0] = 1.0 / d_hat[i]  # the one-hot dz, scaled as gha_backward scales it
     dv, _ = _adjoint_core(hierarchy, caches, m_q, c, canonical=True)
@@ -175,9 +175,7 @@ def neighborhood_radius(hierarchy: Hierarchy) -> float:
     """Longest level-0 neighborhood edge; local attention cannot move mass
     between tokens farther apart than this."""
     lv = hierarchy.levels[0]
-    topo = lv.topology
-    rows = np.repeat(np.arange(lv.n_tokens), topo.sizes)
-    diff = lv.positions[rows] - lv.positions[topo.indices]
+    diff = lv.positions[lv.topology.rows] - lv.positions[lv.topology.indices]
     return float(np.sqrt(np.einsum("ed,ed->e", diff, diff)).max())
 
 

@@ -166,27 +166,28 @@ class AttentionResult:
 # Score helpers
 # ---------------------------------------------------------------------------
 
-def _interleaved_dot(q_rows: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """Per-row dot of q with the interleaved cos/sin vector of ``angles``.
-
-    q_rows: (..., 2m), angles: (..., m); saves materializing gamma itself.
-    """
-    return np.einsum("...m,...m->...", q_rows[..., 0::2], np.cos(angles)) + np.einsum(
-        "...m,...m->...", q_rows[..., 1::2], np.sin(angles)
+def _interleaved_dot(q_rows: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """Per-row dot of q_rows (..., 2m) with the interleaved vector of cos and
+    sin (..., m each), without materializing gamma itself."""
+    return np.einsum("...m,...m->...", q_rows[..., 0::2], cos) + np.einsum(
+        "...m,...m->...", q_rows[..., 1::2], sin
     )
 
 
-def _edge_scores(q, k, positions, rows, cols, embedding, mode, scale) -> np.ndarray:
-    """Scores for an explicit edge list (rows[i] attends to cols[i])."""
+def _scored(q, k, positions, embedding, mode):
+    """q and k as the scores see them: q + gamma and k + gamma in absolute
+    mode, unchanged in the others."""
     if mode == "absolute":
         gamma = embed_points(embedding, positions)
-        q = q + gamma
-        k = k + gamma
-    s = np.einsum("ed,ed->e", q[rows], k[cols])
-    if mode == "relative":
-        angles = (2.0 * np.pi) * ((positions[rows] - positions[cols]) @ embedding.frequencies.T)
-        s = s + _interleaved_dot(q[rows], angles)
-    return s / scale
+        return q + gamma, k + gamma
+    return q, k
+
+
+def _rotation(p_query, p_key, embedding):
+    """The relative mode's (cos, sin) of 2 pi b . (p_query - p_key): the
+    score adds q . gamma(p_query - p_key)."""
+    angles = (2.0 * np.pi) * ((p_query - p_key) @ embedding.frequencies.T)
+    return np.cos(angles), np.sin(angles, out=angles)
 
 
 # ---------------------------------------------------------------------------
@@ -200,22 +201,17 @@ def _dense_softmax_chunks(q, k, pos, emb, mode):
     n, d = q.shape
     _check_mode(emb, mode, d)
     scale = math.sqrt(d)
-    if mode == "absolute":
-        gamma = embed_points(emb, pos)
-        q = q + gamma
-        k = k + gamma
-    # Row chunks keep the relative-mode pair tensor bounded.
-    if mode == "relative":
-        chunk = max(1, min(n, (1 << 22) // max(1, n * emb.m)))
-    else:
-        chunk = max(1, min(n, (1 << 24) // max(1, n)))
+    q, k = _scored(q, k, pos, emb, mode)
+    # Row chunks bound every rows-by-keys (by-frequencies in relative mode)
+    # temporary at 2^22 elements.
+    width = n * (emb.m if mode == "relative" else 1)
+    chunk = max(1, min(n, (1 << 22) // max(1, width)))
     for start in range(0, n, chunk):
         stop = min(n, start + chunk)
         s = q[start:stop] @ k.T
         if mode == "relative":
-            diffs = pos[start:stop, None, :] - pos[None, :, :]
-            angles = (2.0 * np.pi) * (diffs @ emb.frequencies.T)
-            s = s + _interleaved_dot(q[start:stop, None, :], angles)
+            s += _interleaved_dot(q[start:stop, None, :],
+                                  *_rotation(pos[start:stop, None, :], pos[None, :, :], emb))
         s /= scale
         mu = s.max(axis=1)
         a = np.exp(s - mu[:, None])
@@ -239,9 +235,9 @@ def dense_attention(inputs: AttentionInputs) -> AttentionResult:
 
 
 class _LevelCache(NamedTuple):
-    rows: np.ndarray
-    cols: np.ndarray
-    indptr: np.ndarray
+    q: np.ndarray  # q as the scores saw it (with gamma in absolute mode)
+    k: np.ndarray  # k likewise
+    rel: tuple | None  # per-edge relative (cos, sin); None in other modes
     t: np.ndarray  # exp(s - mu[row]) per edge
     mu: np.ndarray  # per-token local max score
 
@@ -252,16 +248,21 @@ def _level_softmax(q, k, v, positions, topology, embedding, mode, scale):
     Returns the per-edge cache, the shifted denominators and the shifted
     unnormalized outputs: denom_i * exp(mu_i) and y_i * exp(mu_i) are the
     true local sums."""
-    indptr, cols = topology.indptr, topology.indices
-    rows = np.repeat(np.arange(topology.n_tokens), topology.sizes)
-    s = _edge_scores(q, k, positions, rows, cols, embedding, mode, scale)
-    mu = np.maximum.reduceat(s, indptr[:-1])
+    rows, cols, starts = topology.rows, topology.indices, topology.indptr[:-1]
+    q, k = _scored(q, k, positions, embedding, mode)
+    s = np.einsum("ed,ed->e", q[rows], k[cols])
+    rel = None
+    if mode == "relative":
+        rel = _rotation(positions[rows], positions[cols], embedding)
+        s += _interleaved_dot(q[rows], *rel)
+    s /= scale
+    mu = np.maximum.reduceat(s, starts)
     t = np.exp(s - mu[rows])
-    denom = np.add.reduceat(t, indptr[:-1])
+    denom = np.add.reduceat(t, starts)
     weighted = v[cols]
     weighted *= t[:, None]  # in place: one edge-by-column temporary, not two
-    y = np.add.reduceat(weighted, indptr[:-1], axis=0)
-    return _LevelCache(rows=rows, cols=cols, indptr=indptr, t=t, mu=mu), denom, y
+    y = np.add.reduceat(weighted, starts, axis=0)
+    return _LevelCache(q=q, k=k, rel=rel, t=t, mu=mu), denom, y
 
 
 def local_attention(inputs: AttentionInputs, topology) -> AttentionResult:
@@ -303,8 +304,8 @@ def _forward_core(hierarchy: Hierarchy, embedding, mode: str, want_cache: bool):
         )
         mu = cache.mu
         per_level[h] = lv.topology.total_edges
-        if want_cache:
-            caches[h] = cache
+        caches[h] = cache if want_cache else None
+        del cache  # else its edge terms would stay alive through the next level
 
         if carry_y is None:  # top level: nothing above contributes
             carry_y, carry_d, carry_m = y_loc, d_loc, mu
@@ -318,16 +319,15 @@ def _forward_core(hierarchy: Hierarchy, embedding, mode: str, want_cache: bool):
             carry_d = w_loc * d_loc + w_par * carry_d[p]
             carry_m = m
 
-    z = carry_y / carry_d[:, None]
     with np.errstate(over="ignore"):
         normalizers = carry_d * np.exp(carry_m)
     result = AttentionResult(
-        z=z,
+        z=carry_y / carry_d[:, None],
         normalizers=normalizers,
         weight_count=int(sum(per_level)),
         per_level_weight_count=tuple(per_level),
     )
-    return result, caches, carry_d, carry_m, z
+    return result, caches, carry_d, carry_m
 
 
 def gha_forward(hierarchy: Hierarchy, embedding: FourierEmbedding | None = None,
@@ -340,7 +340,7 @@ def gha_forward(hierarchy: Hierarchy, embedding: FourierEmbedding | None = None,
     rescales the accumulators, which leaves the result unchanged in exact
     arithmetic but keeps the exponentials bounded.
     """
-    result, _, _, _, _ = _forward_core(hierarchy, embedding, embedding_mode, want_cache=False)
+    result, _, _, _ = _forward_core(hierarchy, embedding, embedding_mode, want_cache=False)
     return result
 
 
@@ -409,7 +409,8 @@ def _adjoint_core(hierarchy: Hierarchy, caches: list, m_q: np.ndarray, c: np.nda
         a_bar = _scatter_add(anc, w[:, None] * c, lv.n_tokens, canonical)
         b_bar = None if b is None else _scatter_add(anc, w * b, lv.n_tokens, canonical)
         folds.append((a_bar, b_bar))
-        dv_levels.append(_scatter_add(cache.cols, cache.t[:, None] * a_bar[cache.rows],
+        topo = lv.topology
+        dv_levels.append(_scatter_add(topo.indices, cache.t[:, None] * a_bar[topo.rows],
                                       lv.n_tokens, canonical))
         if h < depth:
             anc = lv.parent_of[anc]
@@ -422,12 +423,13 @@ def gha_backward(hierarchy: Hierarchy, dz: np.ndarray,
     """Exact gradients of ``gha_forward`` w.r.t. the level-0 q, k, v.
 
     Differentiates through the per-level softmax terms, the parent-copy
-    accumulation, the final normalization, and the coarsening averages.
-    Positional frequencies are constants, and dq/dk support only the modes
-    without a gamma term attached to q and k (none, relative).
+    accumulation, the final normalization, and the coarsening averages, in
+    every embedding mode. Positions and frequencies are constants, so each
+    edge's score is a bilinear form in the q and k the forward scored with:
+    dq takes the key side (k, plus gamma in absolute mode, plus the edge's
+    relative (cos, sin) in relative mode) and dk the query side (q, plus
+    gamma in absolute mode). Both sides are read from the forward's cache.
     """
-    if embedding_mode not in ("none", "relative"):
-        raise ConfigError(f"backward supports modes ('none', 'relative'), got {embedding_mode!r}")
     level0 = hierarchy.levels[0]
     n, d = level0.q_tilde.shape
     d_v = level0.v_tilde.shape[1]
@@ -438,29 +440,27 @@ def gha_backward(hierarchy: Hierarchy, dz: np.ndarray,
         raise InvalidInputError("dz contains non-finite values")
     scale = math.sqrt(d)
 
-    _, caches, d_hat, m_q, z = _forward_core(hierarchy, embedding, embedding_mode, want_cache=True)
+    result, caches, d_hat, m_q = _forward_core(hierarchy, embedding, embedding_mode,
+                                               want_cache=True)
 
     # Per-query scaled cotangents: dY_q = dz_q / D_q and dD_q = -(dz_q.z_q)/D_q,
     # with D_q = d_hat_q * exp(m_q) kept in the shifted form.
     c = dz / d_hat[:, None]  # (N, d_v)
-    b = np.einsum("qd,qd->q", dz, z) / d_hat  # (N,)
+    b = np.einsum("qd,qd->q", dz, result.z) / d_hat  # (N,)
     dv, folds = _adjoint_core(hierarchy, caches, m_q, c, b)
 
     dq_levels, dk_levels = [], []
     for lv, cache, (a_bar, b_bar) in zip(hierarchy.levels, caches, folds):
-        rows, cols, t = cache.rows, cache.cols, cache.t
-        ds = t * (np.einsum("ed,ed->e", a_bar[rows], lv.v_tilde[cols]) - b_bar[rows])
-        if embedding_mode == "relative":
-            angles = (2.0 * np.pi) * (
-                (lv.positions[rows] - lv.positions[cols]) @ embedding.frequencies.T
-            )
-            k_eff = lv.k_tilde[cols].copy()
-            k_eff[:, 0::2] += np.cos(angles)
-            k_eff[:, 1::2] += np.sin(angles)
-        else:
-            k_eff = lv.k_tilde[cols]
-        dq_levels.append(np.add.reduceat((ds[:, None] / scale) * k_eff, cache.indptr[:-1], axis=0))
-        dk_levels.append(_scatter_add(cols, (ds[:, None] / scale) * lv.q_tilde[rows], lv.n_tokens))
+        rows, cols = lv.topology.rows, lv.topology.indices
+        ds = cache.t * (np.einsum("ed,ed->e", a_bar[rows], lv.v_tilde[cols]) - b_bar[rows])
+        ds = (ds / scale)[:, None]
+        k_eff = cache.k[cols]
+        if cache.rel is not None:
+            k_eff[:, 0::2] += cache.rel[0]
+            k_eff[:, 1::2] += cache.rel[1]
+        k_eff *= ds
+        dq_levels.append(np.add.reduceat(k_eff, lv.topology.indptr[:-1], axis=0))
+        dk_levels.append(_scatter_add(cols, cache.q[rows] * ds, lv.n_tokens))
 
     return Gradients(dq=_pull_back(hierarchy, dq_levels), dk=_pull_back(hierarchy, dk_levels),
                      dv=dv)

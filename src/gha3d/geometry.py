@@ -75,19 +75,23 @@ class NeighborhoodTopology:
 
     ``indices[indptr[i]:indptr[i + 1]]`` lists the neighbors of token i,
     self included, ordered by (squared distance, index) so that summation
-    order is canonical.
+    order is canonical. ``rows`` is made once at construction: the token
+    each edge belongs to, i.e. ``indices[e]`` is a neighbor of ``rows[e]``.
     """
 
     kind: str  # "knn" or "kernel_window"
     indptr: np.ndarray  # (n_tokens + 1,) int64
     indices: np.ndarray  # (nnz,) int64
     k: int | None = None  # neighborhood size for kind == "knn"
+    rows: np.ndarray = field(init=False, repr=False, compare=False)  # (nnz,) int64
 
     def __post_init__(self):
         if self.kind not in ("knn", "kernel_window"):
             raise InvalidInputError(f"unknown topology kind {self.kind!r}")
         object.__setattr__(self, "indptr", _freeze(self.indptr, np.int64))
         object.__setattr__(self, "indices", _freeze(self.indices, np.int64))
+        rows = np.repeat(np.arange(self.n_tokens, dtype=np.int64), self.sizes)
+        object.__setattr__(self, "rows", _readonly(rows))
 
     @property
     def n_tokens(self) -> int:
@@ -295,13 +299,19 @@ def fps_from_positions(positions: np.ndarray, m: int) -> np.ndarray:
     return np.sort(canon[picks])
 
 
-def pack_voxel_coords(coords: np.ndarray) -> np.ndarray:
-    """Pack integer (x, y, z) voxel coordinates into one int64 key whose
-    natural order equals lexicographic order on (x, y, z)."""
-    if np.any(np.abs(coords) >= _VOXEL_COORD_BOUND):
+def _check_voxel_range(coords: np.ndarray) -> None:
+    """Reject coordinates outside +/-(2^20 - 1), integer or float. No abs:
+    it wraps for the most negative int64."""
+    if np.any((coords <= -_VOXEL_COORD_BOUND) | (coords >= _VOXEL_COORD_BOUND)):
         raise InvalidInputError(
             f"voxel coordinates exceed supported range +/-{_VOXEL_COORD_BOUND - 1}"
         )
+
+
+def pack_voxel_coords(coords: np.ndarray) -> np.ndarray:
+    """Pack integer (x, y, z) voxel coordinates into one int64 key whose
+    natural order equals lexicographic order on (x, y, z)."""
+    _check_voxel_range(coords)
     c = coords + _VOXEL_COORD_BOUND
     return (c[:, 0] << 42) | (c[:, 1] << 21) | c[:, 2]
 
@@ -313,7 +323,10 @@ def voxelize(cloud: PointCloud, voxel_size: float) -> SparseVoxelGrid:
     if not voxel_size > 0:
         raise InvalidInputError(f"voxel_size must be positive, got {voxel_size}")
     pos = cloud.positions
-    coords = np.floor(pos / voxel_size).astype(np.int64)
+    with np.errstate(over="ignore"):  # a quotient past float64 is inf, rejected below
+        cells = np.floor(pos / voxel_size)
+    _check_voxel_range(cells)  # before the cast, which would wrap
+    coords = cells.astype(np.int64)
     keys = pack_voxel_coords(coords)
 
     # Canonical in-cell aggregation order: position-lex, then index. This

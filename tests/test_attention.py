@@ -6,6 +6,7 @@ import pytest
 from gha3d.attention import (
     AttentionInputs,
     FourierEmbedding,
+    _dense_softmax_chunks,
     _scatter_add,
     dense_attention,
     embed_points,
@@ -191,6 +192,23 @@ def test_dense_large_scores_do_not_overflow():
     q, k, v, pos = rand_inputs(rng, 5, 3, scale=40.0)
     out = dense_attention(AttentionInputs(q=q, k=k, v=v, positions=pos))
     assert np.all(np.isfinite(out.z))
+
+
+@pytest.mark.parametrize("mode", ["none", "absolute", "relative"])
+def test_dense_row_chunks_stay_bounded_at_the_cap(mode):
+    # Every rows-by-keys(-by-frequencies) temporary of a chunk holds at
+    # most 2^22 elements; the chunks tile the rows in order.
+    rng = np.random.default_rng(26)
+    n = 4096
+    q, k, _, pos = rand_inputs(rng, n, 4)
+    emb = make_fourier_embedding(4, rng) if mode != "none" else None
+    per_row = n * (emb.m if mode == "relative" else 1)
+    covered = 0
+    for start, stop, a, denom, mu in _dense_softmax_chunks(q, k, pos, emb, mode):
+        assert start == covered and (stop - start) * per_row <= 1 << 22
+        assert a.shape == (stop - start, n) and denom.shape == mu.shape == (stop - start,)
+        covered = stop
+    assert covered == n
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +479,7 @@ def test_backward_single_token_exact():
     np.testing.assert_array_equal(g.dk, np.zeros((1, 5)))
 
 
-@pytest.mark.parametrize("mode", ["none", "relative"])
+@pytest.mark.parametrize("mode", ["none", "absolute", "relative"])
 def test_backward_matches_finite_differences_point(mode):
     rng = np.random.default_rng(22)
     q, k, v, pos = rand_inputs(rng, 12, 4)
@@ -475,32 +493,37 @@ def test_backward_matches_finite_differences_point(mode):
         assert max_rel_err(got, fd) < 1e-5, which
 
 
-def test_backward_matches_finite_differences_deep():
+@pytest.mark.parametrize("mode", ["none", "absolute", "relative"])
+def test_backward_matches_finite_differences_deep(mode):
     rng = np.random.default_rng(23)
     q, k, v, pos = rand_inputs(rng, 12, 2)
+    emb = make_fourier_embedding(2, rng) if mode != "none" else None
     h = build_hierarchy(pos, q, k, v, flavor="point", k=2, r=2)
     assert h.depth >= 3
     dz = rng.normal(size=(12, 2))
-    g = gha_backward(h, dz)
+    g = gha_backward(h, dz, embedding=emb, embedding_mode=mode)
     for which, got in (("q", g.dq), ("k", g.dk), ("v", g.dv)):
-        fd = fd_gradient(h, which, dz)
+        fd = fd_gradient(h, which, dz, emb, mode)
         assert max_rel_err(got, fd) < 1e-5, which
 
 
-def test_backward_matches_finite_differences_voxel():
+@pytest.mark.parametrize("mode", ["none", "absolute", "relative"])
+def test_backward_matches_finite_differences_voxel(mode):
     rng = np.random.default_rng(24)
     coords = np.unique(rng.integers(0, 6, size=(60, 3)), axis=0)[:32]
     order = np.lexsort((coords[:, 2], coords[:, 1], coords[:, 0]))
     coords = coords[order]
     n = coords.shape[0]
-    q, k, v, _ = rand_inputs(rng, n, 3)
+    d = 3 if mode == "none" else 4  # the embedding needs an even width
+    q, k, v, _ = rand_inputs(rng, n, d)
+    emb = make_fourier_embedding(d, rng) if mode != "none" else None
     pos = coords.astype(np.float64) + 0.5
     h = build_hierarchy(pos, q, k, v, flavor="voxel", coords=coords)
     assert h.depth >= 1
-    dz = rng.normal(size=(n, 3))
-    g = gha_backward(h, dz)
+    dz = rng.normal(size=(n, d))
+    g = gha_backward(h, dz, embedding=emb, embedding_mode=mode)
     for which, got in (("q", g.dq), ("k", g.dk), ("v", g.dv)):
-        fd = fd_gradient(h, which, dz)
+        fd = fd_gradient(h, which, dz, emb, mode)
         assert max_rel_err(got, fd) < 1e-5, which
 
 
@@ -517,4 +540,6 @@ def test_backward_rejects_bad_shapes_and_modes():
             gha_backward(h, dz)
     with pytest.raises(ConfigError):
         gha_backward(h, np.zeros((6, 4)), embedding=make_fourier_embedding(4, rng),
-                     embedding_mode="absolute")
+                     embedding_mode="sinusoidal")
+    with pytest.raises(ConfigError):
+        gha_backward(h, np.zeros((6, 4)), embedding_mode="absolute")  # missing embedding

@@ -6,6 +6,7 @@ from scipy.spatial import cKDTree
 
 from gha3d.errors import FormatError, InvalidInputError
 from gha3d.geometry import (
+    NeighborhoodTopology,
     PointCloud,
     deterministic_knn,
     farthest_point_sample,
@@ -485,6 +486,35 @@ def test_voxelize_rejects_out_of_range():
         voxelize(pc, 1.0)
 
 
+@pytest.mark.parametrize("x", [1e300, -1e300, 2.0**63, -(2.0**63), 2.0**20, -(2.0**20)])
+def test_voxelize_rejects_coordinates_past_the_range_before_casting(x):
+    # floor(x / size) past int64 used to wrap in the cast: 1e300 landed in
+    # cell (0, 0, 0) and -1e300 became coordinate -2^63.
+    pc = PointCloud(positions=np.array([[0.0, 0.0, 0.0], [x, 0.0, 0.0]]))
+    with pytest.raises(InvalidInputError):
+        voxelize(pc, 1.0)
+    with pytest.raises(InvalidInputError):  # quotients far past int64, or inf
+        voxelize(PointCloud(positions=np.array([[0.0, x, 1.0]])), 1e-300)
+
+
+@pytest.mark.parametrize("c", [2**20 - 1, -(2**20 - 1)])
+def test_voxel_range_limits_stay_accepted(c):
+    grid = voxelize(PointCloud(positions=np.array([[c + 0.5, 0.0, c + 0.5]])), 1.0)
+    np.testing.assert_array_equal(grid.occupied, [[c, 0, c]])
+    topo = kernel_window_topology(np.array([[c, 0, 0], [c, 0, 1], [0, c, 0]]))
+    assert topo_as_lists(topo) == [[0, 1], [0, 1], [2]]
+
+
+@pytest.mark.parametrize("c", [2**20, -(2**20), 2**63 - 1, -(2**63)])
+def test_window_rejects_coordinates_past_the_range(c):
+    # np.abs(-2^63) wraps to -2^63, which used to pass the range check and
+    # yield a topology without the cell's self edge.
+    with pytest.raises(InvalidInputError):
+        kernel_window_topology(np.array([[c, 0, 0]], dtype=np.int64))
+    with pytest.raises(InvalidInputError):
+        kernel_window_topology(np.array([[0, 0, 0], [0, 0, c]], dtype=np.int64))
+
+
 # ---------------------------------------------------------------------------
 # 3x3x3 kernel window
 # ---------------------------------------------------------------------------
@@ -551,6 +581,16 @@ def test_window_rejects_duplicate_cells():
     dup = np.array([[0, 0, 0], [1, 0, 0], [0, 0, 0]])
     with pytest.raises(InvalidInputError):
         kernel_window_topology(dup)
+
+
+def test_topology_rows_name_each_edges_token():
+    rng = np.random.default_rng(6)
+    coords = np.unique(rng.integers(0, 4, size=(30, 3)), axis=0)
+    for topo in (kernel_window_topology(coords), knn(PointCloud(rng.normal(size=(40, 3))), 5),
+                 NeighborhoodTopology(kind="knn", indptr=[0, 2, 2, 3], indices=[0, 2, 2])):
+        want = [i for i in range(topo.n_tokens) for _ in topo.neighbors(i)]
+        np.testing.assert_array_equal(topo.rows, want)
+        assert topo.rows.dtype == np.int64 and not topo.rows.flags.writeable
 
 
 def test_window_from_grid():
