@@ -14,6 +14,7 @@ that measures weight counts against the guaranteed linear bound.
 import csv
 import io
 import math
+import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -23,6 +24,7 @@ import numpy as np
 from .attention import (
     AttentionInputs,
     _adjoint_core,
+    _bounded_spans,
     _dense_softmax_chunks,
     _forward_core,
     dense_attention,
@@ -56,11 +58,11 @@ def _map_ordered(fn, items, threads: int):
 # Effective attention weights: the adjoint for one row, probes for the matrix
 # ---------------------------------------------------------------------------
 
-def _check_probe_cap(n: int, probe_cap: int) -> None:
-    if n > probe_cap:
+def _check_probe_cap(n: int) -> None:
+    if n > PROBE_CAP:
         raise CapacityError(
             f"effective-weight probing needs {n} one-hot columns, above the cap "
-            f"of {probe_cap}; raise probe_cap explicitly to accept the cost"
+            f"of {PROBE_CAP}; effective_attention_row reads single rows at any size"
         )
 
 
@@ -73,23 +75,23 @@ def _probe_columns(hierarchy: Hierarchy, lo: int, hi: int, embedding, mode) -> n
 
 
 def effective_attention(hierarchy: Hierarchy, embedding=None, embedding_mode: str = "none",
-                        *, probe_cap: int = PROBE_CAP, block_size: int = 512,
-                        threads: int = 1) -> np.ndarray:
+                        *, threads: int = 1) -> np.ndarray:
     """(N, N) matrix of effective weights each query puts on each token.
 
     Column block j of the result is the forward output for one-hot value
     columns e_j, so row i lists the convex weights behind z_i. Rows are
-    nonnegative and sum to 1. Blocks are independent, making the result
-    invariant to both block_size and thread count.
+    nonnegative and sum to 1. Block widths bound the level-0 edges-by-columns
+    gather; blocks are independent, so threads never change a bit.
     """
     n = hierarchy.levels[0].n_tokens
-    _check_probe_cap(n, probe_cap)
-    if block_size < 1:
-        raise InvalidInputError(f"block_size must be >= 1, got {block_size}")
-    spans = [(lo, min(n, lo + block_size)) for lo in range(0, n, block_size)]
-    return np.hstack(_map_ordered(
-        lambda s: _probe_columns(hierarchy, s[0], s[1], embedding, embedding_mode), spans, threads
-    ))
+    _check_probe_cap(n)
+    out = np.empty((n, n), dtype=np.float64)
+
+    def probe(span):
+        out[:, span[0]:span[1]] = _probe_columns(hierarchy, *span, embedding, embedding_mode)
+
+    _map_ordered(probe, _bounded_spans(n, hierarchy.levels[0].topology.total_edges), threads)
+    return out
 
 
 def effective_attention_row(hierarchy: Hierarchy, i: int, embedding=None,
@@ -103,6 +105,10 @@ def effective_attention_row(hierarchy: Hierarchy, i: int, embedding=None,
     bitwise permutation-equivariant, as the probed matrix is.
     """
     n = hierarchy.levels[0].n_tokens
+    try:
+        i = operator.index(i)
+    except TypeError:
+        raise InvalidInputError(f"query index must be an integer, got {i!r}") from None
     if not 0 <= i < n:
         raise InvalidInputError(f"query index {i} out of range for {n} tokens")
     _, caches, d_hat, m_q = _forward_core(hierarchy, embedding, embedding_mode,
@@ -114,8 +120,7 @@ def effective_attention_row(hierarchy: Hierarchy, i: int, embedding=None,
 
 
 def mechanism_weights(hierarchy: Hierarchy, mechanism: str, embedding=None,
-                      embedding_mode: str = "none", *, probe_cap: int = PROBE_CAP,
-                      threads: int = 1) -> np.ndarray:
+                      embedding_mode: str = "none", *, threads: int = 1) -> np.ndarray:
     """Effective (N, N) weights of one mechanism over the level-0 tokens.
 
     gha probes the full hierarchy, local probes it truncated to level 0
@@ -126,7 +131,7 @@ def mechanism_weights(hierarchy: Hierarchy, mechanism: str, embedding=None,
         raise InvalidInputError(f"mechanism must be one of {MECHANISMS}, got {mechanism!r}")
     if mechanism == "dense":
         lv = hierarchy.levels[0]
-        _check_probe_cap(lv.n_tokens, probe_cap)
+        _check_probe_cap(lv.n_tokens)
         out = np.empty((lv.n_tokens, lv.n_tokens), dtype=np.float64)
         for start, stop, a, denom, _ in _dense_softmax_chunks(
             lv.q_tilde, lv.k_tilde, lv.positions, embedding, embedding_mode
@@ -134,8 +139,7 @@ def mechanism_weights(hierarchy: Hierarchy, mechanism: str, embedding=None,
             out[start:stop] = a / denom[:, None]
         return out
     h = truncate(hierarchy, 0) if mechanism == "local" else hierarchy
-    return effective_attention(h, embedding, embedding_mode, probe_cap=probe_cap,
-                               threads=threads)
+    return effective_attention(h, embedding, embedding_mode, threads=threads)
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +171,13 @@ class DistanceHistogram:
 
 
 def _pairwise_distances(positions: np.ndarray) -> np.ndarray:
-    diff = positions[:, None, :] - positions[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    n = positions.shape[0]
+    out = np.empty((n, n), dtype=np.float64)
+    for lo, hi in _bounded_spans(n, 3 * n):  # rows-by-tokens-by-axes differences
+        diff = positions[lo:hi, None, :] - positions[None, :, :]
+        np.einsum("ijk,ijk->ij", diff, diff, out=out[lo:hi])
+        del diff  # else two chunks are alive while the next one is made
+    return np.sqrt(out, out=out)
 
 
 def neighborhood_radius(hierarchy: Hierarchy) -> float:
@@ -187,7 +196,7 @@ def mass_beyond_radius(positions: np.ndarray, weights: np.ndarray, radius: float
 
 def attention_histogram(hierarchy: Hierarchy, mechanism: str = "gha", n_bins: int = 64,
                         embedding=None, embedding_mode: str = "none",
-                        *, probe_cap: int = PROBE_CAP, threads: int = 1) -> DistanceHistogram:
+                        *, threads: int = 1) -> DistanceHistogram:
     """Histogram of a mechanism's attention mass over pair distances.
 
     Bins are uniform over [0, max pairwise distance] between the level-0
@@ -197,7 +206,7 @@ def attention_histogram(hierarchy: Hierarchy, mechanism: str = "gha", n_bins: in
         raise InvalidInputError(f"n_bins must be >= 1, got {n_bins}")
     pos = hierarchy.levels[0].positions
     weights = mechanism_weights(hierarchy, mechanism, embedding, embedding_mode,
-                                probe_cap=probe_cap, threads=threads)
+                                threads=threads)
     dist = _pairwise_distances(pos)
     span = float(dist.max())
     if span == 0.0:  # all tokens coincide; any positive span bins the zero
@@ -244,7 +253,7 @@ def locality_ratio(positions: np.ndarray, weights: np.ndarray, n_extreme: int = 
     d = _pairwise_distances(np.asarray(positions, dtype=np.float64))
     idx = np.arange(n)
     d[idx, idx] = np.inf  # excludes self from "nearest"
-    order = np.lexsort((np.broadcast_to(idx, (n, n)), d), axis=1)
+    order = np.argsort(d, axis=1, kind="stable")  # ties stay in index order
     near = np.take_along_axis(weights, order[:, :m], axis=1)
     far = np.take_along_axis(weights, order[:, n - 1 - m:n - 1], axis=1)
     near_mean = float(near.mean())
@@ -255,13 +264,12 @@ def locality_ratio(positions: np.ndarray, weights: np.ndarray, n_extreme: int = 
 
 
 def approximation_report(hierarchy: Hierarchy, embedding=None, embedding_mode: str = "none",
-                         *, probe_cap: int = PROBE_CAP,
-                         threads: int = 1) -> ApproximationReport:
+                         *, threads: int = 1) -> ApproximationReport:
     """gha vs the dense reference; raises InvariantViolation if the probed
     effective weights are not row-stochastic."""
     lv = hierarchy.levels[0]
     n = lv.n_tokens
-    _check_probe_cap(n, probe_cap)
+    _check_probe_cap(n)
     gha = gha_forward(hierarchy, embedding, embedding_mode)
     dense = dense_attention(AttentionInputs(
         q=lv.q_tilde, k=lv.k_tilde, v=lv.v_tilde, positions=lv.positions,
@@ -270,8 +278,7 @@ def approximation_report(hierarchy: Hierarchy, embedding=None, embedding_mode: s
     diff = np.linalg.norm(gha.z - dense.z, axis=1)
     ref = np.linalg.norm(dense.z, axis=1)
     rel = diff / np.maximum(ref, np.finfo(np.float64).tiny)
-    weights = effective_attention(hierarchy, embedding, embedding_mode,
-                                  probe_cap=probe_cap, threads=threads)
+    weights = effective_attention(hierarchy, embedding, embedding_mode, threads=threads)
     worst = np.max(np.abs(weights.sum(axis=1) - 1.0))
     if weights.min() < 0.0 or worst > 1e-10:
         raise InvariantViolation(

@@ -194,6 +194,13 @@ def _rotation(p_query, p_key, embedding):
 # Dense and local references
 # ---------------------------------------------------------------------------
 
+def _bounded_spans(n: int, width: int) -> list:
+    """Pieces of range(n) that keep a rows-by-width temporary within 2^22
+    elements; every N x N-scale product here and in the analysis is cut so."""
+    step = max(1, min(n, (1 << 22) // max(1, width)))
+    return [(lo, min(n, lo + step)) for lo in range(0, n, step)]
+
+
 def _dense_softmax_chunks(q, k, pos, emb, mode):
     """Row chunks (start, stop, a, denom, mu) of the dense reference softmax:
     a = exp(s - mu) for query rows start:stop against all keys, with row
@@ -202,12 +209,8 @@ def _dense_softmax_chunks(q, k, pos, emb, mode):
     _check_mode(emb, mode, d)
     scale = math.sqrt(d)
     q, k = _scored(q, k, pos, emb, mode)
-    # Row chunks bound every rows-by-keys (by-frequencies in relative mode)
-    # temporary at 2^22 elements.
-    width = n * (emb.m if mode == "relative" else 1)
-    chunk = max(1, min(n, (1 << 22) // max(1, width)))
-    for start in range(0, n, chunk):
-        stop = min(n, start + chunk)
+    # Rows-by-keys (by-frequencies in relative mode) temporaries.
+    for start, stop in _bounded_spans(n, n * (emb.m if mode == "relative" else 1)):
         s = q[start:stop] @ k.T
         if mode == "relative":
             s += _interleaved_dot(q[start:stop, None, :],

@@ -308,6 +308,21 @@ def _check_voxel_range(coords: np.ndarray) -> None:
         )
 
 
+def _voxel_coords(coords) -> np.ndarray:
+    """Caller-given (n, 3) voxel coordinates as int64, checked before the
+    cast: finite, integer-valued and within +/-(2^20 - 1). An int64 array
+    comes back as is."""
+    c = np.asarray(coords)
+    if c.ndim != 2 or c.shape[1] != 3:
+        raise InvalidInputError(f"voxel coordinates must be (n, 3), got shape {c.shape}")
+    if c.dtype.kind not in "iuf":
+        raise InvalidInputError(f"voxel coordinates must be integers, got dtype {c.dtype}")
+    if c.dtype.kind == "f" and not np.all(np.isfinite(c) & (c == np.floor(c))):
+        raise InvalidInputError("voxel coordinates must be finite integer values")
+    _check_voxel_range(c)
+    return c.astype(np.int64, copy=False)
+
+
 def pack_voxel_coords(coords: np.ndarray) -> np.ndarray:
     """Pack integer (x, y, z) voxel coordinates into one int64 key whose
     natural order equals lexicographic order on (x, y, z)."""
@@ -357,7 +372,7 @@ def kernel_window_topology(occupied: np.ndarray | SparseVoxelGrid) -> Neighborho
     if isinstance(occupied, SparseVoxelGrid):
         coords = occupied.occupied
     else:
-        coords = np.asarray(occupied, dtype=np.int64)
+        coords = _voxel_coords(occupied)
     m = coords.shape[0]
     if m < 1:
         raise InvalidInputError("empty voxel grid")

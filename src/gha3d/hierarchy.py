@@ -18,6 +18,7 @@ from .geometry import (
     NeighborhoodTopology,
     _freeze,
     _readonly,
+    _voxel_coords,
     deterministic_knn,
     fps_from_positions,
     kernel_window_topology,
@@ -267,6 +268,14 @@ def _coarsen_voxel_reducing(level: HierarchyLevel) -> tuple[HierarchyLevel, np.n
 # Construction
 # ---------------------------------------------------------------------------
 
+def _check_qk_width(q: np.ndarray, k: np.ndarray) -> None:
+    """q and k are scored against each other: one shared width of at least 1."""
+    if q.ndim != 2 or k.ndim != 2 or q.shape[1] != k.shape[1] or q.shape[1] < 1:
+        raise InvalidInputError(
+            f"q and k need one shared width >= 1, got shapes {q.shape} and {k.shape}"
+        )
+
+
 def build_hierarchy(
     positions: np.ndarray,
     q: np.ndarray,
@@ -296,9 +305,8 @@ def build_hierarchy(
     n = positions.shape[0]
     if n < 1:
         raise InvalidInputError("need at least one token")
-    if q.shape != k_mat.shape:
-        raise InvalidInputError(f"q and k shapes differ: {q.shape} vs {k_mat.shape}")
-    if q.shape[0] != n or v.shape[0] != n:
+    _check_qk_width(q, k_mat)
+    if q.shape[0] != n or k_mat.shape[0] != n or v.shape[0] != n:
         raise InvalidInputError("q/k/v row counts must match positions")
     for name, mat in (("positions", positions), ("q", q), ("k", k_mat), ("v", v)):
         if not np.all(np.isfinite(mat)):
@@ -315,7 +323,7 @@ def build_hierarchy(
     elif flavor == "voxel":
         if coords is None:
             raise InvalidInputError("voxel flavor requires occupied-cell coords")
-        coords = _freeze(coords, np.int64)
+        coords = _freeze(_voxel_coords(coords))
         if coords.shape != (n, 3):
             raise InvalidInputError(f"coords must be ({n}, 3), got {coords.shape}")
         stop_k = VOXEL_WINDOW_K
@@ -366,6 +374,9 @@ def with_values(
             if not np.all(np.isfinite(mat)):
                 raise InvalidInputError(f"replacement {name} contains non-finite values")
             new_rows[name] = mat
+    if "q_tilde" in new_rows or "k_tilde" in new_rows:
+        base = hierarchy.levels[0]
+        _check_qk_width(new_rows.get("q_tilde", base.q_tilde), new_rows.get("k_tilde", base.k_tilde))
 
     levels = []
     current = dict(new_rows)

@@ -1,9 +1,12 @@
 import csv
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from gha3d import analysis
 from gha3d.analysis import (
     PROBE_CAP,
     ApproximationReport,
@@ -23,9 +26,10 @@ from gha3d.analysis import (
     scaling_sweep,
     weight_bound,
     _check_weight_bound,
+    _pairwise_distances,
     _probe_columns,
 )
-from gha3d.attention import gha_forward, make_fourier_embedding
+from gha3d.attention import _bounded_spans, gha_forward, make_fourier_embedding
 from gha3d.errors import CapacityError, InvalidInputError, InvariantViolation
 from gha3d.hierarchy import build_hierarchy
 from gha3d.seeding import substream
@@ -155,14 +159,20 @@ def test_effective_row_matches_matrix():
     # The row comes from the adjoint and the matrix from probing: two exact
     # algorithms whose sums round differently, so not bitwise.
     h = rand_hierarchy(10, n=13, d=4, k=3)
-    w = effective_attention(h, block_size=4)
+    w = effective_attention(h)
     for i in (0, 5, 12):
         assert np.max(np.abs(effective_attention_row(h, i) - w[i])) <= 1e-15
     with pytest.raises(InvalidInputError):
         effective_attention_row(h, 13)
-    for bad in (0, -1):
-        with pytest.raises(InvalidInputError):
-            effective_attention(h, block_size=bad)
+
+
+def test_effective_row_rejects_non_integer_query():
+    h = rand_hierarchy(10, n=13, d=4, k=3)
+    for bad in (1.5, 2.0, np.float64(3.0), "1", None):
+        with pytest.raises(InvalidInputError, match="integer"):
+            effective_attention_row(h, bad)
+    np.testing.assert_array_equal(effective_attention_row(h, np.int64(5)),
+                                  effective_attention_row(h, 5))
 
 
 def duplicate_hierarchy(seed, n=40, d=4):
@@ -279,17 +289,52 @@ def test_pair_layout_effective_weights_closed_form():
 
 
 def test_effective_weights_independent_of_block_size_and_threads():
-    h = rand_hierarchy(13, n=15, d=4, k=3)
+    # Block widths derive from the level-0 edge count: n=800, k=8 gives two.
+    n = 800
+    h = rand_hierarchy(13, n=n, d=4, k=8)
+    spans = _bounded_spans(n, h.levels[0].topology.total_edges)
+    assert len(spans) >= 2
     base = effective_attention(h)
-    np.testing.assert_array_equal(effective_attention(h, block_size=3), base)
-    np.testing.assert_array_equal(effective_attention(h, threads=4, block_size=4), base)
+    np.testing.assert_array_equal(effective_attention(h, threads=4), base)
+    cut = spans[1][0]
+    for lo, hi in (spans[-1], (cut - 5, cut + 5)):
+        np.testing.assert_array_equal(_probe_columns(h, lo, hi, None, "none"), base[:, lo:hi])
 
 
-def test_probe_cap_enforced():
+def test_probe_blocks_keep_the_element_bound(monkeypatch):
+    n = 4096
+    rng = np.random.default_rng(37)
+    pos = rng.uniform(size=(n, 3))
+    q, k, v = (rng.normal(size=(n, 4)) for _ in range(3))
+    h = build_hierarchy(pos, q, k, v, flavor="point", k=8, r=2)
+    edges = h.levels[0].topology.total_edges
+    spans = []
+
+    def recording(hierarchy, lo, hi, *rest):
+        spans.append((lo, hi))
+        return np.broadcast_to(np.arange(lo, hi, dtype=np.float64), (n, hi - lo))
+
+    monkeypatch.setattr(analysis, "_probe_columns", recording)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:  # more threads than cores write their blocks into one array
+        w = effective_attention(h, threads=4)
+    finally:
+        sys.setswitchinterval(switch)
+    spans.sort()
+    assert len(spans) == 32 and spans[0][0] == 0 and spans[-1][1] == n
+    assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+    assert all((hi - lo) * edges <= 1 << 22 for lo, hi in spans)
+    assert np.array_equal(w, np.broadcast_to(np.arange(n, dtype=np.float64), (n, n)))
+
+
+def test_probe_cap_enforced(monkeypatch):
     h = rand_hierarchy(14, n=16, d=4, k=3)
-    with pytest.raises(CapacityError):
-        effective_attention(h, probe_cap=8)
-    assert effective_attention(h, probe_cap=16).shape == (16, 16)
+    monkeypatch.setattr(analysis, "PROBE_CAP", 8)
+    with pytest.raises(CapacityError, match="cap of 8"):
+        effective_attention(h)
+    monkeypatch.setattr(analysis, "PROBE_CAP", 16)
+    assert effective_attention(h).shape == (16, 16)
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +453,38 @@ def test_histogram_coincident_points_degenerate_span():
 # ---------------------------------------------------------------------------
 # Locality ratio and approximation report
 # ---------------------------------------------------------------------------
+
+def test_pairwise_distances_memory_bound():
+    n = 2048
+    pos = np.random.default_rng(38).uniform(size=(n, 3))
+    tracemalloc.start()
+    try:
+        d = _pairwise_distances(pos)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert d.shape == (n, n)
+    assert peak <= n * n * 8 + (1 << 22) * 8 * 2
+
+
+def test_locality_ratio_matches_lexsort_order_on_ties():
+    # A 1/6 grid makes most distances tie; the oracle is the one-shot
+    # einsum with a 2-key (distance, index) lexsort.
+    n = 1500
+    rng = np.random.default_rng(39)
+    pos = np.round(rng.uniform(size=(n, 3)) * 6) / 6
+    w = rng.uniform(size=(n, n))
+    diff = pos[:, None, :] - pos[None, :, :]
+    d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    assert len(_bounded_spans(n, 3 * n)) >= 2
+    np.testing.assert_array_equal(_pairwise_distances(pos), d)
+    idx = np.arange(n)
+    d[idx, idx] = np.inf
+    order = np.lexsort((np.broadcast_to(idx, (n, n)), d), axis=1)
+    near = np.take_along_axis(w, order[:, :5], axis=1).mean()
+    far = np.take_along_axis(w, order[:, n - 6:n - 1], axis=1).mean()
+    assert locality_ratio(pos, w) == near / far
+
 
 def test_locality_ratio_uniform_weights_is_one():
     rng = np.random.default_rng(22)

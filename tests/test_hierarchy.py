@@ -1,4 +1,5 @@
-from dataclasses import replace
+import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -620,3 +621,88 @@ def test_dump_hierarchy_schema():
     assert lines[6] == "level 1 n=2"
     assert lines[7].endswith("parent -")
     assert len(lines) == 1 + 1 + 4 + 1 + 2
+
+
+def level_fields(level):
+    out = {}
+    for f in fields(level):
+        x = getattr(level, f.name)
+        if isinstance(x, NeighborhoodTopology):
+            out[f.name + ".indptr"], out[f.name + ".indices"] = x.indptr, x.indices
+        else:
+            out[f.name] = x
+    return out
+
+
+def assert_same_structure(a, b):
+    assert (a.flavor, a.neighborhood_k, a.coarsen_ratio) == (b.flavor, b.neighborhood_k, b.coarsen_ratio)
+    assert len(a.levels) == len(b.levels)
+    for la, lb in zip(a.levels, b.levels):
+        for (name, x), y in zip(level_fields(la).items(), level_fields(lb).values()):
+            if isinstance(x, np.ndarray):
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+            else:
+                assert x == y, name
+
+
+@pytest.mark.parametrize("bad", [
+    [[0.5, 0, 0], [1.7, 0, 0], [3.2, 0, 0]],  # used to be truncated to cells 0, 1, 3
+    [[1e300, 0, 0], [1, 0, 0], [3, 0, 0]],  # used to warn in the cast
+    [[np.nan, 0, 0], [1, 0, 0], [3, 0, 0]],
+    [[-np.inf, 0, 0], [1, 0, 0], [3, 0, 0]],
+    [[2.0 ** 20, 0, 0], [1, 0, 0], [3, 0, 0]],
+    np.array([[0, 0, -(1 << 20)], [1, 0, 0], [3, 0, 0]]),
+])
+def test_voxel_coords_checked_before_the_cast(bad):
+    rng = np.random.default_rng(18)
+    q, k_mat, v = rand_qkv(rng, 3, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="voxel coordinates"):
+            build_hierarchy(rng.normal(size=(3, 3)), q, k_mat, v, flavor="voxel", coords=bad)
+        with pytest.raises(InvalidInputError, match="voxel coordinates"):
+            kernel_window_topology(bad)
+
+
+def test_non_integer_voxel_coords_are_not_duplicates():
+    with pytest.raises(InvalidInputError, match="integer"):
+        kernel_window_topology([[0.5, 0, 0], [0.7, 0, 0]])
+    for bad_shape in ([1, 2, 3], [[1, 2], [3, 4]]):
+        with pytest.raises(InvalidInputError, match="voxel coordinates"):
+            kernel_window_topology(bad_shape)
+
+
+def test_integer_valued_voxel_coords_build_the_same_structure():
+    rng = np.random.default_rng(19)
+    coords = np.unique(rng.integers(-6, 6, size=(200, 3)), axis=0)
+    coords = coords[rng.permutation(coords.shape[0])]
+    coords[0] = (1 << 20) - 1  # the range limit is accepted
+    n = coords.shape[0]
+    pos = coords + rng.uniform(0.1, 0.9, size=(n, 3))
+    q, k_mat, v = rand_qkv(rng, n, 3)
+    ref = build_hierarchy(pos, q, k_mat, v, flavor="voxel", coords=coords)
+    assert ref.depth >= 2
+    for same in (coords.astype(np.float64), coords.astype(np.int32), coords.tolist()):
+        assert_same_structure(build_hierarchy(pos, q, k_mat, v, flavor="voxel", coords=same), ref)
+    topo = kernel_window_topology(coords.astype(np.float32))
+    want = kernel_window_topology(coords)
+    assert topo.indptr.tobytes() == want.indptr.tobytes()
+    assert topo.indices.tobytes() == want.indices.tobytes()
+
+
+def test_q_and_k_share_one_positive_width():
+    rng = np.random.default_rng(20)
+    n = 30
+    pos = rng.normal(size=(n, 3))
+    q, k_mat, v = rand_qkv(rng, n, 8)
+    for qq, kk in ((q[:, :0], k_mat[:, :0]), (q, k_mat[:, :4])):
+        with pytest.raises(InvalidInputError, match="width"):
+            build_hierarchy(pos, qq, kk, v, flavor="point", k=4)
+    h = build_hierarchy(pos, q, k_mat, v, flavor="point", k=4)
+    for kw in (dict(q=q[:, :4]), dict(k=k_mat[:, :4]), dict(q=q[:, :0], k=k_mat[:, :0]),
+               dict(q=q[:, :4], k=k_mat[:, :2])):
+        with pytest.raises(InvalidInputError, match="width"):
+            with_values(h, **kw)
+    narrow = with_values(h, q=q[:, :4], k=k_mat[:, :4], v=v[:, :2])
+    assert narrow.levels[-1].q_tilde.shape[1] == 4 and narrow.levels[-1].v_tilde.shape[1] == 2
+    assert with_values(narrow, q=q[:, 4:]).levels[0].q_tilde.shape == (n, 4)
