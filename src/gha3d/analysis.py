@@ -1,11 +1,11 @@
 """Introspection and evaluation of attention mechanisms.
 
 The output z is linear in the values with value-independent weights, so
-the effective weight matrix W (z = W v, coarsening included) is read two
-ways. Row i, the vector W^T e_i, is the value gradient of the exact
-adjoint for a one-hot output cotangent at query i: one forward and one
-backward pass, O(N k), with no token cap. The full N x N matrix is read by probing:
-forward passes with one-hot value columns, capped at ``PROBE_CAP`` tokens.
+the effective weight matrix W (z = W v, coarsening included) is read
+through the exact adjoint: row i, the vector W^T e_i, is the value
+gradient for a one-hot output cotangent at query i, O(N k) after one
+shared forward pass. A single row has no token cap; the full N x N
+matrix, a stack of row blocks, is capped at ``PROBE_CAP`` tokens.
 On top of that sit distance histograms (where does attention mass go?),
 an approximation report against the dense reference, and a scaling sweep
 that measures weight counts against the guaranteed linear bound.
@@ -32,11 +32,11 @@ from .attention import (
 )
 from .errors import CapacityError, InvalidInputError, InvariantViolation
 from .geometry import PointCloud, voxelize
-from .hierarchy import VOXEL_WINDOW_K, Hierarchy, build_hierarchy, truncate, with_values
+from .hierarchy import VOXEL_WINDOW_K, Hierarchy, build_hierarchy, truncate
 from .seeding import substream
 
-# Probing costs one forward pass per token; beyond this many tokens the
-# quadratic cost is refused rather than silently paid.
+# An N x N weight matrix costs O(N^2) time and memory; beyond this many
+# tokens it is refused rather than silently paid.
 PROBE_CAP = 4096
 
 MECHANISMS = ("gha", "local", "dense")
@@ -55,42 +55,44 @@ def _map_ordered(fn, items, threads: int):
 
 
 # ---------------------------------------------------------------------------
-# Effective attention weights: the adjoint for one row, probes for the matrix
+# Effective attention weights: rows of W from the exact adjoint
 # ---------------------------------------------------------------------------
 
-def _check_probe_cap(n: int) -> None:
-    if n > PROBE_CAP:
-        raise CapacityError(
-            f"effective-weight probing needs {n} one-hot columns, above the cap "
-            f"of {PROBE_CAP}; effective_attention_row reads single rows at any size"
-        )
+def _check_matrix_cap(n: int, mechanism: str = "gha") -> None:
+    if n > PROBE_CAP:  # single rows exist for gha and local weights, not dense ones
+        hint = "" if mechanism == "dense" else "; effective_attention_row reads rows at any size"
+        raise CapacityError(f"refusing a {n} x {n} weight matrix, above the cap of "
+                            f"{PROBE_CAP} tokens{hint}")
 
 
-def _probe_columns(hierarchy: Hierarchy, lo: int, hi: int, embedding, mode) -> np.ndarray:
-    n = hierarchy.levels[0].n_tokens
-    probes = np.zeros((n, hi - lo), dtype=np.float64)
-    probes[np.arange(lo, hi), np.arange(hi - lo)] = 1.0
-    probed = with_values(hierarchy, v=probes)
-    return gha_forward(probed, embedding, mode).z
+def _effective_rows(hierarchy: Hierarchy, forward, queries: np.ndarray) -> np.ndarray:
+    """Rows ``queries`` of W from ``_forward_core``'s cached ``forward``: the
+    adjoint's value gradients for one one-hot output cotangent per query."""
+    _, caches, d_hat, m_q = forward
+    c = np.zeros((hierarchy.levels[0].n_tokens, queries.shape[0]))
+    c[queries, np.arange(queries.shape[0])] = 1.0 / d_hat[queries]  # dz = e_q, scaled
+    dv, _ = _adjoint_core(hierarchy, caches, m_q, c)
+    return dv.T
 
 
 def effective_attention(hierarchy: Hierarchy, embedding=None, embedding_mode: str = "none",
                         *, threads: int = 1) -> np.ndarray:
     """(N, N) matrix of effective weights each query puts on each token.
 
-    Column block j of the result is the forward output for one-hot value
-    columns e_j, so row i lists the convex weights behind z_i. Rows are
-    nonnegative and sum to 1. Block widths bound the level-0 edges-by-columns
-    gather; blocks are independent, so threads never change a bit.
+    Row i lists the convex weights behind z_i: nonnegative, summing to 1,
+    and bitwise ``effective_attention_row(hierarchy, i)``. One forward pass
+    serves row blocks whose heights bound the level-0 edges-by-rows
+    temporaries; blocks are independent, so threads never change a bit.
     """
     n = hierarchy.levels[0].n_tokens
-    _check_probe_cap(n)
+    _check_matrix_cap(n)
+    forward = _forward_core(hierarchy, embedding, embedding_mode, want_cache=True)
     out = np.empty((n, n), dtype=np.float64)
 
-    def probe(span):
-        out[:, span[0]:span[1]] = _probe_columns(hierarchy, *span, embedding, embedding_mode)
+    def rows(span):
+        out[span[0]:span[1]] = _effective_rows(hierarchy, forward, np.arange(*span))
 
-    _map_ordered(probe, _bounded_spans(n, hierarchy.levels[0].topology.total_edges), threads)
+    _map_ordered(rows, _bounded_spans(n, hierarchy.levels[0].topology.total_edges), threads)
     return out
 
 
@@ -101,8 +103,7 @@ def effective_attention_row(hierarchy: Hierarchy, i: int, embedding=None,
     Row i of ``effective_attention``, read as the value gradient of the
     exact adjoint for a one-hot output cotangent at query i: one forward
     and one single-column backward pass, O(N k) for any N and any
-    embedding mode. Its sums run in a canonical order, so the row is
-    bitwise permutation-equivariant, as the probed matrix is.
+    embedding mode. The row is bitwise permutation-equivariant.
     """
     n = hierarchy.levels[0].n_tokens
     try:
@@ -111,27 +112,23 @@ def effective_attention_row(hierarchy: Hierarchy, i: int, embedding=None,
         raise InvalidInputError(f"query index must be an integer, got {i!r}") from None
     if not 0 <= i < n:
         raise InvalidInputError(f"query index {i} out of range for {n} tokens")
-    _, caches, d_hat, m_q = _forward_core(hierarchy, embedding, embedding_mode,
-                                          want_cache=True)
-    c = np.zeros((n, 1))
-    c[i, 0] = 1.0 / d_hat[i]  # the one-hot dz, scaled as gha_backward scales it
-    dv, _ = _adjoint_core(hierarchy, caches, m_q, c, canonical=True)
-    return dv[:, 0]
+    forward = _forward_core(hierarchy, embedding, embedding_mode, want_cache=True)
+    return _effective_rows(hierarchy, forward, np.array([i]))[0]
 
 
 def mechanism_weights(hierarchy: Hierarchy, mechanism: str, embedding=None,
                       embedding_mode: str = "none", *, threads: int = 1) -> np.ndarray:
     """Effective (N, N) weights of one mechanism over the level-0 tokens.
 
-    gha probes the full hierarchy, local probes it truncated to level 0
-    (weights outside the neighborhood are structurally zero), and dense
-    evaluates the reference softmax directly.
+    gha reads the full hierarchy's rows, local reads them from the
+    hierarchy truncated to level 0 (weights outside the neighborhood are
+    structurally zero), and dense evaluates the reference softmax directly.
     """
     if mechanism not in MECHANISMS:
         raise InvalidInputError(f"mechanism must be one of {MECHANISMS}, got {mechanism!r}")
     if mechanism == "dense":
         lv = hierarchy.levels[0]
-        _check_probe_cap(lv.n_tokens)
+        _check_matrix_cap(lv.n_tokens, mechanism)
         out = np.empty((lv.n_tokens, lv.n_tokens), dtype=np.float64)
         for start, stop, a, denom, _ in _dense_softmax_chunks(
             lv.q_tilde, lv.k_tilde, lv.positions, embedding, embedding_mode
@@ -170,11 +167,12 @@ class DistanceHistogram:
         return float(self.mass.sum())
 
 
-def _pairwise_distances(positions: np.ndarray) -> np.ndarray:
-    n = positions.shape[0]
-    out = np.empty((n, n), dtype=np.float64)
-    for lo, hi in _bounded_spans(n, 3 * n):  # rows-by-tokens-by-axes differences
-        diff = positions[lo:hi, None, :] - positions[None, :, :]
+def _pairwise_distances(queries: np.ndarray, tokens: np.ndarray | None = None) -> np.ndarray:
+    """Distances from each query row to each token row (default: the queries)."""
+    tokens = queries if tokens is None else tokens
+    out = np.empty((queries.shape[0], tokens.shape[0]), dtype=np.float64)
+    for lo, hi in _bounded_spans(queries.shape[0], 3 * tokens.shape[0]):  # rows x tokens x axes
+        diff = queries[lo:hi, None, :] - tokens[None, :, :]
         np.einsum("ijk,ijk->ij", diff, diff, out=out[lo:hi])
         del diff  # else two chunks are alive while the next one is made
     return np.sqrt(out, out=out)
@@ -250,12 +248,15 @@ def locality_ratio(positions: np.ndarray, weights: np.ndarray, n_extreme: int = 
     if n < 2:
         raise InvalidInputError("locality ratio needs at least 2 tokens")
     m = min(n_extreme, n - 1)
-    d = _pairwise_distances(np.asarray(positions, dtype=np.float64))
-    idx = np.arange(n)
-    d[idx, idx] = np.inf  # excludes self from "nearest"
-    order = np.argsort(d, axis=1, kind="stable")  # ties stay in index order
-    near = np.take_along_axis(weights, order[:, :m], axis=1)
-    far = np.take_along_axis(weights, order[:, n - 1 - m:n - 1], axis=1)
+    positions = np.asarray(positions, dtype=np.float64)
+    near, far = np.empty((n, m)), np.empty((n, m))
+    for lo, hi in _bounded_spans(n, 3 * n):  # row chunks: no N x N distances or order
+        d = _pairwise_distances(positions[lo:hi], positions)
+        d[np.arange(hi - lo), np.arange(lo, hi)] = np.inf  # excludes self from "nearest"
+        order = np.argsort(d, axis=1, kind="stable")  # ties stay in index order
+        near[lo:hi] = np.take_along_axis(weights[lo:hi], order[:, :m], axis=1)
+        far[lo:hi] = np.take_along_axis(weights[lo:hi], order[:, n - 1 - m:n - 1], axis=1)
+        del d, order  # else they are alive while the next chunk is made
     near_mean = float(near.mean())
     far_mean = float(far.mean())
     if far_mean == 0.0:
@@ -265,11 +266,11 @@ def locality_ratio(positions: np.ndarray, weights: np.ndarray, n_extreme: int = 
 
 def approximation_report(hierarchy: Hierarchy, embedding=None, embedding_mode: str = "none",
                          *, threads: int = 1) -> ApproximationReport:
-    """gha vs the dense reference; raises InvariantViolation if the probed
+    """gha vs the dense reference; raises InvariantViolation if the
     effective weights are not row-stochastic."""
     lv = hierarchy.levels[0]
     n = lv.n_tokens
-    _check_probe_cap(n)
+    _check_matrix_cap(n)
     gha = gha_forward(hierarchy, embedding, embedding_mode)
     dense = dense_attention(AttentionInputs(
         q=lv.q_tilde, k=lv.k_tilde, v=lv.v_tilde, positions=lv.positions,

@@ -353,42 +353,37 @@ class Gradients(NamedTuple):
     dv: np.ndarray
 
 
-def _scatter_add(index: np.ndarray, values: np.ndarray, n_out: int,
-                 canonical: bool = False) -> np.ndarray:
+def _scatter_add(index: np.ndarray, values: np.ndarray, n_out: int) -> np.ndarray:
     """out[index[e]] += values[e] for rows e of a 1-D or 2-D array, through
     one ``np.bincount`` over the flattened key index * width + column.
-
-    Each output sums its terms in input order, as ``np.add.at`` does, or
-    with ``canonical`` in ascending order of value, which depends only on
-    the terms themselves and not on the order the tokens are numbered in.
-    """
+    Each output sums its terms in input order, as ``np.add.at`` does."""
     width = 1 if values.ndim == 1 else values.shape[1]
-    key = (index[:, None] * width + np.arange(width)).ravel()
-    vals = values.ravel()
-    if canonical:
-        order = np.lexsort((vals, key))
-        key, vals = key[order], vals[order]
-    out = np.bincount(key, weights=vals, minlength=n_out * width)
+    key = ((index * width)[:, None] + np.arange(width)).ravel()
+    out = np.bincount(key, weights=values.ravel(), minlength=n_out * width)
     return out if values.ndim == 1 else out.reshape(n_out, width)
 
 
-def _pull_back(hierarchy: Hierarchy, per_level: list, canonical: bool = False) -> np.ndarray:
+def _pull_back(hierarchy: Hierarchy, per_level: list) -> np.ndarray:
     """Sum per-level gradients onto level 0 through the transposed pooling
-    maps. A token occurs at most once per group; its sum runs over groups
-    in ascending group order, or in the ``canonical`` order of
-    ``_scatter_add``."""
+    maps. A token occurs at most once per group and sums its groups in the
+    order FPS scans the coarse level, lexicographic (x, y, z) positions with
+    ties by index as kNN and FPS break them: fixed by the geometry, not by
+    the input numbering. (Voxel groups are disjoint, so no order matters.)"""
     g = per_level[-1]
     for h in range(hierarchy.depth - 1, -1, -1):
         coarse = hierarchy.levels[h + 1]
-        sizes = np.diff(coarse.pool_indptr)
-        g = _scatter_add(coarse.pool_indices, np.repeat(g / sizes[:, None], sizes, axis=0),
-                         hierarchy.levels[h].n_tokens, canonical)
+        groups = np.lexsort(coarse.positions.T[::-1])  # summation order of the groups
+        sizes = np.diff(coarse.pool_indptr)[groups]
+        entry = np.repeat(coarse.pool_indptr[groups] - np.cumsum(sizes) + sizes, sizes)
+        entry += np.arange(entry.shape[0])  # the groups' pooled entries, in that order
+        pooled = np.repeat(g[groups] / sizes[:, None], sizes, axis=0)
+        g = _scatter_add(coarse.pool_indices[entry], pooled, hierarchy.levels[h].n_tokens)
         g += per_level[h]
     return g
 
 
 def _adjoint_core(hierarchy: Hierarchy, caches: list, m_q: np.ndarray, c: np.ndarray,
-                  b: np.ndarray | None = None, canonical: bool = False):
+                  b: np.ndarray | None = None):
     """Exact adjoint of the forward map w.r.t. the level-0 values.
 
     c holds the per-query scaled output cotangents dz_q / d_hat_q. Each level
@@ -398,10 +393,12 @@ def _adjoint_core(hierarchy: Hierarchy, caches: list, m_q: np.ndarray, c: np.nda
     onto cols, and the per-level results are pulled back to level 0. Only the
     forward's t, mu and m_q enter, so this holds in every embedding mode.
     The optional per-query normalizer cotangents b are folded the same way.
-    Point-flavor coarse tokens are numbered in input order and their pooling
-    groups overlap, so input-order sums follow the token numbering; with
-    ``canonical`` every sum runs in ascending order of its terms, which
-    makes dv bitwise permutation-equivariant.
+    With one-hot columns of c (effective-weight rows), the fold and each
+    level's scatter get at most one nonzero term per output: a query has
+    one ancestor per level and a neighbor list holds each token once. Such
+    sums are exact in any order, and ``_pull_back`` fixes its own order by
+    geometry, so those columns of dv are bitwise permutation-equivariant and
+    do not depend on which other columns share c.
     Returns dv and the per-level (a_bar, b_bar) folds (b_bar None without b).
     """
     depth = hierarchy.depth
@@ -409,15 +406,15 @@ def _adjoint_core(hierarchy: Hierarchy, caches: list, m_q: np.ndarray, c: np.nda
     folds, dv_levels = [], []
     for h, (lv, cache) in enumerate(zip(hierarchy.levels, caches)):
         w = np.exp(cache.mu[anc] - m_q)
-        a_bar = _scatter_add(anc, w[:, None] * c, lv.n_tokens, canonical)
-        b_bar = None if b is None else _scatter_add(anc, w * b, lv.n_tokens, canonical)
+        a_bar = _scatter_add(anc, w[:, None] * c, lv.n_tokens)
+        b_bar = None if b is None else _scatter_add(anc, w * b, lv.n_tokens)
         folds.append((a_bar, b_bar))
-        topo = lv.topology
-        dv_levels.append(_scatter_add(topo.indices, cache.t[:, None] * a_bar[topo.rows],
-                                      lv.n_tokens, canonical))
+        terms = a_bar[lv.topology.rows]
+        terms *= cache.t[:, None]  # in place: one edge-by-column temporary, not two
+        dv_levels.append(_scatter_add(lv.topology.indices, terms, lv.n_tokens))
         if h < depth:
             anc = lv.parent_of[anc]
-    return _pull_back(hierarchy, dv_levels, canonical), folds
+    return _pull_back(hierarchy, dv_levels), folds
 
 
 def gha_backward(hierarchy: Hierarchy, dz: np.ndarray,

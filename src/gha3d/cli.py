@@ -15,7 +15,7 @@ A ``--config`` file supplies ``key = value`` defaults (keys are the long
 option names with underscores); explicit command-line flags win. All
 randomness is drawn from named substreams of the single ``--seed``, and
 ``--threads`` (or the GHA_THREADS environment variable) only parallelizes
-independent probe blocks, so outputs never depend on it.
+independent row blocks of the weight matrices, so outputs never depend on it.
 """
 
 import argparse
@@ -112,7 +112,7 @@ def _add_common(p):
     p.add_argument("--seed", type=int, default=0,
                    help="master seed; named substreams derive from it")
     p.add_argument("--threads", type=int, default=None,
-                   help="probe-block parallelism of the compare and hist weight "
+                   help="row-block parallelism of the compare and hist weight "
                         "matrices (default: GHA_THREADS or 1); never affects results")
     p.add_argument("--config", metavar="FILE",
                    help="key = value defaults; explicit flags override")

@@ -18,7 +18,7 @@ class ConfigError(GhaError, ValueError):
 
 
 class CapacityError(GhaError):
-    """An analysis routine was asked to exceed its probe cap."""
+    """An analysis routine was asked for an N x N result above its token cap."""
 
 
 class InvariantViolation(GhaError):

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gha3d import analysis
 from gha3d.analysis import (
@@ -26,12 +28,12 @@ from gha3d.analysis import (
     scaling_sweep,
     weight_bound,
     _check_weight_bound,
+    _effective_rows,
     _pairwise_distances,
-    _probe_columns,
 )
-from gha3d.attention import _bounded_spans, gha_forward, make_fourier_embedding
+from gha3d.attention import _bounded_spans, _forward_core, gha_forward, make_fourier_embedding
 from gha3d.errors import CapacityError, InvalidInputError, InvariantViolation
-from gha3d.hierarchy import build_hierarchy
+from gha3d.hierarchy import build_hierarchy, with_values
 from gha3d.seeding import substream
 
 PAIR_POSITIONS = np.array(
@@ -42,8 +44,18 @@ PAIR_POSITIONS = np.array(
 # ---------------------------------------------------------------------------
 # Oracles. Effective weights are recomputed from first principles: compose
 # the per-level averaging operators explicitly, then run the raw-exponential
-# recursion on weight rows over the original tokens. No probing involved.
+# recursion on weight rows over the original tokens. The probe oracle reads
+# columns instead, from forward passes over one-hot values.
 # ---------------------------------------------------------------------------
+
+def probe_columns(hierarchy, lo, hi, emb=None, mode="none"):
+    """Columns lo:hi of the effective weight matrix: the forward output for
+    one-hot value columns e_lo ... e_(hi-1)."""
+    n = hierarchy.levels[0].n_tokens
+    probes = np.zeros((n, hi - lo))
+    probes[np.arange(lo, hi), np.arange(hi - lo)] = 1.0
+    return gha_forward(with_values(hierarchy, v=probes), emb, mode).z
+
 
 def oracle_score(q, k, pos, i, j, emb, mode):
     d = q.shape[1]
@@ -156,12 +168,11 @@ def test_effective_weights_reconstruct_forward_output():
 
 
 def test_effective_row_matches_matrix():
-    # The row comes from the adjoint and the matrix from probing: two exact
-    # algorithms whose sums round differently, so not bitwise.
+    # The row and the matrix come from one adjoint path: bitwise equal.
     h = rand_hierarchy(10, n=13, d=4, k=3)
     w = effective_attention(h)
     for i in (0, 5, 12):
-        assert np.max(np.abs(effective_attention_row(h, i) - w[i])) <= 1e-15
+        np.testing.assert_array_equal(effective_attention_row(h, i), w[i])
     with pytest.raises(InvalidInputError):
         effective_attention_row(h, 13)
 
@@ -196,10 +207,12 @@ def test_adjoint_row_matches_probed_matrix(kind, mode):
     h = ROW_HIERARCHIES[kind]()
     assert h.depth >= 1
     emb = make_fourier_embedding(4, np.random.default_rng(33)) if mode != "none" else None
+    n = h.levels[0].n_tokens
     w = effective_attention(h, emb, mode)
-    for i in range(h.levels[0].n_tokens):
+    assert np.max(np.abs(w - probe_columns(h, 0, n, emb, mode))) <= 1e-15
+    for i in range(n):
         row = effective_attention_row(h, i, emb, mode)
-        assert np.max(np.abs(row - w[i])) <= 1e-15
+        np.testing.assert_array_equal(row, w[i])
         assert row.min() >= 0.0
         assert abs(row.sum() - 1.0) <= 1e-12
 
@@ -239,6 +252,72 @@ def test_adjoint_row_permutation_equivariance_exact():
                                       effective_attention_row(h, cperm[a], emb, "relative")[cperm])
 
 
+def test_effective_matrix_permutation_equivariance_exact():
+    # Small point clouds make coincident coarse tokens, whose ties the
+    # pull-back must break the way FPS and kNN do.
+    rng = np.random.default_rng(40)
+    emb = make_fourier_embedding(4, rng)
+    cases = []
+    for seed in range(6):
+        crng = np.random.default_rng(seed)
+        pos = crng.normal(size=(30, 3))
+        q, k, v = (crng.normal(size=(30, 4)) for _ in range(3))
+        perm = rng.permutation(30)
+        cases.append((build_hierarchy(pos, q, k, v, flavor="point", k=5, r=2),
+                      build_hierarchy(pos[perm], q[perm], k[perm], v[perm], flavor="point",
+                                      k=5, r=2), perm))
+    assert any(lv.n_tokens > np.unique(lv.positions, axis=0).shape[0]
+               for h, _, _ in cases for lv in h.levels)
+    coords = np.unique(rng.integers(-5, 6, size=(150, 3)), axis=0)
+    m = coords.shape[0]
+    vpos = coords + rng.uniform(0.1, 0.9, size=(m, 3))
+    q, k, v = (rng.normal(size=(m, 4)) for _ in range(3))
+    perm = rng.permutation(m)
+    cases.append((build_hierarchy(vpos, q, k, v, flavor="voxel", coords=coords),
+                  build_hierarchy(vpos[perm], q[perm], k[perm], v[perm], flavor="voxel",
+                                  coords=coords[perm]), perm))
+    for h, hp, perm in cases:
+        assert h.depth >= 2
+        for mode, e in (("none", None), ("relative", emb), ("absolute", emb)):
+            w = effective_attention(h, e, mode)
+            np.testing.assert_array_equal(effective_attention(hp, e, mode), w[np.ix_(perm, perm)])
+
+
+_grid_coordinate = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0])
+
+
+@st.composite
+def small_hierarchies(draw):
+    """Point or voxel hierarchies over at most 40 tokens: point positions
+    come from a few grid points (so duplicates are common) and k ranges
+    past N; voxel cells are unique, their positions need not be."""
+    flavor = draw(st.sampled_from(["point", "voxel"]))
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = draw(st.lists(st.tuples(*[_grid_coordinate] * 3), min_size=1, max_size=n))
+    pos = np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    pos = pos + draw(st.sampled_from([0.0, 1e-3])) * rng.normal(size=pos.shape)
+    if flavor == "point":
+        k, r, coords = draw(st.integers(1, n + 2)), draw(st.integers(2, 3)), None
+    else:
+        k, r = 8, 2
+        cells = rng.choice(6 ** 3, size=n, replace=False)
+        coords = np.stack(np.unravel_index(cells, (6, 6, 6)), axis=1) - 3
+    q, k_mat, v = (rng.normal(size=(n, 4)) for _ in range(3))
+    return build_hierarchy(pos, q, k_mat, v, flavor=flavor, k=k, r=r, coords=coords)
+
+
+@settings(max_examples=100, deadline=None)
+@given(h=small_hierarchies(), mode=st.sampled_from(["none", "relative", "absolute"]))
+def test_effective_rows_property(h, mode):
+    emb = make_fourier_embedding(4, np.random.default_rng(41)) if mode != "none" else None
+    w = effective_attention(h, emb, mode)
+    assert w.min() >= 0.0
+    assert np.max(np.abs(w.sum(axis=1) - 1.0)) <= 1e-12
+    for i in range(h.levels[0].n_tokens):
+        np.testing.assert_array_equal(effective_attention_row(h, i, emb, mode), w[i])
+
+
 def test_adjoint_row_beyond_probe_cap():
     n = 5000
     assert n > PROBE_CAP
@@ -252,7 +331,7 @@ def test_adjoint_row_beyond_probe_cap():
     assert row.shape == (n,) and row.min() >= 0.0
     assert abs(row.sum() - 1.0) <= 1e-12
     for lo in (0, 4300):  # spot-check column blocks against one-hot probes
-        probed = _probe_columns(h, lo, lo + 64, None, "none")[4321]
+        probed = probe_columns(h, lo, lo + 64)[4321]
         assert np.max(np.abs(row[lo:lo + 64] - probed)) <= 1e-15
 
 
@@ -289,43 +368,44 @@ def test_pair_layout_effective_weights_closed_form():
 
 
 def test_effective_weights_independent_of_block_size_and_threads():
-    # Block widths derive from the level-0 edge count: n=800, k=8 gives two.
+    # Block heights derive from the level-0 edge count: n=800, k=8 gives two.
     n = 800
     h = rand_hierarchy(13, n=n, d=4, k=8)
     spans = _bounded_spans(n, h.levels[0].topology.total_edges)
     assert len(spans) >= 2
     base = effective_attention(h)
     np.testing.assert_array_equal(effective_attention(h, threads=4), base)
+    forward = _forward_core(h, None, "none", want_cache=True)
     cut = spans[1][0]
-    for lo, hi in (spans[-1], (cut - 5, cut + 5)):
-        np.testing.assert_array_equal(_probe_columns(h, lo, hi, None, "none"), base[:, lo:hi])
+    for rows in (np.arange(*spans[-1]), np.arange(cut - 5, cut + 5), np.array([799, 3, 3, 0])):
+        np.testing.assert_array_equal(_effective_rows(h, forward, rows), base[rows])
 
 
-def test_probe_blocks_keep_the_element_bound(monkeypatch):
+def test_row_blocks_keep_the_element_bound(monkeypatch):
     n = 4096
     rng = np.random.default_rng(37)
     pos = rng.uniform(size=(n, 3))
     q, k, v = (rng.normal(size=(n, 4)) for _ in range(3))
     h = build_hierarchy(pos, q, k, v, flavor="point", k=8, r=2)
     edges = h.levels[0].topology.total_edges
-    spans = []
+    blocks = []
 
-    def recording(hierarchy, lo, hi, *rest):
-        spans.append((lo, hi))
-        return np.broadcast_to(np.arange(lo, hi, dtype=np.float64), (n, hi - lo))
+    def recording(hierarchy, forward, queries):
+        blocks.append(queries)
+        return np.broadcast_to(queries[:, None].astype(np.float64), (queries.shape[0], n))
 
-    monkeypatch.setattr(analysis, "_probe_columns", recording)
+    monkeypatch.setattr(analysis, "_effective_rows", recording)
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:  # more threads than cores write their blocks into one array
         w = effective_attention(h, threads=4)
     finally:
         sys.setswitchinterval(switch)
-    spans.sort()
-    assert len(spans) == 32 and spans[0][0] == 0 and spans[-1][1] == n
-    assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
-    assert all((hi - lo) * edges <= 1 << 22 for lo, hi in spans)
-    assert np.array_equal(w, np.broadcast_to(np.arange(n, dtype=np.float64), (n, n)))
+    blocks.sort(key=lambda b: b[0])
+    assert len(blocks) == 32
+    np.testing.assert_array_equal(np.concatenate(blocks), np.arange(n))
+    assert all(b.shape[0] * edges <= 1 << 22 for b in blocks)
+    assert np.array_equal(w, np.broadcast_to(np.arange(n, dtype=np.float64)[:, None], (n, n)))
 
 
 def test_probe_cap_enforced(monkeypatch):
@@ -333,6 +413,13 @@ def test_probe_cap_enforced(monkeypatch):
     monkeypatch.setattr(analysis, "PROBE_CAP", 8)
     with pytest.raises(CapacityError, match="cap of 8"):
         effective_attention(h)
+    with pytest.raises(CapacityError, match="effective_attention_row"):
+        mechanism_weights(h, "local")
+    # Dense weights have no row reader, and nothing probes.
+    with pytest.raises(CapacityError, match="cap of 8") as err:
+        mechanism_weights(h, "dense")
+    assert "effective_attention_row" not in str(err.value)
+    assert "prob" not in str(err.value)
     monkeypatch.setattr(analysis, "PROBE_CAP", 16)
     assert effective_attention(h).shape == (16, 16)
 
@@ -465,6 +552,21 @@ def test_pairwise_distances_memory_bound():
         tracemalloc.stop()
     assert d.shape == (n, n)
     assert peak <= n * n * 8 + (1 << 22) * 8 * 2
+
+
+def test_locality_ratio_memory_bound():
+    # Row chunks: neither the distances nor their order is ever N x N.
+    n = 3000
+    rng = np.random.default_rng(42)
+    pos = rng.uniform(size=(n, 3))
+    w = rng.uniform(size=(n, n))
+    tracemalloc.start()
+    try:
+        locality_ratio(pos, w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= (1 << 22) * 8 * 2 < n * n * 8
 
 
 def test_locality_ratio_matches_lexsort_order_on_ties():

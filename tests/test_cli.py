@@ -195,18 +195,25 @@ def test_compare_broken_rows_exit_1(cloud_file, monkeypatch, capsys):
     assert "invariant violation" in capsys.readouterr().err
 
 
-def test_compare_probes_once(cloud_file, monkeypatch, capsys):
-    spans = []
-    probe = analysis._probe_columns
+def test_compare_reads_weights_once(cloud_file, monkeypatch, capsys):
+    forwards, blocks = [], []
+    forward_core, rows = analysis._forward_core, analysis._effective_rows
 
-    def counting(h, lo, hi, *rest):
-        spans.append((lo, hi))
-        return probe(h, lo, hi, *rest)
+    def counting_forward(*args, **kwargs):
+        forwards.append(kwargs.get("want_cache"))
+        return forward_core(*args, **kwargs)
 
-    monkeypatch.setattr(analysis, "_probe_columns", counting)
+    def counting_rows(h, forward, queries):
+        blocks.append(queries.tolist())
+        return rows(h, forward, queries)
+
+    monkeypatch.setattr(analysis, "_forward_core", counting_forward)
+    monkeypatch.setattr(analysis, "_effective_rows", counting_rows)
     assert main(["compare", "--input", cloud_file, "--k", "4"]) == 0
     capsys.readouterr()
-    assert spans == [(0, 48)]  # one effective_attention: one 48-column block
+    # One effective_attention: one cached forward, then one 48-row block.
+    assert forwards == [True]
+    assert blocks == [list(range(48))]
 
 
 def test_bench_stdout_and_dense_counts(capsys):
