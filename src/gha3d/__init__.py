@@ -34,6 +34,7 @@ from .attention import (
     AttentionResult,
     FourierEmbedding,
     Gradients,
+    PositionalTable,
     dense_attention,
     embed_points,
     fourier_embed,
@@ -41,6 +42,7 @@ from .attention import (
     gha_forward,
     local_attention,
     make_fourier_embedding,
+    positional_table,
 )
 from .block import (
     BlockConfig,
@@ -123,6 +125,7 @@ __all__ = [
     "LayerParams",
     "NeighborhoodTopology",
     "PointCloud",
+    "PositionalTable",
     "ScalingReport",
     "ScalingRow",
     "SparseVoxelGrid",
@@ -159,6 +162,7 @@ __all__ = [
     "mass_beyond_radius",
     "mechanism_weights",
     "neighborhood_radius",
+    "positional_table",
     "save_params",
     "save_point_cloud_binary",
     "scaling_csv",

@@ -27,8 +27,10 @@ from .attention import (
     _bounded_spans,
     _dense_softmax_chunks,
     _forward_core,
+    _pull_back_plan,
     dense_attention,
     gha_forward,
+    positional_table,
 )
 from .errors import CapacityError, InvalidInputError, InvariantViolation
 from .geometry import PointCloud, voxelize
@@ -71,22 +73,24 @@ def _effective_rows(hierarchy: Hierarchy, forward, queries: np.ndarray) -> np.nd
     _, caches, d_hat, m_q = forward
     c = np.zeros((hierarchy.levels[0].n_tokens, queries.shape[0]))
     c[queries, np.arange(queries.shape[0])] = 1.0 / d_hat[queries]  # dz = e_q, scaled
-    dv, _ = _adjoint_core(hierarchy, caches, m_q, c)
+    dv, _ = _adjoint_core(hierarchy, caches, _pull_back_plan(hierarchy), m_q, c)
     return dv.T
 
 
 def effective_attention(hierarchy: Hierarchy, embedding=None, embedding_mode: str = "none",
-                        *, threads: int = 1) -> np.ndarray:
+                        *, threads: int = 1, table=None) -> np.ndarray:
     """(N, N) matrix of effective weights each query puts on each token.
 
     Row i lists the convex weights behind z_i: nonnegative, summing to 1,
     and bitwise ``effective_attention_row(hierarchy, i)``. One forward pass
     serves row blocks whose heights bound the level-0 edges-by-rows
     temporaries; blocks are independent, so threads never change a bit.
+    ``table`` is an optional prebuilt ``positional_table``, as in
+    ``gha_forward``.
     """
     n = hierarchy.levels[0].n_tokens
     _check_matrix_cap(n)
-    forward = _forward_core(hierarchy, embedding, embedding_mode, want_cache=True)
+    forward = _forward_core(hierarchy, embedding, embedding_mode, want_cache=True, table=table)
     out = np.empty((n, n), dtype=np.float64)
 
     def rows(span):
@@ -271,7 +275,8 @@ def approximation_report(hierarchy: Hierarchy, embedding=None, embedding_mode: s
     lv = hierarchy.levels[0]
     n = lv.n_tokens
     _check_matrix_cap(n)
-    gha = gha_forward(hierarchy, embedding, embedding_mode)
+    table = positional_table(hierarchy, embedding, embedding_mode)  # one for both gha passes
+    gha = gha_forward(hierarchy, embedding, embedding_mode, table)
     dense = dense_attention(AttentionInputs(
         q=lv.q_tilde, k=lv.k_tilde, v=lv.v_tilde, positions=lv.positions,
         embedding=embedding, embedding_mode=embedding_mode,
@@ -279,7 +284,8 @@ def approximation_report(hierarchy: Hierarchy, embedding=None, embedding_mode: s
     diff = np.linalg.norm(gha.z - dense.z, axis=1)
     ref = np.linalg.norm(dense.z, axis=1)
     rel = diff / np.maximum(ref, np.finfo(np.float64).tiny)
-    weights = effective_attention(hierarchy, embedding, embedding_mode, threads=threads)
+    weights = effective_attention(hierarchy, embedding, embedding_mode, threads=threads,
+                                  table=table)
     worst = np.max(np.abs(weights.sum(axis=1) - 1.0))
     if weights.min() < 0.0 or worst > 1e-10:
         raise InvariantViolation(

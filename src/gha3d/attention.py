@@ -5,6 +5,8 @@ restricts it to a neighborhood topology, and ``gha_forward`` runs the
 hierarchical approximation: every level contributes local attention over
 its own topology, and unnormalized results flow down the hierarchy by
 parent copy, with a single normalization at the finest level.
+``positional_table`` builds a structure's value-independent positional
+terms once, so repeated passes over one structure share them.
 
 All kernels accumulate exponentials under a per-query running maximum so
 results cannot overflow, while staying mathematically identical to the
@@ -19,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError
-from .geometry import _freeze
+from .geometry import _freeze, _readonly
 from .hierarchy import Hierarchy
 
 
@@ -84,13 +86,14 @@ def embed_points(emb: FourierEmbedding, pts: np.ndarray) -> np.ndarray:
 _MODES = ("none", "absolute", "relative")
 
 
-def _check_mode(embedding, embedding_mode: str, d: int) -> None:
+def _check_mode(embedding, embedding_mode: str, d: int | None) -> None:
+    """A known mode with the embedding it needs; with d, also the width."""
     if embedding_mode not in _MODES:
         raise ConfigError(f"embedding_mode must be one of {_MODES}, got {embedding_mode!r}")
     if embedding_mode != "none":
         if embedding is None:
             raise ConfigError(f"embedding_mode {embedding_mode!r} requires an embedding")
-        if embedding.output_dim != d:
+        if d is not None and embedding.output_dim != d:
             raise ConfigError(
                 f"embedding width {embedding.output_dim} does not match feature width {d}"
             )
@@ -174,20 +177,66 @@ def _interleaved_dot(q_rows: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np
     )
 
 
-def _scored(q, k, positions, embedding, mode):
-    """q and k as the scores see them: q + gamma and k + gamma in absolute
-    mode, unchanged in the others."""
-    if mode == "absolute":
-        gamma = embed_points(embedding, positions)
-        return q + gamma, k + gamma
-    return q, k
-
-
 def _rotation(p_query, p_key, embedding):
     """The relative mode's (cos, sin) of 2 pi b . (p_query - p_key): the
     score adds q . gamma(p_query - p_key)."""
     angles = (2.0 * np.pi) * ((p_query - p_key) @ embedding.frequencies.T)
     return np.cos(angles), np.sin(angles, out=angles)
+
+
+def _level_term(positions, topology, embedding, mode):
+    """One level's positional term, read-only: the relative (cos, sin) of
+    every edge, the absolute gamma of every token, or None in mode "none"."""
+    if mode == "relative":
+        cos, sin = _rotation(positions[topology.rows], positions[topology.indices], embedding)
+        return _readonly(cos), _readonly(sin)
+    if mode == "absolute":
+        return _readonly(embed_points(embedding, positions))
+    return None
+
+
+@dataclass(frozen=True)
+class PositionalTable:
+    """The positional terms of one structure for one (embedding, mode), one
+    read-only entry per level (see ``_level_term``). Built once by
+    ``positional_table``, it serves every hierarchy whose levels hold the
+    same topology objects, as ``with_values`` keeps them."""
+
+    embedding: FourierEmbedding | None  # None in mode "none"
+    mode: str
+    topologies: tuple  # the levels' topologies, checked by identity
+    terms: tuple
+
+
+def positional_table(hierarchy: Hierarchy, embedding: FourierEmbedding | None = None,
+                     embedding_mode: str = "none") -> PositionalTable:
+    """Build every level's positional term once.
+
+    Pass the table to ``gha_forward``/``gha_backward`` calls on the same
+    structure (say, each head and layer of a block); they compute the same
+    bits as without it, minus the per-call angles and embeddings.
+    """
+    _check_mode(embedding, embedding_mode, None)
+    if embedding_mode == "none":
+        embedding = None
+    levels = hierarchy.levels
+    return PositionalTable(
+        embedding=embedding, mode=embedding_mode,
+        topologies=tuple(lv.topology for lv in levels),
+        terms=tuple(_level_term(lv.positions, lv.topology, embedding, embedding_mode)
+                    for lv in levels),
+    )
+
+
+def _check_table(table: PositionalTable, hierarchy: Hierarchy, embedding, mode: str) -> None:
+    if table.mode != mode:
+        raise InvalidInputError(f"positional table is for mode {table.mode!r}, not {mode!r}")
+    if mode != "none" and not (table.embedding is embedding or np.array_equal(
+            table.embedding.frequencies, embedding.frequencies)):
+        raise InvalidInputError("positional table was built with another embedding")
+    if len(table.topologies) != len(hierarchy.levels) or any(
+            t is not lv.topology for t, lv in zip(table.topologies, hierarchy.levels)):
+        raise InvalidInputError("positional table was built for another structure")
 
 
 # ---------------------------------------------------------------------------
@@ -208,10 +257,12 @@ def _dense_softmax_chunks(q, k, pos, emb, mode):
     n, d = q.shape
     _check_mode(emb, mode, d)
     scale = math.sqrt(d)
-    q, k = _scored(q, k, pos, emb, mode)
+    if mode == "absolute":
+        gamma = embed_points(emb, pos)
+        q, k = q + gamma, k + gamma
     # Rows-by-keys (by-frequencies in relative mode) temporaries.
     for start, stop in _bounded_spans(n, n * (emb.m if mode == "relative" else 1)):
-        s = q[start:stop] @ k.T
+        s = np.einsum("id,jd->ij", q[start:stop], k)  # no BLAS: same bits on any thread count
         if mode == "relative":
             s += _interleaved_dot(q[start:stop, None, :],
                                   *_rotation(pos[start:stop, None, :], pos[None, :, :], emb))
@@ -229,7 +280,7 @@ def dense_attention(inputs: AttentionInputs) -> AttentionResult:
     for start, stop, a, denom, mu in _dense_softmax_chunks(
         inputs.q, inputs.k, inputs.positions, inputs.embedding, inputs.embedding_mode
     ):
-        z[start:stop] = (a @ inputs.v) / denom[:, None]
+        z[start:stop] = np.einsum("ij,jd->id", a, inputs.v) / denom[:, None]
         with np.errstate(over="ignore"):  # extreme scores saturate to inf
             normalizers[start:stop] = denom * np.exp(mu)
     return AttentionResult(
@@ -245,19 +296,22 @@ class _LevelCache(NamedTuple):
     mu: np.ndarray  # per-token local max score
 
 
-def _level_softmax(q, k, v, positions, topology, embedding, mode, scale):
-    """Max-shifted softmax sums over one topology.
+def _level_softmax(q, k, v, topology, term, mode, scale):
+    """Max-shifted softmax sums over one topology, with the level's
+    positional ``term`` from ``_level_term``.
 
     Returns the per-edge cache, the shifted denominators and the shifted
     unnormalized outputs: denom_i * exp(mu_i) and y_i * exp(mu_i) are the
     true local sums."""
     rows, cols, starts = topology.rows, topology.indices, topology.indptr[:-1]
-    q, k = _scored(q, k, positions, embedding, mode)
-    s = np.einsum("ed,ed->e", q[rows], k[cols])
-    rel = None
-    if mode == "relative":
-        rel = _rotation(positions[rows], positions[cols], embedding)
-        s += _interleaved_dot(q[rows], *rel)
+    if mode == "absolute":
+        q, k = q + term, k + term
+    q_rows = q[rows]
+    s = np.einsum("ed,ed->e", q_rows, k[cols])
+    rel = term if mode == "relative" else None
+    if rel is not None:
+        s += _interleaved_dot(q_rows, *rel)
+    del q_rows  # else it is alive next to v[cols]
     s /= scale
     mu = np.maximum.reduceat(s, starts)
     t = np.exp(s - mu[rows])
@@ -272,10 +326,10 @@ def local_attention(inputs: AttentionInputs, topology) -> AttentionResult:
     """Softmax attention restricted to j in T_i."""
     if topology.n_tokens != inputs.n_tokens:
         raise InvalidInputError("topology token count does not match inputs")
-    cache, denom, y = _level_softmax(
-        inputs.q, inputs.k, inputs.v, inputs.positions, topology,
-        inputs.embedding, inputs.embedding_mode, math.sqrt(inputs.d),
-    )
+    mode = inputs.embedding_mode
+    term = _level_term(inputs.positions, topology, inputs.embedding, mode)
+    cache, denom, y = _level_softmax(inputs.q, inputs.k, inputs.v, topology, term, mode,
+                                     math.sqrt(inputs.d))
     e = topology.total_edges
     with np.errstate(over="ignore"):
         normalizers = denom * np.exp(cache.mu)
@@ -291,9 +345,14 @@ def local_attention(inputs: AttentionInputs, topology) -> AttentionResult:
 # Hierarchical forward
 # ---------------------------------------------------------------------------
 
-def _forward_core(hierarchy: Hierarchy, embedding, mode: str, want_cache: bool):
+def _forward_core(hierarchy: Hierarchy, embedding, mode: str, want_cache: bool,
+                  table: PositionalTable | None = None):
     d = hierarchy.levels[0].q_tilde.shape[1]
     _check_mode(embedding, mode, d)
+    if table is None:
+        table = positional_table(hierarchy, embedding, mode)
+    else:
+        _check_table(table, hierarchy, embedding, mode)
     scale = math.sqrt(d)
     depth = hierarchy.depth
 
@@ -303,7 +362,7 @@ def _forward_core(hierarchy: Hierarchy, embedding, mode: str, want_cache: bool):
     for h in range(depth, -1, -1):
         lv = hierarchy.levels[h]
         cache, d_loc, y_loc = _level_softmax(
-            lv.q_tilde, lv.k_tilde, lv.v_tilde, lv.positions, lv.topology, embedding, mode, scale
+            lv.q_tilde, lv.k_tilde, lv.v_tilde, lv.topology, table.terms[h], mode, scale
         )
         mu = cache.mu
         per_level[h] = lv.topology.total_edges
@@ -334,7 +393,8 @@ def _forward_core(hierarchy: Hierarchy, embedding, mode: str, want_cache: bool):
 
 
 def gha_forward(hierarchy: Hierarchy, embedding: FourierEmbedding | None = None,
-                embedding_mode: str = "none") -> AttentionResult:
+                embedding_mode: str = "none",
+                table: PositionalTable | None = None) -> AttentionResult:
     """Hierarchical attention over a built hierarchy.
 
     Each level h adds local attention within its own topology (scores use
@@ -342,8 +402,13 @@ def gha_forward(hierarchy: Hierarchy, embedding: FourierEmbedding | None = None,
     children and normalized once at level 0. A per-query running maximum
     rescales the accumulators, which leaves the result unchanged in exact
     arithmetic but keeps the exponentials bounded.
+
+    ``table`` is this structure's ``positional_table`` for the same
+    embedding and mode; without one, the call builds its own. A table of
+    another structure, embedding or mode raises InvalidInputError.
     """
-    result, _, _, _ = _forward_core(hierarchy, embedding, embedding_mode, want_cache=False)
+    result, _, _, _ = _forward_core(hierarchy, embedding, embedding_mode, want_cache=False,
+                                    table=table)
     return result
 
 
@@ -363,27 +428,38 @@ def _scatter_add(index: np.ndarray, values: np.ndarray, n_out: int) -> np.ndarra
     return out if values.ndim == 1 else out.reshape(n_out, width)
 
 
-def _pull_back(hierarchy: Hierarchy, per_level: list) -> np.ndarray:
-    """Sum per-level gradients onto level 0 through the transposed pooling
-    maps. A token occurs at most once per group and sums its groups in the
-    order FPS scans the coarse level, lexicographic (x, y, z) positions with
-    ties by index as kNN and FPS break them: fixed by the geometry, not by
-    the input numbering. (Voxel groups are disjoint, so no order matters.)"""
-    g = per_level[-1]
+def _pull_back_plan(hierarchy: Hierarchy) -> list:
+    """The value-independent part of ``_pull_back``: per coarse level, top
+    down, its groups in summation order, their sizes and their members.
+
+    A token occurs at most once per group and sums its groups in the order
+    FPS scans the coarse level, lexicographic (x, y, z) positions with ties
+    by index as kNN and FPS break them: fixed by the geometry, not by the
+    input numbering. (Voxel groups are disjoint, so no order matters.)"""
+    plan = []
     for h in range(hierarchy.depth - 1, -1, -1):
         coarse = hierarchy.levels[h + 1]
         groups = np.lexsort(coarse.positions.T[::-1])  # summation order of the groups
         sizes = np.diff(coarse.pool_indptr)[groups]
         entry = np.repeat(coarse.pool_indptr[groups] - np.cumsum(sizes) + sizes, sizes)
         entry += np.arange(entry.shape[0])  # the groups' pooled entries, in that order
+        plan.append((groups, sizes, coarse.pool_indices[entry]))
+    return plan
+
+
+def _pull_back(hierarchy: Hierarchy, plan: list, per_level: list) -> np.ndarray:
+    """Sum per-level gradients onto level 0 through the transposed pooling
+    maps, in the order of ``_pull_back_plan``."""
+    g = per_level[-1]
+    for h, (groups, sizes, members) in zip(range(hierarchy.depth - 1, -1, -1), plan):
         pooled = np.repeat(g[groups] / sizes[:, None], sizes, axis=0)
-        g = _scatter_add(coarse.pool_indices[entry], pooled, hierarchy.levels[h].n_tokens)
+        g = _scatter_add(members, pooled, hierarchy.levels[h].n_tokens)
         g += per_level[h]
     return g
 
 
-def _adjoint_core(hierarchy: Hierarchy, caches: list, m_q: np.ndarray, c: np.ndarray,
-                  b: np.ndarray | None = None):
+def _adjoint_core(hierarchy: Hierarchy, caches: list, plan: list, m_q: np.ndarray,
+                  c: np.ndarray, b: np.ndarray | None = None):
     """Exact adjoint of the forward map w.r.t. the level-0 values.
 
     c holds the per-query scaled output cotangents dz_q / d_hat_q. Each level
@@ -414,12 +490,13 @@ def _adjoint_core(hierarchy: Hierarchy, caches: list, m_q: np.ndarray, c: np.nda
         dv_levels.append(_scatter_add(lv.topology.indices, terms, lv.n_tokens))
         if h < depth:
             anc = lv.parent_of[anc]
-    return _pull_back(hierarchy, dv_levels), folds
+    return _pull_back(hierarchy, plan, dv_levels), folds
 
 
 def gha_backward(hierarchy: Hierarchy, dz: np.ndarray,
                  embedding: FourierEmbedding | None = None,
-                 embedding_mode: str = "none") -> Gradients:
+                 embedding_mode: str = "none",
+                 table: PositionalTable | None = None) -> Gradients:
     """Exact gradients of ``gha_forward`` w.r.t. the level-0 q, k, v.
 
     Differentiates through the per-level softmax terms, the parent-copy
@@ -429,6 +506,7 @@ def gha_backward(hierarchy: Hierarchy, dz: np.ndarray,
     dq takes the key side (k, plus gamma in absolute mode, plus the edge's
     relative (cos, sin) in relative mode) and dk the query side (q, plus
     gamma in absolute mode). Both sides are read from the forward's cache.
+    ``table`` is as in ``gha_forward``.
     """
     level0 = hierarchy.levels[0]
     n, d = level0.q_tilde.shape
@@ -441,13 +519,14 @@ def gha_backward(hierarchy: Hierarchy, dz: np.ndarray,
     scale = math.sqrt(d)
 
     result, caches, d_hat, m_q = _forward_core(hierarchy, embedding, embedding_mode,
-                                               want_cache=True)
+                                               want_cache=True, table=table)
+    plan = _pull_back_plan(hierarchy)
 
     # Per-query scaled cotangents: dY_q = dz_q / D_q and dD_q = -(dz_q.z_q)/D_q,
     # with D_q = d_hat_q * exp(m_q) kept in the shifted form.
     c = dz / d_hat[:, None]  # (N, d_v)
     b = np.einsum("qd,qd->q", dz, result.z) / d_hat  # (N,)
-    dv, folds = _adjoint_core(hierarchy, caches, m_q, c, b)
+    dv, folds = _adjoint_core(hierarchy, caches, plan, m_q, c, b)
 
     dq_levels, dk_levels = [], []
     for lv, cache, (a_bar, b_bar) in zip(hierarchy.levels, caches, folds):
@@ -462,5 +541,5 @@ def gha_backward(hierarchy: Hierarchy, dz: np.ndarray,
         dq_levels.append(np.add.reduceat(k_eff, lv.topology.indptr[:-1], axis=0))
         dk_levels.append(_scatter_add(cols, cache.q[rows] * ds, lv.n_tokens))
 
-    return Gradients(dq=_pull_back(hierarchy, dq_levels), dk=_pull_back(hierarchy, dk_levels),
-                     dv=dv)
+    return Gradients(dq=_pull_back(hierarchy, plan, dq_levels),
+                     dk=_pull_back(hierarchy, plan, dk_levels), dv=dv)

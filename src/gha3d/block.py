@@ -1,11 +1,11 @@
 """Stacked attention blocks: LayerNorm -> multi-head hierarchical attention
 -> residual, then LayerNorm -> FFN -> residual, repeated L times.
 
-The hierarchy's structure (topologies, sampling, parent maps) is computed
-once per forward call and shared by every layer and head; only the
-projected q/k/v rows are re-coarsened per head. Initialization, dropout
-masks, and Fourier frequencies all derive from the config seed, so a
-forward pass is a pure function of (inputs, config).
+The hierarchy's structure (topologies, sampling, parent maps) and its
+positional table are computed once per forward call and shared by every
+layer and head; only the projected q/k/v rows are re-coarsened per head.
+Initialization, dropout masks, and Fourier frequencies all derive from the
+config seed, so a forward pass is a pure function of (inputs, config).
 """
 
 import io
@@ -20,6 +20,7 @@ from .attention import (
     dense_attention,
     gha_forward,
     make_fourier_embedding,
+    positional_table,
 )
 from .errors import ConfigError, FormatError, InvalidInputError, UnsupportedVersionError
 from .hierarchy import Hierarchy, build_hierarchy, truncate, with_values
@@ -259,11 +260,14 @@ def block_forward(
             structure = truncate(structure, 0)
 
     ch = config.head_dim
+    tables = {}  # one positional table per mode, shared by every head and layer
     for layer_idx, lp in enumerate(params.layers):
         if config.embedding_mode != "none" and (config.positional_every_layer or layer_idx == 0):
             mode, emb = config.embedding_mode, params.embedding
         else:
             mode, emb = "none", None
+        if mechanism != "dense" and mode not in tables:
+            tables[mode] = positional_table(structure, emb, mode)
 
         h = layer_norm(x, lp.ln1_gain, lp.ln1_shift)
         q = h @ lp.w_q + lp.b_q
@@ -280,7 +284,7 @@ def block_forward(
                 head_outs.append(dense_attention(inputs).z)
             else:
                 hh = with_values(structure, q=q[:, sl], k=k_rows[:, sl], v=v[:, sl])
-                head_outs.append(gha_forward(hh, embedding=emb, embedding_mode=mode).z)
+                head_outs.append(gha_forward(hh, emb, mode, tables[mode]).z)
         attn = np.concatenate(head_outs, axis=1) @ lp.w_o + lp.b_o
         x = x + _dropout(attn, config.attn_dropout, config, layer_idx, 0)
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import gha3d.attention as attention_mod
 from gha3d.attention import (
     AttentionInputs,
     FourierEmbedding,
@@ -15,6 +16,7 @@ from gha3d.attention import (
     gha_forward,
     local_attention,
     make_fourier_embedding,
+    positional_table,
 )
 from gha3d.errors import ConfigError, InvalidInputError
 from gha3d.geometry import knn_from_positions
@@ -420,6 +422,86 @@ def test_gha_embedding_config_errors():
         gha_forward(h, embedding=make_fourier_embedding(6, rng), embedding_mode="relative")
     with pytest.raises(ConfigError):
         gha_forward(h, embedding_mode="sinusoidal")
+
+
+# ---------------------------------------------------------------------------
+# Positional tables
+# ---------------------------------------------------------------------------
+
+def table_structures(rng):
+    """A point structure of depth >= 3 and a voxel structure, zero values."""
+    pos = rng.normal(size=(40, 3))
+    point = build_hierarchy(pos, *(np.zeros((40, 1)),) * 3, flavor="point", k=3, r=2)
+    coords = np.unique(rng.integers(0, 8, size=(150, 3)), axis=0)
+    voxel = build_hierarchy(coords + 0.5, *(np.zeros((coords.shape[0], 1)),) * 3,
+                            flavor="voxel", coords=coords)
+    assert point.depth >= 3 and voxel.depth >= 1
+    return {"point": point, "voxel": voxel}
+
+
+@pytest.mark.parametrize("flavor", ["point", "voxel"])
+@pytest.mark.parametrize("mode", ["none", "absolute", "relative"])
+def test_positional_table_leaves_every_bit(flavor, mode):
+    rng = np.random.default_rng(30)
+    d = 4
+    structure = table_structures(rng)[flavor]
+    emb = make_fourier_embedding(d, rng) if mode != "none" else None
+    table = positional_table(structure, emb, mode)
+    for term in table.terms:  # the table is shared, so it is read-only
+        for a in (term if isinstance(term, tuple) else (term,)):
+            assert a is None or not a.flags.writeable
+    n = structure.n_tokens
+    for _ in range(2):  # one table serves every with_values of the structure
+        q, k, v, dz = (rng.normal(size=(n, d)) for _ in range(4))
+        h = with_values(structure, q=q, k=k, v=v)
+        want, got = gha_forward(h, emb, mode), gha_forward(h, emb, mode, table)
+        np.testing.assert_array_equal(got.z, want.z)
+        np.testing.assert_array_equal(got.normalizers, want.normalizers)
+        want_g, got_g = gha_backward(h, dz, emb, mode), gha_backward(h, dz, emb, mode, table)
+        for name in ("dq", "dk", "dv"):
+            np.testing.assert_array_equal(getattr(got_g, name), getattr(want_g, name))
+
+
+def test_positional_table_rejects_another_structure_embedding_or_mode():
+    rng = np.random.default_rng(31)
+    q, k, v, pos = rand_inputs(rng, 20, 4)
+    h = build_hierarchy(pos, q, k, v, flavor="point", k=3, r=2)
+    emb = make_fourier_embedding(4, rng)
+    table = positional_table(h, emb, "relative")
+    dz = np.ones((20, 4))
+    same_geometry = build_hierarchy(pos, q, k, v, flavor="point", k=3, r=2)
+    copied = FourierEmbedding(frequencies=emb.frequencies.copy())
+    np.testing.assert_array_equal(gha_forward(h, copied, "relative", table).z,
+                                  gha_forward(h, emb, "relative").z)  # equal frequencies
+    bad_calls = [
+        (same_geometry, emb, "relative", table),  # equal, but not the same topologies
+        (truncate(h, 0), emb, "relative", table),
+        (h, make_fourier_embedding(4, rng), "relative", table),
+        (h, emb, "absolute", table),
+        (h, emb, "relative", positional_table(h, emb, "absolute")),
+        (h, None, "none", table),
+    ]
+    for hh, e, mode, t in bad_calls:
+        with pytest.raises(InvalidInputError):
+            gha_forward(hh, e, mode, t)
+        with pytest.raises(InvalidInputError):
+            gha_backward(hh, dz, e, mode, t)
+    with pytest.raises(ConfigError):
+        positional_table(h, None, "relative")
+    with pytest.raises(ConfigError):
+        positional_table(h, emb, "sinusoidal")
+
+
+def test_backward_plans_its_pull_back_once(monkeypatch):
+    rng = np.random.default_rng(32)
+    q, k, v, pos = rand_inputs(rng, 40, 2)
+    h = build_hierarchy(pos, q, k, v, flavor="point", k=2, r=2)
+    assert h.depth >= 3
+    real, calls = attention_mod._pull_back_plan, []
+    monkeypatch.setattr(attention_mod, "_pull_back_plan",
+                        lambda hh: calls.append(hh) or real(hh))
+    gha_backward(h, rng.normal(size=(40, 2)))
+    assert calls == [h]  # dv, dq and dk share one plan
 
 
 # ---------------------------------------------------------------------------

@@ -410,3 +410,64 @@ def test_forward_frozen_regression_values():
           "-0x1.6168c3d9f484ep-1", "-0x1.40fdae96e1c57p+0")],
     ])
     np.testing.assert_array_equal(out, want)
+
+
+# ---------------------------------------------------------------------------
+# One positional table per structure
+# ---------------------------------------------------------------------------
+
+def per_head_reference(x, params, structure):
+    """block_forward spelled out with a table-free gha_forward per head."""
+    config, ch = params.config, params.config.head_dim
+    for layer_idx, lp in enumerate(params.layers):
+        mode, emb = config.embedding_mode, params.embedding
+        if mode == "none" or not (config.positional_every_layer or layer_idx == 0):
+            mode, emb = "none", None
+        h = layer_norm(x, lp.ln1_gain, lp.ln1_shift)
+        q, k_rows, v = h @ lp.w_q + lp.b_q, h @ lp.w_k + lp.b_k, h @ lp.w_v + lp.b_v
+        heads = []
+        for head in range(config.n_heads):
+            sl = slice(head * ch, (head + 1) * ch)
+            hh = with_values(structure, q=q[:, sl], k=k_rows[:, sl], v=v[:, sl])
+            heads.append(gha_forward(hh, embedding=emb, embedding_mode=mode).z)
+        x = x + (np.concatenate(heads, axis=1) @ lp.w_o + lp.b_o)
+        f = layer_norm(x, lp.ln2_gain, lp.ln2_shift)
+        x = x + (np.maximum(f @ lp.w1 + lp.b1, 0.0) @ lp.w2 + lp.b2)
+    return x
+
+
+@pytest.mark.parametrize("flavor", ["point", "voxel"])
+@pytest.mark.parametrize("mode,every", [("none", True), ("absolute", True),
+                                        ("relative", True), ("relative", False)])
+def test_forward_shared_table_equals_per_head_loop(flavor, mode, every):
+    from gha3d.block import attention_structure
+
+    rng = np.random.default_rng(35)
+    if flavor == "point":
+        pos, coords = rng.normal(size=(40, 3)), None
+    else:
+        coords = np.unique(rng.integers(0, 8, size=(150, 3)), axis=0)
+        pos = coords + 0.5
+    structure = attention_structure(pos, flavor=flavor, k=3, r=2, coords=coords)
+    params = init_params(small_config(n_layers=2, model_dim=16, ffn_dim=8, n_heads=4,
+                                      embedding_mode=mode, positional_every_layer=every))
+    x = rng.normal(size=(pos.shape[0], 16))
+    np.testing.assert_array_equal(block_forward(x, pos, params, structure=structure),
+                                  per_head_reference(x, params, structure))
+
+
+@pytest.mark.parametrize("mode,term_fn", [("relative", "_rotation"), ("absolute", "embed_points")])
+def test_forward_builds_positional_terms_once_per_level(monkeypatch, mode, term_fn):
+    import gha3d.attention as attention_mod
+    from gha3d.block import attention_structure
+
+    rng = np.random.default_rng(36)
+    pos = rng.normal(size=(40, 3))
+    structure = attention_structure(pos, flavor="point", k=3, r=2)
+    params = init_params(small_config(n_layers=2, model_dim=16, ffn_dim=8, n_heads=4,
+                                      embedding_mode=mode))
+    real, calls = getattr(attention_mod, term_fn), []
+    monkeypatch.setattr(attention_mod, term_fn, lambda *a: calls.append(1) or real(*a))
+    block_forward(rng.normal(size=(40, 16)), pos, params, structure=structure)
+    # Once per level for 2 layers x 4 heads, not once per level per head.
+    assert len(calls) == len(structure.levels) >= 3

@@ -216,6 +216,26 @@ def test_compare_reads_weights_once(cloud_file, monkeypatch, capsys):
     assert blocks == [list(range(48))]
 
 
+def test_compare_bytes_independent_of_blas_threads(tmp_path):
+    # At 2000 tokens a BLAS gemm rounds differently on 1 and 2 threads; the
+    # dense reference must not go through it.
+    pts = np.random.default_rng(3).normal(size=(2000, 3))
+    path = tmp_path / "cloud.txt"
+    path.write_text("\n".join(" ".join(repr(float(c)) for c in p) for p in pts) + "\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-m", "gha3d.cli", "compare", "--input", str(path), "--dim", "8"],
+            capture_output=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+
+
 def test_bench_stdout_and_dense_counts(capsys):
     assert main(["bench", "--sizes", "16,32", "--mechanism", "dense"]) == 0
     _, rows = read_csv(capsys.readouterr().out)
