@@ -27,7 +27,6 @@ from .attention import (
     _bounded_spans,
     _dense_softmax_chunks,
     _forward_core,
-    _pull_back_plan,
     dense_attention,
     gha_forward,
     positional_table,
@@ -73,7 +72,7 @@ def _effective_rows(hierarchy: Hierarchy, forward, queries: np.ndarray) -> np.nd
     _, caches, d_hat, m_q = forward
     c = np.zeros((hierarchy.levels[0].n_tokens, queries.shape[0]))
     c[queries, np.arange(queries.shape[0])] = 1.0 / d_hat[queries]  # dz = e_q, scaled
-    dv, _ = _adjoint_core(hierarchy, caches, _pull_back_plan(hierarchy), m_q, c)
+    dv, _ = _adjoint_core(hierarchy, caches, m_q, c)
     return dv.T
 
 
@@ -190,9 +189,25 @@ def neighborhood_radius(hierarchy: Hierarchy) -> float:
     return float(np.sqrt(np.einsum("ed,ed->e", diff, diff)).max())
 
 
+def _pair_inputs(positions, weights) -> tuple:
+    """Finite (n, 3) positions and finite (n, n) weights as float64 arrays;
+    anything else raises InvalidInputError."""
+    positions = np.asarray(positions, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    if positions.ndim != 2 or positions.shape[1] != 3 or weights.shape != (len(positions),) * 2:
+        raise InvalidInputError("need (n, 3) positions and (n, n) weights, got "
+                                f"{positions.shape} and {weights.shape}")
+    if not (np.all(np.isfinite(positions)) and np.all(np.isfinite(weights))):
+        raise InvalidInputError("positions and weights must be finite")
+    return positions, weights
+
+
 def mass_beyond_radius(positions: np.ndarray, weights: np.ndarray, radius: float) -> float:
     """Total weight on pairs strictly farther apart than ``radius``."""
-    d = _pairwise_distances(np.asarray(positions, dtype=np.float64))
+    positions, weights = _pair_inputs(positions, weights)
+    if not (math.isfinite(radius) and radius >= 0.0):
+        raise InvalidInputError(f"radius must be finite and >= 0, got {radius!r}")
+    d = _pairwise_distances(positions)
     return float(weights[d > radius].sum())
 
 
@@ -248,11 +263,11 @@ class ApproximationReport:
 def locality_ratio(positions: np.ndarray, weights: np.ndarray, n_extreme: int = 5) -> float:
     """Mean weight on each query's nearest tokens over mean weight on its
     farthest (self excluded, ties broken by index)."""
+    positions, weights = _pair_inputs(positions, weights)
     n = positions.shape[0]
     if n < 2:
         raise InvalidInputError("locality ratio needs at least 2 tokens")
     m = min(n_extreme, n - 1)
-    positions = np.asarray(positions, dtype=np.float64)
     near, far = np.empty((n, m)), np.empty((n, m))
     for lo, hi in _bounded_spans(n, 3 * n):  # row chunks: no N x N distances or order
         d = _pairwise_distances(positions[lo:hi], positions)

@@ -349,9 +349,7 @@ def _forward_core(hierarchy: Hierarchy, embedding, mode: str, want_cache: bool,
                   table: PositionalTable | None = None):
     d = hierarchy.levels[0].q_tilde.shape[1]
     _check_mode(embedding, mode, d)
-    if table is None:
-        table = positional_table(hierarchy, embedding, mode)
-    else:
+    if table is not None:
         _check_table(table, hierarchy, embedding, mode)
     scale = math.sqrt(d)
     depth = hierarchy.depth
@@ -361,13 +359,14 @@ def _forward_core(hierarchy: Hierarchy, embedding, mode: str, want_cache: bool,
     carry_y = carry_d = carry_m = None
     for h in range(depth, -1, -1):
         lv = hierarchy.levels[h]
+        term = (table.terms[h] if table is not None
+                else _level_term(lv.positions, lv.topology, embedding, mode))
         cache, d_loc, y_loc = _level_softmax(
-            lv.q_tilde, lv.k_tilde, lv.v_tilde, lv.topology, table.terms[h], mode, scale
+            lv.q_tilde, lv.k_tilde, lv.v_tilde, lv.topology, term, mode, scale
         )
         mu = cache.mu
         per_level[h] = lv.topology.total_edges
         caches[h] = cache if want_cache else None
-        del cache  # else its edge terms would stay alive through the next level
 
         if carry_y is None:  # top level: nothing above contributes
             carry_y, carry_d, carry_m = y_loc, d_loc, mu
@@ -380,6 +379,7 @@ def _forward_core(hierarchy: Hierarchy, embedding, mode: str, want_cache: bool,
             carry_y = w_loc[:, None] * y_loc + w_par[:, None] * carry_y[p]
             carry_d = w_loc * d_loc + w_par * carry_d[p]
             carry_m = m
+        del cache, term, y_loc, d_loc  # else alive through the next level's softmax
 
     with np.errstate(over="ignore"):
         normalizers = carry_d * np.exp(carry_m)
@@ -404,8 +404,9 @@ def gha_forward(hierarchy: Hierarchy, embedding: FourierEmbedding | None = None,
     arithmetic but keeps the exponentials bounded.
 
     ``table`` is this structure's ``positional_table`` for the same
-    embedding and mode; without one, the call builds its own. A table of
-    another structure, embedding or mode raises InvalidInputError.
+    embedding and mode; without one, the call makes each level's term as
+    it reaches that level. A table of another structure, embedding or mode
+    raises InvalidInputError.
     """
     result, _, _, _ = _forward_core(hierarchy, embedding, embedding_mode, want_cache=False,
                                     table=table)
@@ -428,37 +429,25 @@ def _scatter_add(index: np.ndarray, values: np.ndarray, n_out: int) -> np.ndarra
     return out if values.ndim == 1 else out.reshape(n_out, width)
 
 
-def _pull_back_plan(hierarchy: Hierarchy) -> list:
-    """The value-independent part of ``_pull_back``: per coarse level, top
-    down, its groups in summation order, their sizes and their members.
-
-    A token occurs at most once per group and sums its groups in the order
-    FPS scans the coarse level, lexicographic (x, y, z) positions with ties
-    by index as kNN and FPS break them: fixed by the geometry, not by the
-    input numbering. (Voxel groups are disjoint, so no order matters.)"""
-    plan = []
+def _pull_back(hierarchy: Hierarchy, per_level: list) -> np.ndarray:
+    """Sum per-level gradients onto level 0 through the transposed pooling
+    maps. A token sums its groups (one entry in each) in the coarse level's
+    ``order``, fixed by the geometry, not by the input numbering. (Voxel
+    groups are disjoint, so no order matters.)"""
+    g = per_level[-1]
     for h in range(hierarchy.depth - 1, -1, -1):
         coarse = hierarchy.levels[h + 1]
-        groups = np.lexsort(coarse.positions.T[::-1])  # summation order of the groups
+        groups = coarse.order
         sizes = np.diff(coarse.pool_indptr)[groups]
         entry = np.repeat(coarse.pool_indptr[groups] - np.cumsum(sizes) + sizes, sizes)
         entry += np.arange(entry.shape[0])  # the groups' pooled entries, in that order
-        plan.append((groups, sizes, coarse.pool_indices[entry]))
-    return plan
-
-
-def _pull_back(hierarchy: Hierarchy, plan: list, per_level: list) -> np.ndarray:
-    """Sum per-level gradients onto level 0 through the transposed pooling
-    maps, in the order of ``_pull_back_plan``."""
-    g = per_level[-1]
-    for h, (groups, sizes, members) in zip(range(hierarchy.depth - 1, -1, -1), plan):
         pooled = np.repeat(g[groups] / sizes[:, None], sizes, axis=0)
-        g = _scatter_add(members, pooled, hierarchy.levels[h].n_tokens)
+        g = _scatter_add(coarse.pool_indices[entry], pooled, hierarchy.levels[h].n_tokens)
         g += per_level[h]
     return g
 
 
-def _adjoint_core(hierarchy: Hierarchy, caches: list, plan: list, m_q: np.ndarray,
+def _adjoint_core(hierarchy: Hierarchy, caches: list, m_q: np.ndarray,
                   c: np.ndarray, b: np.ndarray | None = None):
     """Exact adjoint of the forward map w.r.t. the level-0 values.
 
@@ -490,7 +479,7 @@ def _adjoint_core(hierarchy: Hierarchy, caches: list, plan: list, m_q: np.ndarra
         dv_levels.append(_scatter_add(lv.topology.indices, terms, lv.n_tokens))
         if h < depth:
             anc = lv.parent_of[anc]
-    return _pull_back(hierarchy, plan, dv_levels), folds
+    return _pull_back(hierarchy, dv_levels), folds
 
 
 def gha_backward(hierarchy: Hierarchy, dz: np.ndarray,
@@ -520,13 +509,12 @@ def gha_backward(hierarchy: Hierarchy, dz: np.ndarray,
 
     result, caches, d_hat, m_q = _forward_core(hierarchy, embedding, embedding_mode,
                                                want_cache=True, table=table)
-    plan = _pull_back_plan(hierarchy)
 
     # Per-query scaled cotangents: dY_q = dz_q / D_q and dD_q = -(dz_q.z_q)/D_q,
     # with D_q = d_hat_q * exp(m_q) kept in the shifted form.
     c = dz / d_hat[:, None]  # (N, d_v)
     b = np.einsum("qd,qd->q", dz, result.z) / d_hat  # (N,)
-    dv, folds = _adjoint_core(hierarchy, caches, plan, m_q, c, b)
+    dv, folds = _adjoint_core(hierarchy, caches, m_q, c, b)
 
     dq_levels, dk_levels = [], []
     for lv, cache, (a_bar, b_bar) in zip(hierarchy.levels, caches, folds):
@@ -541,5 +529,5 @@ def gha_backward(hierarchy: Hierarchy, dz: np.ndarray,
         dq_levels.append(np.add.reduceat(k_eff, lv.topology.indptr[:-1], axis=0))
         dk_levels.append(_scatter_add(cols, cache.q[rows] * ds, lv.n_tokens))
 
-    return Gradients(dq=_pull_back(hierarchy, plan, dq_levels),
-                     dk=_pull_back(hierarchy, plan, dk_levels), dv=dv)
+    return Gradients(dq=_pull_back(hierarchy, dq_levels),
+                     dk=_pull_back(hierarchy, dk_levels), dv=dv)

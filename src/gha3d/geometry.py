@@ -239,6 +239,13 @@ def knn_from_positions(positions: np.ndarray, k: int) -> NeighborhoodTopology:
                                 indices=_readonly(nbrs.ravel()), k=k)
 
 
+def _canonical_order(positions: np.ndarray) -> np.ndarray:
+    """Token indices sorted by (x, y, z), ties by index: the one order,
+    fixed by the geometry, in which FPS scans a level, pooling groups sum
+    their members and the backward sums its pooled groups."""
+    return np.lexsort(positions.T[::-1])
+
+
 def farthest_point_sample(cloud: PointCloud, m: int) -> np.ndarray:
     """Greedy min-distance-maximizing subsample of m point indices.
 
@@ -270,7 +277,7 @@ def fps_from_positions(positions: np.ndarray, m: int) -> np.ndarray:
     if not 1 <= m <= n:
         raise InvalidInputError(f"m must be in [1, {n}], got {m}")
     _check_extent(positions)
-    canon = np.lexsort((positions[:, 2], positions[:, 1], positions[:, 0]))
+    canon = _canonical_order(positions)
     pts = positions[canon]
 
     # Summing rows in canonical order keeps the start pick (and thus the

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import InvalidCoarsenError, InvalidInputError
 from .geometry import (
     NeighborhoodTopology,
+    _canonical_order,
     _freeze,
     _readonly,
     _voxel_coords,
@@ -42,21 +43,6 @@ def segment_mean(values: np.ndarray, indptr: np.ndarray, indices: np.ndarray) ->
     return sums / sizes[:, None]
 
 
-def _coordinate_ordered_groups(
-    indptr: np.ndarray, indices: np.ndarray, positions: np.ndarray
-) -> np.ndarray:
-    """Reorder each CSR group by member coordinates (lexicographic, then
-    index). Neighbor lists are stored in per-query distance order, so two
-    tokens with the same neighborhood set would otherwise average it in
-    different orders and round to different coarse rows; summing in a
-    query-independent order keeps such tokens bitwise identical, which the
-    exact-tie rules downstream rely on."""
-    gid = np.repeat(np.arange(indptr.shape[0] - 1), np.diff(indptr))
-    p = positions[indices]
-    order = np.lexsort((indices, p[:, 2], p[:, 1], p[:, 0], gid))
-    return indices[order]
-
-
 @dataclass(frozen=True)
 class HierarchyLevel:
     """One resolution of the hierarchy.
@@ -70,9 +56,14 @@ class HierarchyLevel:
     from the finer level, in CSR form: row i of this level is the mean of
     the finer rows ``pool_indices[pool_indptr[i]:pool_indptr[i+1]]``,
     summed in that order. Point flavor stores the neighborhood of
-    ``selected[i]`` in member-coordinate order; voxel flavor stores the
+    ``selected[i]`` in the finer level's ``order``; voxel flavor stores the
     children of cell i in child-cell-coordinate order. Either order is
     independent of token numbering, so equal groups round identically.
+
+    ``order`` is the level's canonical token order (``_canonical_order``
+    of ``positions``), computed here when not given. It is an init field
+    only so that ``dataclasses.replace`` passes it on without sorting
+    again; a given value must be a permutation of the level's tokens.
     """
 
     level_index: int
@@ -86,11 +77,16 @@ class HierarchyLevel:
     coords: np.ndarray | None = None  # (n_h, 3) int64
     pool_indptr: np.ndarray | None = None  # (n_h + 1,) int64
     pool_indices: np.ndarray | None = None  # int64 into level h-1
+    order: np.ndarray | None = None  # (n_h,) int64, a permutation
 
     def __post_init__(self):
         for name in ("positions", "q_tilde", "k_tilde", "v_tilde"):
             object.__setattr__(self, name, _freeze(getattr(self, name), np.float64))
-        for name in ("parent_of", "selected", "coords", "pool_indptr", "pool_indices"):
+        if self.order is None:
+            object.__setattr__(self, "order", _readonly(_canonical_order(self.positions)))
+        elif np.asarray(self.order).dtype.kind not in "iu":  # the cast would truncate
+            raise InvalidInputError("order must be a permutation given as integers")
+        for name in ("parent_of", "selected", "coords", "pool_indptr", "pool_indices", "order"):
             val = getattr(self, name)
             if val is not None:
                 object.__setattr__(self, name, _freeze(val, np.int64))
@@ -104,19 +100,32 @@ class HierarchyLevel:
             raise InvalidInputError("pool_indptr and pool_indices must be given together")
         if self.pool_indptr is not None and self.pool_indptr.shape != (n + 1,):
             raise InvalidInputError(f"pool_indptr must have {n + 1} entries")
+        seen = np.zeros(n, dtype=bool)
+        if self.order.shape == (n,) and np.all((self.order >= 0) & (self.order < n)):
+            seen[self.order] = True
+        if self.order.shape != (n,) or not seen.all():
+            raise InvalidInputError(f"order must be a permutation of {n} tokens")
 
     @property
     def n_tokens(self) -> int:
         return self.positions.shape[0]
 
 
-def _made_level(**fields) -> HierarchyLevel:
-    """A level over arrays made here, marked read-only so it stores them
-    without a copy."""
+def _pooled_level(level: HierarchyLevel, pool_indptr: np.ndarray, pool_indices: np.ndarray,
+                  make_topology, **fields) -> HierarchyLevel:
+    """The next-coarser level pooled from ``level``: positions and q/k/v are
+    the means over the pooling map, ``make_topology(positions)`` gives its
+    neighborhoods and ``fields`` the flavor's own arrays. Every array made
+    here is marked read-only, so the level stores it without a copy."""
+    fields.update(
+        {name: segment_mean(getattr(level, name), pool_indptr, pool_indices)
+         for name in ("positions", "q_tilde", "k_tilde", "v_tilde")},
+        pool_indptr=pool_indptr, pool_indices=pool_indices,
+    )
     for a in fields.values():
-        if isinstance(a, np.ndarray):
-            _readonly(a)
-    return HierarchyLevel(**fields)
+        _readonly(a)
+    return HierarchyLevel(level_index=level.level_index + 1,
+                          topology=make_topology(fields["positions"]), **fields)
 
 
 @dataclass(frozen=True)
@@ -187,25 +196,20 @@ def coarsen_point(level: HierarchyLevel, r: int) -> tuple[HierarchyLevel, np.nda
     parent_of[selected] = np.arange(m, dtype=np.int64)
 
     # Only the selected tokens' smoothed rows survive, so only their
-    # neighborhoods become pooling groups.
+    # neighborhoods become pooling groups. Each sums in the level's order,
+    # not in its query's distance order, so tokens with the same neighborhood
+    # set round to bitwise identical rows, as the exact-tie rules need.
     sizes = topo.sizes[selected]
     pool_indptr = np.concatenate(([0], np.cumsum(sizes)))
     flat = np.repeat(topo.indptr[selected] - pool_indptr[:-1], sizes) + np.arange(pool_indptr[-1])
-    pool_indices = _coordinate_ordered_groups(pool_indptr, topo.indices[flat], level.positions)
+    members = topo.indices[flat]
+    rank = np.empty(n, dtype=np.int64)
+    rank[level.order] = np.arange(n)
+    pool_indices = members[np.lexsort((rank[members], np.repeat(np.arange(m), sizes)))]
 
-    coarse_pos = segment_mean(level.positions, pool_indptr, pool_indices)
     k = topo.k if topo.k is not None else n
-    coarse = _made_level(
-        level_index=level.level_index + 1,
-        positions=coarse_pos,
-        q_tilde=segment_mean(level.q_tilde, pool_indptr, pool_indices),
-        k_tilde=segment_mean(level.k_tilde, pool_indptr, pool_indices),
-        v_tilde=segment_mean(level.v_tilde, pool_indptr, pool_indices),
-        topology=knn_from_positions(coarse_pos, k),
-        selected=selected,
-        pool_indptr=pool_indptr,
-        pool_indices=pool_indices,
-    )
+    coarse = _pooled_level(level, pool_indptr, pool_indices,
+                           lambda positions: knn_from_positions(positions, k), selected=selected)
     return coarse, parent_of
 
 
@@ -223,17 +227,9 @@ def _coarsen_voxel_by(level: HierarchyLevel, halvings: int) -> tuple[HierarchyLe
     # are unique, so the order is total and independent of token numbering.
     pool_indptr = np.concatenate(([0], np.cumsum(np.bincount(parent_of, minlength=m))))
     pool_indices = np.lexsort((pack_voxel_coords(coords), parent_of))
-    coarse = _made_level(
-        level_index=level.level_index + 1,
-        positions=segment_mean(level.positions, pool_indptr, pool_indices),
-        q_tilde=segment_mean(level.q_tilde, pool_indptr, pool_indices),
-        k_tilde=segment_mean(level.k_tilde, pool_indptr, pool_indices),
-        v_tilde=segment_mean(level.v_tilde, pool_indptr, pool_indices),
-        topology=kernel_window_topology(parent_coords_all[first_idx]),
-        coords=parent_coords_all[first_idx],
-        pool_indptr=pool_indptr,
-        pool_indices=pool_indices,
-    )
+    coarse_coords = parent_coords_all[first_idx]
+    coarse = _pooled_level(level, pool_indptr, pool_indices,
+                           lambda _: kernel_window_topology(coarse_coords), coords=coarse_coords)
     return coarse, parent_of
 
 
@@ -391,12 +387,7 @@ def with_values(
             name: _readonly(segment_mean(mat, nxt.pool_indptr, nxt.pool_indices))
             for name, mat in current.items()
         }
-    return Hierarchy(
-        flavor=hierarchy.flavor,
-        neighborhood_k=hierarchy.neighborhood_k,
-        coarsen_ratio=hierarchy.coarsen_ratio,
-        levels=tuple(levels),
-    )
+    return replace(hierarchy, levels=tuple(levels))
 
 
 def truncate(hierarchy: Hierarchy, depth: int) -> Hierarchy:
@@ -405,12 +396,7 @@ def truncate(hierarchy: Hierarchy, depth: int) -> Hierarchy:
         raise InvalidInputError(f"depth must be in [0, {hierarchy.depth}], got {depth}")
     kept = list(hierarchy.levels[: depth + 1])
     kept[-1] = replace(kept[-1], parent_of=None)
-    return Hierarchy(
-        flavor=hierarchy.flavor,
-        neighborhood_k=hierarchy.neighborhood_k,
-        coarsen_ratio=hierarchy.coarsen_ratio,
-        levels=tuple(kept),
-    )
+    return replace(hierarchy, levels=tuple(kept))
 
 
 def interpolate(values: np.ndarray, from_level: int, hierarchy: Hierarchy) -> np.ndarray:

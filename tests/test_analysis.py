@@ -608,6 +608,44 @@ def test_locality_ratio_input_checks():
         locality_ratio(np.zeros((1, 3)), np.ones((1, 1)))
 
 
+def _pair_cases():
+    rng = np.random.default_rng(40)
+    pos, w = rng.uniform(size=(10, 3)), np.full((10, 10), 0.1)
+    nan_w = w.copy()
+    nan_w[3, 4] = np.nan
+    inf_pos = pos.copy()
+    inf_pos[2, 1] = np.inf
+    return {
+        "short_weights": (pos, w[:9, :9]),  # raised a raw IndexError
+        "flat_weights": (pos, w[0]),  # raised a raw AxisError
+        "planar_positions": (pos[:, :2], w),  # was accepted
+        "nan_weights": (pos, nan_w),  # locality_ratio returned nan
+        "inf_positions": (inf_pos, w),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_pair_cases()))
+def test_locality_ratio_rejects_malformed_inputs(case):
+    pos, w = _pair_cases()[case]
+    with pytest.raises(InvalidInputError):
+        locality_ratio(pos, w)
+
+
+@pytest.mark.parametrize("case", sorted(_pair_cases()))
+def test_mass_beyond_radius_rejects_malformed_inputs(case):
+    pos, w = _pair_cases()[case]
+    with pytest.raises(InvalidInputError):
+        mass_beyond_radius(pos, w, 0.5)
+
+
+@pytest.mark.parametrize("radius", [-0.1, math.nan, math.inf])
+def test_mass_beyond_radius_rejects_bad_radius(radius):
+    pos = np.random.default_rng(41).uniform(size=(10, 3))
+    with pytest.raises(InvalidInputError):
+        mass_beyond_radius(pos, np.full((10, 10), 0.1), radius)
+    assert mass_beyond_radius(pos, np.full((10, 10), 0.1), 0.0) == pytest.approx(9.0)
+
+
 def test_approximation_report_flat_hierarchy_is_exact():
     rng = np.random.default_rng(23)
     n, d = 10, 4

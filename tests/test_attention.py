@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-import gha3d.attention as attention_mod
+from gha3d.analysis import effective_attention, effective_attention_row
 from gha3d.attention import (
     AttentionInputs,
     FourierEmbedding,
@@ -492,16 +493,104 @@ def test_positional_table_rejects_another_structure_embedding_or_mode():
         positional_table(h, emb, "sinusoidal")
 
 
-def test_backward_plans_its_pull_back_once(monkeypatch):
+def test_backward_and_effective_weights_sort_nothing(monkeypatch):
+    # Every order the backward needs is stored on the structure at build time.
     rng = np.random.default_rng(32)
     q, k, v, pos = rand_inputs(rng, 40, 2)
     h = build_hierarchy(pos, q, k, v, flavor="point", k=2, r=2)
     assert h.depth >= 3
-    real, calls = attention_mod._pull_back_plan, []
-    monkeypatch.setattr(attention_mod, "_pull_back_plan",
-                        lambda hh: calls.append(hh) or real(hh))
-    gha_backward(h, rng.normal(size=(40, 2)))
-    assert calls == [h]  # dv, dq and dk share one plan
+    emb = make_fourier_embedding(2, rng)
+    dz = rng.normal(size=(40, 2))
+    calls = []
+    for name in ("lexsort", "argsort", "sort"):
+        real = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda *a, _real=real, _name=name, **kw:
+                            calls.append(_name) or _real(*a, **kw))
+    for mode in ("none", "absolute", "relative"):
+        gha_backward(h, dz, emb, mode)
+        effective_attention_row(h, 7, emb, mode)
+        effective_attention(h, emb, mode)
+    assert calls == []
+    build_hierarchy(pos, q, k, v, flavor="point", k=2, r=2)
+    assert "lexsort" in calls  # the build does sort, so the counters are live
+
+
+def test_one_off_forward_holds_one_level_term_at_a_time():
+    # Without a table, each level's positional term is made when that level
+    # runs and dropped after it, not all of them up front.
+    rng = np.random.default_rng(33)
+    n, d = 2048, 8
+    q, k, v, pos = rand_inputs(rng, n, d)
+    h = build_hierarchy(pos, q, k, v, flavor="point", k=8, r=2)
+    emb = make_fourier_embedding(d, rng)
+    table = positional_table(h, emb, "relative")
+
+    def peak(**kw):
+        tracemalloc.start()
+        try:
+            gha_forward(h, emb, "relative", **kw)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    level0_term = sum(a.nbytes for a in table.terms[0])
+    assert peak() <= peak(table=table) + 1.25 * level0_term
+
+
+# Bits of gha_backward in relative mode on 20 tokens at 5 positions (depth 3),
+# one row of float.hex values per token: pins the pooling and pull-back
+# summation orders for a general dz.
+PINNED_BACKWARD = {
+    "dq": """
+        0x1.3b54b42c6fd70p-3 -0x1.a2e92057d1b60p-11 0x1.d31adcb827232p-5 0x1.2221194f570a1p-5
+        0x1.3b55596ba302ep-4 -0x1.33789610d5f1ep-3 0x1.512698549c691p-2 -0x1.45fdbc9b0c71fp-5
+        0x1.38722774959d6p-3 -0x1.a694f8c3fa856p-5 0x1.e3e4f7b875e05p-5 0x1.af3847af16698p-6
+        0x1.8cb99d38e0c5ep-6 0x1.c7b27e4dd83b9p-4 -0x1.a733c1a1a58abp-8 0x1.4ea8d4a196572p-5
+        -0x1.41ecc434df241p-4 0x1.702b66e5b4060p-5 0x1.27de10af192dbp-2 0x1.bfc4f28389fa6p-5
+        0x1.0417ece66bc1ep-3 -0x1.081e0b4a6aff9p-4 -0x1.112c0306b70c6p-3 -0x1.704fbe08de168p-4
+        -0x1.05cc6842b30e4p-5 -0x1.cd02d00c07328p-10 -0x1.db439cc07fcb5p-2 -0x1.2f819586ec911p-4
+        -0x1.9eacb76ac97a6p-2 0x1.2f958628bc95ap-2 -0x1.9fd2ef056e7b2p-7 -0x1.1562acd9cd96ep-5
+        -0x1.56614855aeccfp-2 0x1.549d2e6fd83fap-2 0x1.fe543b2841a63p-6 0x1.2f0bb6e8ceebcp-6
+        0x1.92ddea9de05a0p-7 0x1.a192c959ac2d3p-7 0x1.fbb00f0407ac8p-5 0x1.25b4b06b9b9fcp-8
+    """,
+    "dk": """
+        -0x1.cb6c060f6e64bp-2 -0x1.b7e05d81c7e39p-2 0x1.a4d05131e55a8p-2 -0x1.0cd7f3e2c959ep-2
+        -0x1.5cfa33fd9e8b8p-7 -0x1.6fb61035cdb30p-5 -0x1.9d2fd8efc2a5ap-4 0x1.e3840a7348e67p-5
+        0x1.15f594ac78e11p-2 -0x1.e6231294ebd1cp-4 0x1.2613f70d26755p-6 -0x1.cfd31705c3fbdp-5
+        0x1.6b338b6f67f2cp-3 0x1.93ba935c05328p-3 0x1.72998f81c1e9fp-3 0x1.043f3efed5365p-1
+        -0x1.dc20676df7be3p-4 -0x1.60d73facb9af8p-2 0x1.bfe9894f9bd00p-8 0x1.fc6dc53aecaa5p-5
+        0x0.0p+0 0x0.0p+0 -0x1.b88f99337134dp-4 -0x1.29e1c9a125832p-3
+        0x0.0p+0 0x0.0p+0 -0x1.3271b7c5f40fdp-4 -0x1.8a3abb3cc40e7p-5
+        -0x1.8d6d2b9d06716p-4 0x1.3e1f7132382dfp-4 0x0.0p+0 0x0.0p+0
+        -0x1.7f8fd50366825p-3 0x1.2e00cb7d164a9p-1 0x0.0p+0 0x0.0p+0
+        0x1.abbd1f3f613c5p-5 0x1.26f125d2d0654p-4 0x0.0p+0 0x0.0p+0
+    """,
+    "dv": """
+        0x1.6397b5be9f380p-1 0x1.a112fe2b0a294p-4 0x1.0bf52b6d59558p-1 0x1.ba22d951a60d3p-2
+        -0x1.0eceee0238921p-6 -0x1.44f97cff8f527p-3 0x1.63ee2cb82d6dcp-2 0x1.c7cc0eda42f6cp-3
+        0x1.986af4ac22aadp-2 0x1.41a37e95bcdc9p-2 0x1.b009223856051p-5 0x1.8a6f760af8bd6p-5
+        0x1.bbd0737f1bcb0p-3 0x1.668b8597953f4p-3 0x1.58df7f444226fp-2 -0x1.05cd6817d55cap-3
+        0x1.589ff83599a88p-2 -0x1.290d2f04bc220p-5 0x1.78a6c57c2a355p-2 0x1.c0ebd6ece691ep-4
+        0x0.0p+0 0x0.0p+0 -0x1.ca270ce88fe24p-7 -0x1.703133e620ae8p-6
+        0x0.0p+0 0x0.0p+0 0x1.1e16ba37a5f3ap-3 0x1.0ef73bf566618p-2
+        -0x1.61a89251a4f93p-3 -0x1.632be763c55cdp-3 0x0.0p+0 0x0.0p+0
+        -0x1.f4f1e61a772cep-2 -0x1.1faeec0efb659p-3 0x0.0p+0 0x0.0p+0
+        0x1.a6a30fba0a480p-6 0x1.4b5d0ce7fd9dep-5 0x0.0p+0 0x0.0p+0
+    """,
+}
+
+
+def test_backward_bits_are_pinned_on_duplicate_positions():
+    rng = np.random.default_rng(2024)
+    pos = np.repeat(np.round(rng.uniform(size=(5, 3)), 2), 4, axis=0)[rng.permutation(20)]
+    q, k, v, dz = (np.round(rng.normal(size=(20, 2)), 3) for _ in range(4))
+    emb = make_fourier_embedding(2, np.random.default_rng(5))
+    h = build_hierarchy(pos, q, k, v, flavor="point", k=3, r=2)
+    assert h.level_sizes() == [20, 10, 5, 3]
+    grads = gha_backward(h, dz, emb, "relative")
+    for name, hexes in PINNED_BACKWARD.items():
+        want = np.array([float.fromhex(x) for x in hexes.split()]).reshape(20, 2)
+        assert getattr(grads, name).tobytes() == want.tobytes(), name
 
 
 # ---------------------------------------------------------------------------

@@ -706,3 +706,47 @@ def test_q_and_k_share_one_positive_width():
     narrow = with_values(h, q=q[:, :4], k=k_mat[:, :4], v=v[:, :2])
     assert narrow.levels[-1].q_tilde.shape[1] == 4 and narrow.levels[-1].v_tilde.shape[1] == 2
     assert with_values(narrow, q=q[:, 4:]).levels[0].q_tilde.shape == (n, 4)
+
+
+# ---------------------------------------------------------------------------
+# Canonical order
+# ---------------------------------------------------------------------------
+
+def test_every_level_stores_its_canonical_order():
+    rng = np.random.default_rng(21)
+    # 30 positions, each held by 10 tokens: ties everywhere in (x, y, z).
+    pos = np.repeat(rng.uniform(size=(30, 3)), 10, axis=0)[rng.permutation(300)]
+    q, k_mat, v = rand_qkv(rng, 300, 2)
+    point = build_hierarchy(pos, q, k_mat, v, flavor="point", k=4, r=2)
+    coords = np.unique(rng.integers(0, 10, size=(400, 3)), axis=0)[::-1]
+    centers = coords + rng.uniform(size=coords.shape)
+    vq, vk, vv = rand_qkv(rng, coords.shape[0], 2)
+    voxel = build_hierarchy(centers, vq, vk, vv, flavor="voxel", coords=coords)
+    assert point.depth >= 3 and voxel.depth >= 2
+    for h in (point, voxel):
+        for lv in h.levels:
+            assert lv.order.dtype == np.int64 and not lv.order.flags.writeable
+            np.testing.assert_array_equal(lv.order, np.lexsort(lv.positions.T[::-1]))
+
+    # Rebuilt hierarchies carry each order on, as the same object.
+    q2, k2, v2 = rand_qkv(rng, 300, 3)
+    for derived in (with_values(point, q=q2, k=k2, v=v2), with_values(point, v=v2),
+                    truncate(point, 2)):
+        for a, b in zip(point.levels, derived.levels):
+            assert b.order is a.order
+
+
+@pytest.mark.parametrize("order", [
+    [0, 0, 2],  # a repeat, so one token is missing
+    [0, 1],  # too short
+    [0, 1, 3],  # out of range
+    [-1, 0, 1],
+    [[0, 1, 2]],
+    [0.0, 2.7, 1.0],  # would truncate to the permutation [0, 2, 1]
+])
+def test_level_rejects_an_order_that_is_not_a_permutation(order):
+    rng = np.random.default_rng(22)
+    level = make_point_level(rng.normal(size=(3, 3)), *rand_qkv(rng, 3, 2), k=2)
+    with pytest.raises(InvalidInputError, match="permutation"):
+        replace(level, order=np.array(order))
+    assert replace(level, order=np.array([2, 0, 1])).order.tolist() == [2, 0, 1]
