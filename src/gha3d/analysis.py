@@ -14,7 +14,6 @@ that measures weight counts against the guaranteed linear bound.
 import csv
 import io
 import math
-import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -23,16 +22,18 @@ import numpy as np
 
 from .attention import (
     AttentionInputs,
-    _adjoint_core,
     _bounded_spans,
     _dense_softmax_chunks,
+    _fold,
     _forward_core,
+    _pull_back,
+    _value_cotangent,
     dense_attention,
     gha_forward,
     positional_table,
 )
 from .errors import CapacityError, InvalidInputError, InvariantViolation
-from .geometry import PointCloud, voxelize
+from .geometry import PointCloud, _integer, voxelize
 from .hierarchy import VOXEL_WINDOW_K, Hierarchy, build_hierarchy, truncate
 from .seeding import substream
 
@@ -72,8 +73,9 @@ def _effective_rows(hierarchy: Hierarchy, forward, queries: np.ndarray) -> np.nd
     _, caches, d_hat, m_q = forward
     c = np.zeros((hierarchy.levels[0].n_tokens, queries.shape[0]))
     c[queries, np.arange(queries.shape[0])] = 1.0 / d_hat[queries]  # dz = e_q, scaled
-    dv, _ = _adjoint_core(hierarchy, caches, m_q, c)
-    return dv.T
+    folds = zip(hierarchy.levels, caches, _fold(hierarchy, caches, m_q, c))
+    return _pull_back(hierarchy, [_value_cotangent(lv, cache, fold[lv.topology.rows])
+                                  for lv, cache, fold in folds]).T
 
 
 def effective_attention(hierarchy: Hierarchy, embedding=None, embedding_mode: str = "none",
@@ -109,10 +111,7 @@ def effective_attention_row(hierarchy: Hierarchy, i: int, embedding=None,
     embedding mode. The row is bitwise permutation-equivariant.
     """
     n = hierarchy.levels[0].n_tokens
-    try:
-        i = operator.index(i)
-    except TypeError:
-        raise InvalidInputError(f"query index must be an integer, got {i!r}") from None
+    i = _integer(i, "query index")
     if not 0 <= i < n:
         raise InvalidInputError(f"query index {i} out of range for {n} tokens")
     forward = _forward_core(hierarchy, embedding, embedding_mode, want_cache=True)
@@ -219,6 +218,7 @@ def attention_histogram(hierarchy: Hierarchy, mechanism: str = "gha", n_bins: in
     Bins are uniform over [0, max pairwise distance] between the level-0
     token positions.
     """
+    n_bins = _integer(n_bins, "n_bins")
     if n_bins < 1:
         raise InvalidInputError(f"n_bins must be >= 1, got {n_bins}")
     pos = hierarchy.levels[0].positions
@@ -264,6 +264,9 @@ def locality_ratio(positions: np.ndarray, weights: np.ndarray, n_extreme: int = 
     """Mean weight on each query's nearest tokens over mean weight on its
     farthest (self excluded, ties broken by index)."""
     positions, weights = _pair_inputs(positions, weights)
+    n_extreme = _integer(n_extreme, "n_extreme")
+    if n_extreme < 1:
+        raise InvalidInputError(f"n_extreme must be >= 1, got {n_extreme}")
     n = positions.shape[0]
     if n < 2:
         raise InvalidInputError("locality ratio needs at least 2 tokens")

@@ -83,6 +83,7 @@ def embed_points(emb: FourierEmbedding, pts: np.ndarray) -> np.ndarray:
     return out
 
 
+# A mode's index here is its code in the GHAB parameter file.
 _MODES = ("none", "absolute", "relative")
 
 
@@ -420,13 +421,13 @@ class Gradients(NamedTuple):
 
 
 def _scatter_add(index: np.ndarray, values: np.ndarray, n_out: int) -> np.ndarray:
-    """out[index[e]] += values[e] for rows e of a 1-D or 2-D array, through
-    one ``np.bincount`` over the flattened key index * width + column.
-    Each output sums its terms in input order, as ``np.add.at`` does."""
-    width = 1 if values.ndim == 1 else values.shape[1]
+    """out[index[e]] += values[e] for rows e of a 2-D array, through one
+    ``np.bincount`` over the flattened key index * width + column. Each
+    output sums its terms in input order, as ``np.add.at`` does, so a
+    column's sums do not depend on the width."""
+    width = values.shape[1]
     key = ((index * width)[:, None] + np.arange(width)).ravel()
-    out = np.bincount(key, weights=values.ravel(), minlength=n_out * width)
-    return out if values.ndim == 1 else out.reshape(n_out, width)
+    return np.bincount(key, weights=values.ravel(), minlength=n_out * width).reshape(n_out, width)
 
 
 def _pull_back(hierarchy: Hierarchy, per_level: list) -> np.ndarray:
@@ -447,39 +448,33 @@ def _pull_back(hierarchy: Hierarchy, per_level: list) -> np.ndarray:
     return g
 
 
-def _adjoint_core(hierarchy: Hierarchy, caches: list, m_q: np.ndarray,
-                  c: np.ndarray, b: np.ndarray | None = None):
-    """Exact adjoint of the forward map w.r.t. the level-0 values.
-
-    c holds the per-query scaled output cotangents dz_q / d_hat_q. Each level
-    folds them onto the queries' level-h ancestors (a_bar), carrying the
-    exponent gap between the level's local max and the query's running max
-    (always <= 0, so the weights stay in (0, 1]), scatters t * a_bar[rows]
-    onto cols, and the per-level results are pulled back to level 0. Only the
-    forward's t, mu and m_q enter, so this holds in every embedding mode.
-    The optional per-query normalizer cotangents b are folded the same way.
+def _fold(hierarchy: Hierarchy, caches: list, m_q: np.ndarray, c: np.ndarray) -> list:
+    """Per level, the per-query cotangent rows c summed onto each query's
+    level-h ancestor with weight exp(mu_h[ancestor] - m_q): the transpose of
+    the forward's parent copy, one scatter per level for every column. The
+    exponent gap is <= 0, so the weights stay in (0, 1].
     With one-hot columns of c (effective-weight rows), the fold and each
-    level's scatter get at most one nonzero term per output: a query has
-    one ancestor per level and a neighbor list holds each token once. Such
-    sums are exact in any order, and ``_pull_back`` fixes its own order by
-    geometry, so those columns of dv are bitwise permutation-equivariant and
-    do not depend on which other columns share c.
-    Returns dv and the per-level (a_bar, b_bar) folds (b_bar None without b).
+    level's value scatter get at most one nonzero term per output: a query
+    has one ancestor per level and a neighbor list holds each token once.
+    Such sums are exact in any order, and ``_pull_back`` fixes its own order
+    by geometry, so those columns of dv are bitwise permutation-equivariant
+    and do not depend on which other columns share c.
     """
     depth = hierarchy.depth
     anc = np.arange(c.shape[0], dtype=np.int64)
-    folds, dv_levels = [], []
+    folds = []
     for h, (lv, cache) in enumerate(zip(hierarchy.levels, caches)):
         w = np.exp(cache.mu[anc] - m_q)
-        a_bar = _scatter_add(anc, w[:, None] * c, lv.n_tokens)
-        b_bar = None if b is None else _scatter_add(anc, w * b, lv.n_tokens)
-        folds.append((a_bar, b_bar))
-        terms = a_bar[lv.topology.rows]
-        terms *= cache.t[:, None]  # in place: one edge-by-column temporary, not two
-        dv_levels.append(_scatter_add(lv.topology.indices, terms, lv.n_tokens))
+        folds.append(_scatter_add(anc, w[:, None] * c, lv.n_tokens))
         if h < depth:
             anc = lv.parent_of[anc]
-    return _pull_back(hierarchy, dv_levels), folds
+    return folds
+
+
+def _value_cotangent(level, cache: _LevelCache, a_rows: np.ndarray) -> np.ndarray:
+    """One level's dv: each edge's fold row ``a_rows`` times t (in place), onto its key."""
+    a_rows *= cache.t[:, None]
+    return _scatter_add(level.topology.indices, a_rows, level.n_tokens)
 
 
 def gha_backward(hierarchy: Hierarchy, dz: np.ndarray,
@@ -510,24 +505,25 @@ def gha_backward(hierarchy: Hierarchy, dz: np.ndarray,
     result, caches, d_hat, m_q = _forward_core(hierarchy, embedding, embedding_mode,
                                                want_cache=True, table=table)
 
-    # Per-query scaled cotangents: dY_q = dz_q / D_q and dD_q = -(dz_q.z_q)/D_q,
+    # Per-query scaled cotangents: dY_q = dz_q / D_q, then -dD_q = (dz_q.z_q)/D_q,
     # with D_q = d_hat_q * exp(m_q) kept in the shifted form.
-    c = dz / d_hat[:, None]  # (N, d_v)
-    b = np.einsum("qd,qd->q", dz, result.z) / d_hat  # (N,)
-    dv, folds = _adjoint_core(hierarchy, caches, m_q, c, b)
+    c = np.column_stack([dz / d_hat[:, None], np.einsum("qd,qd->q", dz, result.z) / d_hat])
+    folds = _fold(hierarchy, caches, m_q, c)
 
-    dq_levels, dk_levels = [], []
-    for lv, cache, (a_bar, b_bar) in zip(hierarchy.levels, caches, folds):
+    per_level = []
+    for lv, cache, fold in zip(hierarchy.levels, caches, folds):
         rows, cols = lv.topology.rows, lv.topology.indices
-        ds = cache.t * (np.einsum("ed,ed->e", a_bar[rows], lv.v_tilde[cols]) - b_bar[rows])
+        ab = fold[rows]  # the folded output and normalizer cotangents of each edge's query
+        ds = cache.t * (np.einsum("ed,ed->e", ab[:, :d_v], lv.v_tilde[cols]) - ab[:, d_v])
+        dv = _value_cotangent(lv, cache, ab)[:, :d_v]  # scaled whole, then b's column dropped
+        del ab  # else it is alive next to the dq and dk temporaries
         ds = (ds / scale)[:, None]
         k_eff = cache.k[cols]
         if cache.rel is not None:
             k_eff[:, 0::2] += cache.rel[0]
             k_eff[:, 1::2] += cache.rel[1]
         k_eff *= ds
-        dq_levels.append(np.add.reduceat(k_eff, lv.topology.indptr[:-1], axis=0))
-        dk_levels.append(_scatter_add(cols, cache.q[rows] * ds, lv.n_tokens))
-
-    return Gradients(dq=_pull_back(hierarchy, dq_levels),
-                     dk=_pull_back(hierarchy, dk_levels), dv=dv)
+        dq = np.add.reduceat(k_eff, lv.topology.indptr[:-1], axis=0)
+        per_level.append(np.hstack([dq, _scatter_add(cols, cache.q[rows] * ds, lv.n_tokens), dv]))
+    del caches, folds, cache, fold  # frees the per-edge terms before the pull-back's temporaries
+    return Gradients(*np.hsplit(_pull_back(hierarchy, per_level), [d, 2 * d]))

@@ -14,7 +14,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .analysis import MECHANISMS
 from .attention import (
+    _MODES,
     AttentionInputs,
     FourierEmbedding,
     dense_attention,
@@ -27,9 +29,6 @@ from .hierarchy import Hierarchy, build_hierarchy, truncate, with_values
 from .seeding import substream
 
 LAYERNORM_EPS = 1e-5
-
-_EMBED_MODES = ("none", "absolute", "relative")
-_MECHANISMS = ("gha", "local", "dense")
 
 
 @dataclass(frozen=True)
@@ -60,8 +59,8 @@ class BlockConfig:
             p = getattr(self, name)
             if not 0.0 <= p < 1.0:
                 raise ConfigError(f"{name} must be in [0, 1), got {p}")
-        if self.embedding_mode not in _EMBED_MODES:
-            raise ConfigError(f"embedding_mode must be one of {_EMBED_MODES}")
+        if self.embedding_mode not in _MODES:
+            raise ConfigError(f"embedding_mode must be one of {_MODES}")
         if self.embedding_mode != "none" and self.head_dim % 2 != 0:
             raise ConfigError(
                 f"positional embeddings need an even head width, got {self.head_dim}"
@@ -234,7 +233,8 @@ def block_forward(
     mechanism selects the attention kernel: "gha" (default), "local"
     (hierarchy truncated to level 0), or "dense" (exact softmax, no
     hierarchy). A prebuilt ``structure`` from attention_structure skips
-    the per-call rebuild; it must match ``positions``.
+    the per-call rebuild; one built from other positions raises
+    InvalidInputError.
     """
     config = params.config
     x = np.asarray(x, dtype=np.float64)
@@ -246,8 +246,8 @@ def block_forward(
         raise InvalidInputError(f"positions must be ({n}, 3), got {positions.shape}")
     if not np.all(np.isfinite(x)):
         raise InvalidInputError("x contains non-finite values")
-    if mechanism not in _MECHANISMS:
-        raise InvalidInputError(f"mechanism must be one of {_MECHANISMS}, got {mechanism!r}")
+    if mechanism not in MECHANISMS:
+        raise InvalidInputError(f"mechanism must be one of {MECHANISMS}, got {mechanism!r}")
 
     if mechanism != "dense":
         if structure is None:
@@ -256,6 +256,8 @@ def block_forward(
             raise InvalidInputError(
                 f"structure has {structure.levels[0].n_tokens} tokens, expected {n}"
             )
+        elif not np.array_equal(structure.levels[0].positions, positions):
+            raise InvalidInputError("structure was built for other positions")
         if mechanism == "local":
             structure = truncate(structure, 0)
 
@@ -343,7 +345,7 @@ def save_params(params: GhaBlockParams, path) -> None:
         cfg.n_layers, cfg.model_dim, cfg.ffn_dim, cfg.n_heads,
         cfg.attn_dropout, cfg.ffn_dropout,
         int(cfg.dropout_enabled), int(cfg.positional_every_layer),
-        _EMBED_MODES.index(cfg.embedding_mode), cfg.seed,
+        _MODES.index(cfg.embedding_mode), cfg.seed,
     ))
     buf.write(struct.pack("<B", int(params.embedding is not None)))
     if params.embedding is not None:
@@ -368,14 +370,14 @@ def load_params(path) -> GhaBlockParams:
         attn_dropout, ffn_dropout = raw[4:6]
         dropout_enabled, positional_every_layer, mode_idx = raw[6:9]
         seed = raw[9]
-        if mode_idx >= len(_EMBED_MODES):
+        if mode_idx >= len(_MODES):
             raise FormatError(f"unknown embedding mode code {mode_idx}")
         try:
             config = BlockConfig(
                 n_layers=n_layers, model_dim=model_dim, ffn_dim=ffn_dim, n_heads=n_heads,
                 attn_dropout=attn_dropout, ffn_dropout=ffn_dropout,
                 dropout_enabled=bool(dropout_enabled), seed=seed,
-                embedding_mode=_EMBED_MODES[mode_idx],
+                embedding_mode=_MODES[mode_idx],
                 positional_every_layer=bool(positional_every_layer),
             )
         except ConfigError as e:

@@ -27,6 +27,7 @@ import time
 import numpy as np
 
 from .analysis import (
+    MECHANISMS,
     PROBE_CAP,
     approximation_csv,
     approximation_report,
@@ -38,6 +39,7 @@ from .analysis import (
     scaling_sweep,
 )
 from .attention import (
+    _MODES,
     AttentionInputs,
     dense_attention,
     gha_backward,
@@ -128,7 +130,7 @@ def _add_geometry(p):
 
 def _add_seeded_values(p):
     p.add_argument("--dim", type=int, default=8, help="width of the seeded q/k/v draws")
-    p.add_argument("--embedding", choices=("none", "absolute", "relative"), default="none")
+    p.add_argument("--embedding", choices=_MODES, default="none")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -141,12 +143,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_geometry(p)
     p.add_argument("--output", required=True, help="output features, GPC1 binary")
     p.add_argument("--params", help="GHAB parameter file (else seeded init)")
-    p.add_argument("--mechanism", choices=("gha", "local", "dense"), default="gha")
+    p.add_argument("--mechanism", choices=MECHANISMS, default="gha")
     p.add_argument("--layers", type=int, default=2)
     p.add_argument("--model-dim", type=int, default=32)
     p.add_argument("--ffn-dim", type=int, default=64)
     p.add_argument("--heads", type=int, default=4)
-    p.add_argument("--embedding", choices=("none", "absolute", "relative"), default="relative")
+    p.add_argument("--embedding", choices=_MODES, default="relative")
     p.add_argument("--dropout", type=int, choices=(0, 1), default=0,
                    help="1 enables seeded dropout masks")
     p.add_argument("--attn-dropout", type=float, default=0.1)
@@ -169,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=8)
     p.add_argument("--r", type=int, default=2)
     p.add_argument("--voxel-size", type=float, default=0.05)
-    p.add_argument("--mechanism", choices=("gha", "local", "dense"), default="gha")
+    p.add_argument("--mechanism", choices=MECHANISMS, default="gha")
     p.add_argument("--dim", type=int, default=8)
     p.add_argument("--output", help="CSV path (default: stdout)")
     _add_common(p)
@@ -178,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hist", help="attention mass by pair distance")
     _add_geometry(p)
     _add_seeded_values(p)
-    p.add_argument("--mechanism", choices=("gha", "local", "dense"), default="gha")
+    p.add_argument("--mechanism", choices=MECHANISMS, default="gha")
     p.add_argument("--bins", type=int, default=64)
     p.add_argument("--output", help="CSV path (default: stdout)")
     _add_common(p)

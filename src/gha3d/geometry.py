@@ -8,6 +8,7 @@ order so downstream floating-point reductions are reproducible.
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +18,15 @@ from .errors import InvalidInputError
 
 # Packed voxel keys use 21 bits per axis.
 _VOXEL_COORD_BOUND = 1 << 20
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int if it is one (``operator.index``: 2.5 is refused,
+    not truncated); otherwise InvalidInputError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _freeze(a, dtype=None) -> np.ndarray:
@@ -258,10 +268,15 @@ def farthest_point_sample(cloud: PointCloud, m: int) -> np.ndarray:
 
 
 def fps_from_positions(positions: np.ndarray, m: int) -> np.ndarray:
-    """Farthest point sampling (see ``farthest_point_sample``).
+    """Farthest point sampling (see ``farthest_point_sample``), run in the
+    points' canonical order (see ``_fps_in_order``)."""
+    return _fps_in_order(positions, m, _canonical_order(positions))
 
-    The points are sorted once into canonical (x, y, z, index) order and
-    the whole sample runs in that order. There, ``np.argmax`` returning
+
+def _fps_in_order(positions: np.ndarray, m: int, canon: np.ndarray) -> np.ndarray:
+    """Farthest point sampling given the points' canonical (x, y, z, index)
+    order ``canon`` (a hierarchy level stores it, so a build sorts each level
+    once). The whole sample runs in that order. There, ``np.argmax`` returning
     the first of several equal maxima *is* the tie rule: the first
     candidate has the lexicographically smallest coordinates, then the
     lowest index. Output is mapped back to input indices.
@@ -277,7 +292,6 @@ def fps_from_positions(positions: np.ndarray, m: int) -> np.ndarray:
     if not 1 <= m <= n:
         raise InvalidInputError(f"m must be in [1, {n}], got {m}")
     _check_extent(positions)
-    canon = _canonical_order(positions)
     pts = positions[canon]
 
     # Summing rows in canonical order keeps the start pick (and thus the

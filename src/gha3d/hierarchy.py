@@ -17,11 +17,12 @@ from .errors import InvalidCoarsenError, InvalidInputError
 from .geometry import (
     NeighborhoodTopology,
     _canonical_order,
+    _fps_in_order,
     _freeze,
+    _integer,
     _readonly,
     _voxel_coords,
     deterministic_knn,
-    fps_from_positions,
     kernel_window_topology,
     knn_from_positions,
     pack_voxel_coords,
@@ -188,7 +189,7 @@ def coarsen_point(level: HierarchyLevel, r: int) -> tuple[HierarchyLevel, np.nda
         raise InvalidInputError(f"coarsen ratio must be >= 2, got {r}")
     topo = level.topology
     m = -(-n // r)  # ceil
-    selected = fps_from_positions(level.positions, m)
+    selected = _fps_in_order(level.positions, m, level.order)
 
     parent_of = deterministic_knn(level.positions[selected], level.positions, 1)[:, 0]
     # Keep every parent non-empty even when duplicate positions make several
@@ -309,6 +310,7 @@ def build_hierarchy(
             raise InvalidInputError(f"{name} contains non-finite values")
 
     if flavor == "point":
+        k, r = _integer(k, "k"), _integer(r, "r")
         if k < 1:
             raise InvalidInputError(f"k must be >= 1, got {k}")
         stop_k = k
@@ -392,6 +394,7 @@ def with_values(
 
 def truncate(hierarchy: Hierarchy, depth: int) -> Hierarchy:
     """Drop every level above ``depth``; depth 0 keeps only local attention."""
+    depth = _integer(depth, "depth")
     if not 0 <= depth <= hierarchy.depth:
         raise InvalidInputError(f"depth must be in [0, {hierarchy.depth}], got {depth}")
     kept = list(hierarchy.levels[: depth + 1])

@@ -537,6 +537,16 @@ def test_histogram_coincident_points_degenerate_span():
     assert hist.mass[0] == hist.total_mass  # all pairs at distance zero
 
 
+@pytest.mark.parametrize("n_bins", [2.5, "4", None])
+def test_histogram_rejects_a_non_integer_bin_count(n_bins):
+    rng = np.random.default_rng(43)
+    h = build_hierarchy(rng.normal(size=(6, 3)), *(rng.normal(size=(6, 2)) for _ in range(3)),
+                        flavor="point", k=3, r=2)
+    with pytest.raises(InvalidInputError, match="n_bins must be an integer"):
+        attention_histogram(h, "gha", n_bins=n_bins)
+    assert attention_histogram(h, "gha", n_bins=np.int64(3)).n_bins == 3
+
+
 # ---------------------------------------------------------------------------
 # Locality ratio and approximation report
 # ---------------------------------------------------------------------------
@@ -606,6 +616,14 @@ def test_locality_ratio_hand_case():
 def test_locality_ratio_input_checks():
     with pytest.raises(InvalidInputError):
         locality_ratio(np.zeros((1, 3)), np.ones((1, 1)))
+
+
+@pytest.mark.parametrize("n_extreme", [0, -2, 1.5])
+def test_locality_ratio_rejects_a_bad_extreme_count(n_extreme):
+    # 0 returned nan with a RuntimeWarning, -2 raised a bare ValueError.
+    pos, w = np.random.default_rng(44).uniform(size=(5, 3)), np.full((5, 5), 0.2)
+    with pytest.raises(InvalidInputError, match="n_extreme"):
+        locality_ratio(pos, w, n_extreme=n_extreme)
 
 
 def _pair_cases():

@@ -619,11 +619,48 @@ def max_rel_err(a, f):
 def test_scatter_add_matches_add_at():
     rng = np.random.default_rng(22)
     index = rng.integers(0, 50, size=4000)
-    for values in (rng.normal(size=4000) * 10.0 ** rng.integers(-8, 8, size=4000),
+    for values in (rng.normal(size=(4000, 1)) * 10.0 ** rng.integers(-8, 8, size=(4000, 1)),
                    rng.normal(size=(4000, 3))):
-        want = np.zeros((60,) + values.shape[1:])
+        want = np.zeros((60, values.shape[1]))
         np.add.at(want, index, values)
         np.testing.assert_array_equal(_scatter_add(index, values, 60), want)
+
+
+def test_backward_folds_and_pulls_back_once(monkeypatch):
+    import gha3d.attention as attention_mod
+
+    rng = np.random.default_rng(23)
+    n, d, d_v = 60, 4, 6
+    q, k = rng.normal(size=(n, d)), rng.normal(size=(n, d))
+    h = build_hierarchy(rng.normal(size=(n, 3)), q, k, rng.normal(size=(n, d_v)),
+                        flavor="point", k=4, r=2)
+    assert h.depth >= 3
+    calls, folding = [], []
+    real = {name: getattr(attention_mod, name) for name in ("_fold", "_pull_back", "_scatter_add")}
+
+    def fold(*args):
+        folding.append(True)
+        try:
+            return real["_fold"](*args)
+        finally:
+            folding.pop()
+
+    def scatter(index, values, n_out):
+        calls.append(("fold" if folding else "scatter", values.shape[1]))
+        return real["_scatter_add"](index, values, n_out)
+
+    monkeypatch.setattr(attention_mod, "_fold", fold)
+    monkeypatch.setattr(attention_mod, "_scatter_add", scatter)
+    monkeypatch.setattr(attention_mod, "_pull_back",
+                        lambda *a: calls.append("pull_back") or real["_pull_back"](*a))
+    gha_backward(h, rng.normal(size=(n, d_v)))
+    levels = len(h.levels)
+    assert calls.count("pull_back") == 1
+    # One fold of [dz/d_hat | b] per level, not one for each part.
+    assert calls.count(("fold", d_v + 1)) == levels
+    # Per level one dk and one dv scatter; then one transposed pooling of
+    # [dq | dk | dv] per coarse level.
+    assert len(calls) == 1 + levels + 2 * levels + h.depth
 
 
 def test_backward_zero_cotangent():

@@ -376,6 +376,10 @@ def test_forward_mechanism_validation():
     wrong = attention_structure(pos[:5], flavor="point", k=3, r=2)
     with pytest.raises(InvalidInputError):
         block_forward(x, pos, params, structure=wrong)
+    # Same token count, other positions: once attended over silently.
+    moved = attention_structure(pos + 1.0, flavor="point", k=3, r=2)
+    with pytest.raises(InvalidInputError, match="other positions"):
+        block_forward(x, pos, params, structure=moved)
     for bad in (np.nan, np.inf):
         bad_pos = pos.copy()
         bad_pos[2, 1] = bad

@@ -736,6 +736,43 @@ def test_every_level_stores_its_canonical_order():
             assert b.order is a.order
 
 
+def test_build_sorts_each_level_once(monkeypatch):
+    import gha3d.geometry as geometry_mod
+    import gha3d.hierarchy as hierarchy_mod
+
+    calls = []
+    real = geometry_mod._canonical_order
+
+    def counted(positions):
+        calls.append(positions.shape[0])
+        return real(positions)
+
+    monkeypatch.setattr(geometry_mod, "_canonical_order", counted)
+    monkeypatch.setattr(hierarchy_mod, "_canonical_order", counted)
+    rng = np.random.default_rng(23)
+    pos = np.repeat(rng.uniform(size=(40, 3)), 3, axis=0)
+    h = build_hierarchy(pos, *rand_qkv(rng, 120, 2), flavor="point", k=4, r=2)
+    assert h.depth >= 3
+    # FPS reads the order each level stores instead of sorting again.
+    assert calls == h.level_sizes()
+
+
+@pytest.mark.parametrize("kw", [dict(k=2.5), dict(r=2.5), dict(k="4"), dict(r=None)])
+def test_point_build_rejects_non_integer_k_and_r(kw):
+    rng = np.random.default_rng(24)
+    with pytest.raises(InvalidInputError, match="must be an integer"):
+        build_hierarchy(rng.normal(size=(20, 3)), *rand_qkv(rng, 20, 2), flavor="point", **kw)
+
+
+@pytest.mark.parametrize("depth", [1.5, "1", None])
+def test_truncate_rejects_a_non_integer_depth(depth):
+    rng = np.random.default_rng(25)
+    h = build_hierarchy(rng.normal(size=(20, 3)), *rand_qkv(rng, 20, 2), flavor="point", k=4)
+    with pytest.raises(InvalidInputError, match="depth must be an integer"):
+        truncate(h, depth)
+    assert truncate(h, np.int64(1)).depth == 1
+
+
 @pytest.mark.parametrize("order", [
     [0, 0, 2],  # a repeat, so one token is missing
     [0, 1],  # too short
