@@ -401,9 +401,14 @@ def scaling_sweep(sizes, *, flavor: str = "point", k: int = 8, r: int = 2,
     # Voxel hierarchies always use the 3x3x3 window and stride-2 pooling, so
     # their rows report those instead of the point-flavor k/r arguments.
     eff_k, eff_r = (VOXEL_WINDOW_K, 2) if flavor == "voxel" else (k, r)
+    sizes = [int(n) for n in sizes]
+    if any(n < 1 for n in sizes):
+        raise InvalidInputError(f"every size must be >= 1, got {sizes}")
+    d = _integer(d, "d")
+    if d < 1:
+        raise InvalidInputError(f"d must be >= 1, got {d}")
     rows = []
     for n in sizes:
-        n = int(n)
         pts = substream(seed, "cloud-gen", n).uniform(0.0, 1.0, size=(n, 3))
         if flavor == "voxel":
             grid = voxelize(PointCloud(positions=pts), voxel_size)

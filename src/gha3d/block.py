@@ -144,31 +144,18 @@ def init_params(config: BlockConfig) -> GhaBlockParams:
     """Projections uniform in [-s, s] with s = sqrt(6/(fan_in+fan_out));
     biases zero, LayerNorm gain 1 / shift 0, frequencies standard normal.
     Every draw is pinned to the config seed."""
-    c, c_f = config.model_dim, config.ffn_dim
+    shapes = _layer_shapes(config.model_dim, config.ffn_dim)
     layers = []
     for i in range(config.n_layers):
         rng = substream(config.seed, "params", i)
-        s_proj = xavier_bound(c, c)
-        s_1 = xavier_bound(c, c_f)
-        s_2 = xavier_bound(c_f, c)
-        layers.append(LayerParams(
-            w_q=rng.uniform(-s_proj, s_proj, size=(c, c)),
-            b_q=np.zeros(c),
-            w_k=rng.uniform(-s_proj, s_proj, size=(c, c)),
-            b_k=np.zeros(c),
-            w_v=rng.uniform(-s_proj, s_proj, size=(c, c)),
-            b_v=np.zeros(c),
-            w_o=rng.uniform(-s_proj, s_proj, size=(c, c)),
-            b_o=np.zeros(c),
-            w1=rng.uniform(-s_1, s_1, size=(c, c_f)),
-            b1=np.zeros(c_f),
-            w2=rng.uniform(-s_2, s_2, size=(c_f, c)),
-            b2=np.zeros(c),
-            ln1_gain=np.ones(c),
-            ln1_shift=np.zeros(c),
-            ln2_gain=np.ones(c),
-            ln2_shift=np.zeros(c),
-        ))
+        arrays = {}
+        for name, shape in shapes.items():  # weights drawn in field order
+            if name.startswith("w"):
+                s = xavier_bound(*shape)
+                arrays[name] = rng.uniform(-s, s, size=shape)
+            else:
+                arrays[name] = np.ones(shape) if name.endswith("_gain") else np.zeros(shape)
+        layers.append(LayerParams(**arrays))
     embedding = None
     if config.embedding_mode != "none":
         embedding = make_fourier_embedding(config.head_dim, substream(config.seed, "fourier"))

@@ -254,7 +254,6 @@ def _emit(text: str, output) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_run(args) -> int:
-    _resolve_threads(args)  # validated for a consistent CLI; run itself is single-pass
     positions, coords, feats = _load_tokens(args)
     n = positions.shape[0]
 
@@ -312,10 +311,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    threads = _resolve_threads(args)
     positions, coords, _ = _load_tokens(args)
     h, emb = _seeded_hierarchy(args, positions, coords)
-    report = approximation_report(h, emb, args.embedding, threads=threads)
+    report = approximation_report(h, emb, args.embedding, threads=args.threads)
     _emit(approximation_csv(report), args.output)
     return 0
 
@@ -336,17 +334,15 @@ def cmd_bench(args) -> int:
 
 
 def cmd_hist(args) -> int:
-    threads = _resolve_threads(args)
     positions, coords, _ = _load_tokens(args)
     h, emb = _seeded_hierarchy(args, positions, coords)
     hist = attention_histogram(h, args.mechanism, args.bins, emb, args.embedding,
-                               threads=threads)
+                               threads=args.threads)
     _emit(histogram_csv(hist), args.output)
     return 0
 
 
 def cmd_heatmap(args) -> int:
-    _resolve_threads(args)  # validated for a consistent CLI; the row is one adjoint pass
     positions, coords, _ = _load_tokens(args)
     h, emb = _seeded_hierarchy(args, positions, coords)
     row = effective_attention_row(h, args.query, emb, args.embedding)
@@ -488,6 +484,9 @@ def main(argv=None) -> int:
         return 0 if e.code in (0, None) else 2
 
     try:
+        # Resolved once for every subcommand, so a bad count is a usage error
+        # even where the command itself runs single-threaded.
+        args.threads = _resolve_threads(args)
         return args.func(args)
     except InvariantViolation as e:
         print(f"invariant violation: {e}", file=sys.stderr)

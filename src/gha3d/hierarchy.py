@@ -9,7 +9,9 @@ re-coarsened through the same structure with ``with_values``, which is one
 ``segment_mean`` over each level's pooling map.
 """
 
-from dataclasses import dataclass, replace
+import copy
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -44,6 +46,11 @@ def segment_mean(values: np.ndarray, indptr: np.ndarray, indices: np.ndarray) ->
     return sums / sizes[:, None]
 
 
+def _within(a: np.ndarray, n: int) -> bool:
+    """Every entry of the integer array ``a`` lies in [0, n)."""
+    return bool(np.all((a >= 0) & (a < n)))
+
+
 @dataclass(frozen=True)
 class HierarchyLevel:
     """One resolution of the hierarchy.
@@ -61,10 +68,10 @@ class HierarchyLevel:
     children of cell i in child-cell-coordinate order. Either order is
     independent of token numbering, so equal groups round identically.
 
-    ``order`` is the level's canonical token order (``_canonical_order``
-    of ``positions``), computed here when not given. It is an init field
-    only so that ``dataclasses.replace`` passes it on without sorting
-    again; a given value must be a permutation of the level's tokens.
+    ``order`` is the level's canonical token order, ``_canonical_order``
+    of ``positions``. It is derived here and never passed in, so no level
+    holds another order; levels that share this one's positions are made
+    with ``_shared`` and keep it without sorting again.
     """
 
     level_index: int
@@ -78,16 +85,12 @@ class HierarchyLevel:
     coords: np.ndarray | None = None  # (n_h, 3) int64
     pool_indptr: np.ndarray | None = None  # (n_h + 1,) int64
     pool_indices: np.ndarray | None = None  # int64 into level h-1
-    order: np.ndarray | None = None  # (n_h,) int64, a permutation
+    order: np.ndarray = field(init=False)  # (n_h,) int64
 
     def __post_init__(self):
         for name in ("positions", "q_tilde", "k_tilde", "v_tilde"):
             object.__setattr__(self, name, _freeze(getattr(self, name), np.float64))
-        if self.order is None:
-            object.__setattr__(self, "order", _readonly(_canonical_order(self.positions)))
-        elif np.asarray(self.order).dtype.kind not in "iu":  # the cast would truncate
-            raise InvalidInputError("order must be a permutation given as integers")
-        for name in ("parent_of", "selected", "coords", "pool_indptr", "pool_indices", "order"):
+        for name in ("parent_of", "selected", "coords", "pool_indptr", "pool_indices"):
             val = getattr(self, name)
             if val is not None:
                 object.__setattr__(self, name, _freeze(val, np.int64))
@@ -101,15 +104,21 @@ class HierarchyLevel:
             raise InvalidInputError("pool_indptr and pool_indices must be given together")
         if self.pool_indptr is not None and self.pool_indptr.shape != (n + 1,):
             raise InvalidInputError(f"pool_indptr must have {n + 1} entries")
-        seen = np.zeros(n, dtype=bool)
-        if self.order.shape == (n,) and np.all((self.order >= 0) & (self.order < n)):
-            seen[self.order] = True
-        if self.order.shape != (n,) or not seen.all():
-            raise InvalidInputError(f"order must be a permutation of {n} tokens")
+        object.__setattr__(self, "order", _readonly(_canonical_order(self.positions)))
 
     @property
     def n_tokens(self) -> int:
         return self.positions.shape[0]
+
+
+def _shared(obj, **changes):
+    """A copy of a level or hierarchy with already checked, read-only
+    ``changes`` swapped in: nothing is validated or sorted again, and every
+    other field stays the same object."""
+    out = copy.copy(obj)
+    for name, value in changes.items():
+        object.__setattr__(out, name, value)
+    return out
 
 
 def _pooled_level(level: HierarchyLevel, pool_indptr: np.ndarray, pool_indices: np.ndarray,
@@ -141,13 +150,33 @@ class Hierarchy:
             raise InvalidInputError(f"unknown flavor {self.flavor!r}")
         if not self.levels:
             raise InvalidInputError("hierarchy has no levels")
+        for h, lv in enumerate(self.levels):
+            if lv.level_index != h:
+                raise InvalidInputError(f"level {h} has level_index {lv.level_index}")
         for h in range(len(self.levels) - 1):
-            if self.levels[h + 1].n_tokens >= self.levels[h].n_tokens:
+            fine, coarse = self.levels[h], self.levels[h + 1]
+            if coarse.n_tokens >= fine.n_tokens:
                 raise InvalidInputError("levels must be strictly coarsening")
-            if self.levels[h].parent_of is None:
+            if fine.parent_of is None:
                 raise InvalidInputError(f"level {h} is missing its parent map")
-            if self.levels[h + 1].pool_indptr is None:
+            parent_of = fine.parent_of
+            if parent_of.shape != (fine.n_tokens,) or not _within(parent_of, coarse.n_tokens):
+                raise InvalidInputError(
+                    f"level {h} parent map must give each of its {fine.n_tokens} tokens"
+                    f" a parent in [0, {coarse.n_tokens})"
+                )
+            indptr, indices = coarse.pool_indptr, coarse.pool_indices
+            if indptr is None:
                 raise InvalidInputError(f"level {h + 1} is missing its pooling map")
+            if indptr[0] != 0 or indptr[-1] != indices.shape[0] or np.any(np.diff(indptr) < 1):
+                raise InvalidInputError(
+                    f"level {h + 1} pool_indptr must rise from 0 to {indices.shape[0]}"
+                    " with no empty group"
+                )
+            if not _within(indices, fine.n_tokens):
+                raise InvalidInputError(
+                    f"level {h + 1} pool_indices must lie in [0, {fine.n_tokens})"
+                )
 
     @property
     def depth(self) -> int:
@@ -214,13 +243,27 @@ def coarsen_point(level: HierarchyLevel, r: int) -> tuple[HierarchyLevel, np.nda
     return coarse, parent_of
 
 
-def _coarsen_voxel_by(level: HierarchyLevel, halvings: int) -> tuple[HierarchyLevel, np.ndarray]:
+def _coarsen_voxel(level: HierarchyLevel, reduce: bool) -> tuple[HierarchyLevel, np.ndarray]:
+    """Pool ``level`` at stride 2, or with ``reduce`` at the smallest
+    power-of-two stride that strictly reduces the cell count.
+
+    The strides agree with repeated ``coarsen_voxel``: a non-reducing step
+    maps each cell to its own parent (rows copied unchanged, lex order
+    preserved), so composing those steps with the first reducing one
+    equals pooling once at the combined stride.
+    """
     coords = level.coords
     if coords is None:
         raise InvalidInputError("voxel coarsening requires cell coordinates")
-    parent_coords_all = np.floor_divide(coords, 2**halvings)
-    keys = pack_voxel_coords(parent_coords_all)
-    uniq_keys, first_idx, parent_of = np.unique(keys, return_index=True, return_inverse=True)
+    stride = 2
+    while True:
+        parent_coords_all = np.floor_divide(coords, stride)
+        uniq_keys, first_idx, parent_of = np.unique(
+            pack_voxel_coords(parent_coords_all), return_index=True, return_inverse=True
+        )
+        if not reduce or uniq_keys.shape[0] < level.n_tokens:
+            break
+        stride *= 2
     parent_of = parent_of.astype(np.int64)
     m = uniq_keys.shape[0]
 
@@ -240,25 +283,7 @@ def coarsen_voxel(level: HierarchyLevel) -> tuple[HierarchyLevel, np.ndarray]:
     lexicographically. Returns the coarse level and the fine parent map.
     May leave the count unchanged when no cells share a parent.
     """
-    return _coarsen_voxel_by(level, 1)
-
-
-def _coarsen_voxel_reducing(level: HierarchyLevel) -> tuple[HierarchyLevel, np.ndarray]:
-    """Smallest power-of-two pooling that strictly reduces the cell count.
-
-    Equivalent to repeated ``coarsen_voxel``: a non-reducing step maps each
-    cell to its own parent (rows copied unchanged, lex order preserved), so
-    composing those steps with the first reducing one equals pooling once
-    at the combined stride.
-    """
-    n = level.n_tokens
-    halvings = 1
-    while True:
-        parents = np.floor_divide(level.coords, 2**halvings)
-        if np.unique(pack_voxel_coords(parents)).shape[0] < n:
-            break
-        halvings += 1
-    return _coarsen_voxel_by(level, halvings)
+    return _coarsen_voxel(level, reduce=False)
 
 
 # ---------------------------------------------------------------------------
@@ -309,43 +334,35 @@ def build_hierarchy(
         if not np.all(np.isfinite(mat)):
             raise InvalidInputError(f"{name} contains non-finite values")
 
+    # Each flavor fixes its neighborhood size, ratio, level-0 topology and
+    # coarsening step; one loop then coarsens until a level fits k tokens.
     if flavor == "point":
         k, r = _integer(k, "k"), _integer(r, "r")
         if k < 1:
             raise InvalidInputError(f"k must be >= 1, got {k}")
-        stop_k = k
-        topo = knn_from_positions(positions, k)
-        level = HierarchyLevel(
-            level_index=0, positions=positions, q_tilde=q, k_tilde=k_mat, v_tilde=v, topology=topo
-        )
+        if r < 2:
+            raise InvalidInputError(f"coarsen ratio must be >= 2, got {r}")
+        coords = None  # point levels carry no cells
+        topology = knn_from_positions(positions, k)
+        step = partial(coarsen_point, r=r)
     elif flavor == "voxel":
         if coords is None:
             raise InvalidInputError("voxel flavor requires occupied-cell coords")
         coords = _freeze(_voxel_coords(coords))
         if coords.shape != (n, 3):
             raise InvalidInputError(f"coords must be ({n}, 3), got {coords.shape}")
-        stop_k = VOXEL_WINDOW_K
-        k = VOXEL_WINDOW_K
-        r = 2
-        level = HierarchyLevel(
-            level_index=0,
-            positions=positions,
-            q_tilde=q,
-            k_tilde=k_mat,
-            v_tilde=v,
-            topology=kernel_window_topology(coords),
-            coords=coords,
-        )
+        k, r = VOXEL_WINDOW_K, 2
+        topology = kernel_window_topology(coords)
+        step = partial(_coarsen_voxel, reduce=True)
     else:
         raise InvalidInputError(f"unknown flavor {flavor!r}")
 
+    level = HierarchyLevel(level_index=0, positions=positions, q_tilde=q, k_tilde=k_mat,
+                           v_tilde=v, topology=topology, coords=coords)
     levels = []
-    while level.n_tokens > stop_k:
-        if flavor == "point":
-            coarse, parent_of = coarsen_point(level, r)
-        else:
-            coarse, parent_of = _coarsen_voxel_reducing(level)
-        levels.append(replace(level, parent_of=_readonly(parent_of)))
+    while level.n_tokens > k:
+        coarse, parent_of = step(level)
+        levels.append(_shared(level, parent_of=_readonly(parent_of)))
         level = coarse
     levels.append(level)
     return Hierarchy(flavor=flavor, neighborhood_k=k, coarsen_ratio=r, levels=tuple(levels))
@@ -376,20 +393,14 @@ def with_values(
         base = hierarchy.levels[0]
         _check_qk_width(new_rows.get("q_tilde", base.q_tilde), new_rows.get("k_tilde", base.k_tilde))
 
-    levels = []
-    current = dict(new_rows)
-    for h, lv in enumerate(hierarchy.levels):
-        levels.append(replace(lv, **current) if current else lv)
-        if h == hierarchy.depth or not current:
-            # Coarser values are unchanged when nothing is replaced.
-            levels.extend(hierarchy.levels[h + 1 :])
-            break
-        nxt = hierarchy.levels[h + 1]
-        current = {
-            name: _readonly(segment_mean(mat, nxt.pool_indptr, nxt.pool_indices))
-            for name, mat in current.items()
-        }
-    return replace(hierarchy, levels=tuple(levels))
+    if not new_rows:
+        return hierarchy
+    levels = [_shared(hierarchy.levels[0], **new_rows)]
+    for lv in hierarchy.levels[1:]:  # each coarser level pools the one below
+        new_rows = {name: _readonly(segment_mean(mat, lv.pool_indptr, lv.pool_indices))
+                    for name, mat in new_rows.items()}
+        levels.append(_shared(lv, **new_rows))
+    return _shared(hierarchy, levels=tuple(levels))
 
 
 def truncate(hierarchy: Hierarchy, depth: int) -> Hierarchy:
@@ -397,9 +408,8 @@ def truncate(hierarchy: Hierarchy, depth: int) -> Hierarchy:
     depth = _integer(depth, "depth")
     if not 0 <= depth <= hierarchy.depth:
         raise InvalidInputError(f"depth must be in [0, {hierarchy.depth}], got {depth}")
-    kept = list(hierarchy.levels[: depth + 1])
-    kept[-1] = replace(kept[-1], parent_of=None)
-    return replace(hierarchy, levels=tuple(kept))
+    top = _shared(hierarchy.levels[depth], parent_of=None)
+    return _shared(hierarchy, levels=(*hierarchy.levels[:depth], top))
 
 
 def interpolate(values: np.ndarray, from_level: int, hierarchy: Hierarchy) -> np.ndarray:

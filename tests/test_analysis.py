@@ -746,6 +746,13 @@ def test_scaling_sweep_rejects_unknown_mechanism():
         scaling_sweep([16], mechanism="exact")
 
 
+@pytest.mark.parametrize("kw", [dict(sizes=[32, -5]), dict(sizes=[0]), dict(sizes=[16], d=0),
+                                dict(sizes=[16], d=-2), dict(sizes=[16], d=2.5)])
+def test_scaling_sweep_rejects_bad_sizes_and_widths(kw):
+    with pytest.raises(InvalidInputError, match="size|d must"):
+        scaling_sweep(kw.pop("sizes"), mechanism="dense", **kw)
+
+
 # ---------------------------------------------------------------------------
 # CSV emission
 # ---------------------------------------------------------------------------

@@ -313,6 +313,29 @@ def test_bad_threads_env_is_usage_error(cloud_file, monkeypatch, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["run", "compare", "bench", "hist", "heatmap", "selftest"])
+def test_every_subcommand_rejects_a_bad_thread_count(command, cloud_file, tmp_path, monkeypatch,
+                                                     capsys):
+    """Threads are resolved before any subcommand runs, including those
+    that run single-threaded: a bad count is a usage error everywhere."""
+    argv = {
+        "run": ["run", "--input", cloud_file, "--output", str(tmp_path / "z.gpc")],
+        "compare": ["compare", "--input", cloud_file, "--k", "4"],
+        "bench": ["bench", "--sizes", "200"],
+        "hist": ["hist", "--input", cloud_file, "--k", "4"],
+        "heatmap": ["heatmap", "--input", cloud_file, "--k", "4"],
+        "selftest": ["selftest"],
+    }[command]
+    for bad in ("0", "-3"):
+        assert main(argv + ["--threads", bad]) == 2
+        assert "threads must be >= 1" in capsys.readouterr().err
+    monkeypatch.setenv("GHA_THREADS", "many")
+    assert main(argv) == 2
+    assert "GHA_THREADS must be an integer" in capsys.readouterr().err
+    assert main(argv + ["--threads", "1"]) == 0  # an explicit flag wins over the variable
+    capsys.readouterr()
+
+
 # ---------------------------------------------------------------------------
 # selftest
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from gha3d.geometry import (
     NeighborhoodTopology,
     PointCloud,
     SparseVoxelGrid,
+    _canonical_order,
     kernel_window_topology,
     knn_from_positions,
 )
@@ -391,6 +392,83 @@ def test_pooling_map_reproduces_every_coarse_level(case):
                   levels=(h.levels[0], stripped, *h.levels[2:]))
 
 
+def _swap_level(h, index, **changes):
+    levels = list(h.levels)
+    levels[index] = replace(levels[index], **changes)
+    return dict(flavor=h.flavor, neighborhood_k=h.neighborhood_k, coarsen_ratio=h.coarsen_ratio,
+                levels=tuple(levels))
+
+
+@pytest.fixture(scope="module")
+def small_point_hierarchy():
+    rng = np.random.default_rng(27)
+    h = build_hierarchy(rng.uniform(size=(60, 3)), *rand_qkv(rng, 60, 2), flavor="point", k=4)
+    assert h.depth >= 3
+    return h
+
+
+def test_hierarchy_rejects_a_level_index_out_of_place(small_point_hierarchy):
+    h = small_point_hierarchy
+    with pytest.raises(InvalidInputError, match="level_index"):
+        Hierarchy(**_swap_level(h, 2, level_index=7))
+
+
+@pytest.mark.parametrize("case", ["negative", "too_large", "short", "two_d"])
+def test_hierarchy_rejects_a_bad_parent_map(small_point_hierarchy, case):
+    h = small_point_hierarchy
+    parent_of = h.levels[1].parent_of.copy()
+    n_coarse = h.levels[2].n_tokens
+    if case == "negative":
+        parent_of[3] = -1  # would wrap to the last coarse token
+    elif case == "too_large":
+        parent_of[3] = 10**6
+    elif case == "short":
+        parent_of = parent_of[:-1]
+    else:
+        parent_of = parent_of[:, None]
+    with pytest.raises(InvalidInputError, match=rf"parent in \[0, {n_coarse}\)"):
+        Hierarchy(**_swap_level(h, 1, parent_of=parent_of))
+
+
+@pytest.mark.parametrize("case", ["not_zero_based", "empty_group", "decreasing", "short_end",
+                                  "long_end"])
+def test_hierarchy_rejects_a_bad_pool_indptr(small_point_hierarchy, case):
+    h = small_point_hierarchy
+    indptr, indices = h.levels[2].pool_indptr.copy(), h.levels[2].pool_indices
+    if case == "not_zero_based":
+        indptr[0] = 1
+    elif case == "empty_group":
+        indptr[2] = indptr[1]  # segment_mean would divide by zero
+    elif case == "decreasing":
+        indptr[2] = indptr[1] - 1
+    elif case == "short_end":
+        indptr[-1] -= 1
+    else:
+        indptr[-1] += 1
+    with pytest.raises(InvalidInputError, match="pool_indptr must rise"):
+        Hierarchy(**_swap_level(h, 2, pool_indptr=indptr, pool_indices=indices))
+
+
+@pytest.mark.parametrize("bad", [-1, "n_fine"])
+def test_hierarchy_rejects_pool_indices_out_of_range(small_point_hierarchy, bad):
+    h = small_point_hierarchy
+    indices = h.levels[2].pool_indices.copy()
+    n_fine = h.levels[1].n_tokens
+    indices[4] = n_fine if bad == "n_fine" else bad
+    with pytest.raises(InvalidInputError, match=rf"pool_indices must lie in \[0, {n_fine}\)"):
+        Hierarchy(**_swap_level(h, 2, pool_indices=indices))
+    # The untouched structure still passes every check.
+    assert Hierarchy(**_swap_level(h, 2)).level_sizes() == h.level_sizes()
+
+
+@pytest.mark.parametrize("r", [1, 0, -3])
+def test_point_build_checks_the_ratio_up_front(r):
+    """A ratio below 2 is refused even when N <= k leaves nothing to coarsen."""
+    rng = np.random.default_rng(28)
+    with pytest.raises(InvalidInputError, match="coarsen ratio must be >= 2"):
+        build_hierarchy(rng.normal(size=(3, 3)), *rand_qkv(rng, 3, 2), flavor="point", k=8, r=r)
+
+
 # ---------------------------------------------------------------------------
 # with_values / truncate / interpolate
 # ---------------------------------------------------------------------------
@@ -730,10 +808,13 @@ def test_every_level_stores_its_canonical_order():
 
     # Rebuilt hierarchies carry each order on, as the same object.
     q2, k2, v2 = rand_qkv(rng, 300, 3)
-    for derived in (with_values(point, q=q2, k=k2, v=v2), with_values(point, v=v2),
-                    truncate(point, 2)):
-        for a, b in zip(point.levels, derived.levels):
+    vq2 = rng.normal(size=vq.shape)
+    for source, derived in ((point, with_values(point, q=q2, k=k2, v=v2)),
+                            (point, with_values(point, v=v2)), (point, truncate(point, 2)),
+                            (voxel, with_values(voxel, q=vq2)), (voxel, truncate(voxel, 0))):
+        for a, b in zip(source.levels, derived.levels):
             assert b.order is a.order
+            np.testing.assert_array_equal(b.order, _canonical_order(b.positions))
 
 
 def test_build_sorts_each_level_once(monkeypatch):
@@ -755,6 +836,46 @@ def test_build_sorts_each_level_once(monkeypatch):
     assert h.depth >= 3
     # FPS reads the order each level stores instead of sorting again.
     assert calls == h.level_sizes()
+    # Derived hierarchies share every level's order: nothing sorts again.
+    calls.clear()
+    q2, k2, v2 = rand_qkv(rng, 120, 3)
+    with_values(h, q=q2, k=k2, v=v2)
+    with_values(h, v=v2)
+    truncate(h, 1)
+    truncate(h, h.depth)
+    assert calls == []
+
+
+def test_voxel_build_probes_each_stride_once(monkeypatch):
+    """The stride probe's ``np.unique`` also gives the pooling its parents:
+    one call per probed stride, none repeated for the chosen one."""
+    import gha3d.hierarchy as hierarchy_mod
+
+    rng = np.random.default_rng(26)
+    # Cells 4 apart: stride 2 does not reduce level 0, so its probe runs
+    # at least twice.
+    coords = np.unique(rng.integers(-12, 12, size=(500, 3)), axis=0) * 4
+    n = coords.shape[0]
+    calls = []
+    real = np.unique
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hierarchy_mod.np, "unique", counted)
+    h = build_hierarchy(coords + 0.5, *rand_qkv(rng, n, 2), flavor="voxel", coords=coords)
+    monkeypatch.undo()
+    probed = 0
+    for fine in h.levels[:-1]:
+        stride = 2
+        while True:
+            probed += 1
+            if len({tuple(c) for c in np.floor_divide(fine.coords, stride)}) < fine.n_tokens:
+                break
+            stride *= 2
+    assert h.depth >= 2 and probed > h.depth
+    assert len(calls) == probed
 
 
 @pytest.mark.parametrize("kw", [dict(k=2.5), dict(r=2.5), dict(k="4"), dict(r=None)])
@@ -780,10 +901,17 @@ def test_truncate_rejects_a_non_integer_depth(depth):
     [-1, 0, 1],
     [[0, 1, 2]],
     [0.0, 2.7, 1.0],  # would truncate to the permutation [0, 2, 1]
+    [2, 0, 1],  # a permutation, but not the canonical one
 ])
 def test_level_rejects_an_order_that_is_not_a_permutation(order):
+    """The order is derived from the positions, never given: the
+    constructor has no such parameter, so no level holds another order."""
     rng = np.random.default_rng(22)
-    level = make_point_level(rng.normal(size=(3, 3)), *rand_qkv(rng, 3, 2), k=2)
-    with pytest.raises(InvalidInputError, match="permutation"):
+    pos, (q, k_mat, v) = rng.normal(size=(3, 3)), rand_qkv(rng, 3, 2)
+    with pytest.raises(TypeError, match="order"):
+        HierarchyLevel(level_index=0, positions=pos, q_tilde=q, k_tilde=k_mat, v_tilde=v,
+                       topology=knn_from_positions(pos, 2), order=np.array(order))
+    level = make_point_level(pos, q, k_mat, v, k=2)
+    with pytest.raises(ValueError, match="order"):
         replace(level, order=np.array(order))
-    assert replace(level, order=np.array([2, 0, 1])).order.tolist() == [2, 0, 1]
+    np.testing.assert_array_equal(level.order, _canonical_order(pos))
