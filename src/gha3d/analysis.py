@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import (
+    MECHANISMS,
     AttentionInputs,
     _bounded_spans,
     _dense_softmax_chunks,
@@ -30,18 +31,15 @@ from .attention import (
     _value_cotangent,
     dense_attention,
     gha_forward,
-    positional_table,
 )
 from .errors import CapacityError, InvalidInputError, InvariantViolation
-from .geometry import PointCloud, _integer, voxelize
+from .geometry import PointCloud, _checked, _integer, voxelize
 from .hierarchy import VOXEL_WINDOW_K, Hierarchy, build_hierarchy, truncate
 from .seeding import substream
 
 # An N x N weight matrix costs O(N^2) time and memory; beyond this many
 # tokens it is refused rather than silently paid.
 PROBE_CAP = 4096
-
-MECHANISMS = ("gha", "local", "dense")
 
 
 def _map_ordered(fn, items, threads: int):
@@ -78,20 +76,11 @@ def _effective_rows(hierarchy: Hierarchy, forward, queries: np.ndarray) -> np.nd
                                   for lv, cache, fold in folds]).T
 
 
-def effective_attention(hierarchy: Hierarchy, embedding=None, embedding_mode: str = "none",
-                        *, threads: int = 1, table=None) -> np.ndarray:
-    """(N, N) matrix of effective weights each query puts on each token.
-
-    Row i lists the convex weights behind z_i: nonnegative, summing to 1,
-    and bitwise ``effective_attention_row(hierarchy, i)``. One forward pass
-    serves row blocks whose heights bound the level-0 edges-by-rows
-    temporaries; blocks are independent, so threads never change a bit.
-    ``table`` is an optional prebuilt ``positional_table``, as in
-    ``gha_forward``.
-    """
+def _weight_matrix(hierarchy: Hierarchy, forward, threads: int) -> np.ndarray:
+    """Every row of W from one cached ``forward``, in row blocks whose
+    heights bound the level-0 edges-by-rows temporaries; blocks are
+    independent, so threads never change a bit."""
     n = hierarchy.levels[0].n_tokens
-    _check_matrix_cap(n)
-    forward = _forward_core(hierarchy, embedding, embedding_mode, want_cache=True, table=table)
     out = np.empty((n, n), dtype=np.float64)
 
     def rows(span):
@@ -99,6 +88,19 @@ def effective_attention(hierarchy: Hierarchy, embedding=None, embedding_mode: st
 
     _map_ordered(rows, _bounded_spans(n, hierarchy.levels[0].topology.total_edges), threads)
     return out
+
+
+def effective_attention(hierarchy: Hierarchy, embedding=None, embedding_mode: str = "none",
+                        *, threads: int = 1) -> np.ndarray:
+    """(N, N) matrix of effective weights each query puts on each token.
+
+    Row i lists the convex weights behind z_i: nonnegative, summing to 1,
+    and bitwise ``effective_attention_row(hierarchy, i)``. One forward pass
+    serves every row; ``threads`` never changes a bit.
+    """
+    _check_matrix_cap(hierarchy.levels[0].n_tokens)
+    forward = _forward_core(hierarchy, embedding, embedding_mode, want_cache=True)
+    return _weight_matrix(hierarchy, forward, threads)
 
 
 def effective_attention_row(hierarchy: Hierarchy, i: int, embedding=None,
@@ -191,14 +193,9 @@ def neighborhood_radius(hierarchy: Hierarchy) -> float:
 def _pair_inputs(positions, weights) -> tuple:
     """Finite (n, 3) positions and finite (n, n) weights as float64 arrays;
     anything else raises InvalidInputError."""
-    positions = np.asarray(positions, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    if positions.ndim != 2 or positions.shape[1] != 3 or weights.shape != (len(positions),) * 2:
-        raise InvalidInputError("need (n, 3) positions and (n, n) weights, got "
-                                f"{positions.shape} and {weights.shape}")
-    if not (np.all(np.isfinite(positions)) and np.all(np.isfinite(weights))):
-        raise InvalidInputError("positions and weights must be finite")
-    return positions, weights
+    positions = _checked(positions, "positions", (None, 3))
+    n = positions.shape[0]
+    return positions, _checked(weights, "weights", (n, n))
 
 
 def mass_beyond_radius(positions: np.ndarray, weights: np.ndarray, radius: float) -> float:
@@ -293,8 +290,8 @@ def approximation_report(hierarchy: Hierarchy, embedding=None, embedding_mode: s
     lv = hierarchy.levels[0]
     n = lv.n_tokens
     _check_matrix_cap(n)
-    table = positional_table(hierarchy, embedding, embedding_mode)  # one for both gha passes
-    gha = gha_forward(hierarchy, embedding, embedding_mode, table)
+    forward = _forward_core(hierarchy, embedding, embedding_mode, want_cache=True)
+    gha = forward[0]  # the one pass serves z here and the weights below
     dense = dense_attention(AttentionInputs(
         q=lv.q_tilde, k=lv.k_tilde, v=lv.v_tilde, positions=lv.positions,
         embedding=embedding, embedding_mode=embedding_mode,
@@ -302,8 +299,7 @@ def approximation_report(hierarchy: Hierarchy, embedding=None, embedding_mode: s
     diff = np.linalg.norm(gha.z - dense.z, axis=1)
     ref = np.linalg.norm(dense.z, axis=1)
     rel = diff / np.maximum(ref, np.finfo(np.float64).tiny)
-    weights = effective_attention(hierarchy, embedding, embedding_mode, threads=threads,
-                                  table=table)
+    weights = _weight_matrix(hierarchy, forward, threads)
     worst = np.max(np.abs(weights.sum(axis=1) - 1.0))
     if weights.min() < 0.0 or worst > 1e-10:
         raise InvariantViolation(
@@ -513,12 +509,8 @@ def scaling_csv(report: ScalingReport) -> str:
 
 def heatmap_csv(positions: np.ndarray, weights: np.ndarray) -> str:
     """CSV rows (x, y, z, weight): one query's effective weight per token."""
-    positions = np.asarray(positions, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (positions.shape[0],):
-        raise InvalidInputError(
-            f"need one weight per token, got {weights.shape} for {positions.shape[0]} tokens"
-        )
+    positions = _checked(positions, "positions", (None, 3))
+    weights = _checked(weights, "weights", (positions.shape[0],))
     buf, w = _writer()
     w.writerow(["x", "y", "z", "weight"])
     for p, wt in zip(positions, weights):

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError
-from .geometry import _freeze, _readonly
+from .geometry import _checked, _freeze, _readonly
 from .hierarchy import Hierarchy
 
 
@@ -39,11 +39,9 @@ class FourierEmbedding:
     frequencies: np.ndarray  # (m, 3) float64
 
     def __post_init__(self):
-        f = _freeze(self.frequencies, np.float64)
-        if f.ndim != 2 or f.shape[1] != 3 or f.shape[0] < 1:
-            raise InvalidInputError(f"frequencies must be (m, 3) with m >= 1, got {f.shape}")
-        if not np.all(np.isfinite(f)):
-            raise InvalidInputError("frequencies contain non-finite values")
+        f = _freeze(_checked(self.frequencies, "frequencies", (None, 3)))
+        if f.shape[0] < 1:
+            raise InvalidInputError("frequencies must hold at least one row")
         object.__setattr__(self, "frequencies", f)
 
     @property
@@ -67,15 +65,12 @@ def make_fourier_embedding(d: int, rng: np.random.Generator) -> FourierEmbedding
 
 def fourier_embed(emb: FourierEmbedding, p) -> np.ndarray:
     """Embed a single 3-vector; components interleave cos, sin per frequency."""
-    p = np.asarray(p, dtype=np.float64).reshape(3)
-    return embed_points(emb, p[None, :])[0]
+    return embed_points(emb, _checked(p, "p", (3,))[None, :])[0]
 
 
 def embed_points(emb: FourierEmbedding, pts: np.ndarray) -> np.ndarray:
     """Vectorized gamma over rows of an (n, 3) array -> (n, 2m)."""
-    pts = np.asarray(pts, dtype=np.float64)
-    if not np.all(np.isfinite(pts)):
-        raise InvalidInputError("positions contain non-finite values")
+    pts = _checked(pts, "points", (None, 3))
     angles = (2.0 * np.pi) * (pts @ emb.frequencies.T)
     out = np.empty((angles.shape[0], 2 * emb.m), dtype=np.float64)
     out[:, 0::2] = np.cos(angles)
@@ -85,6 +80,10 @@ def embed_points(emb: FourierEmbedding, pts: np.ndarray) -> np.ndarray:
 
 # A mode's index here is its code in the GHAB parameter file.
 _MODES = ("none", "absolute", "relative")
+
+# The kernels a block or an analysis selects by name: the hierarchical
+# forward, its level-0 truncation, and the dense reference.
+MECHANISMS = ("gha", "local", "dense")
 
 
 def _check_mode(embedding, embedding_mode: str, d: int | None) -> None:
@@ -114,23 +113,15 @@ class AttentionInputs:
     embedding_mode: str = "none"
 
     def __post_init__(self):
-        arrs = {}
-        for name in ("q", "k", "v", "positions"):
-            a = np.ascontiguousarray(np.asarray(getattr(self, name), dtype=np.float64))
-            if not np.all(np.isfinite(a)):
-                raise InvalidInputError(f"{name} contains non-finite values")
-            arrs[name] = a
-            object.__setattr__(self, name, a)
-        q, k, v, pos = arrs["q"], arrs["k"], arrs["v"], arrs["positions"]
-        if q.ndim != 2 or q.shape[1] < 1 or q.shape[0] < 1:
+        q = _checked(self.q, "q", (None, None))
+        n, d = q.shape
+        if n < 1 or d < 1:
             raise InvalidInputError(f"q must be (N, d) with N, d >= 1, got {q.shape}")
-        if k.shape != q.shape or v.shape != q.shape:
-            raise InvalidInputError(
-                f"q, k, v shapes must agree, got {q.shape}, {k.shape}, {v.shape}"
-            )
-        if pos.shape != (q.shape[0], 3):
-            raise InvalidInputError(f"positions must be ({q.shape[0]}, 3), got {pos.shape}")
-        _check_mode(self.embedding, self.embedding_mode, q.shape[1])
+        checked = {"q": q, "k": _checked(self.k, "k", q.shape), "v": _checked(self.v, "v", q.shape),
+                   "positions": _checked(self.positions, "positions", (n, 3))}
+        for name, a in checked.items():
+            object.__setattr__(self, name, np.ascontiguousarray(a))
+        _check_mode(self.embedding, self.embedding_mode, d)
 
     @property
     def n_tokens(self) -> int:
@@ -495,11 +486,7 @@ def gha_backward(hierarchy: Hierarchy, dz: np.ndarray,
     level0 = hierarchy.levels[0]
     n, d = level0.q_tilde.shape
     d_v = level0.v_tilde.shape[1]
-    dz = np.asarray(dz, dtype=np.float64)
-    if dz.shape != (n, d_v):
-        raise InvalidInputError(f"dz must be ({n}, {d_v}), got {dz.shape}")
-    if not np.all(np.isfinite(dz)):
-        raise InvalidInputError("dz contains non-finite values")
+    dz = _checked(dz, "dz", (n, d_v))
     scale = math.sqrt(d)
 
     result, caches, d_hat, m_q = _forward_core(hierarchy, embedding, embedding_mode,

@@ -14,9 +14,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .analysis import MECHANISMS
 from .attention import (
     _MODES,
+    MECHANISMS,
     AttentionInputs,
     FourierEmbedding,
     dense_attention,
@@ -25,6 +25,7 @@ from .attention import (
     positional_table,
 )
 from .errors import ConfigError, FormatError, InvalidInputError, UnsupportedVersionError
+from .geometry import _checked
 from .hierarchy import Hierarchy, build_hierarchy, truncate, with_values
 from .seeding import substream
 
@@ -119,14 +120,8 @@ class GhaBlockParams:
             )
         shapes = _layer_shapes(cfg.model_dim, cfg.ffn_dim)
         for i, lp in enumerate(self.layers):
-            for name in _LAYER_FIELDS:
-                a = getattr(lp, name)
-                if a.shape != shapes[name]:
-                    raise InvalidInputError(
-                        f"layer {i} {name}: expected shape {shapes[name]}, got {a.shape}"
-                    )
-                if not np.all(np.isfinite(a)):
-                    raise InvalidInputError(f"layer {i} {name} contains non-finite values")
+            for name, shape in shapes.items():
+                _checked(getattr(lp, name), f"layer {i} {name}", shape)
         if cfg.embedding_mode != "none":
             if self.embedding is None:
                 raise InvalidInputError("config requires a positional embedding")
@@ -190,7 +185,7 @@ def attention_structure(
 
     Building it once and passing it in amortizes the sampling/topology cost
     across calls (and gives access to level sizes and edge counts)."""
-    positions = np.asarray(positions, dtype=np.float64)
+    positions = _checked(positions, "positions", (None, 3))
     placeholder = np.zeros((positions.shape[0], 1))
     return build_hierarchy(
         positions, placeholder, placeholder, placeholder,
@@ -224,15 +219,9 @@ def block_forward(
     InvalidInputError.
     """
     config = params.config
-    x = np.asarray(x, dtype=np.float64)
-    positions = np.asarray(positions, dtype=np.float64)
+    x = _checked(x, "x", (None, config.model_dim))
     n = x.shape[0]
-    if x.ndim != 2 or x.shape[1] != config.model_dim:
-        raise InvalidInputError(f"x must be (n, {config.model_dim}), got {x.shape}")
-    if positions.shape != (n, 3):
-        raise InvalidInputError(f"positions must be ({n}, 3), got {positions.shape}")
-    if not np.all(np.isfinite(x)):
-        raise InvalidInputError("x contains non-finite values")
+    positions = _checked(positions, "positions", (n, 3))
     if mechanism not in MECHANISMS:
         raise InvalidInputError(f"mechanism must be one of {MECHANISMS}, got {mechanism!r}")
 

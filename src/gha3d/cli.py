@@ -27,8 +27,7 @@ import time
 import numpy as np
 
 from .analysis import (
-    MECHANISMS,
-    PROBE_CAP,
+    _check_matrix_cap,
     approximation_csv,
     approximation_report,
     attention_histogram,
@@ -40,6 +39,7 @@ from .analysis import (
 )
 from .attention import (
     _MODES,
+    MECHANISMS,
     AttentionInputs,
     dense_attention,
     gha_backward,
@@ -279,10 +279,8 @@ def cmd_run(args) -> int:
             f"input features are {feats.shape[1]} wide but the block needs {c}"
         )
 
-    if args.mechanism == "dense" and n > PROBE_CAP:
-        raise CapacityError(
-            f"dense mechanism on {n} tokens exceeds the cap of {PROBE_CAP}"
-        )
+    if args.mechanism == "dense":
+        _check_matrix_cap(n, "dense")
 
     t0 = time.perf_counter()
     structure = None

@@ -44,6 +44,30 @@ def _freeze(a, dtype=None) -> np.ndarray:
     return out
 
 
+def _checked(a, name: str, shape: tuple) -> np.ndarray:
+    """A caller's array as float64, checked: it must be real and numeric,
+    ``shape`` gives the size of each axis (an int that must match, or None
+    for any size), and every entry must be finite. Anything else raises
+    InvalidInputError. Every public entry point reads its caller's float
+    arrays through here; a float64 array comes back as is."""
+    try:
+        out = np.asarray(a)
+        if out.dtype.kind == "c":  # the cast would drop the imaginary parts
+            raise TypeError(f"complex dtype {out.dtype}")
+        out = out.astype(np.float64, copy=False)
+    except (TypeError, ValueError) as e:
+        raise InvalidInputError(f"{name} must be a real numeric array: {e}") from None
+    if out.ndim != len(shape):
+        raise InvalidInputError(f"{name} must be {len(shape)}-D, got shape {out.shape}")
+    for axis, (want, got) in enumerate(zip(shape, out.shape)):
+        if want is not None and want != got:
+            what = "length" if len(shape) == 1 else ("row count" if axis == 0 else "width")
+            raise InvalidInputError(f"{name} must have {what} {want}, got shape {out.shape}")
+    if not np.all(np.isfinite(out)):
+        raise InvalidInputError(f"{name} contains non-finite values")
+    return out
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     """Mark an array the package just made read-only, in place."""
     a.flags.writeable = False
@@ -58,21 +82,13 @@ class PointCloud:
     features: np.ndarray | None = None  # (N, d) float64
 
     def __post_init__(self):
-        pos = _freeze(self.positions, np.float64)
-        if pos.ndim != 2 or pos.shape[1] != 3 or pos.shape[0] < 1:
-            raise InvalidInputError(f"positions must be (N, 3) with N >= 1, got {pos.shape}")
-        if not np.all(np.isfinite(pos)):
-            raise InvalidInputError("positions contain non-finite values")
+        pos = _freeze(_checked(self.positions, "positions", (None, 3)))
+        if pos.shape[0] < 1:
+            raise InvalidInputError("positions must hold at least one point")
         object.__setattr__(self, "positions", pos)
         if self.features is not None:
-            feats = _freeze(self.features, np.float64)
-            if feats.ndim != 2 or feats.shape[0] != pos.shape[0]:
-                raise InvalidInputError(
-                    f"features must have {pos.shape[0]} rows, got shape {feats.shape}"
-                )
-            if not np.all(np.isfinite(feats)):
-                raise InvalidInputError("features contain non-finite values")
-            object.__setattr__(self, "features", feats)
+            feats = _checked(self.features, "features", (pos.shape[0], None))
+            object.__setattr__(self, "features", _freeze(feats))
 
     @property
     def n_points(self) -> int:
@@ -500,13 +516,13 @@ def load_point_cloud_binary(path) -> PointCloud:
 
 
 def save_point_cloud_binary(path, positions: np.ndarray, features: np.ndarray | None) -> None:
-    positions = np.asarray(positions, dtype=np.float64)
-    n = positions.shape[0]
-    if features is None:
-        features = np.empty((n, 0))
-    features = np.asarray(features, dtype=np.float64)
+    """Write a GPC1 file. The points are checked as a ``PointCloud`` first,
+    so bad input raises InvalidInputError before the file is opened."""
+    cloud = PointCloud(positions=positions, features=features)
+    n = cloud.n_points
+    features = np.empty((n, 0)) if cloud.features is None else cloud.features
     d = features.shape[1]
-    rows = np.hstack([positions, features]).astype("<f4")
+    rows = np.hstack([cloud.positions, features]).astype("<f4")
     with open(path, "wb") as f:
         f.write(GPC_MAGIC)
         f.write(np.asarray([n, d], dtype="<u4").tobytes())

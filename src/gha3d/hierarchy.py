@@ -19,6 +19,7 @@ from .errors import InvalidCoarsenError, InvalidInputError
 from .geometry import (
     NeighborhoodTopology,
     _canonical_order,
+    _checked,
     _fps_in_order,
     _freeze,
     _integer,
@@ -290,12 +291,12 @@ def coarsen_voxel(level: HierarchyLevel) -> tuple[HierarchyLevel, np.ndarray]:
 # Construction
 # ---------------------------------------------------------------------------
 
-def _check_qk_width(q: np.ndarray, k: np.ndarray) -> None:
-    """q and k are scored against each other: one shared width of at least 1."""
-    if q.ndim != 2 or k.ndim != 2 or q.shape[1] != k.shape[1] or q.shape[1] < 1:
-        raise InvalidInputError(
-            f"q and k need one shared width >= 1, got shapes {q.shape} and {k.shape}"
-        )
+def _qk_width(q: np.ndarray) -> int:
+    """The width of a checked q, which k must share: q and k are scored
+    against each other, so it is at least 1."""
+    if q.shape[1] < 1:
+        raise InvalidInputError(f"q and k need one shared width >= 1, got q of shape {q.shape}")
+    return q.shape[1]
 
 
 def build_hierarchy(
@@ -318,21 +319,13 @@ def build_hierarchy(
     topologies and stride-2 pooling, folding consecutive non-reducing
     halvings into one level so every recorded level strictly shrinks.
     """
-    # Read-only copies of writeable inputs: the caller's own arrays stay
-    # writeable without reaching into the built structure.
-    positions = _freeze(positions, np.float64)
-    q = _freeze(q, np.float64)
-    k_mat = _freeze(k_mat, np.float64)
-    v = _freeze(v, np.float64)
+    positions = _checked(positions, "positions", (None, 3))
     n = positions.shape[0]
     if n < 1:
         raise InvalidInputError("need at least one token")
-    _check_qk_width(q, k_mat)
-    if q.shape[0] != n or k_mat.shape[0] != n or v.shape[0] != n:
-        raise InvalidInputError("q/k/v row counts must match positions")
-    for name, mat in (("positions", positions), ("q", q), ("k", k_mat), ("v", v)):
-        if not np.all(np.isfinite(mat)):
-            raise InvalidInputError(f"{name} contains non-finite values")
+    q = _checked(q, "q", (n, None))
+    k_mat = _checked(k_mat, "k", (n, _qk_width(q)))
+    v = _checked(v, "v", (n, None))
 
     # Each flavor fixes its neighborhood size, ratio, level-0 topology and
     # coarsening step; one loop then coarsens until a level fits k tokens.
@@ -379,19 +372,17 @@ def with_values(
     Only the matrices passed are replaced; geometry, topologies, parent
     and pooling maps are shared with the input hierarchy.
     """
-    n = hierarchy.n_tokens
+    n, d = hierarchy.levels[0].q_tilde.shape
     new_rows = {}
-    for name, mat in (("q_tilde", q), ("k_tilde", k), ("v_tilde", v)):
-        if mat is not None:
-            mat = _freeze(mat, np.float64)  # a read-only copy unless already read-only
-            if mat.ndim != 2 or mat.shape[0] != n:
-                raise InvalidInputError(f"replacement {name} must have {n} rows")
-            if not np.all(np.isfinite(mat)):
-                raise InvalidInputError(f"replacement {name} contains non-finite values")
-            new_rows[name] = mat
-    if "q_tilde" in new_rows or "k_tilde" in new_rows:
-        base = hierarchy.levels[0]
-        _check_qk_width(new_rows.get("q_tilde", base.q_tilde), new_rows.get("k_tilde", base.k_tilde))
+    # Each is stored as a read-only copy unless already read-only.
+    if q is not None:  # a new q keeps the stored width, or sets the one a new k shares
+        q = _checked(q, "q", (n, d if k is None else None))
+        d = _qk_width(q)
+        new_rows["q_tilde"] = _freeze(q)
+    if k is not None:
+        new_rows["k_tilde"] = _freeze(_checked(k, "k", (n, d)))
+    if v is not None:
+        new_rows["v_tilde"] = _freeze(_checked(v, "v", (n, None)))
 
     if not new_rows:
         return hierarchy

@@ -158,13 +158,17 @@ def test_run_voxel_flavor(cloud_file, tmp_path, capsys):
     assert f"tokens={n_cells}" in capsys.readouterr().out
 
 
-def test_run_dense_mechanism_and_cap(cloud_file, tmp_path, monkeypatch):
+def test_run_dense_mechanism_and_cap(cloud_file, tmp_path, monkeypatch, capsys):
     out = tmp_path / "dense.gpc"
     assert main(["run", "--input", cloud_file, "--output", str(out),
                  "--mechanism", "dense", "--layers", "1"]) == 0
-    monkeypatch.setattr(cli, "PROBE_CAP", 16)
-    assert main(["run", "--input", cloud_file, "--output", str(out),
+    # The CLI reads the one cap in analysis, so patching it there reaches run.
+    monkeypatch.setattr(analysis, "PROBE_CAP", 16)
+    above = tmp_path / "above.gpc"
+    assert main(["run", "--input", cloud_file, "--output", str(above),
                  "--mechanism", "dense", "--layers", "1"]) == 2
+    assert not above.exists()
+    assert "cap of 16" in capsys.readouterr().err
 
 
 def test_run_missing_input_names_path(tmp_path, capsys):
@@ -189,8 +193,8 @@ def test_compare_writes_report(cloud_file, tmp_path):
 
 def test_compare_broken_rows_exit_1(cloud_file, monkeypatch, capsys):
     # The row-stochastic check lives in approximation_report, on its probe.
-    monkeypatch.setattr(analysis, "effective_attention",
-                        lambda *a, **kw: np.full((48, 48), 0.5))
+    monkeypatch.setattr(analysis, "_effective_rows",
+                        lambda h, forward, queries: np.full((queries.shape[0], 48), 0.5))
     assert main(["compare", "--input", cloud_file, "--k", "4"]) == 1
     assert "invariant violation" in capsys.readouterr().err
 
@@ -211,7 +215,7 @@ def test_compare_reads_weights_once(cloud_file, monkeypatch, capsys):
     monkeypatch.setattr(analysis, "_effective_rows", counting_rows)
     assert main(["compare", "--input", cloud_file, "--k", "4"]) == 0
     capsys.readouterr()
-    # One effective_attention: one cached forward, then one 48-row block.
+    # One cached forward serves z and the weights: then one 48-row block.
     assert forwards == [True]
     assert blocks == [list(range(48))]
 

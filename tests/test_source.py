@@ -1,5 +1,6 @@
 """Source hygiene of the package modules, checked with the stdlib ``ast``:
-no unused imports and no unreferenced module-level private definitions."""
+no unused imports, no unreferenced module-level private definitions, and
+one finiteness check for caller arrays."""
 
 import ast
 from pathlib import Path
@@ -54,3 +55,19 @@ def test_every_private_definition_is_referenced():
         and node.name not in referenced
     ]
     assert unreferenced == []
+
+
+def test_only_the_array_check_tests_finiteness():
+    """Caller arrays are checked one way, in ``geometry._checked``; only
+    ``_voxel_coords`` keeps its own integer-value test. An entry point that
+    reads a float array goes through the helper, not a check of its own."""
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(_tree(path)):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                callers.update(
+                    f"{path.name}:{fn.name}" for node in ast.walk(fn)
+                    if isinstance(node, ast.Attribute) and node.attr == "isfinite"
+                    and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+                )
+    assert callers == {"geometry.py:_checked", "geometry.py:_voxel_coords"}
