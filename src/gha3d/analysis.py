@@ -112,10 +112,7 @@ def effective_attention_row(hierarchy: Hierarchy, i: int, embedding=None,
     and one single-column backward pass, O(N k) for any N and any
     embedding mode. The row is bitwise permutation-equivariant.
     """
-    n = hierarchy.levels[0].n_tokens
-    i = _integer(i, "query index")
-    if not 0 <= i < n:
-        raise InvalidInputError(f"query index {i} out of range for {n} tokens")
+    i = _integer(i, "query index", 0, hierarchy.levels[0].n_tokens - 1)
     forward = _forward_core(hierarchy, embedding, embedding_mode, want_cache=True)
     return _effective_rows(hierarchy, forward, np.array([i]))[0]
 
@@ -215,9 +212,7 @@ def attention_histogram(hierarchy: Hierarchy, mechanism: str = "gha", n_bins: in
     Bins are uniform over [0, max pairwise distance] between the level-0
     token positions.
     """
-    n_bins = _integer(n_bins, "n_bins")
-    if n_bins < 1:
-        raise InvalidInputError(f"n_bins must be >= 1, got {n_bins}")
+    n_bins = _integer(n_bins, "n_bins", 1)
     pos = hierarchy.levels[0].positions
     weights = mechanism_weights(hierarchy, mechanism, embedding, embedding_mode,
                                 threads=threads)
@@ -261,9 +256,7 @@ def locality_ratio(positions: np.ndarray, weights: np.ndarray, n_extreme: int = 
     """Mean weight on each query's nearest tokens over mean weight on its
     farthest (self excluded, ties broken by index)."""
     positions, weights = _pair_inputs(positions, weights)
-    n_extreme = _integer(n_extreme, "n_extreme")
-    if n_extreme < 1:
-        raise InvalidInputError(f"n_extreme must be >= 1, got {n_extreme}")
+    n_extreme = _integer(n_extreme, "n_extreme", 1)
     n = positions.shape[0]
     if n < 2:
         raise InvalidInputError("locality ratio needs at least 2 tokens")
@@ -355,8 +348,7 @@ class ScalingReport:
 def weight_bound(k: int, r: int, n_tokens: int) -> float:
     """Guaranteed cap on total attention weights: the level sizes shrink
     at least geometrically by r, so sum_h k * n_h <= k * n * r / (r - 1)."""
-    if r < 2:
-        raise InvalidInputError(f"coarsening ratio must be >= 2, got {r}")
+    r = _integer(r, "coarsening ratio", 2)
     return k * r / (r - 1) * n_tokens
 
 
@@ -397,12 +389,8 @@ def scaling_sweep(sizes, *, flavor: str = "point", k: int = 8, r: int = 2,
     # Voxel hierarchies always use the 3x3x3 window and stride-2 pooling, so
     # their rows report those instead of the point-flavor k/r arguments.
     eff_k, eff_r = (VOXEL_WINDOW_K, 2) if flavor == "voxel" else (k, r)
-    sizes = [int(n) for n in sizes]
-    if any(n < 1 for n in sizes):
-        raise InvalidInputError(f"every size must be >= 1, got {sizes}")
-    d = _integer(d, "d")
-    if d < 1:
-        raise InvalidInputError(f"d must be >= 1, got {d}")
+    sizes = [_integer(n, "size", 1) for n in sizes]
+    d = _integer(d, "d", 1)
     rows = []
     for n in sizes:
         pts = substream(seed, "cloud-gen", n).uniform(0.0, 1.0, size=(n, 3))

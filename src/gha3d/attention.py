@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError
-from .geometry import _checked, _freeze, _readonly
+from .geometry import _checked, _csr_rows, _freeze, _integer, _readonly
 from .hierarchy import Hierarchy
 
 
@@ -58,6 +58,7 @@ def make_fourier_embedding(d: int, rng: np.random.Generator) -> FourierEmbedding
 
     d must be even (m = d/2 cos/sin pairs).
     """
+    d = _integer(d, "d")
     if d < 2 or d % 2 != 0:
         raise ConfigError(f"positional embedding needs an even feature width >= 2, got {d}")
     return FourierEmbedding(frequencies=rng.normal(size=(d // 2, 3)))
@@ -430,9 +431,7 @@ def _pull_back(hierarchy: Hierarchy, per_level: list) -> np.ndarray:
     for h in range(hierarchy.depth - 1, -1, -1):
         coarse = hierarchy.levels[h + 1]
         groups = coarse.order
-        sizes = np.diff(coarse.pool_indptr)[groups]
-        entry = np.repeat(coarse.pool_indptr[groups] - np.cumsum(sizes) + sizes, sizes)
-        entry += np.arange(entry.shape[0])  # the groups' pooled entries, in that order
+        entry, sizes = _csr_rows(coarse.pool_indptr, groups)  # the groups' entries, in that order
         pooled = np.repeat(g[groups] / sizes[:, None], sizes, axis=0)
         g = _scatter_add(coarse.pool_indices[entry], pooled, hierarchy.levels[h].n_tokens)
         g += per_level[h]

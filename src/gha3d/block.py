@@ -25,7 +25,7 @@ from .attention import (
     positional_table,
 )
 from .errors import ConfigError, FormatError, InvalidInputError, UnsupportedVersionError
-from .geometry import _checked
+from .geometry import _checked, _integer
 from .hierarchy import Hierarchy, build_hierarchy, truncate, with_values
 from .seeding import substream
 
@@ -48,10 +48,11 @@ class BlockConfig:
     positional_every_layer: bool = True
 
     def __post_init__(self):
-        if self.n_layers < 1:
-            raise ConfigError(f"n_layers must be >= 1, got {self.n_layers}")
-        if self.model_dim < 1 or self.ffn_dim < 1 or self.n_heads < 1:
-            raise ConfigError("model_dim, ffn_dim, n_heads must be positive")
+        for name in ("n_layers", "model_dim", "ffn_dim", "n_heads"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
         if self.model_dim % self.n_heads != 0:
             raise ConfigError(
                 f"n_heads={self.n_heads} must divide model_dim={self.model_dim}"

@@ -20,13 +20,19 @@ from .errors import InvalidInputError
 _VOXEL_COORD_BOUND = 1 << 20
 
 
-def _integer(value, name: str) -> int:
-    """``value`` as an int if it is one (``operator.index``: 2.5 is refused,
-    not truncated); otherwise InvalidInputError."""
+def _integer(value, name: str, lo: int | None = None, hi: int | None = None) -> int:
+    """A caller's count or index as an int of at least ``lo`` and at most
+    ``hi``, where given (``hi`` only with ``lo``); ``operator.index`` refuses
+    2.5, not truncates it. Anything else raises InvalidInputError."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise InvalidInputError(f"{name} must be an integer, got {value!r}") from None
+    if hi is not None and not lo <= value <= hi:
+        raise InvalidInputError(f"{name} must be in [{lo}, {hi}], got {value}")
+    if lo is not None and value < lo:
+        raise InvalidInputError(f"{name} must be >= {lo}, got {value}")
+    return value
 
 
 def _freeze(a, dtype=None) -> np.ndarray:
@@ -66,6 +72,43 @@ def _checked(a, name: str, shape: tuple) -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise InvalidInputError(f"{name} contains non-finite values")
     return out
+
+
+def _index_map(a, rule: str, n: int | None = None, length: int | None = None) -> np.ndarray:
+    """A caller's integer map as read-only int64: a float map is refused, not
+    truncated, and with ``n`` it must be 1-D, ``length`` long if given, with
+    entries in [0, n) (-1 is refused, not wrapped). The error leads with ``rule``."""
+    out = np.asarray(a)
+    if out.dtype.kind not in "iu":
+        got = f"dtype {out.dtype}"
+    elif n is not None and (out.ndim != 1 or length not in (None, out.shape[0])):
+        got = f"shape {out.shape}"
+    elif n is not None and out.size and not (out.min() >= 0 and out.max() < n):
+        got = f"entries from {out.min()} to {out.max()}"
+    else:
+        return _freeze(out, np.int64)
+    raise InvalidInputError(f"{rule}{'' if n is None else f' in [0, {n})'}, got {got}")
+
+
+def _csr(indptr, indices, name: str, n: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """A caller's CSR map (row i is ``indices[indptr[i]:indptr[i + 1]]``) as
+    read-only int64: every index lies in [0, n) and ``indptr`` rises from 0 to
+    len(indices) in ``rows`` rows, none empty (a row's mean divides by its size)."""
+    indices = _index_map(indices, f"{name}indices must lie", n)
+    indptr = _index_map(indptr, f"{name}indptr must be integers")
+    nnz = indices.shape[0]
+    if not (indptr.shape == (rows + 1,) and indptr[0] == 0 and indptr[-1] == nnz
+            and np.all(np.diff(indptr) >= 1)):
+        raise InvalidInputError(f"{name}indptr must rise from 0 to {nnz} in {rows} non-empty rows")
+    return indptr, indices
+
+
+def _csr_rows(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of CSR ``rows``, concatenated in that order, as positions
+    into the map's indices, and each row's size."""
+    sizes = indptr[rows + 1] - indptr[rows]
+    ends = np.cumsum(sizes)
+    return np.repeat(indptr[rows] - ends + sizes, sizes) + np.arange(ends[-1]), sizes
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -114,8 +157,10 @@ class NeighborhoodTopology:
     def __post_init__(self):
         if self.kind not in ("knn", "kernel_window"):
             raise InvalidInputError(f"unknown topology kind {self.kind!r}")
-        object.__setattr__(self, "indptr", _freeze(self.indptr, np.int64))
-        object.__setattr__(self, "indices", _freeze(self.indices, np.int64))
+        n = np.size(self.indptr) - 1  # each neighbor is a token of the topology
+        indptr, indices = _csr(self.indptr, self.indices, "", n, n)
+        object.__setattr__(self, "indptr", indptr)
+        object.__setattr__(self, "indices", indices)
         rows = np.repeat(np.arange(self.n_tokens, dtype=np.int64), self.sizes)
         object.__setattr__(self, "rows", _readonly(rows))
 
@@ -250,9 +295,7 @@ def knn(cloud: PointCloud, k: int) -> NeighborhoodTopology:
 
     |T_i| = min(k, N); distance ties are broken by lower point index.
     """
-    if k < 1:
-        raise InvalidInputError(f"k must be >= 1, got {k}")
-    return knn_from_positions(cloud.positions, k)
+    return knn_from_positions(cloud.positions, _integer(k, "k", 1))
 
 
 def knn_from_positions(positions: np.ndarray, k: int) -> NeighborhoodTopology:
@@ -304,9 +347,7 @@ def _fps_in_order(positions: np.ndarray, m: int, canon: np.ndarray) -> np.ndarra
     arithmetic as a full update, so the sample is exactly that of the
     plain O(N*m) loop.
     """
-    n = positions.shape[0]
-    if not 1 <= m <= n:
-        raise InvalidInputError(f"m must be in [1, {n}], got {m}")
+    m = _integer(m, "m", 1, positions.shape[0])
     _check_extent(positions)
     pts = positions[canon]
 
@@ -516,13 +557,17 @@ def load_point_cloud_binary(path) -> PointCloud:
 
 
 def save_point_cloud_binary(path, positions: np.ndarray, features: np.ndarray | None) -> None:
-    """Write a GPC1 file. The points are checked as a ``PointCloud`` first,
-    so bad input raises InvalidInputError before the file is opened."""
+    """Write a GPC1 file. The points are checked as a ``PointCloud`` and
+    against the float32 range of the format first, so bad input raises
+    InvalidInputError before the file is opened."""
     cloud = PointCloud(positions=positions, features=features)
     n = cloud.n_points
     features = np.empty((n, 0)) if cloud.features is None else cloud.features
     d = features.shape[1]
-    rows = np.hstack([cloud.positions, features]).astype("<f4")
+    rows = np.hstack([cloud.positions, features])
+    if np.any(np.abs(rows) > np.finfo(np.float32).max):  # the cast would write inf
+        raise InvalidInputError("positions and features must lie in the float32 range")
+    rows = rows.astype("<f4")
     with open(path, "wb") as f:
         f.write(GPC_MAGIC)
         f.write(np.asarray([n, d], dtype="<u4").tobytes())

@@ -20,8 +20,11 @@ from .geometry import (
     NeighborhoodTopology,
     _canonical_order,
     _checked,
+    _csr,
+    _csr_rows,
     _fps_in_order,
     _freeze,
+    _index_map,
     _integer,
     _readonly,
     _voxel_coords,
@@ -45,11 +48,6 @@ def segment_mean(values: np.ndarray, indptr: np.ndarray, indices: np.ndarray) ->
     sums = np.add.reduceat(gathered, indptr[:-1], axis=0)
     sizes = np.diff(indptr)
     return sums / sizes[:, None]
-
-
-def _within(a: np.ndarray, n: int) -> bool:
-    """Every entry of the integer array ``a`` lies in [0, n)."""
-    return bool(np.all((a >= 0) & (a < n)))
 
 
 @dataclass(frozen=True)
@@ -89,22 +87,21 @@ class HierarchyLevel:
     order: np.ndarray = field(init=False)  # (n_h,) int64
 
     def __post_init__(self):
-        for name in ("positions", "q_tilde", "k_tilde", "v_tilde"):
-            object.__setattr__(self, name, _freeze(getattr(self, name), np.float64))
+        positions = _checked(self.positions, "positions", (None, 3))
+        n = positions.shape[0]
+        q = _checked(self.q_tilde, "q_tilde", (n, None))
+        k = _checked(self.k_tilde, "k_tilde", (n, _qk_width(q)))  # scored against q
+        for name, a in (("positions", positions), ("q_tilde", q), ("k_tilde", k),
+                        ("v_tilde", _checked(self.v_tilde, "v_tilde", (n, None)))):
+            object.__setattr__(self, name, _freeze(a))
+        # A level refuses float maps and cells; its hierarchy, which knows the
+        # neighboring levels' sizes, checks the maps' shapes and ranges.
         for name in ("parent_of", "selected", "coords", "pool_indptr", "pool_indices"):
             val = getattr(self, name)
             if val is not None:
-                object.__setattr__(self, name, _freeze(val, np.int64))
-        n = self.positions.shape[0]
-        for name in ("q_tilde", "k_tilde", "v_tilde"):
-            if getattr(self, name).shape[0] != n:
-                raise InvalidInputError(f"{name} must have {n} rows")
+                object.__setattr__(self, name, _index_map(val, f"{name} must be integers"))
         if self.topology.n_tokens != n:
             raise InvalidInputError("topology token count does not match level size")
-        if (self.pool_indptr is None) != (self.pool_indices is None):
-            raise InvalidInputError("pool_indptr and pool_indices must be given together")
-        if self.pool_indptr is not None and self.pool_indptr.shape != (n + 1,):
-            raise InvalidInputError(f"pool_indptr must have {n + 1} entries")
         object.__setattr__(self, "order", _readonly(_canonical_order(self.positions)))
 
     @property
@@ -160,24 +157,12 @@ class Hierarchy:
                 raise InvalidInputError("levels must be strictly coarsening")
             if fine.parent_of is None:
                 raise InvalidInputError(f"level {h} is missing its parent map")
-            parent_of = fine.parent_of
-            if parent_of.shape != (fine.n_tokens,) or not _within(parent_of, coarse.n_tokens):
-                raise InvalidInputError(
-                    f"level {h} parent map must give each of its {fine.n_tokens} tokens"
-                    f" a parent in [0, {coarse.n_tokens})"
-                )
-            indptr, indices = coarse.pool_indptr, coarse.pool_indices
-            if indptr is None:
+            _index_map(fine.parent_of, f"level {h} parent map must give each of its"
+                       f" {fine.n_tokens} tokens a parent", coarse.n_tokens, fine.n_tokens)
+            if coarse.pool_indptr is None:
                 raise InvalidInputError(f"level {h + 1} is missing its pooling map")
-            if indptr[0] != 0 or indptr[-1] != indices.shape[0] or np.any(np.diff(indptr) < 1):
-                raise InvalidInputError(
-                    f"level {h + 1} pool_indptr must rise from 0 to {indices.shape[0]}"
-                    " with no empty group"
-                )
-            if not _within(indices, fine.n_tokens):
-                raise InvalidInputError(
-                    f"level {h + 1} pool_indices must lie in [0, {fine.n_tokens})"
-                )
+            _csr(coarse.pool_indptr, coarse.pool_indices, f"level {h + 1} pool_", fine.n_tokens,
+                 coarse.n_tokens)
 
     @property
     def depth(self) -> int:
@@ -194,8 +179,8 @@ class Hierarchy:
 
 def children_of(hierarchy: Hierarchy, level: int, parent: int) -> np.ndarray:
     """Tokens at ``level`` whose parent at ``level + 1`` is ``parent``, ascending."""
-    if not 0 <= level < hierarchy.depth:
-        raise InvalidInputError(f"level {level} has no parent level")
+    level = _integer(level, "level", 0, hierarchy.depth - 1)
+    parent = _integer(parent, "parent", 0, hierarchy.levels[level + 1].n_tokens - 1)
     return np.flatnonzero(hierarchy.levels[level].parent_of == parent)
 
 
@@ -215,8 +200,7 @@ def coarsen_point(level: HierarchyLevel, r: int) -> tuple[HierarchyLevel, np.nda
     n = level.n_tokens
     if n < 2:
         raise InvalidCoarsenError(f"cannot coarsen a level with {n} token(s)")
-    if r < 2:
-        raise InvalidInputError(f"coarsen ratio must be >= 2, got {r}")
+    r = _integer(r, "coarsen ratio", 2)
     topo = level.topology
     m = -(-n // r)  # ceil
     selected = _fps_in_order(level.positions, m, level.order)
@@ -230,9 +214,8 @@ def coarsen_point(level: HierarchyLevel, r: int) -> tuple[HierarchyLevel, np.nda
     # neighborhoods become pooling groups. Each sums in the level's order,
     # not in its query's distance order, so tokens with the same neighborhood
     # set round to bitwise identical rows, as the exact-tie rules need.
-    sizes = topo.sizes[selected]
+    flat, sizes = _csr_rows(topo.indptr, selected)
     pool_indptr = np.concatenate(([0], np.cumsum(sizes)))
-    flat = np.repeat(topo.indptr[selected] - pool_indptr[:-1], sizes) + np.arange(pool_indptr[-1])
     members = topo.indices[flat]
     rank = np.empty(n, dtype=np.int64)
     rank[level.order] = np.arange(n)
@@ -320,21 +303,12 @@ def build_hierarchy(
     halvings into one level so every recorded level strictly shrinks.
     """
     positions = _checked(positions, "positions", (None, 3))
-    n = positions.shape[0]
-    if n < 1:
-        raise InvalidInputError("need at least one token")
-    q = _checked(q, "q", (n, None))
-    k_mat = _checked(k_mat, "k", (n, _qk_width(q)))
-    v = _checked(v, "v", (n, None))
+    n = positions.shape[0]  # an empty set is refused by either flavor's topology
 
     # Each flavor fixes its neighborhood size, ratio, level-0 topology and
     # coarsening step; one loop then coarsens until a level fits k tokens.
     if flavor == "point":
-        k, r = _integer(k, "k"), _integer(r, "r")
-        if k < 1:
-            raise InvalidInputError(f"k must be >= 1, got {k}")
-        if r < 2:
-            raise InvalidInputError(f"coarsen ratio must be >= 2, got {r}")
+        k, r = _integer(k, "k", 1), _integer(r, "coarsen ratio", 2)
         coords = None  # point levels carry no cells
         topology = knn_from_positions(positions, k)
         step = partial(coarsen_point, r=r)
@@ -396,25 +370,16 @@ def with_values(
 
 def truncate(hierarchy: Hierarchy, depth: int) -> Hierarchy:
     """Drop every level above ``depth``; depth 0 keeps only local attention."""
-    depth = _integer(depth, "depth")
-    if not 0 <= depth <= hierarchy.depth:
-        raise InvalidInputError(f"depth must be in [0, {hierarchy.depth}], got {depth}")
+    depth = _integer(depth, "depth", 0, hierarchy.depth)
     top = _shared(hierarchy.levels[depth], parent_of=None)
     return _shared(hierarchy, levels=(*hierarchy.levels[:depth], top))
 
 
 def interpolate(values: np.ndarray, from_level: int, hierarchy: Hierarchy) -> np.ndarray:
     """Copy each fine token its parent's row from level ``from_level``."""
-    if not 1 <= from_level <= hierarchy.depth:
-        raise InvalidInputError(f"from_level must be in [1, {hierarchy.depth}], got {from_level}")
-    values = np.asarray(values)
-    coarse = hierarchy.levels[from_level]
-    fine = hierarchy.levels[from_level - 1]
-    if values.shape[0] != coarse.n_tokens:
-        raise InvalidInputError(
-            f"values has {values.shape[0]} rows, level {from_level} has {coarse.n_tokens}"
-        )
-    return values[fine.parent_of]
+    from_level = _integer(from_level, "from_level", 1, hierarchy.depth)
+    values = _checked(values, "values", (hierarchy.levels[from_level].n_tokens, None))
+    return values[hierarchy.levels[from_level - 1].parent_of]
 
 
 # ---------------------------------------------------------------------------

@@ -587,7 +587,7 @@ def test_topology_rows_name_each_edges_token():
     rng = np.random.default_rng(6)
     coords = np.unique(rng.integers(0, 4, size=(30, 3)), axis=0)
     for topo in (kernel_window_topology(coords), knn(PointCloud(rng.normal(size=(40, 3))), 5),
-                 NeighborhoodTopology(kind="knn", indptr=[0, 2, 2, 3], indices=[0, 2, 2])):
+                 NeighborhoodTopology(kind="knn", indptr=[0, 2, 3, 4], indices=[0, 2, 2, 1])):
         want = [i for i in range(topo.n_tokens) for _ in topo.neighbors(i)]
         np.testing.assert_array_equal(topo.rows, want)
         assert topo.rows.dtype == np.int64 and not topo.rows.flags.writeable
@@ -656,6 +656,22 @@ def test_binary_no_features(tmp_path):
     save_point_cloud_binary(p, np.zeros((3, 3)), None)
     pc = load_point_cloud(p)
     assert pc.features is None
+
+
+@pytest.mark.parametrize("where", ["positions", "features"])
+def test_binary_writer_refuses_values_beyond_float32(tmp_path, where):
+    """Such a value would be written as inf, which the reader refuses."""
+    top = float(np.finfo(np.float32).max)
+    pos, feats = np.zeros((3, 3)), np.zeros((3, 2))
+    p = tmp_path / "c.gpc"
+    pos[1, 2] = feats[2, 0] = -top  # the extreme itself is written as is
+    save_point_cloud_binary(p, pos, feats)
+    assert load_point_cloud(p).features[2, 0] == -top
+    p.unlink()
+    (pos if where == "positions" else feats)[0, 1] = 1e300
+    with pytest.raises(InvalidInputError, match="float32"):
+        save_point_cloud_binary(p, pos, feats)
+    assert not p.exists()
 
 
 def test_binary_truncated(tmp_path):

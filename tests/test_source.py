@@ -1,6 +1,6 @@
 """Source hygiene of the package modules, checked with the stdlib ``ast``:
-no unused imports, no unreferenced module-level private definitions, and
-one finiteness check for caller arrays."""
+no unused imports, no unreferenced module-level private definitions, one
+finiteness check for caller arrays and one range check for caller integers."""
 
 import ast
 from pathlib import Path
@@ -71,3 +71,33 @@ def test_only_the_array_check_tests_finiteness():
                     and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
                 )
     assert callers == {"geometry.py:_checked", "geometry.py:_voxel_coords"}
+
+
+def _message(node: ast.AST) -> str:
+    """The literal text of a message: a string, or an f-string's constant parts."""
+    if isinstance(node, ast.JoinedStr):
+        return "".join(v.value for v in node.values if isinstance(v, ast.Constant))
+    return node.value if isinstance(node, ast.Constant) and isinstance(node.value, str) else ""
+
+
+def test_only_the_integer_check_reads_and_bounds_integers():
+    """Caller counts and indices are read one way, in ``geometry._integer``:
+    no other function calls ``operator.index`` or raises InvalidInputError
+    with a range message of its own, so an entry point cannot grow one."""
+    readers, bounders = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(_tree(path)):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Attribute) and node.attr == "index"
+                        and isinstance(node.value, ast.Name) and node.value.id == "operator"):
+                    readers.add(f"{path.name}:{fn.name}")
+                if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                        and isinstance(node.exc.func, ast.Name)
+                        and node.exc.func.id == "InvalidInputError" and node.exc.args
+                        and any(m in _message(node.exc.args[0])
+                                for m in ("must be >= ", "must be in ["))):
+                    bounders.add(f"{path.name}:{fn.name}")
+    assert readers == {"geometry.py:_integer"}
+    assert bounders == {"geometry.py:_integer"}
