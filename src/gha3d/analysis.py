@@ -98,6 +98,7 @@ def effective_attention(hierarchy: Hierarchy, embedding=None, embedding_mode: st
     and bitwise ``effective_attention_row(hierarchy, i)``. One forward pass
     serves every row; ``threads`` never changes a bit.
     """
+    threads = _integer(threads, "threads", 1)
     _check_matrix_cap(hierarchy.levels[0].n_tokens)
     forward = _forward_core(hierarchy, embedding, embedding_mode, want_cache=True)
     return _weight_matrix(hierarchy, forward, threads)
@@ -125,6 +126,7 @@ def mechanism_weights(hierarchy: Hierarchy, mechanism: str, embedding=None,
     hierarchy truncated to level 0 (weights outside the neighborhood are
     structurally zero), and dense evaluates the reference softmax directly.
     """
+    threads = _integer(threads, "threads", 1)
     if mechanism not in MECHANISMS:
         raise InvalidInputError(f"mechanism must be one of {MECHANISMS}, got {mechanism!r}")
     if mechanism == "dense":
@@ -280,6 +282,7 @@ def approximation_report(hierarchy: Hierarchy, embedding=None, embedding_mode: s
                          *, threads: int = 1) -> ApproximationReport:
     """gha vs the dense reference; raises InvariantViolation if the
     effective weights are not row-stochastic."""
+    threads = _integer(threads, "threads", 1)
     lv = hierarchy.levels[0]
     n = lv.n_tokens
     _check_matrix_cap(n)
@@ -386,8 +389,8 @@ def scaling_sweep(sizes, *, flavor: str = "point", k: int = 8, r: int = 2,
     """
     if mechanism not in MECHANISMS:
         raise InvalidInputError(f"mechanism must be one of {MECHANISMS}, got {mechanism!r}")
-    # Voxel hierarchies always use the 3x3x3 window and stride-2 pooling, so
-    # their rows report those instead of the point-flavor k/r arguments.
+    # Voxel hierarchies always use the 3x3x3 window and power-of-two strides (r = 2),
+    # so their rows report those instead of the point-flavor k/r arguments.
     eff_k, eff_r = (VOXEL_WINDOW_K, 2) if flavor == "voxel" else (k, r)
     sizes = [_integer(n, "size", 1) for n in sizes]
     d = _integer(d, "d", 1)

@@ -55,7 +55,7 @@ from .errors import (
     InvalidInputError,
     InvariantViolation,
 )
-from .geometry import load_point_cloud, save_point_cloud_binary, voxelize
+from .geometry import _integer, load_point_cloud, save_point_cloud_binary, voxelize
 from .hierarchy import build_hierarchy, truncate, with_values
 from .seeding import substream
 
@@ -213,9 +213,7 @@ def _resolve_threads(args) -> int:
             t = int(raw)
         except ValueError:
             raise ConfigError(f"GHA_THREADS must be an integer, got {raw!r}") from None
-    if t < 1:
-        raise ConfigError(f"threads must be >= 1, got {t}")
-    return t
+    return _integer(t, "threads", 1)
 
 
 def _load_tokens(args):
@@ -287,10 +285,7 @@ def cmd_run(args) -> int:
     if args.mechanism != "dense":
         structure = attention_structure(positions, flavor=args.flavor,
                                         k=args.k, r=args.r, coords=coords)
-    out = block_forward(
-        x, positions, params, flavor=args.flavor, k=args.k, r=args.r,
-        coords=coords, mechanism=args.mechanism, structure=structure,
-    )
+    out = block_forward(x, positions, params, mechanism=args.mechanism, structure=structure)
     wall = time.perf_counter() - t0
 
     if args.mechanism == "dense":

@@ -157,6 +157,8 @@ class NeighborhoodTopology:
     def __post_init__(self):
         if self.kind not in ("knn", "kernel_window"):
             raise InvalidInputError(f"unknown topology kind {self.kind!r}")
+        if self.k is not None:
+            object.__setattr__(self, "k", _integer(self.k, "k", 1))
         n = np.size(self.indptr) - 1  # each neighbor is a token of the topology
         indptr, indices = _csr(self.indptr, self.indices, "", n, n)
         object.__setattr__(self, "indptr", indptr)
@@ -422,10 +424,9 @@ def voxelize(cloud: PointCloud, voxel_size: float) -> SparseVoxelGrid:
     coords = cells.astype(np.int64)
     keys = pack_voxel_coords(coords)
 
-    # Canonical in-cell aggregation order: position-lex, then index. This
-    # keeps cell means bit-reproducible under input permutation.
-    n = pos.shape[0]
-    order = np.lexsort((np.arange(n), pos[:, 2], pos[:, 1], pos[:, 0], keys))
+    # Canonical in-cell aggregation order: position-lex, then index (lexsort
+    # is stable). This keeps cell means bit-reproducible under input permutation.
+    order = np.lexsort((pos[:, 2], pos[:, 1], pos[:, 0], keys))
     keys_s = keys[order]
     uniq_keys, starts, counts = np.unique(keys_s, return_index=True, return_counts=True)
 
@@ -451,39 +452,36 @@ def kernel_window_topology(occupied: np.ndarray | SparseVoxelGrid) -> Neighborho
         coords = occupied.occupied
     else:
         coords = _voxel_coords(occupied)
-    m = coords.shape[0]
-    if m < 1:
+    if coords.shape[0] < 1:
         raise InvalidInputError("empty voxel grid")
     keys = pack_voxel_coords(coords)
     # Cells may arrive in any order; search against a sorted view and map
     # matches back to the caller's token indices.
     order = np.argsort(keys)
-    sorted_keys = keys[order]
-    if m > 1 and np.any(sorted_keys[1:] == sorted_keys[:-1]):
+    if np.any(np.diff(keys[order]) == 0):
         raise InvalidInputError("duplicate voxel coordinates")
+    return _window_topology(keys, order)
 
-    offsets = np.array(
-        [(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)],
-        dtype=np.int64,
-    )
-    hits = []
-    for off in offsets:
-        probe = coords + off
-        in_range = np.all(np.abs(probe) < _VOXEL_COORD_BOUND, axis=1)
-        pk = np.where(in_range, pack_voxel_coords(np.clip(probe, -_VOXEL_COORD_BOUND + 1, _VOXEL_COORD_BOUND - 1)), -1)
-        loc = np.searchsorted(sorted_keys, pk)
-        loc_c = np.minimum(loc, m - 1)
-        found = in_range & (sorted_keys[loc_c] == pk)
-        hits.append(np.where(found, order[loc_c], -1))
-    hit_mat = np.stack(hits, axis=1)  # (m, 27), -1 marks unoccupied offsets
 
-    counts = (hit_mat >= 0).sum(axis=1)
-    indptr = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
-    # The offsets enumerate the window in lexicographic order, so keeping
-    # per-row hits in offset order lists neighbors by ascending cell
-    # coordinates — a canonical order that does not depend on how the
-    # caller numbered the cells.
-    indices = hit_mat[hit_mat >= 0]
+# The step from a cell's packed key to each window neighbor's, in
+# lexicographic (dx, dy, dz) order, so the steps ascend.
+_WINDOW_STEPS = np.array([(dx << 42) + (dy << 21) + dz for dx, dy, dz
+                          in itertools.product((-1, 0, 1), repeat=3)], dtype=np.int64)
+
+
+def _window_topology(keys: np.ndarray, order: np.ndarray | None = None) -> NeighborhoodTopology:
+    """Window topology of the cells with unique packed ``keys``, which
+    ``order`` sorts (None: ascending already). A neighbor's key is the
+    cell's key plus its step, exactly: each packed field holds coordinate +
+    2^20, in [1, 2^21 - 1], so a +/-1 step stays in its field or leaves
+    that field 0, which no key holds (x past 2^21 - 1 turns the key negative).
+    Rows list hits in step order, by ascending cell coordinates."""
+    sorted_keys = keys if order is None else keys[order]
+    probe = keys[:, None] + _WINDOW_STEPS
+    loc = np.minimum(np.searchsorted(sorted_keys, probe), keys.shape[0] - 1)
+    hit = sorted_keys[loc] == probe
+    indptr = np.concatenate(([0], np.cumsum(hit.sum(axis=1), dtype=np.int64)))
+    indices = loc[hit] if order is None else order[loc[hit]]
     return NeighborhoodTopology(kind="kernel_window", indptr=_readonly(indptr),
                                 indices=_readonly(indices))
 

@@ -28,6 +28,7 @@ from .geometry import (
     _integer,
     _readonly,
     _voxel_coords,
+    _window_topology,
     deterministic_knn,
     kernel_window_topology,
     knn_from_positions,
@@ -87,6 +88,7 @@ class HierarchyLevel:
     order: np.ndarray = field(init=False)  # (n_h,) int64
 
     def __post_init__(self):
+        object.__setattr__(self, "level_index", _integer(self.level_index, "level_index", 0))
         positions = _checked(self.positions, "positions", (None, 3))
         n = positions.shape[0]
         q = _checked(self.q_tilde, "q_tilde", (n, None))
@@ -146,6 +148,8 @@ class Hierarchy:
     def __post_init__(self):
         if self.flavor not in ("point", "voxel"):
             raise InvalidInputError(f"unknown flavor {self.flavor!r}")
+        for name, lo in (("neighborhood_k", 1), ("coarsen_ratio", 2)):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, lo))
         if not self.levels:
             raise InvalidInputError("hierarchy has no levels")
         for h, lv in enumerate(self.levels):
@@ -227,27 +231,28 @@ def coarsen_point(level: HierarchyLevel, r: int) -> tuple[HierarchyLevel, np.nda
     return coarse, parent_of
 
 
-def _coarsen_voxel(level: HierarchyLevel, reduce: bool) -> tuple[HierarchyLevel, np.ndarray]:
-    """Pool ``level`` at stride 2, or with ``reduce`` at the smallest
-    power-of-two stride that strictly reduces the cell count.
+def coarsen_voxel(level: HierarchyLevel) -> tuple[HierarchyLevel, np.ndarray]:
+    """One voxel pooling step at the smallest power-of-two stride s that
+    reduces the cell count: parent cell = floor(child / s) per axis, parent
+    rows/positions = unweighted means over children, parents sorted
+    lexicographically. Returns the coarse level and the fine parent map.
 
-    The strides agree with repeated ``coarsen_voxel``: a non-reducing step
-    maps each cell to its own parent (rows copied unchanged, lex order
-    preserved), so composing those steps with the first reducing one
-    equals pooling once at the combined stride.
+    Strides run from 2 to 2^20; from there on every parent is one of the 8
+    cells around the origin, so a level that no stride in that range
+    reduces raises InvalidCoarsenError.
     """
     coords = level.coords
     if coords is None:
         raise InvalidInputError("voxel coarsening requires cell coordinates")
-    stride = 2
-    while True:
-        parent_coords_all = np.floor_divide(coords, stride)
+    for shift in range(1, 21):
+        parent_coords = coords >> shift  # floor(coords / 2^shift)
         uniq_keys, first_idx, parent_of = np.unique(
-            pack_voxel_coords(parent_coords_all), return_index=True, return_inverse=True
+            pack_voxel_coords(parent_coords), return_index=True, return_inverse=True
         )
-        if not reduce or uniq_keys.shape[0] < level.n_tokens:
+        if uniq_keys.shape[0] < level.n_tokens:
             break
-        stride *= 2
+    else:
+        raise InvalidCoarsenError(f"no stride up to 2^20 reduces {level.n_tokens} voxel cell(s)")
     parent_of = parent_of.astype(np.int64)
     m = uniq_keys.shape[0]
 
@@ -255,19 +260,11 @@ def _coarsen_voxel(level: HierarchyLevel, reduce: bool) -> tuple[HierarchyLevel,
     # are unique, so the order is total and independent of token numbering.
     pool_indptr = np.concatenate(([0], np.cumsum(np.bincount(parent_of, minlength=m))))
     pool_indices = np.lexsort((pack_voxel_coords(coords), parent_of))
-    coarse_coords = parent_coords_all[first_idx]
-    coarse = _pooled_level(level, pool_indptr, pool_indices,
-                           lambda _: kernel_window_topology(coarse_coords), coords=coarse_coords)
+    # The parents' keys are unique and sorted already: the window neither
+    # re-checks nor re-sorts them.
+    coarse = _pooled_level(level, pool_indptr, pool_indices, lambda _: _window_topology(uniq_keys),
+                           coords=parent_coords[first_idx])
     return coarse, parent_of
-
-
-def coarsen_voxel(level: HierarchyLevel) -> tuple[HierarchyLevel, np.ndarray]:
-    """One stride-2 pooling step: parent cell = floor(child / 2) per axis,
-    parent rows/positions = unweighted means over children, parents sorted
-    lexicographically. Returns the coarse level and the fine parent map.
-    May leave the count unchanged when no cells share a parent.
-    """
-    return _coarsen_voxel(level, reduce=False)
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +296,9 @@ def build_hierarchy(
     level has at most ``k`` tokens (N <= k gives a single level). Point
     flavor uses kNN topologies and ratio-r farthest-point subsampling;
     voxel flavor (pass occupied-cell ``coords``) uses 3x3x3 window
-    topologies and stride-2 pooling, folding consecutive non-reducing
-    halvings into one level so every recorded level strictly shrinks.
+    topologies and pools each level at the smallest power-of-two stride
+    that reduces its cell count (``coarsen_voxel``), so every recorded
+    level strictly shrinks.
     """
     positions = _checked(positions, "positions", (None, 3))
     n = positions.shape[0]  # an empty set is refused by either flavor's topology
@@ -320,7 +318,7 @@ def build_hierarchy(
             raise InvalidInputError(f"coords must be ({n}, 3), got {coords.shape}")
         k, r = VOXEL_WINDOW_K, 2
         topology = kernel_window_topology(coords)
-        step = partial(_coarsen_voxel, reduce=True)
+        step = coarsen_voxel
     else:
         raise InvalidInputError(f"unknown flavor {flavor!r}")
 

@@ -503,6 +503,14 @@ def test_voxel_range_limits_stay_accepted(c):
     np.testing.assert_array_equal(grid.occupied, [[c, 0, c]])
     topo = kernel_window_topology(np.array([[c, 0, 0], [c, 0, 1], [0, c, 0]]))
     assert topo_as_lists(topo) == [[0, 1], [0, 1], [2]]
+    # Window steps from these cells carry z into y, carry y into x, or push x
+    # past the sign bit of the packed key; each pair sits next to the other
+    # in key order without being window neighbors.
+    s = 1 if c > 0 else -1
+    coords = np.array([[0, 0, c], [0, s, -c], [0, s, -c + s], [5, c, 5], [5 + s, -c, 5],
+                       [c, c, c], [c, c, c - s], [-c, -c, -c], [c, -c, 0], [c - s, -c, 0]])
+    for cells in (coords, coords[::-1], coords[np.random.default_rng(3).permutation(10)]):
+        assert topo_as_lists(kernel_window_topology(cells)) == brute_window(cells)
 
 
 @pytest.mark.parametrize("c", [2**20, -(2**20), 2**63 - 1, -(2**63)])
@@ -520,14 +528,12 @@ def test_window_rejects_coordinates_past_the_range(c):
 # ---------------------------------------------------------------------------
 
 def brute_window(coords):
-    coord_set = {tuple(c): i for i, c in enumerate(coords)}
+    """Each cell's window neighbors, listed by ascending cell coordinates."""
+    cells = [tuple(int(x) for x in c) for c in coords]
     out = []
-    for c in coords:
-        nb = []
-        for j, other in enumerate(coords):
-            if max(abs(int(c[a]) - int(other[a])) for a in range(3)) <= 1:
-                nb.append(j)
-        out.append(sorted(nb))
+    for c in cells:
+        nb = [j for j, other in enumerate(cells) if max(abs(a - b) for a, b in zip(c, other)) <= 1]
+        out.append(sorted(nb, key=lambda j: cells[j]))
     return out
 
 
@@ -544,7 +550,7 @@ def test_window_full_block():
 
 
 def test_window_matches_bruteforce_random():
-    rng = np.random.default_rng(55)
+    rng, shuffle = np.random.default_rng(55), np.random.default_rng(57)
     for trial in range(15):
         n = int(rng.integers(1, 60))
         coords = np.unique(rng.integers(-4, 4, size=(n, 3)), axis=0)
@@ -553,6 +559,21 @@ def test_window_matches_bruteforce_random():
         coords = coords[order]
         topo = kernel_window_topology(coords)
         assert topo_as_lists(topo) == brute_window(coords)
+        shuffled = coords[shuffle.permutation(coords.shape[0])]
+        assert topo_as_lists(kernel_window_topology(shuffled)) == brute_window(shuffled)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_window_matches_bruteforce_at_the_range_limits(seed):
+    """Seeded grids in shuffled cell order around corners, edges and faces
+    of the +/-(2^20 - 1) range, where window steps leave a packed field."""
+    rng = np.random.default_rng(seed)
+    b = 2**20 - 1
+    around = rng.choice([-b, -b + 1, 0, b - 1, b], size=(8, 3))
+    coords = np.unique(np.clip(around[:, None] + rng.integers(-2, 3, size=(8, 20, 3)), -b, b)
+                       .reshape(-1, 3), axis=0)
+    coords = coords[rng.permutation(coords.shape[0])]
+    assert topo_as_lists(kernel_window_topology(coords)) == brute_window(coords)
 
 
 def test_window_isolated_voxels():
@@ -567,14 +588,9 @@ def test_window_accepts_unsorted_cells():
     for _ in range(10):
         coords = np.unique(rng.integers(-4, 4, size=(40, 3)), axis=0)
         shuffled = coords[rng.permutation(coords.shape[0])]
-        topo = kernel_window_topology(shuffled)
-        want = brute_window(shuffled)
-        got = topo_as_lists(topo)
-        assert [sorted(row) for row in got] == want
-        for i, row in enumerate(got):
-            keys = [tuple(shuffled[j]) for j in row]
-            assert keys == sorted(keys)
-            assert i in row
+        got = topo_as_lists(kernel_window_topology(shuffled))
+        assert got == brute_window(shuffled)
+        assert all(i in row for i, row in enumerate(got))
 
 
 def test_window_rejects_duplicate_cells():

@@ -147,14 +147,29 @@ def test_coarsen_voxel_two_children():
     assert list(parent_of) == [0, 0]
 
 
-def test_coarsen_voxel_singletons_copy_rows():
+def test_coarsen_voxel_skips_strides_that_copy_rows():
+    # Cells 2 apart stay apart at stride 2, which would copy each row; the
+    # step pools them at stride 4, the first stride that reduces.
     rows = np.array([[1.0], [2.0]])
     level = make_voxel_level([[0, 0, 0], [2, 0, 0]], rows, rows, rows)
     coarse, parent_of = coarsen_voxel(level)
-    assert coarse.n_tokens == 2
-    assert [tuple(c) for c in coarse.coords] == [(0, 0, 0), (1, 0, 0)]
-    np.testing.assert_array_equal(coarse.q_tilde, rows)
-    assert list(parent_of) == [0, 1]
+    assert coarse.n_tokens == 1
+    assert [tuple(c) for c in coarse.coords] == [(0, 0, 0)]
+    np.testing.assert_array_equal(coarse.q_tilde, [[1.5]])
+    np.testing.assert_array_equal(coarse.pool_indices, [0, 1])
+    assert list(parent_of) == [0, 0]
+
+
+@pytest.mark.parametrize("coords", [
+    [[0, 0, 0]],
+    [[-1, 0, 0], [0, 0, 0]],  # either side of the origin at every stride
+    [[-(2**20 - 1), 5, -3], [2**20 - 1, 5, -3]],
+])
+def test_coarsen_voxel_refuses_a_level_no_stride_reduces(coords):
+    n = len(coords)
+    level = make_voxel_level(coords, np.ones((n, 1)), np.ones((n, 1)), np.ones((n, 1)))
+    with pytest.raises(InvalidCoarsenError, match="no stride up to 2"):
+        coarsen_voxel(level)
 
 
 def brute_voxel_pool(coords, rows):

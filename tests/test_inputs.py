@@ -19,6 +19,7 @@ from gha3d import (
     InvalidInputError,
     NeighborhoodTopology,
     PointCloud,
+    approximation_report,
     attention_histogram,
     attention_structure,
     block_forward,
@@ -38,6 +39,7 @@ from gha3d import (
     locality_ratio,
     make_fourier_embedding,
     mass_beyond_radius,
+    mechanism_weights,
     save_point_cloud_binary,
     scaling_sweep,
     truncate,
@@ -185,6 +187,22 @@ SCALARS = [
     ("BlockConfig-ffn_dim", lambda v: _config(ffn_dim=v), 6, 0, None, ConfigError),
     ("BlockConfig-n_heads", lambda v: _config(n_heads=v), 2, 0, 8, ConfigError),
     ("BlockConfig-seed", lambda v: _config(seed=v), 7, -1, 2**64, ConfigError),
+    ("effective_attention-threads", lambda v: effective_attention(H, threads=v), 2, 0, None,
+     InvalidInputError),
+    ("mechanism_weights-threads", lambda v: mechanism_weights(H, "dense", threads=v), 2, -3,
+     None, InvalidInputError),
+    ("attention_histogram-threads", lambda v: attention_histogram(H, "gha", threads=v), 2, 0,
+     None, InvalidInputError),
+    ("approximation_report-threads", lambda v: approximation_report(H, threads=v), 2, 0, None,
+     InvalidInputError),
+    ("Hierarchy-neighborhood_k", lambda v: Hierarchy(H.flavor, v, H.coarsen_ratio, H.levels), 4,
+     0, None, InvalidInputError),
+    ("Hierarchy-coarsen_ratio", lambda v: Hierarchy(H.flavor, H.neighborhood_k, v, H.levels), 2,
+     1, None, InvalidInputError),
+    ("HierarchyLevel-level_index", lambda v: dataclasses.replace(H.levels[0], level_index=v), 0,
+     -1, None, InvalidInputError),
+    ("NeighborhoodTopology-k", lambda v: NeighborhoodTopology("knn", [0, 1, 2], [0, 1], k=v), 1,
+     0, None, InvalidInputError),
 ]
 
 

@@ -1,13 +1,19 @@
 """Source hygiene of the package modules, checked with the stdlib ``ast``:
 no unused imports, no unreferenced module-level private definitions, one
-finiteness check for caller arrays and one range check for caller integers."""
+finiteness check for caller arrays and one range check for caller integers;
+and every package name the benchmark's workloads call still resolves."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "gha3d"
+import gha3d
+from gha3d import cli, geometry, hierarchy
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "gha3d"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -101,3 +107,26 @@ def test_only_the_integer_check_reads_and_bounds_integers():
                     bounders.add(f"{path.name}:{fn.name}")
     assert readers == {"geometry.py:_integer"}
     assert bounders == {"geometry.py:_integer"}
+
+
+def test_every_package_name_the_benchmark_calls_resolves():
+    """``perfbench/workloads.py`` reaches the package through ``geometry.*``,
+    ``hierarchy.*`` and ``gha3d.*`` attributes, ``from gha3d.<module> import``
+    lines, and the ``cli`` functions its ``CLI_BOUNDARY`` wraps in spans.
+    The file is only read here; a renamed name fails this test, not a run."""
+    tree = _tree(ROOT / "perfbench" / "workloads.py")
+    modules = {"gha3d": gha3d, "cli": cli, "geometry": geometry, "hierarchy": hierarchy}
+    names = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            names.add((node.value.id, node.attr))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("gha3d."):
+            modules[node.module] = importlib.import_module(node.module)
+            names.update((node.module, alias.name) for alias in node.names)
+        elif (isinstance(node, ast.Assign) and len(node.targets) == 1
+              and isinstance(node.targets[0], ast.Name) and node.targets[0].id == "CLI_BOUNDARY"):
+            names.update(("cli", key) for key in ast.literal_eval(node.value))
+    assert {("geometry", "kernel_window_topology"), ("hierarchy", "with_values"),
+            ("cli", "block_forward"), ("gha3d.block", "layer_norm")} <= names
+    assert sorted(f"{m}.{name}" for m, name in names if not hasattr(modules[m], name)) == []
