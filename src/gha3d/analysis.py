@@ -70,9 +70,9 @@ def _effective_rows(hierarchy: Hierarchy, forward, queries: np.ndarray) -> np.nd
     adjoint's value gradients for one one-hot output cotangent per query."""
     _, caches, d_hat, m_q = forward
     c = np.zeros((hierarchy.levels[0].n_tokens, queries.shape[0]))
-    c[queries, np.arange(queries.shape[0])] = 1.0 / d_hat[queries]  # dz = e_q, scaled
+    c[queries, np.arange(queries.shape[0])] = 1.0 / d_hat.take(queries)  # dz = e_q, scaled
     folds = zip(hierarchy.levels, caches, _fold(hierarchy, caches, m_q, c))
-    return _pull_back(hierarchy, [_value_cotangent(lv, cache, fold[lv.topology.rows])
+    return _pull_back(hierarchy, [_value_cotangent(lv, cache, fold.take(lv.topology.rows, axis=0))
                                   for lv, cache, fold in folds]).T
 
 
@@ -185,7 +185,8 @@ def neighborhood_radius(hierarchy: Hierarchy) -> float:
     """Longest level-0 neighborhood edge; local attention cannot move mass
     between tokens farther apart than this."""
     lv = hierarchy.levels[0]
-    diff = lv.positions[lv.topology.rows] - lv.positions[lv.topology.indices]
+    pos, topo = lv.positions, lv.topology
+    diff = pos.take(topo.rows, axis=0) - pos.take(topo.indices, axis=0)
     return float(np.sqrt(np.einsum("ed,ed->e", diff, diff)).max())
 
 

@@ -181,7 +181,8 @@ def _level_term(positions, topology, embedding, mode):
     """One level's positional term, read-only: the relative (cos, sin) of
     every edge, the absolute gamma of every token, or None in mode "none"."""
     if mode == "relative":
-        cos, sin = _rotation(positions[topology.rows], positions[topology.indices], embedding)
+        cos, sin = _rotation(positions.take(topology.rows, axis=0),
+                             positions.take(topology.indices, axis=0), embedding)
         return _readonly(cos), _readonly(sin)
     if mode == "absolute":
         return _readonly(embed_points(embedding, positions))
@@ -299,17 +300,17 @@ def _level_softmax(q, k, v, topology, term, mode, scale):
     rows, cols, starts = topology.rows, topology.indices, topology.indptr[:-1]
     if mode == "absolute":
         q, k = q + term, k + term
-    q_rows = q[rows]
-    s = np.einsum("ed,ed->e", q_rows, k[cols])
+    q_rows = q.take(rows, axis=0)
+    s = np.einsum("ed,ed->e", q_rows, k.take(cols, axis=0))
     rel = term if mode == "relative" else None
     if rel is not None:
         s += _interleaved_dot(q_rows, *rel)
-    del q_rows  # else it is alive next to v[cols]
+    del q_rows  # else it is alive next to v's edge rows
     s /= scale
     mu = np.maximum.reduceat(s, starts)
-    t = np.exp(s - mu[rows])
+    t = np.exp(s - mu.take(rows))
     denom = np.add.reduceat(t, starts)
-    weighted = v[cols]
+    weighted = v.take(cols, axis=0)
     weighted *= t[:, None]  # in place: one edge-by-column temporary, not two
     y = np.add.reduceat(weighted, starts, axis=0)
     return _LevelCache(q=q, k=k, rel=rel, t=t, mu=mu), denom, y
@@ -365,12 +366,12 @@ def _forward_core(hierarchy: Hierarchy, embedding, mode: str, want_cache: bool,
             carry_y, carry_d, carry_m = y_loc, d_loc, mu
         else:
             p = lv.parent_of
-            pm = carry_m[p]
+            pm = carry_m.take(p)
             m = np.maximum(mu, pm)
             w_loc = np.exp(mu - m)
             w_par = np.exp(pm - m)
-            carry_y = w_loc[:, None] * y_loc + w_par[:, None] * carry_y[p]
-            carry_d = w_loc * d_loc + w_par * carry_d[p]
+            carry_y = w_loc[:, None] * y_loc + w_par[:, None] * carry_y.take(p, axis=0)
+            carry_d = w_loc * d_loc + w_par * carry_d.take(p)
             carry_m = m
         del cache, term, y_loc, d_loc  # else alive through the next level's softmax
 
@@ -432,8 +433,8 @@ def _pull_back(hierarchy: Hierarchy, per_level: list) -> np.ndarray:
         coarse = hierarchy.levels[h + 1]
         groups = coarse.order
         entry, sizes = _csr_rows(coarse.pool_indptr, groups)  # the groups' entries, in that order
-        pooled = np.repeat(g[groups] / sizes[:, None], sizes, axis=0)
-        g = _scatter_add(coarse.pool_indices[entry], pooled, hierarchy.levels[h].n_tokens)
+        pooled = np.repeat(g.take(groups, axis=0) / sizes[:, None], sizes, axis=0)
+        g = _scatter_add(coarse.pool_indices.take(entry), pooled, hierarchy.levels[h].n_tokens)
         g += per_level[h]
     return g
 
@@ -454,10 +455,10 @@ def _fold(hierarchy: Hierarchy, caches: list, m_q: np.ndarray, c: np.ndarray) ->
     anc = np.arange(c.shape[0], dtype=np.int64)
     folds = []
     for h, (lv, cache) in enumerate(zip(hierarchy.levels, caches)):
-        w = np.exp(cache.mu[anc] - m_q)
+        w = np.exp(cache.mu.take(anc) - m_q)
         folds.append(_scatter_add(anc, w[:, None] * c, lv.n_tokens))
         if h < depth:
-            anc = lv.parent_of[anc]
+            anc = lv.parent_of.take(anc)
     return folds
 
 
@@ -499,17 +500,19 @@ def gha_backward(hierarchy: Hierarchy, dz: np.ndarray,
     per_level = []
     for lv, cache, fold in zip(hierarchy.levels, caches, folds):
         rows, cols = lv.topology.rows, lv.topology.indices
-        ab = fold[rows]  # the folded output and normalizer cotangents of each edge's query
-        ds = cache.t * (np.einsum("ed,ed->e", ab[:, :d_v], lv.v_tilde[cols]) - ab[:, d_v])
+        ab = fold.take(rows, axis=0)  # each edge's query's folded output and normalizer cotangents
+        ds = cache.t * (np.einsum("ed,ed->e", ab[:, :d_v], lv.v_tilde.take(cols, axis=0))
+                        - ab[:, d_v])
         dv = _value_cotangent(lv, cache, ab)[:, :d_v]  # scaled whole, then b's column dropped
         del ab  # else it is alive next to the dq and dk temporaries
         ds = (ds / scale)[:, None]
-        k_eff = cache.k[cols]
+        k_eff = cache.k.take(cols, axis=0)
         if cache.rel is not None:
             k_eff[:, 0::2] += cache.rel[0]
             k_eff[:, 1::2] += cache.rel[1]
         k_eff *= ds
         dq = np.add.reduceat(k_eff, lv.topology.indptr[:-1], axis=0)
-        per_level.append(np.hstack([dq, _scatter_add(cols, cache.q[rows] * ds, lv.n_tokens), dv]))
+        per_level.append(np.hstack([dq, _scatter_add(cols, cache.q.take(rows, axis=0) * ds,
+                                                     lv.n_tokens), dv]))
     del caches, folds, cache, fold  # frees the per-edge terms before the pull-back's temporaries
     return Gradients(*np.hsplit(_pull_back(hierarchy, per_level), [d, 2 * d]))

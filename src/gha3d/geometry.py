@@ -285,11 +285,11 @@ def _order_rows(
     ``rows`` (non-decreasing) names the query of each entry of ``cand``;
     every row must hold at least k candidates, in ascending index order.
     """
-    d2 = _squared_dist_to(points[cand], queries[rows])
+    d2 = _squared_dist_to(points.take(cand, axis=0), queries.take(rows, axis=0))
     # lexsort is stable, so equal distances keep the ascending index order.
     order = np.lexsort((d2, rows))
     starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
-    return cand[order][starts[:, None] + np.arange(k)]
+    return cand.take(order).take(starts[:, None] + np.arange(k))
 
 
 def knn(cloud: PointCloud, k: int) -> NeighborhoodTopology:
@@ -351,7 +351,7 @@ def _fps_in_order(positions: np.ndarray, m: int, canon: np.ndarray) -> np.ndarra
     """
     m = _integer(m, "m", 1, positions.shape[0])
     _check_extent(positions)
-    pts = positions[canon]
+    pts = positions.take(canon, axis=0)
 
     # Summing rows in canonical order keeps the start pick (and thus the
     # whole sample) independent of how the caller ordered the points.
@@ -371,7 +371,8 @@ def _fps_in_order(positions: np.ndarray, m: int, canon: np.ndarray) -> np.ndarra
         if best >= _BALL_MIN_D2:
             radius = math.sqrt(best) * (1.0 + _BALL_MARGIN)
             ball = np.asarray(tree.query_ball_point(pts[nxt], radius), dtype=np.intp)
-            min_d2[ball] = np.minimum(min_d2[ball], _squared_dist_to(pts[ball], pts[nxt]))
+            min_d2[ball] = np.minimum(min_d2.take(ball),
+                                      _squared_dist_to(pts.take(ball, axis=0), pts[nxt]))
         elif best > 0.0:
             np.minimum(min_d2, _squared_dist_to(pts, pts[nxt]), out=min_d2)
         # best == 0: every remaining min-distance is already 0.
@@ -431,9 +432,9 @@ def voxelize(cloud: PointCloud, voxel_size: float) -> SparseVoxelGrid:
     uniq_keys, starts, counts = np.unique(keys_s, return_index=True, return_counts=True)
 
     occ = coords[order[starts]]
-    centroid = np.add.reduceat(pos[order], starts) / counts[:, None]
+    centroid = np.add.reduceat(pos.take(order, axis=0), starts) / counts[:, None]
     if cloud.features is not None:
-        feats = np.add.reduceat(cloud.features[order], starts) / counts[:, None]
+        feats = np.add.reduceat(cloud.features.take(order, axis=0), starts) / counts[:, None]
     else:
         feats = np.empty((uniq_keys.shape[0], 0), dtype=np.float64)
     return SparseVoxelGrid(

@@ -43,12 +43,27 @@ VOXEL_WINDOW_K = 27
 def segment_mean(values: np.ndarray, indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
     """Row i of the result is the mean of ``values[indices[indptr[i]:indptr[i+1]]]``.
 
-    Every segment must be non-empty.
+    Every segment must be non-empty. Each group sums in member order. Where
+    finite terms near the float64 limit overflow that sum, the entry is
+    summed again in the same order, each term divided by the group's largest
+    magnitude in that column, so the mean of finite values stays finite;
+    every other entry keeps the plain sum's bits.
     """
-    gathered = values[indices]
-    sums = np.add.reduceat(gathered, indptr[:-1], axis=0)
-    sizes = np.diff(indptr)
-    return sums / sizes[:, None]
+    gathered = values.take(indices, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # mended below
+        sums = np.add.reduceat(gathered, indptr[:-1], axis=0)
+    means = sums / np.diff(indptr)[:, None]
+    bad = np.isinf(sums) | np.isnan(sums)  # NaN: pairwise partial sums overflowed both ways
+    hit = bad.any(axis=1)
+    if hit.any():
+        entry, sizes = _csr_rows(indptr, np.flatnonzero(hit))
+        part = gathered.take(entry, axis=0)
+        part_starts = np.cumsum(sizes) - sizes
+        scale = np.maximum.reduceat(np.abs(part), part_starts, axis=0)
+        scale[scale == 0.0] = 1.0  # an all-zero column's entry is not replaced
+        scaled = np.add.reduceat(part / np.repeat(scale, sizes, axis=0), part_starts, axis=0)
+        means[bad] = (scaled / sizes[:, None] * scale)[bad[hit]]
+    return means
 
 
 @dataclass(frozen=True)
@@ -96,12 +111,17 @@ class HierarchyLevel:
         for name, a in (("positions", positions), ("q_tilde", q), ("k_tilde", k),
                         ("v_tilde", _checked(self.v_tilde, "v_tilde", (n, None)))):
             object.__setattr__(self, name, _freeze(a))
-        # A level refuses float maps and cells; its hierarchy, which knows the
+        # A level refuses float maps; its hierarchy, which knows the
         # neighboring levels' sizes, checks the maps' shapes and ranges.
-        for name in ("parent_of", "selected", "coords", "pool_indptr", "pool_indices"):
+        for name in ("parent_of", "selected", "pool_indptr", "pool_indices"):
             val = getattr(self, name)
             if val is not None:
                 object.__setattr__(self, name, _index_map(val, f"{name} must be integers"))
+        if self.coords is not None:  # one cell per token, as ``build_hierarchy`` reads them
+            coords = _voxel_coords(self.coords)
+            if coords.shape[0] != n:
+                raise InvalidInputError(f"coords must be ({n}, 3), got {coords.shape}")
+            object.__setattr__(self, "coords", _freeze(coords))
         if self.topology.n_tokens != n:
             raise InvalidInputError("topology token count does not match level size")
         object.__setattr__(self, "order", _readonly(_canonical_order(self.positions)))
@@ -300,8 +320,8 @@ def build_hierarchy(
     that reduces its cell count (``coarsen_voxel``), so every recorded
     level strictly shrinks.
     """
+    # An empty set is refused by either flavor's topology.
     positions = _checked(positions, "positions", (None, 3))
-    n = positions.shape[0]  # an empty set is refused by either flavor's topology
 
     # Each flavor fixes its neighborhood size, ratio, level-0 topology and
     # coarsening step; one loop then coarsens until a level fits k tokens.
@@ -313,10 +333,7 @@ def build_hierarchy(
     elif flavor == "voxel":
         if coords is None:
             raise InvalidInputError("voxel flavor requires occupied-cell coords")
-        coords = _freeze(_voxel_coords(coords))
-        if coords.shape != (n, 3):
-            raise InvalidInputError(f"coords must be ({n}, 3), got {coords.shape}")
-        k, r = VOXEL_WINDOW_K, 2
+        k, r = VOXEL_WINDOW_K, 2  # level 0 checks that coords hold one cell per point
         topology = kernel_window_topology(coords)
         step = coarsen_voxel
     else:
@@ -377,7 +394,7 @@ def interpolate(values: np.ndarray, from_level: int, hierarchy: Hierarchy) -> np
     """Copy each fine token its parent's row from level ``from_level``."""
     from_level = _integer(from_level, "from_level", 1, hierarchy.depth)
     values = _checked(values, "values", (hierarchy.levels[from_level].n_tokens, None))
-    return values[hierarchy.levels[from_level - 1].parent_of]
+    return values.take(hierarchy.levels[from_level - 1].parent_of, axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -591,6 +592,46 @@ def test_backward_bits_are_pinned_on_duplicate_positions():
     for name, hexes in PINNED_BACKWARD.items():
         want = np.array([float.fromhex(x) for x in hexes.split()]).reshape(20, 2)
         assert getattr(grads, name).tobytes() == want.tobytes(), name
+
+
+# SHA-256 prefixes of (z, normalizers, effective_attention_row(h, 7)) bytes,
+# recorded before the kernels gathered rows with ndarray.take: the gathers
+# must not change a bit.
+PINNED_FORWARD = {
+    ("point", "none"): ("e88e34e9535b2eda", "41c6144ce686ef33", "b799762dbb1852a1"),
+    ("point", "absolute"): ("04394e9e93d029d1", "059ed3bd5b7c5c11", "0bb6fe434ae0732a"),
+    ("point", "relative"): ("d8950276541f234b", "a894a8c57d219759", "57e5dbcd767563fa"),
+    ("voxel", "none"): ("d0f450c29bbec84b", "2fc860e9c31e156e", "b8994e04f50f9a83"),
+    ("voxel", "absolute"): ("bdf165fcd5dddf24", "958d03dc5a78a191", "f7f69a20854429c2"),
+    ("voxel", "relative"): ("eb49aff98c141123", "b36b2e48b772e4da", "0fe3247b1cb50bc3"),
+}
+
+
+def pinned_structure(flavor):
+    """The duplicate-position point fixture of the pinned backward, or a
+    64-cell voxel structure of depth 3."""
+    if flavor == "point":
+        rng = np.random.default_rng(2024)
+        pos = np.repeat(np.round(rng.uniform(size=(5, 3)), 2), 4, axis=0)[rng.permutation(20)]
+        q, k, v = (np.round(rng.normal(size=(20, 2)), 3) for _ in range(3))
+        return build_hierarchy(pos, q, k, v, flavor="point", k=3, r=2)
+    rng = np.random.default_rng(31)
+    coords = np.unique(rng.integers(-8, 8, size=(70, 3)), axis=0)[rng.permutation(64)]
+    pos = coords + np.round(rng.uniform(0.1, 0.9, size=(64, 3)), 2)
+    q, k, v = (np.round(rng.normal(size=(64, 2)), 3) for _ in range(3))
+    return build_hierarchy(pos, q, k, v, flavor="voxel", coords=coords)
+
+
+@pytest.mark.parametrize("flavor, mode", sorted(PINNED_FORWARD))
+def test_forward_and_row_bits_are_pinned(flavor, mode):
+    h = pinned_structure(flavor)
+    assert h.level_sizes() == ([20, 10, 5, 3] if flavor == "point" else [64, 60, 41, 8])
+    emb = None if mode == "none" else make_fourier_embedding(2, np.random.default_rng(5))
+    out = gha_forward(h, emb, mode)
+    row = effective_attention_row(h, 7, emb, mode)
+    got = tuple(hashlib.sha256(a.tobytes()).hexdigest()[:16]
+                for a in (out.z, out.normalizers, row))
+    assert got == PINNED_FORWARD[flavor, mode]
 
 
 # ---------------------------------------------------------------------------

@@ -224,6 +224,64 @@ def test_coarsen_voxel_random_matches_bruteforce():
         assert list(parent_of) == list(parent)
 
 
+THREE_CELLS = [[0, 0, 0], [1, 0, 0], [3, 0, 0]]
+
+
+@pytest.mark.parametrize("coords", [
+    [row[:2] for row in THREE_CELLS],  # (3, 2): coarsening raised a bare IndexError
+    THREE_CELLS[:2],  # 2 of 3 rows: a 1-token coarse level over 2 tokens, no error
+    THREE_CELLS + [[5, 0, 0]],
+    [0, 1, 3],
+    [[0.5, 0, 0], [1, 0, 0], [3, 0, 0]],
+    [[1 << 20, 0, 0], [1, 0, 0], [3, 0, 0]],
+])
+def test_level_coords_hold_one_cell_per_token(coords):
+    rows = np.ones((3, 1))
+    level = make_voxel_level(THREE_CELLS, rows, rows, rows)
+    with pytest.raises(InvalidInputError, match="coords must be|voxel coordinates"):
+        replace(level, coords=coords)
+    with pytest.raises(InvalidInputError, match="coords must be|voxel coordinates"):
+        build_hierarchy(level.positions, rows, rows, rows, flavor="voxel", coords=coords)
+    same = replace(level, coords=np.array(THREE_CELLS, dtype=np.float64))
+    assert same.coords.dtype == np.int64 and not same.coords.flags.writeable
+    assert same.coords.tolist() == THREE_CELLS
+    assert coarsen_voxel(same)[0].n_tokens == 2
+
+
+def test_segment_mean_sums_again_only_the_entries_that_overflow():
+    values = np.array([[1.5e308, 1.0], [1.5e308, 2.0], [0.1, 1e308], [0.2, -1e308], [0.3, 3.0]])
+    indptr, indices = np.array([0, 2, 5]), np.array([1, 0, 2, 3, 4])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = segment_mean(values, indptr, indices)
+    assert got[0, 0] == 1.5e308
+    with np.errstate(over="ignore"):
+        plain = np.add.reduceat(values[indices], indptr[:-1], axis=0) / [[2], [3]]
+    assert got[0, 1] == plain[0, 1] and got[1].tobytes() == plain[1].tobytes()
+    # reduceat adds long groups in pairs, so terms of both signs can also
+    # overflow to NaN; [x]*4 + [-x]*5 does.
+    x = 1.5e308
+    for group, mean in (([x, x, -x, -x, 6e307], 1.2e307), ([x] * 4 + [-x] * 5, -x / 9)):
+        got = segment_mean(np.array(group)[:, None], np.array([0, len(group)]),
+                           np.arange(len(group)))
+        np.testing.assert_allclose(got, [[mean]], rtol=1e-15)
+
+
+def test_pooled_means_near_the_float_limit_stay_finite():
+    """A finite v = 1.5e308 used to overflow every coarse level's pooled
+    mean, with a RuntimeWarning; the mean of equal values is that value."""
+    rng = np.random.default_rng(26)
+    pos = rng.normal(size=(40, 3))
+    q, k_mat, _ = rand_qkv(rng, 40, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h = build_hierarchy(pos, q, k_mat, np.full((40, 2), 1.5e308), flavor="point", k=4)
+        fresh = with_values(h, v=np.full((40, 2), -1.5e308))
+    assert h.depth >= 3
+    for lv, fl in zip(h.levels, fresh.levels):
+        assert np.all(lv.v_tilde == 1.5e308) and np.all(fl.v_tilde == -1.5e308)
+
+
 # ---------------------------------------------------------------------------
 # build_hierarchy
 # ---------------------------------------------------------------------------

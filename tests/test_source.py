@@ -1,7 +1,8 @@
 """Source hygiene of the package modules, checked with the stdlib ``ast``:
 no unused imports, no unreferenced module-level private definitions, one
 finiteness check for caller arrays and one range check for caller integers;
-and every package name the benchmark's workloads call still resolves."""
+no kernel gather by an index map through fancy indexing; and every package
+name the benchmark's workloads call still resolves."""
 
 import ast
 import importlib
@@ -77,6 +78,28 @@ def test_only_the_array_check_tests_finiteness():
                     and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
                 )
     assert callers == {"geometry.py:_checked", "geometry.py:_voxel_coords"}
+
+
+# Index maps: names of per-edge or per-group integer arrays, and the
+# fields of a topology or level that hold one.
+INDEX_MAP_NAMES = {"rows", "cols", "anc", "p", "groups", "indices"}
+INDEX_MAP_FIELDS = {"rows", "indices", "parent_of"}
+
+
+def test_kernels_gather_by_index_maps_with_take():
+    """The kernels read an array by an index map with ``ndarray.take``,
+    which copies the same bytes as ``a[idx]`` several times faster: no
+    Load subscript in these modules takes an index map as its index."""
+    found = []
+    for name in ("attention.py", "hierarchy.py", "analysis.py"):
+        for node in ast.walk(_tree(SRC / name)):
+            if not (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load)):
+                continue
+            index = node.slice
+            if ((isinstance(index, ast.Name) and index.id in INDEX_MAP_NAMES)
+                    or (isinstance(index, ast.Attribute) and index.attr in INDEX_MAP_FIELDS)):
+                found.append(f"{name}:{node.lineno} {ast.unparse(node)}")
+    assert found == []
 
 
 def _message(node: ast.AST) -> str:
