@@ -255,6 +255,27 @@ class ApproximationReport:
     dense_weight_count: int
 
 
+def _ranked_columns(d: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Per row of ``d``, the columns at ranks lo..hi-1 of its (value, column)
+    order, in that order: the slice [lo:hi] of a stable argsort, found by
+    partial selection in O(width) per row instead of a full sort.
+
+    Values strictly between the rank-lo and rank-(hi-1) values are in the
+    slice; an entry equal to either bound is in it when its rank, the count
+    of smaller values plus its place among the equal ones, falls in range."""
+    bounds = np.partition(d, (lo, hi - 1), axis=1)
+    keep = (d > bounds[:, lo, None]) & (d < bounds[:, hi - 1, None])
+    for bound in (bounds[:, lo, None], bounds[:, hi - 1, None]):
+        equal = d == bound
+        rank = np.cumsum(equal, axis=1, dtype=np.int32)
+        rank += (d < bound).sum(axis=1, keepdims=True, dtype=np.int32) - 1
+        keep |= equal & (rank >= lo) & (rank < hi)
+        del equal, rank
+    cols = np.nonzero(keep)[1].reshape(d.shape[0], hi - lo)  # ascending per row
+    order = np.take_along_axis(d, cols, axis=1).argsort(axis=1, kind="stable")
+    return np.take_along_axis(cols, order, axis=1)
+
+
 def locality_ratio(positions: np.ndarray, weights: np.ndarray, n_extreme: int = 5) -> float:
     """Mean weight on each query's nearest tokens over mean weight on its
     farthest (self excluded, ties broken by index)."""
@@ -265,13 +286,13 @@ def locality_ratio(positions: np.ndarray, weights: np.ndarray, n_extreme: int = 
         raise InvalidInputError("locality ratio needs at least 2 tokens")
     m = min(n_extreme, n - 1)
     near, far = np.empty((n, m)), np.empty((n, m))
-    for lo, hi in _bounded_spans(n, 3 * n):  # row chunks: no N x N distances or order
+    for lo, hi in _bounded_spans(n, 3 * n):  # row chunks: no N x N distances
         d = _pairwise_distances(positions[lo:hi], positions)
         d[np.arange(hi - lo), np.arange(lo, hi)] = np.inf  # excludes self from "nearest"
-        order = np.argsort(d, axis=1, kind="stable")  # ties stay in index order
-        near[lo:hi] = np.take_along_axis(weights[lo:hi], order[:, :m], axis=1)
-        far[lo:hi] = np.take_along_axis(weights[lo:hi], order[:, n - 1 - m:n - 1], axis=1)
-        del d, order  # else they are alive while the next chunk is made
+        near[lo:hi] = np.take_along_axis(weights[lo:hi], _ranked_columns(d, 0, m), axis=1)
+        far[lo:hi] = np.take_along_axis(weights[lo:hi], _ranked_columns(d, n - 1 - m, n - 1),
+                                        axis=1)
+        del d  # else it is alive while the next chunk is made
     near_mean = float(near.mean())
     far_mean = float(far.mean())
     if far_mean == 0.0:

@@ -339,6 +339,28 @@ def local_attention(inputs: AttentionInputs, topology) -> AttentionResult:
 # Hierarchical forward
 # ---------------------------------------------------------------------------
 
+def _value_exponents(hierarchy: Hierarchy) -> np.ndarray | None:
+    """Per v column, the power of two that scales it down so that no edge
+    sum of the forward can overflow, or None where no column needs one.
+
+    A z row sums at most one neighborhood per level, each term a v entry
+    times a weight of at most 1, so its partial sums stay below the
+    column's largest magnitude times that many edges. Scaling by a power of
+    two is exact, and z is linear in v, so scaling z back gives the bits an
+    unbounded exponent would; a column that cannot overflow is not touched.
+    """
+    edges = sum(int(lv.topology.sizes.max()) for lv in hierarchy.levels)
+    bound = np.finfo(np.float64).max / 4 / edges  # the largest magnitude that is safe
+    # Whole-array extremes first: far cheaper than per-column ones.
+    if max(max(lv.v_tilde.max(initial=0.0), -lv.v_tilde.min(initial=0.0))
+           for lv in hierarchy.levels) <= bound:
+        return None
+    top = np.max([np.maximum(lv.v_tilde.max(axis=0), -lv.v_tilde.min(axis=0))
+                  for lv in hierarchy.levels], axis=0)
+    # top * edges < 2^(exponent of top + bit length of edges); keep it below 2^1022.
+    return np.where(top > bound, np.frexp(top)[1] + edges.bit_length() - 1022, 0)
+
+
 def _forward_core(hierarchy: Hierarchy, embedding, mode: str, want_cache: bool,
                   table: PositionalTable | None = None):
     d = hierarchy.levels[0].q_tilde.shape[1]
@@ -347,6 +369,7 @@ def _forward_core(hierarchy: Hierarchy, embedding, mode: str, want_cache: bool,
         _check_table(table, hierarchy, embedding, mode)
     scale = math.sqrt(d)
     depth = hierarchy.depth
+    exponents = _value_exponents(hierarchy)
 
     caches: list = [None] * (depth + 1)
     per_level = [0] * (depth + 1)
@@ -355,9 +378,9 @@ def _forward_core(hierarchy: Hierarchy, embedding, mode: str, want_cache: bool,
         lv = hierarchy.levels[h]
         term = (table.terms[h] if table is not None
                 else _level_term(lv.positions, lv.topology, embedding, mode))
-        cache, d_loc, y_loc = _level_softmax(
-            lv.q_tilde, lv.k_tilde, lv.v_tilde, lv.topology, term, mode, scale
-        )
+        v = lv.v_tilde if exponents is None else np.ldexp(lv.v_tilde, -exponents)
+        cache, d_loc, y_loc = _level_softmax(lv.q_tilde, lv.k_tilde, v, lv.topology, term, mode,
+                                             scale)
         mu = cache.mu
         per_level[h] = lv.topology.total_edges
         caches[h] = cache if want_cache else None
@@ -373,12 +396,13 @@ def _forward_core(hierarchy: Hierarchy, embedding, mode: str, want_cache: bool,
             carry_y = w_loc[:, None] * y_loc + w_par[:, None] * carry_y.take(p, axis=0)
             carry_d = w_loc * d_loc + w_par * carry_d.take(p)
             carry_m = m
-        del cache, term, y_loc, d_loc  # else alive through the next level's softmax
+        del cache, term, y_loc, d_loc, v  # else alive through the next level's softmax
 
     with np.errstate(over="ignore"):
         normalizers = carry_d * np.exp(carry_m)
+    z = carry_y / carry_d[:, None]
     result = AttentionResult(
-        z=carry_y / carry_d[:, None],
+        z=z if exponents is None else np.ldexp(z, exponents),
         normalizers=normalizers,
         weight_count=int(sum(per_level)),
         per_level_weight_count=tuple(per_level),

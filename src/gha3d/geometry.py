@@ -103,12 +103,17 @@ def _csr(indptr, indices, name: str, n: int, rows: int) -> tuple[np.ndarray, np.
     return indptr, indices
 
 
+def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The integer ranges [starts[i], starts[i] + sizes[i]), concatenated."""
+    ends = np.cumsum(sizes)
+    return np.repeat(starts - ends + sizes, sizes) + np.arange(ends[-1] if ends.size else 0)
+
+
 def _csr_rows(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The entries of CSR ``rows``, concatenated in that order, as positions
     into the map's indices, and each row's size."""
     sizes = indptr[rows + 1] - indptr[rows]
-    ends = np.cumsum(sizes)
-    return np.repeat(indptr[rows] - ends + sizes, sizes) + np.arange(ends[-1]), sizes
+    return _ranges(indptr[rows], sizes), sizes
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -204,8 +209,11 @@ class SparseVoxelGrid:
 
 
 def _squared_dist_to(points: np.ndarray, p: np.ndarray) -> np.ndarray:
-    d = points - p
-    return np.einsum("ij,ij->i", d, d)
+    """Squared distances between ``points`` and ``p``, which broadcast
+    against each other over a last axis of (x, y, z): one arithmetic,
+    dx*dx + dy*dy + dz*dz, for every caller."""
+    d = (points - p).reshape(-1, 3)
+    return np.einsum("ij,ij->i", d, d).reshape(np.broadcast_shapes(points.shape, p.shape)[:-1])
 
 
 # Squared distances are formed as dx*dx + dy*dy + dz*dz. Bounding the
@@ -240,6 +248,34 @@ def _check_extent(*point_sets: np.ndarray) -> None:
         )
 
 
+# Odd multipliers that spread each coordinate's bits over the grouping key.
+_GROUP_KEY = np.array([0xBF58476D1CE4E5B9, 0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F],
+                      dtype=np.uint64)
+
+
+def _position_groups(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Points that share one exact position, as groups: group g is
+    ``order[starts[g]:starts[g] + counts[g]]``, members in ascending index.
+
+    Points are grouped by one key hashed from their coordinates' bits and
+    sorted stably, not by a sort of the positions: a group is a run of one
+    key and one position, so its members keep their index order. Equal
+    bits share a key; positions whose keys collide only split a group, and
+    so do -0.0 and 0.0, so one position may span several groups."""
+    n = points.shape[0]
+    bits = np.ascontiguousarray(points).view(np.uint64)
+    bits = bits ^ (bits >> np.uint64(31))  # fold exponents into the low bits, then spread
+    key = np.bitwise_xor.reduce(bits * _GROUP_KEY, axis=1)
+    key ^= key >> np.uint64(29)
+    order = np.argsort(key, kind="stable")
+    key, ordered = key.take(order), points.take(order, axis=0)
+    new = np.ones(n, dtype=bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=new[1:])
+    new[1:] |= key[1:] != key[:-1]  # a group is one key's run of one position
+    starts = np.flatnonzero(new)
+    return order, starts, np.diff(np.append(starts, n))
+
+
 def deterministic_knn(points: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
     """Exact k nearest neighbors of each query among ``points``.
 
@@ -247,49 +283,94 @@ def deterministic_knn(points: np.ndarray, queries: np.ndarray, k: int) -> np.nda
     by (squared distance, index). A kd-tree provides candidates; selection
     and ordering always use the direct per-pair squared distance so results
     do not depend on tree internals or input order (beyond index
-    relabeling). Rows are ordered in one batched sort; only queries whose
-    distance tie straddles the k-th place fetch a full ball of candidates.
+    relabeling).
+
+    Exact duplicates are collapsed first: the tree holds each distinct
+    position once, each distinct query position is answered once, and a
+    position stands for its first k points in index order, so a group of
+    points at one position costs O(k) per query, not O(group). Rows whose k
+    nearest positions hold one point each and no further position ties the
+    k-th are ordered in one row-wise sort; only the others are ordered by
+    position groups, and only queries whose distance tie straddles the k-th
+    place fetch a ball of candidate positions.
     """
     n = points.shape[0]
     k = min(k, n)
     _check_extent(points, queries)
-    tree = cKDTree(points)
-    # One extra neighbor tells us whether a tie straddles the k-th place.
-    kq = min(k + 1, n)
-    dist, idx = tree.query(queries, k=kq)
+    groups = _position_groups(points)
+    order, starts, counts = groups
+    first = order.take(starts)
+    tree = cKDTree(points.take(first, axis=0))
+    q_order, q_starts, q_counts = groups if queries is points else _position_groups(queries)
+    distinct = queries.take(q_order.take(q_starts), axis=0)
+    n_q = distinct.shape[0]
+
+    # One extra position tells us whether a tie straddles the k-th place.
+    kq = min(k + 1, starts.shape[0])
+    dist, idx = tree.query(distinct, k=kq)
     if kq == 1:  # scipy squeezes the neighbor axis for k=1
         dist = dist[:, None]
         idx = idx[:, None]
+    cum = np.cumsum(counts.take(idx), axis=1, dtype=np.int32)
+    last = (cum < k).sum(axis=1)  # the column of the position holding the k-th point
+    row = np.arange(n_q)
+    after = np.minimum(last + 1, kq - 1)
+    tied = (last + 1 < kq) & (dist[row, after] <= dist[row, last] * (1.0 + 1e-12))
+    plain = ~tied & (last == k - 1) & (cum[row, last] == k)
+    del cum
 
-    every_row = np.repeat(np.arange(queries.shape[0]), k)
-    out = _order_rows(points, queries, every_row, np.sort(idx[:, :k], axis=1).ravel(), k)
-    if kq > k:
-        ambiguous = np.flatnonzero(dist[:, k] <= dist[:, k - 1] * (1.0 + 1e-12))
-        radii = dist[ambiguous, k - 1] * (1.0 + 1e-9)
-        # A ball holds up to n candidates, so bound the batch by its total.
-        step = max(1, _KNN_CANDIDATE_BUDGET // n)
-        for lo in range(0, ambiguous.shape[0], step):
-            rows = ambiguous[lo : lo + step]
-            balls = tree.query_ball_point(queries[rows], radii[lo : lo + step], return_sorted=True)
-            sizes = np.fromiter(map(len, balls), dtype=np.int64, count=rows.shape[0])
-            cand = np.fromiter(itertools.chain.from_iterable(balls), dtype=np.int64, count=int(sizes.sum()))
-            out[rows] = _order_rows(points, queries, np.repeat(rows, sizes), cand, k)
-    return out
+    out = np.empty((n_q, k), dtype=np.int64)
+    rows = np.flatnonzero(plain)
+    if rows.size:  # then every row has k positions
+        cand = first.take(idx[rows, :k])
+        cand.sort(axis=1)
+        d2 = _squared_dist_to(points.take(cand, axis=0), distinct.take(rows, axis=0)[:, None])
+        # A stable sort keeps equal distances in the ascending index order.
+        out[rows] = np.take_along_axis(cand, d2.argsort(axis=1, kind="stable"), axis=1)
+
+    # Rows with duplicates among their nearest positions: those positions.
+    rest = np.flatnonzero(~plain & ~tied)
+    step = max(1, _KNN_CANDIDATE_BUDGET // (k * k))
+    for lo in range(0, rest.shape[0], step):
+        rows = rest[lo : lo + step]
+        near = idx.take(rows, axis=0)[np.arange(kq) <= last.take(rows)[:, None]]
+        out[rows] = _order_by_position(points, distinct, rows.repeat(last.take(rows) + 1), near,
+                                       groups, k)
+    # Rows with a tie at the k-th place: every position in the ball.
+    rest = np.flatnonzero(tied)
+    radii = dist[rest, last.take(rest)] * (1.0 + 1e-9)
+    # A ball holds up to n candidates, so bound the batch by its total.
+    step = max(1, _KNN_CANDIDATE_BUDGET // n)
+    for lo in range(0, rest.shape[0], step):
+        rows = rest[lo : lo + step]
+        balls = tree.query_ball_point(distinct.take(rows, axis=0), radii[lo : lo + step],
+                                      return_sorted=False)
+        sizes = np.fromiter(map(len, balls), dtype=np.int64, count=rows.shape[0])
+        near = np.fromiter(itertools.chain.from_iterable(balls), dtype=np.int64, count=int(sizes.sum()))
+        out[rows] = _order_by_position(points, distinct, rows.repeat(sizes), near, groups, k)
+
+    # Each query takes the row of its distinct position.
+    position = np.empty(queries.shape[0], dtype=np.int64)
+    position[q_order] = np.arange(n_q).repeat(q_counts)
+    return out.take(position, axis=0)
 
 
-def _order_rows(
-    points: np.ndarray, queries: np.ndarray, rows: np.ndarray, cand: np.ndarray, k: int
-) -> np.ndarray:
-    """First k candidates of each row by (squared distance, index).
-
-    ``rows`` (non-decreasing) names the query of each entry of ``cand``;
-    every row must hold at least k candidates, in ascending index order.
-    """
-    d2 = _squared_dist_to(points.take(cand, axis=0), queries.take(rows, axis=0))
-    # lexsort is stable, so equal distances keep the ascending index order.
-    order = np.lexsort((d2, rows))
-    starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
-    return cand.take(order).take(starts[:, None] + np.arange(k))
+def _order_by_position(points: np.ndarray, queries: np.ndarray, rows: np.ndarray,
+                       positions: np.ndarray, groups: tuple, k: int) -> np.ndarray:
+    """First k points of each row by (squared distance, index), given each
+    row's candidate ``positions`` (indices into the ``groups`` of
+    ``_position_groups``; ``rows``, non-decreasing, names each one's query).
+    A row never takes more than k points of one position, so each position
+    stands for its first k members."""
+    order, starts, counts = groups
+    sizes = np.minimum(counts.take(positions), k)
+    cand = order.take(_ranges(starts.take(positions), sizes))
+    owner = rows.repeat(sizes)
+    d2 = _squared_dist_to(points.take(cand, axis=0), queries.take(owner, axis=0))
+    # Sorted by (row, squared distance, index); each row keeps its first k.
+    ordered = np.lexsort((cand, d2, owner))
+    row_starts = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
+    return cand.take(ordered).take(row_starts[:, None] + np.arange(k))
 
 
 def knn(cloud: PointCloud, k: int) -> NeighborhoodTopology:
@@ -331,53 +412,211 @@ def farthest_point_sample(cloud: PointCloud, m: int) -> np.ndarray:
 def fps_from_positions(positions: np.ndarray, m: int) -> np.ndarray:
     """Farthest point sampling (see ``farthest_point_sample``), run in the
     points' canonical order (see ``_fps_in_order``)."""
-    return _fps_in_order(positions, m, _canonical_order(positions))
+    return _fps_in_order(positions, m, _canonical_order(positions))[0]
 
 
-def _fps_in_order(positions: np.ndarray, m: int, canon: np.ndarray) -> np.ndarray:
+# FPS keeps the maxima of its min-distances over blocks of this many
+# entries of the canonical order, and each batch weighs this many candidates.
+_FPS_BLOCK = 128
+_FPS_BATCH = 64
+
+
+def _fps_in_order(positions: np.ndarray, m: int, canon: np.ndarray,
+                  rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Farthest point sampling given the points' canonical (x, y, z, index)
     order ``canon`` (a hierarchy level stores it, so a build sorts each level
-    once). The whole sample runs in that order. There, ``np.argmax`` returning
-    the first of several equal maxima *is* the tie rule: the first
-    candidate has the lexicographically smallest coordinates, then the
-    lowest index. Output is mapped back to input indices.
+    once). Returns the sample (input indices, ascending) and the parent map:
+    each point's nearest sampled point by (squared distance, index), as a
+    position in the sample; a sampled point is its own parent.
 
-    After a pick at min-distance ``best``, a point's min-distance can only
-    drop if its squared distance to the pick is below ``best``, so only the
-    points in a kd-tree ball of radius sqrt(best) (plus a margin) are
-    updated; each squared distance is the same ``_squared_dist_to``
-    arithmetic as a full update, so the sample is exactly that of the
-    plain O(N*m) loop.
+    The sample is exactly that of the plain O(N*m) loop, run in canonical
+    order, where the first of several equal maxima *is* the tie rule (the
+    lexicographically smallest coordinates, then the lowest index):
+
+    - Points at one position share every distance and sit together in
+      canonical order, lowest index first, so the first of them is picked
+      before the others, which then lie at 0. The loop runs over distinct
+      positions until the largest min-distance is 0; from there it would
+      take the remaining points in canonical order and update nothing.
+    - Picks come in batches. A batch weighs the top candidates by
+      (-min-distance, canonical index) and accepts the best one while it
+      still beats every other position; each acceptance lowers the
+      candidates' values with the same ``_squared_dist_to`` arithmetic as a
+      full update, so the batch picks what the loop would.
+    - After a pick at min-distance ``best``, a min-distance can only drop
+      (or tie) where the squared distance to the pick is at most ``best``.
+      So one update per batch visits, for each pick, a kd-tree ball of
+      radius sqrt(best) (plus a margin) or, when ``best`` is below the
+      squared distance to the pick's k-th neighbor, the pick's row of
+      ``rows``: the level's exact kNN rows, sorted by (squared distance,
+      index), so every point off a row is at least that far. A minimum
+      does not depend on the order of its terms, so the update is exact.
+      While balls hold over an eighth of the positions, and where squared
+      distances may be subnormal, picks update every position instead.
+    - Block maxima of the min-distances make the candidates' selection
+      cost O(blocks + candidates); a batch recomputes only the blocks it
+      touched.
     """
-    m = _integer(m, "m", 1, positions.shape[0])
+    n = positions.shape[0]
+    m = _integer(m, "m", 1, n)
     _check_extent(positions)
     pts = positions.take(canon, axis=0)
+    lead = np.ones(n, dtype=bool)  # the first point at each distinct position
+    np.any(pts[1:] != pts[:-1], axis=1, out=lead[1:])
+    group = np.cumsum(lead) - 1  # each point's position, in canonical order
+    lead = np.flatnonzero(lead)
+    upts = pts.take(lead, axis=0)
+    lead_index = canon.take(lead)
 
     # Summing rows in canonical order keeps the start pick (and thus the
     # whole sample) independent of how the caller ordered the points.
-    centroid = pts.mean(axis=0)
-    picks = np.empty(m, dtype=np.int64)
-    picks[0] = np.argmax(_squared_dist_to(pts, centroid))
-    min_d2 = _squared_dist_to(pts, pts[picks[0]])
-    # Selected entries are parked at -1, below any real squared distance, so
-    # the argmax below never revisits them and no separate mask is needed.
+    picks = [int(np.argmax(_squared_dist_to(upts, pts.mean(axis=0))))]
+    # Min-distances of the positions, padded to whole blocks with -inf.
+    # Picked entries are parked at -1, below any real squared distance, so
+    # no candidate search revisits them and no separate mask is needed.
+    blocks = np.full((-(-lead.shape[0] // _FPS_BLOCK), _FPS_BLOCK), -np.inf)
+    min_d2 = blocks.reshape(-1)[: lead.shape[0]]
+    min_d2[:] = _squared_dist_to(upts, upts[picks[0]])
     min_d2[picks[0]] = -1.0
+    block_max = blocks.max(axis=1)
+    # The input index of each position's nearest pick so far, ties to the lower.
+    nearest = np.full(lead.shape[0], lead_index[picks[0]], dtype=np.int64)
+    if rows is not None:  # as positions, with the squared distance each row reaches
+        rank = np.empty(n, dtype=np.int64)
+        rank[canon] = np.arange(n)
+        rows = group.take(rank.take(rows.take(lead_index, axis=0)))
+        reach = _squared_dist_to(upts.take(rows[:, -1], axis=0), upts)
+    tree, wide = None, True  # the first picks' balls hold most positions
 
-    tree = cKDTree(pts)
-    for j in range(1, m):
-        nxt = int(min_d2.argmax())
-        best = float(min_d2[nxt])
-        picks[j] = nxt
-        if best >= _BALL_MIN_D2:
-            radius = math.sqrt(best) * (1.0 + _BALL_MARGIN)
-            ball = np.asarray(tree.query_ball_point(pts[nxt], radius), dtype=np.intp)
-            min_d2[ball] = np.minimum(min_d2.take(ball),
-                                      _squared_dist_to(pts.take(ball, axis=0), pts[nxt]))
-        elif best > 0.0:
-            np.minimum(min_d2, _squared_dist_to(pts, pts[nxt]), out=min_d2)
-        # best == 0: every remaining min-distance is already 0.
-        min_d2[nxt] = -1.0
-    return np.sort(canon[picks])
+    while len(picks) < m and block_max.max() > 0.0:
+        cand, bound, first_out = _fps_candidates(blocks, block_max)
+        values = min_d2.take(cand)
+        # Squared distances between the candidates, row i from candidate i.
+        cand_pts = upts.take(cand, axis=0)
+        between = _squared_dist_to(cand_pts[:, None], cand_pts)
+        batch, best = [], []
+        while len(picks) + len(batch) < m:
+            i = int(values.argmax())
+            top = values[i]
+            if not (top > bound or (top == bound and cand[i] < first_out)) or top <= 0.0:
+                break
+            batch.append(cand[i])
+            best.append(top)
+            np.minimum(values, between[i], out=values)
+            values[i] = -1.0
+        batch, best = np.array(batch), np.array(best)
+
+        # The positions each pick can lower: every one while the balls are
+        # wide or squared distances may be subnormal, else the pick's kNN row
+        # or a kd-tree ball. Dense picks update in turn, as the loop would.
+        dense = wide | (best < _BALL_MIN_D2)
+        widest = 0
+        for p, top in zip(batch[dense].tolist(), best[dense].tolist()):
+            d2 = _squared_dist_to(upts, upts[p])
+            widest = max(widest, int(np.count_nonzero(d2 <= top)))
+            nearest[d2 < min_d2] = lead_index[p]
+            tie = np.flatnonzero(d2 == min_d2)
+            nearest[tie] = np.minimum(nearest.take(tie), lead_index[p])
+            np.minimum(min_d2, d2, out=min_d2)
+        visit, owner = [], []
+        by_row = ~dense & (best < reach.take(batch)) if rows is not None else np.zeros_like(dense)
+        if by_row.any():
+            visit.append(rows.take(batch[by_row], axis=0).ravel())
+            owner.append(batch[by_row].repeat(rows.shape[1]))
+        by_ball = ~dense & ~by_row
+        if by_ball.any():
+            tree = cKDTree(upts) if tree is None else tree
+            radii = np.sqrt(best[by_ball]) * (1.0 + _BALL_MARGIN)
+            balls = tree.query_ball_point(upts.take(batch[by_ball], axis=0), radii,
+                                          return_sorted=False)
+            sizes = np.fromiter(map(len, balls), dtype=np.int64, count=radii.shape[0])
+            widest = max(widest, int(sizes.max()))
+            visit.append(np.fromiter(itertools.chain.from_iterable(balls), dtype=np.int64,
+                                     count=int(sizes.sum())))
+            owner.append(batch[by_ball].repeat(sizes))
+        touched = np.full(block_max.shape[0], dense.any())
+        touched[batch // _FPS_BLOCK] = True
+        if visit:
+            visit, owner = np.concatenate(visit), np.concatenate(owner)
+            d2 = _squared_dist_to(upts.take(visit, axis=0), upts.take(owner, axis=0))
+            before = min_d2.take(visit)
+            near = d2 <= before  # the visits that lower or tie a min-distance
+            visit, owner, d2, before = visit[near], owner[near], d2[near], before[near]
+            np.minimum.at(min_d2, visit, d2)
+            after = min_d2.take(visit)
+            # A position whose min-distance dropped forgets its old nearest
+            # pick; then every pick at the new minimum offers its input index.
+            nearest[visit[after < before]] = n
+            tie = d2 == after
+            np.minimum.at(nearest, visit[tie], lead_index.take(owner[tie]))
+            touched[visit // _FPS_BLOCK] = True
+        min_d2[batch] = -1.0
+        block_max[touched] = blocks[touched].max(axis=1)
+        # A ball over an eighth of the positions costs more than a full pass.
+        wide = widest * 8 > lead.shape[0]
+        picks.extend(batch.tolist())
+
+    # The other points at a picked position lie at 0 from it, their nearest.
+    min_d2[picks] = 0.0
+    nearest[picks] = lead_index.take(picks)
+    sampled = np.zeros(n, dtype=bool)
+    sampled[lead.take(picks)] = True
+    sampled[np.flatnonzero(~sampled)[: m - len(picks)]] = True  # the points taken at 0
+    selected = np.sort(canon.take(np.flatnonzero(sampled)))
+    parent_of = np.empty(n, dtype=np.int64)
+    parent_of[canon] = np.searchsorted(selected, nearest.take(group))
+    # A point at 0 from its nearest pick may tie with a pick taken at 0,
+    # which updated nothing. That pick shares its position, and so comes
+    # after the position's first point in index order, unless distinct
+    # positions can lie at 0: that needs a nonzero coordinate whose square
+    # is below _BALL_MIN_D2 (two distinct coordinates differ by more than
+    # 2^-53 times the smaller nonzero magnitude, which then squares to far
+    # above 0). There, those points ask the kNN.
+    zero = canon.take(np.flatnonzero((min_d2.take(group) == 0.0) & ~sampled))
+    if zero.size and (np.min(np.abs(pts), where=pts != 0.0, initial=np.inf)
+                      < math.sqrt(_BALL_MIN_D2)):
+        parent_of[zero] = deterministic_knn(positions.take(selected, axis=0),
+                                            positions.take(zero, axis=0), 1)[:, 0]
+    parent_of[selected] = np.arange(m, dtype=np.int64)
+    return selected, parent_of
+
+
+def _fps_candidates(blocks: np.ndarray, block_max: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """The top ``_FPS_BATCH`` entries of ``blocks`` (flattened: canonical
+    order) by (-value, index), as ascending indices, less those below 0
+    (picked or padding), and a bound that every other entry of at least 0
+    meets: its value is below ``bound``, or equals it at an index of at
+    least ``first_out``.
+
+    The candidates lie in the blocks whose maxima rank in the top
+    ``_FPS_BATCH``, ties at the last rank going to the lower blocks: a later
+    block tied there holds that value at no lower index than the gathered
+    ones, so its first index bounds every entry left out there.
+    """
+    nb, width = blocks.shape
+    gathered, cut, left_out = np.arange(nb), -np.inf, blocks.size
+    if nb > _FPS_BATCH:
+        cut = np.partition(block_max, nb - _FPS_BATCH)[nb - _FPS_BATCH]
+        above = np.flatnonzero(block_max > cut)
+        at = np.flatnonzero(block_max == cut)
+        keep = _FPS_BATCH - above.shape[0]
+        if at.shape[0] > keep:  # the first block tied at the cut and left out
+            left_out = int(at[keep]) * width
+        gathered = np.sort(np.concatenate((above, at[:keep])))
+    index = (gathered[:, None] * width + np.arange(width)).ravel()
+    values = blocks.take(gathered, axis=0).ravel()
+    bound = -np.inf
+    if values.shape[0] > _FPS_BATCH:
+        bound = np.partition(values, values.shape[0] - _FPS_BATCH)[values.shape[0] - _FPS_BATCH]
+    over = np.flatnonzero(values > bound)
+    ties = np.flatnonzero(values == bound)
+    keep = _FPS_BATCH - over.shape[0]
+    first_out = left_out if bound == cut else blocks.size
+    if ties.shape[0] > keep:
+        first_out = min(first_out, int(index[ties[keep]]))
+    chosen = np.sort(np.concatenate((over, ties[:keep])))
+    chosen = chosen[values.take(chosen) >= 0.0]  # neither picked nor padding
+    return index.take(chosen), float(bound), first_out
 
 
 def _check_voxel_range(coords: np.ndarray) -> None:

@@ -29,7 +29,6 @@ from .geometry import (
     _readonly,
     _voxel_coords,
     _window_topology,
-    deterministic_knn,
     kernel_window_topology,
     knn_from_positions,
     pack_voxel_coords,
@@ -221,18 +220,23 @@ def coarsen_point(level: HierarchyLevel, r: int) -> tuple[HierarchyLevel, np.nda
     selected token is always its own parent). Returns the coarse level and
     the fine level's parent map.
     """
+    return _coarsen_point(level, r, knn_rows=False)
+
+
+def _coarsen_point(level: HierarchyLevel, r: int,
+                   knn_rows: bool) -> tuple[HierarchyLevel, np.ndarray]:
+    """``coarsen_point``; with ``knn_rows``, the level's topology is the exact
+    kNN topology the build made, and FPS takes its small balls from the rows.
+    A caller's topology may hold any lists, so it never stands in for a ball."""
     n = level.n_tokens
     if n < 2:
         raise InvalidCoarsenError(f"cannot coarsen a level with {n} token(s)")
     r = _integer(r, "coarsen ratio", 2)
     topo = level.topology
     m = -(-n // r)  # ceil
-    selected = _fps_in_order(level.positions, m, level.order)
-
-    parent_of = deterministic_knn(level.positions[selected], level.positions, 1)[:, 0]
-    # Keep every parent non-empty even when duplicate positions make several
-    # selected tokens equidistant: a selected token parents itself.
-    parent_of[selected] = np.arange(m, dtype=np.int64)
+    rows = topo.indices.reshape(n, -1) if knn_rows else None
+    # FPS also gives the parent map: each token's nearest selected token.
+    selected, parent_of = _fps_in_order(level.positions, m, level.order, rows)
 
     # Only the selected tokens' smoothed rows survive, so only their
     # neighborhoods become pooling groups. Each sums in the level's order,
@@ -329,7 +333,7 @@ def build_hierarchy(
         k, r = _integer(k, "k", 1), _integer(r, "coarsen ratio", 2)
         coords = None  # point levels carry no cells
         topology = knn_from_positions(positions, k)
-        step = partial(coarsen_point, r=r)
+        step = partial(_coarsen_point, r=r, knn_rows=True)
     elif flavor == "voxel":
         if coords is None:
             raise InvalidInputError("voxel flavor requires occupied-cell coords")

@@ -30,6 +30,7 @@ from gha3d.analysis import (
     _check_weight_bound,
     _effective_rows,
     _pairwise_distances,
+    _ranked_columns,
 )
 from gha3d.attention import _bounded_spans, _forward_core, gha_forward, make_fourier_embedding
 from gha3d.errors import CapacityError, InvalidInputError, InvariantViolation
@@ -596,6 +597,20 @@ def test_locality_ratio_matches_lexsort_order_on_ties():
     near = np.take_along_axis(w, order[:, :5], axis=1).mean()
     far = np.take_along_axis(w, order[:, n - 6:n - 1], axis=1).mean()
     assert locality_ratio(pos, w) == near / far
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 1), (0, 5), (3, 9), (40, 41), (194, 199), (0, 200)])
+def test_ranked_columns_equal_the_full_sort_on_ties(lo, hi):
+    """The partial selection behind ``locality_ratio`` returns the columns a
+    stable argsort puts at ranks lo..hi-1, bit for bit, where most values
+    tie (distances on a coarse grid, plus inf and repeated rows)."""
+    rng = np.random.default_rng(40)
+    pos = np.round(rng.uniform(size=(200, 3)) * 3) / 3
+    d = _pairwise_distances(pos[:60], pos)
+    d[np.arange(60), np.arange(60)] = np.inf
+    d[::7] = d[0]
+    want = np.argsort(d, axis=1, kind="stable")[:, lo:hi]
+    np.testing.assert_array_equal(_ranked_columns(d, lo, hi), want)
 
 
 def test_locality_ratio_uniform_weights_is_one():

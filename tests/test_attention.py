@@ -309,6 +309,28 @@ def test_gha_matches_naive_recursion_point(mode):
     np.testing.assert_allclose(out.normalizers, ed, rtol=1e-10)
 
 
+@pytest.mark.parametrize("mode", ["none", "relative"])
+def test_forward_values_near_the_float_limit_stay_finite(mode):
+    """A finite v = 1.5e308 used to overflow the weighted edge sums
+    ("overflow encountered in reduceat", an error under the suite's warning
+    filter). Such a column runs scaled down by a power of two and z is
+    scaled back: the same bits as v scaled down by hand, z scaled up after.
+    A column far from the limit keeps every bit."""
+    rng = np.random.default_rng(26)
+    q, k, _, pos = rand_inputs(rng, 40, 4)
+    emb = make_fourier_embedding(4, rng) if mode != "none" else None
+    small = rng.normal(size=(40, 1))
+    v = np.hstack([np.full((40, 1), 1.5e308), rng.normal(size=(40, 1)) * 1e307, small])
+    h = build_hierarchy(pos, q, k, v, flavor="point", k=4, r=2)
+    z = gha_forward(h, embedding=emb, embedding_mode=mode).z
+    assert np.all(np.isfinite(z))
+    np.testing.assert_allclose(z[:, 0], 1.5e308, rtol=1e-12)
+    scaled = gha_forward(with_values(h, v=v * 2.0**-8), embedding=emb, embedding_mode=mode).z
+    assert np.array_equal(z[:, :2], scaled[:, :2] * 2.0**8)
+    alone = gha_forward(with_values(h, v=small), embedding=emb, embedding_mode=mode).z
+    assert np.array_equal(z[:, 2], alone[:, 0])
+
+
 def test_gha_matches_naive_recursion_voxel():
     rng = np.random.default_rng(13)
     coords = np.unique(rng.integers(0, 8, size=(150, 3)), axis=0)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
+from gha3d import geometry
 from gha3d.errors import FormatError, InvalidInputError
 from gha3d.geometry import (
     NeighborhoodTopology,
@@ -17,7 +18,7 @@ from gha3d.geometry import (
     save_point_cloud_binary,
     voxelize,
 )
-from gha3d.hierarchy import build_hierarchy
+from gha3d.hierarchy import HierarchyLevel, build_hierarchy, coarsen_point
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +131,33 @@ def test_knn_duplicate_points():
     topo = knn(PointCloud(positions=pos), k=3)
     assert topo_as_lists(topo) == brute_knn(pos, 3)
     assert list(topo.neighbors(4)) == [0, 1, 2]
+
+
+@pytest.mark.parametrize("cloud", ["identical", "grouped"])
+def test_knn_answers_each_position_once(cloud, monkeypatch):
+    """8192 points at one position (or at 64 grid positions, 128 points
+    each): every point of a group ties at the k-th place, and fetching the
+    whole group as its ball made the kNN quadratic in the group size. Each
+    distinct position is now queried once and stands for its first k
+    points, so the ball candidates stay within N * k."""
+    n, k = 8192, 8
+    pos = np.zeros((n, 3))
+    if cloud == "grouped":
+        pos = np.random.default_rng(9).integers(0, 4, size=(64, 3)).astype(float)[np.arange(n) % 64]
+    candidates = []
+
+    class CountingTree(cKDTree):
+        def query_ball_point(self, x, r, **kwargs):
+            balls = super().query_ball_point(x, r, **kwargs)
+            candidates.append(sum(map(len, balls)))
+            return balls
+
+    monkeypatch.setattr(geometry, "cKDTree", CountingTree)
+    got = deterministic_knn(pos, pos, k)
+    assert sum(candidates) <= n * k
+    sample = np.random.default_rng(10).choice(n, size=32, replace=False)
+    assert np.array_equal(got[sample], loop_knn(pos, pos[sample], k))
+    assert np.array_equal(got, knn(PointCloud(positions=pos), k).indices.reshape(n, k))
 
 
 def test_knn_rejects_bad_k():
@@ -298,36 +326,90 @@ def _oracle_cloud(name):
         return g.reshape(-1, 3)[rng.permutation(576)]
     if name == "signed_zeros":
         return rng.choice([-0.0, 0.0, 1.0, -1.0], size=(500, 3))
+    if name == "cubic_grid":
+        # Whole runs of equal min-distances: the batches' tie runs at the
+        # candidate threshold are capped.
+        g = np.stack(np.meshgrid(*[np.arange(12.0)] * 3, indexing="ij"), -1)
+        return g.reshape(-1, 3)[rng.permutation(1728)]
+    if name == "small":  # fewer tokens than one batch weighs
+        return rng.normal(size=(40, 3))
     raise ValueError(name)
 
 
 ORACLE_CLOUDS = [
     "uniform", "scene", "distinct10", "near_duplicates",
-    "identical", "collinear", "coplanar_grid", "signed_zeros",
+    "identical", "collinear", "coplanar_grid", "signed_zeros", "cubic_grid", "small",
 ]
 
 
 def _assert_matches_loop_oracles(pos):
     n = pos.shape[0]
-    for m in sorted({1, 2, n}):  # the build below covers m = n/2
+    for m in sorted({1, 2, n}):  # the builds below cover m = n/2 and n/3
         assert np.array_equal(fps_from_positions(pos, m), loop_fps(pos, m)), m
     for k in (1, 8):
         got = deterministic_knn(pos, pos, k)
         assert got.dtype == np.int64 and got.shape == (n, min(k, n))
         assert np.array_equal(got, loop_knn(pos, pos, k)), k
-    # The point hierarchy's samples, parent maps and topologies, level by level.
-    h = build_hierarchy(pos, np.zeros((n, 1)), np.zeros((n, 1)), np.zeros((n, 1)), k=8, r=2)
-    for fine, coarse in zip(h.levels[:-1], h.levels[1:]):
-        m = coarse.n_tokens
-        assert np.array_equal(coarse.selected, loop_fps(fine.positions, m))
-        assert np.array_equal(fine.parent_of, loop_parent_of(fine.positions, coarse.selected))
-    for lv in h.levels:
-        assert np.array_equal(lv.topology.indices, loop_knn(lv.positions, lv.positions, 8).ravel())
+    # The point hierarchies' samples, parent maps and topologies, level by
+    # level; the sample of FPS on its own equals the build's.
+    for k, r in ((8, 2), (4, 3)):
+        h = build_hierarchy(pos, np.zeros((n, 1)), np.zeros((n, 1)), np.zeros((n, 1)), k=k, r=r)
+        for fine, coarse in zip(h.levels[:-1], h.levels[1:]):
+            m = coarse.n_tokens
+            assert np.array_equal(coarse.selected, loop_fps(fine.positions, m)), (k, r)
+            assert np.array_equal(fps_from_positions(fine.positions, m), coarse.selected)
+            assert np.array_equal(fine.parent_of, loop_parent_of(fine.positions, coarse.selected))
+        for lv in h.levels:
+            want = loop_knn(lv.positions, lv.positions, k).ravel()
+            assert np.array_equal(lv.topology.indices, want), (k, r)
 
 
 @pytest.mark.parametrize("name", ORACLE_CLOUDS)
 def test_fps_knn_parents_match_loop_oracles(name):
     _assert_matches_loop_oracles(_oracle_cloud(name))
+
+
+@pytest.mark.parametrize("name", ["uniform", "distinct10", "cubic_grid", "small"])
+def test_fps_batches_match_loop_oracles_with_small_blocks(name, monkeypatch):
+    """Blocks of 4 entries and batches of 8 candidates: levels of a few
+    thousand tokens then take candidates from the top block maxima, whose
+    ties at the cut leave later blocks out, as 128 x 64 does past 8192
+    distinct positions."""
+    monkeypatch.setattr(geometry, "_FPS_BLOCK", 4)
+    monkeypatch.setattr(geometry, "_FPS_BATCH", 8)
+    _assert_matches_loop_oracles(_oracle_cloud(name))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_fps_candidates_are_the_top_entries_and_bound_the_rest(seed, monkeypatch):
+    """A batch's candidates are the top entries by (-value, index), picked
+    (-1) ones left out, and every other entry lies below the bound or at it
+    from ``first_out`` on, also where a block tied at the cut is left out."""
+    monkeypatch.setattr(geometry, "_FPS_BATCH", 5)
+    rng = np.random.default_rng(seed)
+    blocks = rng.integers(-1, 4, size=(12, 4)).astype(float)
+    cand, bound, first_out = geometry._fps_candidates(blocks, blocks.max(axis=1))
+    flat = blocks.ravel().tolist()
+    top = sorted(range(len(flat)), key=lambda i: (-flat[i], i))[:5]
+    assert cand.tolist() == sorted(i for i in top if flat[i] >= 0)
+    for i, value in enumerate(flat):
+        if i not in top and value >= 0:
+            assert value < bound or (value == bound and i >= first_out), (i, value)
+
+
+def test_fps_ignores_an_inexact_caller_topology():
+    """Only the kNN rows the build made stand in for FPS balls: a caller's
+    level whose "knn" topology lists far tokens still gets the loop's sample
+    and parent map."""
+    pos = _oracle_cloud("uniform")[:500]
+    n = pos.shape[0]
+    rows = (np.arange(n)[:, None] + [0, 250, 125]) % n  # self, then two arbitrary tokens
+    topo = NeighborhoodTopology(kind="knn", indptr=np.arange(n + 1) * 3, indices=rows.ravel(), k=3)
+    level = HierarchyLevel(level_index=0, positions=pos, q_tilde=np.zeros((n, 1)),
+                           k_tilde=np.zeros((n, 1)), v_tilde=np.zeros((n, 1)), topology=topo)
+    coarse, parent_of = coarsen_point(level, 2)
+    assert np.array_equal(coarse.selected, loop_fps(pos, 250))
+    assert np.array_equal(parent_of, loop_parent_of(pos, coarse.selected))
 
 
 @pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e-155, 1e-150, 1e-100, 1e-10, 1e10, 1e100, 1e150])
