@@ -286,34 +286,64 @@ class _LevelCache(NamedTuple):
     q: np.ndarray  # q as the scores saw it (with gamma in absolute mode)
     k: np.ndarray  # k likewise
     rel: tuple | None  # per-edge relative (cos, sin); None in other modes
-    t: np.ndarray  # exp(s - mu[row]) per edge
+    t: np.ndarray | None  # exp(s - mu[row]) per edge, when the caller keeps it
     mu: np.ndarray  # per-token local max score
 
 
-def _level_softmax(q, k, v, topology, term, mode, scale):
+# Edge-by-column elements that one span of a level kernel holds per
+# temporary: 1 MiB of float64, so a span's gathers stay in cache.
+_SPAN_ELEMENTS = 1 << 17
+
+
+def _row_spans(indptr: np.ndarray, width: int):
+    """Row-aligned pieces (r0, r1) of a CSR topology whose edges-by-``width``
+    temporaries hold at most ``_SPAN_ELEMENTS``; a row with more edges than
+    that is a piece by itself."""
+    step = max(1, _SPAN_ELEMENTS // max(1, width))
+    n = indptr.shape[0] - 1
+    r0 = 0
+    while r0 < n:
+        r1 = max(r0 + 1, int(np.searchsorted(indptr, indptr[r0] + step, side="right")) - 1)
+        yield r0, r1
+        r0 = r1
+
+
+def _level_softmax(q, k, v, topology, term, mode, scale, want_t):
     """Max-shifted softmax sums over one topology, with the level's
     positional ``term`` from ``_level_term``.
 
     Returns the per-edge cache, the shifted denominators and the shifted
     unnormalized outputs: denom_i * exp(mu_i) and y_i * exp(mu_i) are the
-    true local sums."""
-    rows, cols, starts = topology.rows, topology.indices, topology.indptr[:-1]
+    true local sums. The edges run in ``_row_spans``; every per-row
+    reduction and per-edge product sees the operands it would see over the
+    whole level, so the bits do not depend on the cut. Only the cache's
+    ``t`` (when ``want_t``) is per-edge past its span."""
+    rows, cols, indptr = topology.rows, topology.indices, topology.indptr
     if mode == "absolute":
         q, k = q + term, k + term
-    q_rows = q.take(rows, axis=0)
-    s = np.einsum("ed,ed->e", q_rows, k.take(cols, axis=0))
     rel = term if mode == "relative" else None
-    if rel is not None:
-        s += _interleaved_dot(q_rows, *rel)
-    del q_rows  # else it is alive next to v's edge rows
-    s /= scale
-    mu = np.maximum.reduceat(s, starts)
-    t = np.exp(s - mu.take(rows))
-    denom = np.add.reduceat(t, starts)
-    weighted = v.take(cols, axis=0)
-    weighted *= t[:, None]  # in place: one edge-by-column temporary, not two
-    y = np.add.reduceat(weighted, starts, axis=0)
-    return _LevelCache(q=q, k=k, rel=rel, t=t, mu=mu), denom, y
+    n = topology.n_tokens
+    mu, denom = np.empty(n), np.empty(n)
+    y = np.empty((n, v.shape[1]))
+    t_all = np.empty(topology.total_edges) if want_t else None
+    for r0, r1 in _row_spans(indptr, max(q.shape[1], v.shape[1])):
+        e0, e1 = indptr[r0], indptr[r1]
+        starts = indptr[r0:r1] - e0
+        span_rows = rows[e0:e1]
+        q_rows = q.take(span_rows, axis=0)
+        s = np.einsum("ed,ed->e", q_rows, k.take(cols[e0:e1], axis=0))
+        if rel is not None:
+            s += _interleaved_dot(q_rows, rel[0][e0:e1], rel[1][e0:e1])
+        del q_rows  # else it is alive next to v's edge rows
+        s /= scale
+        np.maximum.reduceat(s, starts, out=mu[r0:r1])
+        s -= mu.take(span_rows)
+        t = np.exp(s, out=None if t_all is None else t_all[e0:e1])
+        np.add.reduceat(t, starts, out=denom[r0:r1])
+        weighted = v.take(cols[e0:e1], axis=0)
+        weighted *= t[:, None]  # in place: one edge-by-column temporary, not two
+        np.add.reduceat(weighted, starts, axis=0, out=y[r0:r1])
+    return _LevelCache(q=q, k=k, rel=rel, t=t_all, mu=mu), denom, y
 
 
 def local_attention(inputs: AttentionInputs, topology) -> AttentionResult:
@@ -323,7 +353,7 @@ def local_attention(inputs: AttentionInputs, topology) -> AttentionResult:
     mode = inputs.embedding_mode
     term = _level_term(inputs.positions, topology, inputs.embedding, mode)
     cache, denom, y = _level_softmax(inputs.q, inputs.k, inputs.v, topology, term, mode,
-                                     math.sqrt(inputs.d))
+                                     math.sqrt(inputs.d), want_t=False)
     e = topology.total_edges
     with np.errstate(over="ignore"):
         normalizers = denom * np.exp(cache.mu)
@@ -380,7 +410,7 @@ def _forward_core(hierarchy: Hierarchy, embedding, mode: str, want_cache: bool,
                 else _level_term(lv.positions, lv.topology, embedding, mode))
         v = lv.v_tilde if exponents is None else np.ldexp(lv.v_tilde, -exponents)
         cache, d_loc, y_loc = _level_softmax(lv.q_tilde, lv.k_tilde, v, lv.topology, term, mode,
-                                             scale)
+                                             scale, want_t=want_cache)
         mu = cache.mu
         per_level[h] = lv.topology.total_edges
         caches[h] = cache if want_cache else None
@@ -393,14 +423,18 @@ def _forward_core(hierarchy: Hierarchy, embedding, mode: str, want_cache: bool,
             m = np.maximum(mu, pm)
             w_loc = np.exp(mu - m)
             w_par = np.exp(pm - m)
-            carry_y = w_loc[:, None] * y_loc + w_par[:, None] * carry_y.take(p, axis=0)
+            carry_y = carry_y.take(p, axis=0)  # in place below: the same bits, fewer N-row temporaries
+            carry_y *= w_par[:, None]
+            y_loc *= w_loc[:, None]
+            carry_y += y_loc
             carry_d = w_loc * d_loc + w_par * carry_d.take(p)
             carry_m = m
         del cache, term, y_loc, d_loc, v  # else alive through the next level's softmax
 
     with np.errstate(over="ignore"):
         normalizers = carry_d * np.exp(carry_m)
-    z = carry_y / carry_d[:, None]
+    z = carry_y
+    z /= carry_d[:, None]
     result = AttentionResult(
         z=z if exponents is None else np.ldexp(z, exponents),
         normalizers=normalizers,
@@ -515,18 +549,25 @@ def gha_backward(hierarchy: Hierarchy, dz: np.ndarray,
 
     result, caches, d_hat, m_q = _forward_core(hierarchy, embedding, embedding_mode,
                                                want_cache=True, table=table)
+    # dq and dk are linear in v (dv does not depend on it). Where the forward
+    # scales v's columns down, their v terms (v in ds, z in the b column) run
+    # on v scaled by the largest of those powers of two, and dq and dk are
+    # scaled back: exact, as in the forward, and no edge sum overflows.
+    exponents = _value_exponents(hierarchy)
+    shift = None if exponents is None else int(exponents.max())
+    z = result.z if shift is None else np.ldexp(result.z, -shift)
 
     # Per-query scaled cotangents: dY_q = dz_q / D_q, then -dD_q = (dz_q.z_q)/D_q,
     # with D_q = d_hat_q * exp(m_q) kept in the shifted form.
-    c = np.column_stack([dz / d_hat[:, None], np.einsum("qd,qd->q", dz, result.z) / d_hat])
+    c = np.column_stack([dz / d_hat[:, None], np.einsum("qd,qd->q", dz, z) / d_hat])
     folds = _fold(hierarchy, caches, m_q, c)
 
     per_level = []
     for lv, cache, fold in zip(hierarchy.levels, caches, folds):
         rows, cols = lv.topology.rows, lv.topology.indices
         ab = fold.take(rows, axis=0)  # each edge's query's folded output and normalizer cotangents
-        ds = cache.t * (np.einsum("ed,ed->e", ab[:, :d_v], lv.v_tilde.take(cols, axis=0))
-                        - ab[:, d_v])
+        v = lv.v_tilde if shift is None else np.ldexp(lv.v_tilde, -shift)
+        ds = cache.t * (np.einsum("ed,ed->e", ab[:, :d_v], v.take(cols, axis=0)) - ab[:, d_v])
         dv = _value_cotangent(lv, cache, ab)[:, :d_v]  # scaled whole, then b's column dropped
         del ab  # else it is alive next to the dq and dk temporaries
         ds = (ds / scale)[:, None]
@@ -539,4 +580,7 @@ def gha_backward(hierarchy: Hierarchy, dz: np.ndarray,
         per_level.append(np.hstack([dq, _scatter_add(cols, cache.q.take(rows, axis=0) * ds,
                                                      lv.n_tokens), dv]))
     del caches, folds, cache, fold  # frees the per-edge terms before the pull-back's temporaries
-    return Gradients(*np.hsplit(_pull_back(hierarchy, per_level), [d, 2 * d]))
+    g = _pull_back(hierarchy, per_level)
+    if shift is not None:
+        g[:, :2 * d] = np.ldexp(g[:, :2 * d], shift)
+    return Gradients(*np.hsplit(g, [d, 2 * d]))

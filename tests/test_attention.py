@@ -331,6 +331,30 @@ def test_forward_values_near_the_float_limit_stay_finite(mode):
     assert np.array_equal(z[:, 2], alone[:, 0])
 
 
+def test_backward_values_near_the_float_limit_stay_finite():
+    """A finite v = 1.5e308 used to overflow the backward's v terms ("invalid
+    value encountered in subtract"). They run on v scaled down by a power of
+    two and dq, dk are scaled back: the same bits as v scaled down by hand,
+    dq and dk scaled up after; dv does not depend on v."""
+    rng = np.random.default_rng(27)
+    q, k, _, pos = rand_inputs(rng, 40, 4)
+    dz = np.ones((40, 4))
+    h = build_hierarchy(pos, q, k, np.full((40, 4), 1.5e308), flavor="point", k=4, r=2)
+    g = gha_backward(h, dz)
+    for a in (g.dq, g.dk):  # constant v: z = v whatever the weights, so no q/k gradient
+        assert np.all(np.isfinite(a))
+        assert np.abs(a).max() <= 1e-12 * 1.5e308
+    v = np.hstack([np.full((40, 2), 1.5e308), rng.normal(size=(40, 1)) * 1e307,
+                   rng.normal(size=(40, 1))])
+    h = with_values(h, v=v)
+    g = gha_backward(h, dz)
+    scaled = gha_backward(with_values(h, v=v * 2.0**-8), dz)
+    assert all(np.all(np.isfinite(a)) for a in g)
+    assert np.array_equal(g.dq, scaled.dq * 2.0**8)
+    assert np.array_equal(g.dk, scaled.dk * 2.0**8)
+    assert np.array_equal(g.dv, scaled.dv)
+
+
 def test_gha_matches_naive_recursion_voxel():
     rng = np.random.default_rng(13)
     coords = np.unique(rng.integers(0, 8, size=(150, 3)), axis=0)
@@ -558,6 +582,80 @@ def test_one_off_forward_holds_one_level_term_at_a_time():
 
     level0_term = sum(a.nbytes for a in table.terms[0])
     assert peak() <= peak(table=table) + 1.25 * level0_term
+
+
+def span_structure(flavor, d):
+    """A point structure with 6-edge rows, or a voxel one whose level-0
+    windows hold from 1 cell (lone cells) to 27 (inside a dense block)."""
+    rng = np.random.default_rng(35)
+    if flavor == "point":
+        q, k, v, pos = rand_inputs(rng, 90, d)
+        return build_hierarchy(pos, q, k, v, flavor="point", k=6, r=2)
+    block = np.stack(np.meshgrid(*[np.arange(4)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+    lone = np.column_stack([10 + 3 * np.arange(8), np.zeros(8, int), 3 * np.arange(8)])
+    coords = np.vstack([block, lone])[rng.permutation(72)]
+    q, k, v, _ = rand_inputs(rng, 72, d)
+    h = build_hierarchy(coords + 0.5, q, k, v, flavor="voxel", coords=coords)
+    sizes = h.levels[0].topology.sizes
+    assert sizes.min() == 1 and sizes.max() == 27
+    return h
+
+
+@pytest.mark.parametrize("flavor", ["point", "voxel"])
+@pytest.mark.parametrize("mode", ["none", "absolute", "relative"])
+def test_level_spans_keep_every_bit(monkeypatch, flavor, mode):
+    # The level kernel's row spans change no bit of any output, down to one
+    # row per span and rows longer than the span budget.
+    import gha3d.attention as attention_mod
+
+    d = 4
+    h = span_structure(flavor, d)
+    emb = make_fourier_embedding(d, np.random.default_rng(36)) if mode != "none" else None
+    dz = np.random.default_rng(37).normal(size=(h.levels[0].n_tokens, d))
+    lv = h.levels[0]
+    inputs = AttentionInputs(q=lv.q_tilde, k=lv.k_tilde, v=lv.v_tilde, positions=lv.positions,
+                             embedding=emb, embedding_mode=mode)
+
+    def outputs():
+        fwd, loc = gha_forward(h, emb, mode), local_attention(inputs, lv.topology)
+        return (fwd.z, fwd.normalizers, loc.z, loc.normalizers, *gha_backward(h, dz, emb, mode),
+                effective_attention_row(h, 5, emb, mode))
+
+    monkeypatch.setattr(attention_mod, "_SPAN_ELEMENTS", 1 << 40)  # one span per level
+    whole = outputs()
+    assert lv.topology.sizes.max() > 3
+    for budget in (1, 3 * d, 40 * d):  # 1, 3 and 40 edges a span
+        monkeypatch.setattr(attention_mod, "_SPAN_ELEMENTS", budget)
+        spans = list(attention_mod._row_spans(lv.topology.indptr, d))
+        assert len(spans) > 1 and spans[0][0] == 0 and spans[-1][1] == lv.n_tokens
+        for got, want in zip(outputs(), whole):
+            assert np.array_equal(got, want)
+
+
+def test_forward_edge_temporaries_do_not_grow_with_the_level():
+    # The level kernel holds its per-edge temporaries one row span at a
+    # time: doubling k doubles the edges but not the one-off forward's peak,
+    # which stays within a few N x d_v arrays (a span's temporaries are
+    # N x d_v-sized here: 2^17 elements at N = 2^14, d_v = 8).
+    rng = np.random.default_rng(34)
+    n, d = 16384, 8
+    q, k, v = (rng.normal(size=(n, d)) for _ in range(3))
+    pos = rng.uniform(size=(n, 3))
+    emb = make_fourier_embedding(d, rng)
+
+    def peak(k_nn):
+        h = build_hierarchy(pos, q, k, v, flavor="point", k=k_nn, r=2)
+        table = positional_table(h, emb, "relative")
+        tracemalloc.start()
+        try:
+            gha_forward(h, emb, "relative", table=table)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    p8, p16 = peak(8), peak(16)
+    assert p16 <= 1.2 * p8
+    assert max(p8, p16) <= 8 * n * d * 8
 
 
 # Bits of gha_backward in relative mode on 20 tokens at 5 positions (depth 3),
