@@ -68,7 +68,7 @@ def _check_matrix_cap(n: int, mechanism: str = "gha") -> None:
 def _effective_rows(hierarchy: Hierarchy, forward, queries: np.ndarray) -> np.ndarray:
     """Rows ``queries`` of W from ``_forward_core``'s cached ``forward``: the
     adjoint's value gradients for one one-hot output cotangent per query."""
-    _, caches, d_hat, m_q = forward
+    _, caches, d_hat, m_q, _ = forward
     c = np.zeros((hierarchy.levels[0].n_tokens, queries.shape[0]))
     c[queries, np.arange(queries.shape[0])] = 1.0 / d_hat.take(queries)  # dz = e_q, scaled
     folds = zip(hierarchy.levels, caches, _fold(hierarchy, caches, m_q, c))
@@ -352,7 +352,7 @@ class ScalingRow:
     mechanism: str
     weight_count: int
     weight_bound: float  # k * r / (r - 1) * n_tokens; NaN for non-gha rows
-    peak_bytes_estimate: int
+    peak_bytes_estimate: int  # nominal: 8 * (2 + d) bytes for every edge, not a measured peak
     wall_time: float  # seconds, hierarchy build + forward
 
 
@@ -404,10 +404,11 @@ def scaling_sweep(sizes, *, flavor: str = "point", k: int = 8, r: int = 2,
 
     Each size draws a fresh uniform cloud in the unit cube and N(0, 1)
     q/k/v. gha rows are checked against the linear weight bound and the
-    report fits weight_count ~ n_tokens. peak_bytes_estimate is the
-    transient footprint of materializing every attention edge at once
-    (8 bytes each for score, weight, and d value lanes); the dense path
-    streams row blocks, so its resident peak can sit below this figure.
+    report fits weight_count ~ n_tokens. peak_bytes_estimate is a nominal
+    all-edges figure: 8 bytes each for every edge's score, weight, and d
+    value lanes, as if all were held at once. No path does that (the gha
+    and local kernels stream row spans of a level, the dense one row
+    blocks), so measured peaks sit well below it.
     """
     if mechanism not in MECHANISMS:
         raise InvalidInputError(f"mechanism must be one of {MECHANISMS}, got {mechanism!r}")
@@ -501,8 +502,9 @@ def scaling_csv(report: ScalingReport) -> str:
 
     weight_count sums attention edges over all levels; weight_bound is
     the guaranteed k*r/(r-1)*n_tokens cap (empty for non-gha rows);
-    peak_bytes_estimate = 8*(2+d)*weight_count, the cost of holding every
-    edge's score, weight, and value lanes at once; wall_time covers
+    peak_bytes_estimate = 8*(2+d)*weight_count is a nominal all-edges
+    figure (every edge's score, weight, and value lanes, as if held at once;
+    the kernels stream, so measured peaks sit below it); wall_time covers
     hierarchy build plus forward in seconds.
     """
     buf, w = _writer()

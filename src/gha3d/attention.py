@@ -269,16 +269,19 @@ def _dense_softmax_chunks(q, k, pos, emb, mode):
 def dense_attention(inputs: AttentionInputs) -> AttentionResult:
     """Exact softmax(q k^T / sqrt(d)) v with per-row max subtraction."""
     n = inputs.n_tokens
-    z = np.empty_like(inputs.v)
+    exponents = _value_exponents([inputs.v], n)
+    v = inputs.v if exponents is None else np.ldexp(inputs.v, -exponents)
+    z = np.empty_like(v)
     normalizers = np.empty(n, dtype=np.float64)
     for start, stop, a, denom, mu in _dense_softmax_chunks(
         inputs.q, inputs.k, inputs.positions, inputs.embedding, inputs.embedding_mode
     ):
-        z[start:stop] = np.einsum("ij,jd->id", a, inputs.v) / denom[:, None]
+        z[start:stop] = np.einsum("ij,jd->id", a, v) / denom[:, None]
         with np.errstate(over="ignore"):  # extreme scores saturate to inf
             normalizers[start:stop] = denom * np.exp(mu)
     return AttentionResult(
-        z=z, normalizers=normalizers, weight_count=n * n, per_level_weight_count=(n * n,)
+        z=z if exponents is None else np.ldexp(z, exponents), normalizers=normalizers,
+        weight_count=n * n, per_level_weight_count=(n * n,)
     )
 
 
@@ -352,13 +355,16 @@ def local_attention(inputs: AttentionInputs, topology) -> AttentionResult:
         raise InvalidInputError("topology token count does not match inputs")
     mode = inputs.embedding_mode
     term = _level_term(inputs.positions, topology, inputs.embedding, mode)
-    cache, denom, y = _level_softmax(inputs.q, inputs.k, inputs.v, topology, term, mode,
+    exponents = _value_exponents([inputs.v], int(topology.sizes.max()))
+    v = inputs.v if exponents is None else np.ldexp(inputs.v, -exponents)
+    cache, denom, y = _level_softmax(inputs.q, inputs.k, v, topology, term, mode,
                                      math.sqrt(inputs.d), want_t=False)
     e = topology.total_edges
     with np.errstate(over="ignore"):
         normalizers = denom * np.exp(cache.mu)
+    z = y / denom[:, None]
     return AttentionResult(
-        z=y / denom[:, None],
+        z=z if exponents is None else np.ldexp(z, exponents),
         normalizers=normalizers,
         weight_count=e,
         per_level_weight_count=(e,),
@@ -369,26 +375,26 @@ def local_attention(inputs: AttentionInputs, topology) -> AttentionResult:
 # Hierarchical forward
 # ---------------------------------------------------------------------------
 
-def _value_exponents(hierarchy: Hierarchy) -> np.ndarray | None:
-    """Per v column, the power of two that scales it down so that no edge
-    sum of the forward can overflow, or None where no column needs one.
+def _value_exponents(values: list, terms: int) -> np.ndarray | None:
+    """Per column of the value arrays ``values``, the power of two that scales
+    it down so that no output sum of at most ``terms`` terms can overflow, or
+    None where no column needs one.
 
-    A z row sums at most one neighborhood per level, each term a v entry
-    times a weight of at most 1, so its partial sums stay below the
-    column's largest magnitude times that many edges. Scaling by a power of
-    two is exact, and z is linear in v, so scaling z back gives the bits an
-    unbounded exponent would; a column that cannot overflow is not touched.
+    Each term is a v entry times a weight of at most 1, so an output's
+    partial sums stay below the column's largest magnitude times ``terms``.
+    Scaling by a power of two is exact, and the output is linear in v, so
+    scaling it back gives the bits an unbounded exponent would; a column that
+    cannot overflow is not touched. The kernels share this rule: a gha row
+    sums at most one neighborhood per level, a local row one neighborhood and
+    a dense row every token.
     """
-    edges = sum(int(lv.topology.sizes.max()) for lv in hierarchy.levels)
-    bound = np.finfo(np.float64).max / 4 / edges  # the largest magnitude that is safe
+    bound = np.finfo(np.float64).max / 4 / terms  # the largest magnitude that is safe
     # Whole-array extremes first: far cheaper than per-column ones.
-    if max(max(lv.v_tilde.max(initial=0.0), -lv.v_tilde.min(initial=0.0))
-           for lv in hierarchy.levels) <= bound:
+    if max(max(v.max(initial=0.0), -v.min(initial=0.0)) for v in values) <= bound:
         return None
-    top = np.max([np.maximum(lv.v_tilde.max(axis=0), -lv.v_tilde.min(axis=0))
-                  for lv in hierarchy.levels], axis=0)
-    # top * edges < 2^(exponent of top + bit length of edges); keep it below 2^1022.
-    return np.where(top > bound, np.frexp(top)[1] + edges.bit_length() - 1022, 0)
+    top = np.max([np.maximum(v.max(axis=0), -v.min(axis=0)) for v in values], axis=0)
+    # top * terms < 2^(exponent of top + bit length of terms); keep it below 2^1022.
+    return np.where(top > bound, np.frexp(top)[1] + terms.bit_length() - 1022, 0)
 
 
 def _forward_core(hierarchy: Hierarchy, embedding, mode: str, want_cache: bool,
@@ -399,7 +405,8 @@ def _forward_core(hierarchy: Hierarchy, embedding, mode: str, want_cache: bool,
         _check_table(table, hierarchy, embedding, mode)
     scale = math.sqrt(d)
     depth = hierarchy.depth
-    exponents = _value_exponents(hierarchy)
+    exponents = _value_exponents([lv.v_tilde for lv in hierarchy.levels],
+                                 sum(int(lv.topology.sizes.max()) for lv in hierarchy.levels))
 
     caches: list = [None] * (depth + 1)
     per_level = [0] * (depth + 1)
@@ -441,7 +448,7 @@ def _forward_core(hierarchy: Hierarchy, embedding, mode: str, want_cache: bool,
         weight_count=int(sum(per_level)),
         per_level_weight_count=tuple(per_level),
     )
-    return result, caches, carry_d, carry_m
+    return result, caches, carry_d, carry_m, exponents
 
 
 def gha_forward(hierarchy: Hierarchy, embedding: FourierEmbedding | None = None,
@@ -460,8 +467,8 @@ def gha_forward(hierarchy: Hierarchy, embedding: FourierEmbedding | None = None,
     it reaches that level. A table of another structure, embedding or mode
     raises InvalidInputError.
     """
-    result, _, _, _ = _forward_core(hierarchy, embedding, embedding_mode, want_cache=False,
-                                    table=table)
+    result, _, _, _, _ = _forward_core(hierarchy, embedding, embedding_mode, want_cache=False,
+                                       table=table)
     return result
 
 
@@ -547,13 +554,12 @@ def gha_backward(hierarchy: Hierarchy, dz: np.ndarray,
     dz = _checked(dz, "dz", (n, d_v))
     scale = math.sqrt(d)
 
-    result, caches, d_hat, m_q = _forward_core(hierarchy, embedding, embedding_mode,
-                                               want_cache=True, table=table)
+    result, caches, d_hat, m_q, exponents = _forward_core(hierarchy, embedding, embedding_mode,
+                                                          want_cache=True, table=table)
     # dq and dk are linear in v (dv does not depend on it). Where the forward
     # scales v's columns down, their v terms (v in ds, z in the b column) run
     # on v scaled by the largest of those powers of two, and dq and dk are
     # scaled back: exact, as in the forward, and no edge sum overflows.
-    exponents = _value_exponents(hierarchy)
     shift = None if exponents is None else int(exponents.max())
     z = result.z if shift is None else np.ldexp(result.z, -shift)
 

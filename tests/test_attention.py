@@ -355,6 +355,39 @@ def test_backward_values_near_the_float_limit_stay_finite():
     assert np.array_equal(g.dv, scaled.dv)
 
 
+def test_references_values_near_the_float_limit_stay_finite():
+    """The dense and local references used to overflow on the cloud where
+    gha_forward does not ("overflow encountered in reduceat" in the local
+    kernel, z of inf from the dense one). They scale v by the same rule."""
+    rng = np.random.default_rng(27)
+    q, k, _, pos = rand_inputs(rng, 40, 4)
+    inputs = AttentionInputs(q=q, k=k, v=np.full((40, 4), 1.5e308), positions=pos)
+    topology = knn_from_positions(pos, 4)
+    for z in (dense_attention(inputs).z, local_attention(inputs, topology).z):
+        assert np.all(np.isfinite(z))
+        np.testing.assert_allclose(z, 1.5e308, rtol=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["none", "relative"])
+@pytest.mark.parametrize("huge", [False, True])
+def test_local_attention_is_the_level0_truncation_bit_for_bit(mode, huge):
+    # One rule sizes the value scaling of both kernels, so they agree in
+    # every bit on normal values and on values near the float limit.
+    rng = np.random.default_rng(28)
+    q, k, v, pos = rand_inputs(rng, 40, 4)
+    if huge:
+        v[:, 0] = 1.5e308
+        v[:, 1] *= 1e307
+    emb = make_fourier_embedding(4, rng) if mode != "none" else None
+    h = build_hierarchy(pos, q, k, v, flavor="point", k=4, r=2)
+    local = local_attention(AttentionInputs(q=q, k=k, v=v, positions=pos, embedding=emb,
+                                            embedding_mode=mode), h.levels[0].topology)
+    gha = gha_forward(truncate(h, 0), emb, mode)
+    assert np.all(np.isfinite(local.z))
+    assert np.array_equal(local.z, gha.z)
+    assert np.array_equal(local.normalizers, gha.normalizers)
+
+
 def test_gha_matches_naive_recursion_voxel():
     rng = np.random.default_rng(13)
     coords = np.unique(rng.integers(0, 8, size=(150, 3)), axis=0)

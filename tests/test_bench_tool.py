@@ -1,0 +1,65 @@
+"""tools/bench.py: each suite's cell, run in this interpreter on a small
+cloud, and one cell run as the script's own child on this tree."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from gha3d import hierarchy
+from gha3d.hierarchy import build_hierarchy
+
+ROOT = Path(__file__).resolve().parent.parent
+STAGES = ("knn_from_positions", "_fps_in_order")
+
+
+@pytest.fixture(scope="module")
+def bench():
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "tools" / "bench.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_build_cell_times_its_stages_and_restores_them(bench):
+    stages = [getattr(hierarchy, name) for name in STAGES]
+    fig = bench.build("uniform", 600)
+    assert list(fig) == ["knn_s", "fps_s", "pool_s", "build_s", "us_per_token", "levels"]
+    assert [getattr(hierarchy, name) for name in STAGES] == stages
+    assert fig["knn_s"] > 0 and fig["fps_s"] > 0 and fig["pool_s"] >= 0
+    assert fig["knn_s"] + fig["fps_s"] + fig["pool_s"] == pytest.approx(fig["build_s"])
+    rng = np.random.default_rng(17)
+    pos = rng.uniform(0.0, 1.0, size=(600, 3))
+    q, k, v = (rng.normal(size=(600, 8)) for _ in range(3))
+    assert fig["levels"] == len(build_hierarchy(pos, q, k, v, k=8, r=2).levels)
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_build_cell_refuses_a_tree_without_a_stage(bench, monkeypatch, stage):
+    # A stage the tree lacks raises instead of reading 0 s, and the other
+    # stage is left unwrapped.
+    kept = {name: getattr(hierarchy, name) for name in STAGES if name != stage}
+    monkeypatch.delattr(hierarchy, stage)
+    with pytest.raises(AttributeError, match=stage):
+        bench.build("uniform", 600)
+    assert all(getattr(hierarchy, name) is fn for name, fn in kept.items())
+
+
+def test_kernels_cell_reports_the_structure_it_timed(bench):
+    fig = bench.kernels("uniform", 600)
+    assert list(fig) == ["forward_s", "forward_peak_mb", "backward_s", "backward_peak_mb",
+                         "tokens", "edges"]
+    assert all(fig[key] > 0 for key in ("forward_s", "forward_peak_mb", "backward_s",
+                                        "backward_peak_mb"))
+    rng = np.random.default_rng(19)
+    pos = rng.uniform(0.0, 1.0, size=(600, 3))
+    q, k, v = (rng.normal(size=(600, 8)) for _ in range(3))
+    h = build_hierarchy(pos, q, k, v, k=8, r=2)
+    assert fig["tokens"] == 600
+    assert fig["edges"] == sum(lv.topology.total_edges for lv in h.levels)
+
+
+def test_child_cell_runs_the_named_tree(bench):
+    fig = bench.run_cell("build", str(ROOT / "src"), "distinct10/600")
+    assert fig["levels"] == bench.build("distinct10", 600)["levels"]

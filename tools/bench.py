@@ -1,0 +1,159 @@
+"""Figures of the point build and of the attention kernels, per source tree:
+
+    python3 tools/bench.py build BENCH_build.json parent=../old/src change=src
+
+The suite is ``build`` or ``kernels``; each ``label=path`` is a ``src/``
+directory holding a ``gha3d`` package. Every (tree, case) cell runs three
+times, each in a fresh interpreter on one BLAS thread (``bench.py cell SUITE
+SRC CASE``), trees interleaved; the JSON keeps each figure's median. A case
+``cloud/n`` draws n points with ``perfbench/workloads.py``'s generators.
+
+- ``build`` (seed 17; d=8, k=8, r=2): ``knn_s`` is spent in
+  ``knn_from_positions``, ``fps_s`` in farthest-point sampling (which also
+  gives the parent maps), ``pool_s`` in the rest of ``build_hierarchy``.
+- ``kernels`` (seed 19; relative mode, d=8, one shared positional table,
+  after one untimed forward): the wall time of one ``gha_forward`` or
+  ``gha_backward`` (``*_s``) and the tracemalloc peak of one more call
+  (``*_peak_mb``), on uniform clouds and on the ``voxel_infer`` scene (100k
+  points at 1 cm).
+"""
+
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+import tracemalloc
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
+from harness import THREAD_VARS
+
+REPEATS = 3
+D, K, R = 8, 8, 2
+
+
+def _cloud(name: str, rng, n: int):
+    """Token positions and voxel coords (None for a point cloud) of a case. gha3d
+    is imported in the suites: a child puts its tree first on sys.path."""
+    import workloads
+    from gha3d import geometry
+    if name == "voxel_scene":
+        grid = geometry.voxelize(geometry.PointCloud(positions=workloads.scene_surface(rng, n)),
+                                 workloads.VOXEL_SIZE)
+        return grid.cell_centroid, grid.occupied
+    shapes = {"uniform": workloads.uniform_volume, "scene": workloads.scene_surface,
+              "distinct10": workloads.quantized_scene}
+    return shapes[name](rng, n), None
+
+
+def _timed(spent: dict, key: str, module, name: str):
+    """Patch module.name to add its wall time to spent[key]; a missing name raises."""
+    fn = getattr(module, name)
+    def wrapper(*args, **kwargs):
+        t = time.perf_counter()
+        out = fn(*args, **kwargs)
+        spent[key] += time.perf_counter() - t
+        return out
+    return mock.patch.object(module, name, wrapper)
+
+
+def build(cloud: str, n: int) -> dict:
+    from gha3d import hierarchy
+    rng = np.random.default_rng(17)
+    pos, _ = _cloud(cloud, rng, n)
+    q, k, v = (rng.normal(size=(n, D)) for _ in range(3))
+    spent = {"knn_s": 0.0, "fps_s": 0.0}
+    with (_timed(spent, "knn_s", hierarchy, "knn_from_positions"),
+          _timed(spent, "fps_s", hierarchy, "_fps_in_order")):
+        t = time.perf_counter()
+        h = hierarchy.build_hierarchy(pos, q, k, v, k=K, r=R)
+        total = time.perf_counter() - t
+    return {**spent, "pool_s": total - spent["knn_s"] - spent["fps_s"], "build_s": total,
+            "us_per_token": total / n * 1e6, "levels": len(h.levels)}
+
+
+def kernels(cloud: str, n: int) -> dict:
+    from gha3d import attention, hierarchy
+    rng = np.random.default_rng(19)
+    pos, coords = _cloud(cloud, rng, n)
+    tokens = pos.shape[0]
+    q, k, v, dz = (rng.normal(size=(tokens, D)) for _ in range(4))
+    h = hierarchy.build_hierarchy(pos, q, k, v, flavor="point" if coords is None else "voxel",
+                                  k=K, r=R, coords=coords)
+    emb = attention.make_fourier_embedding(D, rng)
+    table = attention.positional_table(h, emb, "relative")
+    calls = {"forward": lambda: attention.gha_forward(h, emb, "relative", table=table),
+             "backward": lambda: attention.gha_backward(h, dz, emb, "relative", table=table)}
+    calls["forward"]()
+    out = {}  # wall time of one call, then the peak of one more
+    for name, call in calls.items():
+        t = time.perf_counter()
+        call()
+        out[name + "_s"] = time.perf_counter() - t
+        tracemalloc.start()
+        try:
+            call()
+            out[name + "_peak_mb"] = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+    return {**out, "tokens": tokens, "edges": sum(lv.topology.total_edges for lv in h.levels)}
+
+
+SIZES = (8192, 32768, 131072)
+# suite: (cell function, cases, the record's description of the suite)
+SUITES = {
+    "build": (build, [f"{c}/{n}" for c in ("uniform", "scene", "distinct10") for n in SIZES],
+              "build_hierarchy(positions, q, k, v, k=8, r=2), d=8, one BLAS thread"),
+    "kernels": (kernels, [f"uniform/{n}" for n in SIZES] + ["voxel_scene/100000"],
+                "gha_forward and gha_backward, relative mode, d=8, shared positional table"),
+}
+
+
+def run_cell(suite: str, src: str, case: str) -> dict:
+    env = dict(os.environ, **{var: "1" for var in THREAD_VARS})
+    out = subprocess.run([sys.executable, __file__, "cell", suite, os.path.abspath(src), case],
+                         env=env, stdout=subprocess.PIPE, text=True, check=True)
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def main(argv) -> int:
+    if argv[0] == "cell":  # SUITE SRC CASE: one run of one cell, in this interpreter
+        sys.path.insert(0, argv[2])
+        cloud, n = argv[3].split("/")
+        print(json.dumps(SUITES[argv[1]][0](cloud, int(n))))
+        return 0
+    suite, out_path, trees = argv[0], argv[1], dict(arg.split("=", 1) for arg in argv[2:])
+    _, cases, what = SUITES[suite]
+    results = {label: {} for label in trees}
+    for case in cases:
+        runs = {label: [] for label in trees}
+        for _ in range(REPEATS):
+            for label, src in trees.items():
+                runs[label].append(run_cell(suite, src, case))
+        for label, cell in runs.items():
+            # Odd repeats: each median is one run's figure, so counts stay ints.
+            results[label][case] = {key: round(statistics.median(r[key] for r in cell), 4)
+                                    for key in cell[0]}
+            print(label, case, results[label][case], flush=True)
+    record = {
+        "command": "python3 tools/bench.py " + " ".join(argv),
+        suite: what,
+        "statistic": f"median of {REPEATS} runs, trees interleaved",
+        "machine": {"platform": platform.platform(), "python": platform.python_version(),
+                    "processor": platform.processor() or platform.machine(),
+                    "cpus": os.cpu_count()},
+        "date": time.strftime("%Y-%m-%d"),
+        "results": results,
+    }
+    Path(out_path).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
