@@ -300,6 +300,29 @@ def locality_ratio(positions: np.ndarray, weights: np.ndarray, n_extreme: int = 
     return near_mean / far_mean
 
 
+def _relative_errors(z: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Row i is |z_i - ref_i| / |ref_i| (the denominator at least the
+    smallest normal float). Where values near the float64 limit overflow
+    the difference or a norm, both rows are scaled by one power of two,
+    2^-e with e the exponent of their largest magnitude, which leaves the
+    ratio as an unbounded exponent would give it; other rows keep their
+    bits."""
+    tiny = np.finfo(np.float64).tiny
+    with np.errstate(over="ignore", invalid="ignore"):  # mended below
+        diff = np.linalg.norm(z - ref, axis=1)
+        norm = np.linalg.norm(ref, axis=1)
+        rel = diff / np.maximum(norm, tiny)
+    bad = np.flatnonzero(~(np.maximum(diff, norm) < np.inf))  # inf or NaN
+    if bad.size:
+        a, b = z.take(bad, axis=0), ref.take(bad, axis=0)
+        e = np.frexp(np.maximum(np.abs(a).max(axis=1), np.abs(b).max(axis=1)))[1][:, None]
+        a, b = np.ldexp(a, -e), np.ldexp(b, -e)
+        with np.errstate(over="ignore", divide="ignore"):  # beyond float64: inf
+            rel[bad] = (np.linalg.norm(a - b, axis=1)
+                        / np.maximum(np.linalg.norm(b, axis=1), np.ldexp(tiny, -e[:, 0])))
+    return rel
+
+
 def approximation_report(hierarchy: Hierarchy, embedding=None, embedding_mode: str = "none",
                          *, threads: int = 1) -> ApproximationReport:
     """gha vs the dense reference; raises InvariantViolation if the
@@ -314,9 +337,7 @@ def approximation_report(hierarchy: Hierarchy, embedding=None, embedding_mode: s
         q=lv.q_tilde, k=lv.k_tilde, v=lv.v_tilde, positions=lv.positions,
         embedding=embedding, embedding_mode=embedding_mode,
     ))
-    diff = np.linalg.norm(gha.z - dense.z, axis=1)
-    ref = np.linalg.norm(dense.z, axis=1)
-    rel = diff / np.maximum(ref, np.finfo(np.float64).tiny)
+    rel = _relative_errors(gha.z, dense.z)
     weights = _weight_matrix(hierarchy, forward, threads)
     worst = np.max(np.abs(weights.sum(axis=1) - 1.0))
     if weights.min() < 0.0 or worst > 1e-10:

@@ -160,9 +160,25 @@ def init_params(config: BlockConfig) -> GhaBlockParams:
 
 def layer_norm(x: np.ndarray, gain: np.ndarray, shift: np.ndarray,
                eps: float = LAYERNORM_EPS) -> np.ndarray:
-    mean = x.mean(axis=1, keepdims=True)
-    var = np.mean((x - mean) ** 2, axis=1, keepdims=True)
-    return (x - mean) / np.sqrt(var + eps) * gain + shift
+    """Each row less its mean over its standard deviation, then ``gain``
+    and ``shift``. A row of finite features whose mean or variance
+    overflows is normalized again scaled by 2^-e, e the exponent of its
+    largest magnitude: its variance scales by the even power 2^-2e, so the
+    square root scales exactly, and eps is absorbed at such a variance.
+    Every other row keeps the plain computation's bits."""
+    with np.errstate(over="ignore", invalid="ignore"):  # mended below
+        mean = x.mean(axis=1, keepdims=True)
+        var = np.mean((x - mean) ** 2, axis=1, keepdims=True)
+        out = (x - mean) / np.sqrt(var + eps)
+    bad = np.flatnonzero(~(np.maximum(np.abs(mean), var)[:, 0] < np.inf))  # inf or NaN
+    if bad.size:
+        rows = x.take(bad, axis=0)
+        scaled = np.ldexp(rows, -np.frexp(np.abs(rows).max(axis=1, keepdims=True))[1])
+        centred = scaled - scaled.mean(axis=1, keepdims=True)
+        sd = np.sqrt(np.mean(centred**2, axis=1, keepdims=True))
+        # A zero variance leaves each centred entry 0, as eps would.
+        out[bad] = np.divide(centred, sd, out=np.zeros_like(centred), where=sd > 0.0)
+    return out * gain + shift
 
 
 def _dropout(x: np.ndarray, p: float, config: BlockConfig, layer: int, role: int) -> np.ndarray:

@@ -425,9 +425,10 @@ def _fps_in_order(positions: np.ndarray, m: int, canon: np.ndarray,
                   rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Farthest point sampling given the points' canonical (x, y, z, index)
     order ``canon`` (a hierarchy level stores it, so a build sorts each level
-    once). Returns the sample (input indices, ascending) and the parent map:
-    each point's nearest sampled point by (squared distance, index), as a
-    position in the sample; a sampled point is its own parent.
+    once) and, from a build, each point's exact kNN ``rows`` as ranks in
+    ``canon``. Returns the sample (input indices, ascending) and the parent
+    map: each point's nearest sampled point by (squared distance, index), as
+    a position in the sample; a sampled point is its own parent.
 
     The sample is exactly that of the plain O(N*m) loop, run in canonical
     order, where the first of several equal maxima *is* the tie rule (the
@@ -448,9 +449,8 @@ def _fps_in_order(positions: np.ndarray, m: int, canon: np.ndarray,
       So one update per batch visits, for each pick, a kd-tree ball of
       radius sqrt(best) (plus a margin) or, when ``best`` is below the
       squared distance to the pick's k-th neighbor, the pick's row of
-      ``rows``: the level's exact kNN rows, sorted by (squared distance,
-      index), so every point off a row is at least that far. A minimum
-      does not depend on the order of its terms, so the update is exact.
+      ``rows``: no point off an exact kNN row is nearer. A minimum does
+      not depend on the order of its terms, so the update is exact.
       While balls hold over an eighth of the positions, and where squared
       distances may be subnormal, picks update every position instead.
     - Block maxima of the min-distances make the candidates' selection
@@ -482,9 +482,7 @@ def _fps_in_order(positions: np.ndarray, m: int, canon: np.ndarray,
     # The input index of each position's nearest pick so far, ties to the lower.
     nearest = np.full(lead.shape[0], lead_index[picks[0]], dtype=np.int64)
     if rows is not None:  # as positions, with the squared distance each row reaches
-        rank = np.empty(n, dtype=np.int64)
-        rank[canon] = np.arange(n)
-        rows = group.take(rank.take(rows.take(lead_index, axis=0)))
+        rows = group.take(rows.take(lead_index, axis=0))
         reach = _squared_dist_to(upts.take(rows[:, -1], axis=0), upts)
     tree, wide = None, True  # the first picks' balls hold most positions
 

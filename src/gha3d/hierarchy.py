@@ -77,10 +77,11 @@ class HierarchyLevel:
     ``pool_indptr``/``pool_indices`` (None at level 0) are the pooling map
     from the finer level, in CSR form: row i of this level is the mean of
     the finer rows ``pool_indices[pool_indptr[i]:pool_indptr[i+1]]``,
-    summed in that order. Point flavor stores the neighborhood of
-    ``selected[i]`` in the finer level's ``order``; voxel flavor stores the
-    children of cell i in child-cell-coordinate order. Either order is
-    independent of token numbering, so equal groups round identically.
+    summed in that order. Point flavor stores the kNN row of ``selected[i]``
+    (k tokens, so ``pool_indptr`` steps by k) sorted in the finer level's
+    ``order``; voxel flavor stores the children of cell i in
+    child-cell-coordinate order. Either order is independent of token
+    numbering, so equal groups round identically.
 
     ``order`` is the level's canonical token order, ``_canonical_order``
     of ``positions``. It is derived here and never passed in, so no level
@@ -211,45 +212,30 @@ def children_of(hierarchy: Hierarchy, level: int, parent: int) -> np.ndarray:
 # Coarsening
 # ---------------------------------------------------------------------------
 
-def coarsen_point(level: HierarchyLevel, r: int) -> tuple[HierarchyLevel, np.ndarray]:
-    """One point-flavor coarsening step.
+def _coarsen_point(level: HierarchyLevel, k: int, r: int) -> tuple[HierarchyLevel, np.ndarray]:
+    """The build's point step on a level of more than k tokens, whose
+    topology is the exact kNN topology with rows of k tokens.
 
-    Smooths q/k/v and positions by the neighborhood mean, keeps the
-    ceil(n/r) farthest-point-sampled tokens, and assigns every fine token
-    to its nearest selected token (ties to the lower selected index; a
-    selected token is always its own parent). Returns the coarse level and
-    the fine level's parent map.
+    Keeps the ceil(n/r) farthest-point-sampled tokens, pools positions and
+    q/k/v over each one's kNN row, and assigns every token to its nearest
+    selected token (ties to the lower selected index; a selected token is
+    always its own parent). Returns the coarse level and the parent map.
     """
-    return _coarsen_point(level, r, knn_rows=False)
-
-
-def _coarsen_point(level: HierarchyLevel, r: int,
-                   knn_rows: bool) -> tuple[HierarchyLevel, np.ndarray]:
-    """``coarsen_point``; with ``knn_rows``, the level's topology is the exact
-    kNN topology the build made, and FPS takes its small balls from the rows.
-    A caller's topology may hold any lists, so it never stands in for a ball."""
     n = level.n_tokens
-    if n < 2:
-        raise InvalidCoarsenError(f"cannot coarsen a level with {n} token(s)")
-    r = _integer(r, "coarsen ratio", 2)
-    topo = level.topology
     m = -(-n // r)  # ceil
-    rows = topo.indices.reshape(n, -1) if knn_rows else None
-    # FPS also gives the parent map: each token's nearest selected token.
-    selected, parent_of = _fps_in_order(level.positions, m, level.order, rows)
-
-    # Only the selected tokens' smoothed rows survive, so only their
-    # neighborhoods become pooling groups. Each sums in the level's order,
-    # not in its query's distance order, so tokens with the same neighborhood
-    # set round to bitwise identical rows, as the exact-tie rules need.
-    flat, sizes = _csr_rows(topo.indptr, selected)
-    pool_indptr = np.concatenate(([0], np.cumsum(sizes)))
-    members = topo.indices[flat]
+    # The kNN rows as ranks in the level's canonical order.
     rank = np.empty(n, dtype=np.int64)
     rank[level.order] = np.arange(n)
-    pool_indices = members[np.lexsort((rank[members], np.repeat(np.arange(m), sizes)))]
+    ranks = rank.take(level.topology.indices.reshape(n, k))
+    # FPS also gives the parent map: each token's nearest selected token.
+    selected, parent_of = _fps_in_order(level.positions, m, level.order, ranks)
 
-    k = topo.k if topo.k is not None else n
+    # Only the selected tokens' smoothed rows survive, so only their rows
+    # become pooling groups. Each sums in the level's order, not in its
+    # query's distance order, so tokens with the same neighborhood set round
+    # to bitwise identical rows, as the exact-tie rules need.
+    pool_indices = level.order.take(np.sort(ranks.take(selected, axis=0), axis=1).ravel())
+    pool_indptr = np.arange(m + 1, dtype=np.int64) * k
     coarse = _pooled_level(level, pool_indptr, pool_indices,
                            lambda positions: knn_from_positions(positions, k), selected=selected)
     return coarse, parent_of
@@ -333,7 +319,7 @@ def build_hierarchy(
         k, r = _integer(k, "k", 1), _integer(r, "coarsen ratio", 2)
         coords = None  # point levels carry no cells
         topology = knn_from_positions(positions, k)
-        step = partial(_coarsen_point, r=r, knn_rows=True)
+        step = partial(_coarsen_point, k=k, r=r)
     elif flavor == "voxel":
         if coords is None:
             raise InvalidInputError("voxel flavor requires occupied-cell coords")

@@ -31,6 +31,7 @@ from gha3d.analysis import (
     _effective_rows,
     _pairwise_distances,
     _ranked_columns,
+    _relative_errors,
 )
 from gha3d.attention import _bounded_spans, _forward_core, gha_forward, make_fourier_embedding
 from gha3d.errors import CapacityError, InvalidInputError, InvariantViolation
@@ -706,6 +707,31 @@ def test_approximation_report_matches_direct_recomputation():
     assert rep.mean_rel_err == pytest.approx(float(rel.mean()), rel=1e-12)
     assert rep.locality_ratio == locality_ratio(lv.positions, effective_attention(h))
     assert rep.weight_count == gha_forward(h).weight_count
+
+
+def test_approximation_report_is_finite_on_values_near_the_float_limit():
+    # v = +-1.5e308 in alternating rows used to overflow the error norms.
+    rng = np.random.default_rng(0)
+    pos = rng.normal(size=(40, 3))
+    q, k = rng.normal(size=(40, 4)), rng.normal(size=(40, 4))
+    v = np.where(np.arange(40)[:, None] % 2 == 0, 1.5e308, -1.5e308) * np.ones((1, 4))
+    rep = approximation_report(build_hierarchy(pos, q, k, v, flavor="point", k=4))
+    assert math.isfinite(rep.max_rel_err) and math.isfinite(rep.mean_rel_err)
+    small = approximation_report(build_hierarchy(pos, q, k, v * 2.0**-600, flavor="point", k=4))
+    assert rep.max_rel_err == pytest.approx(small.max_rel_err, rel=1e-9)
+    assert rep.mean_rel_err == pytest.approx(small.mean_rel_err, rel=1e-9)
+
+
+def test_relative_errors_rescale_only_overflowing_rows():
+    rng = np.random.default_rng(1)
+    z, ref = rng.normal(size=(6, 4)), rng.normal(size=(6, 4))
+    huge = np.array([True, False, True, False, False, True])
+    big_z, big_ref = z.copy(), ref.copy()
+    big_z[huge] *= 2.0**1020
+    big_ref[huge] *= 2.0**1020
+    plain = np.linalg.norm(z - ref, axis=1) / np.linalg.norm(ref, axis=1)
+    # A power of two leaves the ratio's bits; the other rows are untouched.
+    assert np.array_equal(_relative_errors(big_z, big_ref), plain)
 
 
 # ---------------------------------------------------------------------------

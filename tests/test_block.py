@@ -115,6 +115,32 @@ def test_layer_norm_gain_shift():
     np.testing.assert_allclose(layer_norm(x, g, s), layer_norm(x, np.ones(4), np.zeros(4)) * 2 + 1)
 
 
+def test_layer_norm_rows_near_the_float_limit_keep_unbounded_bits():
+    # Features of scale 2^100 drown eps, so LayerNorm is scale-free there:
+    # rows scaled by 2^900, whose squares overflow, give the same bits, and
+    # the normal rows beside them keep theirs.
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(6, 8)) * 2.0**100
+    g, s = rng.normal(size=8), rng.normal(size=8)
+    mixed = x.copy()
+    mixed[::2] *= 2.0**900
+    out = layer_norm(mixed, g, s)
+    assert np.array_equal(out, layer_norm(x, g, s))
+    # Equal entries whose mean overflows leave a zero variance: the shift.
+    assert np.array_equal(layer_norm(np.full((1, 2), 1.5e308), g[:2], s[:2]), s[None, :2])
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e300])
+def test_block_forward_is_finite_on_huge_features(scale):
+    # LayerNorm used to square these features to inf and zero every row.
+    rng = np.random.default_rng(5)
+    pos = rng.normal(size=(40, 3))
+    x = rng.normal(size=(40, 4)) * scale
+    out = block_forward(x, pos, init_params(small_config()), k=4)
+    assert np.all(np.isfinite(out))
+    assert np.abs(out).max() > 0.1 * scale  # the residual carries x through
+
+
 def test_dropout_mask_properties():
     cfg = small_config(dropout_enabled=True)
     x = np.ones((50, 40))

@@ -18,7 +18,7 @@ from gha3d.geometry import (
     save_point_cloud_binary,
     voxelize,
 )
-from gha3d.hierarchy import HierarchyLevel, build_hierarchy, coarsen_point
+from gha3d.hierarchy import build_hierarchy
 
 
 # ---------------------------------------------------------------------------
@@ -395,21 +395,6 @@ def test_fps_candidates_are_the_top_entries_and_bound_the_rest(seed, monkeypatch
     for i, value in enumerate(flat):
         if i not in top and value >= 0:
             assert value < bound or (value == bound and i >= first_out), (i, value)
-
-
-def test_fps_ignores_an_inexact_caller_topology():
-    """Only the kNN rows the build made stand in for FPS balls: a caller's
-    level whose "knn" topology lists far tokens still gets the loop's sample
-    and parent map."""
-    pos = _oracle_cloud("uniform")[:500]
-    n = pos.shape[0]
-    rows = (np.arange(n)[:, None] + [0, 250, 125]) % n  # self, then two arbitrary tokens
-    topo = NeighborhoodTopology(kind="knn", indptr=np.arange(n + 1) * 3, indices=rows.ravel(), k=3)
-    level = HierarchyLevel(level_index=0, positions=pos, q_tilde=np.zeros((n, 1)),
-                           k_tilde=np.zeros((n, 1)), v_tilde=np.zeros((n, 1)), topology=topo)
-    coarse, parent_of = coarsen_point(level, 2)
-    assert np.array_equal(coarse.selected, loop_fps(pos, 250))
-    assert np.array_equal(parent_of, loop_parent_of(pos, coarse.selected))
 
 
 @pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e-155, 1e-150, 1e-100, 1e-10, 1e10, 1e100, 1e150])

@@ -19,7 +19,6 @@ from gha3d.hierarchy import (
     HierarchyLevel,
     build_hierarchy,
     children_of,
-    coarsen_point,
     coarsen_voxel,
     dump_hierarchy,
     interpolate,
@@ -58,8 +57,8 @@ PAIR_POSITIONS = np.array(
 def test_coarsen_point_pairwise_means():
     rng = np.random.default_rng(0)
     q, k_mat, v = rand_qkv(rng, 4, 3)
-    level = make_point_level(PAIR_POSITIONS, q, k_mat, v, k=2)
-    coarse, parent_of = coarsen_point(level, r=2)
+    h = build_hierarchy(PAIR_POSITIONS, q, k_mat, v, k=2, r=2)
+    coarse, parent_of = h.levels[1], h.levels[0].parent_of
     assert coarse.n_tokens == 2
     np.testing.assert_allclose(coarse.q_tilde, [(q[0] + q[1]) / 2, (q[2] + q[3]) / 2], atol=1e-15)
     np.testing.assert_allclose(coarse.k_tilde, [(k_mat[0] + k_mat[1]) / 2, (k_mat[2] + k_mat[3]) / 2], atol=1e-15)
@@ -73,9 +72,8 @@ def test_coarsen_point_constant_rows_stay_constant():
     rng = np.random.default_rng(1)
     pos = rng.normal(size=(10, 3))
     c = np.full((10, 4), 2.5)
-    level = make_point_level(pos, c, c, c, k=3)
-    coarse, _ = coarsen_point(level, r=2)
-    np.testing.assert_array_equal(coarse.q_tilde, np.full((5, 4), 2.5))
+    h = build_hierarchy(pos, c, c, c, k=3, r=2)
+    np.testing.assert_array_equal(h.levels[1].q_tilde, np.full((5, 4), 2.5))
 
 
 def brute_parent_assignment(positions, selected):
@@ -93,28 +91,21 @@ def test_coarsen_point_parent_is_nearest_selected():
         n = int(rng.integers(2, 24))
         pos = rng.normal(size=(n, 3))
         q, k_mat, v = rand_qkv(rng, n, 2)
-        level = make_point_level(pos, q, k_mat, v, k=3)
-        coarse, parent_of = coarsen_point(level, r=2)
-        assert list(parent_of) == brute_parent_assignment(pos, coarse.selected)
+        h = build_hierarchy(pos, q, k_mat, v, k=3, r=2)
+        for fine, coarse in zip(h.levels, h.levels[1:]):
+            assert list(fine.parent_of) == brute_parent_assignment(fine.positions, coarse.selected)
 
 
 def test_coarsen_point_smoothing_is_neighborhood_mean():
     rng = np.random.default_rng(3)
     pos = rng.normal(size=(8, 3))
     q, k_mat, v = rand_qkv(rng, 8, 5)
-    level = make_point_level(pos, q, k_mat, v, k=3)
-    coarse, _ = coarsen_point(level, r=2)
-    topo = level.topology
+    h = build_hierarchy(pos, q, k_mat, v, k=3, r=2)
+    coarse, topo = h.levels[1], h.levels[0].topology
     for row, s in enumerate(coarse.selected):
         nb = topo.neighbors(int(s))
         np.testing.assert_allclose(coarse.q_tilde[row], q[nb].mean(axis=0), atol=1e-14)
         np.testing.assert_allclose(coarse.positions[row], pos[nb].mean(axis=0), atol=1e-14)
-
-
-def test_coarsen_point_rejects_single_token():
-    level = make_point_level(np.zeros((1, 3)), np.ones((1, 2)), np.ones((1, 2)), np.ones((1, 2)), k=2)
-    with pytest.raises(InvalidCoarsenError):
-        coarsen_point(level, r=2)
 
 
 # ---------------------------------------------------------------------------
@@ -427,38 +418,60 @@ def test_non_finite_values_rejected(flavor, name, bad):
             with_values(h, **{name: args[name]})
 
 
-@pytest.mark.parametrize("case", ["point", "point_duplicates", "voxel"])
+def _degenerate_cloud(case, rng):
+    if case == "grid":
+        g = np.stack(np.meshgrid(*[np.arange(4.0)] * 3, indexing="ij"), -1).reshape(-1, 3)
+        return g[rng.permutation(64)]
+    if case == "collinear":
+        t = np.arange(60.0)
+        return np.column_stack([t, 2.0 * t, -t])[rng.permutation(60)]
+    if case == "signed_zeros":
+        return rng.choice([-0.0, 0.0, 1.0, -1.0], size=(60, 3))
+    return np.full((40, 3), 0.25)  # identical
+
+
+@pytest.mark.parametrize("case", ["point", "point_duplicates", "voxel",
+                                  "grid", "collinear", "signed_zeros", "identical"])
 def test_pooling_map_reproduces_every_coarse_level(case):
     rng = np.random.default_rng(17)
     if case == "voxel":
         coords = np.unique(rng.integers(0, 8, size=(150, 3)), axis=0)
         coords = coords[rng.permutation(coords.shape[0])]
         q, k_mat, v = rand_qkv(rng, coords.shape[0], 3)
-        h = build_hierarchy(coords + 0.5, q, k_mat, v, flavor="voxel", coords=coords)
-    else:
+        builds = [build_hierarchy(coords + 0.5, q, k_mat, v, flavor="voxel", coords=coords)]
+    elif case in ("point", "point_duplicates"):
         pos = rng.normal(size=(90, 3))
         if case == "point_duplicates":
             pos = pos[rng.integers(0, 12, size=90)]
         q, k_mat, v = rand_qkv(rng, 90, 3)
-        h = build_hierarchy(pos, q, k_mat, v, flavor="point", k=5, r=2)
-    assert h.depth >= 2
-    assert h.levels[0].pool_indptr is None
-    for lev in range(h.depth):
-        fine, coarse = h.levels[lev], h.levels[lev + 1]
-        indptr, indices = coarse.pool_indptr, coarse.pool_indices
-        assert not indptr.flags.writeable and not indices.flags.writeable
-        for name in ("positions", "q_tilde", "k_tilde", "v_tilde"):
-            pooled = segment_mean(getattr(fine, name), indptr, indices)
-            assert pooled.tobytes() == getattr(coarse, name).tobytes()
-        for jc in range(coarse.n_tokens):
-            group = indices[indptr[jc] : indptr[jc + 1]].tolist()
-            if h.flavor == "point":
-                members = fine.topology.neighbors(coarse.selected[jc])
-                key = lambda i: (*fine.positions[i], i)
-            else:
-                members = children_of(h, lev, jc)
-                key = lambda i: tuple(fine.coords[i])
-            assert group == sorted(members.tolist(), key=key)
+        builds = [build_hierarchy(pos, q, k_mat, v, flavor="point", k=5, r=2)]
+    else:
+        pos = _degenerate_cloud(case, rng)
+        q, k_mat, v = rand_qkv(rng, pos.shape[0], 3)
+        builds = [build_hierarchy(pos, q, k_mat, v, flavor="point", k=k, r=r)
+                  for k, r in ((1, 2), (4, 3))]
+    for h in builds:
+        assert h.depth >= 2
+        assert h.levels[0].pool_indptr is None
+        for lev in range(h.depth):
+            fine, coarse = h.levels[lev], h.levels[lev + 1]
+            indptr, indices = coarse.pool_indptr, coarse.pool_indices
+            assert not indptr.flags.writeable and not indices.flags.writeable
+            if h.flavor == "point":  # one whole kNN row per group
+                k = h.neighborhood_k
+                assert np.array_equal(indptr, np.arange(coarse.n_tokens + 1) * k)
+            for name in ("positions", "q_tilde", "k_tilde", "v_tilde"):
+                pooled = segment_mean(getattr(fine, name), indptr, indices)
+                assert pooled.tobytes() == getattr(coarse, name).tobytes()
+            for jc in range(coarse.n_tokens):
+                group = indices[indptr[jc] : indptr[jc + 1]].tolist()
+                if h.flavor == "point":
+                    members = fine.topology.neighbors(coarse.selected[jc])
+                    key = lambda i: (*fine.positions[i], i)
+                else:
+                    members = children_of(h, lev, jc)
+                    key = lambda i: tuple(fine.coords[i])
+                assert group == sorted(members.tolist(), key=key)
     stripped = replace(h.levels[1], pool_indptr=None, pool_indices=None)
     with pytest.raises(InvalidInputError, match="pooling map"):
         Hierarchy(flavor=h.flavor, neighborhood_k=h.neighborhood_k, coarsen_ratio=h.coarsen_ratio,

@@ -47,7 +47,6 @@ from gha3d import (
     with_values,
 )
 from gha3d.geometry import fps_from_positions
-from gha3d.hierarchy import coarsen_point
 
 N, D = 12, 4
 _rng = np.random.default_rng(0)
@@ -163,7 +162,6 @@ SCALARS = [
      InvalidInputError),
     ("build_hierarchy-r", lambda v: build_hierarchy(POS, Q, K, V, k=4, r=v), 3, 1, None,
      InvalidInputError),
-    ("coarsen_point-r", lambda v: coarsen_point(H.levels[0], v), 2, 1, None, InvalidInputError),
     ("truncate-depth", lambda v: truncate(H, v), DEPTH, -1, DEPTH + 1, InvalidInputError),
     ("interpolate-from_level", lambda v: interpolate(LEVEL_1_VALUES, v, H), 1, 0, DEPTH + 1,
      InvalidInputError),
