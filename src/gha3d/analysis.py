@@ -72,8 +72,7 @@ def _effective_rows(hierarchy: Hierarchy, forward, queries: np.ndarray) -> np.nd
     c = np.zeros((hierarchy.levels[0].n_tokens, queries.shape[0]))
     c[queries, np.arange(queries.shape[0])] = 1.0 / d_hat.take(queries)  # dz = e_q, scaled
     folds = zip(hierarchy.levels, caches, _fold(hierarchy, caches, m_q, c))
-    return _pull_back(hierarchy, [_value_cotangent(lv, cache, fold.take(lv.topology.rows, axis=0))
-                                  for lv, cache, fold in folds]).T
+    return _pull_back(hierarchy, [_value_cotangent(lv, cache, fold) for lv, cache, fold in folds]).T
 
 
 def _weight_matrix(hierarchy: Hierarchy, forward, threads: int) -> np.ndarray:

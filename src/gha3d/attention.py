@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy import sparse
 
 from .errors import ConfigError, InvalidInputError
 from .geometry import _checked, _csr_rows, _freeze, _integer, _readonly
@@ -478,14 +479,12 @@ class Gradients(NamedTuple):
     dv: np.ndarray
 
 
-def _scatter_add(index: np.ndarray, values: np.ndarray, n_out: int) -> np.ndarray:
-    """out[index[e]] += values[e] for rows e of a 2-D array, through one
-    ``np.bincount`` over the flattened key index * width + column. Each
-    output sums its terms in input order, as ``np.add.at`` does, so a
-    column's sums do not depend on the width."""
-    width = values.shape[1]
-    key = ((index * width)[:, None] + np.arange(width)).ravel()
-    return np.bincount(key, weights=values.ravel(), minlength=n_out * width).reshape(n_out, width)
+def _transposed_product(indptr, indices, data, x, n_out: int) -> np.ndarray:
+    """A^T x for the CSR map A = (data, indices, indptr) with ``n_out`` columns,
+    as the CSC matrix over the same arrays: out[indices[e]] += data[e] * x[row
+    of e] from 0 in edge order, as ``np.add.at`` sums, with no edge rows
+    gathered; a column's sums do not depend on the width."""
+    return sparse.csc_matrix((data, indices, indptr), shape=(n_out, indptr.shape[0] - 1)) @ x
 
 
 def _pull_back(hierarchy: Hierarchy, per_level: list) -> np.ndarray:
@@ -498,8 +497,10 @@ def _pull_back(hierarchy: Hierarchy, per_level: list) -> np.ndarray:
         coarse = hierarchy.levels[h + 1]
         groups = coarse.order
         entry, sizes = _csr_rows(coarse.pool_indptr, groups)  # the groups' entries, in that order
-        pooled = np.repeat(g.take(groups, axis=0) / sizes[:, None], sizes, axis=0)
-        g = _scatter_add(coarse.pool_indices.take(entry), pooled, hierarchy.levels[h].n_tokens)
+        g = _transposed_product(np.concatenate(([0], np.cumsum(sizes))),
+                                coarse.pool_indices.take(entry), np.ones(entry.shape[0]),
+                                g.take(groups, axis=0) / sizes[:, None],
+                                hierarchy.levels[h].n_tokens)
         g += per_level[h]
     return g
 
@@ -507,10 +508,10 @@ def _pull_back(hierarchy: Hierarchy, per_level: list) -> np.ndarray:
 def _fold(hierarchy: Hierarchy, caches: list, m_q: np.ndarray, c: np.ndarray) -> list:
     """Per level, the per-query cotangent rows c summed onto each query's
     level-h ancestor with weight exp(mu_h[ancestor] - m_q): the transpose of
-    the forward's parent copy, one scatter per level for every column. The
-    exponent gap is <= 0, so the weights stay in (0, 1].
+    the forward's parent copy, one transposed product per level for every
+    column. The exponent gap is <= 0, so the weights stay in (0, 1].
     With one-hot columns of c (effective-weight rows), the fold and each
-    level's value scatter get at most one nonzero term per output: a query
+    level's value product get at most one nonzero term per output: a query
     has one ancestor per level and a neighbor list holds each token once.
     Such sums are exact in any order, and ``_pull_back`` fixes its own order
     by geometry, so those columns of dv are bitwise permutation-equivariant
@@ -521,16 +522,16 @@ def _fold(hierarchy: Hierarchy, caches: list, m_q: np.ndarray, c: np.ndarray) ->
     folds = []
     for h, (lv, cache) in enumerate(zip(hierarchy.levels, caches)):
         w = np.exp(cache.mu.take(anc) - m_q)
-        folds.append(_scatter_add(anc, w[:, None] * c, lv.n_tokens))
+        folds.append(_transposed_product(np.arange(c.shape[0] + 1), anc, w, c, lv.n_tokens))
         if h < depth:
             anc = lv.parent_of.take(anc)
     return folds
 
 
-def _value_cotangent(level, cache: _LevelCache, a_rows: np.ndarray) -> np.ndarray:
-    """One level's dv: each edge's fold row ``a_rows`` times t (in place), onto its key."""
-    a_rows *= cache.t[:, None]
-    return _scatter_add(level.topology.indices, a_rows, level.n_tokens)
+def _value_cotangent(level, cache: _LevelCache, fold: np.ndarray) -> np.ndarray:
+    """One level's dv: each edge's t times its query's ``fold`` row, onto its key."""
+    topology = level.topology
+    return _transposed_product(topology.indptr, topology.indices, cache.t, fold, level.n_tokens)
 
 
 def gha_backward(hierarchy: Hierarchy, dz: np.ndarray,
@@ -570,21 +571,21 @@ def gha_backward(hierarchy: Hierarchy, dz: np.ndarray,
 
     per_level = []
     for lv, cache, fold in zip(hierarchy.levels, caches, folds):
-        rows, cols = lv.topology.rows, lv.topology.indices
+        rows, cols, indptr = lv.topology.rows, lv.topology.indices, lv.topology.indptr
         ab = fold.take(rows, axis=0)  # each edge's query's folded output and normalizer cotangents
         v = lv.v_tilde if shift is None else np.ldexp(lv.v_tilde, -shift)
         ds = cache.t * (np.einsum("ed,ed->e", ab[:, :d_v], v.take(cols, axis=0)) - ab[:, d_v])
-        dv = _value_cotangent(lv, cache, ab)[:, :d_v]  # scaled whole, then b's column dropped
         del ab  # else it is alive next to the dq and dk temporaries
-        ds = (ds / scale)[:, None]
+        ds /= scale
         k_eff = cache.k.take(cols, axis=0)
         if cache.rel is not None:
             k_eff[:, 0::2] += cache.rel[0]
             k_eff[:, 1::2] += cache.rel[1]
-        k_eff *= ds
-        dq = np.add.reduceat(k_eff, lv.topology.indptr[:-1], axis=0)
-        per_level.append(np.hstack([dq, _scatter_add(cols, cache.q.take(rows, axis=0) * ds,
-                                                     lv.n_tokens), dv]))
+        k_eff *= ds[:, None]
+        dq = np.add.reduceat(k_eff, indptr[:-1], axis=0)
+        dk = _transposed_product(indptr, cols, ds, cache.q, lv.n_tokens)
+        dv = _value_cotangent(lv, cache, fold)[:, :d_v]  # b's column dropped
+        per_level.append(np.hstack([dq, dk, dv]))
     del caches, folds, cache, fold  # frees the per-edge terms before the pull-back's temporaries
     g = _pull_back(hierarchy, per_level)
     if shift is not None:

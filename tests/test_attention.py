@@ -10,7 +10,7 @@ from gha3d.attention import (
     AttentionInputs,
     FourierEmbedding,
     _dense_softmax_chunks,
-    _scatter_add,
+    _transposed_product,
     dense_attention,
     embed_points,
     fourier_embed,
@@ -787,6 +787,38 @@ def test_forward_and_row_bits_are_pinned(flavor, mode):
     assert got == PINNED_FORWARD[flavor, mode]
 
 
+# SHA-256 prefixes of gha_backward's (dq, dk, dv) bytes for one general dz,
+# recorded while the fold, dk, dv and pull-back sums ran through a keyed
+# np.bincount: any later kernel must add their terms in the same order.
+PINNED_GRADIENTS = {
+    ("point", "none"): ("f7ec46b1907edadd", "d50515002e835d26", "0c493341b9f36a82"),
+    ("point", "absolute"): ("44bffad2b5767cc1", "4448eca9c189b565", "ad3140ba703d834a"),
+    ("point", "relative"): ("0e475ae3b8649199", "00255e0a1663abff", "b64aa5346081631a"),
+    ("voxel", "none"): ("8ba2d9fefec17f12", "ddae5589818fd9cf", "bbc0f718a423b118"),
+    ("voxel", "absolute"): ("763d3af50c1b7800", "e3c4df32e9a8ea7c", "454283634119be35"),
+    ("voxel", "relative"): ("a84c67408d6c5239", "73136bc9c79a437c", "df38d9d763d77f70"),
+}
+
+
+@pytest.mark.parametrize("flavor, mode", sorted(PINNED_GRADIENTS))
+def test_gradient_bits_are_pinned(flavor, mode):
+    """The voxel structure of the pinned forward, and 60 full-precision point
+    tokens at 30 positions with the default k=8."""
+    if flavor == "voxel":
+        h = pinned_structure("voxel")
+    else:
+        rng = np.random.default_rng(2025)
+        pos = np.repeat(np.round(rng.uniform(size=(30, 3)), 2), 2, axis=0)[rng.permutation(60)]
+        q, k, v = (rng.normal(size=(60, 2)) for _ in range(3))
+        h = build_hierarchy(pos, q, k, v, flavor="point", r=2)
+        assert h.level_sizes() == [60, 30, 15, 8]
+    emb = None if mode == "none" else make_fourier_embedding(2, np.random.default_rng(5))
+    dz = np.random.default_rng(7).normal(size=(h.levels[0].n_tokens, 2))
+    got = tuple(hashlib.sha256(a.tobytes()).hexdigest()[:16]
+                for a in gha_backward(h, dz, emb, mode))
+    assert got == PINNED_GRADIENTS[flavor, mode]
+
+
 # ---------------------------------------------------------------------------
 # Backward
 # ---------------------------------------------------------------------------
@@ -810,14 +842,23 @@ def max_rel_err(a, f):
     return float(np.max(np.abs(a - f) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(f)))))
 
 
-def test_scatter_add_matches_add_at():
+def test_transposed_product_matches_add_at():
+    """A map's transposed product sums each output from 0 in edge order, as
+    np.add.at does: magnitudes 1e-8 to 1e8 show any other order, and
+    outputs without entries (17 and 50-59) read exactly 0.0."""
     rng = np.random.default_rng(22)
     index = rng.integers(0, 50, size=4000)
-    for values in (rng.normal(size=(4000, 1)) * 10.0 ** rng.integers(-8, 8, size=(4000, 1)),
-                   rng.normal(size=(4000, 3))):
-        want = np.zeros((60, values.shape[1]))
-        np.add.at(want, index, values)
-        np.testing.assert_array_equal(_scatter_add(index, values, 60), want)
+    index[index == 17] = 18
+    rows = np.sort(rng.integers(0, 1000, size=4000))  # 4000 entries on 1000 rows, some empty
+    indptr = np.searchsorted(rows, np.arange(1001))
+    data = rng.normal(size=4000) * 10.0 ** rng.integers(-8, 8, size=4000)
+    for x in (rng.normal(size=(1000, 1)) * 10.0 ** rng.integers(-8, 8, size=(1000, 1)),
+              rng.normal(size=(1000, 3))):
+        want = np.zeros((60, x.shape[1]))
+        np.add.at(want, index, data[:, None] * x[rows])
+        got = _transposed_product(indptr, index, data, x, 60)
+        assert got.tobytes() == want.tobytes()
+        assert got[[17, *range(50, 60)]].tobytes() == bytes(8 * 11 * x.shape[1])  # +0.0
 
 
 def test_backward_folds_and_pulls_back_once(monkeypatch):
@@ -830,7 +871,8 @@ def test_backward_folds_and_pulls_back_once(monkeypatch):
                         flavor="point", k=4, r=2)
     assert h.depth >= 3
     calls, folding = [], []
-    real = {name: getattr(attention_mod, name) for name in ("_fold", "_pull_back", "_scatter_add")}
+    real = {name: getattr(attention_mod, name)
+            for name in ("_fold", "_pull_back", "_transposed_product")}
 
     def fold(*args):
         folding.append(True)
@@ -839,12 +881,12 @@ def test_backward_folds_and_pulls_back_once(monkeypatch):
         finally:
             folding.pop()
 
-    def scatter(index, values, n_out):
-        calls.append(("fold" if folding else "scatter", values.shape[1]))
-        return real["_scatter_add"](index, values, n_out)
+    def product(indptr, indices, data, x, n_out):
+        calls.append(("fold" if folding else "product", x.shape[1]))
+        return real["_transposed_product"](indptr, indices, data, x, n_out)
 
     monkeypatch.setattr(attention_mod, "_fold", fold)
-    monkeypatch.setattr(attention_mod, "_scatter_add", scatter)
+    monkeypatch.setattr(attention_mod, "_transposed_product", product)
     monkeypatch.setattr(attention_mod, "_pull_back",
                         lambda *a: calls.append("pull_back") or real["_pull_back"](*a))
     gha_backward(h, rng.normal(size=(n, d_v)))
@@ -852,8 +894,11 @@ def test_backward_folds_and_pulls_back_once(monkeypatch):
     assert calls.count("pull_back") == 1
     # One fold of [dz/d_hat | b] per level, not one for each part.
     assert calls.count(("fold", d_v + 1)) == levels
-    # Per level one dk and one dv scatter; then one transposed pooling of
+    # Per level one dk and one dv product; then one transposed pooling of
     # [dq | dk | dv] per coarse level.
+    assert calls.count(("product", d)) == levels
+    assert calls.count(("product", d_v + 1)) == levels
+    assert calls.count(("product", 2 * d + d_v)) == h.depth
     assert len(calls) == 1 + levels + 2 * levels + h.depth
 
 

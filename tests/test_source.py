@@ -1,8 +1,9 @@
 """Source hygiene of the package modules, checked with the stdlib ``ast``:
 no unused imports, no unreferenced module-level private definitions, one
-finiteness check for caller arrays and one range check for caller integers;
-no kernel gather by an index map through fancy indexing; and every package
-name the benchmark's workloads call still resolves."""
+finiteness check for caller arrays, one range check for caller integers and
+one sparse product for every adjoint scatter; no kernel gather by an index
+map through fancy indexing; and every package name the benchmark's
+workloads call still resolves."""
 
 import ast
 import importlib
@@ -130,6 +131,34 @@ def test_only_the_integer_check_reads_and_bounds_integers():
                     bounders.add(f"{path.name}:{fn.name}")
     assert readers == {"geometry.py:_integer"}
     assert bounders == {"geometry.py:_integer"}
+
+
+def test_only_the_transposed_product_scatters():
+    """Every adjoint sum is one transposed sparse product,
+    ``attention._transposed_product``: only attention.py imports
+    ``scipy.sparse``, no other function reads it, and no ``np.bincount`` or
+    ``np.add.at`` scatter is left in the kernels or the analysis."""
+    importers, readers, scatters = set(), set(), []
+    for path in sorted(SRC.glob("*.py")):
+        tree = _tree(path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) and any(a.name.startswith("scipy.sparse")
+                                                    for a in node.names):
+                importers.add(path.name)
+            if isinstance(node, ast.ImportFrom) and (
+                    (node.module or "").startswith("scipy.sparse")
+                    or (node.module == "scipy" and any(a.name == "sparse" for a in node.names))):
+                importers.add(path.name)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                readers.update(f"{path.name}:{node.name}" for inner in ast.walk(node)
+                               if (isinstance(inner, ast.Name) and inner.id == "sparse")
+                               or (isinstance(inner, ast.Attribute) and inner.attr == "sparse"))
+            if (path.name in ("attention.py", "analysis.py") and isinstance(node, ast.Attribute)
+                    and ast.unparse(node) in ("np.bincount", "np.add.at")):
+                scatters.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert importers == {"attention.py"}
+    assert readers == {"attention.py:_transposed_product"}
+    assert scatters == []
 
 
 def test_every_package_name_the_benchmark_calls_resolves():
