@@ -19,11 +19,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ConfigError, InvalidInputError
-from .geometry import _checked, _csr_rows, _freeze, _integer, _readonly
-from .hierarchy import Hierarchy
+from .geometry import _checked, _freeze, _integer, _readonly
+from .hierarchy import Hierarchy, _group_sums, _sparse_map, _transposed_product
 
 
 # ---------------------------------------------------------------------------
@@ -312,16 +311,18 @@ def _row_spans(indptr: np.ndarray, width: int):
         r0 = r1
 
 
-def _level_softmax(q, k, v, topology, term, mode, scale, want_t):
-    """Max-shifted softmax sums over one topology, with the level's
-    positional ``term`` from ``_level_term``.
+def _level_softmax(q, k, v, topology, neighbors, term, mode, scale, want_t):
+    """Max-shifted softmax sums over one topology, whose ``_sparse_map`` is
+    ``neighbors``, with the level's positional ``term`` from ``_level_term``.
 
     Returns the per-edge cache, the shifted denominators and the shifted
     unnormalized outputs: denom_i * exp(mu_i) and y_i * exp(mu_i) are the
     true local sums. The edges run in ``_row_spans``; every per-row
     reduction and per-edge product sees the operands it would see over the
     whole level, so the bits do not depend on the cut. Only the cache's
-    ``t`` (when ``want_t``) is per-edge past its span."""
+    ``t`` (when ``want_t``) is per-edge past its span. With at most 8
+    neighbors a row, y sums by one product per span (``_group_sums``) with
+    t as its data, gathering no edge rows of v."""
     rows, cols, indptr = topology.rows, topology.indices, topology.indptr
     if mode == "absolute":
         q, k = q + term, k + term
@@ -344,9 +345,14 @@ def _level_softmax(q, k, v, topology, term, mode, scale, want_t):
         s -= mu.take(span_rows)
         t = np.exp(s, out=None if t_all is None else t_all[e0:e1])
         np.add.reduceat(t, starts, out=denom[r0:r1])
-        weighted = v.take(cols[e0:e1], axis=0)
-        weighted *= t[:, None]  # in place: one edge-by-column temporary, not two
-        np.add.reduceat(weighted, starts, axis=0, out=y[r0:r1])
+        if neighbors.sequential:  # the span's own CSR: offsets from its first edge
+            y[r0:r1] = _group_sums(v, neighbors.indptr[r0:r1 + 1] - neighbors.indptr[r0],
+                                   neighbors.indices[e0:e1], t)
+        else:
+            weighted = v.take(cols[e0:e1], axis=0)
+            weighted *= t[:, None]  # in place: one edge-by-column temporary, not two
+            np.add.reduceat(weighted, starts, axis=0, out=y[r0:r1])
+            del weighted  # else it is alive next to the next span's gathers
     return _LevelCache(q=q, k=k, rel=rel, t=t_all, mu=mu), denom, y
 
 
@@ -358,7 +364,8 @@ def local_attention(inputs: AttentionInputs, topology) -> AttentionResult:
     term = _level_term(inputs.positions, topology, inputs.embedding, mode)
     exponents = _value_exponents([inputs.v], int(topology.sizes.max()))
     v = inputs.v if exponents is None else np.ldexp(inputs.v, -exponents)
-    cache, denom, y = _level_softmax(inputs.q, inputs.k, v, topology, term, mode,
+    cache, denom, y = _level_softmax(inputs.q, inputs.k, v, topology,
+                                     _sparse_map(topology.indptr, topology.indices), term, mode,
                                      math.sqrt(inputs.d), want_t=False)
     e = topology.total_edges
     with np.errstate(over="ignore"):
@@ -417,8 +424,8 @@ def _forward_core(hierarchy: Hierarchy, embedding, mode: str, want_cache: bool,
         term = (table.terms[h] if table is not None
                 else _level_term(lv.positions, lv.topology, embedding, mode))
         v = lv.v_tilde if exponents is None else np.ldexp(lv.v_tilde, -exponents)
-        cache, d_loc, y_loc = _level_softmax(lv.q_tilde, lv.k_tilde, v, lv.topology, term, mode,
-                                             scale, want_t=want_cache)
+        cache, d_loc, y_loc = _level_softmax(lv.q_tilde, lv.k_tilde, v, lv.topology, lv.neighbors,
+                                             term, mode, scale, want_t=want_cache)
         mu = cache.mu
         per_level[h] = lv.topology.total_edges
         caches[h] = cache if want_cache else None
@@ -479,27 +486,18 @@ class Gradients(NamedTuple):
     dv: np.ndarray
 
 
-def _transposed_product(indptr, indices, data, x, n_out: int) -> np.ndarray:
-    """A^T x for the CSR map A = (data, indices, indptr) with ``n_out`` columns,
-    as the CSC matrix over the same arrays: out[indices[e]] += data[e] * x[row
-    of e] from 0 in edge order, as ``np.add.at`` sums, with no edge rows
-    gathered; a column's sums do not depend on the width."""
-    return sparse.csc_matrix((data, indices, indptr), shape=(n_out, indptr.shape[0] - 1)) @ x
-
-
 def _pull_back(hierarchy: Hierarchy, per_level: list) -> np.ndarray:
     """Sum per-level gradients onto level 0 through the transposed pooling
     maps. A token sums its groups (one entry in each) in the coarse level's
-    ``order``, fixed by the geometry, not by the input numbering. (Voxel
-    groups are disjoint, so no order matters.)"""
+    ``order``, fixed by the geometry, not by the input numbering: the level's
+    ``pull`` map holds its groups in that order. (Voxel groups are disjoint,
+    so no order matters.)"""
     g = per_level[-1]
     for h in range(hierarchy.depth - 1, -1, -1):
         coarse = hierarchy.levels[h + 1]
-        groups = coarse.order
-        entry, sizes = _csr_rows(coarse.pool_indptr, groups)  # the groups' entries, in that order
-        g = _transposed_product(np.concatenate(([0], np.cumsum(sizes))),
-                                coarse.pool_indices.take(entry), np.ones(entry.shape[0]),
-                                g.take(groups, axis=0) / sizes[:, None],
+        pull = coarse.pull
+        g = _transposed_product(pull.indptr, pull.indices, np.ones(pull.indices.shape[0]),
+                                g.take(coarse.order, axis=0) / np.diff(pull.indptr)[:, None],
                                 hierarchy.levels[h].n_tokens)
         g += per_level[h]
     return g
@@ -530,8 +528,8 @@ def _fold(hierarchy: Hierarchy, caches: list, m_q: np.ndarray, c: np.ndarray) ->
 
 def _value_cotangent(level, cache: _LevelCache, fold: np.ndarray) -> np.ndarray:
     """One level's dv: each edge's t times its query's ``fold`` row, onto its key."""
-    topology = level.topology
-    return _transposed_product(topology.indptr, topology.indices, cache.t, fold, level.n_tokens)
+    neighbors = level.neighbors
+    return _transposed_product(neighbors.indptr, neighbors.indices, cache.t, fold, level.n_tokens)
 
 
 def gha_backward(hierarchy: Hierarchy, dz: np.ndarray,
@@ -572,18 +570,27 @@ def gha_backward(hierarchy: Hierarchy, dz: np.ndarray,
     per_level = []
     for lv, cache, fold in zip(hierarchy.levels, caches, folds):
         rows, cols, indptr = lv.topology.rows, lv.topology.indices, lv.topology.indptr
-        ab = fold.take(rows, axis=0)  # each edge's query's folded output and normalizer cotangents
         v = lv.v_tilde if shift is None else np.ldexp(lv.v_tilde, -shift)
-        ds = cache.t * (np.einsum("ed,ed->e", ab[:, :d_v], v.take(cols, axis=0)) - ab[:, d_v])
-        del ab  # else it is alive next to the dq and dk temporaries
-        ds /= scale
-        k_eff = cache.k.take(cols, axis=0)
-        if cache.rel is not None:
-            k_eff[:, 0::2] += cache.rel[0]
-            k_eff[:, 1::2] += cache.rel[1]
-        k_eff *= ds[:, None]
-        dq = np.add.reduceat(k_eff, indptr[:-1], axis=0)
-        dk = _transposed_product(indptr, cols, ds, cache.q, lv.n_tokens)
+        # ds and dq edge by edge in the forward's row spans: only dk reads the
+        # level's whole ds, through a product.
+        ds, dq = np.empty(lv.topology.total_edges), np.empty((lv.n_tokens, d))
+        for r0, r1 in _row_spans(indptr, max(d, d_v + 1)):
+            e0, e1 = indptr[r0], indptr[r1]
+            # Each edge's query's folded output and normalizer cotangents.
+            ab = fold.take(rows[e0:e1], axis=0)
+            s = np.einsum("ed,ed->e", ab[:, :d_v], v.take(cols[e0:e1], axis=0))
+            s -= ab[:, d_v]
+            del ab  # else it is alive next to the dq temporaries
+            np.multiply(cache.t[e0:e1], s, out=ds[e0:e1])
+            ds[e0:e1] /= scale
+            k_eff = cache.k.take(cols[e0:e1], axis=0)
+            if cache.rel is not None:
+                k_eff[:, 0::2] += cache.rel[0][e0:e1]
+                k_eff[:, 1::2] += cache.rel[1][e0:e1]
+            k_eff *= ds[e0:e1, None]
+            np.add.reduceat(k_eff, indptr[r0:r1] - e0, axis=0, out=dq[r0:r1])
+        dk = _transposed_product(lv.neighbors.indptr, lv.neighbors.indices, ds, cache.q,
+                                 lv.n_tokens)
         dv = _value_cotangent(lv, cache, fold)[:, :d_v]  # b's column dropped
         per_level.append(np.hstack([dq, dk, dv]))
     del caches, folds, cache, fold  # frees the per-edge terms before the pull-back's temporaries

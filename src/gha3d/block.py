@@ -272,15 +272,16 @@ def block_forward(
         for head in range(config.n_heads):
             sl = slice(head * ch, (head + 1) * ch)
             if mechanism == "dense":
-                inputs = AttentionInputs(
+                head_outs.append(dense_attention(AttentionInputs(
                     q=q[:, sl], k=k_rows[:, sl], v=v[:, sl], positions=positions,
                     embedding=emb, embedding_mode=mode,
-                )
-                head_outs.append(dense_attention(inputs).z)
+                )).z)
             else:
-                hh = with_values(structure, q=q[:, sl], k=k_rows[:, sl], v=v[:, sl])
-                head_outs.append(gha_forward(hh, emb, mode, tables[mode]).z)
+                head_outs.append(gha_forward(
+                    with_values(structure, q=q[:, sl], k=k_rows[:, sl], v=v[:, sl]),
+                    emb, mode, tables[mode]).z)
         attn = np.concatenate(head_outs, axis=1) @ lp.w_o + lp.b_o
+        del h, q, k_rows, v, head_outs  # else alive next to the FFN's temporaries
         x = x + _dropout(attn, config.attn_dropout, config, layer_idx, 0)
 
         f = layer_norm(x, lp.ln2_gain, lp.ln2_shift)

@@ -90,10 +90,11 @@ def _index_map(a, rule: str, n: int | None = None, length: int | None = None) ->
     raise InvalidInputError(f"{rule}{'' if n is None else f' in [0, {n})'}, got {got}")
 
 
-def _csr(indptr, indices, name: str, n: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+def _csr(indptr, indices, name: str, n: int | None, rows: int) -> tuple[np.ndarray, np.ndarray]:
     """A caller's CSR map (row i is ``indices[indptr[i]:indptr[i + 1]]``) as
-    read-only int64: every index lies in [0, n) and ``indptr`` rises from 0 to
-    len(indices) in ``rows`` rows, none empty (a row's mean divides by its size)."""
+    read-only int64: every index lies in [0, n) (any integer, with n None) and
+    ``indptr`` rises from 0 to len(indices) in ``rows`` rows, none empty (a
+    row's mean divides by its size)."""
     indices = _index_map(indices, f"{name}indices must lie", n)
     indptr = _index_map(indptr, f"{name}indptr must be integers")
     nnz = indices.shape[0]

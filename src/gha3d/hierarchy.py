@@ -6,14 +6,17 @@ the next-coarser level, and the pooling map that averaged the finer level
 into this one. Structure (topologies, parent and pooling maps, positions)
 depends only on geometry and is built once; values can be swapped out and
 re-coarsened through the same structure with ``with_values``, which is one
-``segment_mean`` over each level's pooling map.
+mean over each level's pooling map (``segment_mean``'s arithmetic) for all
+the new arrays side by side.
 """
 
 import copy
 from dataclasses import dataclass, field
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
+from scipy import sparse
 
 from .errors import InvalidCoarsenError, InvalidInputError
 from .geometry import (
@@ -38,31 +41,121 @@ from .geometry import (
 # stopping threshold (a level this small fits one neighborhood).
 VOXEL_WINDOW_K = 27
 
+# np.add.reduceat adds a group of at most this many rows as x0 + (x1 + ...
+# + x_{L-1}), the tail in order; longer groups go through NumPy's pairwise
+# loop. A CSR product adds a row's terms in order from 0, so maps whose
+# groups are this small sum by product (``_group_sums``) in reduceat's bits.
+_SEQUENTIAL = 8
+
+
+# ---------------------------------------------------------------------------
+# Sums over sparse maps
+# ---------------------------------------------------------------------------
+
+class _SparseMap(NamedTuple):
+    """A CSR map, row i being ``indices[indptr[i]:indptr[i + 1]]``. Where
+    every row holds at most ``_SEQUENTIAL`` entries (``sequential``), the
+    index arrays are int32 copies, the dtype SciPy multiplies in and would
+    otherwise convert them to on every call; a map of wider rows, which
+    sums by reduceat, keeps its own arrays and no copy."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    sequential: bool
+
+
+def _sparse_map(indptr: np.ndarray, indices: np.ndarray) -> _SparseMap:
+    if np.diff(indptr).max(initial=0) > _SEQUENTIAL:
+        return _SparseMap(indptr, indices, False)
+    bound = max(indptr.shape[0], indices.shape[0], int(indices.max(initial=0)) + 1)
+    dtype = np.int32 if bound <= np.iinfo(np.int32).max else np.int64
+    return _SparseMap(_readonly(indptr.astype(dtype)), _readonly(indices.astype(dtype)), True)
+
+
+def _product(indptr, indices, data, x) -> np.ndarray:
+    """A x for the CSR map A = (data, indices, indptr): row i adds data[e] *
+    x[indices[e]] over its entries e from 0 in entry order, with no rows
+    gathered; a column's sums do not depend on the width."""
+    return sparse.csr_matrix((data, indices, indptr), shape=(indptr.shape[0] - 1, x.shape[0])) @ x
+
+
+def _transposed_product(indptr, indices, data, x, n_out: int) -> np.ndarray:
+    """A^T x for the CSR map A = (data, indices, indptr) with ``n_out`` columns,
+    as the CSC matrix over the same arrays: out[indices[e]] += data[e] * x[row
+    of e] from 0 in edge order, as ``np.add.at`` sums, with no edge rows
+    gathered; a column's sums do not depend on the width."""
+    return sparse.csc_matrix((data, indices, indptr), shape=(n_out, indptr.shape[0] - 1)) @ x
+
+
+def _group_sums(x: np.ndarray, indptr, indices, data=None) -> np.ndarray:
+    """Row i sums the terms x[indices[e]] (times data[e], where given) over
+    the entries e of CSR row i, bitwise as np.add.reduceat sums the gathered
+    terms, for rows of 1 to ``_SEQUENTIAL`` entries.
+
+    reduceat adds x0 + (x1 + ... ) and a product adds its terms from 0, so
+    each row's first term is left out of the product (its data zeroed) and
+    added last. The product's tail starts at +0.0 where reduceat's keeps a
+    -0.0, which shows only in a sum of exactly 0, so each such entry is
+    summed again by reduceat over its own column's terms.
+    """
+    starts = indptr[:-1]
+    rest = np.ones(indices.shape[0]) if data is None else data.copy()
+    head = x.take(indices.take(starts), axis=0)
+    if data is not None:
+        head *= data.take(starts)[:, None]
+    rest[starts] = 0.0
+    head += _product(indptr, indices, rest, x)
+    if not head.all():
+        zero_rows, zero_cols = np.nonzero(head == 0.0)
+        entry, sizes = _csr_rows(indptr, zero_rows)
+        terms = x.take(indices.take(entry) * x.shape[1] + np.repeat(zero_cols, sizes))
+        if data is not None:
+            terms *= data.take(entry)
+        head[zero_rows, zero_cols] = np.add.reduceat(terms, np.cumsum(sizes) - sizes)
+    return head
+
+
+def _pooled(values: np.ndarray, pooling: _SparseMap) -> np.ndarray:
+    """``segment_mean`` over a map from ``_sparse_map``."""
+    indptr, indices = pooling.indptr, pooling.indices
+    with np.errstate(over="ignore", invalid="ignore"):  # mended below
+        sums = (_group_sums(values, indptr, indices) if pooling.sequential
+                else np.add.reduceat(values.take(indices, axis=0), indptr[:-1], axis=0))
+    means = sums / np.diff(indptr)[:, None]
+    if -np.inf < sums.min(initial=0.0) and sums.max(initial=0.0) < np.inf:  # False on NaN too
+        return means
+    bad = np.isinf(sums) | np.isnan(sums)  # NaN: pairwise partial sums overflowed both ways
+    hit = bad.any(axis=1)
+    entry, sizes = _csr_rows(indptr, np.flatnonzero(hit))
+    part = values.take(indices.take(entry), axis=0)
+    part_starts = np.cumsum(sizes) - sizes
+    scale = np.maximum.reduceat(np.abs(part), part_starts, axis=0)
+    scale[scale == 0.0] = 1.0  # an all-zero column's entry is not replaced
+    scaled = np.add.reduceat(part / np.repeat(scale, sizes, axis=0), part_starts, axis=0)
+    means[bad] = (scaled / sizes[:, None] * scale)[bad[hit]]
+    return means
+
+
+def _split_columns(means: np.ndarray, parts: list) -> list:
+    """Pooled rows of ``parts`` side by side, split back into one C-contiguous
+    array per part. Pooling sums each column on its own, so the arrays of a
+    level pool through one product, whose fixed cost they then share."""
+    return [np.ascontiguousarray(a)
+            for a in np.hsplit(means, np.cumsum([p.shape[1] for p in parts[:-1]]))]
+
 
 def segment_mean(values: np.ndarray, indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
     """Row i of the result is the mean of ``values[indices[indptr[i]:indptr[i+1]]]``.
 
-    Every segment must be non-empty. Each group sums in member order. Where
-    finite terms near the float64 limit overflow that sum, the entry is
-    summed again in the same order, each term divided by the group's largest
-    magnitude in that column, so the mean of finite values stays finite;
-    every other entry keeps the plain sum's bits.
+    Every segment must be non-empty. Each group sums in member order, bitwise
+    as ``np.add.reduceat`` sums the gathered rows; a map whose groups hold at
+    most 8 members sums by one sparse product. Where finite terms near the
+    float64 limit overflow that sum, the entry is summed again in the same
+    order, each term divided by the group's largest magnitude in that column,
+    so the mean of finite values stays finite; every other entry keeps the
+    plain sum's bits.
     """
-    gathered = values.take(indices, axis=0)
-    with np.errstate(over="ignore", invalid="ignore"):  # mended below
-        sums = np.add.reduceat(gathered, indptr[:-1], axis=0)
-    means = sums / np.diff(indptr)[:, None]
-    bad = np.isinf(sums) | np.isnan(sums)  # NaN: pairwise partial sums overflowed both ways
-    hit = bad.any(axis=1)
-    if hit.any():
-        entry, sizes = _csr_rows(indptr, np.flatnonzero(hit))
-        part = gathered.take(entry, axis=0)
-        part_starts = np.cumsum(sizes) - sizes
-        scale = np.maximum.reduceat(np.abs(part), part_starts, axis=0)
-        scale[scale == 0.0] = 1.0  # an all-zero column's entry is not replaced
-        scaled = np.add.reduceat(part / np.repeat(scale, sizes, axis=0), part_starts, axis=0)
-        means[bad] = (scaled / sizes[:, None] * scale)[bad[hit]]
-    return means
+    return _pooled(values, _sparse_map(np.asarray(indptr), np.asarray(indices)))
 
 
 @dataclass(frozen=True)
@@ -86,7 +179,10 @@ class HierarchyLevel:
     ``order`` is the level's canonical token order, ``_canonical_order``
     of ``positions``. It is derived here and never passed in, so no level
     holds another order; levels that share this one's positions are made
-    with ``_shared`` and keep it without sorting again.
+    with ``_shared`` and keep it without sorting again. So are the maps the
+    kernels multiply by (``_sparse_map``): ``neighbors``, the topology;
+    ``pooling``, the pooling map; and ``pull``, the pooling groups in
+    ``order``, which the backward's pull-back sums in.
     """
 
     level_index: int
@@ -101,6 +197,9 @@ class HierarchyLevel:
     pool_indptr: np.ndarray | None = None  # (n_h + 1,) int64
     pool_indices: np.ndarray | None = None  # int64 into level h-1
     order: np.ndarray = field(init=False)  # (n_h,) int64
+    neighbors: _SparseMap = field(init=False, repr=False, compare=False)
+    pooling: _SparseMap | None = field(init=False, repr=False, compare=False)
+    pull: _SparseMap | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "level_index", _integer(self.level_index, "level_index", 0))
@@ -112,7 +211,8 @@ class HierarchyLevel:
                         ("v_tilde", _checked(self.v_tilde, "v_tilde", (n, None)))):
             object.__setattr__(self, name, _freeze(a))
         # A level refuses float maps; its hierarchy, which knows the
-        # neighboring levels' sizes, checks the maps' shapes and ranges.
+        # neighboring levels' sizes, checks the maps' shapes and ranges (the
+        # level checks its pooling map's rows itself, as it derives from them).
         for name in ("parent_of", "selected", "pool_indptr", "pool_indices"):
             val = getattr(self, name)
             if val is not None:
@@ -125,6 +225,17 @@ class HierarchyLevel:
         if self.topology.n_tokens != n:
             raise InvalidInputError("topology token count does not match level size")
         object.__setattr__(self, "order", _readonly(_canonical_order(self.positions)))
+        object.__setattr__(self, "neighbors", _sparse_map(self.topology.indptr,
+                                                          self.topology.indices))
+        pooling = pull = None
+        if self.pool_indptr is not None:
+            indptr, indices = _csr(self.pool_indptr, self.pool_indices, "pool_", None, n)
+            entry, sizes = _csr_rows(indptr, self.order)
+            pooling = _sparse_map(indptr, indices)
+            pull = _sparse_map(_readonly(np.concatenate(([0], np.cumsum(sizes)))),
+                               _readonly(indices.take(entry)))
+        object.__setattr__(self, "pooling", pooling)
+        object.__setattr__(self, "pull", pull)
 
     @property
     def n_tokens(self) -> int:
@@ -147,11 +258,11 @@ def _pooled_level(level: HierarchyLevel, pool_indptr: np.ndarray, pool_indices: 
     the means over the pooling map, ``make_topology(positions)`` gives its
     neighborhoods and ``fields`` the flavor's own arrays. Every array made
     here is marked read-only, so the level stores it without a copy."""
-    fields.update(
-        {name: segment_mean(getattr(level, name), pool_indptr, pool_indices)
-         for name in ("positions", "q_tilde", "k_tilde", "v_tilde")},
-        pool_indptr=pool_indptr, pool_indices=pool_indices,
-    )
+    names = ("positions", "q_tilde", "k_tilde", "v_tilde")
+    parts = [getattr(level, name) for name in names]
+    means = _pooled(np.hstack(parts), _sparse_map(pool_indptr, pool_indices))
+    fields.update(zip(names, _split_columns(means, parts)),
+                  pool_indptr=pool_indptr, pool_indices=pool_indices)
     for a in fields.values():
         _readonly(a)
     return HierarchyLevel(level_index=level.level_index + 1,
@@ -256,8 +367,9 @@ def coarsen_voxel(level: HierarchyLevel) -> tuple[HierarchyLevel, np.ndarray]:
         raise InvalidInputError("voxel coarsening requires cell coordinates")
     for shift in range(1, 21):
         parent_coords = coords >> shift  # floor(coords / 2^shift)
-        uniq_keys, first_idx, parent_of = np.unique(
-            pack_voxel_coords(parent_coords), return_index=True, return_inverse=True
+        uniq_keys, first_idx, parent_of, counts = np.unique(
+            pack_voxel_coords(parent_coords), return_index=True, return_inverse=True,
+            return_counts=True,
         )
         if uniq_keys.shape[0] < level.n_tokens:
             break
@@ -268,7 +380,7 @@ def coarsen_voxel(level: HierarchyLevel) -> tuple[HierarchyLevel, np.ndarray]:
 
     # Children grouped by parent, each group in child-cell order: cell keys
     # are unique, so the order is total and independent of token numbering.
-    pool_indptr = np.concatenate(([0], np.cumsum(np.bincount(parent_of, minlength=m))))
+    pool_indptr = np.concatenate(([0], np.cumsum(counts)))
     pool_indices = np.lexsort((pack_voxel_coords(coords), parent_of))
     # The parents' keys are unique and sorted already: the window neither
     # re-checks nor re-sorts them.
@@ -366,10 +478,12 @@ def with_values(
     if not new_rows:
         return hierarchy
     levels = [_shared(hierarchy.levels[0], **new_rows)]
+    names, parts = list(new_rows), list(new_rows.values())
+    means = np.hstack(parts)
     for lv in hierarchy.levels[1:]:  # each coarser level pools the one below
-        new_rows = {name: _readonly(segment_mean(mat, lv.pool_indptr, lv.pool_indices))
-                    for name, mat in new_rows.items()}
-        levels.append(_shared(lv, **new_rows))
+        means = _pooled(means, lv.pooling)
+        levels.append(_shared(lv, **{name: _readonly(a)
+                                     for name, a in zip(names, _split_columns(means, parts))}))
     return _shared(hierarchy, levels=tuple(levels))
 
 

@@ -665,6 +665,54 @@ def test_level_spans_keep_every_bit(monkeypatch, flavor, mode):
             assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("case", ["k1", "k4", "k8", "voxel"])
+@pytest.mark.parametrize("mode", ["none", "absolute", "relative"])
+def test_sums_by_product_keep_every_bit(monkeypatch, case, mode):
+    # Maps whose groups hold at most 8 members sum by sparse product: the
+    # forward's t-weighted v rows and the pooling. With that bound at 0,
+    # every sum gathers its rows and runs reduceat, as before products; each
+    # output keeps its bytes, with v rows of -0.0 and a zero column. The
+    # voxel cells (a dense block and scattered cells) give levels of windows
+    # up to 27 cells and levels of windows up to 8.
+    import gha3d.hierarchy as hierarchy_mod
+
+    d = 4
+    rng = np.random.default_rng(38)
+    if case == "voxel":
+        block = np.stack(np.meshgrid(*[np.arange(4)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+        coords = np.unique(np.vstack([block, rng.integers(8, 60, size=(150, 3))]), axis=0)
+        pos = coords + 0.5
+    else:
+        pos, coords = rng.normal(size=(120, 3)), None
+    n = pos.shape[0]
+    q, k, v = rand_inputs(rng, n, d)[:3]
+    v[:, 1] = 0.0
+    v[::3, 2] = -0.0
+    v[:10] = -0.0
+    emb = make_fourier_embedding(d, rng) if mode != "none" else None
+    dz = rng.normal(size=(n, d))
+
+    def outputs():
+        h = build_hierarchy(pos, q, k, v, flavor="point" if coords is None else "voxel",
+                            k=int(case[1:]) if coords is None else 8, coords=coords)
+        lv = h.levels[0]
+        inputs = AttentionInputs(q=lv.q_tilde, k=lv.k_tilde, v=lv.v_tilde, positions=pos,
+                                 embedding=emb, embedding_mode=mode)
+        fwd, loc = gha_forward(h, emb, mode), local_attention(inputs, lv.topology)
+        return h, [*(lv.v_tilde for lv in h.levels), fwd.z, fwd.normalizers, loc.z,
+                   *gha_backward(h, dz, emb, mode), effective_attention_row(h, 5, emb, mode)]
+
+    h, products = outputs()
+    assert h.depth >= 2 and any(lv.neighbors.sequential for lv in h.levels)
+    assert h.levels[0].neighbors.sequential == (case != "voxel")
+    monkeypatch.setattr(hierarchy_mod, "_SEQUENTIAL", 0)
+    gathered_h, gathered = outputs()
+    assert not any(lv.neighbors.sequential for lv in gathered_h.levels)
+    assert (products[len(h.levels)] == 0.0).any()  # z's zeros are summed again by reduceat
+    for got, want in zip(products, gathered):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_forward_edge_temporaries_do_not_grow_with_the_level():
     # The level kernel holds its per-edge temporaries one row span at a
     # time: doubling k doubles the edges but not the one-off forward's peak,

@@ -48,10 +48,10 @@ def test_build_cell_refuses_a_tree_without_a_stage(bench, monkeypatch, stage):
 
 def test_kernels_cell_reports_the_structure_it_timed(bench):
     fig = bench.kernels("uniform", 600)
-    assert list(fig) == ["forward_s", "forward_peak_mb", "backward_s", "backward_peak_mb",
-                         "tokens", "edges"]
-    assert all(fig[key] > 0 for key in ("forward_s", "forward_peak_mb", "backward_s",
-                                        "backward_peak_mb"))
+    assert list(fig) == ["with_values_s", "forward_s", "forward_peak_mb", "backward_s",
+                         "backward_peak_mb", "tokens", "edges"]
+    assert all(fig[key] > 0 for key in ("with_values_s", "forward_s", "forward_peak_mb",
+                                        "backward_s", "backward_peak_mb"))
     rng = np.random.default_rng(19)
     pos = rng.uniform(0.0, 1.0, size=(600, 3))
     q, k, v = (rng.normal(size=(600, 8)) for _ in range(3))
@@ -63,3 +63,17 @@ def test_kernels_cell_reports_the_structure_it_timed(bench):
 def test_child_cell_runs_the_named_tree(bench):
     fig = bench.run_cell("build", str(ROOT / "src"), "distinct10/600")
     assert fig["levels"] == bench.build("distinct10", 600)["levels"]
+
+
+def test_record_command_holds_no_machine_path(bench, tmp_path, monkeypatch):
+    # A tree inside the working directory is written relative to it; any
+    # other as <label checkout>/ and its last component, however it was named.
+    work, other = tmp_path / "work", tmp_path / "old"
+    (work / "src").mkdir(parents=True)
+    monkeypatch.chdir(work)
+    argv = ["kernels", str(work / "BENCH_kernels.json"), f"parent={other}/src", f"change={work}/src",
+            "base=../old/src", "here=src"]
+    assert bench._command(argv) == (
+        "python3 tools/bench.py kernels BENCH_kernels.json parent=<parent checkout>/src"
+        " change=src base=<base checkout>/src here=src")
+    assert str(tmp_path) not in bench._command(["build", str(other / "out.json"), "a=src"])

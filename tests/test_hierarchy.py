@@ -17,6 +17,9 @@ from gha3d.geometry import (
 from gha3d.hierarchy import (
     Hierarchy,
     HierarchyLevel,
+    _group_sums,
+    _pooled,
+    _product,
     build_hierarchy,
     children_of,
     coarsen_voxel,
@@ -271,6 +274,136 @@ def test_pooled_means_near_the_float_limit_stay_finite():
     assert h.depth >= 3
     for lv, fl in zip(h.levels, fresh.levels):
         assert np.all(lv.v_tilde == 1.5e308) and np.all(fl.v_tilde == -1.5e308)
+
+
+# ---------------------------------------------------------------------------
+# Sums by sparse product, in np.add.reduceat's bits
+# ---------------------------------------------------------------------------
+
+def spread(rng, shape):
+    """Normal draws over 16 decades, so a sum in another order rounds apart."""
+    return rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+
+
+@pytest.mark.parametrize("size", range(1, 9))
+def test_reduceat_adds_a_small_group_as_head_plus_tail_in_order(size):
+    # The order the products reproduce: x0 + (x1 + ... + x_{L-1}), the
+    # tail added one term at a time, in 1-D and along axis 0, for L <= 8.
+    rng = np.random.default_rng(40 + size)
+    for _ in range(40):
+        x = spread(rng, (size, 5))
+        tail = np.zeros(5)
+        for row in x[1:]:
+            tail = tail + row
+        want = x[0] + tail
+        assert np.add.reduceat(x, [0], axis=0)[0].tobytes() == want.tobytes()
+        assert np.add.reduceat(x[:, 2], [0])[0] == want[2]
+    # All -0.0 sums to -0.0, where the product's tail starts at +0.0.
+    assert np.signbit(np.add.reduceat(np.full((size, 2), -0.0), [0], axis=0)).all()
+
+
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+def test_product_adds_each_row_from_zero_in_entry_order(index_dtype):
+    rng = np.random.default_rng(44)
+    sizes = rng.integers(0, 12, size=200)  # empty rows read +0.0
+    indptr = np.concatenate(([0], np.cumsum(sizes))).astype(index_dtype)
+    indices = rng.integers(0, 50, size=indptr[-1]).astype(index_dtype)
+    data, x = spread(rng, indptr[-1]), spread(rng, (50, 3))
+    want = np.zeros((200, 3))
+    for i in range(200):
+        for e in range(indptr[i], indptr[i + 1]):
+            want[i] = want[i] + data[e] * x[indices[e]]
+    got = _product(indptr, indices, data, x)
+    assert got.tobytes() == want.tobytes()
+    assert not np.signbit(got[sizes == 0]).any()
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_group_sums_keep_the_gathered_reduceat_bits(weighted):
+    # Groups of 1 to 8 members, among them single members, groups of all
+    # -0.0 (reduceat keeps -0.0), groups that cancel to +0.0 and weights
+    # of 0.0 (an underflowed softmax term times a negative value is -0.0).
+    rng = np.random.default_rng(45)
+    x = spread(rng, (120, 4))
+    x[:10] = -0.0
+    x[10:20] = -x[20:30]
+    sizes = rng.integers(1, 9, size=400)
+    indptr = np.concatenate(([0], np.cumsum(sizes)))
+    indices = rng.integers(0, 120, size=indptr[-1])
+    signed_zero = np.flatnonzero(sizes <= 3)[:40]  # all members -0.0 rows
+    for g in signed_zero:
+        indices[indptr[g]:indptr[g + 1]] = rng.integers(0, 10, size=sizes[g])
+    for g in np.setdiff1d(np.flatnonzero(sizes == 2), signed_zero)[:20]:  # x and -x
+        j = rng.integers(10, 20)
+        indices[indptr[g]:indptr[g + 1]] = (j, j + 10)
+    data = None
+    terms = x.take(indices, axis=0)
+    if weighted:
+        data = rng.uniform(size=indptr[-1])
+        data[rng.random(indptr[-1]) < 0.1] = 0.0
+        terms *= data[:, None]
+    want = np.add.reduceat(terms, indptr[:-1], axis=0)
+    got = _group_sums(x, indptr, indices, data)
+    assert got.tobytes() == want.tobytes()
+    assert np.signbit(got[signed_zero]).all() and (got == 0.0).any()
+
+
+def _pooling_structure(case):
+    rng = np.random.default_rng(46)
+    if case == "voxel":
+        coords = np.unique(rng.integers(0, 12, size=(700, 3)) * [1, 1, 3], axis=0)
+        pos = coords + rng.uniform(0.1, 0.9, size=coords.shape)
+        return build_hierarchy(pos, *rand_qkv(rng, coords.shape[0], 3), flavor="voxel",
+                               coords=coords)
+    k = int(case[1:])
+    pos = rng.normal(size=(300, 3))
+    pos[100:200] = pos[:100]  # coincident tokens
+    return build_hierarchy(pos, *rand_qkv(rng, 300, 3), flavor="point", k=k, r=2)
+
+
+@pytest.mark.parametrize("case", ["k1", "k4", "k8", "k12", "voxel"])
+def test_pooling_product_keeps_the_gathered_sums_bits(case):
+    # Each coarse level's pooling, by product where its groups hold at most
+    # 8 members, gives the bits of reduceat over the gathered members:
+    # level rows, rows of -0.0 and zeros, and rows near the float64 limit,
+    # whose overflowing sums are summed again scaled.
+    h = _pooling_structure(case)
+    assert h.depth >= 2
+    rng = np.random.default_rng(47)
+    for fine, coarse in zip(h.levels, h.levels[1:]):
+        pooling = coarse.pooling
+        assert pooling.sequential == (case != "k12")
+        index_dtype = np.int32 if pooling.sequential else np.int64  # no copy of a wide map
+        assert pooling.indptr.dtype == pooling.indices.dtype == index_dtype
+        n = fine.n_tokens
+        signed = rng.normal(size=(n, 3))
+        signed[rng.random((n, 3)) < 0.5] = -0.0
+        signed[rng.random((n, 3)) < 0.2] = 0.0
+        huge = np.full((n, 2), 1.5e308)
+        huge[::3] = -1.5e308
+        for values in (fine.positions, fine.v_tilde, signed, huge):
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = _pooled(values, pooling._replace(sequential=False))
+            got = segment_mean(values, coarse.pool_indptr, coarse.pool_indices)
+            assert got.tobytes() == want.tobytes() == _pooled(values, pooling).tobytes()
+        assert np.isfinite(got).all()
+
+
+def test_level_derives_its_product_maps_once():
+    # Levels copied for new values, truncation or a parent map share the
+    # maps; the pull-back map lists the pooling groups in the level's order.
+    h = _pooling_structure("k4")
+    fresh = with_values(h, v=np.ones((300, 3)))
+    for lv, fl in zip(h.levels, fresh.levels):
+        assert fl.neighbors is lv.neighbors and fl.pooling is lv.pooling and fl.pull is lv.pull
+        assert lv.neighbors.indices.tolist() == lv.topology.indices.tolist()
+    coarse = h.levels[2]
+    groups = [coarse.pool_indices[coarse.pool_indptr[i]:coarse.pool_indptr[i + 1]].tolist()
+              for i in coarse.order]
+    pull = coarse.pull
+    assert [pull.indices[pull.indptr[i]:pull.indptr[i + 1]].tolist()
+            for i in range(coarse.n_tokens)] == groups
+    assert truncate(h, 2).levels[2].pull is coarse.pull
 
 
 # ---------------------------------------------------------------------------
@@ -793,6 +926,8 @@ def level_fields(level):
         x = getattr(level, f.name)
         if isinstance(x, NeighborhoodTopology):
             out[f.name + ".indptr"], out[f.name + ".indices"] = x.indptr, x.indices
+        elif isinstance(x, tuple):  # a derived sparse map: its arrays and flag
+            out.update({f"{f.name}.{key}": a for key, a in x._asdict().items()})
         else:
             out[f.name] = x
     return out

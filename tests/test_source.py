@@ -1,7 +1,7 @@
 """Source hygiene of the package modules, checked with the stdlib ``ast``:
 no unused imports, no unreferenced module-level private definitions, one
 finiteness check for caller arrays, one range check for caller integers and
-one sparse product for every adjoint scatter; no kernel gather by an index
+two sparse products for every sum over a sparse map; no kernel gather by an index
 map through fancy indexing; and every package name the benchmark's
 workloads call still resolves."""
 
@@ -134,10 +134,12 @@ def test_only_the_integer_check_reads_and_bounds_integers():
 
 
 def test_only_the_transposed_product_scatters():
-    """Every adjoint sum is one transposed sparse product,
-    ``attention._transposed_product``: only attention.py imports
-    ``scipy.sparse``, no other function reads it, and no ``np.bincount`` or
-    ``np.add.at`` scatter is left in the kernels or the analysis."""
+    """Every sum over a sparse map is one of the two products in
+    hierarchy.py, ``_product`` (A x, which the grouped sums of pooling and
+    the forward use) and ``_transposed_product`` (A^T x, every adjoint
+    scatter): only hierarchy.py imports ``scipy.sparse``, no other function
+    reads it, and no ``np.bincount`` or ``np.add.at`` scatter is left in the
+    kernels, the pooling or the analysis."""
     importers, readers, scatters = set(), set(), []
     for path in sorted(SRC.glob("*.py")):
         tree = _tree(path)
@@ -153,11 +155,12 @@ def test_only_the_transposed_product_scatters():
                 readers.update(f"{path.name}:{node.name}" for inner in ast.walk(node)
                                if (isinstance(inner, ast.Name) and inner.id == "sparse")
                                or (isinstance(inner, ast.Attribute) and inner.attr == "sparse"))
-            if (path.name in ("attention.py", "analysis.py") and isinstance(node, ast.Attribute)
+            if (path.name in ("attention.py", "analysis.py", "hierarchy.py")
+                    and isinstance(node, ast.Attribute)
                     and ast.unparse(node) in ("np.bincount", "np.add.at")):
                 scatters.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
-    assert importers == {"attention.py"}
-    assert readers == {"attention.py:_transposed_product"}
+    assert importers == {"hierarchy.py"}
+    assert readers == {"hierarchy.py:_product", "hierarchy.py:_transposed_product"}
     assert scatters == []
 
 

@@ -12,10 +12,15 @@ SRC CASE``), trees interleaved; the JSON keeps each figure's median. A case
   ``knn_from_positions``, ``fps_s`` in farthest-point sampling (which also
   gives the parent maps), ``pool_s`` in the rest of ``build_hierarchy``.
 - ``kernels`` (seed 19; relative mode, d=8, one shared positional table,
-  after one untimed forward): the wall time of one ``gha_forward`` or
-  ``gha_backward`` (``*_s``) and the tracemalloc peak of one more call
-  (``*_peak_mb``), on uniform clouds and on the ``voxel_infer`` scene (100k
-  points at 1 cm).
+  after one untimed forward): the wall time of one ``with_values(h, q, k,
+  v)`` re-pooling of the case's structure (``with_values_s``), the wall time
+  of one ``gha_forward`` or ``gha_backward`` (``*_s``) and the tracemalloc
+  peak of one more call (``*_peak_mb``), on uniform clouds and on the
+  ``voxel_infer`` scene (100k points at 1 cm).
+
+The record's ``command`` holds no machine path: a tree inside the working
+directory is written relative to it, any other as ``<label checkout>/`` and
+the path's last component.
 """
 
 import json
@@ -88,10 +93,13 @@ def kernels(cloud: str, n: int) -> dict:
                                   k=K, r=R, coords=coords)
     emb = attention.make_fourier_embedding(D, rng)
     table = attention.positional_table(h, emb, "relative")
+    t = time.perf_counter()
+    hierarchy.with_values(h, q, k, v)
+    out = {"with_values_s": time.perf_counter() - t}
     calls = {"forward": lambda: attention.gha_forward(h, emb, "relative", table=table),
              "backward": lambda: attention.gha_backward(h, dz, emb, "relative", table=table)}
     calls["forward"]()
-    out = {}  # wall time of one call, then the peak of one more
+    # Wall time of one call, then the peak of one more.
     for name, call in calls.items():
         t = time.perf_counter()
         call()
@@ -111,7 +119,8 @@ SUITES = {
     "build": (build, [f"{c}/{n}" for c in ("uniform", "scene", "distinct10") for n in SIZES],
               "build_hierarchy(positions, q, k, v, k=8, r=2), d=8, one BLAS thread"),
     "kernels": (kernels, [f"uniform/{n}" for n in SIZES] + ["voxel_scene/100000"],
-                "gha_forward and gha_backward, relative mode, d=8, shared positional table"),
+                "with_values, gha_forward and gha_backward, relative mode, d=8,"
+                " shared positional table"),
 }
 
 
@@ -120,6 +129,23 @@ def run_cell(suite: str, src: str, case: str) -> dict:
     out = subprocess.run([sys.executable, __file__, "cell", suite, os.path.abspath(src), case],
                          env=env, stdout=subprocess.PIPE, text=True, check=True)
     return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def _command(argv) -> str:
+    """``argv`` as the record's command, with no machine path in it: each
+    path inside the working directory relative to it, any other tree as
+    ``<label checkout>/<last component>`` and any other output as its name."""
+    cwd = Path.cwd().resolve()
+
+    def portable(path: str, outside: str) -> str:
+        resolved = Path(path).resolve()
+        return (resolved.relative_to(cwd).as_posix() if resolved.is_relative_to(cwd)
+                else outside + resolved.name)
+
+    suite, out_path, *trees = argv
+    trees = [f"{label}={portable(path, f'<{label} checkout>/')}"
+             for label, path in (arg.split("=", 1) for arg in trees)]
+    return " ".join(["python3 tools/bench.py", suite, portable(out_path, ""), *trees])
 
 
 def main(argv) -> int:
@@ -142,7 +168,7 @@ def main(argv) -> int:
                                     for key in cell[0]}
             print(label, case, results[label][case], flush=True)
     record = {
-        "command": "python3 tools/bench.py " + " ".join(argv),
+        "command": _command(argv),
         suite: what,
         "statistic": f"median of {REPEATS} runs, trees interleaved",
         "machine": {"platform": platform.platform(), "python": platform.python_version(),
