@@ -5,8 +5,9 @@ restricts it to a neighborhood topology, and ``gha_forward`` runs the
 hierarchical approximation: every level contributes local attention over
 its own topology, and unnormalized results flow down the hierarchy by
 parent copy, with a single normalization at the finest level.
-``positional_table`` builds a structure's value-independent positional
-terms once, so repeated passes over one structure share them.
+A structure's positional terms depend only on its positions, so each
+level keeps them once made (``_kept_term``) and repeated passes over one
+structure share them; ``positional_table`` returns them.
 
 All kernels accumulate exponentials under a per-query running maximum so
 results cannot overflow, while staying mathematically identical to the
@@ -189,10 +190,34 @@ def _level_term(positions, topology, embedding, mode):
     return None
 
 
+def _same_frequencies(frequencies: np.ndarray, embedding: FourierEmbedding) -> bool:
+    """Whether ``embedding`` has these frequencies, now: the one rule by which
+    a kept term or a table serves an embedding. It compares values, so an
+    embedding whose frequencies changed in place (through a writeable base
+    its read-only view shares) is no longer served."""
+    return np.array_equal(frequencies, embedding.frequencies)
+
+
+def _kept_term(level, embedding, mode: str, keep: bool):
+    """``level``'s positional term for (embedding, mode): the one its
+    ``positional`` memo holds, when made for equal frequencies, else a new
+    one, which ``keep`` stores in the mode's slot with a private copy of the
+    frequencies it was made for."""
+    if mode == "none":
+        return None
+    held = level.positional.get(mode)
+    if held is not None and _same_frequencies(held[0], embedding):
+        return held[1]
+    term = _level_term(level.positions, level.topology, embedding, mode)
+    if keep:
+        level.positional[mode] = (_readonly(embedding.frequencies.copy()), term)
+    return term
+
+
 @dataclass(frozen=True)
 class PositionalTable:
     """The positional terms of one structure for one (embedding, mode), one
-    read-only entry per level (see ``_level_term``). Built once by
+    read-only entry per level (see ``_level_term``). Returned by
     ``positional_table``, it serves every hierarchy whose levels hold the
     same topology objects, as ``with_values`` keeps them."""
 
@@ -204,11 +229,11 @@ class PositionalTable:
 
 def positional_table(hierarchy: Hierarchy, embedding: FourierEmbedding | None = None,
                      embedding_mode: str = "none") -> PositionalTable:
-    """Build every level's positional term once.
+    """Every level's positional term, made once per structure.
 
-    Pass the table to ``gha_forward``/``gha_backward`` calls on the same
-    structure (say, each head and layer of a block); they compute the same
-    bits as without it, minus the per-call angles and embeddings.
+    The levels keep the terms (and every ``with_values`` copy shares them),
+    so later ``gha_forward``/``gha_backward`` calls on the structure read
+    them with or without the table; they compute the same bits either way.
     """
     _check_mode(embedding, embedding_mode, None)
     if embedding_mode == "none":
@@ -217,16 +242,14 @@ def positional_table(hierarchy: Hierarchy, embedding: FourierEmbedding | None = 
     return PositionalTable(
         embedding=embedding, mode=embedding_mode,
         topologies=tuple(lv.topology for lv in levels),
-        terms=tuple(_level_term(lv.positions, lv.topology, embedding, embedding_mode)
-                    for lv in levels),
+        terms=tuple(_kept_term(lv, embedding, embedding_mode, keep=True) for lv in levels),
     )
 
 
 def _check_table(table: PositionalTable, hierarchy: Hierarchy, embedding, mode: str) -> None:
     if table.mode != mode:
         raise InvalidInputError(f"positional table is for mode {table.mode!r}, not {mode!r}")
-    if mode != "none" and not (table.embedding is embedding or np.array_equal(
-            table.embedding.frequencies, embedding.frequencies)):
+    if mode != "none" and not _same_frequencies(table.embedding.frequencies, embedding):
         raise InvalidInputError("positional table was built with another embedding")
     if len(table.topologies) != len(hierarchy.levels) or any(
             t is not lv.topology for t, lv in zip(table.topologies, hierarchy.levels)):
@@ -421,8 +444,10 @@ def _forward_core(hierarchy: Hierarchy, embedding, mode: str, want_cache: bool,
     carry_y = carry_d = carry_m = None
     for h in range(depth, -1, -1):
         lv = hierarchy.levels[h]
+        # A cached pass holds every level's term anyway, so it keeps them;
+        # a one-off forward that finds none holds one level's at a time.
         term = (table.terms[h] if table is not None
-                else _level_term(lv.positions, lv.topology, embedding, mode))
+                else _kept_term(lv, embedding, mode, keep=want_cache))
         v = lv.v_tilde if exponents is None else np.ldexp(lv.v_tilde, -exponents)
         cache, d_loc, y_loc = _level_softmax(lv.q_tilde, lv.k_tilde, v, lv.topology, lv.neighbors,
                                              term, mode, scale, want_t=want_cache)
@@ -471,9 +496,10 @@ def gha_forward(hierarchy: Hierarchy, embedding: FourierEmbedding | None = None,
     arithmetic but keeps the exponentials bounded.
 
     ``table`` is this structure's ``positional_table`` for the same
-    embedding and mode; without one, the call makes each level's term as
-    it reaches that level. A table of another structure, embedding or mode
-    raises InvalidInputError.
+    embedding and mode. Without one, the call reads the terms the structure
+    keeps (see ``positional_table``), or makes each level's term as it
+    reaches that level and keeps none. A table of another structure,
+    embedding or mode raises InvalidInputError.
     """
     result, _, _, _, _ = _forward_core(hierarchy, embedding, embedding_mode, want_cache=False,
                                        table=table)
@@ -545,7 +571,8 @@ def gha_backward(hierarchy: Hierarchy, dz: np.ndarray,
     dq takes the key side (k, plus gamma in absolute mode, plus the edge's
     relative (cos, sin) in relative mode) and dk the query side (q, plus
     gamma in absolute mode). Both sides are read from the forward's cache.
-    ``table`` is as in ``gha_forward``.
+    ``table`` is as in ``gha_forward``; without one, the structure keeps
+    the terms this call makes.
     """
     level0 = hierarchy.levels[0]
     n, d = level0.q_tilde.shape

@@ -1,9 +1,10 @@
 """Stacked attention blocks: LayerNorm -> multi-head hierarchical attention
 -> residual, then LayerNorm -> FFN -> residual, repeated L times.
 
-The hierarchy's structure (topologies, sampling, parent maps) and its
-positional table are computed once per forward call and shared by every
-layer and head; only the projected q/k/v rows are re-coarsened per head.
+The hierarchy's structure (topologies, sampling, parent maps) is computed
+once per forward call, or once by the caller, and its positional terms once
+per structure; both are shared by every layer and head, and only the
+projected q/k/v rows are re-coarsened per head.
 Initialization, dropout masks, and Fourier frequencies all derive from the
 config seed, so a forward pass is a pure function of (inputs, config).
 """
@@ -201,7 +202,8 @@ def attention_structure(
     """The value-independent hierarchy skeleton block_forward attends over.
 
     Building it once and passing it in amortizes the sampling/topology cost
-    across calls (and gives access to level sizes and edge counts)."""
+    and the positional terms, which it keeps once made, across calls (and
+    gives access to level sizes and edge counts)."""
     positions = _checked(positions, "positions", (None, 3))
     placeholder = np.zeros((positions.shape[0], 1))
     return build_hierarchy(
@@ -255,14 +257,14 @@ def block_forward(
             structure = truncate(structure, 0)
 
     ch = config.head_dim
-    tables = {}  # one positional table per mode, shared by every head and layer
     for layer_idx, lp in enumerate(params.layers):
         if config.embedding_mode != "none" and (config.positional_every_layer or layer_idx == 0):
             mode, emb = config.embedding_mode, params.embedding
         else:
             mode, emb = "none", None
-        if mechanism != "dense" and mode not in tables:
-            tables[mode] = positional_table(structure, emb, mode)
+        # Made on the structure's first pass, then kept by it for every head,
+        # layer and call.
+        table = None if mechanism == "dense" else positional_table(structure, emb, mode)
 
         h = layer_norm(x, lp.ln1_gain, lp.ln1_shift)
         q = h @ lp.w_q + lp.b_q
@@ -279,7 +281,7 @@ def block_forward(
             else:
                 head_outs.append(gha_forward(
                     with_values(structure, q=q[:, sl], k=k_rows[:, sl], v=v[:, sl]),
-                    emb, mode, tables[mode]).z)
+                    emb, mode, table).z)
         attn = np.concatenate(head_outs, axis=1) @ lp.w_o + lp.b_o
         del h, q, k_rows, v, head_outs  # else alive next to the FFN's temporaries
         x = x + _dropout(attn, config.attn_dropout, config, layer_idx, 0)

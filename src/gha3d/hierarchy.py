@@ -183,6 +183,12 @@ class HierarchyLevel:
     kernels multiply by (``_sparse_map``): ``neighbors``, the topology;
     ``pooling``, the pooling map; and ``pull``, the pooling groups in
     ``order``, which the backward's pull-back sums in.
+
+    ``positional`` is the level's memo of positional terms, which depend
+    only on its positions and topology: one slot per embedding mode, each
+    holding a copy of the frequencies a term was made for and the term (see
+    ``attention._level_term``). It starts empty, the attention passes fill
+    it, and every ``_shared`` copy shares the one dict.
     """
 
     level_index: int
@@ -200,6 +206,7 @@ class HierarchyLevel:
     neighbors: _SparseMap = field(init=False, repr=False, compare=False)
     pooling: _SparseMap | None = field(init=False, repr=False, compare=False)
     pull: _SparseMap | None = field(init=False, repr=False, compare=False)
+    positional: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "level_index", _integer(self.level_index, "level_index", 0))
@@ -236,6 +243,7 @@ class HierarchyLevel:
                                _readonly(indices.take(entry)))
         object.__setattr__(self, "pooling", pooling)
         object.__setattr__(self, "pull", pull)
+        object.__setattr__(self, "positional", {})
 
     @property
     def n_tokens(self) -> int:
@@ -245,7 +253,8 @@ class HierarchyLevel:
 def _shared(obj, **changes):
     """A copy of a level or hierarchy with already checked, read-only
     ``changes`` swapped in: nothing is validated or sorted again, and every
-    other field stays the same object."""
+    other field stays the same object, a level's ``positional`` memo too.
+    So the changes never touch a level's positions or topology."""
     out = copy.copy(obj)
     for name, value in changes.items():
         object.__setattr__(out, name, value)
@@ -461,7 +470,8 @@ def with_values(
     """Re-coarsen new level-0 values through the existing structure.
 
     Only the matrices passed are replaced; geometry, topologies, parent
-    and pooling maps are shared with the input hierarchy.
+    and pooling maps, and the positional terms the levels keep, are shared
+    with the input hierarchy.
     """
     n, d = hierarchy.levels[0].q_tilde.shape
     new_rows = {}

@@ -617,6 +617,189 @@ def test_one_off_forward_holds_one_level_term_at_a_time():
     assert peak() <= peak(table=table) + 1.25 * level0_term
 
 
+TERM_FUNCTIONS = [("relative", "_rotation"), ("absolute", "embed_points")]
+
+
+def count_terms(monkeypatch, term_fn):
+    """A list that grows by one each time a positional term is made."""
+    import gha3d.attention as attention_mod
+
+    real, calls = getattr(attention_mod, term_fn), []
+    monkeypatch.setattr(attention_mod, term_fn, lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+@pytest.mark.parametrize("mode,term_fn", TERM_FUNCTIONS)
+def test_structure_makes_its_positional_terms_once(monkeypatch, mode, term_fn):
+    # Training steps over one structure: every head re-pools new values and
+    # runs a backward and a forward, with no table passed. The first backward
+    # makes each level's term and the structure keeps it for every later
+    # pass, the with_values and truncate copies included. (A one-off forward
+    # on a fresh structure keeps nothing, so here the backward comes first.)
+    rng = np.random.default_rng(39)
+    n, d = 60, 4
+    pos = rng.normal(size=(n, 3))
+    emb = make_fourier_embedding(d, rng)
+    steps = [[tuple(rng.normal(size=(n, d)) for _ in range(4)) for _ in range(2)]
+             for _ in range(2)]
+
+    def run(structure, table=None):
+        outs = []
+        for heads in steps:
+            for q, k, v, dz in heads:
+                hs = with_values(structure, q=q, k=k, v=v)
+                outs += [*gha_backward(hs, dz, emb, mode, table),
+                         gha_forward(hs, emb, mode, table).z]
+        q, k, v, _ = steps[0][0]
+        local = truncate(with_values(structure, q=q, k=k, v=v), 0)
+        local_table = None if table is None else positional_table(local, emb, mode)
+        return outs + [gha_forward(local, emb, mode, local_table).z]
+
+    reference = build_hierarchy(pos, *(np.zeros((n, 1)),) * 3, flavor="point", k=3, r=2)
+    want = run(reference, positional_table(reference, emb, mode))
+    h = build_hierarchy(pos, *(np.zeros((n, 1)),) * 3, flavor="point", k=3, r=2)
+    assert h.depth >= 3
+    calls = count_terms(monkeypatch, term_fn)
+    got = run(h)
+    assert len(calls) == len(h.levels)
+    for a, b in zip(got, want, strict=True):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("mode,term_fn", TERM_FUNCTIONS)
+def test_kept_terms_serve_equal_frequencies_only(monkeypatch, mode, term_fn):
+    # An embedding with equal frequencies reads the kept terms; one with
+    # other frequencies gets its own terms, bitwise a fresh structure's.
+    rng = np.random.default_rng(40)
+    n, d = 40, 4
+    q, k, v, pos = rand_inputs(rng, n, d)
+    dz = rng.normal(size=(n, d))
+    emb, other = make_fourier_embedding(d, rng), make_fourier_embedding(d, rng)
+
+    def passes(h, e):
+        return [gha_forward(h, e, mode).z, *gha_backward(h, dz, e, mode)]
+
+    def fresh():
+        return build_hierarchy(pos, q, k, v, flavor="point", k=3, r=2)
+
+    h = fresh()
+    want = passes(h, emb)  # the backward keeps emb's terms
+    calls = count_terms(monkeypatch, term_fn)
+    copied = FourierEmbedding(frequencies=emb.frequencies.copy())
+    for a, b in zip(passes(h, copied), want, strict=True):
+        assert a.tobytes() == b.tobytes()
+    assert calls == []
+    assert all(np.array_equal(lv.positional[mode][0], emb.frequencies) for lv in h.levels)
+    other_want = passes(fresh(), other)
+    del calls[:]
+    for a, b in zip(passes(h, other), other_want, strict=True):
+        assert a.tobytes() == b.tobytes()
+    assert not np.array_equal(other_want[0], want[0])
+    # The forward made other's terms and dropped them, then the backward
+    # made them again and kept them in the mode's one slot.
+    assert len(calls) == 2 * len(h.levels)
+    assert all(np.array_equal(lv.positional[mode][0], other.frequencies) for lv in h.levels)
+    for a, b in zip(passes(h, emb), want, strict=True):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_one_off_forward_keeps_no_term():
+    # A cacheless forward on a fresh structure leaves every slot empty; a
+    # backward, an effective row or a table fills its mode's slot, which
+    # with_values and truncate copies share.
+    rng = np.random.default_rng(41)
+    n, d = 40, 4
+    q, k, v, pos = rand_inputs(rng, n, d)
+    emb = make_fourier_embedding(d, rng)
+    for mode in ("none", "absolute", "relative"):
+        h = build_hierarchy(pos, q, k, v, flavor="point", k=3, r=2)
+        gha_forward(h, emb, mode)
+        assert all(lv.positional == {} for lv in h.levels)
+    h = build_hierarchy(pos, q, k, v, flavor="point", k=3, r=2)
+    gha_backward(h, np.ones((n, d)), emb, "relative")
+    effective_attention_row(h, 3, emb, "none")
+    assert all(list(lv.positional) == ["relative"] for lv in h.levels)
+    positional_table(h, emb, "absolute")
+    assert all(sorted(lv.positional) == ["absolute", "relative"] for lv in h.levels)
+    for shared in (with_values(h, v=v + 1.0), truncate(h, 1)):
+        assert all(a.positional is b.positional for a, b in zip(shared.levels, h.levels))
+
+
+def test_one_off_forward_on_a_fresh_structure_holds_one_level_term_at_a_time():
+    # As above, but the table-less forward runs on a structure no pass has
+    # filled, so it makes the terms itself; the table is another structure's,
+    # built from the same inputs.
+    rng = np.random.default_rng(33)
+    n, d = 2048, 8
+    q, k, v, pos = rand_inputs(rng, n, d)
+    emb = make_fourier_embedding(d, rng)
+
+    def peak(h, **kw):
+        tracemalloc.start()
+        try:
+            gha_forward(h, emb, "relative", **kw)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    fresh = build_hierarchy(pos, q, k, v, flavor="point", k=8, r=2)
+    without = peak(fresh)
+    assert all(lv.positional == {} for lv in fresh.levels)
+    twin = build_hierarchy(pos, q, k, v, flavor="point", k=8, r=2)
+    table = positional_table(twin, emb, "relative")
+    level0_term = sum(a.nbytes for a in table.terms[0])
+    assert without <= peak(twin, table=table) + 1.25 * level0_term
+
+
+@pytest.mark.parametrize("flavor", ["point", "voxel"])
+@pytest.mark.parametrize("mode", ["absolute", "relative"])
+def test_positional_table_leaves_every_bit_of_a_fresh_structure(flavor, mode):
+    # The table's passes against passes on a twin structure that keeps no
+    # term yet, so those make every term themselves.
+    rng = np.random.default_rng(30)
+    d = 4
+    structure = table_structures(np.random.default_rng(30))[flavor]
+    emb = make_fourier_embedding(d, rng)
+    table = positional_table(structure, emb, mode)
+    n = structure.n_tokens
+    for _ in range(2):
+        q, k, v, dz = (rng.normal(size=(n, d)) for _ in range(4))
+        twin = with_values(table_structures(np.random.default_rng(30))[flavor], q=q, k=k, v=v)
+        h = with_values(structure, q=q, k=k, v=v)
+        want, got = gha_forward(twin, emb, mode), gha_forward(h, emb, mode, table)
+        np.testing.assert_array_equal(got.z, want.z)
+        np.testing.assert_array_equal(got.normalizers, want.normalizers)
+        assert all(lv.positional == {} for lv in twin.levels)
+        want_g, got_g = gha_backward(twin, dz, emb, mode), gha_backward(h, dz, emb, mode, table)
+        for name in ("dq", "dk", "dv"):
+            np.testing.assert_array_equal(getattr(got_g, name), getattr(want_g, name))
+
+
+@pytest.mark.parametrize("mode", ["absolute", "relative"])
+def test_kept_terms_follow_frequencies_changed_in_place(mode):
+    # A read-only view of a writeable array is stored without a copy, so its
+    # owner can still change an embedding's frequencies; the kept terms then
+    # serve it no longer, and every pass matches a fresh structure's.
+    rng = np.random.default_rng(42)
+    n, d = 40, 4
+    q, k, v, pos = rand_inputs(rng, n, d)
+    dz = rng.normal(size=(n, d))
+    base = make_fourier_embedding(d, rng).frequencies.copy()
+    view = base.view()
+    view.flags.writeable = False
+    emb = FourierEmbedding(frequencies=view)
+    assert np.shares_memory(emb.frequencies, base)
+    h = build_hierarchy(pos, q, k, v, flavor="point", k=3, r=2)
+    gha_backward(h, dz, emb, mode)  # keeps the terms of the old frequencies
+    base *= 0.5
+    fresh = build_hierarchy(pos, q, k, v, flavor="point", k=3, r=2)
+    changed = FourierEmbedding(frequencies=base.copy())
+    want = [gha_forward(fresh, changed, mode).z, *gha_backward(fresh, dz, changed, mode)]
+    got = [gha_forward(h, emb, mode).z, *gha_backward(h, dz, emb, mode)]
+    for a, b in zip(got, want, strict=True):
+        assert a.tobytes() == b.tobytes()
+
+
 def span_structure(flavor, d):
     """A point structure with 6-edge rows, or a voxel one whose level-0
     windows hold from 1 cell (lone cells) to 27 (inside a dense block)."""

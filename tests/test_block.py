@@ -501,3 +501,23 @@ def test_forward_builds_positional_terms_once_per_level(monkeypatch, mode, term_
     block_forward(rng.normal(size=(40, 16)), pos, params, structure=structure)
     # Once per level for 2 layers x 4 heads, not once per level per head.
     assert len(calls) == len(structure.levels) >= 3
+
+
+@pytest.mark.parametrize("mode,term_fn", [("relative", "_rotation"), ("absolute", "embed_points")])
+def test_forwards_on_one_structure_share_its_positional_terms(monkeypatch, mode, term_fn):
+    import gha3d.attention as attention_mod
+    from gha3d.block import attention_structure
+
+    rng = np.random.default_rng(37)
+    pos = rng.normal(size=(40, 3))
+    structure = attention_structure(pos, flavor="point", k=3, r=2)
+    params = init_params(small_config(n_layers=2, model_dim=16, ffn_dim=8, n_heads=4,
+                                      embedding_mode=mode))
+    real, calls = getattr(attention_mod, term_fn), []
+    monkeypatch.setattr(attention_mod, term_fn, lambda *a: calls.append(1) or real(*a))
+    x = rng.normal(size=(40, 16))
+    first = block_forward(x, pos, params, structure=structure)
+    second = block_forward(x, pos, params, structure=structure)
+    # The structure keeps the terms the first call made.
+    assert len(calls) == len(structure.levels) >= 3
+    assert first.tobytes() == second.tobytes()
