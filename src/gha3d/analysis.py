@@ -546,8 +546,5 @@ def heatmap_csv(positions: np.ndarray, weights: np.ndarray) -> str:
     """CSV rows (x, y, z, weight): one query's effective weight per token."""
     positions = _checked(positions, "positions", (None, 3))
     weights = _checked(weights, "weights", (positions.shape[0],))
-    buf, w = _writer()
-    w.writerow(["x", "y", "z", "weight"])
-    for p, wt in zip(positions, weights):
-        w.writerow([repr(float(p[0])), repr(float(p[1])), repr(float(p[2])), repr(float(wt))])
-    return buf.getvalue()
+    rows = np.column_stack([positions, weights]).tolist()
+    return "x,y,z,weight\n" + "".join(f"{x!r},{y!r},{z!r},{w!r}\n" for x, y, z, w in rows)

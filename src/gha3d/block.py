@@ -169,8 +169,9 @@ def layer_norm(x: np.ndarray, gain: np.ndarray, shift: np.ndarray,
     Every other row keeps the plain computation's bits."""
     with np.errstate(over="ignore", invalid="ignore"):  # mended below
         mean = x.mean(axis=1, keepdims=True)
-        var = np.mean((x - mean) ** 2, axis=1, keepdims=True)
-        out = (x - mean) / np.sqrt(var + eps)
+        out = x - mean
+        var = np.mean(out * out, axis=1, keepdims=True)
+        out /= np.sqrt(var + eps)
     bad = np.flatnonzero(~(np.maximum(np.abs(mean), var)[:, 0] < np.inf))  # inf or NaN
     if bad.size:
         rows = x.take(bad, axis=0)
@@ -179,7 +180,12 @@ def layer_norm(x: np.ndarray, gain: np.ndarray, shift: np.ndarray,
         sd = np.sqrt(np.mean(centred**2, axis=1, keepdims=True))
         # A zero variance leaves each centred entry 0, as eps would.
         out[bad] = np.divide(centred, sd, out=np.zeros_like(centred), where=sd > 0.0)
-    return out * gain + shift
+    if (np.result_type(out, gain, shift) != out.dtype
+            or np.broadcast_shapes(out.shape, np.shape(gain), np.shape(shift)) != out.shape):
+        return out * gain + shift  # promoted or broadcast: not in place
+    out *= gain
+    out += shift
+    return out
 
 
 def _dropout(x: np.ndarray, p: float, config: BlockConfig, layer: int, role: int) -> np.ndarray:

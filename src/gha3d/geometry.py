@@ -38,16 +38,33 @@ def _integer(value, name: str, lo: int | None = None, hi: int | None = None) -> 
 def _freeze(a, dtype=None) -> np.ndarray:
     """Read-only C-contiguous array holding ``a``.
 
-    An array that arrives writeable is copied, so the caller's own array
-    stays writeable and never reaches the stored one. One that already is
-    read-only is stored as is: the package marks the arrays it makes with
-    ``_readonly`` before passing them on, and pays no copy.
+    An array that arrives writeable, or views memory that some writeable
+    array or buffer also reaches, is copied: the caller's own array stays
+    writeable and never reaches the stored one. One whose memory nothing
+    can write is stored as is: the package marks the arrays it makes, and
+    the arrays they view, with ``_readonly`` before passing them on, and
+    pays no copy.
     """
     out = np.ascontiguousarray(a, dtype=dtype)
-    if out.flags.writeable and (out is a or not out.flags.owndata):
+    if (out is a or not out.flags.owndata) and not _sealed(out):
         out = out.copy()
     out.flags.writeable = False
     return out
+
+
+def _sealed(a: np.ndarray) -> bool:
+    """Whether nothing can write the memory of ``a``: neither ``a`` nor any
+    array it views is writeable, nor is the buffer that owns the memory."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    if a is None:
+        return True
+    try:
+        return memoryview(a).readonly
+    except TypeError:  # an owner that exposes no buffer may still write
+        return False
 
 
 def _checked(a, name: str, shape: tuple) -> np.ndarray:
@@ -118,8 +135,13 @@ def _csr_rows(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    """Mark an array the package just made read-only, in place."""
-    a.flags.writeable = False
+    """Mark an array the package just made read-only, in place, with every
+    array whose memory it views (the package made those too), so that
+    ``_freeze`` stores it without a copy."""
+    base = a
+    while isinstance(base, np.ndarray):
+        base.flags.writeable = False
+        base = base.base
     return a
 
 
@@ -211,13 +233,32 @@ class SparseVoxelGrid:
 
 def _squared_dist_to(points: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Squared distances between ``points`` and ``p``, which broadcast
-    against each other over a last axis of (x, y, z): one arithmetic,
-    dx*dx + dy*dy + dz*dz, for every caller."""
-    d = (points - p).reshape(-1, 3)
-    return np.einsum("ij,ij->i", d, d).reshape(np.broadcast_shapes(points.shape, p.shape)[:-1])
+    against each other over a last axis of (x, y, z)."""
+    return _squared_dist_cols(np.moveaxis(points, -1, 0), np.moveaxis(p, -1, 0))
 
 
-# Squared distances are formed as dx*dx + dy*dy + dz*dz. Bounding the
+def _squared_dist_cols(cols: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Squared distances between ``cols`` and ``p``, which broadcast against
+    each other over a first axis of (x, y, z) columns.
+
+    The one arithmetic of every squared distance here: dx*dx + dy*dy +
+    dz*dz, summed as (dx*dx + dz*dz) + dy*dy. That is the order in which
+    ``np.einsum("ij,ij->i", d, d)`` sums a row of three, so the two agree
+    bit for bit. It makes two arrays of the result's shape and no array of
+    (x, y, z) differences.
+    """
+    out = cols[0] - p[0]
+    out *= out
+    square = cols[2] - p[2]
+    square *= square
+    out += square
+    np.subtract(cols[1], p[1], out=square)
+    square *= square
+    out += square
+    return out
+
+
+# Squared distances are formed as (dx*dx + dz*dz) + dy*dy. Bounding the
 # squared diagonal of the bounding box well below the float64 maximum keeps
 # every squared distance (and the kd-tree's own bounds) finite.
 _MAX_SQUARED_EXTENT = np.finfo(np.float64).max / 16
@@ -443,8 +484,10 @@ def _fps_in_order(positions: np.ndarray, m: int, canon: np.ndarray,
     - Picks come in batches. A batch weighs the top candidates by
       (-min-distance, canonical index) and accepts the best one while it
       still beats every other position; each acceptance lowers the
-      candidates' values with the same ``_squared_dist_to`` arithmetic as a
-      full update, so the batch picks what the loop would.
+      candidates' values with the same ``_squared_dist_cols`` arithmetic
+      as a full update, so the batch picks what the loop would. The
+      positions are kept as (x, y, z) columns, from which the candidates'
+      distances and every update are computed.
     - After a pick at min-distance ``best``, a min-distance can only drop
       (or tie) where the squared distance to the pick is at most ``best``.
       So one update per batch visits, for each pick, a kd-tree ball of
@@ -453,7 +496,10 @@ def _fps_in_order(positions: np.ndarray, m: int, canon: np.ndarray,
       ``rows``: no point off an exact kNN row is nearer. A minimum does
       not depend on the order of its terms, so the update is exact.
       While balls hold over an eighth of the positions, and where squared
-      distances may be subnormal, picks update every position instead.
+      distances may be subnormal, picks update every position instead: a
+      batch's dense picks in one pass (``_fps_dense_update``), where each
+      position takes the minimum over the picks, then the lowest input
+      index among the picks at it, as updates in turn would leave.
     - Block maxima of the min-distances make the candidates' selection
       cost O(blocks + candidates); a batch recomputes only the blocks it
       touched.
@@ -467,32 +513,35 @@ def _fps_in_order(positions: np.ndarray, m: int, canon: np.ndarray,
     group = np.cumsum(lead) - 1  # each point's position, in canonical order
     lead = np.flatnonzero(lead)
     upts = pts.take(lead, axis=0)
+    cols = np.ascontiguousarray(upts.T)  # the positions as (x, y, z) columns
     lead_index = canon.take(lead)
 
     # Summing rows in canonical order keeps the start pick (and thus the
-    # whole sample) independent of how the caller ordered the points.
-    picks = [int(np.argmax(_squared_dist_to(upts, pts.mean(axis=0))))]
+    # whole sample) independent of how the caller ordered the points. On a
+    # far, flat cloud the centroid may drift far enough to overflow to inf.
+    with np.errstate(over="ignore"):
+        picks = [int(np.argmax(_squared_dist_cols(cols, pts.mean(axis=0))))]
     # Min-distances of the positions, padded to whole blocks with -inf.
     # Picked entries are parked at -1, below any real squared distance, so
     # no candidate search revisits them and no separate mask is needed.
     blocks = np.full((-(-lead.shape[0] // _FPS_BLOCK), _FPS_BLOCK), -np.inf)
     min_d2 = blocks.reshape(-1)[: lead.shape[0]]
-    min_d2[:] = _squared_dist_to(upts, upts[picks[0]])
+    min_d2[:] = _squared_dist_cols(cols, cols[:, picks[0]])
     min_d2[picks[0]] = -1.0
     block_max = blocks.max(axis=1)
     # The input index of each position's nearest pick so far, ties to the lower.
     nearest = np.full(lead.shape[0], lead_index[picks[0]], dtype=np.int64)
     if rows is not None:  # as positions, with the squared distance each row reaches
         rows = group.take(rows.take(lead_index, axis=0))
-        reach = _squared_dist_to(upts.take(rows[:, -1], axis=0), upts)
+        reach = _squared_dist_cols(cols.take(rows[:, -1], axis=1), cols)
     tree, wide = None, True  # the first picks' balls hold most positions
 
     while len(picks) < m and block_max.max() > 0.0:
         cand, bound, first_out = _fps_candidates(blocks, block_max)
         values = min_d2.take(cand)
         # Squared distances between the candidates, row i from candidate i.
-        cand_pts = upts.take(cand, axis=0)
-        between = _squared_dist_to(cand_pts[:, None], cand_pts)
+        cand_cols = cols.take(cand, axis=1)
+        between = _squared_dist_cols(cand_cols[:, :, None], cand_cols[:, None])
         batch, best = [], []
         while len(picks) + len(batch) < m:
             i = int(values.argmax())
@@ -507,16 +556,12 @@ def _fps_in_order(positions: np.ndarray, m: int, canon: np.ndarray,
 
         # The positions each pick can lower: every one while the balls are
         # wide or squared distances may be subnormal, else the pick's kNN row
-        # or a kd-tree ball. Dense picks update in turn, as the loop would.
+        # or a kd-tree ball.
         dense = wide | (best < _BALL_MIN_D2)
         widest = 0
-        for p, top in zip(batch[dense].tolist(), best[dense].tolist()):
-            d2 = _squared_dist_to(upts, upts[p])
-            widest = max(widest, int(np.count_nonzero(d2 <= top)))
-            nearest[d2 < min_d2] = lead_index[p]
-            tie = np.flatnonzero(d2 == min_d2)
-            nearest[tie] = np.minimum(nearest.take(tie), lead_index[p])
-            np.minimum(min_d2, d2, out=min_d2)
+        if dense.any():
+            widest = _fps_dense_update(cols, batch[dense], best[dense], min_d2, nearest,
+                                       lead_index)
         visit, owner = [], []
         by_row = ~dense & (best < reach.take(batch)) if rows is not None else np.zeros_like(dense)
         if by_row.any():
@@ -537,7 +582,7 @@ def _fps_in_order(positions: np.ndarray, m: int, canon: np.ndarray,
         touched[batch // _FPS_BLOCK] = True
         if visit:
             visit, owner = np.concatenate(visit), np.concatenate(owner)
-            d2 = _squared_dist_to(upts.take(visit, axis=0), upts.take(owner, axis=0))
+            d2 = _squared_dist_cols(cols.take(visit, axis=1), cols.take(owner, axis=1))
             before = min_d2.take(visit)
             near = d2 <= before  # the visits that lower or tie a min-distance
             visit, owner, d2, before = visit[near], owner[near], d2[near], before[near]
@@ -578,6 +623,44 @@ def _fps_in_order(positions: np.ndarray, m: int, canon: np.ndarray,
                                             positions.take(zero, axis=0), 1)[:, 0]
     parent_of[selected] = np.arange(m, dtype=np.int64)
     return selected, parent_of
+
+
+# A dense FPS update weighs at most this many (pick, position) pairs at once.
+_FPS_DENSE_CHUNK = 1 << 17
+
+
+def _fps_dense_update(cols: np.ndarray, picks: np.ndarray, tops: np.ndarray,
+                      min_d2: np.ndarray, nearest: np.ndarray, lead_index: np.ndarray) -> int:
+    """Lower every position's min-distance ``min_d2`` and nearest pick
+    ``nearest`` (input indices of ``lead_index``), in place, by its squared
+    distance to each of ``picks``, whose columns ``cols`` holds. Returns the
+    most positions that lie within its ``tops`` entry of one pick.
+
+    This is what an update per pick in turn leaves. Each position takes the
+    minimum over the picks and its old min-distance, and then the lowest
+    input index among the picks at that minimum, its old nearest pick
+    included where the old min-distance ties it. Neither depends on the
+    order of the picks, so chunks of picks are weighed in one pass each.
+    """
+    # Picks by input index: the first of equal minima is then the lowest.
+    order = np.argsort(lead_index.take(picks))
+    picks, tops = picks.take(order), tops.take(order)
+    n = cols.shape[1]
+    step = max(1, _FPS_DENSE_CHUNK // n)
+    widest = 0
+    for lo in range(0, picks.shape[0], step):
+        chunk = picks[lo : lo + step]
+        d2 = _squared_dist_cols(cols[:, None], cols.take(chunk, axis=1)[:, :, None])
+        widest = max(widest, int(np.count_nonzero(d2 <= tops[lo : lo + step, None],
+                                                  axis=1).max()))
+        first = d2.argmin(axis=0)
+        low = d2[first, np.arange(n)]
+        at = np.flatnonzero(low <= min_d2)
+        offer = lead_index.take(chunk.take(first.take(at)))
+        tie = low.take(at) == min_d2.take(at)
+        nearest[at] = np.where(tie, np.minimum(nearest.take(at), offer), offer)
+        np.minimum(min_d2, low, out=min_d2)
+    return widest
 
 
 def _fps_candidates(blocks: np.ndarray, block_max: np.ndarray) -> tuple[np.ndarray, float, int]:

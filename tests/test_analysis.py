@@ -1,4 +1,5 @@
 import csv
+import io
 import math
 import sys
 import tracemalloc
@@ -844,6 +845,23 @@ def test_approximation_csv_roundtrip():
     assert len(rows) == 1
     assert float(rows[0][5]) == rep.max_rel_err
     assert float(rows[0][7]) == rep.locality_ratio
+
+
+def test_heatmap_csv_bytes_equal_the_csv_writer():
+    """Rows are written without the csv module, with the same bytes: the
+    shortest round-tripping repr of every float, signed zeros, large,
+    small and subnormal values included."""
+    rng = np.random.default_rng(9)
+    pos = rng.normal(size=(2048, 3)) * 10.0 ** rng.integers(-8, 9, size=(2048, 1))
+    weights = rng.uniform(size=2048)
+    pos[:4] = [[-0.0, 0.0, 1e20], [1e-7, 5e-324, -5e-324], [-1e20, -1e-7, 2.5], [1.0, -1.0, 0.1]]
+    weights[:4] = [-0.0, 1e20, 1e-7, 5e-324]
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["x", "y", "z", "weight"])
+    for p, w in zip(pos, weights):
+        writer.writerow([repr(float(p[0])), repr(float(p[1])), repr(float(p[2])), repr(float(w))])
+    assert heatmap_csv(pos, weights) == buf.getvalue()
 
 
 def test_heatmap_csv_roundtrip():

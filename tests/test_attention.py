@@ -777,20 +777,21 @@ def test_positional_table_leaves_every_bit_of_a_fresh_structure(flavor, mode):
 
 @pytest.mark.parametrize("mode", ["absolute", "relative"])
 def test_kept_terms_follow_frequencies_changed_in_place(mode):
-    # A read-only view of a writeable array is stored without a copy, so its
-    # owner can still change an embedding's frequencies; the kept terms then
-    # serve it no longer, and every pass matches a fresh structure's.
+    # A read-only array that owns its memory is stored without a copy, so
+    # its owner can make it writeable again and change an embedding's
+    # frequencies; the kept terms then serve it no longer, and every pass
+    # matches a fresh structure's.
     rng = np.random.default_rng(42)
     n, d = 40, 4
     q, k, v, pos = rand_inputs(rng, n, d)
     dz = rng.normal(size=(n, d))
     base = make_fourier_embedding(d, rng).frequencies.copy()
-    view = base.view()
-    view.flags.writeable = False
-    emb = FourierEmbedding(frequencies=view)
-    assert np.shares_memory(emb.frequencies, base)
+    base.flags.writeable = False
+    emb = FourierEmbedding(frequencies=base)
+    assert emb.frequencies is base
     h = build_hierarchy(pos, q, k, v, flavor="point", k=3, r=2)
     gha_backward(h, dz, emb, mode)  # keeps the terms of the old frequencies
+    base.flags.writeable = True
     base *= 0.5
     fresh = build_hierarchy(pos, q, k, v, flavor="point", k=3, r=2)
     changed = FourierEmbedding(frequencies=base.copy())

@@ -7,6 +7,7 @@ import pytest
 import gha3d.block as block_mod
 from gha3d.attention import gha_forward
 from gha3d.block import (
+    LAYERNORM_EPS,
     BlockConfig,
     GhaBlockParams,
     LayerParams,
@@ -113,6 +114,35 @@ def test_layer_norm_gain_shift():
     g = np.array([2.0, 2.0, 2.0, 2.0])
     s = np.array([1.0, 1.0, 1.0, 1.0])
     np.testing.assert_allclose(layer_norm(x, g, s), layer_norm(x, np.ones(4), np.zeros(4)) * 2 + 1)
+
+
+def plain_layer_norm(x, gain, shift, eps=LAYERNORM_EPS):
+    """LayerNorm as separate expressions, each making its own array, with
+    the overflow rescue of ``layer_norm``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = x.mean(axis=1, keepdims=True)
+        var = np.mean((x - mean) ** 2, axis=1, keepdims=True)
+        out = (x - mean) / np.sqrt(var + eps)
+    bad = np.flatnonzero(~(np.maximum(np.abs(mean), var)[:, 0] < np.inf))
+    rows = x.take(bad, axis=0)
+    scaled = np.ldexp(rows, -np.frexp(np.abs(rows).max(axis=1, keepdims=True))[1])
+    centred = scaled - scaled.mean(axis=1, keepdims=True)
+    sd = np.sqrt(np.mean(centred**2, axis=1, keepdims=True))
+    out[bad] = np.divide(centred, sd, out=np.zeros_like(centred), where=sd > 0.0)
+    return out * gain + shift
+
+
+def test_layer_norm_keeps_the_plain_formulas_bits():
+    # One centred array serves the variance and is normalized, scaled and
+    # shifted in place: the plain formula's bits, on normal rows and on
+    # rows scaled by 1e200, whose variance overflows and is rescued.
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(500, 32)) * rng.uniform(0.1, 10.0, size=(500, 1))
+    g, s = rng.normal(size=32), rng.normal(size=32)
+    big = x.copy()
+    big[::3] *= 1e200
+    for rows in (x, big):
+        assert layer_norm(rows, g, s).tobytes() == plain_layer_norm(rows, g, s).tobytes()
 
 
 def test_layer_norm_rows_near_the_float_limit_keep_unbounded_bits():

@@ -380,6 +380,57 @@ def test_fps_batches_match_loop_oracles_with_small_blocks(name, monkeypatch):
     _assert_matches_loop_oracles(_oracle_cloud(name))
 
 
+@pytest.mark.parametrize("name, block, batch", [
+    ("uniform", 4, 8), ("scene", 128, 64), ("distinct10", 4, 8), ("cubic_grid", 128, 64),
+    ("signed_zeros", 4, 8), ("small", 4, 8),
+])
+def test_fps_dense_updates_in_chunks_match_loop_oracles(name, block, batch, monkeypatch):
+    """A batch's dense picks update every position in one pass per chunk.
+    With chunks of 3 picks on the cloud's own positions (coarser levels
+    take more), samples and parent maps still equal the per-pick loop's."""
+    pos = _oracle_cloud(name)
+    distinct = np.unique(pos, axis=0).shape[0]
+    monkeypatch.setattr(geometry, "_FPS_DENSE_CHUNK", 3 * distinct)
+    monkeypatch.setattr(geometry, "_FPS_BLOCK", block)
+    monkeypatch.setattr(geometry, "_FPS_BATCH", batch)
+    chunks = []
+    update = geometry._fps_dense_update
+
+    def spy(cols, picks, *args):
+        if cols.shape[1] == distinct:
+            chunks.append(picks.shape[0])
+        return update(cols, picks, *args)
+
+    monkeypatch.setattr(geometry, "_fps_dense_update", spy)
+    _assert_matches_loop_oracles(pos)
+    assert max(chunks) > 3  # some batch had more dense picks than one chunk
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e-150, 1e-100, 1.0, 1e100, 1e150])
+def test_squared_distances_equal_the_einsum_bitwise(scale):
+    """The explicit (dx*dx + dz*dz) + dy*dy is einsum's sum of a row of
+    three, bit for bit, from underflow to near overflow, on the shapes FPS
+    and the kNN use: one point against many, 64 x 64 candidates, (rows, k)
+    candidates per query, and (picks, positions) on coordinate columns."""
+    rng = np.random.default_rng(81)
+    pts = rng.normal(size=(2000, 3)) * rng.uniform(0.5, 2.0, size=(2000, 1)) * scale
+
+    def einsum(a, b):
+        d = a - b
+        return _sq_dist(d.reshape(-1, 3), 0.0).reshape(d.shape[:-1])
+
+    cand = pts[rng.integers(0, 2000, size=(300, 8))]
+    for a, b, shape in ((pts, pts[7], (2000,)), (pts[:64, None], pts[:64], (64, 64)),
+                        (cand, pts[:300, None], (300, 8))):
+        got = geometry._squared_dist_to(a, b)
+        assert got.shape == shape
+        assert got.tobytes() == einsum(a, b).tobytes()
+    cols = np.ascontiguousarray(pts.T)
+    got = geometry._squared_dist_cols(cols[:, None], cols[:, :40, None])
+    assert got.shape == (40, 2000)
+    assert got.tobytes() == einsum(pts, pts[:40, None]).tobytes()
+
+
 @pytest.mark.parametrize("seed", range(30))
 def test_fps_candidates_are_the_top_entries_and_bound_the_rest(seed, monkeypatch):
     """A batch's candidates are the top entries by (-value, index), picked

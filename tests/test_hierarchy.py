@@ -11,6 +11,8 @@ from gha3d.geometry import (
     PointCloud,
     SparseVoxelGrid,
     _canonical_order,
+    _freeze,
+    _readonly,
     kernel_window_topology,
     knn_from_positions,
 )
@@ -742,6 +744,40 @@ def test_callers_arrays_stay_writeable_and_detached():
     assert np.array_equal(cloud.positions, cloud_before[0])
     assert np.array_equal(cloud.features, cloud_before[1])
     assert all(np.array_equal(x, y) for x, y in zip(stored, stored_before))
+
+
+def test_read_only_views_of_writeable_memory_are_copied():
+    """A read-only view is stored as is only if nothing can write its
+    memory: a view of a writeable array or buffer is copied, so writes
+    through the base never reach the structure, its coarse levels or the
+    embedding. Arrays the package made and marked read-only, and the arrays
+    they view, are stored without a copy."""
+    rng = np.random.default_rng(31)
+    base, fbase = rng.uniform(size=(40, 3)), rng.normal(size=(2, 3))
+    buffer = bytearray(rng.uniform(size=(40, 3)).tobytes())
+    ro, fro = base.view(), fbase[:]
+    ro.flags.writeable = fro.flags.writeable = False
+    through_buffer = np.frombuffer(buffer).reshape(40, 3)
+    through_buffer.flags.writeable = False
+    q, k_mat, v = rand_qkv(rng, 40, 3)
+    h = build_hierarchy(ro, q, k_mat, v, k=4, r=2)
+    hb = build_hierarchy(through_buffer, q, k_mat, v, k=4, r=2)
+    emb = FourierEmbedding(frequencies=fro)
+    assert not np.shares_memory(h.levels[0].positions, base)
+    assert not np.shares_memory(hb.levels[0].positions, through_buffer)
+    assert not np.shares_memory(emb.frequencies, fbase)
+    before = [dump_hierarchy(x) for x in (h, hb)]
+    base[:] = 0.5
+    buffer[:] = bytes(len(buffer))
+    fbase[:] = 0.25
+    assert [dump_hierarchy(x) for x in (h, hb)] == before
+    assert not np.any(emb.frequencies == 0.25)
+
+    made = np.ones((4, 3))
+    view = _readonly(made[1:])
+    assert not made.flags.writeable and _freeze(view) is view
+    sealed = np.frombuffer(bytes(24)).reshape(1, 3)  # a bytes object is never written
+    assert _freeze(sealed) is sealed
 
 
 def test_with_values_matches_fresh_build():

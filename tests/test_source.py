@@ -1,9 +1,10 @@
 """Source hygiene of the package modules, checked with the stdlib ``ast``:
 no unused imports, no unreferenced module-level private definitions, one
-finiteness check for caller arrays, one range check for caller integers and
-two sparse products for every sum over a sparse map; no kernel gather by an index
-map through fancy indexing; and every package name the benchmark's
-workloads call still resolves."""
+finiteness check for caller arrays, one range check for caller integers,
+two sparse products for every sum over a sparse map and one arithmetic for
+every squared distance in the geometry; no kernel gather by an index map
+through fancy indexing; and every package name the benchmark's workloads
+call still resolves."""
 
 import ast
 import importlib
@@ -162,6 +163,16 @@ def test_only_the_transposed_product_scatters():
     assert importers == {"hierarchy.py"}
     assert readers == {"hierarchy.py:_product", "hierarchy.py:_transposed_product"}
     assert scatters == []
+
+
+def test_geometry_squares_distances_one_way():
+    """geometry.py calls no ``einsum``: every squared distance there is
+    ``_squared_dist_cols``'s explicit sum, so no second summation order can
+    split a distance tie that the samples and neighbor lists break by index."""
+    found = [f"geometry.py:{node.lineno} {ast.unparse(node)}"
+             for node in ast.walk(_tree(SRC / "geometry.py"))
+             if isinstance(node, ast.Attribute) and node.attr == "einsum"]
+    assert found == []
 
 
 def test_every_package_name_the_benchmark_calls_resolves():
