@@ -25,8 +25,8 @@ from .attention import (
     AttentionInputs,
     _bounded_spans,
     _dense_softmax_chunks,
+    _edge_weights,
     _fold,
-    _forward_core,
     _pull_back,
     _value_cotangent,
     dense_attention,
@@ -65,25 +65,26 @@ def _check_matrix_cap(n: int, mechanism: str = "gha") -> None:
                             f"{PROBE_CAP} tokens{hint}")
 
 
-def _effective_rows(hierarchy: Hierarchy, forward, queries: np.ndarray) -> np.ndarray:
-    """Rows ``queries`` of W from ``_forward_core``'s cached ``forward``: the
-    adjoint's value gradients for one one-hot output cotangent per query."""
-    _, caches, d_hat, m_q, _ = forward
+def _effective_rows(hierarchy: Hierarchy, weights, queries: np.ndarray) -> np.ndarray:
+    """Rows ``queries`` of W from ``_edge_weights``'s pass and per-level edge
+    ``weights``: the adjoint's value gradients for one one-hot output
+    cotangent per query."""
+    held, ts = weights
     c = np.zeros((hierarchy.levels[0].n_tokens, queries.shape[0]))
-    c[queries, np.arange(queries.shape[0])] = 1.0 / d_hat.take(queries)  # dz = e_q, scaled
-    folds = zip(hierarchy.levels, caches, _fold(hierarchy, caches, m_q, c))
-    return _pull_back(hierarchy, [_value_cotangent(lv, cache, fold) for lv, cache, fold in folds]).T
+    c[queries, np.arange(queries.shape[0])] = 1.0 / held.d_hat.take(queries)  # dz = e_q, scaled
+    folds = zip(hierarchy.levels, ts, _fold(hierarchy, held.mu, held.m_q, c))
+    return _pull_back(hierarchy, [_value_cotangent(lv, t, fold) for lv, t, fold in folds]).T
 
 
-def _weight_matrix(hierarchy: Hierarchy, forward, threads: int) -> np.ndarray:
-    """Every row of W from one cached ``forward``, in row blocks whose
+def _weight_matrix(hierarchy: Hierarchy, weights, threads: int) -> np.ndarray:
+    """Every row of W from one ``_edge_weights``, in row blocks whose
     heights bound the level-0 edges-by-rows temporaries; blocks are
     independent, so threads never change a bit."""
     n = hierarchy.levels[0].n_tokens
     out = np.empty((n, n), dtype=np.float64)
 
     def rows(span):
-        out[span[0]:span[1]] = _effective_rows(hierarchy, forward, np.arange(*span))
+        out[span[0]:span[1]] = _effective_rows(hierarchy, weights, np.arange(*span))
 
     _map_ordered(rows, _bounded_spans(n, hierarchy.levels[0].topology.total_edges), threads)
     return out
@@ -95,12 +96,13 @@ def effective_attention(hierarchy: Hierarchy, embedding=None, embedding_mode: st
 
     Row i lists the convex weights behind z_i: nonnegative, summing to 1,
     and bitwise ``effective_attention_row(hierarchy, i)``. One forward pass
-    serves every row; ``threads`` never changes a bit.
+    serves every row: the one ``gha_forward`` left on this hierarchy for the
+    same mode and frequencies, else one run here, which it leaves in turn;
+    ``threads`` never changes a bit.
     """
     threads = _integer(threads, "threads", 1)
     _check_matrix_cap(hierarchy.levels[0].n_tokens)
-    forward = _forward_core(hierarchy, embedding, embedding_mode, want_cache=True)
-    return _weight_matrix(hierarchy, forward, threads)
+    return _weight_matrix(hierarchy, _edge_weights(hierarchy, embedding, embedding_mode), threads)
 
 
 def effective_attention_row(hierarchy: Hierarchy, i: int, embedding=None,
@@ -109,12 +111,13 @@ def effective_attention_row(hierarchy: Hierarchy, i: int, embedding=None,
 
     Row i of ``effective_attention``, read as the value gradient of the
     exact adjoint for a one-hot output cotangent at query i: one forward
-    and one single-column backward pass, O(N k) for any N and any
-    embedding mode. The row is bitwise permutation-equivariant.
+    (or the pass a forward left, as in ``effective_attention``) and one
+    single-column backward pass, O(N k) for any N and any embedding mode.
+    The row is bitwise permutation-equivariant.
     """
     i = _integer(i, "query index", 0, hierarchy.levels[0].n_tokens - 1)
-    forward = _forward_core(hierarchy, embedding, embedding_mode, want_cache=True)
-    return _effective_rows(hierarchy, forward, np.array([i]))[0]
+    weights = _edge_weights(hierarchy, embedding, embedding_mode)
+    return _effective_rows(hierarchy, weights, np.array([i]))[0]
 
 
 def mechanism_weights(hierarchy: Hierarchy, mechanism: str, embedding=None,
@@ -330,14 +333,14 @@ def approximation_report(hierarchy: Hierarchy, embedding=None, embedding_mode: s
     lv = hierarchy.levels[0]
     n = lv.n_tokens
     _check_matrix_cap(n)
-    forward = _forward_core(hierarchy, embedding, embedding_mode, want_cache=True)
-    gha = forward[0]  # the one pass serves z here and the weights below
+    edge_weights = _edge_weights(hierarchy, embedding, embedding_mode)
     dense = dense_attention(AttentionInputs(
         q=lv.q_tilde, k=lv.k_tilde, v=lv.v_tilde, positions=lv.positions,
         embedding=embedding, embedding_mode=embedding_mode,
     ))
-    rel = _relative_errors(gha.z, dense.z)
-    weights = _weight_matrix(hierarchy, forward, threads)
+    # The one pass serves z here and the weights below.
+    rel = _relative_errors(edge_weights[0].z, dense.z)
+    weights = _weight_matrix(hierarchy, edge_weights, threads)
     worst = np.max(np.abs(weights.sum(axis=1) - 1.0))
     if weights.min() < 0.0 or worst > 1e-10:
         raise InvariantViolation(
@@ -353,7 +356,7 @@ def approximation_report(hierarchy: Hierarchy, embedding=None, embedding_mode: s
         max_rel_err=float(rel.max()),
         mean_rel_err=float(rel.mean()),
         locality_ratio=locality_ratio(lv.positions, weights),
-        weight_count=gha.weight_count,
+        weight_count=sum(level.topology.total_edges for level in hierarchy.levels),
         dense_weight_count=n * n,
     )
 

@@ -13,6 +13,13 @@ All kernels accumulate exponentials under a per-query running maximum so
 results cannot overflow, while staying mathematically identical to the
 unshifted sums. ``gha_backward`` is the exact adjoint of the forward map
 (including the coarsening averages) with respect to level-0 q/k/v.
+
+A forward leaves its pass on the hierarchy object (``_Pass``): each
+level's row maxima, the level-0 denominators and maxima, the value scaling
+and a private copy of z, no per-edge array. The backward and effective
+weights read it and make each level's edge weights again, from the same
+span helper (``_span_weights``) and the same maxima, so they are bitwise
+the forward's; without a pass they run the forward first and leave it.
 """
 
 import math
@@ -308,14 +315,6 @@ def dense_attention(inputs: AttentionInputs) -> AttentionResult:
     )
 
 
-class _LevelCache(NamedTuple):
-    q: np.ndarray  # q as the scores saw it (with gamma in absolute mode)
-    k: np.ndarray  # k likewise
-    rel: tuple | None  # per-edge relative (cos, sin); None in other modes
-    t: np.ndarray | None  # exp(s - mu[row]) per edge, when the caller keeps it
-    mu: np.ndarray  # per-token local max score
-
-
 # Edge-by-column elements that one span of a level kernel holds per
 # temporary: 1 MiB of float64, so a span's gathers stay in cache.
 _SPAN_ELEMENTS = 1 << 17
@@ -334,39 +333,73 @@ def _row_spans(indptr: np.ndarray, width: int):
         r0 = r1
 
 
-def _level_softmax(q, k, v, topology, neighbors, term, mode, scale, want_t):
-    """Max-shifted softmax sums over one topology, whose ``_sparse_map`` is
-    ``neighbors``, with the level's positional ``term`` from ``_level_term``.
-
-    Returns the per-edge cache, the shifted denominators and the shifted
-    unnormalized outputs: denom_i * exp(mu_i) and y_i * exp(mu_i) are the
-    true local sums. The edges run in ``_row_spans``; every per-row
-    reduction and per-edge product sees the operands it would see over the
-    whole level, so the bits do not depend on the cut. Only the cache's
-    ``t`` (when ``want_t``) is per-edge past its span. With at most 8
-    neighbors a row, y sums by one product per span (``_group_sums``) with
-    t as its data, gathering no edge rows of v."""
-    rows, cols, indptr = topology.rows, topology.indices, topology.indptr
+def _scored(q, k, term, mode):
+    """The q and k a level's scores read, and its per-edge relative (cos,
+    sin) or None: absolute mode adds gamma to both sides."""
     if mode == "absolute":
-        q, k = q + term, k + term
-    rel = term if mode == "relative" else None
+        return q + term, k + term, None
+    return q, k, term if mode == "relative" else None
+
+
+def _span_rows(topology, r0, r1):
+    """How the edges of rows r0:r1 meet their queries' rows: (shape, of_rows),
+    with ``shape`` the layout the span's per-edge arrays are read in and
+    ``of_rows(a)`` each edge's query row of a row-indexed array. Where every
+    row holds ``run`` edges, a query's row broadcasts over its run and
+    nothing is gathered; else the rows are gathered edge by edge. Every
+    product and sum sees the same operands either way, so the same bits."""
+    run = topology.run
+    if run:
+        return (r1 - r0, run, -1), lambda a: a[r0:r1, None]
+    rows = topology.rows[topology.indptr[r0]:topology.indptr[r1]]
+    return (rows.shape[0], -1), lambda a: a.take(rows, axis=0)
+
+
+def _span_weights(q, k_rows, rel, topology, r0, r1, scale, mu, fresh=False, out=None):
+    """The softmax weights t = exp(s - mu[row]) of the edges of rows r0:r1,
+    whose keys' rows ``k_rows`` the caller gathered, written into ``out``
+    where given: the one place a level's score s = (q . k, plus
+    q . gamma(p_q - p_k) in relative mode) / scale is formed. A ``fresh``
+    pass (the forward's) first writes the span's row maxima into ``mu``;
+    later passes read them, so their t is bitwise the forward's."""
+    indptr = topology.indptr
+    e0, e1 = indptr[r0], indptr[r1]
+    shape, of_rows = _span_rows(topology, r0, r1)
+    q_rows = of_rows(q)
+    s = np.einsum("...d,...d->...", q_rows, k_rows.reshape(shape))
+    if rel is not None:
+        s += _interleaved_dot(q_rows, rel[0][e0:e1].reshape(shape), rel[1][e0:e1].reshape(shape))
+    del q_rows  # else it is alive next to the caller's edge rows
+    s /= scale
+    if fresh:
+        np.maximum.reduceat(s.reshape(-1), indptr[r0:r1] - e0, out=mu[r0:r1])
+    s -= of_rows(mu)
+    return np.exp(s, out=s if out is None else out.reshape(s.shape)).reshape(-1)
+
+
+def _level_softmax(q, k, v, topology, neighbors, term, mode, scale, t_out=None):
+    """Max-shifted softmax sums over one topology, whose ``_sparse_map`` is
+    ``neighbors``, with the level's positional ``term`` from ``_level_term``;
+    ``t_out``, where given, receives every edge's softmax weight t.
+
+    Returns the per-token local max scores mu, the shifted denominators and
+    the shifted unnormalized outputs: denom_i * exp(mu_i) and y_i * exp(mu_i)
+    are the true local sums. The edges run in ``_row_spans``; every per-row
+    reduction and per-edge product sees the operands it would see over the
+    whole level, so the bits do not depend on the cut, and nothing per-edge
+    but ``t_out`` outlives its span. With at most 8 neighbors a row, y sums
+    by one product per span (``_group_sums``) with t as its data, gathering
+    no edge rows of v."""
+    q, k, rel = _scored(q, k, term, mode)
+    cols, indptr = topology.indices, topology.indptr
     n = topology.n_tokens
     mu, denom = np.empty(n), np.empty(n)
     y = np.empty((n, v.shape[1]))
-    t_all = np.empty(topology.total_edges) if want_t else None
     for r0, r1 in _row_spans(indptr, max(q.shape[1], v.shape[1])):
         e0, e1 = indptr[r0], indptr[r1]
         starts = indptr[r0:r1] - e0
-        span_rows = rows[e0:e1]
-        q_rows = q.take(span_rows, axis=0)
-        s = np.einsum("ed,ed->e", q_rows, k.take(cols[e0:e1], axis=0))
-        if rel is not None:
-            s += _interleaved_dot(q_rows, rel[0][e0:e1], rel[1][e0:e1])
-        del q_rows  # else it is alive next to v's edge rows
-        s /= scale
-        np.maximum.reduceat(s, starts, out=mu[r0:r1])
-        s -= mu.take(span_rows)
-        t = np.exp(s, out=None if t_all is None else t_all[e0:e1])
+        t = _span_weights(q, k.take(cols[e0:e1], axis=0), rel, topology, r0, r1, scale, mu,
+                          fresh=True, out=None if t_out is None else t_out[e0:e1])
         np.add.reduceat(t, starts, out=denom[r0:r1])
         if neighbors.sequential:  # the span's own CSR: offsets from its first edge
             y[r0:r1] = _group_sums(v, neighbors.indptr[r0:r1 + 1] - neighbors.indptr[r0],
@@ -376,7 +409,7 @@ def _level_softmax(q, k, v, topology, neighbors, term, mode, scale, want_t):
             weighted *= t[:, None]  # in place: one edge-by-column temporary, not two
             np.add.reduceat(weighted, starts, axis=0, out=y[r0:r1])
             del weighted  # else it is alive next to the next span's gathers
-    return _LevelCache(q=q, k=k, rel=rel, t=t_all, mu=mu), denom, y
+    return mu, denom, y
 
 
 def local_attention(inputs: AttentionInputs, topology) -> AttentionResult:
@@ -387,12 +420,12 @@ def local_attention(inputs: AttentionInputs, topology) -> AttentionResult:
     term = _level_term(inputs.positions, topology, inputs.embedding, mode)
     exponents = _value_exponents([inputs.v], int(topology.sizes.max()))
     v = inputs.v if exponents is None else np.ldexp(inputs.v, -exponents)
-    cache, denom, y = _level_softmax(inputs.q, inputs.k, v, topology,
-                                     _sparse_map(topology.indptr, topology.indices), term, mode,
-                                     math.sqrt(inputs.d), want_t=False)
+    mu, denom, y = _level_softmax(inputs.q, inputs.k, v, topology,
+                                  _sparse_map(topology.indptr, topology.indices), term, mode,
+                                  math.sqrt(inputs.d))
     e = topology.total_edges
     with np.errstate(over="ignore"):
-        normalizers = denom * np.exp(cache.mu)
+        normalizers = denom * np.exp(mu)
     z = y / denom[:, None]
     return AttentionResult(
         z=z if exponents is None else np.ldexp(z, exponents),
@@ -428,32 +461,60 @@ def _value_exponents(values: list, terms: int) -> np.ndarray | None:
     return np.where(top > bound, np.frexp(top)[1] + terms.bit_length() - 1022, 0)
 
 
-def _forward_core(hierarchy: Hierarchy, embedding, mode: str, want_cache: bool,
-                  table: PositionalTable | None = None):
-    d = hierarchy.levels[0].q_tilde.shape[1]
-    _check_mode(embedding, mode, d)
+class _Pass(NamedTuple):
+    """What a forward leaves on its hierarchy for the adjoint over the same
+    values: O(N d_v + sum of n_h) floats and no per-edge array. It serves
+    only its own mode and frequencies (a private copy, compared by value)."""
+
+    mode: str
+    frequencies: np.ndarray | None  # None in mode "none"
+    mu: tuple  # each level's per-token local max scores
+    d_hat: np.ndarray  # the level-0 denominators, shifted by m_q
+    m_q: np.ndarray  # the level-0 running maxima
+    exponents: np.ndarray | None  # the value columns' scaling (see _value_exponents)
+    z: np.ndarray  # a private read-only copy of the output
+
+
+def _check_call(hierarchy: Hierarchy, embedding, mode: str, table) -> None:
+    """The checks every pass runs before it reads or makes a forward."""
+    _check_mode(embedding, mode, hierarchy.levels[0].q_tilde.shape[1])
     if table is not None:
         _check_table(table, hierarchy, embedding, mode)
-    scale = math.sqrt(d)
+
+
+def _term(hierarchy: Hierarchy, h: int, embedding, mode: str, table, keep: bool):
+    """Level h's positional term: the table's, else the one the level keeps
+    or makes (see ``_kept_term``)."""
+    if table is not None:
+        return table.terms[h]
+    return _kept_term(hierarchy.levels[h], embedding, mode, keep)
+
+
+def _forward(hierarchy: Hierarchy, embedding, mode: str, table, keep: bool, weights=None):
+    """The hierarchical forward of checked arguments: its result and its
+    ``_Pass``, whose z is the result's own array. ``keep`` stores every
+    positional term the pass makes on its level; a list ``weights``
+    receives every level's edge weights t, finest level first."""
+    scale = math.sqrt(hierarchy.levels[0].q_tilde.shape[1])
     depth = hierarchy.depth
     exponents = _value_exponents([lv.v_tilde for lv in hierarchy.levels],
                                  sum(int(lv.topology.sizes.max()) for lv in hierarchy.levels))
 
-    caches: list = [None] * (depth + 1)
+    mus: list = [None] * (depth + 1)
     per_level = [0] * (depth + 1)
     carry_y = carry_d = carry_m = None
     for h in range(depth, -1, -1):
         lv = hierarchy.levels[h]
-        # A cached pass holds every level's term anyway, so it keeps them;
-        # a one-off forward that finds none holds one level's at a time.
-        term = (table.terms[h] if table is not None
-                else _kept_term(lv, embedding, mode, keep=want_cache))
+        # A one-off forward that finds no kept term holds one level's at a time.
+        term = _term(hierarchy, h, embedding, mode, table, keep)
         v = lv.v_tilde if exponents is None else np.ldexp(lv.v_tilde, -exponents)
-        cache, d_loc, y_loc = _level_softmax(lv.q_tilde, lv.k_tilde, v, lv.topology, lv.neighbors,
-                                             term, mode, scale, want_t=want_cache)
-        mu = cache.mu
+        t = None if weights is None else np.empty(lv.topology.total_edges)
+        mu, d_loc, y_loc = _level_softmax(lv.q_tilde, lv.k_tilde, v, lv.topology, lv.neighbors,
+                                          term, mode, scale, t)
+        if weights is not None:
+            weights.insert(0, t)
+        mus[h] = mu
         per_level[h] = lv.topology.total_edges
-        caches[h] = cache if want_cache else None
 
         if carry_y is None:  # top level: nothing above contributes
             carry_y, carry_d, carry_m = y_loc, d_loc, mu
@@ -469,7 +530,7 @@ def _forward_core(hierarchy: Hierarchy, embedding, mode: str, want_cache: bool,
             carry_y += y_loc
             carry_d = w_loc * d_loc + w_par * carry_d.take(p)
             carry_m = m
-        del cache, term, y_loc, d_loc, v  # else alive through the next level's softmax
+        del term, y_loc, d_loc, v, t  # else alive through the next level's softmax
 
     with np.errstate(over="ignore"):
         normalizers = carry_d * np.exp(carry_m)
@@ -481,7 +542,23 @@ def _forward_core(hierarchy: Hierarchy, embedding, mode: str, want_cache: bool,
         weight_count=int(sum(per_level)),
         per_level_weight_count=tuple(per_level),
     )
-    return result, caches, carry_d, carry_m, exponents
+    frequencies = None if mode == "none" else _readonly(embedding.frequencies.copy())
+    return result, _Pass(mode, frequencies, tuple(mus), carry_d, carry_m, exponents, result.z)
+
+
+def _held_pass(hierarchy: Hierarchy, embedding, mode: str, table, weights=None) -> _Pass:
+    """The pass the structure holds for (embedding, mode); without one, a
+    forward that keeps its positional terms (and fills ``weights``, as in
+    ``_forward``) leaves it first."""
+    _check_call(hierarchy, embedding, mode, table)
+    held = hierarchy.forward_pass
+    if held is not None and held.mode == mode and (
+            mode == "none" or _same_frequencies(held.frequencies, embedding)):
+        return held
+    _, held = _forward(hierarchy, embedding, mode, table, keep=True, weights=weights)
+    _readonly(held.z)  # no caller sees this z
+    object.__setattr__(hierarchy, "forward_pass", held)
+    return held
 
 
 def gha_forward(hierarchy: Hierarchy, embedding: FourierEmbedding | None = None,
@@ -500,9 +577,17 @@ def gha_forward(hierarchy: Hierarchy, embedding: FourierEmbedding | None = None,
     keeps (see ``positional_table``), or makes each level's term as it
     reaches that level and keeps none. A table of another structure,
     embedding or mode raises InvalidInputError.
+
+    The call leaves its pass on ``hierarchy`` (replacing any earlier one):
+    each level's row maxima, the level-0 denominators and maxima, the value
+    scaling and a private read-only copy of z, O(N d_v + sum of n_h) floats
+    that live as long as the hierarchy object. A ``gha_backward`` with the
+    same mode and frequencies reads it instead of running this forward
+    again; ``with_values`` and ``truncate`` copies start without one.
     """
-    result, _, _, _, _ = _forward_core(hierarchy, embedding, embedding_mode, want_cache=False,
-                                       table=table)
+    _check_call(hierarchy, embedding, embedding_mode, table)
+    result, left = _forward(hierarchy, embedding, embedding_mode, table, keep=False)
+    object.__setattr__(hierarchy, "forward_pass", left._replace(z=_readonly(result.z.copy())))
     return result
 
 
@@ -514,22 +599,24 @@ class Gradients(NamedTuple):
 
 def _pull_back(hierarchy: Hierarchy, per_level: list) -> np.ndarray:
     """Sum per-level gradients onto level 0 through the transposed pooling
-    maps. A token sums its groups (one entry in each) in the coarse level's
+    maps, emptying the list as it goes, so a level's rows are freed once
+    summed. A token sums its groups (one entry in each) in the coarse level's
     ``order``, fixed by the geometry, not by the input numbering: the level's
     ``pull`` map holds its groups in that order. (Voxel groups are disjoint,
     so no order matters.)"""
-    g = per_level[-1]
+    g = per_level.pop()
     for h in range(hierarchy.depth - 1, -1, -1):
         coarse = hierarchy.levels[h + 1]
         pull = coarse.pull
-        g = _transposed_product(pull.indptr, pull.indices, np.ones(pull.indices.shape[0]),
-                                g.take(coarse.order, axis=0) / np.diff(pull.indptr)[:, None],
+        g = g.take(coarse.order, axis=0)
+        g /= np.diff(pull.indptr)[:, None]
+        g = _transposed_product(pull.indptr, pull.indices, np.ones(pull.indices.shape[0]), g,
                                 hierarchy.levels[h].n_tokens)
-        g += per_level[h]
+        g += per_level.pop()
     return g
 
 
-def _fold(hierarchy: Hierarchy, caches: list, m_q: np.ndarray, c: np.ndarray) -> list:
+def _fold(hierarchy: Hierarchy, mus: tuple, m_q: np.ndarray, c: np.ndarray) -> list:
     """Per level, the per-query cotangent rows c summed onto each query's
     level-h ancestor with weight exp(mu_h[ancestor] - m_q): the transpose of
     the forward's parent copy, one transposed product per level for every
@@ -544,18 +631,41 @@ def _fold(hierarchy: Hierarchy, caches: list, m_q: np.ndarray, c: np.ndarray) ->
     depth = hierarchy.depth
     anc = np.arange(c.shape[0], dtype=np.int64)
     folds = []
-    for h, (lv, cache) in enumerate(zip(hierarchy.levels, caches)):
-        w = np.exp(cache.mu.take(anc) - m_q)
+    for h, (lv, mu) in enumerate(zip(hierarchy.levels, mus)):
+        w = np.exp(mu.take(anc) - m_q)
         folds.append(_transposed_product(np.arange(c.shape[0] + 1), anc, w, c, lv.n_tokens))
         if h < depth:
             anc = lv.parent_of.take(anc)
     return folds
 
 
-def _value_cotangent(level, cache: _LevelCache, fold: np.ndarray) -> np.ndarray:
+def _value_cotangent(level, t: np.ndarray, fold: np.ndarray) -> np.ndarray:
     """One level's dv: each edge's t times its query's ``fold`` row, onto its key."""
     neighbors = level.neighbors
-    return _transposed_product(neighbors.indptr, neighbors.indices, cache.t, fold, level.n_tokens)
+    return _transposed_product(neighbors.indptr, neighbors.indices, t, fold, level.n_tokens)
+
+
+def _edge_weights(hierarchy: Hierarchy, embedding, mode: str):
+    """The structure's pass for (embedding, mode) and every level's edge
+    weights t, what effective weights read: kept by the forward when this
+    call runs it, else made again in row spans from the pass's row maxima
+    (the weights of every level are alive together here anyway)."""
+    weights = []
+    held = _held_pass(hierarchy, embedding, mode, None, weights)
+    if weights:
+        return held, weights
+    scale = math.sqrt(hierarchy.levels[0].q_tilde.shape[1])
+    for h, (lv, mu) in enumerate(zip(hierarchy.levels, held.mu)):
+        q, k, rel = _scored(lv.q_tilde, lv.k_tilde,
+                            _term(hierarchy, h, embedding, mode, None, keep=True), mode)
+        cols, indptr = lv.topology.indices, lv.topology.indptr
+        t = np.empty(lv.topology.total_edges)
+        for r0, r1 in _row_spans(indptr, q.shape[1]):
+            e0, e1 = indptr[r0], indptr[r1]
+            _span_weights(q, k.take(cols[e0:e1], axis=0), rel, lv.topology, r0, r1, scale, mu,
+                          out=t[e0:e1])
+        weights.append(t)
+    return held, weights
 
 
 def gha_backward(hierarchy: Hierarchy, dz: np.ndarray,
@@ -570,57 +680,77 @@ def gha_backward(hierarchy: Hierarchy, dz: np.ndarray,
     edge's score is a bilinear form in the q and k the forward scored with:
     dq takes the key side (k, plus gamma in absolute mode, plus the edge's
     relative (cos, sin) in relative mode) and dk the query side (q, plus
-    gamma in absolute mode). Both sides are read from the forward's cache.
-    ``table`` is as in ``gha_forward``; without one, the structure keeps
-    the terms this call makes.
+    gamma in absolute mode).
+
+    The call reads the pass the last ``gha_forward`` on this hierarchy left
+    when its mode and frequencies match, and runs no forward. Without one it
+    runs the forward itself first and leaves its pass (and keeps the
+    positional terms it makes): a backward alone costs about one forward
+    more than a backward after a forward. Each level's edge weights are made
+    again from the pass's row maxima inside the backward's own row spans,
+    so only one level's per-edge weights and ds are alive at a time, and
+    every bit equals a pass that kept them. ``table`` is as in
+    ``gha_forward``; without one, the structure keeps the terms this call
+    makes.
     """
     level0 = hierarchy.levels[0]
     n, d = level0.q_tilde.shape
     d_v = level0.v_tilde.shape[1]
     dz = _checked(dz, "dz", (n, d_v))
+    held = _held_pass(hierarchy, embedding, embedding_mode, table)
     scale = math.sqrt(d)
-
-    result, caches, d_hat, m_q, exponents = _forward_core(hierarchy, embedding, embedding_mode,
-                                                          want_cache=True, table=table)
     # dq and dk are linear in v (dv does not depend on it). Where the forward
     # scales v's columns down, their v terms (v in ds, z in the b column) run
     # on v scaled by the largest of those powers of two, and dq and dk are
     # scaled back: exact, as in the forward, and no edge sum overflows.
-    shift = None if exponents is None else int(exponents.max())
-    z = result.z if shift is None else np.ldexp(result.z, -shift)
+    shift = None if held.exponents is None else int(held.exponents.max())
+    z = held.z if shift is None else np.ldexp(held.z, -shift)
 
     # Per-query scaled cotangents: dY_q = dz_q / D_q, then -dD_q = (dz_q.z_q)/D_q,
     # with D_q = d_hat_q * exp(m_q) kept in the shifted form.
-    c = np.column_stack([dz / d_hat[:, None], np.einsum("qd,qd->q", dz, z) / d_hat])
-    folds = _fold(hierarchy, caches, m_q, c)
+    c = np.column_stack([dz / held.d_hat[:, None], np.einsum("qd,qd->q", dz, z) / held.d_hat])
+    folds = _fold(hierarchy, held.mu, held.m_q, c)
+    del c, z
 
     per_level = []
-    for lv, cache, fold in zip(hierarchy.levels, caches, folds):
-        rows, cols, indptr = lv.topology.rows, lv.topology.indices, lv.topology.indptr
+    for h, (lv, mu) in enumerate(zip(hierarchy.levels, held.mu)):
+        fold, folds[h] = folds[h], None
+        q, k, rel = _scored(lv.q_tilde, lv.k_tilde,
+                            _term(hierarchy, h, embedding, embedding_mode, table, keep=True),
+                            embedding_mode)
+        topology = lv.topology
+        cols, indptr = topology.indices, topology.indptr
         v = lv.v_tilde if shift is None else np.ldexp(lv.v_tilde, -shift)
-        # ds and dq edge by edge in the forward's row spans: only dk reads the
-        # level's whole ds, through a product.
-        ds, dq = np.empty(lv.topology.total_edges), np.empty((lv.n_tokens, d))
+        # t, ds and dq edge by edge in row spans: only the dv and dk
+        # products read the level's whole t and ds. The level's [dq | dk | dv]
+        # rows are written in place.
+        t, ds = np.empty(topology.total_edges), np.empty(topology.total_edges)
+        g = np.empty((lv.n_tokens, 2 * d + d_v))
+        dq = g[:, :d]
         for r0, r1 in _row_spans(indptr, max(d, d_v + 1)):
             e0, e1 = indptr[r0], indptr[r1]
+            k_eff = k.take(cols[e0:e1], axis=0)  # the score's k rows, then dq's key side
+            _span_weights(q, k_eff, rel, topology, r0, r1, scale, mu, out=t[e0:e1])
             # Each edge's query's folded output and normalizer cotangents.
-            ab = fold.take(rows[e0:e1], axis=0)
-            s = np.einsum("ed,ed->e", ab[:, :d_v], v.take(cols[e0:e1], axis=0))
-            s -= ab[:, d_v]
-            del ab  # else it is alive next to the dq temporaries
-            np.multiply(cache.t[e0:e1], s, out=ds[e0:e1])
+            shape, of_rows = _span_rows(topology, r0, r1)
+            ab = of_rows(fold)
+            v_rows = v.take(cols[e0:e1], axis=0).reshape(shape)
+            s = np.einsum("...d,...d->...", ab[..., :d_v], v_rows)
+            s -= ab[..., d_v]
+            del ab, v_rows  # else alive next to the dq temporaries
+            np.multiply(t[e0:e1], s.reshape(-1), out=ds[e0:e1])
             ds[e0:e1] /= scale
-            k_eff = cache.k.take(cols[e0:e1], axis=0)
-            if cache.rel is not None:
-                k_eff[:, 0::2] += cache.rel[0][e0:e1]
-                k_eff[:, 1::2] += cache.rel[1][e0:e1]
+            if rel is not None:
+                k_eff[:, 0::2] += rel[0][e0:e1]
+                k_eff[:, 1::2] += rel[1][e0:e1]
             k_eff *= ds[e0:e1, None]
             np.add.reduceat(k_eff, indptr[r0:r1] - e0, axis=0, out=dq[r0:r1])
-        dk = _transposed_product(lv.neighbors.indptr, lv.neighbors.indices, ds, cache.q,
-                                 lv.n_tokens)
-        dv = _value_cotangent(lv, cache, fold)[:, :d_v]  # b's column dropped
-        per_level.append(np.hstack([dq, dk, dv]))
-    del caches, folds, cache, fold  # frees the per-edge terms before the pull-back's temporaries
+        g[:, 2 * d:] = _value_cotangent(lv, t, fold)[:, :d_v]  # b's column dropped
+        del t, fold
+        g[:, d:2 * d] = _transposed_product(lv.neighbors.indptr, lv.neighbors.indices, ds, q,
+                                            lv.n_tokens)
+        per_level.append(g)
+        del g, dq, ds, q, k, rel  # else alive next to the next level's
     g = _pull_back(hierarchy, per_level)
     if shift is not None:
         g[:, :2 * d] = np.ldexp(g[:, :2 * d], shift)

@@ -9,7 +9,9 @@ order so downstream floating-point reductions are reproducible.
 import itertools
 import math
 import operator
+import weakref
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -38,29 +40,34 @@ def _integer(value, name: str, lo: int | None = None, hi: int | None = None) -> 
 def _freeze(a, dtype=None) -> np.ndarray:
     """Read-only C-contiguous array holding ``a``.
 
-    An array that arrives writeable, or views memory that some writeable
-    array or buffer also reaches, is copied: the caller's own array stays
-    writeable and never reaches the stored one. One whose memory nothing
-    can write is stored as is: the package marks the arrays it makes, and
-    the arrays they view, with ``_readonly`` before passing them on, and
-    pays no copy.
+    The array is stored as is only where nothing else can write its memory:
+    an array the package made and marked with ``_readonly`` (or a view of
+    one), or a read-only view of a buffer that is never written, such as
+    ``bytes``. Anything else is copied, a caller's read-only array too: a
+    writeable view made before it was marked read-only, or its owner's
+    flag set back, would still reach it, and NumPy cannot list the views of
+    an array, so only the package's own mark tells its arrays apart. The
+    array returned carries that mark, so storing it again pays no copy.
     """
     out = np.ascontiguousarray(a, dtype=dtype)
     if (out is a or not out.flags.owndata) and not _sealed(out):
         out = out.copy()
-    out.flags.writeable = False
-    return out
+    return _readonly(out)
 
 
 def _sealed(a: np.ndarray) -> bool:
-    """Whether nothing can write the memory of ``a``: neither ``a`` nor any
-    array it views is writeable, nor is the buffer that owns the memory."""
+    """Whether nothing can write the memory of ``a``: no array on its chain of
+    bases is writeable, and the chain reaches an array ``_readonly`` marked
+    or a read-only buffer that owns the memory."""
+    marked = False
     while isinstance(a, np.ndarray):
         if a.flags.writeable:
             return False
+        held = _MARKED.get(id(a))
+        marked = marked or (held is not None and held() is a)
         a = a.base
-    if a is None:
-        return True
+    if a is None:  # an array owns the memory: only the package's own is sealed
+        return marked
     try:
         return memoryview(a).readonly
     except TypeError:  # an owner that exposes no buffer may still write
@@ -134,15 +141,32 @@ def _csr_rows(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndar
     return _ranges(indptr[rows], sizes), sizes
 
 
+# The arrays ``_readonly`` marked, by id, each with a weak reference that
+# removes its entry when the array is freed (and tells a reused id apart).
+# It is one record for the process because whether the package made an
+# array is a fact about that array, whichever structure it reaches.
+_MARKED: dict = {}
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     """Mark an array the package just made read-only, in place, with every
-    array whose memory it views (the package made those too), so that
-    ``_freeze`` stores it without a copy."""
+    array whose memory it views (the package made those too), and record
+    them as the package's own, so that ``_freeze`` stores them without a
+    copy."""
     base = a
     while isinstance(base, np.ndarray):
         base.flags.writeable = False
+        key = id(base)
+        held = _MARKED.get(key)
+        if held is None or held() is not base:
+            _MARKED[key] = weakref.ref(base, partial(_unmark, key))
         base = base.base
     return a
+
+
+def _unmark(key: int, ref) -> None:
+    if _MARKED.get(key) is ref:
+        del _MARKED[key]
 
 
 @dataclass(frozen=True)
@@ -174,6 +198,8 @@ class NeighborhoodTopology:
     self included, ordered by (squared distance, index) so that summation
     order is canonical. ``rows`` is made once at construction: the token
     each edge belongs to, i.e. ``indices[e]`` is a neighbor of ``rows[e]``.
+    ``run`` is the number of edges every row holds when all rows hold the
+    same number (a kNN topology), else 0.
     """
 
     kind: str  # "knn" or "kernel_window"
@@ -181,6 +207,7 @@ class NeighborhoodTopology:
     indices: np.ndarray  # (nnz,) int64
     k: int | None = None  # neighborhood size for kind == "knn"
     rows: np.ndarray = field(init=False, repr=False, compare=False)  # (nnz,) int64
+    run: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("knn", "kernel_window"):
@@ -191,8 +218,10 @@ class NeighborhoodTopology:
         indptr, indices = _csr(self.indptr, self.indices, "", n, n)
         object.__setattr__(self, "indptr", indptr)
         object.__setattr__(self, "indices", indices)
-        rows = np.repeat(np.arange(self.n_tokens, dtype=np.int64), self.sizes)
+        sizes = self.sizes
+        rows = np.repeat(np.arange(self.n_tokens, dtype=np.int64), sizes)
         object.__setattr__(self, "rows", _readonly(rows))
+        object.__setattr__(self, "run", int(sizes[0]) if (sizes == sizes[0]).all() else 0)
 
     @property
     def n_tokens(self) -> int:

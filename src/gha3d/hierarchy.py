@@ -254,8 +254,11 @@ def _shared(obj, **changes):
     """A copy of a level or hierarchy with already checked, read-only
     ``changes`` swapped in: nothing is validated or sorted again, and every
     other field stays the same object, a level's ``positional`` memo too.
-    So the changes never touch a level's positions or topology."""
+    So the changes never touch a level's positions or topology. A hierarchy
+    copy starts without a forward pass, which its new values would not fit."""
     out = copy.copy(obj)
+    if isinstance(out, Hierarchy):
+        object.__setattr__(out, "forward_pass", None)
     for name, value in changes.items():
         object.__setattr__(out, name, value)
     return out
@@ -280,12 +283,22 @@ def _pooled_level(level: HierarchyLevel, pool_indptr: np.ndarray, pool_indices: 
 
 @dataclass(frozen=True)
 class Hierarchy:
+    """A stack of levels, finest first.
+
+    ``forward_pass`` is the record the last ``attention.gha_forward`` on
+    this object left for its backward (see ``attention._Pass``), or None.
+    It starts empty, and ``_shared`` copies (``with_values``, ``truncate``)
+    start without one.
+    """
+
     flavor: str  # "point" | "voxel"
     neighborhood_k: int
     coarsen_ratio: int
     levels: tuple[HierarchyLevel, ...]
+    forward_pass: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "forward_pass", None)
         if self.flavor not in ("point", "voxel"):
             raise InvalidInputError(f"unknown flavor {self.flavor!r}")
         for name, lo in (("neighborhood_k", 1), ("coarsen_ratio", 2)):

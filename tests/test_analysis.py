@@ -34,7 +34,7 @@ from gha3d.analysis import (
     _ranked_columns,
     _relative_errors,
 )
-from gha3d.attention import _bounded_spans, _forward_core, gha_forward, make_fourier_embedding
+from gha3d.attention import _bounded_spans, _edge_weights, gha_forward, make_fourier_embedding
 from gha3d.errors import CapacityError, InvalidInputError, InvariantViolation
 from gha3d.hierarchy import build_hierarchy, with_values
 from gha3d.seeding import substream
@@ -378,10 +378,10 @@ def test_effective_weights_independent_of_block_size_and_threads():
     assert len(spans) >= 2
     base = effective_attention(h)
     np.testing.assert_array_equal(effective_attention(h, threads=4), base)
-    forward = _forward_core(h, None, "none", want_cache=True)
+    weights = _edge_weights(h, None, "none")
     cut = spans[1][0]
     for rows in (np.arange(*spans[-1]), np.arange(cut - 5, cut + 5), np.array([799, 3, 3, 0])):
-        np.testing.assert_array_equal(_effective_rows(h, forward, rows), base[rows])
+        np.testing.assert_array_equal(_effective_rows(h, weights, rows), base[rows])
 
 
 def test_row_blocks_keep_the_element_bound(monkeypatch):

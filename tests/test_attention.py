@@ -777,20 +777,18 @@ def test_positional_table_leaves_every_bit_of_a_fresh_structure(flavor, mode):
 
 @pytest.mark.parametrize("mode", ["absolute", "relative"])
 def test_kept_terms_follow_frequencies_changed_in_place(mode):
-    # A read-only array that owns its memory is stored without a copy, so
-    # its owner can make it writeable again and change an embedding's
-    # frequencies; the kept terms then serve it no longer, and every pass
-    # matches a fresh structure's.
+    # An array that owns its memory can always be made writeable again, so a
+    # caller can change an embedding's stored frequencies in place; the kept
+    # terms and the pass then serve it no longer, and every pass matches a
+    # fresh structure's.
     rng = np.random.default_rng(42)
     n, d = 40, 4
     q, k, v, pos = rand_inputs(rng, n, d)
     dz = rng.normal(size=(n, d))
-    base = make_fourier_embedding(d, rng).frequencies.copy()
-    base.flags.writeable = False
-    emb = FourierEmbedding(frequencies=base)
-    assert emb.frequencies is base
+    emb = FourierEmbedding(frequencies=make_fourier_embedding(d, rng).frequencies.copy())
+    base = emb.frequencies
     h = build_hierarchy(pos, q, k, v, flavor="point", k=3, r=2)
-    gha_backward(h, dz, emb, mode)  # keeps the terms of the old frequencies
+    gha_backward(h, dz, emb, mode)  # keeps the terms and the pass of the old frequencies
     base.flags.writeable = True
     base *= 0.5
     fresh = build_hierarchy(pos, q, k, v, flavor="point", k=3, r=2)
@@ -847,6 +845,33 @@ def test_level_spans_keep_every_bit(monkeypatch, flavor, mode):
         assert len(spans) > 1 and spans[0][0] == 0 and spans[-1][1] == lv.n_tokens
         for got, want in zip(outputs(), whole):
             assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("k_nn", [1, 3, 8, 16])
+@pytest.mark.parametrize("mode", ["none", "absolute", "relative"])
+def test_rows_of_one_size_broadcast_with_the_same_bits(k_nn, mode):
+    # On a kNN level every row holds the same number of edges, so a span's
+    # query rows broadcast over their runs instead of being gathered edge by
+    # edge; with every level's ``run`` zeroed the kernels gather, and each
+    # output keeps its bytes.
+    d = 6
+    rng = np.random.default_rng(51)
+    q, k, v, pos = rand_inputs(rng, 150, d)
+    emb = make_fourier_embedding(d, rng) if mode != "none" else None
+    dz = rng.normal(size=(150, d))
+
+    def outputs(h):
+        fwd = gha_forward(h, emb, mode)
+        return [fwd.z, fwd.normalizers, *gha_backward(h, dz, emb, mode),
+                effective_attention_row(h, 11, emb, mode)]
+
+    h = build_hierarchy(pos, q, k, v, flavor="point", k=k_nn, r=2)
+    assert h.depth >= 2 and all(lv.topology.run == min(k_nn, lv.n_tokens) for lv in h.levels)
+    broadcast = outputs(h)
+    gathered = build_hierarchy(pos, q, k, v, flavor="point", k=k_nn, r=2)
+    for lv in gathered.levels:
+        object.__setattr__(lv.topology, "run", 0)
+    assert same_bits(outputs(gathered), broadcast)
 
 
 @pytest.mark.parametrize("case", ["k1", "k4", "k8", "voxel"])
@@ -921,6 +946,173 @@ def test_forward_edge_temporaries_do_not_grow_with_the_level():
     p8, p16 = peak(8), peak(16)
     assert p16 <= 1.2 * p8
     assert max(p8, p16) <= 8 * n * d * 8
+
+
+# ---------------------------------------------------------------------------
+# The pass a forward leaves for its backward
+# ---------------------------------------------------------------------------
+
+def count_softmax(monkeypatch):
+    """A list that grows by one each time a level's softmax runs."""
+    import gha3d.attention as attention_mod
+
+    real, calls = attention_mod._level_softmax, []
+    monkeypatch.setattr(attention_mod, "_level_softmax", lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+def same_bits(got, want):
+    return [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+
+@pytest.mark.parametrize("flavor", ["point", "voxel"])
+@pytest.mark.parametrize("mode", ["none", "absolute", "relative"])
+@pytest.mark.parametrize("with_table", [False, True])
+def test_gradients_are_the_same_with_or_without_a_pass(flavor, mode, with_table):
+    # A backward after a forward reads its pass, one with none runs its own
+    # forward first, and a second backward on the same hierarchy reads the
+    # pass the first left: every bit is the same. Without a table the
+    # forward-first case runs on a twin structure that keeps no term yet.
+    d = 4
+    structure = span_structure(flavor, d)
+    emb = make_fourier_embedding(d, np.random.default_rng(43)) if mode != "none" else None
+    table = positional_table(structure, emb, mode) if with_table else None
+    n = structure.n_tokens
+    q, k, v, dz = (np.random.default_rng(44).normal(size=(n, d)) for _ in range(4))
+    alone = with_values(structure, q=q, k=k, v=v)
+    assert alone.forward_pass is None
+    first = gha_backward(alone, dz, emb, mode, table)
+    again = gha_backward(alone, dz, emb, mode, table)
+    after = with_values(structure if with_table else span_structure(flavor, d), q=q, k=k, v=v)
+    z = gha_forward(after, emb, mode, table).z
+    got = gha_backward(after, dz, emb, mode, table)
+    assert same_bits(again, first) and same_bits(got, first)
+    assert gha_forward(alone, emb, mode, table).z.tobytes() == z.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["absolute", "relative"])
+def test_a_pass_serves_only_its_own_values_mode_and_frequencies(monkeypatch, mode):
+    # with_values and truncate copies start without a pass; another mode,
+    # other frequencies or frequencies changed in place run a forward of
+    # their own, bitwise a fresh structure's. Equal frequencies are served.
+    rng = np.random.default_rng(45)
+    n, d = 60, 4
+    q, k, v, pos = rand_inputs(rng, n, d)
+    dz, v2 = rng.normal(size=(n, d)), rng.normal(size=(n, d))
+    emb, other = make_fourier_embedding(d, rng), make_fourier_embedding(d, rng)
+
+    def fresh():
+        return build_hierarchy(pos, q, k, v, flavor="point", k=3, r=2)
+
+    h = fresh()
+    levels = len(h.levels)
+    gha_forward(h, emb, mode)
+    held = h.forward_pass
+    calls = count_softmax(monkeypatch)
+    copied = FourierEmbedding(frequencies=emb.frequencies.copy())
+    assert same_bits(gha_backward(h, dz, copied, mode), gha_backward(fresh(), dz, emb, mode))
+    assert len(calls) == levels  # the fresh structure's forward only
+    hv, ht = with_values(h, v=v2), truncate(h, 1)
+    assert hv.forward_pass is None and ht.forward_pass is None and h.forward_pass is held
+    assert same_bits(gha_backward(hv, dz, emb, mode),
+                     gha_backward(with_values(fresh(), v=v2), dz, emb, mode))
+    assert same_bits(gha_backward(ht, dz, emb, mode), gha_backward(truncate(fresh(), 1), dz, emb, mode))
+    assert h.forward_pass is held
+    another = "absolute" if mode == "relative" else "relative"
+    for e, m in ((emb, "none"), (emb, another), (other, mode), (emb, mode)):
+        del calls[:]
+        assert same_bits(gha_backward(h, dz, e, m), gha_backward(fresh(), dz, e, m))
+        assert len(calls) == 2 * levels  # h's own forward, then the fresh structure's
+    changing = FourierEmbedding(frequencies=emb.frequencies.copy())
+    gha_forward(h, changing, mode)
+    base = changing.frequencies
+    base.flags.writeable = True  # the owner of its memory may
+    base *= 0.5
+    changed = FourierEmbedding(frequencies=base.copy())
+    assert same_bits(gha_backward(h, dz, changing, mode), gha_backward(fresh(), dz, changed, mode))
+
+
+def test_editing_the_returned_z_leaves_the_gradients():
+    # The pass holds a private read-only copy of z.
+    rng = np.random.default_rng(46)
+    q, k, v, pos = rand_inputs(rng, 50, 4)
+    dz = rng.normal(size=(50, 4))
+    emb = make_fourier_embedding(4, rng)
+    h, twin = (build_hierarchy(pos, q, k, v, flavor="point", k=3, r=2) for _ in range(2))
+    z = gha_forward(h, emb, "relative").z
+    assert not h.forward_pass.z.flags.writeable and not np.shares_memory(z, h.forward_pass.z)
+    z *= -3.0
+    assert same_bits(gha_backward(h, dz, emb, "relative"), gha_backward(twin, dz, emb, "relative"))
+
+
+def test_backward_after_a_forward_runs_no_level_softmax(monkeypatch):
+    rng = np.random.default_rng(47)
+    n, d = 60, 4
+    q, k, v, pos = rand_inputs(rng, n, d)
+    dz = rng.normal(size=(n, d))
+    emb = make_fourier_embedding(d, rng)
+    h = build_hierarchy(pos, q, k, v, flavor="point", k=3, r=2)
+    calls = count_softmax(monkeypatch)
+    gha_forward(h, emb, "relative")
+    assert len(calls) == len(h.levels)
+    del calls[:]
+    gha_backward(h, dz, emb, "relative")
+    gha_backward(h, dz, emb, "relative")
+    effective_attention_row(h, 3, emb, "relative")
+    effective_attention(h, emb, "relative")
+    assert calls == []
+    gha_backward(with_values(h, v=v + 1.0), dz, emb, "relative")  # no pass: its own forward
+    assert len(calls) == len(h.levels)
+
+
+@pytest.mark.parametrize("mode", ["none", "absolute", "relative"])
+def test_effective_rows_with_a_pass_stay_the_single_rows(mode):
+    rng = np.random.default_rng(48)
+    n, d = 70, 4
+    q, k, v, pos = rand_inputs(rng, n, d)
+    emb = make_fourier_embedding(d, rng) if mode != "none" else None
+    h, twin = (build_hierarchy(pos, q, k, v, flavor="point", k=4, r=2) for _ in range(2))
+    gha_forward(h, emb, mode)
+    weights = effective_attention(h, emb, mode)
+    for i in (0, 9, n - 1):
+        row = effective_attention_row(twin, i, emb, mode)  # the first call leaves the pass
+        assert weights[i].tobytes() == row.tobytes()
+        assert effective_attention_row(h, i, emb, mode).tobytes() == row.tobytes()
+
+
+# The tracemalloc peak of one gha_backward after a gha_forward on the
+# structure below, when the backward ran the forward again and held every
+# level's per-edge weights: 16918869 bytes (16.1 MiB); a backward with no
+# forward before it peaked at 19024728 bytes (18.1 MiB).
+BACKWARD_PEAK_BEFORE = 16918869
+BACKWARD_ALONE_PEAK_BEFORE = 19024728
+
+
+def test_backward_peak_is_below_the_recorded_figure():
+    # 2^14 uniform tokens, d = 8, k = 8, relative mode, terms kept by a
+    # table. The backward holds one level's edge weights and ds at a time,
+    # writes each level's [dq | dk | dv] in place and frees every level's
+    # rows once the pull-back has summed them: about 9.3 MiB, and 12.8 MiB
+    # with its own forward.
+    rng = np.random.default_rng(34)
+    n, d = 16384, 8
+    q, k, v, dz = (rng.normal(size=(n, d)) for _ in range(4))
+    pos = rng.uniform(size=(n, 3))
+    emb = make_fourier_embedding(d, rng)
+    h = build_hierarchy(pos, q, k, v, flavor="point", k=8, r=2)
+    positional_table(h, emb, "relative")
+
+    def peak(structure):
+        tracemalloc.start()
+        try:
+            gha_backward(structure, dz, emb, "relative")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    gha_forward(h, emb, "relative")
+    assert peak(h) < BACKWARD_PEAK_BEFORE
+    assert peak(with_values(h, v=v)) < BACKWARD_ALONE_PEAK_BEFORE
 
 
 # Bits of gha_backward in relative mode on 20 tokens at 5 positions (depth 3),

@@ -49,9 +49,10 @@ def test_build_cell_refuses_a_tree_without_a_stage(bench, monkeypatch, stage):
 def test_kernels_cell_reports_the_structure_it_timed(bench):
     fig = bench.kernels("uniform", 600)
     assert list(fig) == ["table_s", "with_values_s", "forward_s", "forward_peak_mb",
-                         "backward_s", "backward_peak_mb", "tokens", "edges"]
+                         "backward_s", "backward_peak_mb", "backward_alone_s", "tokens", "edges"]
     assert all(fig[key] > 0 for key in ("table_s", "with_values_s", "forward_s",
-                                        "forward_peak_mb", "backward_s", "backward_peak_mb"))
+                                        "forward_peak_mb", "backward_s", "backward_peak_mb",
+                                        "backward_alone_s"))
     rng = np.random.default_rng(19)
     pos = rng.uniform(0.0, 1.0, size=(600, 3))
     q, k, v = (rng.normal(size=(600, 8)) for _ in range(3))

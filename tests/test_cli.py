@@ -200,22 +200,25 @@ def test_compare_broken_rows_exit_1(cloud_file, monkeypatch, capsys):
 
 
 def test_compare_reads_weights_once(cloud_file, monkeypatch, capsys):
+    import gha3d.attention as attention
+
     forwards, blocks = [], []
-    forward_core, rows = analysis._forward_core, analysis._effective_rows
+    forward, rows = attention._forward, analysis._effective_rows
 
     def counting_forward(*args, **kwargs):
-        forwards.append(kwargs.get("want_cache"))
-        return forward_core(*args, **kwargs)
+        forwards.append(kwargs.get("keep"))
+        return forward(*args, **kwargs)
 
     def counting_rows(h, forward, queries):
         blocks.append(queries.tolist())
         return rows(h, forward, queries)
 
-    monkeypatch.setattr(analysis, "_forward_core", counting_forward)
+    monkeypatch.setattr(attention, "_forward", counting_forward)
     monkeypatch.setattr(analysis, "_effective_rows", counting_rows)
     assert main(["compare", "--input", cloud_file, "--k", "4"]) == 0
     capsys.readouterr()
-    # One cached forward serves z and the weights: then one 48-row block.
+    # One forward, which keeps its terms, leaves the pass that serves z and
+    # the weights: then one 48-row block.
     assert forwards == [True]
     assert blocks == [list(range(48))]
 

@@ -780,6 +780,74 @@ def test_read_only_views_of_writeable_memory_are_copied():
     assert _freeze(sealed) is sealed
 
 
+def test_a_callers_read_only_owner_is_copied():
+    """A caller's array marked read-only is still writeable through a view
+    made before it was marked (or once its owner's flag is set back), so it
+    is copied: writes through such views never reach a structure, its
+    values or an embedding. Only arrays the package marked are stored as is."""
+    rng = np.random.default_rng(49)
+    owners = [rng.uniform(size=(40, 3)), *rand_qkv(rng, 40, 3), rng.normal(size=(40, 2)),
+              rng.normal(size=(2, 3))]
+    views = [a[:] for a in owners]
+    for a in owners:
+        a.flags.writeable = False
+    pos, q, k_mat, v, v2, freqs = owners
+    h = build_hierarchy(pos, q, k_mat, v, k=4, r=2)
+    hw = with_values(h, v=v2)
+    emb = FourierEmbedding(frequencies=freqs)
+    stored = [h.levels[0].positions, h.levels[0].q_tilde, h.levels[0].k_tilde,
+              h.levels[0].v_tilde, hw.levels[0].v_tilde, emb.frequencies]
+    assert not any(np.shares_memory(a, b) for a, b in zip(stored, owners))
+    before = [dump_hierarchy(h), *(a.copy() for a in stored),
+              *(lv.v_tilde.copy() for lv in hw.levels)]
+    for view in views:
+        view[...] = 0.5
+    owners[0].flags.writeable = True
+    owners[0][...] = 0.25
+    after = [dump_hierarchy(h), *stored, *(lv.v_tilde for lv in hw.levels)]
+    assert before[0] == after[0]
+    assert all(np.array_equal(a, b) for a, b in zip(before[1:], after[1:], strict=True))
+
+
+def test_the_build_and_with_values_copy_only_caller_arrays(monkeypatch):
+    """The package's own arrays pay no copy: a point build copies the
+    caller's positions, q, k and v, a voxel build also the coords, and
+    with_values each array it is given, as before the package marked its
+    arrays itself."""
+    import gha3d.geometry as geometry_mod
+    import gha3d.hierarchy as hierarchy_mod
+
+    real, copies = geometry_mod._freeze, []
+
+    def counting(a, dtype=None):
+        out = real(a, dtype)
+        if not (isinstance(a, np.ndarray) and np.shares_memory(out, a)):
+            copies.append(1)
+        return out
+
+    monkeypatch.setattr(geometry_mod, "_freeze", counting)
+    monkeypatch.setattr(hierarchy_mod, "_freeze", counting)
+    rng = np.random.default_rng(50)
+    pos, (q, k_mat, v) = rng.uniform(size=(300, 3)), rand_qkv(rng, 300, 4)
+    coords = np.unique(rng.integers(0, 9, size=(300, 3)), axis=0)
+    m = coords.shape[0]
+
+    def copied(call):
+        del copies[:]
+        out = call()
+        return out, len(copies)
+
+    h, point = copied(lambda: build_hierarchy(pos, q, k_mat, v, k=4, r=2))
+    hv, voxel = copied(lambda: build_hierarchy(coords + 0.5, *rand_qkv(rng, m, 4), flavor="voxel",
+                                               coords=coords))
+    assert h.depth >= 3 and hv.depth >= 2
+    assert (point, voxel) == (4, 5)
+    assert copied(lambda: with_values(h, q=q, k=k_mat, v=v))[1] == 3
+    assert copied(lambda: with_values(hv, v=rng.normal(size=(m, 2))))[1] == 1
+    made = with_values(h, v=v)
+    assert copied(lambda: with_values(h, v=made.levels[0].v_tilde))[1] == 0
+
+
 def test_with_values_matches_fresh_build():
     rng = np.random.default_rng(14)
     pos = rng.normal(size=(60, 3))

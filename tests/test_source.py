@@ -1,10 +1,10 @@
 """Source hygiene of the package modules, checked with the stdlib ``ast``:
 no unused imports, no unreferenced module-level private definitions, one
 finiteness check for caller arrays, one range check for caller integers,
-two sparse products for every sum over a sparse map and one arithmetic for
-every squared distance in the geometry; no kernel gather by an index map
-through fancy indexing; and every package name the benchmark's workloads
-call still resolves."""
+two sparse products for every sum over a sparse map, one arithmetic for
+every squared distance in the geometry and one helper for every level
+score; no kernel gather by an index map through fancy indexing; and every
+package name the benchmark's workloads call still resolves."""
 
 import ast
 import importlib
@@ -163,6 +163,33 @@ def test_only_the_transposed_product_scatters():
     assert importers == {"hierarchy.py"}
     assert readers == {"hierarchy.py:_product", "hierarchy.py:_transposed_product"}
     assert scatters == []
+
+
+def test_scores_are_formed_in_one_span_helper():
+    """A level's score with its relative term, and the exponential of a
+    score, are formed in ``attention._span_weights`` alone: the forward, the
+    backward and effective weights all call it, so t made again from a
+    pass's row maxima is bitwise the forward's. The dense reference
+    (``_dense_softmax_chunks``) forms its rows-by-keys scores itself. No
+    other function calls ``_interleaved_dot`` or takes ``np.exp`` of an
+    expression that reads a score ``s``."""
+    dots, exps = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(_tree(path)):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Call):
+                    continue
+                callee = ast.unparse(node.func)
+                if callee == "_interleaved_dot":
+                    dots.add(f"{path.name}:{fn.name}")
+                if callee in ("np.exp", "numpy.exp") and node.args and any(
+                        isinstance(n, ast.Name) and n.id == "s" for n in ast.walk(node.args[0])):
+                    exps.add(f"{path.name}:{fn.name}")
+    expected = {"attention.py:_span_weights", "attention.py:_dense_softmax_chunks"}
+    assert dots == expected
+    assert exps == expected
 
 
 def test_geometry_squares_distances_one_way():
