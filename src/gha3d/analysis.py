@@ -96,9 +96,9 @@ def effective_attention(hierarchy: Hierarchy, embedding=None, embedding_mode: st
 
     Row i lists the convex weights behind z_i: nonnegative, summing to 1,
     and bitwise ``effective_attention_row(hierarchy, i)``. One forward pass
-    serves every row: the one ``gha_forward`` left on this hierarchy for the
-    same mode and frequencies, else one run here, which it leaves in turn;
-    ``threads`` never changes a bit.
+    serves every row; it keeps every level's edge weights and leaves its
+    pass on ``hierarchy`` for a later ``gha_backward``. ``threads`` never
+    changes a bit.
     """
     threads = _integer(threads, "threads", 1)
     _check_matrix_cap(hierarchy.levels[0].n_tokens)
@@ -111,7 +111,7 @@ def effective_attention_row(hierarchy: Hierarchy, i: int, embedding=None,
 
     Row i of ``effective_attention``, read as the value gradient of the
     exact adjoint for a one-hot output cotangent at query i: one forward
-    (or the pass a forward left, as in ``effective_attention``) and one
+    (which leaves its pass, as in ``effective_attention``) and one
     single-column backward pass, O(N k) for any N and any embedding mode.
     The row is bitwise permutation-equivariant.
     """

@@ -16,10 +16,12 @@ unshifted sums. ``gha_backward`` is the exact adjoint of the forward map
 
 A forward leaves its pass on the hierarchy object (``_Pass``): each
 level's row maxima, the level-0 denominators and maxima, the value scaling
-and a private copy of z, no per-edge array. The backward and effective
-weights read it and make each level's edge weights again, from the same
-span helper (``_span_weights``) and the same maxima, so they are bitwise
-the forward's; without a pass they run the forward first and leave it.
+and a private copy of z, no per-edge array. The backward reads it and
+makes each level's edge weights again, from the same span helper
+(``_span_weights``) and the same maxima, so they are bitwise the
+forward's; without a pass it runs the forward first and leaves it.
+Effective weights run a forward of their own, which keeps every level's
+edge weights, and leave its pass in turn.
 """
 
 import math
@@ -341,20 +343,6 @@ def _scored(q, k, term, mode):
     return q, k, term if mode == "relative" else None
 
 
-def _span_rows(topology, r0, r1):
-    """How the edges of rows r0:r1 meet their queries' rows: (shape, of_rows),
-    with ``shape`` the layout the span's per-edge arrays are read in and
-    ``of_rows(a)`` each edge's query row of a row-indexed array. Where every
-    row holds ``run`` edges, a query's row broadcasts over its run and
-    nothing is gathered; else the rows are gathered edge by edge. Every
-    product and sum sees the same operands either way, so the same bits."""
-    run = topology.run
-    if run:
-        return (r1 - r0, run, -1), lambda a: a[r0:r1, None]
-    rows = topology.rows[topology.indptr[r0]:topology.indptr[r1]]
-    return (rows.shape[0], -1), lambda a: a.take(rows, axis=0)
-
-
 def _span_weights(q, k_rows, rel, topology, r0, r1, scale, mu, fresh=False, out=None):
     """The softmax weights t = exp(s - mu[row]) of the edges of rows r0:r1,
     whose keys' rows ``k_rows`` the caller gathered, written into ``out``
@@ -364,17 +352,17 @@ def _span_weights(q, k_rows, rel, topology, r0, r1, scale, mu, fresh=False, out=
     later passes read them, so their t is bitwise the forward's."""
     indptr = topology.indptr
     e0, e1 = indptr[r0], indptr[r1]
-    shape, of_rows = _span_rows(topology, r0, r1)
-    q_rows = of_rows(q)
-    s = np.einsum("...d,...d->...", q_rows, k_rows.reshape(shape))
+    rows = topology.rows[e0:e1]
+    q_rows = q.take(rows, axis=0)
+    s = np.einsum("ed,ed->e", q_rows, k_rows)
     if rel is not None:
-        s += _interleaved_dot(q_rows, rel[0][e0:e1].reshape(shape), rel[1][e0:e1].reshape(shape))
+        s += _interleaved_dot(q_rows, rel[0][e0:e1], rel[1][e0:e1])
     del q_rows  # else it is alive next to the caller's edge rows
     s /= scale
     if fresh:
-        np.maximum.reduceat(s.reshape(-1), indptr[r0:r1] - e0, out=mu[r0:r1])
-    s -= of_rows(mu)
-    return np.exp(s, out=s if out is None else out.reshape(s.shape)).reshape(-1)
+        np.maximum.reduceat(s, indptr[r0:r1] - e0, out=mu[r0:r1])
+    s -= mu.take(rows)
+    return np.exp(s, out=s if out is None else out)
 
 
 def _level_softmax(q, k, v, topology, neighbors, term, mode, scale, t_out=None):
@@ -546,19 +534,24 @@ def _forward(hierarchy: Hierarchy, embedding, mode: str, table, keep: bool, weig
     return result, _Pass(mode, frequencies, tuple(mus), carry_d, carry_m, exponents, result.z)
 
 
-def _held_pass(hierarchy: Hierarchy, embedding, mode: str, table, weights=None) -> _Pass:
-    """The pass the structure holds for (embedding, mode); without one, a
-    forward that keeps its positional terms (and fills ``weights``, as in
-    ``_forward``) leaves it first."""
+def _leave_pass(hierarchy: Hierarchy, embedding, mode: str, table, weights=None) -> _Pass:
+    """Run a forward that keeps its positional terms (and fills ``weights``,
+    as in ``_forward``) and leave its pass on the structure."""
+    _, held = _forward(hierarchy, embedding, mode, table, keep=True, weights=weights)
+    _readonly(held.z)  # no caller edits this z
+    object.__setattr__(hierarchy, "forward_pass", held)
+    return held
+
+
+def _held_pass(hierarchy: Hierarchy, embedding, mode: str, table) -> _Pass:
+    """The pass the structure holds for (embedding, mode), else the one a
+    new forward leaves."""
     _check_call(hierarchy, embedding, mode, table)
     held = hierarchy.forward_pass
     if held is not None and held.mode == mode and (
             mode == "none" or _same_frequencies(held.frequencies, embedding)):
         return held
-    _, held = _forward(hierarchy, embedding, mode, table, keep=True, weights=weights)
-    _readonly(held.z)  # no caller sees this z
-    object.__setattr__(hierarchy, "forward_pass", held)
-    return held
+    return _leave_pass(hierarchy, embedding, mode, table)
 
 
 def gha_forward(hierarchy: Hierarchy, embedding: FourierEmbedding | None = None,
@@ -646,26 +639,13 @@ def _value_cotangent(level, t: np.ndarray, fold: np.ndarray) -> np.ndarray:
 
 
 def _edge_weights(hierarchy: Hierarchy, embedding, mode: str):
-    """The structure's pass for (embedding, mode) and every level's edge
-    weights t, what effective weights read: kept by the forward when this
-    call runs it, else made again in row spans from the pass's row maxima
-    (the weights of every level are alive together here anyway)."""
+    """A forward's pass and every level's edge weights t, what effective
+    weights read. The forward keeps each t as it makes it, since every
+    level's are alive together here anyway, and leaves its pass for a later
+    backward."""
+    _check_call(hierarchy, embedding, mode, None)
     weights = []
-    held = _held_pass(hierarchy, embedding, mode, None, weights)
-    if weights:
-        return held, weights
-    scale = math.sqrt(hierarchy.levels[0].q_tilde.shape[1])
-    for h, (lv, mu) in enumerate(zip(hierarchy.levels, held.mu)):
-        q, k, rel = _scored(lv.q_tilde, lv.k_tilde,
-                            _term(hierarchy, h, embedding, mode, None, keep=True), mode)
-        cols, indptr = lv.topology.indices, lv.topology.indptr
-        t = np.empty(lv.topology.total_edges)
-        for r0, r1 in _row_spans(indptr, q.shape[1]):
-            e0, e1 = indptr[r0], indptr[r1]
-            _span_weights(q, k.take(cols[e0:e1], axis=0), rel, lv.topology, r0, r1, scale, mu,
-                          out=t[e0:e1])
-        weights.append(t)
-    return held, weights
+    return _leave_pass(hierarchy, embedding, mode, None, weights), weights
 
 
 def gha_backward(hierarchy: Hierarchy, dz: np.ndarray,
@@ -682,9 +662,10 @@ def gha_backward(hierarchy: Hierarchy, dz: np.ndarray,
     relative (cos, sin) in relative mode) and dk the query side (q, plus
     gamma in absolute mode).
 
-    The call reads the pass the last ``gha_forward`` on this hierarchy left
-    when its mode and frequencies match, and runs no forward. Without one it
-    runs the forward itself first and leaves its pass (and keeps the
+    The call reads the pass the last forward on this hierarchy left (a
+    ``gha_forward``, or one an earlier backward or effective-weight call
+    ran) when its mode and frequencies match, and runs no forward. Without
+    one it runs the forward itself first and leaves its pass (and keeps the
     positional terms it makes): a backward alone costs about one forward
     more than a backward after a forward. Each level's edge weights are made
     again from the pass's row maxima inside the backward's own row spans,
@@ -732,13 +713,11 @@ def gha_backward(hierarchy: Hierarchy, dz: np.ndarray,
             k_eff = k.take(cols[e0:e1], axis=0)  # the score's k rows, then dq's key side
             _span_weights(q, k_eff, rel, topology, r0, r1, scale, mu, out=t[e0:e1])
             # Each edge's query's folded output and normalizer cotangents.
-            shape, of_rows = _span_rows(topology, r0, r1)
-            ab = of_rows(fold)
-            v_rows = v.take(cols[e0:e1], axis=0).reshape(shape)
-            s = np.einsum("...d,...d->...", ab[..., :d_v], v_rows)
-            s -= ab[..., d_v]
-            del ab, v_rows  # else alive next to the dq temporaries
-            np.multiply(t[e0:e1], s.reshape(-1), out=ds[e0:e1])
+            ab = fold.take(topology.rows[e0:e1], axis=0)
+            s = np.einsum("ed,ed->e", ab[:, :d_v], v.take(cols[e0:e1], axis=0))
+            s -= ab[:, d_v]
+            del ab  # else it is alive next to the dq temporaries
+            np.multiply(t[e0:e1], s, out=ds[e0:e1])
             ds[e0:e1] /= scale
             if rel is not None:
                 k_eff[:, 0::2] += rel[0][e0:e1]

@@ -11,7 +11,6 @@ import math
 import operator
 import weakref
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -63,8 +62,7 @@ def _sealed(a: np.ndarray) -> bool:
     while isinstance(a, np.ndarray):
         if a.flags.writeable:
             return False
-        held = _MARKED.get(id(a))
-        marked = marked or (held is not None and held() is a)
+        marked = marked or _MARKED.get(id(a)) is a
         a = a.base
     if a is None:  # an array owns the memory: only the package's own is sealed
         return marked
@@ -141,11 +139,10 @@ def _csr_rows(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndar
     return _ranges(indptr[rows], sizes), sizes
 
 
-# The arrays ``_readonly`` marked, by id, each with a weak reference that
-# removes its entry when the array is freed (and tells a reused id apart).
-# It is one record for the process because whether the package made an
-# array is a fact about that array, whichever structure it reaches.
-_MARKED: dict = {}
+# The arrays ``_readonly`` marked, by id; an entry goes when its array is
+# freed. It is one record for the process because whether the package made
+# an array is a fact about that array, whichever structure it reaches.
+_MARKED = weakref.WeakValueDictionary()
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -156,17 +153,9 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     base = a
     while isinstance(base, np.ndarray):
         base.flags.writeable = False
-        key = id(base)
-        held = _MARKED.get(key)
-        if held is None or held() is not base:
-            _MARKED[key] = weakref.ref(base, partial(_unmark, key))
+        _MARKED[id(base)] = base
         base = base.base
     return a
-
-
-def _unmark(key: int, ref) -> None:
-    if _MARKED.get(key) is ref:
-        del _MARKED[key]
 
 
 @dataclass(frozen=True)
@@ -198,8 +187,6 @@ class NeighborhoodTopology:
     self included, ordered by (squared distance, index) so that summation
     order is canonical. ``rows`` is made once at construction: the token
     each edge belongs to, i.e. ``indices[e]`` is a neighbor of ``rows[e]``.
-    ``run`` is the number of edges every row holds when all rows hold the
-    same number (a kNN topology), else 0.
     """
 
     kind: str  # "knn" or "kernel_window"
@@ -207,7 +194,6 @@ class NeighborhoodTopology:
     indices: np.ndarray  # (nnz,) int64
     k: int | None = None  # neighborhood size for kind == "knn"
     rows: np.ndarray = field(init=False, repr=False, compare=False)  # (nnz,) int64
-    run: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("knn", "kernel_window"):
@@ -218,10 +204,8 @@ class NeighborhoodTopology:
         indptr, indices = _csr(self.indptr, self.indices, "", n, n)
         object.__setattr__(self, "indptr", indptr)
         object.__setattr__(self, "indices", indices)
-        sizes = self.sizes
-        rows = np.repeat(np.arange(self.n_tokens, dtype=np.int64), sizes)
+        rows = np.repeat(np.arange(self.n_tokens, dtype=np.int64), self.sizes)
         object.__setattr__(self, "rows", _readonly(rows))
-        object.__setattr__(self, "run", int(sizes[0]) if (sizes == sizes[0]).all() else 0)
 
     @property
     def n_tokens(self) -> int:

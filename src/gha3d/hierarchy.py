@@ -285,8 +285,8 @@ def _pooled_level(level: HierarchyLevel, pool_indptr: np.ndarray, pool_indices: 
 class Hierarchy:
     """A stack of levels, finest first.
 
-    ``forward_pass`` is the record the last ``attention.gha_forward`` on
-    this object left for its backward (see ``attention._Pass``), or None.
+    ``forward_pass`` is the record the last forward on this object left for
+    its backward (see ``attention._Pass``), or None.
     It starts empty, and ``_shared`` copies (``with_values``, ``truncate``)
     start without one.
     """
@@ -488,7 +488,7 @@ def with_values(
     """
     n, d = hierarchy.levels[0].q_tilde.shape
     new_rows = {}
-    # Each is stored as a read-only copy unless already read-only.
+    # Each is stored as a read-only copy unless the package made it (see _freeze).
     if q is not None:  # a new q keeps the stored width, or sets the one a new k shares
         q = _checked(q, "q", (n, d if k is None else None))
         d = _qk_width(q)

@@ -721,7 +721,8 @@ def test_topology_rows_name_each_edges_token():
     rng = np.random.default_rng(6)
     coords = np.unique(rng.integers(0, 4, size=(30, 3)), axis=0)
     for topo in (kernel_window_topology(coords), knn(PointCloud(rng.normal(size=(40, 3))), 5),
-                 NeighborhoodTopology(kind="knn", indptr=[0, 2, 3, 4], indices=[0, 2, 2, 1])):
+                 NeighborhoodTopology(kind="knn", indptr=[0, 2, 3, 4], indices=[0, 2, 2, 1]),
+                 NeighborhoodTopology(kind="knn", indptr=[0], indices=np.zeros(0, np.int64))):
         want = [i for i in range(topo.n_tokens) for _ in topo.neighbors(i)]
         np.testing.assert_array_equal(topo.rows, want)
         assert topo.rows.dtype == np.int64 and not topo.rows.flags.writeable

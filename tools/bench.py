@@ -13,14 +13,14 @@ SRC CASE``), trees interleaved; the JSON keeps each figure's median. A case
   gives the parent maps), ``pool_s`` in the rest of ``build_hierarchy``.
 - ``kernels`` (seed 19; relative mode, d=8, one shared positional table,
   after one untimed forward): the wall time of the case's structure's first
-  ``positional_table`` (``table_s``, the terms it then keeps); the fastest
-  of three calls of ``with_values(h, q, k, v)`` (``with_values_s``) and of
-  ``gha_forward`` or ``gha_backward`` (``*_s``; the backward reads the pass
-  a forward left); and the tracemalloc peak of one more call
-  (``*_peak_mb``), on uniform clouds and on the ``voxel_infer`` scene (100k
-  points at 1 cm). ``backward_alone_s`` is the fastest of three
-  ``gha_backward`` calls, each on a fresh ``with_values`` copy (made
-  untimed), which holds no pass, so it runs its own forward.
+  ``positional_table`` (``table_s``, the terms it then keeps), of one
+  ``with_values(h, q, k, v)`` re-pooling (``with_values_s``) and of one
+  ``gha_forward`` or ``gha_backward`` (``*_s``), and the tracemalloc peak
+  of one more call (``*_peak_mb``), on uniform clouds and on the
+  ``voxel_infer`` scene (100k points at 1 cm). The backward reads the pass
+  the forward before it left; ``backward_alone_s`` is the wall time of one
+  ``gha_backward`` on a fresh ``with_values`` copy (made untimed), which
+  holds no pass, so it runs its own forward.
 
 The record's ``command`` holds no machine path: a tree inside the working
 directory is written relative to it, any other as ``<label checkout>/`` and
@@ -44,7 +44,6 @@ sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
 from harness import THREAD_VARS
 
 REPEATS = 3
-CALLS = 3  # calls behind each kernel time of one run; the fastest counts
 D, K, R = 8, 8, 2
 
 
@@ -73,18 +72,6 @@ def _timed(spent: dict, key: str, module, name: str):
     return mock.patch.object(module, name, wrapper)
 
 
-def _fastest(call, make=lambda: None) -> float:
-    """The wall time of the fastest of ``CALLS`` calls ``call(make())``,
-    each ``make()`` untimed."""
-    times = []
-    for _ in range(CALLS):
-        arg = make()
-        t = time.perf_counter()
-        call(arg)
-        times.append(time.perf_counter() - t)
-    return min(times)
-
-
 def build(cloud: str, n: int) -> dict:
     from gha3d import hierarchy
     rng = np.random.default_rng(17)
@@ -111,23 +98,28 @@ def kernels(cloud: str, n: int) -> dict:
     emb = attention.make_fourier_embedding(D, rng)
     t = time.perf_counter()
     table = attention.positional_table(h, emb, "relative")
-    out = {"table_s": time.perf_counter() - t,
-           "with_values_s": _fastest(lambda _: hierarchy.with_values(h, q, k, v))}
-    calls = {"forward": lambda _: attention.gha_forward(h, emb, "relative", table=table),
-             "backward": lambda _: attention.gha_backward(h, dz, emb, "relative", table=table)}
-    calls["forward"](None)
-    # The fastest of a few calls, then the peak of one more.
+    out = {"table_s": time.perf_counter() - t}
+    t = time.perf_counter()
+    hierarchy.with_values(h, q, k, v)
+    out["with_values_s"] = time.perf_counter() - t
+    calls = {"forward": lambda: attention.gha_forward(h, emb, "relative", table=table),
+             "backward": lambda: attention.gha_backward(h, dz, emb, "relative", table=table)}
+    calls["forward"]()
+    # Wall time of one call, then the peak of one more.
     for name, call in calls.items():
-        out[name + "_s"] = _fastest(call)
+        t = time.perf_counter()
+        call()
+        out[name + "_s"] = time.perf_counter() - t
         tracemalloc.start()
         try:
-            call(None)
+            call()
             out[name + "_peak_mb"] = tracemalloc.get_traced_memory()[1] / 2**20
         finally:
             tracemalloc.stop()
-    out["backward_alone_s"] = _fastest(
-        lambda fresh: attention.gha_backward(fresh, dz, emb, "relative", table=table),
-        lambda: hierarchy.with_values(h, q, k, v))
+    fresh = hierarchy.with_values(h, q, k, v)
+    t = time.perf_counter()
+    attention.gha_backward(fresh, dz, emb, "relative", table=table)
+    out["backward_alone_s"] = time.perf_counter() - t
     return {**out, "tokens": tokens, "edges": sum(lv.topology.total_edges for lv in h.levels)}
 
 
@@ -138,8 +130,7 @@ SUITES = {
               "build_hierarchy(positions, q, k, v, k=8, r=2), d=8, one BLAS thread"),
     "kernels": (kernels, [f"uniform/{n}" for n in SIZES] + ["voxel_scene/100000"],
                 "positional_table, with_values, gha_forward and gha_backward (after a forward,"
-                " and alone on a with_values copy), relative mode, d=8, shared positional table;"
-                f" each time but table_s the fastest of {CALLS} calls in its run"),
+                " and alone on a with_values copy), relative mode, d=8, shared positional table"),
 }
 
 
