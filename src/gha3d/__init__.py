@@ -34,7 +34,6 @@ from .attention import (
     AttentionResult,
     FourierEmbedding,
     Gradients,
-    PositionalTable,
     dense_attention,
     embed_points,
     fourier_embed,
@@ -125,7 +124,6 @@ __all__ = [
     "LayerParams",
     "NeighborhoodTopology",
     "PointCloud",
-    "PositionalTable",
     "ScalingReport",
     "ScalingRow",
     "SparseVoxelGrid",

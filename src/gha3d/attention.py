@@ -5,9 +5,15 @@ restricts it to a neighborhood topology, and ``gha_forward`` runs the
 hierarchical approximation: every level contributes local attention over
 its own topology, and unnormalized results flow down the hierarchy by
 parent copy, with a single normalization at the finest level.
-A structure's positional terms depend only on its positions, so each
-level keeps them once made (``_kept_term``) and repeated passes over one
-structure share them; ``positional_table`` returns them.
+
+A positional term is per token: gamma(p) in absolute mode, and in relative
+mode K', the interleaved (cos a, sin a) of a = 2 pi B (p - c), c the
+level's bounding-box centre. By the rotary identity q . gamma(p_q - p_k) =
+Q' . K', with Q' the query's rotated row (``_rotated``), a relative score
+is q . k + Q' . K' and no per-edge term exists. A structure's terms depend
+only on its positions, so each level keeps them once made (``_kept_term``)
+and repeated passes over one structure share them; ``positional_table``
+fills them.
 
 All kernels accumulate exponentials under a per-query running maximum so
 results cannot overflow, while staying mathematically identical to the
@@ -15,13 +21,13 @@ unshifted sums. ``gha_backward`` is the exact adjoint of the forward map
 (including the coarsening averages) with respect to level-0 q/k/v.
 
 A forward leaves its pass on the hierarchy object (``_Pass``): each
-level's row maxima, the level-0 denominators and maxima, the value scaling
-and a private copy of z, no per-edge array. The backward reads it and
-makes each level's edge weights again, from the same span helper
-(``_span_weights``) and the same maxima, so they are bitwise the
-forward's; without a pass it runs the forward first and leaves it.
-Effective weights run a forward of their own, which keeps every level's
-edge weights, and leave its pass in turn.
+level's row maxima and, in relative mode, each level's Q', the level-0
+denominators and maxima, the value scaling and a private copy of z, no
+per-edge array. The backward reads it and makes each level's edge weights
+again, from the same span helper (``_span_weights``) and the same maxima,
+so they are bitwise the forward's; without a pass it runs the forward
+first and leaves it. Effective weights run a forward of their own, which
+keeps every level's edge weights, and leave its pass in turn.
 """
 
 import math
@@ -32,7 +38,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidInputError
 from .geometry import _checked, _freeze, _integer, _readonly
-from .hierarchy import Hierarchy, _group_sums, _sparse_map, _transposed_product
+from .hierarchy import Hierarchy, _group_sums, _product, _sparse_map, _transposed_product
 
 
 # ---------------------------------------------------------------------------
@@ -169,39 +175,38 @@ class AttentionResult:
 
 
 # ---------------------------------------------------------------------------
-# Score helpers
+# Positional terms
 # ---------------------------------------------------------------------------
 
-def _interleaved_dot(q_rows: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    """Per-row dot of q_rows (..., 2m) with the interleaved vector of cos and
-    sin (..., m each), without materializing gamma itself."""
-    return np.einsum("...m,...m->...", q_rows[..., 0::2], cos) + np.einsum(
-        "...m,...m->...", q_rows[..., 1::2], sin
-    )
+def _level_term(positions, embedding, mode):
+    """One level's positional term, read-only: each token's gamma(p) in
+    absolute mode, its K' = gamma(p - c) in relative mode, or None in mode
+    "none". Any c cancels in a relative score; the bounding-box centre
+    keeps the angles small on a cloud far from the origin and does not
+    depend on token order."""
+    if mode == "none":
+        return None
+    if mode == "relative":  # column by column: 10x faster than min(axis=0) on (n, 3)
+        positions = positions - np.array([(p.min() + p.max()) / 2 for p in positions.T])
+    return _readonly(embed_points(embedding, positions))
 
 
-def _rotation(p_query, p_key, embedding):
-    """The relative mode's (cos, sin) of 2 pi b . (p_query - p_key): the
-    score adds q . gamma(p_query - p_key)."""
-    angles = (2.0 * np.pi) * ((p_query - p_key) @ embedding.frequencies.T)
-    return np.cos(angles), np.sin(angles, out=angles)
-
-
-def _level_term(positions, topology, embedding, mode):
-    """One level's positional term, read-only: the relative (cos, sin) of
-    every edge, the absolute gamma of every token, or None in mode "none"."""
-    if mode == "relative":
-        cos, sin = _rotation(positions.take(topology.rows, axis=0),
-                             positions.take(topology.indices, axis=0), embedding)
-        return _readonly(cos), _readonly(sin)
-    if mode == "absolute":
-        return _readonly(embed_points(embedding, positions))
-    return None
+def _rotated(x, term):
+    """Each row of x times its token's rotation R, which per frequency pair
+    is [[cos a, sin a], [sin a, -cos a]] for the token's (cos a, sin a) in
+    ``term`` (K'): Q' = R q gives q . gamma(p_q - p_k) = Q' . K'. R is
+    symmetric, so dq's relative half is R times the sum of ds K'."""
+    cos, sin = term[:, 0::2], term[:, 1::2]
+    even, odd = x[:, 0::2], x[:, 1::2]
+    out = np.empty(x.shape)
+    out[:, 0::2] = even * cos + odd * sin
+    out[:, 1::2] = even * sin - odd * cos
+    return out
 
 
 def _same_frequencies(frequencies: np.ndarray, embedding: FourierEmbedding) -> bool:
     """Whether ``embedding`` has these frequencies, now: the one rule by which
-    a kept term or a table serves an embedding. It compares values, so an
+    a kept term or a pass serves an embedding. It compares values, so an
     embedding whose frequencies changed in place (through a writeable base
     its read-only view shares) is no longer served."""
     return np.array_equal(frequencies, embedding.frequencies)
@@ -217,52 +222,24 @@ def _kept_term(level, embedding, mode: str, keep: bool):
     held = level.positional.get(mode)
     if held is not None and _same_frequencies(held[0], embedding):
         return held[1]
-    term = _level_term(level.positions, level.topology, embedding, mode)
+    term = _level_term(level.positions, embedding, mode)
     if keep:
         level.positional[mode] = (_readonly(embedding.frequencies.copy()), term)
     return term
 
 
-@dataclass(frozen=True)
-class PositionalTable:
-    """The positional terms of one structure for one (embedding, mode), one
-    read-only entry per level (see ``_level_term``). Returned by
-    ``positional_table``, it serves every hierarchy whose levels hold the
-    same topology objects, as ``with_values`` keeps them."""
-
-    embedding: FourierEmbedding | None  # None in mode "none"
-    mode: str
-    topologies: tuple  # the levels' topologies, checked by identity
-    terms: tuple
-
-
 def positional_table(hierarchy: Hierarchy, embedding: FourierEmbedding | None = None,
-                     embedding_mode: str = "none") -> PositionalTable:
-    """Every level's positional term, made once per structure.
+                     embedding_mode: str = "none") -> tuple:
+    """Every level's positional term, finest first (None in mode "none"):
+    per token, gamma(p) in absolute mode and K' in relative mode.
 
-    The levels keep the terms (and every ``with_values`` copy shares them),
-    so later ``gha_forward``/``gha_backward`` calls on the structure read
-    them with or without the table; they compute the same bits either way.
+    The levels keep the read-only terms this returns, and every
+    ``with_values`` copy shares them, so later ``gha_forward`` and
+    ``gha_backward`` calls on the structure read them instead of making
+    them; the bits are the same either way.
     """
     _check_mode(embedding, embedding_mode, None)
-    if embedding_mode == "none":
-        embedding = None
-    levels = hierarchy.levels
-    return PositionalTable(
-        embedding=embedding, mode=embedding_mode,
-        topologies=tuple(lv.topology for lv in levels),
-        terms=tuple(_kept_term(lv, embedding, embedding_mode, keep=True) for lv in levels),
-    )
-
-
-def _check_table(table: PositionalTable, hierarchy: Hierarchy, embedding, mode: str) -> None:
-    if table.mode != mode:
-        raise InvalidInputError(f"positional table is for mode {table.mode!r}, not {mode!r}")
-    if mode != "none" and not _same_frequencies(table.embedding.frequencies, embedding):
-        raise InvalidInputError("positional table was built with another embedding")
-    if len(table.topologies) != len(hierarchy.levels) or any(
-            t is not lv.topology for t, lv in zip(table.topologies, hierarchy.levels)):
-        raise InvalidInputError("positional table was built for another structure")
+    return tuple(_kept_term(lv, embedding, embedding_mode, keep=True) for lv in hierarchy.levels)
 
 
 # ---------------------------------------------------------------------------
@@ -279,19 +256,19 @@ def _bounded_spans(n: int, width: int) -> list:
 def _dense_softmax_chunks(q, k, pos, emb, mode):
     """Row chunks (start, stop, a, denom, mu) of the dense reference softmax:
     a = exp(s - mu) for query rows start:stop against all keys, with row
-    maxima mu and row sums denom, so the weights are a / denom."""
+    maxima mu and row sums denom, so the weights are a / denom. Relative
+    mode scores [q | Q'] against [k | K'] on the path of mode "none"."""
     n, d = q.shape
     _check_mode(emb, mode, d)
     scale = math.sqrt(d)
     if mode == "absolute":
         gamma = embed_points(emb, pos)
         q, k = q + gamma, k + gamma
-    # Rows-by-keys (by-frequencies in relative mode) temporaries.
-    for start, stop in _bounded_spans(n, n * (emb.m if mode == "relative" else 1)):
+    elif mode == "relative":
+        term = _level_term(pos, emb, mode)
+        q, k = np.hstack([q, _rotated(q, term)]), np.hstack([k, term])
+    for start, stop in _bounded_spans(n, n):  # rows-by-keys temporaries
         s = np.einsum("id,jd->ij", q[start:stop], k)  # no BLAS: same bits on any thread count
-        if mode == "relative":
-            s += _interleaved_dot(q[start:stop, None, :],
-                                  *_rotation(pos[start:stop, None, :], pos[None, :, :], emb))
         s /= scale
         mu = s.max(axis=1)
         a = np.exp(s - mu[:, None])
@@ -335,40 +312,73 @@ def _row_spans(indptr: np.ndarray, width: int):
         r0 = r1
 
 
-def _scored(q, k, term, mode):
-    """The q and k a level's scores read, and its per-edge relative (cos,
-    sin) or None: absolute mode adds gamma to both sides."""
+class _Sides(NamedTuple):
+    """What a level's scores read: s = (q . k + q_rot . k_rot) / scale over
+    each edge, the second term (Q' . K') in relative mode only, where
+    ``q_rot`` and ``k_rot`` are not None. Absolute mode adds gamma to q and k."""
+
+    q: np.ndarray
+    k: np.ndarray
+    q_rot: np.ndarray | None
+    k_rot: np.ndarray | None
+
+
+def _scored(q, k, term, mode, q_rot=None) -> _Sides:
+    """A level's ``_Sides`` from its q and k rows and positional ``term``;
+    a relative pass that kept the level's Q' passes it as ``q_rot``."""
     if mode == "absolute":
-        return q + term, k + term, None
-    return q, k, term if mode == "relative" else None
+        return _Sides(q + term, k + term, None, None)
+    if mode == "relative":
+        return _Sides(q, k, _rotated(q, term) if q_rot is None else q_rot, term)
+    return _Sides(q, k, None, None)
 
 
-def _span_weights(q, k_rows, rel, topology, r0, r1, scale, mu, fresh=False, out=None):
+def _query_dot(x, y_rows, rows, r0, r1, width):
+    """Per edge of rows r0:r1, its query's row of x dotted with the edge's
+    row of ``y_rows``. Over rows of one ``width`` (every kNN level) the
+    query rows broadcast; with ``width`` 0 they are gathered edge by edge,
+    ``rows`` naming each edge's query. Both give the same bits."""
+    if width:
+        return np.einsum("rd,rwd->rw", x[r0:r1], y_rows.reshape(r1 - r0, width, -1)).reshape(-1)
+    return np.einsum("ed,ed->e", x.take(rows, axis=0), y_rows)
+
+
+def _less_query(s, a, rows, r0, r1, width):
+    """s -= each edge's query's entry of a, broadcast or gathered as in
+    ``_query_dot``."""
+    if width:
+        by_row = s.reshape(r1 - r0, width)
+        by_row -= a[r0:r1, None]
+    else:
+        s -= a.take(rows)
+
+
+def _span_weights(sides, topology, width, r0, r1, scale, mu, fresh=False, out=None):
     """The softmax weights t = exp(s - mu[row]) of the edges of rows r0:r1,
-    whose keys' rows ``k_rows`` the caller gathered, written into ``out``
-    where given: the one place a level's score s = (q . k, plus
-    q . gamma(p_q - p_k) in relative mode) / scale is formed. A ``fresh``
-    pass (the forward's) first writes the span's row maxima into ``mu``;
-    later passes read them, so their t is bitwise the forward's."""
+    written into ``out`` where given, and the span's gathered k rows: the
+    one place a level's score s = (q . k, plus Q' . K' in relative mode) /
+    scale is formed, from its ``_Sides``. A ``fresh`` pass (the forward's)
+    first writes the span's row maxima into ``mu``; later passes read them,
+    so their t is bitwise the forward's. ``width`` is the level's
+    ``neighbors.width`` (see ``_query_dot``)."""
     indptr = topology.indptr
     e0, e1 = indptr[r0], indptr[r1]
-    rows = topology.rows[e0:e1]
-    q_rows = q.take(rows, axis=0)
-    s = np.einsum("ed,ed->e", q_rows, k_rows)
-    if rel is not None:
-        s += _interleaved_dot(q_rows, rel[0][e0:e1], rel[1][e0:e1])
-    del q_rows  # else it is alive next to the caller's edge rows
+    cols, rows = topology.indices[e0:e1], topology.rows[e0:e1]
+    k_rows = sides.k.take(cols, axis=0)
+    s = _query_dot(sides.q, k_rows, rows, r0, r1, width)
+    if sides.k_rot is not None:
+        s += _query_dot(sides.q_rot, sides.k_rot.take(cols, axis=0), rows, r0, r1, width)
     s /= scale
     if fresh:
         np.maximum.reduceat(s, indptr[r0:r1] - e0, out=mu[r0:r1])
-    s -= mu.take(rows)
-    return np.exp(s, out=s if out is None else out)
+    _less_query(s, mu, rows, r0, r1, width)
+    return np.exp(s, out=s if out is None else out), k_rows
 
 
-def _level_softmax(q, k, v, topology, neighbors, term, mode, scale, t_out=None):
+def _level_softmax(sides, v, topology, neighbors, scale, t_out=None):
     """Max-shifted softmax sums over one topology, whose ``_sparse_map`` is
-    ``neighbors``, with the level's positional ``term`` from ``_level_term``;
-    ``t_out``, where given, receives every edge's softmax weight t.
+    ``neighbors``, of the scores of ``sides`` (``_scored``); ``t_out``,
+    where given, receives every edge's softmax weight t.
 
     Returns the per-token local max scores mu, the shifted denominators and
     the shifted unnormalized outputs: denom_i * exp(mu_i) and y_i * exp(mu_i)
@@ -378,16 +388,15 @@ def _level_softmax(q, k, v, topology, neighbors, term, mode, scale, t_out=None):
     but ``t_out`` outlives its span. With at most 8 neighbors a row, y sums
     by one product per span (``_group_sums``) with t as its data, gathering
     no edge rows of v."""
-    q, k, rel = _scored(q, k, term, mode)
     cols, indptr = topology.indices, topology.indptr
     n = topology.n_tokens
     mu, denom = np.empty(n), np.empty(n)
     y = np.empty((n, v.shape[1]))
-    for r0, r1 in _row_spans(indptr, max(q.shape[1], v.shape[1])):
+    for r0, r1 in _row_spans(indptr, max(sides.q.shape[1], v.shape[1])):
         e0, e1 = indptr[r0], indptr[r1]
         starts = indptr[r0:r1] - e0
-        t = _span_weights(q, k.take(cols[e0:e1], axis=0), rel, topology, r0, r1, scale, mu,
-                          fresh=True, out=None if t_out is None else t_out[e0:e1])
+        t = _span_weights(sides, topology, neighbors.width, r0, r1, scale, mu, fresh=True,
+                          out=None if t_out is None else t_out[e0:e1])[0]
         np.add.reduceat(t, starts, out=denom[r0:r1])
         if neighbors.sequential:  # the span's own CSR: offsets from its first edge
             y[r0:r1] = _group_sums(v, neighbors.indptr[r0:r1 + 1] - neighbors.indptr[r0],
@@ -405,11 +414,11 @@ def local_attention(inputs: AttentionInputs, topology) -> AttentionResult:
     if topology.n_tokens != inputs.n_tokens:
         raise InvalidInputError("topology token count does not match inputs")
     mode = inputs.embedding_mode
-    term = _level_term(inputs.positions, topology, inputs.embedding, mode)
+    sides = _scored(inputs.q, inputs.k, _level_term(inputs.positions, inputs.embedding, mode), mode)
     exponents = _value_exponents([inputs.v], int(topology.sizes.max()))
     v = inputs.v if exponents is None else np.ldexp(inputs.v, -exponents)
-    mu, denom, y = _level_softmax(inputs.q, inputs.k, v, topology,
-                                  _sparse_map(topology.indptr, topology.indices), term, mode,
+    mu, denom, y = _level_softmax(sides, v, topology,
+                                  _sparse_map(topology.indptr, topology.indices),
                                   math.sqrt(inputs.d))
     e = topology.total_edges
     with np.errstate(over="ignore"):
@@ -451,34 +460,25 @@ def _value_exponents(values: list, terms: int) -> np.ndarray | None:
 
 class _Pass(NamedTuple):
     """What a forward leaves on its hierarchy for the adjoint over the same
-    values: O(N d_v + sum of n_h) floats and no per-edge array. It serves
+    values: O(N d_v + sum of n_h d) floats and no per-edge array. It serves
     only its own mode and frequencies (a private copy, compared by value)."""
 
     mode: str
     frequencies: np.ndarray | None  # None in mode "none"
     mu: tuple  # each level's per-token local max scores
+    q_rot: tuple  # each level's Q' in relative mode, else Nones
     d_hat: np.ndarray  # the level-0 denominators, shifted by m_q
     m_q: np.ndarray  # the level-0 running maxima
     exponents: np.ndarray | None  # the value columns' scaling (see _value_exponents)
     z: np.ndarray  # a private read-only copy of the output
 
 
-def _check_call(hierarchy: Hierarchy, embedding, mode: str, table) -> None:
+def _check_call(hierarchy: Hierarchy, embedding, mode: str) -> None:
     """The checks every pass runs before it reads or makes a forward."""
     _check_mode(embedding, mode, hierarchy.levels[0].q_tilde.shape[1])
-    if table is not None:
-        _check_table(table, hierarchy, embedding, mode)
 
 
-def _term(hierarchy: Hierarchy, h: int, embedding, mode: str, table, keep: bool):
-    """Level h's positional term: the table's, else the one the level keeps
-    or makes (see ``_kept_term``)."""
-    if table is not None:
-        return table.terms[h]
-    return _kept_term(hierarchy.levels[h], embedding, mode, keep)
-
-
-def _forward(hierarchy: Hierarchy, embedding, mode: str, table, keep: bool, weights=None):
+def _forward(hierarchy: Hierarchy, embedding, mode: str, keep: bool, weights=None):
     """The hierarchical forward of checked arguments: its result and its
     ``_Pass``, whose z is the result's own array. ``keep`` stores every
     positional term the pass makes on its level; a list ``weights``
@@ -489,19 +489,20 @@ def _forward(hierarchy: Hierarchy, embedding, mode: str, table, keep: bool, weig
                                  sum(int(lv.topology.sizes.max()) for lv in hierarchy.levels))
 
     mus: list = [None] * (depth + 1)
+    q_rots: list = [None] * (depth + 1)
     per_level = [0] * (depth + 1)
     carry_y = carry_d = carry_m = None
     for h in range(depth, -1, -1):
         lv = hierarchy.levels[h]
         # A one-off forward that finds no kept term holds one level's at a time.
-        term = _term(hierarchy, h, embedding, mode, table, keep)
+        sides = _scored(lv.q_tilde, lv.k_tilde, _kept_term(lv, embedding, mode, keep), mode)
         v = lv.v_tilde if exponents is None else np.ldexp(lv.v_tilde, -exponents)
         t = None if weights is None else np.empty(lv.topology.total_edges)
-        mu, d_loc, y_loc = _level_softmax(lv.q_tilde, lv.k_tilde, v, lv.topology, lv.neighbors,
-                                          term, mode, scale, t)
+        mu, d_loc, y_loc = _level_softmax(sides, v, lv.topology, lv.neighbors, scale, t)
         if weights is not None:
             weights.insert(0, t)
         mus[h] = mu
+        q_rots[h] = None if sides.q_rot is None else _readonly(sides.q_rot)
         per_level[h] = lv.topology.total_edges
 
         if carry_y is None:  # top level: nothing above contributes
@@ -518,7 +519,7 @@ def _forward(hierarchy: Hierarchy, embedding, mode: str, table, keep: bool, weig
             carry_y += y_loc
             carry_d = w_loc * d_loc + w_par * carry_d.take(p)
             carry_m = m
-        del term, y_loc, d_loc, v, t  # else alive through the next level's softmax
+        del sides, y_loc, d_loc, v, t  # else alive through the next level's softmax
 
     with np.errstate(over="ignore"):
         normalizers = carry_d * np.exp(carry_m)
@@ -531,32 +532,32 @@ def _forward(hierarchy: Hierarchy, embedding, mode: str, table, keep: bool, weig
         per_level_weight_count=tuple(per_level),
     )
     frequencies = None if mode == "none" else _readonly(embedding.frequencies.copy())
-    return result, _Pass(mode, frequencies, tuple(mus), carry_d, carry_m, exponents, result.z)
+    return result, _Pass(mode, frequencies, tuple(mus), tuple(q_rots), carry_d, carry_m,
+                         exponents, result.z)
 
 
-def _leave_pass(hierarchy: Hierarchy, embedding, mode: str, table, weights=None) -> _Pass:
+def _leave_pass(hierarchy: Hierarchy, embedding, mode: str, weights=None) -> _Pass:
     """Run a forward that keeps its positional terms (and fills ``weights``,
     as in ``_forward``) and leave its pass on the structure."""
-    _, held = _forward(hierarchy, embedding, mode, table, keep=True, weights=weights)
+    _, held = _forward(hierarchy, embedding, mode, keep=True, weights=weights)
     _readonly(held.z)  # no caller edits this z
     object.__setattr__(hierarchy, "forward_pass", held)
     return held
 
 
-def _held_pass(hierarchy: Hierarchy, embedding, mode: str, table) -> _Pass:
+def _held_pass(hierarchy: Hierarchy, embedding, mode: str) -> _Pass:
     """The pass the structure holds for (embedding, mode), else the one a
     new forward leaves."""
-    _check_call(hierarchy, embedding, mode, table)
+    _check_call(hierarchy, embedding, mode)
     held = hierarchy.forward_pass
     if held is not None and held.mode == mode and (
             mode == "none" or _same_frequencies(held.frequencies, embedding)):
         return held
-    return _leave_pass(hierarchy, embedding, mode, table)
+    return _leave_pass(hierarchy, embedding, mode)
 
 
 def gha_forward(hierarchy: Hierarchy, embedding: FourierEmbedding | None = None,
-                embedding_mode: str = "none",
-                table: PositionalTable | None = None) -> AttentionResult:
+                embedding_mode: str = "none") -> AttentionResult:
     """Hierarchical attention over a built hierarchy.
 
     Each level h adds local attention within its own topology (scores use
@@ -565,21 +566,21 @@ def gha_forward(hierarchy: Hierarchy, embedding: FourierEmbedding | None = None,
     rescales the accumulators, which leaves the result unchanged in exact
     arithmetic but keeps the exponentials bounded.
 
-    ``table`` is this structure's ``positional_table`` for the same
-    embedding and mode. Without one, the call reads the terms the structure
-    keeps (see ``positional_table``), or makes each level's term as it
-    reaches that level and keeps none. A table of another structure,
-    embedding or mode raises InvalidInputError.
+    The call reads the positional terms the structure keeps (per token:
+    gamma(p) in absolute mode, K' in relative mode; see
+    ``positional_table``), or makes each level's term as it reaches that
+    level and keeps none.
 
     The call leaves its pass on ``hierarchy`` (replacing any earlier one):
-    each level's row maxima, the level-0 denominators and maxima, the value
-    scaling and a private read-only copy of z, O(N d_v + sum of n_h) floats
-    that live as long as the hierarchy object. A ``gha_backward`` with the
-    same mode and frequencies reads it instead of running this forward
-    again; ``with_values`` and ``truncate`` copies start without one.
+    each level's row maxima and, in relative mode, its Q' (the rotated q
+    rows), the level-0 denominators and maxima, the value scaling and a
+    private read-only copy of z, O(N d_v + sum of n_h d) floats that live
+    as long as the hierarchy object. A ``gha_backward`` with the same mode
+    and frequencies reads it instead of running this forward again;
+    ``with_values`` and ``truncate`` copies start without one.
     """
-    _check_call(hierarchy, embedding, embedding_mode, table)
-    result, left = _forward(hierarchy, embedding, embedding_mode, table, keep=False)
+    _check_call(hierarchy, embedding, embedding_mode)
+    result, left = _forward(hierarchy, embedding, embedding_mode, keep=False)
     object.__setattr__(hierarchy, "forward_pass", left._replace(z=_readonly(result.z.copy())))
     return result
 
@@ -622,13 +623,17 @@ def _fold(hierarchy: Hierarchy, mus: tuple, m_q: np.ndarray, c: np.ndarray) -> l
     and do not depend on which other columns share c.
     """
     depth = hierarchy.depth
-    anc = np.arange(c.shape[0], dtype=np.int64)
+    n = c.shape[0]
+    # int32 maps where they fit: SciPy multiplies in int32 and would convert
+    # int64 ones on every call.
+    dtype = np.int32 if n < np.iinfo(np.int32).max else np.int64
+    indptr, anc = np.arange(n + 1, dtype=dtype), np.arange(n, dtype=dtype)
     folds = []
     for h, (lv, mu) in enumerate(zip(hierarchy.levels, mus)):
         w = np.exp(mu.take(anc) - m_q)
-        folds.append(_transposed_product(np.arange(c.shape[0] + 1), anc, w, c, lv.n_tokens))
+        folds.append(_transposed_product(indptr, anc, w, c, lv.n_tokens))
         if h < depth:
-            anc = lv.parent_of.take(anc)
+            anc = lv.parent_of.take(anc).astype(dtype)
     return folds
 
 
@@ -643,42 +648,41 @@ def _edge_weights(hierarchy: Hierarchy, embedding, mode: str):
     weights read. The forward keeps each t as it makes it, since every
     level's are alive together here anyway, and leaves its pass for a later
     backward."""
-    _check_call(hierarchy, embedding, mode, None)
+    _check_call(hierarchy, embedding, mode)
     weights = []
-    return _leave_pass(hierarchy, embedding, mode, None, weights), weights
+    return _leave_pass(hierarchy, embedding, mode, weights), weights
 
 
 def gha_backward(hierarchy: Hierarchy, dz: np.ndarray,
                  embedding: FourierEmbedding | None = None,
-                 embedding_mode: str = "none",
-                 table: PositionalTable | None = None) -> Gradients:
+                 embedding_mode: str = "none") -> Gradients:
     """Exact gradients of ``gha_forward`` w.r.t. the level-0 q, k, v.
 
     Differentiates through the per-level softmax terms, the parent-copy
     accumulation, the final normalization, and the coarsening averages, in
     every embedding mode. Positions and frequencies are constants, so each
     edge's score is a bilinear form in the q and k the forward scored with:
-    dq takes the key side (k, plus gamma in absolute mode, plus the edge's
-    relative (cos, sin) in relative mode) and dk the query side (q, plus
-    gamma in absolute mode).
+    dq takes the key side (k, plus gamma in absolute mode) and, in relative
+    mode, R_q times the sum of ds K' over the query's edges (``_rotated``),
+    and dk takes the query side (q, plus gamma in absolute mode).
 
     The call reads the pass the last forward on this hierarchy left (a
     ``gha_forward``, or one an earlier backward or effective-weight call
-    ran) when its mode and frequencies match, and runs no forward. Without
-    one it runs the forward itself first and leaves its pass (and keeps the
-    positional terms it makes): a backward alone costs about one forward
-    more than a backward after a forward. Each level's edge weights are made
-    again from the pass's row maxima inside the backward's own row spans,
-    so only one level's per-edge weights and ds are alive at a time, and
-    every bit equals a pass that kept them. ``table`` is as in
-    ``gha_forward``; without one, the structure keeps the terms this call
+    ran) when its mode and frequencies match, and runs no forward; in
+    relative mode the pass's Q' serves the scores. Without one it runs the
+    forward itself first and leaves its pass (and keeps the positional terms
+    it makes): a backward alone costs about one forward more than a
+    backward after a forward. Each level's edge weights are made again from
+    the pass's row maxima inside the backward's own row spans, so only one
+    level's per-edge weights and ds are alive at a time, and every bit
+    equals a pass that kept them. The structure keeps the terms this call
     makes.
     """
     level0 = hierarchy.levels[0]
     n, d = level0.q_tilde.shape
     d_v = level0.v_tilde.shape[1]
     dz = _checked(dz, "dz", (n, d_v))
-    held = _held_pass(hierarchy, embedding, embedding_mode, table)
+    held = _held_pass(hierarchy, embedding, embedding_mode)
     scale = math.sqrt(d)
     # dq and dk are linear in v (dv does not depend on it). Where the forward
     # scales v's columns down, their v terms (v in ds, z in the b column) run
@@ -696,40 +700,39 @@ def gha_backward(hierarchy: Hierarchy, dz: np.ndarray,
     per_level = []
     for h, (lv, mu) in enumerate(zip(hierarchy.levels, held.mu)):
         fold, folds[h] = folds[h], None
-        q, k, rel = _scored(lv.q_tilde, lv.k_tilde,
-                            _term(hierarchy, h, embedding, embedding_mode, table, keep=True),
-                            embedding_mode)
-        topology = lv.topology
-        cols, indptr = topology.indices, topology.indptr
+        sides = _scored(lv.q_tilde, lv.k_tilde, _kept_term(lv, embedding, embedding_mode, keep=True),
+                        embedding_mode, held.q_rot[h])
+        topology, neighbors = lv.topology, lv.neighbors
+        cols, indptr, width = topology.indices, topology.indptr, neighbors.width
         v = lv.v_tilde if shift is None else np.ldexp(lv.v_tilde, -shift)
-        # t, ds and dq edge by edge in row spans: only the dv and dk
-        # products read the level's whole t and ds. The level's [dq | dk | dv]
-        # rows are written in place.
+        # t, ds and dq's key side edge by edge in row spans: only the dv, dk
+        # and relative dq products read the level's whole t and ds. The
+        # level's [dq | dk | dv] rows are written in place.
         t, ds = np.empty(topology.total_edges), np.empty(topology.total_edges)
         g = np.empty((lv.n_tokens, 2 * d + d_v))
         dq = g[:, :d]
         for r0, r1 in _row_spans(indptr, max(d, d_v + 1)):
             e0, e1 = indptr[r0], indptr[r1]
-            k_eff = k.take(cols[e0:e1], axis=0)  # the score's k rows, then dq's key side
-            _span_weights(q, k_eff, rel, topology, r0, r1, scale, mu, out=t[e0:e1])
+            rows = topology.rows[e0:e1]
+            # The score's k rows, then dq's key side.
+            k_eff = _span_weights(sides, topology, width, r0, r1, scale, mu, out=t[e0:e1])[1]
             # Each edge's query's folded output and normalizer cotangents.
-            ab = fold.take(topology.rows[e0:e1], axis=0)
-            s = np.einsum("ed,ed->e", ab[:, :d_v], v.take(cols[e0:e1], axis=0))
-            s -= ab[:, d_v]
-            del ab  # else it is alive next to the dq temporaries
+            s = _query_dot(fold[:, :d_v], v.take(cols[e0:e1], axis=0), rows, r0, r1, width)
+            _less_query(s, fold[:, d_v], rows, r0, r1, width)
             np.multiply(t[e0:e1], s, out=ds[e0:e1])
             ds[e0:e1] /= scale
-            if rel is not None:
-                k_eff[:, 0::2] += rel[0][e0:e1]
-                k_eff[:, 1::2] += rel[1][e0:e1]
+            del s  # else it is alive next to the dq temporaries
             k_eff *= ds[e0:e1, None]
             np.add.reduceat(k_eff, indptr[r0:r1] - e0, axis=0, out=dq[r0:r1])
         g[:, 2 * d:] = _value_cotangent(lv, t, fold)[:, :d_v]  # b's column dropped
         del t, fold
-        g[:, d:2 * d] = _transposed_product(lv.neighbors.indptr, lv.neighbors.indices, ds, q,
+        if sides.k_rot is not None:  # R_q (sum of ds K'): one product, then the rotation
+            dq += _rotated(_product(neighbors.indptr, neighbors.indices, ds, sides.k_rot),
+                           sides.k_rot)
+        g[:, d:2 * d] = _transposed_product(neighbors.indptr, neighbors.indices, ds, sides.q,
                                             lv.n_tokens)
         per_level.append(g)
-        del g, dq, ds, q, k, rel  # else alive next to the next level's
+        del g, dq, ds, sides  # else alive next to the next level's
     g = _pull_back(hierarchy, per_level)
     if shift is not None:
         g[:, :2 * d] = np.ldexp(g[:, :2 * d], shift)

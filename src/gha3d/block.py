@@ -268,14 +268,17 @@ def block_forward(
             mode, emb = config.embedding_mode, params.embedding
         else:
             mode, emb = "none", None
-        # Made on the structure's first pass, then kept by it for every head,
-        # layer and call.
-        table = None if mechanism == "dense" else positional_table(structure, emb, mode)
+        if mechanism != "dense":
+            # Made on the structure's first pass, then kept by it for every
+            # head, layer and call.
+            positional_table(structure, emb, mode)
 
+        # In place where the bits allow: x @ w, then += b, is x @ w + b.
         h = layer_norm(x, lp.ln1_gain, lp.ln1_shift)
-        q = h @ lp.w_q + lp.b_q
-        k_rows = h @ lp.w_k + lp.b_k
-        v = h @ lp.w_v + lp.b_v
+        q, k_rows, v = h @ lp.w_q, h @ lp.w_k, h @ lp.w_v
+        q += lp.b_q
+        k_rows += lp.b_k
+        v += lp.b_v
         head_outs = []
         for head in range(config.n_heads):
             sl = slice(head * ch, (head + 1) * ch)
@@ -287,17 +290,25 @@ def block_forward(
             else:
                 head_outs.append(gha_forward(
                     with_values(structure, q=q[:, sl], k=k_rows[:, sl], v=v[:, sl]),
-                    emb, mode, table).z)
-        attn = np.concatenate(head_outs, axis=1) @ lp.w_o + lp.b_o
+                    emb, mode).z)
+        attn = np.concatenate(head_outs, axis=1) @ lp.w_o
         del h, q, k_rows, v, head_outs  # else alive next to the FFN's temporaries
-        x = x + _dropout(attn, config.attn_dropout, config, layer_idx, 0)
+        attn += lp.b_o
+        attn = _dropout(attn, config.attn_dropout, config, layer_idx, 0)
+        attn += x  # never into x: the first layer's is the caller's
+        x = attn
 
         f = layer_norm(x, lp.ln2_gain, lp.ln2_shift)
-        u = np.maximum(f @ lp.w1 + lp.b1, 0.0)
+        u = f @ lp.w1
+        del f
+        u += lp.b1
+        np.maximum(u, 0.0, out=u)
         u = _dropout(u, config.ffn_dropout, config, layer_idx, 1)
-        u = u @ lp.w2 + lp.b2
+        u = u @ lp.w2
+        u += lp.b2
         u = _dropout(u, config.ffn_dropout, config, layer_idx, 2)
-        x = x + u
+        u += x
+        x = u
     return x
 
 

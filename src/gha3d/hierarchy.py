@@ -57,19 +57,26 @@ class _SparseMap(NamedTuple):
     every row holds at most ``_SEQUENTIAL`` entries (``sequential``), the
     index arrays are int32 copies, the dtype SciPy multiplies in and would
     otherwise convert them to on every call; a map of wider rows, which
-    sums by reduceat, keeps its own arrays and no copy."""
+    sums by reduceat, keeps its own arrays and no copy. ``width`` is the
+    entry count every row shares, or 0 where rows differ or there are none:
+    the attention kernels broadcast a query's rows over rows of one width
+    instead of gathering them edge by edge."""
 
     indptr: np.ndarray
     indices: np.ndarray
     sequential: bool
+    width: int
 
 
 def _sparse_map(indptr: np.ndarray, indices: np.ndarray) -> _SparseMap:
-    if np.diff(indptr).max(initial=0) > _SEQUENTIAL:
-        return _SparseMap(indptr, indices, False)
+    sizes = np.diff(indptr)
+    width = int(sizes[0]) if sizes.size and (sizes == sizes[0]).all() else 0
+    if sizes.max(initial=0) > _SEQUENTIAL:
+        return _SparseMap(indptr, indices, False, width)
     bound = max(indptr.shape[0], indices.shape[0], int(indices.max(initial=0)) + 1)
     dtype = np.int32 if bound <= np.iinfo(np.int32).max else np.int64
-    return _SparseMap(_readonly(indptr.astype(dtype)), _readonly(indices.astype(dtype)), True)
+    return _SparseMap(_readonly(indptr.astype(dtype)), _readonly(indices.astype(dtype)), True,
+                      width)
 
 
 def _product(indptr, indices, data, x) -> np.ndarray:
@@ -185,9 +192,9 @@ class HierarchyLevel:
     ``order``, which the backward's pull-back sums in.
 
     ``positional`` is the level's memo of positional terms, which depend
-    only on its positions and topology: one slot per embedding mode, each
-    holding a copy of the frequencies a term was made for and the term (see
-    ``attention._level_term``). It starts empty, the attention passes fill
+    only on its positions: one slot per embedding mode, each holding a copy
+    of the frequencies a term was made for and the term, one row per token
+    (see ``attention._level_term``). It starts empty, the attention passes fill
     it, and every ``_shared`` copy shares the one dict.
     """
 

@@ -200,16 +200,16 @@ def test_dense_large_scores_do_not_overflow():
 
 @pytest.mark.parametrize("mode", ["none", "absolute", "relative"])
 def test_dense_row_chunks_stay_bounded_at_the_cap(mode):
-    # Every rows-by-keys(-by-frequencies) temporary of a chunk holds at
-    # most 2^22 elements; the chunks tile the rows in order.
+    # Every rows-by-keys temporary of a chunk holds at most 2^22 elements
+    # (relative mode scores [q | Q'] against [k | K'], so it forms no
+    # rows-by-keys-by-frequencies one); the chunks tile the rows in order.
     rng = np.random.default_rng(26)
     n = 4096
     q, k, _, pos = rand_inputs(rng, n, 4)
     emb = make_fourier_embedding(4, rng) if mode != "none" else None
-    per_row = n * (emb.m if mode == "relative" else 1)
     covered = 0
     for start, stop, a, denom, mu in _dense_softmax_chunks(q, k, pos, emb, mode):
-        assert start == covered and (stop - start) * per_row <= 1 << 22
+        assert start == covered and (stop - start) * n <= 1 << 22
         assert a.shape == (stop - start, n) and denom.shape == mu.shape == (stop - start,)
         covered = stop
     assert covered == n
@@ -506,7 +506,7 @@ def test_gha_embedding_config_errors():
 
 
 # ---------------------------------------------------------------------------
-# Positional tables
+# Kept positional terms
 # ---------------------------------------------------------------------------
 
 def table_structures(rng):
@@ -523,50 +523,58 @@ def table_structures(rng):
 @pytest.mark.parametrize("flavor", ["point", "voxel"])
 @pytest.mark.parametrize("mode", ["none", "absolute", "relative"])
 def test_positional_table_leaves_every_bit(flavor, mode):
+    # positional_table fills the structure's terms, one read-only row per
+    # token, and returns the kept arrays; passes that read them have the
+    # bits of passes on a twin structure that keeps no term.
     rng = np.random.default_rng(30)
     d = 4
     structure = table_structures(rng)[flavor]
     emb = make_fourier_embedding(d, rng) if mode != "none" else None
-    table = positional_table(structure, emb, mode)
-    for term in table.terms:  # the table is shared, so it is read-only
-        for a in (term if isinstance(term, tuple) else (term,)):
-            assert a is None or not a.flags.writeable
+    terms = positional_table(structure, emb, mode)
+    assert len(terms) == len(structure.levels)
+    for term, lv in zip(terms, structure.levels):
+        if mode == "none":
+            assert term is None and lv.positional == {}
+        else:
+            assert term.shape == (lv.n_tokens, d) and not term.flags.writeable
+            assert lv.positional[mode][1] is term
+    assert all(a is b for a, b in zip(positional_table(structure, emb, mode), terms))
     n = structure.n_tokens
-    for _ in range(2):  # one table serves every with_values of the structure
+    for _ in range(2):  # the kept terms serve every with_values of the structure
         q, k, v, dz = (rng.normal(size=(n, d)) for _ in range(4))
         h = with_values(structure, q=q, k=k, v=v)
-        want, got = gha_forward(h, emb, mode), gha_forward(h, emb, mode, table)
+        twin = with_values(table_structures(np.random.default_rng(30))[flavor], q=q, k=k, v=v)
+        want, got = gha_forward(twin, emb, mode), gha_forward(h, emb, mode)
         np.testing.assert_array_equal(got.z, want.z)
         np.testing.assert_array_equal(got.normalizers, want.normalizers)
-        want_g, got_g = gha_backward(h, dz, emb, mode), gha_backward(h, dz, emb, mode, table)
+        want_g, got_g = gha_backward(twin, dz, emb, mode), gha_backward(h, dz, emb, mode)
         for name in ("dq", "dk", "dv"):
             np.testing.assert_array_equal(getattr(got_g, name), getattr(want_g, name))
 
 
 def test_positional_table_rejects_another_structure_embedding_or_mode():
+    # Kept terms serve their own structure (and its with_values and truncate
+    # copies), mode and frequencies, compared by value: another structure of
+    # the same geometry, another embedding or another mode gets terms of its
+    # own, and positional_table refuses a mode it cannot fill.
     rng = np.random.default_rng(31)
     q, k, v, pos = rand_inputs(rng, 20, 4)
     h = build_hierarchy(pos, q, k, v, flavor="point", k=3, r=2)
     emb = make_fourier_embedding(4, rng)
-    table = positional_table(h, emb, "relative")
-    dz = np.ones((20, 4))
-    same_geometry = build_hierarchy(pos, q, k, v, flavor="point", k=3, r=2)
+    terms = positional_table(h, emb, "relative")
     copied = FourierEmbedding(frequencies=emb.frequencies.copy())
-    np.testing.assert_array_equal(gha_forward(h, copied, "relative", table).z,
-                                  gha_forward(h, emb, "relative").z)  # equal frequencies
-    bad_calls = [
-        (same_geometry, emb, "relative", table),  # equal, but not the same topologies
-        (truncate(h, 0), emb, "relative", table),
-        (h, make_fourier_embedding(4, rng), "relative", table),
-        (h, emb, "absolute", table),
-        (h, emb, "relative", positional_table(h, emb, "absolute")),
-        (h, None, "none", table),
-    ]
-    for hh, e, mode, t in bad_calls:
-        with pytest.raises(InvalidInputError):
-            gha_forward(hh, e, mode, t)
-        with pytest.raises(InvalidInputError):
-            gha_backward(hh, dz, e, mode, t)
+    assert all(a is b for a, b in zip(positional_table(h, copied, "relative"), terms))
+    assert all(a is b for a, b in zip(positional_table(truncate(h, 0), emb, "relative"), terms))
+    same_geometry = build_hierarchy(pos, q, k, v, flavor="point", k=3, r=2)
+    others = [positional_table(same_geometry, emb, "relative"),
+              positional_table(h, make_fourier_embedding(4, rng), "relative"),
+              positional_table(h, emb, "absolute")]
+    for other in others:
+        assert not any(a is b for a, b in zip(other, terms))
+    np.testing.assert_array_equal(others[0][0], terms[0])  # equal terms, not the same arrays
+    assert not np.array_equal(others[1][0], terms[0])
+    assert all(a is b for a, b in zip(positional_table(h, emb, "absolute"), others[2]))
+    assert positional_table(h, emb, "none") == (None,) * len(h.levels)
     with pytest.raises(ConfigError):
         positional_table(h, None, "relative")
     with pytest.raises(ConfigError):
@@ -596,28 +604,30 @@ def test_backward_and_effective_weights_sort_nothing(monkeypatch):
 
 
 def test_one_off_forward_holds_one_level_term_at_a_time():
-    # Without a table, each level's positional term is made when that level
-    # runs and dropped after it, not all of them up front.
+    # Without kept terms, each level's positional term is made when that
+    # level runs and dropped after it, not all of them up front: the peak
+    # is within one level-0 term of the peak once the structure keeps them.
     rng = np.random.default_rng(33)
     n, d = 2048, 8
     q, k, v, pos = rand_inputs(rng, n, d)
     h = build_hierarchy(pos, q, k, v, flavor="point", k=8, r=2)
     emb = make_fourier_embedding(d, rng)
-    table = positional_table(h, emb, "relative")
 
-    def peak(**kw):
+    def peak():
         tracemalloc.start()
         try:
-            gha_forward(h, emb, "relative", **kw)
+            gha_forward(h, emb, "relative")
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    level0_term = sum(a.nbytes for a in table.terms[0])
-    assert peak() <= peak(table=table) + 1.25 * level0_term
+    without = peak()
+    assert all(lv.positional == {} for lv in h.levels)
+    level0_term = positional_table(h, emb, "relative")[0].nbytes
+    assert without <= peak() + 1.25 * level0_term
 
 
-TERM_FUNCTIONS = [("relative", "_rotation"), ("absolute", "embed_points")]
+TERM_FUNCTIONS = [("relative", "embed_points"), ("absolute", "embed_points")]
 
 
 def count_terms(monkeypatch, term_fn):
@@ -632,10 +642,11 @@ def count_terms(monkeypatch, term_fn):
 @pytest.mark.parametrize("mode,term_fn", TERM_FUNCTIONS)
 def test_structure_makes_its_positional_terms_once(monkeypatch, mode, term_fn):
     # Training steps over one structure: every head re-pools new values and
-    # runs a backward and a forward, with no table passed. The first backward
-    # makes each level's term and the structure keeps it for every later
-    # pass, the with_values and truncate copies included. (A one-off forward
-    # on a fresh structure keeps nothing, so here the backward comes first.)
+    # runs a backward and a forward. The first backward makes each level's
+    # term and the structure keeps it for every later pass, the with_values
+    # and truncate copies included; the bits are those of a structure whose
+    # terms positional_table made up front. (A one-off forward on a fresh
+    # structure keeps nothing, so here the backward comes first.)
     rng = np.random.default_rng(39)
     n, d = 60, 4
     pos = rng.normal(size=(n, 3))
@@ -643,20 +654,19 @@ def test_structure_makes_its_positional_terms_once(monkeypatch, mode, term_fn):
     steps = [[tuple(rng.normal(size=(n, d)) for _ in range(4)) for _ in range(2)]
              for _ in range(2)]
 
-    def run(structure, table=None):
+    def run(structure):
         outs = []
         for heads in steps:
             for q, k, v, dz in heads:
                 hs = with_values(structure, q=q, k=k, v=v)
-                outs += [*gha_backward(hs, dz, emb, mode, table),
-                         gha_forward(hs, emb, mode, table).z]
+                outs += [*gha_backward(hs, dz, emb, mode), gha_forward(hs, emb, mode).z]
         q, k, v, _ = steps[0][0]
         local = truncate(with_values(structure, q=q, k=k, v=v), 0)
-        local_table = None if table is None else positional_table(local, emb, mode)
-        return outs + [gha_forward(local, emb, mode, local_table).z]
+        return outs + [gha_forward(local, emb, mode).z]
 
     reference = build_hierarchy(pos, *(np.zeros((n, 1)),) * 3, flavor="point", k=3, r=2)
-    want = run(reference, positional_table(reference, emb, mode))
+    positional_table(reference, emb, mode)
+    want = run(reference)
     h = build_hierarchy(pos, *(np.zeros((n, 1)),) * 3, flavor="point", k=3, r=2)
     assert h.depth >= 3
     calls = count_terms(monkeypatch, term_fn)
@@ -705,7 +715,7 @@ def test_kept_terms_serve_equal_frequencies_only(monkeypatch, mode, term_fn):
 
 def test_one_off_forward_keeps_no_term():
     # A cacheless forward on a fresh structure leaves every slot empty; a
-    # backward, an effective row or a table fills its mode's slot, which
+    # backward, an effective row or positional_table fills its mode's slot, which
     # with_values and truncate copies share.
     rng = np.random.default_rng(41)
     n, d = 40, 4
@@ -726,18 +736,18 @@ def test_one_off_forward_keeps_no_term():
 
 
 def test_one_off_forward_on_a_fresh_structure_holds_one_level_term_at_a_time():
-    # As above, but the table-less forward runs on a structure no pass has
-    # filled, so it makes the terms itself; the table is another structure's,
-    # built from the same inputs.
+    # As above, but the forward without kept terms runs on a structure no
+    # pass has filled, so it makes the terms itself; the kept terms are
+    # another structure's, built from the same inputs.
     rng = np.random.default_rng(33)
     n, d = 2048, 8
     q, k, v, pos = rand_inputs(rng, n, d)
     emb = make_fourier_embedding(d, rng)
 
-    def peak(h, **kw):
+    def peak(h):
         tracemalloc.start()
         try:
-            gha_forward(h, emb, "relative", **kw)
+            gha_forward(h, emb, "relative")
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -746,31 +756,30 @@ def test_one_off_forward_on_a_fresh_structure_holds_one_level_term_at_a_time():
     without = peak(fresh)
     assert all(lv.positional == {} for lv in fresh.levels)
     twin = build_hierarchy(pos, q, k, v, flavor="point", k=8, r=2)
-    table = positional_table(twin, emb, "relative")
-    level0_term = sum(a.nbytes for a in table.terms[0])
-    assert without <= peak(twin, table=table) + 1.25 * level0_term
+    level0_term = positional_table(twin, emb, "relative")[0].nbytes
+    assert without <= peak(twin) + 1.25 * level0_term
 
 
 @pytest.mark.parametrize("flavor", ["point", "voxel"])
 @pytest.mark.parametrize("mode", ["absolute", "relative"])
 def test_positional_table_leaves_every_bit_of_a_fresh_structure(flavor, mode):
-    # The table's passes against passes on a twin structure that keeps no
-    # term yet, so those make every term themselves.
+    # Passes over the kept terms against passes on a twin structure that
+    # keeps no term yet, so those make every term themselves.
     rng = np.random.default_rng(30)
     d = 4
     structure = table_structures(np.random.default_rng(30))[flavor]
     emb = make_fourier_embedding(d, rng)
-    table = positional_table(structure, emb, mode)
+    positional_table(structure, emb, mode)
     n = structure.n_tokens
     for _ in range(2):
         q, k, v, dz = (rng.normal(size=(n, d)) for _ in range(4))
         twin = with_values(table_structures(np.random.default_rng(30))[flavor], q=q, k=k, v=v)
         h = with_values(structure, q=q, k=k, v=v)
-        want, got = gha_forward(twin, emb, mode), gha_forward(h, emb, mode, table)
+        want, got = gha_forward(twin, emb, mode), gha_forward(h, emb, mode)
         np.testing.assert_array_equal(got.z, want.z)
         np.testing.assert_array_equal(got.normalizers, want.normalizers)
         assert all(lv.positional == {} for lv in twin.levels)
-        want_g, got_g = gha_backward(twin, dz, emb, mode), gha_backward(h, dz, emb, mode, table)
+        want_g, got_g = gha_backward(twin, dz, emb, mode), gha_backward(h, dz, emb, mode)
         for name in ("dq", "dk", "dv"):
             np.testing.assert_array_equal(getattr(got_g, name), getattr(want_g, name))
 
@@ -908,10 +917,10 @@ def test_forward_edge_temporaries_do_not_grow_with_the_level():
 
     def peak(k_nn):
         h = build_hierarchy(pos, q, k, v, flavor="point", k=k_nn, r=2)
-        table = positional_table(h, emb, "relative")
+        positional_table(h, emb, "relative")
         tracemalloc.start()
         try:
-            gha_forward(h, emb, "relative", table=table)
+            gha_forward(h, emb, "relative")
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -919,6 +928,194 @@ def test_forward_edge_temporaries_do_not_grow_with_the_level():
     p8, p16 = peak(8), peak(16)
     assert p16 <= 1.2 * p8
     assert max(p8, p16) <= 8 * n * d * 8
+
+
+# ---------------------------------------------------------------------------
+# Relative mode against its per-edge form
+# ---------------------------------------------------------------------------
+
+def rotation(p_query, p_key, emb):
+    """The per-edge (cos, sin) of 2 pi b . (p_query - p_key): a relative
+    score adds q . gamma(p_query - p_key)."""
+    angles = (2.0 * np.pi) * ((p_query - p_key) @ emb.frequencies.T)
+    return np.cos(angles), np.sin(angles)
+
+
+def interleaved_dot(q_rows, cos, sin):
+    """Per-row dot of q_rows (..., 2m) with the interleaved (cos, sin)."""
+    return (np.einsum("...m,...m->...", q_rows[..., 0::2], cos)
+            + np.einsum("...m,...m->...", q_rows[..., 1::2], sin))
+
+
+def per_edge_relative(h, emb, dz):
+    """z and the exact (dq, dk, dv) of relative mode in its per-edge form:
+    every edge's score is (q . k + q . gamma(p_q - p_k)) / sqrt(d) from the
+    edge's own (cos, sin), whole levels at a time, raw exponentials summed
+    by np.add.at, the gradients by the chain rule through the per-query
+    sums and the pooling means."""
+    d = h.levels[0].q_tilde.shape[1]
+    scale = math.sqrt(d)
+    anc = np.arange(h.n_tokens)
+    denom, y, levels = 0.0, 0.0, []
+    for lv in h.levels:
+        rows, cols = lv.topology.rows, lv.topology.indices
+        cos, sin = rotation(lv.positions[rows], lv.positions[cols], emb)
+        q, k, v = lv.q_tilde, lv.k_tilde, lv.v_tilde
+        w = np.exp((np.einsum("ed,ed->e", q[rows], k[cols]) + interleaved_dot(q[rows], cos, sin))
+                   / scale)
+        d_lv, y_lv = np.zeros(lv.n_tokens), np.zeros((lv.n_tokens, v.shape[1]))
+        np.add.at(d_lv, rows, w)
+        np.add.at(y_lv, rows, w[:, None] * v[cols])
+        denom, y = denom + d_lv[anc], y + y_lv[anc]
+        levels.append((anc, cos, sin, w))
+        if lv.parent_of is not None:
+            anc = lv.parent_of[anc]
+    z = y / denom[:, None]
+    a, b = dz / denom[:, None], np.einsum("id,id->i", dz, z) / denom
+    grads = []
+    for lv, (anc, cos, sin, w) in zip(h.levels, levels):
+        rows, cols = lv.topology.rows, lv.topology.indices
+        q, k, v = lv.q_tilde, lv.k_tilde, lv.v_tilde
+        a_lv, b_lv = np.zeros((lv.n_tokens, a.shape[1])), np.zeros(lv.n_tokens)
+        np.add.at(a_lv, anc, a)
+        np.add.at(b_lv, anc, b)
+        ds = w * (np.einsum("ed,ed->e", a_lv[rows], v[cols]) - b_lv[rows]) / scale
+        key = k[cols].copy()
+        key[:, 0::2] += cos
+        key[:, 1::2] += sin
+        g = np.zeros((lv.n_tokens, 2 * d + v.shape[1]))
+        np.add.at(g[:, :d], rows, ds[:, None] * key)
+        np.add.at(g[:, d:2 * d], cols, ds[:, None] * q[rows])
+        np.add.at(g[:, 2 * d:], cols, w[:, None] * a_lv[rows])
+        grads.append(g)
+    g = grads.pop()
+    for fine in range(h.depth - 1, -1, -1):
+        coarse = h.levels[fine + 1]
+        sizes = np.diff(coarse.pool_indptr)
+        pulled = np.zeros((h.levels[fine].n_tokens, g.shape[1]))
+        np.add.at(pulled, coarse.pool_indices, np.repeat(g / sizes[:, None], sizes, axis=0))
+        g = pulled + grads.pop()
+    return z, g[:, :d], g[:, d:2 * d], g[:, 2 * d:]
+
+
+def largest_angle(h, emb):
+    """The largest |2 pi b . (p - c)| of any level's per-token K'."""
+    return max(float(np.abs(2 * np.pi * ((lv.positions - (lv.positions.min(axis=0)
+                                                           + lv.positions.max(axis=0)) / 2)
+                                         @ emb.frequencies.T)).max()) for lv in h.levels)
+
+
+@pytest.mark.parametrize("flavor", ["point", "voxel"])
+@pytest.mark.parametrize("shift", [0.0, 1e3, 1e6])
+@pytest.mark.parametrize("size", [1e-3, 1.0, 1e3])
+def test_relative_mode_matches_its_per_edge_form(flavor, shift, size):
+    # z and all three gradients stay within 1e-13 of the per-edge form,
+    # relative to the largest magnitude, on clouds far from the origin: the
+    # per-token angles are taken about each level's bounding-box centre.
+    # Angles of |a| radians carry a rounding of |a| * 2^-52 in float64
+    # whichever way they are formed, so the bound grows by that where the
+    # cloud is 1e3 wide (|a| near 1e4; the per-edge form itself is then
+    # about 5e-13 from one made in long double).
+    rng = np.random.default_rng(60)
+    d = 4
+    if flavor == "point":
+        coords, base = None, rng.normal(size=(80, 3))
+    else:
+        coords = np.unique(rng.integers(0, 6, size=(120, 3)), axis=0)
+        base = coords + rng.uniform(0.1, 0.9, size=coords.shape)
+    n = base.shape[0]
+    q, k, v, dz = (rng.normal(size=(n, d)) for _ in range(4))
+    emb = make_fourier_embedding(d, rng)
+    h = build_hierarchy(base * size + shift, q, k, v, flavor=flavor, k=4, r=2, coords=coords)
+    assert h.depth >= 1
+    got = (gha_forward(h, emb, "relative").z, *gha_backward(h, dz, emb, "relative"))
+    bound = 1e-13 + largest_angle(h, emb) * 2.0**-52
+    assert size > 1 or bound < 1.1e-13
+    for a, want in zip(got, per_edge_relative(h, emb, dz), strict=True):
+        assert np.abs(a - want).max() <= bound * np.abs(want).max()
+
+
+def test_dense_relative_reference_matches_its_per_edge_form():
+    # The dense reference scores [q | Q'] against [k | K']; the per-edge
+    # form scores every pair with its own (cos, sin).
+    rng = np.random.default_rng(61)
+    n, d = 60, 6
+    q, k, v, pos = rand_inputs(rng, n, d)
+    pos += 1e3
+    emb = make_fourier_embedding(d, rng)
+    out = dense_attention(AttentionInputs(q=q, k=k, v=v, positions=pos, embedding=emb,
+                                          embedding_mode="relative"))
+    cos, sin = rotation(pos[:, None, :], pos[None, :, :], emb)
+    w = np.exp((q @ k.T + interleaved_dot(q[:, None, :], cos, sin)) / math.sqrt(d))
+    want = (w @ v) / w.sum(axis=1)[:, None]
+    assert np.abs(out.z - want).max() <= 1e-13 * np.abs(want).max()
+    np.testing.assert_allclose(out.normalizers, w.sum(axis=1), rtol=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# Rows of one width
+# ---------------------------------------------------------------------------
+
+def gathered(h):
+    """``h`` with every level's derived row width zeroed: each span gathers
+    its query rows edge by edge instead of broadcasting them."""
+    for lv in h.levels:
+        object.__setattr__(lv, "neighbors", lv.neighbors._replace(width=0))
+    return h
+
+
+def width_structure(flavor, d):
+    """The point structure of ``span_structure`` (rows of 6 at every level),
+    or a 4 x 4 x 4 voxel block: windows of 8 to 27 cells at level 0, and
+    the 2 x 2 x 2 cells of level 1, each window holding all 8."""
+    if flavor == "point":
+        return span_structure(flavor, d)
+    rng = np.random.default_rng(39)
+    coords = np.stack(np.meshgrid(*[np.arange(4)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+    coords = coords[rng.permutation(64)]
+    q, k, v, _ = rand_inputs(rng, 64, d)
+    return build_hierarchy(coords + 0.5, q, k, v, flavor="voxel", coords=coords)
+
+
+@pytest.mark.parametrize("flavor", ["point", "voxel"])
+@pytest.mark.parametrize("mode", ["none", "absolute", "relative"])
+def test_rows_of_one_width_broadcast_with_the_same_bits(flavor, mode):
+    # Levels whose rows share one width (every kNN level, and here a voxel
+    # level of one full window per cell) broadcast each query's q, Q', row
+    # maximum and folded cotangents; with the width zeroed they gather
+    # them: z, the gradients and effective rows keep every bit.
+    d = 4
+    emb = make_fourier_embedding(d, np.random.default_rng(62)) if mode != "none" else None
+    broadcast = width_structure(flavor, d)
+    dz = np.random.default_rng(63).normal(size=(broadcast.n_tokens, d))
+
+    def outputs(h):
+        fwd = gha_forward(h, emb, mode)
+        return (fwd.z, fwd.normalizers, *gha_backward(h, dz, emb, mode),
+                effective_attention_row(h, 5, emb, mode))
+
+    widths = [lv.neighbors.width for lv in broadcast.levels]
+    assert widths == ([6] * 5 if flavor == "point" else [0, 8])
+    for got, want in zip(outputs(gathered(width_structure(flavor, d))), outputs(broadcast),
+                         strict=True):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["none", "absolute", "relative"])
+def test_a_topology_with_no_rows_constructs_and_runs(mode):
+    import gha3d.attention as attention_mod
+    from gha3d.geometry import NeighborhoodTopology
+    from gha3d.hierarchy import _sparse_map
+
+    topology = NeighborhoodTopology(kind="knn", indptr=np.array([0]),
+                                    indices=np.zeros(0, np.int64))
+    neighbors = _sparse_map(topology.indptr, topology.indices)
+    assert neighbors.width == 0 and neighbors.sequential
+    empty = np.zeros((0, 4))
+    term = None if mode == "none" else empty
+    sides = attention_mod._scored(empty, empty, term, mode)
+    mu, denom, y = attention_mod._level_softmax(sides, empty, topology, neighbors, 2.0)
+    assert mu.shape == denom.shape == (0,) and y.shape == (0, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -940,27 +1137,29 @@ def same_bits(got, want):
 
 @pytest.mark.parametrize("flavor", ["point", "voxel"])
 @pytest.mark.parametrize("mode", ["none", "absolute", "relative"])
-@pytest.mark.parametrize("with_table", [False, True])
-def test_gradients_are_the_same_with_or_without_a_pass(flavor, mode, with_table):
+@pytest.mark.parametrize("kept", [False, True])
+def test_gradients_are_the_same_with_or_without_a_pass(flavor, mode, kept):
     # A backward after a forward reads its pass, one with none runs its own
     # forward first, and a second backward on the same hierarchy reads the
-    # pass the first left: every bit is the same. Without a table the
-    # forward-first case runs on a twin structure that keeps no term yet.
+    # pass the first left: every bit is the same. With ``kept`` the terms
+    # are made up front by positional_table; without, the forward-first
+    # case runs on a twin structure that keeps no term yet.
     d = 4
     structure = span_structure(flavor, d)
     emb = make_fourier_embedding(d, np.random.default_rng(43)) if mode != "none" else None
-    table = positional_table(structure, emb, mode) if with_table else None
+    if kept:
+        positional_table(structure, emb, mode)
     n = structure.n_tokens
     q, k, v, dz = (np.random.default_rng(44).normal(size=(n, d)) for _ in range(4))
     alone = with_values(structure, q=q, k=k, v=v)
     assert alone.forward_pass is None
-    first = gha_backward(alone, dz, emb, mode, table)
-    again = gha_backward(alone, dz, emb, mode, table)
-    after = with_values(structure if with_table else span_structure(flavor, d), q=q, k=k, v=v)
-    z = gha_forward(after, emb, mode, table).z
-    got = gha_backward(after, dz, emb, mode, table)
+    first = gha_backward(alone, dz, emb, mode)
+    again = gha_backward(alone, dz, emb, mode)
+    after = with_values(structure if kept else span_structure(flavor, d), q=q, k=k, v=v)
+    z = gha_forward(after, emb, mode).z
+    got = gha_backward(after, dz, emb, mode)
     assert same_bits(again, first) and same_bits(got, first)
-    assert gha_forward(alone, emb, mode, table).z.tobytes() == z.tobytes()
+    assert gha_forward(alone, emb, mode).z.tobytes() == z.tobytes()
 
 
 @pytest.mark.parametrize("mode", ["absolute", "relative"])
@@ -1065,8 +1264,8 @@ BACKWARD_ALONE_PEAK_BEFORE = 19024728
 
 
 def test_backward_peak_is_below_the_recorded_figure():
-    # 2^14 uniform tokens, d = 8, k = 8, relative mode, terms kept by a
-    # table. The backward holds one level's edge weights and ds at a time,
+    # 2^14 uniform tokens, d = 8, k = 8, relative mode, terms kept on the
+    # structure. The backward holds one level's edge weights and ds at a time,
     # writes each level's [dq | dk | dv] in place and frees every level's
     # rows once the pull-back has summed them: about 10.3 MiB, and 13.8 MiB
     # with its own forward.
@@ -1093,43 +1292,43 @@ def test_backward_peak_is_below_the_recorded_figure():
 
 # Bits of gha_backward in relative mode on 20 tokens at 5 positions (depth 3),
 # one row of float.hex values per token: pins the pooling and pull-back
-# summation orders for a general dz.
+# summation orders for a general dz (recorded with per-token rotations).
 PINNED_BACKWARD = {
     "dq": """
-        0x1.3b54b42c6fd70p-3 -0x1.a2e92057d1b60p-11 0x1.d31adcb827232p-5 0x1.2221194f570a1p-5
-        0x1.3b55596ba302ep-4 -0x1.33789610d5f1ep-3 0x1.512698549c691p-2 -0x1.45fdbc9b0c71fp-5
-        0x1.38722774959d6p-3 -0x1.a694f8c3fa856p-5 0x1.e3e4f7b875e05p-5 0x1.af3847af16698p-6
-        0x1.8cb99d38e0c5ep-6 0x1.c7b27e4dd83b9p-4 -0x1.a733c1a1a58abp-8 0x1.4ea8d4a196572p-5
-        -0x1.41ecc434df241p-4 0x1.702b66e5b4060p-5 0x1.27de10af192dbp-2 0x1.bfc4f28389fa6p-5
-        0x1.0417ece66bc1ep-3 -0x1.081e0b4a6aff9p-4 -0x1.112c0306b70c6p-3 -0x1.704fbe08de168p-4
-        -0x1.05cc6842b30e4p-5 -0x1.cd02d00c07328p-10 -0x1.db439cc07fcb5p-2 -0x1.2f819586ec911p-4
-        -0x1.9eacb76ac97a6p-2 0x1.2f958628bc95ap-2 -0x1.9fd2ef056e7b2p-7 -0x1.1562acd9cd96ep-5
-        -0x1.56614855aeccfp-2 0x1.549d2e6fd83fap-2 0x1.fe543b2841a63p-6 0x1.2f0bb6e8ceebcp-6
-        0x1.92ddea9de05a0p-7 0x1.a192c959ac2d3p-7 0x1.fbb00f0407ac8p-5 0x1.25b4b06b9b9fcp-8
+        0x1.3b54b42c6fd70p-3 -0x1.a2e92057d19e0p-11 0x1.d31adcb827229p-5 0x1.2221194f5709cp-5
+        0x1.3b55596ba302dp-4 -0x1.33789610d5f22p-3 0x1.512698549c68dp-2 -0x1.45fdbc9b0c71ep-5
+        0x1.38722774959d3p-3 -0x1.a694f8c3fa852p-5 0x1.e3e4f7b875e07p-5 0x1.af3847af1669ap-6
+        0x1.8cb99d38e0c72p-6 0x1.c7b27e4dd83b8p-4 -0x1.a733c1a1a58a7p-8 0x1.4ea8d4a196572p-5
+        -0x1.41ecc434df240p-4 0x1.702b66e5b4061p-5 0x1.27de10af192dbp-2 0x1.bfc4f28389fa6p-5
+        0x1.0417ece66bc1dp-3 -0x1.081e0b4a6aff9p-4 -0x1.112c0306b70c5p-3 -0x1.704fbe08de169p-4
+        -0x1.05cc6842b30e3p-5 -0x1.cd02d00c0732cp-10 -0x1.db439cc07fcb4p-2 -0x1.2f819586ec912p-4
+        -0x1.9eacb76ac97a6p-2 0x1.2f958628bc959p-2 -0x1.9fd2ef056e7b4p-7 -0x1.1562acd9cd96cp-5
+        -0x1.56614855aeccep-2 0x1.549d2e6fd83f8p-2 0x1.fe543b2841a66p-6 0x1.2f0bb6e8ceec0p-6
+        0x1.92ddea9de0599p-7 0x1.a192c959ac2d6p-7 0x1.fbb00f0407ac4p-5 0x1.25b4b06b9b9f4p-8
     """,
     "dk": """
-        -0x1.cb6c060f6e64bp-2 -0x1.b7e05d81c7e39p-2 0x1.a4d05131e55a8p-2 -0x1.0cd7f3e2c959ep-2
-        -0x1.5cfa33fd9e8b8p-7 -0x1.6fb61035cdb30p-5 -0x1.9d2fd8efc2a5ap-4 0x1.e3840a7348e67p-5
-        0x1.15f594ac78e11p-2 -0x1.e6231294ebd1cp-4 0x1.2613f70d26755p-6 -0x1.cfd31705c3fbdp-5
-        0x1.6b338b6f67f2cp-3 0x1.93ba935c05328p-3 0x1.72998f81c1e9fp-3 0x1.043f3efed5365p-1
-        -0x1.dc20676df7be3p-4 -0x1.60d73facb9af8p-2 0x1.bfe9894f9bd00p-8 0x1.fc6dc53aecaa5p-5
-        0x0.0p+0 0x0.0p+0 -0x1.b88f99337134dp-4 -0x1.29e1c9a125832p-3
-        0x0.0p+0 0x0.0p+0 -0x1.3271b7c5f40fdp-4 -0x1.8a3abb3cc40e7p-5
-        -0x1.8d6d2b9d06716p-4 0x1.3e1f7132382dfp-4 0x0.0p+0 0x0.0p+0
-        -0x1.7f8fd50366825p-3 0x1.2e00cb7d164a9p-1 0x0.0p+0 0x0.0p+0
-        0x1.abbd1f3f613c5p-5 0x1.26f125d2d0654p-4 0x0.0p+0 0x0.0p+0
+        -0x1.cb6c060f6e64ap-2 -0x1.b7e05d81c7e3ap-2 0x1.a4d05131e55a4p-2 -0x1.0cd7f3e2c959cp-2
+        -0x1.5cfa33fd9e8b7p-7 -0x1.6fb61035cdb30p-5 -0x1.9d2fd8efc2a5ap-4 0x1.e3840a7348e65p-5
+        0x1.15f594ac78e10p-2 -0x1.e6231294ebd1ap-4 0x1.2613f70d26751p-6 -0x1.cfd31705c3fbcp-5
+        0x1.6b338b6f67f2cp-3 0x1.93ba935c05327p-3 0x1.72998f81c1e9fp-3 0x1.043f3efed5365p-1
+        -0x1.dc20676df7be3p-4 -0x1.60d73facb9af8p-2 0x1.bfe9894f9bd02p-8 0x1.fc6dc53aecaa5p-5
+        0x0.0p+0 0x0.0p+0 -0x1.b88f99337134ep-4 -0x1.29e1c9a125830p-3
+        0x0.0p+0 0x0.0p+0 -0x1.3271b7c5f40fcp-4 -0x1.8a3abb3cc40e9p-5
+        -0x1.8d6d2b9d06717p-4 0x1.3e1f7132382ddp-4 0x0.0p+0 0x0.0p+0
+        -0x1.7f8fd50366823p-3 0x1.2e00cb7d164a9p-1 0x0.0p+0 0x0.0p+0
+        0x1.abbd1f3f613c5p-5 0x1.26f125d2d0655p-4 0x0.0p+0 0x0.0p+0
     """,
     "dv": """
-        0x1.6397b5be9f380p-1 0x1.a112fe2b0a294p-4 0x1.0bf52b6d59558p-1 0x1.ba22d951a60d3p-2
-        -0x1.0eceee0238921p-6 -0x1.44f97cff8f527p-3 0x1.63ee2cb82d6dcp-2 0x1.c7cc0eda42f6cp-3
-        0x1.986af4ac22aadp-2 0x1.41a37e95bcdc9p-2 0x1.b009223856051p-5 0x1.8a6f760af8bd6p-5
-        0x1.bbd0737f1bcb0p-3 0x1.668b8597953f4p-3 0x1.58df7f444226fp-2 -0x1.05cd6817d55cap-3
-        0x1.589ff83599a88p-2 -0x1.290d2f04bc220p-5 0x1.78a6c57c2a355p-2 0x1.c0ebd6ece691ep-4
-        0x0.0p+0 0x0.0p+0 -0x1.ca270ce88fe24p-7 -0x1.703133e620ae8p-6
-        0x0.0p+0 0x0.0p+0 0x1.1e16ba37a5f3ap-3 0x1.0ef73bf566618p-2
-        -0x1.61a89251a4f93p-3 -0x1.632be763c55cdp-3 0x0.0p+0 0x0.0p+0
+        0x1.6397b5be9f380p-1 0x1.a112fe2b0a290p-4 0x1.0bf52b6d59556p-1 0x1.ba22d951a60d1p-2
+        -0x1.0eceee0238924p-6 -0x1.44f97cff8f527p-3 0x1.63ee2cb82d6dcp-2 0x1.c7cc0eda42f6cp-3
+        0x1.986af4ac22aabp-2 0x1.41a37e95bcdc7p-2 0x1.b009223856053p-5 0x1.8a6f760af8bd5p-5
+        0x1.bbd0737f1bcaep-3 0x1.668b8597953f2p-3 0x1.58df7f444226fp-2 -0x1.05cd6817d55ccp-3
+        0x1.589ff83599a88p-2 -0x1.290d2f04bc222p-5 0x1.78a6c57c2a355p-2 0x1.c0ebd6ece691fp-4
+        0x0.0p+0 0x0.0p+0 -0x1.ca270ce88fe24p-7 -0x1.703133e620aebp-6
+        0x0.0p+0 0x0.0p+0 0x1.1e16ba37a5f38p-3 0x1.0ef73bf566618p-2
+        -0x1.61a89251a4f93p-3 -0x1.632be763c55cep-3 0x0.0p+0 0x0.0p+0
         -0x1.f4f1e61a772cep-2 -0x1.1faeec0efb659p-3 0x0.0p+0 0x0.0p+0
-        0x1.a6a30fba0a480p-6 0x1.4b5d0ce7fd9dep-5 0x0.0p+0 0x0.0p+0
+        0x1.a6a30fba0a47ep-6 0x1.4b5d0ce7fd9ddp-5 0x0.0p+0 0x0.0p+0
     """,
 }
 
@@ -1149,14 +1348,16 @@ def test_backward_bits_are_pinned_on_duplicate_positions():
 
 # SHA-256 prefixes of (z, normalizers, effective_attention_row(h, 7)) bytes,
 # recorded before the kernels gathered rows with ndarray.take: the gathers
-# must not change a bit.
+# must not change a bit. The relative entries were recorded when relative
+# scores moved from per-edge (cos, sin) terms to per-token rotations, whose
+# outputs differ from the per-edge form's by at most 7e-15 of their largest.
 PINNED_FORWARD = {
     ("point", "none"): ("e88e34e9535b2eda", "41c6144ce686ef33", "b799762dbb1852a1"),
     ("point", "absolute"): ("04394e9e93d029d1", "059ed3bd5b7c5c11", "0bb6fe434ae0732a"),
-    ("point", "relative"): ("d8950276541f234b", "a894a8c57d219759", "57e5dbcd767563fa"),
+    ("point", "relative"): ("e514c3bcebef61f7", "e7c7eec0fea03d59", "be7bdd7ac74d4975"),
     ("voxel", "none"): ("d0f450c29bbec84b", "2fc860e9c31e156e", "b8994e04f50f9a83"),
     ("voxel", "absolute"): ("bdf165fcd5dddf24", "958d03dc5a78a191", "f7f69a20854429c2"),
-    ("voxel", "relative"): ("eb49aff98c141123", "b36b2e48b772e4da", "0fe3247b1cb50bc3"),
+    ("voxel", "relative"): ("379667a07c84c200", "5b20be602e69cd41", "854c5dcef727c9da"),
 }
 
 
@@ -1189,14 +1390,15 @@ def test_forward_and_row_bits_are_pinned(flavor, mode):
 
 # SHA-256 prefixes of gha_backward's (dq, dk, dv) bytes for one general dz,
 # recorded while the fold, dk, dv and pull-back sums ran through a keyed
-# np.bincount: any later kernel must add their terms in the same order.
+# np.bincount: any later kernel must add their terms in the same order
+# (the relative entries re-recorded with per-token rotations, as above).
 PINNED_GRADIENTS = {
     ("point", "none"): ("f7ec46b1907edadd", "d50515002e835d26", "0c493341b9f36a82"),
     ("point", "absolute"): ("44bffad2b5767cc1", "4448eca9c189b565", "ad3140ba703d834a"),
-    ("point", "relative"): ("0e475ae3b8649199", "00255e0a1663abff", "b64aa5346081631a"),
+    ("point", "relative"): ("60a5eb9a87792e6b", "30d52162085ea8ee", "e4bf734dc38afef7"),
     ("voxel", "none"): ("8ba2d9fefec17f12", "ddae5589818fd9cf", "bbc0f718a423b118"),
     ("voxel", "absolute"): ("763d3af50c1b7800", "e3c4df32e9a8ea7c", "454283634119be35"),
-    ("voxel", "relative"): ("a84c67408d6c5239", "73136bc9c79a437c", "df38d9d763d77f70"),
+    ("voxel", "relative"): ("a75af7c790eac838", "fcd5f156a969a310", "45e8dc5a1bd25330"),
 }
 
 
@@ -1300,6 +1502,28 @@ def test_backward_folds_and_pulls_back_once(monkeypatch):
     assert calls.count(("product", d_v + 1)) == levels
     assert calls.count(("product", 2 * d + d_v)) == h.depth
     assert len(calls) == 1 + levels + 2 * levels + h.depth
+
+
+def test_fold_multiplies_int32_maps(monkeypatch):
+    # The fold's per-level ancestor maps are int32, the dtype SciPy
+    # multiplies in, so no product converts them.
+    import gha3d.attention as attention_mod
+
+    rng = np.random.default_rng(64)
+    n, d = 60, 4
+    h = build_hierarchy(rng.normal(size=(n, 3)), *(rng.normal(size=(n, d)) for _ in range(3)),
+                        flavor="point", k=4, r=2)
+    dtypes = []
+    real = attention_mod._transposed_product
+
+    def product(indptr, indices, data, x, n_out):
+        dtypes.append((indptr.dtype, indices.dtype))
+        return real(indptr, indices, data, x, n_out)
+
+    monkeypatch.setattr(attention_mod, "_transposed_product", product)
+    mus = tuple(np.zeros(lv.n_tokens) for lv in h.levels)
+    attention_mod._fold(h, mus, np.zeros(n), rng.normal(size=(n, d + 1)))
+    assert dtypes == [(np.dtype(np.int32), np.dtype(np.int32))] * len(h.levels)
 
 
 def test_backward_zero_cotangent():

@@ -446,7 +446,9 @@ def test_forward_mechanism_validation():
 def test_forward_frozen_regression_values():
     """Bit-frozen end-to-end fixture: seeded init, relative embeddings,
     2 layers x 2 heads over the two-pair layout. Catches any silent change
-    in initialization order, coarsening, scoring, or block wiring."""
+    in initialization order, coarsening, scoring, or block wiring. Recorded
+    when relative scores moved to per-token rotations (2.6e-16 of the
+    largest entry from the per-edge form's bits)."""
     from gha3d.seeding import substream
 
     config = BlockConfig(n_layers=2, model_dim=4, ffn_dim=8, n_heads=2, seed=11,
@@ -457,27 +459,28 @@ def test_forward_frozen_regression_values():
 
     want = np.array([
         [float.fromhex(h) for h in
-         ("0x1.5fba8d6b73185p+1", "-0x1.53d7e2e630ae0p-4",
-          "-0x1.391f05b63ad7bp-1", "0x1.7eae693907635p-2")],
+         ("0x1.5fba8d6b73186p+1", "-0x1.53d7e2e630ae8p-4",
+          "-0x1.391f05b63ad7ap-1", "0x1.7eae693907632p-2")],
         [float.fromhex(h) for h in
-         ("0x1.1f587bf2620bep+1", "-0x1.a16dbf0365140p-2",
-          "-0x1.981c2742ebb38p-2", "-0x1.d932a63cfa568p-1")],
+         ("0x1.1f587bf2620c0p+1", "-0x1.a16dbf036513ep-2",
+          "-0x1.981c2742ebb36p-2", "-0x1.d932a63cfa568p-1")],
         [float.fromhex(h) for h in
-         ("0x1.255d06eae8ad6p+0", "0x1.48a862c61cdf0p+0",
-          "0x1.ba1ed54593a45p-2", "0x1.48c3cf945be19p+1")],
+         ("0x1.255d06eae8ad5p+0", "0x1.48a862c61cdefp+0",
+          "0x1.ba1ed54593a47p-2", "0x1.48c3cf945be19p+1")],
         [float.fromhex(h) for h in
-         ("0x1.b9743ded0c650p+1", "0x1.266eedd39266dp+0",
-          "-0x1.6168c3d9f484ep-1", "-0x1.40fdae96e1c57p+0")],
+         ("0x1.b9743ded0c650p+1", "0x1.266eedd39266ep+0",
+          "-0x1.6168c3d9f484dp-1", "-0x1.40fdae96e1c56p+0")],
     ])
     np.testing.assert_array_equal(out, want)
 
 
 # ---------------------------------------------------------------------------
-# One positional table per structure
+# Positional terms made once per structure
 # ---------------------------------------------------------------------------
 
 def per_head_reference(x, params, structure):
-    """block_forward spelled out with a table-free gha_forward per head."""
+    """block_forward spelled out: a gha_forward per head with no
+    positional_table call, and out-of-place arithmetic."""
     config, ch = params.config, params.config.head_dim
     for layer_idx, lp in enumerate(params.layers):
         mode, emb = config.embedding_mode, params.embedding
@@ -490,9 +493,11 @@ def per_head_reference(x, params, structure):
             sl = slice(head * ch, (head + 1) * ch)
             hh = with_values(structure, q=q[:, sl], k=k_rows[:, sl], v=v[:, sl])
             heads.append(gha_forward(hh, embedding=emb, embedding_mode=mode).z)
-        x = x + (np.concatenate(heads, axis=1) @ lp.w_o + lp.b_o)
+        attn = np.concatenate(heads, axis=1) @ lp.w_o + lp.b_o
+        x = x + _dropout(attn, config.attn_dropout, config, layer_idx, 0)
         f = layer_norm(x, lp.ln2_gain, lp.ln2_shift)
-        x = x + (np.maximum(f @ lp.w1 + lp.b1, 0.0) @ lp.w2 + lp.b2)
+        u = _dropout(np.maximum(f @ lp.w1 + lp.b1, 0.0), config.ffn_dropout, config, layer_idx, 1)
+        x = x + _dropout(u @ lp.w2 + lp.b2, config.ffn_dropout, config, layer_idx, 2)
     return x
 
 
@@ -516,7 +521,26 @@ def test_forward_shared_table_equals_per_head_loop(flavor, mode, every):
                                   per_head_reference(x, params, structure))
 
 
-@pytest.mark.parametrize("mode,term_fn", [("relative", "_rotation"), ("absolute", "embed_points")])
+@pytest.mark.parametrize("mode", ["none", "absolute", "relative"])
+def test_in_place_arithmetic_keeps_the_bits_with_dropout(mode):
+    # block_forward adds biases, residuals and the ReLU in place; with
+    # dropout on, its output has the bits of the out-of-place wiring, and
+    # the caller's x is left as it was.
+    from gha3d.block import attention_structure
+
+    rng = np.random.default_rng(38)
+    pos = rng.normal(size=(40, 3))
+    structure = attention_structure(pos, flavor="point", k=3, r=2)
+    params = init_params(small_config(n_layers=2, model_dim=16, ffn_dim=8, n_heads=4,
+                                      embedding_mode=mode, dropout_enabled=True))
+    x = rng.normal(size=(40, 16))
+    before = x.copy()
+    out = block_forward(x, pos, params, structure=structure)
+    assert x.tobytes() == before.tobytes()
+    assert out.tobytes() == per_head_reference(x, params, structure).tobytes()
+
+
+@pytest.mark.parametrize("mode,term_fn", [("relative", "embed_points"), ("absolute", "embed_points")])
 def test_forward_builds_positional_terms_once_per_level(monkeypatch, mode, term_fn):
     import gha3d.attention as attention_mod
     from gha3d.block import attention_structure
@@ -533,7 +557,7 @@ def test_forward_builds_positional_terms_once_per_level(monkeypatch, mode, term_
     assert len(calls) == len(structure.levels) >= 3
 
 
-@pytest.mark.parametrize("mode,term_fn", [("relative", "_rotation"), ("absolute", "embed_points")])
+@pytest.mark.parametrize("mode,term_fn", [("relative", "embed_points"), ("absolute", "embed_points")])
 def test_forwards_on_one_structure_share_its_positional_terms(monkeypatch, mode, term_fn):
     import gha3d.attention as attention_mod
     from gha3d.block import attention_structure

@@ -166,13 +166,14 @@ def test_only_the_transposed_product_scatters():
 
 
 def test_scores_are_formed_in_one_span_helper():
-    """A level's score with its relative term, and the exponential of a
-    score, are formed in ``attention._span_weights`` alone: the forward, the
-    backward and effective weights all call it, so t made again from a
-    pass's row maxima is bitwise the forward's. The dense reference
-    (``_dense_softmax_chunks``) forms its rows-by-keys scores itself. No
-    other function calls ``_interleaved_dot`` or takes ``np.exp`` of an
-    expression that reads a score ``s``."""
+    """A level's score, q . k plus its relative term Q' . K', and the
+    exponential of a score are formed in ``attention._span_weights`` alone:
+    the forward, the backward and effective weights all call it, so t made
+    again from a pass's row maxima is bitwise the forward's. The dense
+    reference (``_dense_softmax_chunks``) forms its rows-by-keys scores
+    itself. No other function reads a ``_Sides``' Q' or K' (``q_rot``,
+    ``k_rot``) into a ``_query_dot``, or takes ``np.exp`` of an expression
+    that reads a score ``s``."""
     dots, exps = set(), set()
     for path in sorted(SRC.glob("*.py")):
         for fn in ast.walk(_tree(path)):
@@ -182,14 +183,15 @@ def test_scores_are_formed_in_one_span_helper():
                 if not isinstance(node, ast.Call):
                     continue
                 callee = ast.unparse(node.func)
-                if callee == "_interleaved_dot":
+                if callee == "_query_dot" and any(
+                        isinstance(n, ast.Attribute) and n.attr in ("q", "q_rot", "k", "k_rot")
+                        for arg in node.args for n in ast.walk(arg)):
                     dots.add(f"{path.name}:{fn.name}")
                 if callee in ("np.exp", "numpy.exp") and node.args and any(
                         isinstance(n, ast.Name) and n.id == "s" for n in ast.walk(node.args[0])):
                     exps.add(f"{path.name}:{fn.name}")
-    expected = {"attention.py:_span_weights", "attention.py:_dense_softmax_chunks"}
-    assert dots == expected
-    assert exps == expected
+    assert dots == {"attention.py:_span_weights"}
+    assert exps == {"attention.py:_span_weights", "attention.py:_dense_softmax_chunks"}
 
 
 def test_geometry_squares_distances_one_way():

@@ -11,9 +11,10 @@ SRC CASE``), trees interleaved; the JSON keeps each figure's median. A case
 - ``build`` (seed 17; d=8, k=8, r=2): ``knn_s`` is spent in
   ``knn_from_positions``, ``fps_s`` in farthest-point sampling (which also
   gives the parent maps), ``pool_s`` in the rest of ``build_hierarchy``.
-- ``kernels`` (seed 19; relative mode, d=8, one shared positional table,
-  after one untimed forward): the wall time of the case's structure's first
-  ``positional_table`` (``table_s``, the terms it then keeps), of one
+- ``kernels`` (seed 19; relative mode, d=8, the positional terms kept on
+  the structure, after one untimed forward): the wall time of the case's
+  structure's first ``positional_table`` (``table_s``, the terms it then
+  keeps), of one
   ``with_values(h, q, k, v)`` re-pooling (``with_values_s``) and of one
   ``gha_forward`` or ``gha_backward`` (``*_s``), and the tracemalloc peak
   of one more call (``*_peak_mb``), on uniform clouds and on the
@@ -97,13 +98,13 @@ def kernels(cloud: str, n: int) -> dict:
                                   k=K, r=R, coords=coords)
     emb = attention.make_fourier_embedding(D, rng)
     t = time.perf_counter()
-    table = attention.positional_table(h, emb, "relative")
+    attention.positional_table(h, emb, "relative")
     out = {"table_s": time.perf_counter() - t}
     t = time.perf_counter()
     hierarchy.with_values(h, q, k, v)
     out["with_values_s"] = time.perf_counter() - t
-    calls = {"forward": lambda: attention.gha_forward(h, emb, "relative", table=table),
-             "backward": lambda: attention.gha_backward(h, dz, emb, "relative", table=table)}
+    calls = {"forward": lambda: attention.gha_forward(h, emb, "relative"),
+             "backward": lambda: attention.gha_backward(h, dz, emb, "relative")}
     calls["forward"]()
     # Wall time of one call, then the peak of one more.
     for name, call in calls.items():
@@ -118,7 +119,7 @@ def kernels(cloud: str, n: int) -> dict:
             tracemalloc.stop()
     fresh = hierarchy.with_values(h, q, k, v)
     t = time.perf_counter()
-    attention.gha_backward(fresh, dz, emb, "relative", table=table)
+    attention.gha_backward(fresh, dz, emb, "relative")
     out["backward_alone_s"] = time.perf_counter() - t
     return {**out, "tokens": tokens, "edges": sum(lv.topology.total_edges for lv in h.levels)}
 
@@ -130,7 +131,7 @@ SUITES = {
               "build_hierarchy(positions, q, k, v, k=8, r=2), d=8, one BLAS thread"),
     "kernels": (kernels, [f"uniform/{n}" for n in SIZES] + ["voxel_scene/100000"],
                 "positional_table, with_values, gha_forward and gha_backward (after a forward,"
-                " and alone on a with_values copy), relative mode, d=8, shared positional table"),
+                " and alone on a with_values copy), relative mode, d=8, positional terms kept"),
 }
 
 
