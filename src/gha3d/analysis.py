@@ -188,7 +188,8 @@ def neighborhood_radius(hierarchy: Hierarchy) -> float:
     between tokens farther apart than this."""
     lv = hierarchy.levels[0]
     pos, topo = lv.positions, lv.topology
-    diff = pos.take(topo.rows, axis=0) - pos.take(topo.indices, axis=0)
+    rows = np.repeat(np.arange(topo.n_tokens), topo.sizes)  # each edge's query
+    diff = pos.take(rows, axis=0) - pos.take(topo.indices, axis=0)
     return float(np.sqrt(np.einsum("ed,ed->e", diff, diff)).max())
 
 

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidInputError
 from .geometry import _checked, _freeze, _integer, _readonly
-from .hierarchy import Hierarchy, _group_sums, _product, _sparse_map, _transposed_product
+from .hierarchy import Hierarchy, _product, _sparse_map, _transposed_product
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +307,8 @@ def _row_spans(indptr: np.ndarray, width: int):
     n = indptr.shape[0] - 1
     r0 = 0
     while r0 < n:
-        r1 = max(r0 + 1, int(np.searchsorted(indptr, indptr[r0] + step, side="right")) - 1)
+        end = min(int(indptr[r0]) + step, int(indptr[-1]))  # no int32 sum to overflow
+        r1 = max(r0 + 1, int(np.searchsorted(indptr, end, side="right")) - 1)
         yield r0, r1
         r0 = r1
 
@@ -333,11 +334,21 @@ def _scored(q, k, term, mode, q_rot=None) -> _Sides:
     return _Sides(q, k, None, None)
 
 
+def _span_rows(neighbors, r0: int, r1: int) -> np.ndarray | None:
+    """Each edge's query in rows r0:r1 of ``neighbors`` (a ``_sparse_map``),
+    which a span of ragged rows gathers by; None over rows of one width,
+    which broadcast (see ``_query_dot``)."""
+    if neighbors.width:
+        return None
+    return np.repeat(np.arange(r0, r1), np.diff(neighbors.indptr[r0:r1 + 1]))
+
+
 def _query_dot(x, y_rows, rows, r0, r1, width):
     """Per edge of rows r0:r1, its query's row of x dotted with the edge's
     row of ``y_rows``. Over rows of one ``width`` (every kNN level) the
     query rows broadcast; with ``width`` 0 they are gathered edge by edge,
-    ``rows`` naming each edge's query. Both give the same bits."""
+    ``rows`` naming each edge's query (``_span_rows``). Both give the same
+    bits."""
     if width:
         return np.einsum("rd,rwd->rw", x[r0:r1], y_rows.reshape(r1 - r0, width, -1)).reshape(-1)
     return np.einsum("ed,ed->e", x.take(rows, axis=0), y_rows)
@@ -353,59 +364,50 @@ def _less_query(s, a, rows, r0, r1, width):
         s -= a.take(rows)
 
 
-def _span_weights(sides, topology, width, r0, r1, scale, mu, fresh=False, out=None):
-    """The softmax weights t = exp(s - mu[row]) of the edges of rows r0:r1,
-    written into ``out`` where given, and the span's gathered k rows: the
-    one place a level's score s = (q . k, plus Q' . K' in relative mode) /
-    scale is formed, from its ``_Sides``. A ``fresh`` pass (the forward's)
-    first writes the span's row maxima into ``mu``; later passes read them,
-    so their t is bitwise the forward's. ``width`` is the level's
-    ``neighbors.width`` (see ``_query_dot``)."""
-    indptr = topology.indptr
+def _span_weights(sides, neighbors, rows, r0, r1, scale, mu, fresh=False, out=None):
+    """The softmax weights t = exp(s - mu[row]) of the edges of rows r0:r1 of
+    ``neighbors``, written into ``out`` where given: the one place a level's
+    score s = (q . k, plus Q' . K' in relative mode) / scale is formed, from
+    its ``_Sides``. A ``fresh`` pass (the forward's) first writes the span's
+    row maxima into ``mu`` (a max is exact in any order); later passes read
+    them, so their t is bitwise the forward's. ``rows`` is the span's
+    ``_span_rows``."""
+    indptr, width = neighbors.indptr, neighbors.width
     e0, e1 = indptr[r0], indptr[r1]
-    cols, rows = topology.indices[e0:e1], topology.rows[e0:e1]
-    k_rows = sides.k.take(cols, axis=0)
-    s = _query_dot(sides.q, k_rows, rows, r0, r1, width)
+    cols = neighbors.indices[e0:e1]
+    s = _query_dot(sides.q, sides.k.take(cols, axis=0), rows, r0, r1, width)
     if sides.k_rot is not None:
         s += _query_dot(sides.q_rot, sides.k_rot.take(cols, axis=0), rows, r0, r1, width)
     s /= scale
     if fresh:
         np.maximum.reduceat(s, indptr[r0:r1] - e0, out=mu[r0:r1])
     _less_query(s, mu, rows, r0, r1, width)
-    return np.exp(s, out=s if out is None else out), k_rows
+    return np.exp(s, out=s if out is None else out)
 
 
-def _level_softmax(sides, v, topology, neighbors, scale, t_out=None):
-    """Max-shifted softmax sums over one topology, whose ``_sparse_map`` is
-    ``neighbors``, of the scores of ``sides`` (``_scored``); ``t_out``,
-    where given, receives every edge's softmax weight t.
+def _level_softmax(sides, v, neighbors, scale, t_out=None):
+    """Max-shifted softmax sums over one topology's ``_sparse_map``
+    ``neighbors``, of the scores of ``sides`` (``_scored``); ``t_out``, where
+    given, receives every edge's softmax weight t.
 
     Returns the per-token local max scores mu, the shifted denominators and
     the shifted unnormalized outputs: denom_i * exp(mu_i) and y_i * exp(mu_i)
-    are the true local sums. The edges run in ``_row_spans``; every per-row
-    reduction and per-edge product sees the operands it would see over the
-    whole level, so the bits do not depend on the cut, and nothing per-edge
-    but ``t_out`` outlives its span. With at most 8 neighbors a row, y sums
-    by one product per span (``_group_sums``) with t as its data, gathering
-    no edge rows of v."""
-    cols, indptr = topology.indices, topology.indptr
-    n = topology.n_tokens
+    are the true local sums. The edges run in ``_row_spans``; each span's
+    y and denominators are one ``_product`` of its own CSR, t as data, with
+    [v | 1], so every row adds its terms from +0.0 in entry order, whatever
+    the cut, and no edge rows of v are gathered. Nothing per-edge but
+    ``t_out`` outlives its span."""
+    indptr, cols = neighbors.indptr, neighbors.indices
+    n, d_v = indptr.shape[0] - 1, v.shape[1]
     mu, denom = np.empty(n), np.empty(n)
-    y = np.empty((n, v.shape[1]))
-    for r0, r1 in _row_spans(indptr, max(sides.q.shape[1], v.shape[1])):
+    y = np.empty((n, d_v))
+    v_ones = np.hstack([v, np.ones((n, 1))])
+    for r0, r1 in _row_spans(indptr, max(sides.q.shape[1], d_v)):
         e0, e1 = indptr[r0], indptr[r1]
-        starts = indptr[r0:r1] - e0
-        t = _span_weights(sides, topology, neighbors.width, r0, r1, scale, mu, fresh=True,
-                          out=None if t_out is None else t_out[e0:e1])[0]
-        np.add.reduceat(t, starts, out=denom[r0:r1])
-        if neighbors.sequential:  # the span's own CSR: offsets from its first edge
-            y[r0:r1] = _group_sums(v, neighbors.indptr[r0:r1 + 1] - neighbors.indptr[r0],
-                                   neighbors.indices[e0:e1], t)
-        else:
-            weighted = v.take(cols[e0:e1], axis=0)
-            weighted *= t[:, None]  # in place: one edge-by-column temporary, not two
-            np.add.reduceat(weighted, starts, axis=0, out=y[r0:r1])
-            del weighted  # else it is alive next to the next span's gathers
+        t = _span_weights(sides, neighbors, _span_rows(neighbors, r0, r1), r0, r1, scale, mu,
+                          fresh=True, out=None if t_out is None else t_out[e0:e1])
+        sums = _product(indptr[r0:r1 + 1] - e0, cols[e0:e1], t, v_ones)
+        y[r0:r1], denom[r0:r1] = sums[:, :d_v], sums[:, d_v]
     return mu, denom, y
 
 
@@ -417,8 +419,7 @@ def local_attention(inputs: AttentionInputs, topology) -> AttentionResult:
     sides = _scored(inputs.q, inputs.k, _level_term(inputs.positions, inputs.embedding, mode), mode)
     exponents = _value_exponents([inputs.v], int(topology.sizes.max()))
     v = inputs.v if exponents is None else np.ldexp(inputs.v, -exponents)
-    mu, denom, y = _level_softmax(sides, v, topology,
-                                  _sparse_map(topology.indptr, topology.indices),
+    mu, denom, y = _level_softmax(sides, v, _sparse_map(topology.indptr, topology.indices),
                                   math.sqrt(inputs.d))
     e = topology.total_edges
     with np.errstate(over="ignore"):
@@ -498,7 +499,7 @@ def _forward(hierarchy: Hierarchy, embedding, mode: str, keep: bool, weights=Non
         sides = _scored(lv.q_tilde, lv.k_tilde, _kept_term(lv, embedding, mode, keep), mode)
         v = lv.v_tilde if exponents is None else np.ldexp(lv.v_tilde, -exponents)
         t = None if weights is None else np.empty(lv.topology.total_edges)
-        mu, d_loc, y_loc = _level_softmax(sides, v, lv.topology, lv.neighbors, scale, t)
+        mu, d_loc, y_loc = _level_softmax(sides, v, lv.neighbors, scale, t)
         if weights is not None:
             weights.insert(0, t)
         mus[h] = mu
@@ -702,35 +703,31 @@ def gha_backward(hierarchy: Hierarchy, dz: np.ndarray,
         fold, folds[h] = folds[h], None
         sides = _scored(lv.q_tilde, lv.k_tilde, _kept_term(lv, embedding, embedding_mode, keep=True),
                         embedding_mode, held.q_rot[h])
-        topology, neighbors = lv.topology, lv.neighbors
-        cols, indptr, width = topology.indices, topology.indptr, neighbors.width
+        neighbors = lv.neighbors
+        indptr, cols, width = neighbors.indptr, neighbors.indices, neighbors.width
         v = lv.v_tilde if shift is None else np.ldexp(lv.v_tilde, -shift)
-        # t, ds and dq's key side edge by edge in row spans: only the dv, dk
-        # and relative dq products read the level's whole t and ds. The
-        # level's [dq | dk | dv] rows are written in place.
-        t, ds = np.empty(topology.total_edges), np.empty(topology.total_edges)
-        g = np.empty((lv.n_tokens, 2 * d + d_v))
-        dq = g[:, :d]
+        # t and ds edge by edge in row spans; every sum over the level's
+        # edges is then one product over its whole t or ds. The level's
+        # [dq | dk | dv] rows are written in place.
+        t, ds = np.empty(cols.shape[0]), np.empty(cols.shape[0])
         for r0, r1 in _row_spans(indptr, max(d, d_v + 1)):
             e0, e1 = indptr[r0], indptr[r1]
-            rows = topology.rows[e0:e1]
-            # The score's k rows, then dq's key side.
-            k_eff = _span_weights(sides, topology, width, r0, r1, scale, mu, out=t[e0:e1])[1]
+            rows = _span_rows(neighbors, r0, r1)
+            _span_weights(sides, neighbors, rows, r0, r1, scale, mu, out=t[e0:e1])
             # Each edge's query's folded output and normalizer cotangents.
             s = _query_dot(fold[:, :d_v], v.take(cols[e0:e1], axis=0), rows, r0, r1, width)
             _less_query(s, fold[:, d_v], rows, r0, r1, width)
             np.multiply(t[e0:e1], s, out=ds[e0:e1])
             ds[e0:e1] /= scale
-            del s  # else it is alive next to the dq temporaries
-            k_eff *= ds[e0:e1, None]
-            np.add.reduceat(k_eff, indptr[r0:r1] - e0, axis=0, out=dq[r0:r1])
+            del s  # else it is alive next to the next span's gathers
+        g = np.empty((lv.n_tokens, 2 * d + d_v))
+        dq = g[:, :d]
+        dq[:] = _product(indptr, cols, ds, sides.k)  # the key side
         g[:, 2 * d:] = _value_cotangent(lv, t, fold)[:, :d_v]  # b's column dropped
         del t, fold
         if sides.k_rot is not None:  # R_q (sum of ds K'): one product, then the rotation
-            dq += _rotated(_product(neighbors.indptr, neighbors.indices, ds, sides.k_rot),
-                           sides.k_rot)
-        g[:, d:2 * d] = _transposed_product(neighbors.indptr, neighbors.indices, ds, sides.q,
-                                            lv.n_tokens)
+            dq += _rotated(_product(indptr, cols, ds, sides.k_rot), sides.k_rot)
+        g[:, d:2 * d] = _transposed_product(indptr, cols, ds, sides.q, lv.n_tokens)
         per_level.append(g)
         del g, dq, ds, sides  # else alive next to the next level's
     g = _pull_back(hierarchy, per_level)

@@ -18,7 +18,8 @@ class ConfigError(GhaError, ValueError):
 
 
 class CapacityError(GhaError):
-    """An analysis routine was asked for an N x N result above its token cap."""
+    """A request exceeds a size the package holds: an N x N analysis result
+    above its token cap, or a sparse map of 2^31 or more entries or tokens."""
 
 
 class InvariantViolation(GhaError):

@@ -10,12 +10,12 @@ import itertools
 import math
 import operator
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import InvalidInputError
+from .errors import CapacityError, InvalidInputError
 
 # Packed voxel keys use 21 bits per axis.
 _VOXEL_COORD_BOUND = 1 << 20
@@ -96,10 +96,13 @@ def _checked(a, name: str, shape: tuple) -> np.ndarray:
     return out
 
 
-def _index_map(a, rule: str, n: int | None = None, length: int | None = None) -> np.ndarray:
-    """A caller's integer map as read-only int64: a float map is refused, not
-    truncated, and with ``n`` it must be 1-D, ``length`` long if given, with
-    entries in [0, n) (-1 is refused, not wrapped). The error leads with ``rule``."""
+def _index_map(a, rule: str, n: int | None = None, length: int | None = None,
+               dtype=np.int64) -> np.ndarray:
+    """A caller's integer map as read-only ``dtype``: a float map is refused,
+    not truncated, and with ``n`` it must be 1-D, ``length`` long if given,
+    with entries in [0, n) (-1 is refused, not wrapped). Without ``n`` its
+    entries need only fit ``dtype``, else CapacityError. The error leads
+    with ``rule``."""
     out = np.asarray(a)
     if out.dtype.kind not in "iu":
         got = f"dtype {out.dtype}"
@@ -108,17 +111,32 @@ def _index_map(a, rule: str, n: int | None = None, length: int | None = None) ->
     elif n is not None and out.size and not (out.min() >= 0 and out.max() < n):
         got = f"entries from {out.min()} to {out.max()}"
     else:
-        return _freeze(out, np.int64)
+        info = np.iinfo(dtype)
+        if (n is None and out.size and not np.can_cast(out.dtype, dtype)
+                and not (info.min <= out.min() and out.max() <= info.max)):
+            raise CapacityError(f"{rule}, got entries from {out.min()} to {out.max()},"
+                                f" past {info.dtype}")
+        return _freeze(out, dtype)
     raise InvalidInputError(f"{rule}{'' if n is None else f' in [0, {n})'}, got {got}")
+
+
+# Sparse maps are int32, the index dtype SciPy multiplies in (it would
+# convert int64 ones on every product): fewer than 2^31 entries and tokens.
+_INDEX_LIMIT = 1 << 31
 
 
 def _csr(indptr, indices, name: str, n: int | None, rows: int) -> tuple[np.ndarray, np.ndarray]:
     """A caller's CSR map (row i is ``indices[indptr[i]:indptr[i + 1]]``) as
-    read-only int64: every index lies in [0, n) (any integer, with n None) and
-    ``indptr`` rises from 0 to len(indices) in ``rows`` rows, none empty (a
-    row's mean divides by its size)."""
-    indices = _index_map(indices, f"{name}indices must lie", n)
-    indptr = _index_map(indptr, f"{name}indptr must be integers")
+    read-only int32 arrays: every index lies in [0, n) (any int32, with n
+    None) and ``indptr`` rises from 0 to len(indices) in ``rows`` rows, none
+    empty (a row's mean divides by its size). A map of 2^31 or more entries,
+    rows or tokens raises CapacityError before its entries are read."""
+    indptr, indices = np.asarray(indptr), np.asarray(indices)
+    if max(indices.size, rows, n or 0) >= _INDEX_LIMIT:
+        raise CapacityError(f"{name}map of {indices.size} entries in {rows} rows over {n} tokens:"
+                            f" int32 maps hold fewer than 2^31 of each")
+    indices = _index_map(indices, f"{name}indices must lie", n, dtype=np.int32)
+    indptr = _index_map(indptr, f"{name}indptr must be integers", dtype=np.int32)
     nnz = indices.shape[0]
     if not (indptr.shape == (rows + 1,) and indptr[0] == 0 and indptr[-1] == nnz
             and np.all(np.diff(indptr) >= 1)):
@@ -185,15 +203,14 @@ class NeighborhoodTopology:
 
     ``indices[indptr[i]:indptr[i + 1]]`` lists the neighbors of token i,
     self included, ordered by (squared distance, index) so that summation
-    order is canonical. ``rows`` is made once at construction: the token
-    each edge belongs to, i.e. ``indices[e]`` is a neighbor of ``rows[e]``.
+    order is canonical. Both arrays are held once, read-only and int32 (see
+    ``_csr``), and the attention kernels multiply by them as they are.
     """
 
     kind: str  # "knn" or "kernel_window"
-    indptr: np.ndarray  # (n_tokens + 1,) int64
-    indices: np.ndarray  # (nnz,) int64
+    indptr: np.ndarray  # (n_tokens + 1,) int32
+    indices: np.ndarray  # (nnz,) int32
     k: int | None = None  # neighborhood size for kind == "knn"
-    rows: np.ndarray = field(init=False, repr=False, compare=False)  # (nnz,) int64
 
     def __post_init__(self):
         if self.kind not in ("knn", "kernel_window"):
@@ -204,8 +221,6 @@ class NeighborhoodTopology:
         indptr, indices = _csr(self.indptr, self.indices, "", n, n)
         object.__setattr__(self, "indptr", indptr)
         object.__setattr__(self, "indices", indices)
-        rows = np.repeat(np.arange(self.n_tokens, dtype=np.int64), self.sizes)
-        object.__setattr__(self, "rows", _readonly(rows))
 
     @property
     def n_tokens(self) -> int:
@@ -441,9 +456,10 @@ def knn_from_positions(positions: np.ndarray, k: int) -> NeighborhoodTopology:
     if n < 1:
         raise InvalidInputError("empty point set")
     nbrs = deterministic_knn(positions, positions, k)
+    # int32 as the topology holds them; past 2^31 entries it refuses the map.
     indptr = np.arange(n + 1, dtype=np.int64) * nbrs.shape[1]
-    return NeighborhoodTopology(kind="knn", indptr=_readonly(indptr),
-                                indices=_readonly(nbrs.ravel()), k=k)
+    return NeighborhoodTopology(kind="knn", indptr=_readonly(indptr.astype(np.int32)),
+                                indices=_readonly(nbrs.astype(np.int32).ravel()), k=k)
 
 
 def _canonical_order(positions: np.ndarray) -> np.ndarray:
@@ -817,8 +833,9 @@ def _window_topology(keys: np.ndarray, order: np.ndarray | None = None) -> Neigh
     hit = sorted_keys[loc] == probe
     indptr = np.concatenate(([0], np.cumsum(hit.sum(axis=1), dtype=np.int64)))
     indices = loc[hit] if order is None else order[loc[hit]]
-    return NeighborhoodTopology(kind="kernel_window", indptr=_readonly(indptr),
-                                indices=_readonly(indices))
+    # int32 as the topology holds them; past 2^31 entries it refuses the map.
+    return NeighborhoodTopology(kind="kernel_window", indptr=_readonly(indptr.astype(np.int32)),
+                                indices=_readonly(indices.astype(np.int32)))
 
 
 # ---------------------------------------------------------------------------

@@ -41,104 +41,67 @@ from .geometry import (
 # stopping threshold (a level this small fits one neighborhood).
 VOXEL_WINDOW_K = 27
 
-# np.add.reduceat adds a group of at most this many rows as x0 + (x1 + ...
-# + x_{L-1}), the tail in order; longer groups go through NumPy's pairwise
-# loop. A CSR product adds a row's terms in order from 0, so maps whose
-# groups are this small sum by product (``_group_sums``) in reduceat's bits.
-_SEQUENTIAL = 8
-
 
 # ---------------------------------------------------------------------------
 # Sums over sparse maps
 # ---------------------------------------------------------------------------
 
 class _SparseMap(NamedTuple):
-    """A CSR map, row i being ``indices[indptr[i]:indptr[i + 1]]``. Where
-    every row holds at most ``_SEQUENTIAL`` entries (``sequential``), the
-    index arrays are int32 copies, the dtype SciPy multiplies in and would
-    otherwise convert them to on every call; a map of wider rows, which
-    sums by reduceat, keeps its own arrays and no copy. ``width`` is the
+    """A CSR map, row i being ``indices[indptr[i]:indptr[i + 1]]``, over the
+    int32 arrays of a topology or pooling map, not a copy. ``width`` is the
     entry count every row shares, or 0 where rows differ or there are none:
     the attention kernels broadcast a query's rows over rows of one width
     instead of gathering them edge by edge."""
 
     indptr: np.ndarray
     indices: np.ndarray
-    sequential: bool
     width: int
 
 
 def _sparse_map(indptr: np.ndarray, indices: np.ndarray) -> _SparseMap:
     sizes = np.diff(indptr)
-    width = int(sizes[0]) if sizes.size and (sizes == sizes[0]).all() else 0
-    if sizes.max(initial=0) > _SEQUENTIAL:
-        return _SparseMap(indptr, indices, False, width)
-    bound = max(indptr.shape[0], indices.shape[0], int(indices.max(initial=0)) + 1)
-    dtype = np.int32 if bound <= np.iinfo(np.int32).max else np.int64
-    return _SparseMap(_readonly(indptr.astype(dtype)), _readonly(indices.astype(dtype)), True,
-                      width)
+    return _SparseMap(indptr, indices,
+                      int(sizes[0]) if sizes.size and (sizes == sizes[0]).all() else 0)
 
 
 def _product(indptr, indices, data, x) -> np.ndarray:
     """A x for the CSR map A = (data, indices, indptr): row i adds data[e] *
-    x[indices[e]] over its entries e from 0 in entry order, with no rows
-    gathered; a column's sums do not depend on the width."""
+    x[indices[e]] over its entries e from +0.0 in entry order, with no rows
+    gathered, so a row of -0.0 terms sums to +0.0; a column's sums do not
+    depend on the width. Every sum over a map in the package is this
+    product or its transpose."""
     return sparse.csr_matrix((data, indices, indptr), shape=(indptr.shape[0] - 1, x.shape[0])) @ x
 
 
 def _transposed_product(indptr, indices, data, x, n_out: int) -> np.ndarray:
     """A^T x for the CSR map A = (data, indices, indptr) with ``n_out`` columns,
     as the CSC matrix over the same arrays: out[indices[e]] += data[e] * x[row
-    of e] from 0 in edge order, as ``np.add.at`` sums, with no edge rows
+    of e] from +0.0 in edge order, as ``np.add.at`` sums, with no edge rows
     gathered; a column's sums do not depend on the width."""
     return sparse.csc_matrix((data, indices, indptr), shape=(n_out, indptr.shape[0] - 1)) @ x
 
 
-def _group_sums(x: np.ndarray, indptr, indices, data=None) -> np.ndarray:
-    """Row i sums the terms x[indices[e]] (times data[e], where given) over
-    the entries e of CSR row i, bitwise as np.add.reduceat sums the gathered
-    terms, for rows of 1 to ``_SEQUENTIAL`` entries.
-
-    reduceat adds x0 + (x1 + ... ) and a product adds its terms from 0, so
-    each row's first term is left out of the product (its data zeroed) and
-    added last. The product's tail starts at +0.0 where reduceat's keeps a
-    -0.0, which shows only in a sum of exactly 0, so each such entry is
-    summed again by reduceat over its own column's terms.
-    """
-    starts = indptr[:-1]
-    rest = np.ones(indices.shape[0]) if data is None else data.copy()
-    head = x.take(indices.take(starts), axis=0)
-    if data is not None:
-        head *= data.take(starts)[:, None]
-    rest[starts] = 0.0
-    head += _product(indptr, indices, rest, x)
-    if not head.all():
-        zero_rows, zero_cols = np.nonzero(head == 0.0)
-        entry, sizes = _csr_rows(indptr, zero_rows)
-        terms = x.take(indices.take(entry) * x.shape[1] + np.repeat(zero_cols, sizes))
-        if data is not None:
-            terms *= data.take(entry)
-        head[zero_rows, zero_cols] = np.add.reduceat(terms, np.cumsum(sizes) - sizes)
-    return head
-
-
-def _pooled(values: np.ndarray, pooling: _SparseMap) -> np.ndarray:
-    """``segment_mean`` over a map from ``_sparse_map``."""
-    indptr, indices = pooling.indptr, pooling.indices
-    with np.errstate(over="ignore", invalid="ignore"):  # mended below
-        sums = (_group_sums(values, indptr, indices) if pooling.sequential
-                else np.add.reduceat(values.take(indices, axis=0), indptr[:-1], axis=0))
-    means = sums / np.diff(indptr)[:, None]
-    if -np.inf < sums.min(initial=0.0) and sums.max(initial=0.0) < np.inf:  # False on NaN too
+def _pooled(values: np.ndarray, indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """``segment_mean`` over a checked int32 map: one ``_product``, then each
+    sum divided by its group's size. Where finite terms overflow a sum (to
+    +-inf: a sum from +0.0 in order cannot reach NaN), the hit groups' terms,
+    each divided by the group's largest magnitude in its column, are summed
+    again by the same product."""
+    with np.errstate(over="ignore"):  # mended below
+        means = _product(indptr, indices, np.ones(indices.shape[0]), values)
+    means /= np.diff(indptr)[:, None]  # a sum that overflowed stays inf
+    if -np.inf < means.min(initial=0.0) and means.max(initial=0.0) < np.inf:
         return means
-    bad = np.isinf(sums) | np.isnan(sums)  # NaN: pairwise partial sums overflowed both ways
+    bad = np.isinf(means)
     hit = bad.any(axis=1)
     entry, sizes = _csr_rows(indptr, np.flatnonzero(hit))
     part = values.take(indices.take(entry), axis=0)
-    part_starts = np.cumsum(sizes) - sizes
-    scale = np.maximum.reduceat(np.abs(part), part_starts, axis=0)
+    part_indptr = np.concatenate(([0], np.cumsum(sizes))).astype(np.int32)
+    scale = np.maximum.reduceat(np.abs(part), part_indptr[:-1], axis=0)
     scale[scale == 0.0] = 1.0  # an all-zero column's entry is not replaced
-    scaled = np.add.reduceat(part / np.repeat(scale, sizes, axis=0), part_starts, axis=0)
+    part /= np.repeat(scale, sizes, axis=0)
+    order = np.arange(part.shape[0], dtype=np.int32)
+    scaled = _product(part_indptr, order, np.ones(part.shape[0]), part)
     means[bad] = (scaled / sizes[:, None] * scale)[bad[hit]]
     return means
 
@@ -154,15 +117,18 @@ def _split_columns(means: np.ndarray, parts: list) -> list:
 def segment_mean(values: np.ndarray, indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
     """Row i of the result is the mean of ``values[indices[indptr[i]:indptr[i+1]]]``.
 
-    Every segment must be non-empty. Each group sums in member order, bitwise
-    as ``np.add.reduceat`` sums the gathered rows; a map whose groups hold at
-    most 8 members sums by one sparse product. Where finite terms near the
-    float64 limit overflow that sum, the entry is summed again in the same
-    order, each term divided by the group's largest magnitude in that column,
-    so the mean of finite values stays finite; every other entry keeps the
-    plain sum's bits.
+    ``values`` must be a finite 2-D array and the map a CSR map over its
+    rows with every segment non-empty; anything else raises
+    InvalidInputError (CapacityError from 2^31 entries or rows on). Each
+    group sums its members from +0.0 in member order, by one sparse
+    product, so a group of -0.0 members sums to +0.0. Where finite terms
+    near the float64 limit overflow that sum, the entry is summed again in
+    the same order, each term divided by the group's largest magnitude in
+    that column, so the mean of finite values stays finite; every other
+    entry keeps the plain sum's bits.
     """
-    return _pooled(values, _sparse_map(np.asarray(indptr), np.asarray(indices)))
+    values = _checked(values, "values", (None, None))
+    return _pooled(values, *_csr(indptr, indices, "", values.shape[0], np.size(indptr) - 1))
 
 
 @dataclass(frozen=True)
@@ -175,21 +141,22 @@ class HierarchyLevel:
     this level's integer cell coordinates.
 
     ``pool_indptr``/``pool_indices`` (None at level 0) are the pooling map
-    from the finer level, in CSR form: row i of this level is the mean of
-    the finer rows ``pool_indices[pool_indptr[i]:pool_indptr[i+1]]``,
-    summed in that order. Point flavor stores the kNN row of ``selected[i]``
-    (k tokens, so ``pool_indptr`` steps by k) sorted in the finer level's
-    ``order``; voxel flavor stores the children of cell i in
-    child-cell-coordinate order. Either order is independent of token
+    from the finer level, in CSR form, held once as read-only int32 arrays
+    (see ``geometry._csr``): row i of this level is the mean of the finer
+    rows ``pool_indices[pool_indptr[i]:pool_indptr[i+1]]``, summed from
+    +0.0 in that order by one sparse product. Point flavor stores the kNN
+    row of ``selected[i]`` (k tokens, so ``pool_indptr`` steps by k) sorted
+    in the finer level's ``order``; voxel flavor stores the children of
+    cell i in child-cell-coordinate order. Either order is independent of token
     numbering, so equal groups round identically.
 
     ``order`` is the level's canonical token order, ``_canonical_order``
     of ``positions``. It is derived here and never passed in, so no level
     holds another order; levels that share this one's positions are made
     with ``_shared`` and keep it without sorting again. So are the maps the
-    kernels multiply by (``_sparse_map``): ``neighbors``, the topology;
-    ``pooling``, the pooling map; and ``pull``, the pooling groups in
-    ``order``, which the backward's pull-back sums in.
+    kernels multiply by (``_sparse_map``): ``neighbors``, which wraps the
+    topology's own arrays, and ``pull``, the pooling groups in ``order``,
+    which the backward's pull-back sums in: the one reordered copy.
 
     ``positional`` is the level's memo of positional terms, which depend
     only on its positions: one slot per embedding mode, each holding a copy
@@ -207,11 +174,10 @@ class HierarchyLevel:
     parent_of: np.ndarray | None = None  # (n_h,) int64 into level h+1
     selected: np.ndarray | None = None
     coords: np.ndarray | None = None  # (n_h, 3) int64
-    pool_indptr: np.ndarray | None = None  # (n_h + 1,) int64
-    pool_indices: np.ndarray | None = None  # int64 into level h-1
+    pool_indptr: np.ndarray | None = None  # (n_h + 1,) int32
+    pool_indices: np.ndarray | None = None  # int32 into level h-1
     order: np.ndarray = field(init=False)  # (n_h,) int64
     neighbors: _SparseMap = field(init=False, repr=False, compare=False)
-    pooling: _SparseMap | None = field(init=False, repr=False, compare=False)
     pull: _SparseMap | None = field(init=False, repr=False, compare=False)
     positional: dict = field(init=False, repr=False, compare=False)
 
@@ -225,9 +191,10 @@ class HierarchyLevel:
                         ("v_tilde", _checked(self.v_tilde, "v_tilde", (n, None)))):
             object.__setattr__(self, name, _freeze(a))
         # A level refuses float maps; its hierarchy, which knows the
-        # neighboring levels' sizes, checks the maps' shapes and ranges (the
-        # level checks its pooling map's rows itself, as it derives from them).
-        for name in ("parent_of", "selected", "pool_indptr", "pool_indices"):
+        # neighboring levels' sizes, checks the maps' shapes and ranges. The
+        # level checks its pooling map's rows itself, once, as it derives
+        # ``pull`` from them, and keeps the int32 arrays it checked.
+        for name in ("parent_of", "selected"):
             val = getattr(self, name)
             if val is not None:
                 object.__setattr__(self, name, _index_map(val, f"{name} must be integers"))
@@ -241,14 +208,14 @@ class HierarchyLevel:
         object.__setattr__(self, "order", _readonly(_canonical_order(self.positions)))
         object.__setattr__(self, "neighbors", _sparse_map(self.topology.indptr,
                                                           self.topology.indices))
-        pooling = pull = None
+        pull = None
         if self.pool_indptr is not None:
             indptr, indices = _csr(self.pool_indptr, self.pool_indices, "pool_", None, n)
+            object.__setattr__(self, "pool_indptr", indptr)
+            object.__setattr__(self, "pool_indices", indices)
             entry, sizes = _csr_rows(indptr, self.order)
-            pooling = _sparse_map(indptr, indices)
-            pull = _sparse_map(_readonly(np.concatenate(([0], np.cumsum(sizes)))),
-                               _readonly(indices.take(entry)))
-        object.__setattr__(self, "pooling", pooling)
+            pull_indptr = np.concatenate((np.zeros(1, np.int32), np.cumsum(sizes, dtype=np.int32)))
+            pull = _sparse_map(_readonly(pull_indptr), _readonly(indices.take(entry)))
         object.__setattr__(self, "pull", pull)
         object.__setattr__(self, "positional", {})
 
@@ -275,11 +242,12 @@ def _pooled_level(level: HierarchyLevel, pool_indptr: np.ndarray, pool_indices: 
                   make_topology, **fields) -> HierarchyLevel:
     """The next-coarser level pooled from ``level``: positions and q/k/v are
     the means over the pooling map, ``make_topology(positions)`` gives its
-    neighborhoods and ``fields`` the flavor's own arrays. Every array made
+    neighborhoods and ``fields`` the flavor's own arrays. The int32 pooling
+    map is the flavor's own; the new level checks it, once. Every array made
     here is marked read-only, so the level stores it without a copy."""
     names = ("positions", "q_tilde", "k_tilde", "v_tilde")
     parts = [getattr(level, name) for name in names]
-    means = _pooled(np.hstack(parts), _sparse_map(pool_indptr, pool_indices))
+    means = _pooled(np.hstack(parts), pool_indptr, pool_indices)
     fields.update(zip(names, _split_columns(means, parts)),
                   pool_indptr=pool_indptr, pool_indices=pool_indices)
     for a in fields.values():
@@ -325,8 +293,9 @@ class Hierarchy:
                        f" {fine.n_tokens} tokens a parent", coarse.n_tokens, fine.n_tokens)
             if coarse.pool_indptr is None:
                 raise InvalidInputError(f"level {h + 1} is missing its pooling map")
-            _csr(coarse.pool_indptr, coarse.pool_indices, f"level {h + 1} pool_", fine.n_tokens,
-                 coarse.n_tokens)
+            # The level checked its map's rows; only the range is left.
+            _index_map(coarse.pool_indices, f"level {h + 1} pool_indices must lie", fine.n_tokens,
+                       dtype=np.int32)
 
     @property
     def depth(self) -> int:
@@ -374,8 +343,9 @@ def _coarsen_point(level: HierarchyLevel, k: int, r: int) -> tuple[HierarchyLeve
     # become pooling groups. Each sums in the level's order, not in its
     # query's distance order, so tokens with the same neighborhood set round
     # to bitwise identical rows, as the exact-tie rules need.
-    pool_indices = level.order.take(np.sort(ranks.take(selected, axis=0), axis=1).ravel())
-    pool_indptr = np.arange(m + 1, dtype=np.int64) * k
+    pool_indices = level.order.take(
+        np.sort(ranks.take(selected, axis=0), axis=1).ravel()).astype(np.int32)
+    pool_indptr = np.arange(m + 1, dtype=np.int32) * k  # m k < n k, the level's edge count
     coarse = _pooled_level(level, pool_indptr, pool_indices,
                            lambda positions: knn_from_positions(positions, k), selected=selected)
     return coarse, parent_of
@@ -409,8 +379,8 @@ def coarsen_voxel(level: HierarchyLevel) -> tuple[HierarchyLevel, np.ndarray]:
 
     # Children grouped by parent, each group in child-cell order: cell keys
     # are unique, so the order is total and independent of token numbering.
-    pool_indptr = np.concatenate(([0], np.cumsum(counts)))
-    pool_indices = np.lexsort((pack_voxel_coords(coords), parent_of))
+    pool_indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
+    pool_indices = np.lexsort((pack_voxel_coords(coords), parent_of)).astype(np.int32)
     # The parents' keys are unique and sorted already: the window neither
     # re-checks nor re-sorts them.
     coarse = _pooled_level(level, pool_indptr, pool_indices, lambda _: _window_topology(uniq_keys),
@@ -511,7 +481,7 @@ def with_values(
     names, parts = list(new_rows), list(new_rows.values())
     means = np.hstack(parts)
     for lv in hierarchy.levels[1:]:  # each coarser level pools the one below
-        means = _pooled(means, lv.pooling)
+        means = _pooled(means, lv.pool_indptr, lv.pool_indices)
         levels.append(_shared(lv, **{name: _readonly(a)
                                      for name, a in zip(names, _split_columns(means, parts))}))
     return _shared(hierarchy, levels=tuple(levels))

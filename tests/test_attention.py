@@ -856,16 +856,39 @@ def test_level_spans_keep_every_bit(monkeypatch, flavor, mode):
             assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("case", ["k1", "k4", "k8", "voxel"])
+@pytest.mark.parametrize("case", ["k1", "k4", "k8", "k12", "voxel"])
 @pytest.mark.parametrize("mode", ["none", "absolute", "relative"])
-def test_sums_by_product_keep_every_bit(monkeypatch, case, mode):
-    # Maps whose groups hold at most 8 members sum by sparse product: the
-    # forward's t-weighted v rows and the pooling. With that bound at 0,
-    # every sum gathers its rows and runs reduceat, as before products; each
-    # output keeps its bytes, with v rows of -0.0 and a zero column. The
-    # voxel cells (a dense block and scattered cells) give levels of windows
-    # up to 27 cells and levels of windows up to 8.
+def test_sums_by_product_keep_every_bit(monkeypatch, case, mode, loop_sums,
+                                        loop_transposed_sums):
+    # Every sum over a map is one sparse product that adds each row's terms
+    # from +0.0 in entry order: the pooling of the build and of with_values
+    # (its overflow rescue too), the forward's y and denominators, dq, dk,
+    # dv, the fold and the pull-back. Each product of a build, a forward, a
+    # local pass, a backward, an effective row and a re-pooling of values
+    # near the float64 limit gives the loop oracle's bits, and every sum that
+    # used to be a reduceat stays within 1e-14 of the gathered reduceat. v
+    # has rows of -0.0 and a zero column. The voxel cells (a dense block and
+    # scattered cells) give levels of windows up to 27 cells and up to 8.
+    import sys
+
+    import gha3d.attention as attention_mod
     import gha3d.hierarchy as hierarchy_mod
+
+    calls = []
+
+    def recorded(real, transposed):
+        def product(indptr, indices, data, x, *n_out):
+            out = real(indptr, indices, data, x, *n_out)
+            calls.append((sys._getframe(1).f_code.co_name, transposed,
+                          *(np.array(a) for a in (indptr, indices, data, x)), *n_out, out.copy()))
+            return out
+        return product
+
+    products = (recorded(hierarchy_mod._product, False),
+                recorded(hierarchy_mod._transposed_product, True))
+    for module in (attention_mod, hierarchy_mod):
+        monkeypatch.setattr(module, "_product", products[0])
+        monkeypatch.setattr(module, "_transposed_product", products[1])
 
     d = 4
     rng = np.random.default_rng(38)
@@ -881,27 +904,40 @@ def test_sums_by_product_keep_every_bit(monkeypatch, case, mode):
     v[::3, 2] = -0.0
     v[:10] = -0.0
     emb = make_fourier_embedding(d, rng) if mode != "none" else None
-    dz = rng.normal(size=(n, d))
+    h = build_hierarchy(pos, q, k, v, flavor="point" if coords is None else "voxel",
+                        k=int(case[1:]) if coords is None else 8, coords=coords)
+    assert h.depth >= 2
+    lv = h.levels[0]
+    inputs = AttentionInputs(q=lv.q_tilde, k=lv.k_tilde, v=lv.v_tilde, positions=pos,
+                             embedding=emb, embedding_mode=mode)
+    assert (gha_forward(h, emb, mode).z == 0.0).any()
+    local_attention(inputs, lv.topology)
+    gha_backward(h, rng.normal(size=(n, d)), emb, mode)
+    effective_attention_row(h, 5, emb, mode)
+    huge = np.full((n, 2), 1.5e308)
+    huge[::3] = -1.5e308
+    assert np.all(np.abs(with_values(h, v=huge).levels[-1].v_tilde) < np.inf)
 
-    def outputs():
-        h = build_hierarchy(pos, q, k, v, flavor="point" if coords is None else "voxel",
-                            k=int(case[1:]) if coords is None else 8, coords=coords)
-        lv = h.levels[0]
-        inputs = AttentionInputs(q=lv.q_tilde, k=lv.k_tilde, v=lv.v_tilde, positions=pos,
-                                 embedding=emb, embedding_mode=mode)
-        fwd, loc = gha_forward(h, emb, mode), local_attention(inputs, lv.topology)
-        return h, [*(lv.v_tilde for lv in h.levels), fwd.z, fwd.normalizers, loc.z,
-                   *gha_backward(h, dz, emb, mode), effective_attention_row(h, 5, emb, mode)]
-
-    h, products = outputs()
-    assert h.depth >= 2 and any(lv.neighbors.sequential for lv in h.levels)
-    assert h.levels[0].neighbors.sequential == (case != "voxel")
-    monkeypatch.setattr(hierarchy_mod, "_SEQUENTIAL", 0)
-    gathered_h, gathered = outputs()
-    assert not any(lv.neighbors.sequential for lv in gathered_h.levels)
-    assert (products[len(h.levels)] == 0.0).any()  # z's zeros are summed again by reduceat
-    for got, want in zip(products, gathered):
-        assert got.tobytes() == want.tobytes()
+    assert {name for name, *_ in calls} == {"_pooled", "_level_softmax", "gha_backward",
+                                           "_value_cotangent", "_fold", "_pull_back"}
+    widest = max(int(np.diff(indptr).max()) for name, _, indptr, *_ in calls
+                 if name == "_level_softmax")
+    assert widest == {"k1": 1, "k4": 4, "k8": 8, "k12": 12, "voxel": 27}[case]
+    rescued = any(np.isinf(out).any() for name, *_, out in calls if name == "_pooled")
+    assert rescued == (case != "k1")  # groups of one member cannot overflow
+    for name, transposed, indptr, indices, data, x, *rest in calls:
+        got = rest[-1]
+        if transposed:
+            assert got.tobytes() == loop_transposed_sums(indptr, indices, data, x,
+                                                         rest[0]).tobytes(), name
+            continue
+        assert got.tobytes() == loop_sums(indptr, indices, data, x).tobytes(), name
+        terms = data[:, None] * x.reshape(x.shape[0], -1).take(indices, axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            gathered = np.add.reduceat(terms, indptr[:-1], axis=0).reshape(got.shape)
+        finite = np.isfinite(gathered) & np.isfinite(got)
+        assert (np.abs(got[finite] - gathered[finite]).max(initial=0.0)
+                <= 1e-14 * np.abs(gathered[finite]).max(initial=0.0)), name
 
 
 def test_forward_edge_temporaries_do_not_grow_with_the_level():
@@ -958,7 +994,8 @@ def per_edge_relative(h, emb, dz):
     anc = np.arange(h.n_tokens)
     denom, y, levels = 0.0, 0.0, []
     for lv in h.levels:
-        rows, cols = lv.topology.rows, lv.topology.indices
+        rows = np.repeat(np.arange(lv.n_tokens), lv.topology.sizes)
+        cols = lv.topology.indices
         cos, sin = rotation(lv.positions[rows], lv.positions[cols], emb)
         q, k, v = lv.q_tilde, lv.k_tilde, lv.v_tilde
         w = np.exp((np.einsum("ed,ed->e", q[rows], k[cols]) + interleaved_dot(q[rows], cos, sin))
@@ -974,7 +1011,8 @@ def per_edge_relative(h, emb, dz):
     a, b = dz / denom[:, None], np.einsum("id,id->i", dz, z) / denom
     grads = []
     for lv, (anc, cos, sin, w) in zip(h.levels, levels):
-        rows, cols = lv.topology.rows, lv.topology.indices
+        rows = np.repeat(np.arange(lv.n_tokens), lv.topology.sizes)
+        cols = lv.topology.indices
         q, k, v = lv.q_tilde, lv.k_tilde, lv.v_tilde
         a_lv, b_lv = np.zeros((lv.n_tokens, a.shape[1])), np.zeros(lv.n_tokens)
         np.add.at(a_lv, anc, a)
@@ -1110,11 +1148,11 @@ def test_a_topology_with_no_rows_constructs_and_runs(mode):
     topology = NeighborhoodTopology(kind="knn", indptr=np.array([0]),
                                     indices=np.zeros(0, np.int64))
     neighbors = _sparse_map(topology.indptr, topology.indices)
-    assert neighbors.width == 0 and neighbors.sequential
+    assert neighbors.width == 0
     empty = np.zeros((0, 4))
     term = None if mode == "none" else empty
     sides = attention_mod._scored(empty, empty, term, mode)
-    mu, denom, y = attention_mod._level_softmax(sides, empty, topology, neighbors, 2.0)
+    mu, denom, y = attention_mod._level_softmax(sides, empty, neighbors, 2.0)
     assert mu.shape == denom.shape == (0,) and y.shape == (0, 4)
 
 
@@ -1292,43 +1330,46 @@ def test_backward_peak_is_below_the_recorded_figure():
 
 # Bits of gha_backward in relative mode on 20 tokens at 5 positions (depth 3),
 # one row of float.hex values per token: pins the pooling and pull-back
-# summation orders for a general dz (recorded with per-token rotations).
+# summation orders for a general dz. Re-recorded when every sum over a map
+# became one product adding from +0.0 in entry order (the pooling and dq's
+# key side had added reduceat's x0 + (x1 + ...)): entries moved by at most
+# 1.7e-16.
 PINNED_BACKWARD = {
     "dq": """
-        0x1.3b54b42c6fd70p-3 -0x1.a2e92057d19e0p-11 0x1.d31adcb827229p-5 0x1.2221194f5709cp-5
-        0x1.3b55596ba302dp-4 -0x1.33789610d5f22p-3 0x1.512698549c68dp-2 -0x1.45fdbc9b0c71ep-5
-        0x1.38722774959d3p-3 -0x1.a694f8c3fa852p-5 0x1.e3e4f7b875e07p-5 0x1.af3847af1669ap-6
-        0x1.8cb99d38e0c72p-6 0x1.c7b27e4dd83b8p-4 -0x1.a733c1a1a58a7p-8 0x1.4ea8d4a196572p-5
-        -0x1.41ecc434df240p-4 0x1.702b66e5b4061p-5 0x1.27de10af192dbp-2 0x1.bfc4f28389fa6p-5
-        0x1.0417ece66bc1dp-3 -0x1.081e0b4a6aff9p-4 -0x1.112c0306b70c5p-3 -0x1.704fbe08de169p-4
-        -0x1.05cc6842b30e3p-5 -0x1.cd02d00c0732cp-10 -0x1.db439cc07fcb4p-2 -0x1.2f819586ec912p-4
-        -0x1.9eacb76ac97a6p-2 0x1.2f958628bc959p-2 -0x1.9fd2ef056e7b4p-7 -0x1.1562acd9cd96cp-5
-        -0x1.56614855aeccep-2 0x1.549d2e6fd83f8p-2 0x1.fe543b2841a66p-6 0x1.2f0bb6e8ceec0p-6
-        0x1.92ddea9de0599p-7 0x1.a192c959ac2d6p-7 0x1.fbb00f0407ac4p-5 0x1.25b4b06b9b9f4p-8
+        0x1.3b54b42c6fd6dp-3 -0x1.a2e92057d1a80p-11 0x1.d31adcb82722ep-5 0x1.2221194f57098p-5
+        0x1.3b55596ba3028p-4 -0x1.33789610d5f22p-3 0x1.512698549c68dp-2 -0x1.45fdbc9b0c727p-5
+        0x1.38722774959d4p-3 -0x1.a694f8c3fa85ep-5 0x1.e3e4f7b875e08p-5 0x1.af3847af1669ap-6
+        0x1.8cb99d38e0c58p-6 0x1.c7b27e4dd83b8p-4 -0x1.a733c1a1a586dp-8 0x1.4ea8d4a196570p-5
+        -0x1.41ecc434df23bp-4 0x1.702b66e5b4060p-5 0x1.27de10af192dcp-2 0x1.bfc4f28389fa4p-5
+        0x1.0417ece66bc1ep-3 -0x1.081e0b4a6affap-4 -0x1.112c0306b70c5p-3 -0x1.704fbe08de16bp-4
+        -0x1.05cc6842b30e2p-5 -0x1.cd02d00c07331p-10 -0x1.db439cc07fcb6p-2 -0x1.2f819586ec912p-4
+        -0x1.9eacb76ac97a7p-2 0x1.2f958628bc95ap-2 -0x1.9fd2ef056e7b7p-7 -0x1.1562acd9cd96ep-5
+        -0x1.56614855aecd1p-2 0x1.549d2e6fd83f9p-2 0x1.fe543b2841a64p-6 0x1.2f0bb6e8ceebap-6
+        0x1.92ddea9de05a0p-7 0x1.a192c959ac2d4p-7 0x1.fbb00f0407ac8p-5 0x1.25b4b06b9b9e6p-8
     """,
     "dk": """
-        -0x1.cb6c060f6e64ap-2 -0x1.b7e05d81c7e3ap-2 0x1.a4d05131e55a4p-2 -0x1.0cd7f3e2c959cp-2
-        -0x1.5cfa33fd9e8b7p-7 -0x1.6fb61035cdb30p-5 -0x1.9d2fd8efc2a5ap-4 0x1.e3840a7348e65p-5
-        0x1.15f594ac78e10p-2 -0x1.e6231294ebd1ap-4 0x1.2613f70d26751p-6 -0x1.cfd31705c3fbcp-5
-        0x1.6b338b6f67f2cp-3 0x1.93ba935c05327p-3 0x1.72998f81c1e9fp-3 0x1.043f3efed5365p-1
-        -0x1.dc20676df7be3p-4 -0x1.60d73facb9af8p-2 0x1.bfe9894f9bd02p-8 0x1.fc6dc53aecaa5p-5
+        -0x1.cb6c060f6e64bp-2 -0x1.b7e05d81c7e39p-2 0x1.a4d05131e55a6p-2 -0x1.0cd7f3e2c959dp-2
+        -0x1.5cfa33fd9e8bep-7 -0x1.6fb61035cdb2ep-5 -0x1.9d2fd8efc2a5bp-4 0x1.e3840a7348e65p-5
+        0x1.15f594ac78e10p-2 -0x1.e6231294ebd1cp-4 0x1.2613f70d26755p-6 -0x1.cfd31705c3fbdp-5
+        0x1.6b338b6f67f2bp-3 0x1.93ba935c05327p-3 0x1.72998f81c1e9fp-3 0x1.043f3efed5365p-1
+        -0x1.dc20676df7be4p-4 -0x1.60d73facb9afap-2 0x1.bfe9894f9bcffp-8 0x1.fc6dc53aecaa4p-5
         0x0.0p+0 0x0.0p+0 -0x1.b88f99337134ep-4 -0x1.29e1c9a125830p-3
-        0x0.0p+0 0x0.0p+0 -0x1.3271b7c5f40fcp-4 -0x1.8a3abb3cc40e9p-5
-        -0x1.8d6d2b9d06717p-4 0x1.3e1f7132382ddp-4 0x0.0p+0 0x0.0p+0
-        -0x1.7f8fd50366823p-3 0x1.2e00cb7d164a9p-1 0x0.0p+0 0x0.0p+0
-        0x1.abbd1f3f613c5p-5 0x1.26f125d2d0655p-4 0x0.0p+0 0x0.0p+0
+        0x0.0p+0 0x0.0p+0 -0x1.3271b7c5f4100p-4 -0x1.8a3abb3cc40e6p-5
+        -0x1.8d6d2b9d06716p-4 0x1.3e1f7132382e0p-4 0x0.0p+0 0x0.0p+0
+        -0x1.7f8fd50366825p-3 0x1.2e00cb7d164aap-1 0x0.0p+0 0x0.0p+0
+        0x1.abbd1f3f613c5p-5 0x1.26f125d2d0654p-4 0x0.0p+0 0x0.0p+0
     """,
     "dv": """
-        0x1.6397b5be9f380p-1 0x1.a112fe2b0a290p-4 0x1.0bf52b6d59556p-1 0x1.ba22d951a60d1p-2
-        -0x1.0eceee0238924p-6 -0x1.44f97cff8f527p-3 0x1.63ee2cb82d6dcp-2 0x1.c7cc0eda42f6cp-3
-        0x1.986af4ac22aabp-2 0x1.41a37e95bcdc7p-2 0x1.b009223856053p-5 0x1.8a6f760af8bd5p-5
-        0x1.bbd0737f1bcaep-3 0x1.668b8597953f2p-3 0x1.58df7f444226fp-2 -0x1.05cd6817d55ccp-3
-        0x1.589ff83599a88p-2 -0x1.290d2f04bc222p-5 0x1.78a6c57c2a355p-2 0x1.c0ebd6ece691fp-4
+        0x1.6397b5be9f380p-1 0x1.a112fe2b0a290p-4 0x1.0bf52b6d59557p-1 0x1.ba22d951a60d2p-2
+        -0x1.0eceee023892ep-6 -0x1.44f97cff8f526p-3 0x1.63ee2cb82d6dcp-2 0x1.c7cc0eda42f6cp-3
+        0x1.986af4ac22aabp-2 0x1.41a37e95bcdc8p-2 0x1.b009223856053p-5 0x1.8a6f760af8bd4p-5
+        0x1.bbd0737f1bcadp-3 0x1.668b8597953f2p-3 0x1.58df7f4442270p-2 -0x1.05cd6817d55c8p-3
+        0x1.589ff83599a8ap-2 -0x1.290d2f04bc21ap-5 0x1.78a6c57c2a356p-2 0x1.c0ebd6ece6925p-4
         0x0.0p+0 0x0.0p+0 -0x1.ca270ce88fe24p-7 -0x1.703133e620aebp-6
-        0x0.0p+0 0x0.0p+0 0x1.1e16ba37a5f38p-3 0x1.0ef73bf566618p-2
-        -0x1.61a89251a4f93p-3 -0x1.632be763c55cep-3 0x0.0p+0 0x0.0p+0
-        -0x1.f4f1e61a772cep-2 -0x1.1faeec0efb659p-3 0x0.0p+0 0x0.0p+0
-        0x1.a6a30fba0a47ep-6 0x1.4b5d0ce7fd9ddp-5 0x0.0p+0 0x0.0p+0
+        0x0.0p+0 0x0.0p+0 0x1.1e16ba37a5f36p-3 0x1.0ef73bf566618p-2
+        -0x1.61a89251a4f95p-3 -0x1.632be763c55cdp-3 0x0.0p+0 0x0.0p+0
+        -0x1.f4f1e61a772d1p-2 -0x1.1faeec0efb658p-3 0x0.0p+0 0x0.0p+0
+        0x1.a6a30fba0a47ep-6 0x1.4b5d0ce7fd9dcp-5 0x0.0p+0 0x0.0p+0
     """,
 }
 
@@ -1346,18 +1387,20 @@ def test_backward_bits_are_pinned_on_duplicate_positions():
         assert getattr(grads, name).tobytes() == want.tobytes(), name
 
 
-# SHA-256 prefixes of (z, normalizers, effective_attention_row(h, 7)) bytes,
-# recorded before the kernels gathered rows with ndarray.take: the gathers
-# must not change a bit. The relative entries were recorded when relative
-# scores moved from per-edge (cos, sin) terms to per-token rotations, whose
-# outputs differ from the per-edge form's by at most 7e-15 of their largest.
+# SHA-256 prefixes of (z, normalizers, effective_attention_row(h, 7)) bytes:
+# any later kernel that gathers, spans or broadcasts differently must not
+# change a bit. Every entry was re-recorded when every sum over a map (the
+# pooling, the forward's y and denominators) became one product adding from
+# +0.0 in entry order, where reduceat had added x0 + (x1 + ...) or pairs: on
+# 8k-point and 25k-cell scenes that moved each output by at most 9.3e-16 of
+# its largest entry, in all three modes.
 PINNED_FORWARD = {
-    ("point", "none"): ("e88e34e9535b2eda", "41c6144ce686ef33", "b799762dbb1852a1"),
-    ("point", "absolute"): ("04394e9e93d029d1", "059ed3bd5b7c5c11", "0bb6fe434ae0732a"),
-    ("point", "relative"): ("e514c3bcebef61f7", "e7c7eec0fea03d59", "be7bdd7ac74d4975"),
-    ("voxel", "none"): ("d0f450c29bbec84b", "2fc860e9c31e156e", "b8994e04f50f9a83"),
-    ("voxel", "absolute"): ("bdf165fcd5dddf24", "958d03dc5a78a191", "f7f69a20854429c2"),
-    ("voxel", "relative"): ("379667a07c84c200", "5b20be602e69cd41", "854c5dcef727c9da"),
+    ("point", "none"): ("4619f473674ad761", "96dac28d3f52fea4", "7d2e43af15529851"),
+    ("point", "absolute"): ("868cf38ea9e44d18", "0fa11b935dbfe9aa", "be90381c672865e2"),
+    ("point", "relative"): ("3ae9d4cbb497d5b6", "7a059c130a21581d", "d02c4716744c717a"),
+    ("voxel", "none"): ("08baa3f654c73676", "9702d29f49a3ae58", "334213bd7e159892"),
+    ("voxel", "absolute"): ("fe6ac8312299a95e", "1bf748aa0042cd43", "e4c8f328fc585822"),
+    ("voxel", "relative"): ("d4355e00ee85542e", "0bd6319c12797aaa", "0259a321b74f0258"),
 }
 
 
@@ -1388,17 +1431,17 @@ def test_forward_and_row_bits_are_pinned(flavor, mode):
     assert got == PINNED_FORWARD[flavor, mode]
 
 
-# SHA-256 prefixes of gha_backward's (dq, dk, dv) bytes for one general dz,
-# recorded while the fold, dk, dv and pull-back sums ran through a keyed
-# np.bincount: any later kernel must add their terms in the same order
-# (the relative entries re-recorded with per-token rotations, as above).
+# SHA-256 prefixes of gha_backward's (dq, dk, dv) bytes for one general dz:
+# any later kernel must add their terms in the same order. Re-recorded with
+# the forward's entries above, when the pooling, the forward's sums and dq's
+# key side became products adding from +0.0 in entry order.
 PINNED_GRADIENTS = {
-    ("point", "none"): ("f7ec46b1907edadd", "d50515002e835d26", "0c493341b9f36a82"),
-    ("point", "absolute"): ("44bffad2b5767cc1", "4448eca9c189b565", "ad3140ba703d834a"),
-    ("point", "relative"): ("60a5eb9a87792e6b", "30d52162085ea8ee", "e4bf734dc38afef7"),
-    ("voxel", "none"): ("8ba2d9fefec17f12", "ddae5589818fd9cf", "bbc0f718a423b118"),
-    ("voxel", "absolute"): ("763d3af50c1b7800", "e3c4df32e9a8ea7c", "454283634119be35"),
-    ("voxel", "relative"): ("a75af7c790eac838", "fcd5f156a969a310", "45e8dc5a1bd25330"),
+    ("point", "none"): ("bf3446da35ca9087", "d7f37f3326f8356c", "0dec85ee1a8a09ec"),
+    ("point", "absolute"): ("b6b0ca4156c993e6", "d3e131e06fbf80aa", "3d264a473c50e608"),
+    ("point", "relative"): ("0017579cd3dae15d", "84f3d47fb9575b41", "5f4636b5cc4cf923"),
+    ("voxel", "none"): ("b7fad461ed115904", "369382c07bcdfcba", "c8a0f3269a7ffd92"),
+    ("voxel", "absolute"): ("07540ead7bcbc72c", "b127f304271c2c71", "28d99705f74a99cb"),
+    ("voxel", "relative"): ("888d4776d4ebd5d0", "dd447f1ea4697a65", "67e83b43a0636121"),
 }
 
 

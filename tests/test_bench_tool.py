@@ -48,8 +48,9 @@ def test_build_cell_refuses_a_tree_without_a_stage(bench, monkeypatch, stage):
 
 def test_kernels_cell_reports_the_structure_it_timed(bench):
     fig = bench.kernels("uniform", 600)
-    assert list(fig) == ["table_s", "with_values_s", "forward_s", "forward_peak_mb",
-                         "backward_s", "backward_peak_mb", "backward_alone_s", "tokens", "edges"]
+    assert list(fig) == ["structure_mib", "table_s", "with_values_s", "forward_s",
+                         "forward_peak_mb", "backward_s", "backward_peak_mb", "backward_alone_s",
+                         "tokens", "edges"]
     assert all(fig[key] > 0 for key in ("table_s", "with_values_s", "forward_s",
                                         "forward_peak_mb", "backward_s", "backward_peak_mb",
                                         "backward_alone_s"))
@@ -59,6 +60,14 @@ def test_kernels_cell_reports_the_structure_it_timed(bench):
     h = build_hierarchy(pos, q, k, v, k=8, r=2)
     assert fig["tokens"] == 600
     assert fig["edges"] == sum(lv.topology.total_edges for lv in h.levels)
+    # The structure's size counts each array a level holds once: the kernels'
+    # neighbor map is the topology's own arrays, not a copy.
+    held = [a for lv in h.levels
+            for a in (lv.positions, lv.q_tilde, lv.k_tilde, lv.v_tilde, lv.topology.indptr,
+                      lv.topology.indices, lv.parent_of, lv.selected, lv.order, lv.pool_indptr,
+                      lv.pool_indices, *(lv.pull or ())[:2])
+            if a is not None]
+    assert fig["structure_mib"] * 2**20 == bench.structure_bytes(h) == sum(a.nbytes for a in held)
 
 
 def test_child_cell_runs_the_named_tree(bench):

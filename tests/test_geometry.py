@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from gha3d import geometry
-from gha3d.errors import FormatError, InvalidInputError
+from gha3d.errors import CapacityError, FormatError, InvalidInputError
 from gha3d.geometry import (
     NeighborhoodTopology,
     PointCloud,
@@ -18,7 +18,7 @@ from gha3d.geometry import (
     save_point_cloud_binary,
     voxelize,
 )
-from gha3d.hierarchy import build_hierarchy
+from gha3d.hierarchy import build_hierarchy, segment_mean
 
 
 # ---------------------------------------------------------------------------
@@ -718,14 +718,38 @@ def test_window_rejects_duplicate_cells():
 
 
 def test_topology_rows_name_each_edges_token():
+    # A topology holds its map once, as read-only int32 arrays; the kernels
+    # derive a ragged span's rows (each edge's token) from its indptr.
+    from gha3d.attention import _span_rows
+    from gha3d.hierarchy import _SparseMap
+
     rng = np.random.default_rng(6)
     coords = np.unique(rng.integers(0, 4, size=(30, 3)), axis=0)
     for topo in (kernel_window_topology(coords), knn(PointCloud(rng.normal(size=(40, 3))), 5),
                  NeighborhoodTopology(kind="knn", indptr=[0, 2, 3, 4], indices=[0, 2, 2, 1]),
                  NeighborhoodTopology(kind="knn", indptr=[0], indices=np.zeros(0, np.int64))):
+        for a in (topo.indptr, topo.indices):
+            assert a.dtype == np.int32 and not a.flags.writeable
         want = [i for i in range(topo.n_tokens) for _ in topo.neighbors(i)]
-        np.testing.assert_array_equal(topo.rows, want)
-        assert topo.rows.dtype == np.int64 and not topo.rows.flags.writeable
+        ragged = _SparseMap(topo.indptr, topo.indices, 0)
+        np.testing.assert_array_equal(_span_rows(ragged, 0, topo.n_tokens), want)
+        if topo.n_tokens > 2:  # a span's rows keep their own numbers
+            np.testing.assert_array_equal(
+                _span_rows(ragged, 1, 3), [i for i in (1, 2) for _ in topo.neighbors(i)])
+
+
+def test_sparse_maps_of_2_31_entries_or_tokens_are_refused():
+    # int32 maps hold fewer than 2^31 entries and tokens: zero-stride views
+    # stand in for the large maps, and the check reads none of their entries.
+    big = np.broadcast_to(np.int32(0), (2**31,))
+    with pytest.raises(CapacityError, match="fewer than 2"):
+        NeighborhoodTopology(kind="knn", indptr=[0, 2**31], indices=big)
+    with pytest.raises(CapacityError):
+        NeighborhoodTopology(kind="knn", indptr=np.broadcast_to(np.int64(1), (2**31 + 1,)),
+                             indices=[0])
+    with pytest.raises(CapacityError):
+        segment_mean(np.ones((2, 1)), [0, 2**31], big)
+    NeighborhoodTopology(kind="knn", indptr=[0, 1], indices=big[:1])
 
 
 def test_window_from_grid():

@@ -19,7 +19,6 @@ from gha3d.geometry import (
 from gha3d.hierarchy import (
     Hierarchy,
     HierarchyLevel,
-    _group_sums,
     _pooled,
     _product,
     build_hierarchy,
@@ -244,18 +243,17 @@ def test_level_coords_hold_one_cell_per_token(coords):
     assert coarsen_voxel(same)[0].n_tokens == 2
 
 
-def test_segment_mean_sums_again_only_the_entries_that_overflow():
+def test_segment_mean_sums_again_only_the_entries_that_overflow(loop_sums):
     values = np.array([[1.5e308, 1.0], [1.5e308, 2.0], [0.1, 1e308], [0.2, -1e308], [0.3, 3.0]])
     indptr, indices = np.array([0, 2, 5]), np.array([1, 0, 2, 3, 4])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = segment_mean(values, indptr, indices)
     assert got[0, 0] == 1.5e308
-    with np.errstate(over="ignore"):
-        plain = np.add.reduceat(values[indices], indptr[:-1], axis=0) / [[2], [3]]
+    plain = loop_sums(indptr, indices, np.ones(5), values) / [[2], [3]]
     assert got[0, 1] == plain[0, 1] and got[1].tobytes() == plain[1].tobytes()
-    # reduceat adds long groups in pairs, so terms of both signs can also
-    # overflow to NaN; [x]*4 + [-x]*5 does.
+    # A sum from +0.0 in order stays at inf once it overflows, however the
+    # later terms cancel: both groups are summed again, scaled.
     x = 1.5e308
     for group, mean in (([x, x, -x, -x, 6e307], 1.2e307), ([x] * 4 + [-x] * 5, -x / 9)):
         got = segment_mean(np.array(group)[:, None], np.array([0, len(group)]),
@@ -279,7 +277,7 @@ def test_pooled_means_near_the_float_limit_stay_finite():
 
 
 # ---------------------------------------------------------------------------
-# Sums by sparse product, in np.add.reduceat's bits
+# Sums by sparse product: from +0.0 in entry order
 # ---------------------------------------------------------------------------
 
 def spread(rng, shape):
@@ -289,8 +287,11 @@ def spread(rng, shape):
 
 @pytest.mark.parametrize("size", range(1, 9))
 def test_reduceat_adds_a_small_group_as_head_plus_tail_in_order(size):
-    # The order the products reproduce: x0 + (x1 + ... + x_{L-1}), the
-    # tail added one term at a time, in 1-D and along axis 0, for L <= 8.
+    # NumPy's order, which the package's sums no longer follow: reduceat adds
+    # x0 + (x1 + ... + x_{L-1}), the tail one term at a time, in 1-D and
+    # along axis 0, for L <= 8, where a product adds from +0.0. So the two
+    # differ in low bits (the tests compare them within 1e-14) and in the
+    # sign of an all -0.0 sum: reduceat keeps -0.0, a product gives +0.0.
     rng = np.random.default_rng(40 + size)
     for _ in range(40):
         x = spread(rng, (size, 5))
@@ -300,12 +301,13 @@ def test_reduceat_adds_a_small_group_as_head_plus_tail_in_order(size):
         want = x[0] + tail
         assert np.add.reduceat(x, [0], axis=0)[0].tobytes() == want.tobytes()
         assert np.add.reduceat(x[:, 2], [0])[0] == want[2]
-    # All -0.0 sums to -0.0, where the product's tail starts at +0.0.
     assert np.signbit(np.add.reduceat(np.full((size, 2), -0.0), [0], axis=0)).all()
+    assert not np.signbit(_product(np.array([0, size], np.int32), np.arange(size, dtype=np.int32),
+                                   np.ones(size), np.full((size, 2), -0.0))).any()
 
 
 @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
-def test_product_adds_each_row_from_zero_in_entry_order(index_dtype):
+def test_product_adds_each_row_from_zero_in_entry_order(index_dtype, loop_sums):
     rng = np.random.default_rng(44)
     sizes = rng.integers(0, 12, size=200)  # empty rows read +0.0
     indptr = np.concatenate(([0], np.cumsum(sizes))).astype(index_dtype)
@@ -316,38 +318,55 @@ def test_product_adds_each_row_from_zero_in_entry_order(index_dtype):
         for e in range(indptr[i], indptr[i + 1]):
             want[i] = want[i] + data[e] * x[indices[e]]
     got = _product(indptr, indices, data, x)
-    assert got.tobytes() == want.tobytes()
+    assert got.tobytes() == want.tobytes() == loop_sums(indptr, indices, data, x).tobytes()
     assert not np.signbit(got[sizes == 0]).any()
 
 
 @pytest.mark.parametrize("weighted", [False, True])
-def test_group_sums_keep_the_gathered_reduceat_bits(weighted):
+def test_products_sum_signed_zero_groups_to_plus_zero(weighted, loop_sums):
     # Groups of 1 to 8 members, among them single members, groups of all
-    # -0.0 (reduceat keeps -0.0), groups that cancel to +0.0 and weights
-    # of 0.0 (an underflowed softmax term times a negative value is -0.0).
+    # -0.0, groups that cancel to +0.0 and weights of 0.0 (an underflowed
+    # softmax term times a negative value is -0.0). The product adds each
+    # group from +0.0, so an all -0.0 group sums to +0.0 (reduceat keeps
+    # -0.0); every other sum stays within 1e-14 of the gathered reduceat.
     rng = np.random.default_rng(45)
     x = spread(rng, (120, 4))
     x[:10] = -0.0
     x[10:20] = -x[20:30]
     sizes = rng.integers(1, 9, size=400)
-    indptr = np.concatenate(([0], np.cumsum(sizes)))
-    indices = rng.integers(0, 120, size=indptr[-1])
+    indptr = np.concatenate(([0], np.cumsum(sizes))).astype(np.int32)
+    indices = rng.integers(0, 120, size=indptr[-1]).astype(np.int32)
     signed_zero = np.flatnonzero(sizes <= 3)[:40]  # all members -0.0 rows
     for g in signed_zero:
         indices[indptr[g]:indptr[g + 1]] = rng.integers(0, 10, size=sizes[g])
     for g in np.setdiff1d(np.flatnonzero(sizes == 2), signed_zero)[:20]:  # x and -x
         j = rng.integers(10, 20)
         indices[indptr[g]:indptr[g + 1]] = (j, j + 10)
-    data = None
-    terms = x.take(indices, axis=0)
+    data = np.ones(indptr[-1])
     if weighted:
         data = rng.uniform(size=indptr[-1])
         data[rng.random(indptr[-1]) < 0.1] = 0.0
-        terms *= data[:, None]
-    want = np.add.reduceat(terms, indptr[:-1], axis=0)
-    got = _group_sums(x, indptr, indices, data)
-    assert got.tobytes() == want.tobytes()
-    assert np.signbit(got[signed_zero]).all() and (got == 0.0).any()
+    got = _product(indptr, indices, data, x)
+    assert got.tobytes() == loop_sums(indptr, indices, data, x).tobytes()
+    assert (got[signed_zero] == 0.0).all() and not np.signbit(got[signed_zero]).any()
+    gathered = np.add.reduceat(x.take(indices, axis=0) * data[:, None], indptr[:-1], axis=0)
+    assert np.signbit(gathered[signed_zero]).all()
+    assert np.abs(got - gathered).max() <= 1e-14 * np.abs(gathered).max()
+
+
+def loop_means(values, indptr, indices, loop_sums):
+    """The pooling means by the one rule: each group's loop sum over its
+    size, and each entry whose sum overflows summed again the same way over
+    its terms divided by their largest magnitude (1 where all are 0)."""
+    sizes = np.diff(indptr)
+    sums = loop_sums(indptr, indices, np.ones(len(indices)), values)
+    means = sums / sizes[:, None]
+    for i, c in zip(*np.nonzero(np.isinf(sums))):
+        terms = values[indices[indptr[i]:indptr[i + 1]], c]
+        scale = np.abs(terms).max() or 1.0
+        scaled = loop_sums([0, sizes[i]], np.arange(sizes[i]), np.ones(sizes[i]), terms / scale)
+        means[i, c] = scaled[0] / sizes[i] * scale
+    return means
 
 
 def _pooling_structure(case):
@@ -364,19 +383,18 @@ def _pooling_structure(case):
 
 
 @pytest.mark.parametrize("case", ["k1", "k4", "k8", "k12", "voxel"])
-def test_pooling_product_keeps_the_gathered_sums_bits(case):
-    # Each coarse level's pooling, by product where its groups hold at most
-    # 8 members, gives the bits of reduceat over the gathered members:
-    # level rows, rows of -0.0 and zeros, and rows near the float64 limit,
-    # whose overflowing sums are summed again scaled.
+def test_pooling_product_keeps_the_gathered_sums_bits(case, loop_sums):
+    # Each coarse level's pooling, one product over its int32 map, gives
+    # the bits of the loop oracle over the gathered members: level rows,
+    # rows of -0.0 and zeros, and rows near the float64 limit, whose
+    # overflowing sums are summed again scaled. Finite means stay within
+    # 1e-14 of the gathered reduceat's.
     h = _pooling_structure(case)
     assert h.depth >= 2
     rng = np.random.default_rng(47)
     for fine, coarse in zip(h.levels, h.levels[1:]):
-        pooling = coarse.pooling
-        assert pooling.sequential == (case != "k12")
-        index_dtype = np.int32 if pooling.sequential else np.int64  # no copy of a wide map
-        assert pooling.indptr.dtype == pooling.indices.dtype == index_dtype
+        indptr, indices = coarse.pool_indptr, coarse.pool_indices
+        assert indptr.dtype == indices.dtype == np.int32
         n = fine.n_tokens
         signed = rng.normal(size=(n, 3))
         signed[rng.random((n, 3)) < 0.5] = -0.0
@@ -384,25 +402,34 @@ def test_pooling_product_keeps_the_gathered_sums_bits(case):
         huge = np.full((n, 2), 1.5e308)
         huge[::3] = -1.5e308
         for values in (fine.positions, fine.v_tilde, signed, huge):
+            want = loop_means(values, indptr, indices, loop_sums)
+            got = segment_mean(values, indptr, indices)
+            assert got.tobytes() == want.tobytes() == _pooled(values, indptr, indices).tobytes()
             with np.errstate(over="ignore", invalid="ignore"):
-                want = _pooled(values, pooling._replace(sequential=False))
-            got = segment_mean(values, coarse.pool_indptr, coarse.pool_indices)
-            assert got.tobytes() == want.tobytes() == _pooled(values, pooling).tobytes()
+                gathered = (np.add.reduceat(values.take(indices, axis=0), indptr[:-1], axis=0)
+                            / np.diff(indptr)[:, None])
+            finite = np.isfinite(gathered)
+            assert (np.abs(got[finite] - gathered[finite]).max(initial=0.0)
+                    <= 1e-14 * np.abs(gathered[finite]).max(initial=0.0))
         assert np.isfinite(got).all()
 
 
 def test_level_derives_its_product_maps_once():
     # Levels copied for new values, truncation or a parent map share the
-    # maps; the pull-back map lists the pooling groups in the level's order.
+    # maps; the kernels' map wraps the topology's own int32 arrays, and the
+    # pull-back map lists the pooling groups in the level's order.
     h = _pooling_structure("k4")
     fresh = with_values(h, v=np.ones((300, 3)))
     for lv, fl in zip(h.levels, fresh.levels):
-        assert fl.neighbors is lv.neighbors and fl.pooling is lv.pooling and fl.pull is lv.pull
-        assert lv.neighbors.indices.tolist() == lv.topology.indices.tolist()
+        assert fl.neighbors is lv.neighbors and fl.pull is lv.pull
+        assert fl.pool_indices is lv.pool_indices and fl.pool_indptr is lv.pool_indptr
+        assert lv.neighbors.indices is lv.topology.indices
+        assert lv.neighbors.indptr is lv.topology.indptr
     coarse = h.levels[2]
     groups = [coarse.pool_indices[coarse.pool_indptr[i]:coarse.pool_indptr[i + 1]].tolist()
               for i in coarse.order]
     pull = coarse.pull
+    assert pull.indptr.dtype == pull.indices.dtype == np.int32
     assert [pull.indices[pull.indptr[i]:pull.indptr[i + 1]].tolist()
             for i in range(coarse.n_tokens)] == groups
     assert truncate(h, 2).levels[2].pull is coarse.pull

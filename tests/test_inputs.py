@@ -47,6 +47,7 @@ from gha3d import (
     with_values,
 )
 from gha3d.geometry import fps_from_positions
+from gha3d.hierarchy import segment_mean
 
 N, D = 12, 4
 _rng = np.random.default_rng(0)
@@ -252,3 +253,36 @@ def test_level_refuses_a_float_map(name):
     levels = (H.levels[0], dataclasses.replace(level), *H.levels[2:])
     assert Hierarchy(H.flavor, H.neighborhood_k, H.coarsen_ratio, levels).level_sizes() == \
         H.level_sizes()
+
+
+# A map over segment_mean's 4 value rows that reads outside them, or that
+# is not a map of non-empty integer groups. At the parent, index 7 returned
+# 1.34e+200 and index -1 8.7e+40 (memory outside the values), index 1.5 was
+# truncated to row 1, and an empty group raised a bare divide-by-zero warning.
+SEGMENT_MAPS = {
+    "index-past-end": ([0, 2, 3], [0, 1, 7]),
+    "negative-index": ([0, 2, 3], [0, -1, 2]),
+    "float-index": ([0, 2, 3], [0, 1.5, 2]),
+    "float-indptr": ([0, 2.0, 3], [0, 1, 2]),
+    "empty-group": ([0, 2, 2, 3], [0, 1, 2]),
+    "indptr-short-of-the-entries": ([0, 2], [0, 1, 2]),
+    "two-d-indices": ([0, 2, 3], [[0, 1, 2]]),
+}
+VALUES4 = np.arange(8.0).reshape(4, 2)
+
+
+@pytest.mark.parametrize("case", SEGMENT_MAPS)
+def test_segment_mean_refuses_a_map_outside_its_values(case):
+    indptr, indices = SEGMENT_MAPS[case]
+    with pytest.raises(InvalidInputError):
+        segment_mean(VALUES4, indptr, indices)
+    assert segment_mean(VALUES4, [0, 2, 3], [0, 1, 3]).tolist() == [[1.0, 2.0], [6.0, 7.0]]
+
+
+@pytest.mark.parametrize("values", [VALUES4.ravel(), VALUES4[..., None], np.full((4, 2), "x"),
+                                    np.where(VALUES4 == 3.0, np.nan, VALUES4),
+                                    np.where(VALUES4 == 3.0, np.inf, VALUES4)],
+                         ids=["1-D", "3-D", "non-numeric", "nan", "inf"])
+def test_segment_mean_refuses_values_that_are_not_a_finite_matrix(values):
+    with pytest.raises(InvalidInputError):
+        segment_mean(values, [0, 2, 3], [0, 1, 3])

@@ -1,9 +1,9 @@
 """Source hygiene of the package modules, checked with the stdlib ``ast``:
 no unused imports, no unreferenced module-level private definitions, one
 finiteness check for caller arrays, one range check for caller integers,
-two sparse products for every sum over a sparse map, one arithmetic for
-every squared distance in the geometry and one helper for every level
-score; no kernel gather by an index map through fancy indexing; and every
+two sparse products for every sum over a sparse map (no reduceat sum), one
+arithmetic for every squared distance in the geometry and one helper for
+every level score; no kernel gather by an index map through fancy indexing; and every
 package name the benchmark's workloads call still resolves."""
 
 import ast
@@ -136,11 +136,13 @@ def test_only_the_integer_check_reads_and_bounds_integers():
 
 def test_only_the_transposed_product_scatters():
     """Every sum over a sparse map is one of the two products in
-    hierarchy.py, ``_product`` (A x, which the grouped sums of pooling and
-    the forward use) and ``_transposed_product`` (A^T x, every adjoint
-    scatter): only hierarchy.py imports ``scipy.sparse``, no other function
-    reads it, and no ``np.bincount`` or ``np.add.at`` scatter is left in the
-    kernels, the pooling or the analysis."""
+    hierarchy.py, which add from +0.0 in entry order: ``_product`` (A x:
+    the pooling, the forward's y and denominators, dq) and
+    ``_transposed_product`` (A^T x, every adjoint scatter). Only hierarchy.py
+    imports ``scipy.sparse``, no other function reads it, and no
+    ``np.add.reduceat`` sum, ``np.bincount`` or ``np.add.at`` scatter is left
+    in the kernels, the pooling or the analysis (a row maximum stays a
+    ``np.maximum.reduceat``: a max is exact in any order)."""
     importers, readers, scatters = set(), set(), []
     for path in sorted(SRC.glob("*.py")):
         tree = _tree(path)
@@ -158,7 +160,7 @@ def test_only_the_transposed_product_scatters():
                                or (isinstance(inner, ast.Attribute) and inner.attr == "sparse"))
             if (path.name in ("attention.py", "analysis.py", "hierarchy.py")
                     and isinstance(node, ast.Attribute)
-                    and ast.unparse(node) in ("np.bincount", "np.add.at")):
+                    and ast.unparse(node) in ("np.bincount", "np.add.at", "np.add.reduceat")):
                 scatters.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
     assert importers == {"hierarchy.py"}
     assert readers == {"hierarchy.py:_product", "hierarchy.py:_transposed_product"}

@@ -21,13 +21,16 @@ SRC CASE``), trees interleaved; the JSON keeps each figure's median. A case
   ``voxel_infer`` scene (100k points at 1 cm). The backward reads the pass
   the forward before it left; ``backward_alone_s`` is the wall time of one
   ``gha_backward`` on a fresh ``with_values`` copy (made untimed), which
-  holds no pass, so it runs its own forward.
+  holds no pass, so it runs its own forward. ``structure_mib`` is the size
+  of the built structure (``structure_bytes``): every array its levels hold,
+  the topologies and maps included, each buffer counted once.
 
 The record's ``command`` holds no machine path: a tree inside the working
 directory is written relative to it, any other as ``<label checkout>/`` and
 the path's last component.
 """
 
+import dataclasses
 import json
 import os
 import platform
@@ -88,6 +91,30 @@ def build(cloud: str, n: int) -> dict:
             "us_per_token": total / n * 1e6, "levels": len(h.levels)}
 
 
+def structure_bytes(h) -> int:
+    """The bytes of every array a structure's levels hold, through their
+    fields, topologies and derived maps (the positional memo aside), each
+    buffer counted once however many arrays view it."""
+    owners = {}
+
+    def visit(x):
+        if isinstance(x, np.ndarray):
+            while isinstance(x.base, np.ndarray):
+                x = x.base
+            owners[id(x)] = x
+        elif isinstance(x, tuple):  # a derived map's arrays
+            for item in x:
+                visit(item)
+        elif dataclasses.is_dataclass(x):
+            for f in dataclasses.fields(x):
+                if f.name != "positional":
+                    visit(getattr(x, f.name))
+
+    for level in h.levels:
+        visit(level)
+    return sum(a.nbytes for a in owners.values())
+
+
 def kernels(cloud: str, n: int) -> dict:
     from gha3d import attention, hierarchy
     rng = np.random.default_rng(19)
@@ -97,9 +124,10 @@ def kernels(cloud: str, n: int) -> dict:
     h = hierarchy.build_hierarchy(pos, q, k, v, flavor="point" if coords is None else "voxel",
                                   k=K, r=R, coords=coords)
     emb = attention.make_fourier_embedding(D, rng)
+    out = {"structure_mib": structure_bytes(h) / 2**20}
     t = time.perf_counter()
     attention.positional_table(h, emb, "relative")
-    out = {"table_s": time.perf_counter() - t}
+    out["table_s"] = time.perf_counter() - t
     t = time.perf_counter()
     hierarchy.with_values(h, q, k, v)
     out["with_values_s"] = time.perf_counter() - t
