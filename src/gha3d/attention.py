@@ -11,23 +11,27 @@ mode K', the interleaved (cos a, sin a) of a = 2 pi B (p - c), c the
 level's bounding-box centre. By the rotary identity q . gamma(p_q - p_k) =
 Q' . K', with Q' the query's rotated row (``_rotated``), a relative score
 is q . k + Q' . K' and no per-edge term exists. A structure's terms depend
-only on its positions, so each level keeps them once made (``_kept_term``)
-and repeated passes over one structure share them; ``positional_table``
-fills them.
+only on its positions, so each level keeps every term a pass makes
+(``_kept_term``, the one writer of its memo) and repeated passes over one
+structure share them; ``positional_table`` returns them.
 
 All kernels accumulate exponentials under a per-query running maximum so
 results cannot overflow, while staying mathematically identical to the
 unshifted sums. ``gha_backward`` is the exact adjoint of the forward map
 (including the coarsening averages) with respect to level-0 q/k/v.
 
-A forward leaves its pass on the hierarchy object (``_Pass``): each
-level's row maxima and, in relative mode, each level's Q', the level-0
-denominators and maxima, the value scaling and a private copy of z, no
-per-edge array. The backward reads it and makes each level's edge weights
-again, from the same span helper (``_span_weights``) and the same maxima,
-so they are bitwise the forward's; without a pass it runs the forward
-first and leaves it. Effective weights run a forward of their own, which
-keeps every level's edge weights, and leave its pass in turn.
+Every forward (``_forward``, the one writer of a pass) leaves its pass on
+the hierarchy object (``_Pass``): each level's row maxima and, in relative
+mode, each level's Q', the level-0 denominators and maxima, the value
+scaling and a private copy of z, no per-edge array. The backward reads it
+and makes each level's edge weights again, from the same span helper
+(``_span_weights``) and the same maxima, so they are bitwise the
+forward's; without a pass it runs the forward first. Effective weights
+run a forward of their own, which also hands back every level's edge
+weights.
+
+The kernels walk a level's ``NeighborhoodTopology`` as it is, its int32
+CSR arrays and its row ``width``.
 """
 
 import math
@@ -38,7 +42,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidInputError
 from .geometry import _checked, _freeze, _integer, _readonly
-from .hierarchy import Hierarchy, _product, _sparse_map, _transposed_product
+from .hierarchy import Hierarchy, _product, _transposed_product
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +216,10 @@ def _same_frequencies(frequencies: np.ndarray, embedding: FourierEmbedding) -> b
     return np.array_equal(frequencies, embedding.frequencies)
 
 
-def _kept_term(level, embedding, mode: str, keep: bool):
+def _kept_term(level, embedding, mode: str):
     """``level``'s positional term for (embedding, mode): the one its
     ``positional`` memo holds, when made for equal frequencies, else a new
-    one, which ``keep`` stores in the mode's slot with a private copy of the
+    one, which it stores in the mode's slot with a private copy of the
     frequencies it was made for."""
     if mode == "none":
         return None
@@ -223,8 +227,7 @@ def _kept_term(level, embedding, mode: str, keep: bool):
     if held is not None and _same_frequencies(held[0], embedding):
         return held[1]
     term = _level_term(level.positions, embedding, mode)
-    if keep:
-        level.positional[mode] = (_readonly(embedding.frequencies.copy()), term)
+    level.positional[mode] = (_readonly(embedding.frequencies.copy()), term)
     return term
 
 
@@ -233,13 +236,13 @@ def positional_table(hierarchy: Hierarchy, embedding: FourierEmbedding | None = 
     """Every level's positional term, finest first (None in mode "none"):
     per token, gamma(p) in absolute mode and K' in relative mode.
 
-    The levels keep the read-only terms this returns, and every
-    ``with_values`` copy shares them, so later ``gha_forward`` and
-    ``gha_backward`` calls on the structure read them instead of making
-    them; the bits are the same either way.
+    The levels keep the read-only terms this returns, as they keep those
+    any pass makes, and every ``with_values`` copy shares them, so later
+    ``gha_forward`` and ``gha_backward`` calls on the structure read them
+    instead of making them; the bits are the same either way.
     """
     _check_mode(embedding, embedding_mode, None)
-    return tuple(_kept_term(lv, embedding, embedding_mode, keep=True) for lv in hierarchy.levels)
+    return tuple(_kept_term(lv, embedding, embedding_mode) for lv in hierarchy.levels)
 
 
 # ---------------------------------------------------------------------------
@@ -334,13 +337,13 @@ def _scored(q, k, term, mode, q_rot=None) -> _Sides:
     return _Sides(q, k, None, None)
 
 
-def _span_rows(neighbors, r0: int, r1: int) -> np.ndarray | None:
-    """Each edge's query in rows r0:r1 of ``neighbors`` (a ``_sparse_map``),
-    which a span of ragged rows gathers by; None over rows of one width,
-    which broadcast (see ``_query_dot``)."""
-    if neighbors.width:
+def _span_rows(topology, r0: int, r1: int) -> np.ndarray | None:
+    """Each edge's query in rows r0:r1 of ``topology``, which a span of
+    ragged rows gathers by; None over rows of one width, which broadcast
+    (see ``_query_dot``)."""
+    if topology.width:
         return None
-    return np.repeat(np.arange(r0, r1), np.diff(neighbors.indptr[r0:r1 + 1]))
+    return np.repeat(np.arange(r0, r1), np.diff(topology.indptr[r0:r1 + 1]))
 
 
 def _query_dot(x, y_rows, rows, r0, r1, width):
@@ -364,17 +367,17 @@ def _less_query(s, a, rows, r0, r1, width):
         s -= a.take(rows)
 
 
-def _span_weights(sides, neighbors, rows, r0, r1, scale, mu, fresh=False, out=None):
+def _span_weights(sides, topology, rows, r0, r1, scale, mu, fresh=False, out=None):
     """The softmax weights t = exp(s - mu[row]) of the edges of rows r0:r1 of
-    ``neighbors``, written into ``out`` where given: the one place a level's
+    ``topology``, written into ``out`` where given: the one place a level's
     score s = (q . k, plus Q' . K' in relative mode) / scale is formed, from
     its ``_Sides``. A ``fresh`` pass (the forward's) first writes the span's
     row maxima into ``mu`` (a max is exact in any order); later passes read
     them, so their t is bitwise the forward's. ``rows`` is the span's
     ``_span_rows``."""
-    indptr, width = neighbors.indptr, neighbors.width
+    indptr, width = topology.indptr, topology.width
     e0, e1 = indptr[r0], indptr[r1]
-    cols = neighbors.indices[e0:e1]
+    cols = topology.indices[e0:e1]
     s = _query_dot(sides.q, sides.k.take(cols, axis=0), rows, r0, r1, width)
     if sides.k_rot is not None:
         s += _query_dot(sides.q_rot, sides.k_rot.take(cols, axis=0), rows, r0, r1, width)
@@ -385,10 +388,10 @@ def _span_weights(sides, neighbors, rows, r0, r1, scale, mu, fresh=False, out=No
     return np.exp(s, out=s if out is None else out)
 
 
-def _level_softmax(sides, v, neighbors, scale, t_out=None):
-    """Max-shifted softmax sums over one topology's ``_sparse_map``
-    ``neighbors``, of the scores of ``sides`` (``_scored``); ``t_out``, where
-    given, receives every edge's softmax weight t.
+def _level_softmax(sides, v, topology, scale, t_out=None):
+    """Max-shifted softmax sums over one ``topology``, of the scores of
+    ``sides`` (``_scored``); ``t_out``, where given, receives every edge's
+    softmax weight t.
 
     Returns the per-token local max scores mu, the shifted denominators and
     the shifted unnormalized outputs: denom_i * exp(mu_i) and y_i * exp(mu_i)
@@ -397,14 +400,14 @@ def _level_softmax(sides, v, neighbors, scale, t_out=None):
     [v | 1], so every row adds its terms from +0.0 in entry order, whatever
     the cut, and no edge rows of v are gathered. Nothing per-edge but
     ``t_out`` outlives its span."""
-    indptr, cols = neighbors.indptr, neighbors.indices
+    indptr, cols = topology.indptr, topology.indices
     n, d_v = indptr.shape[0] - 1, v.shape[1]
     mu, denom = np.empty(n), np.empty(n)
     y = np.empty((n, d_v))
     v_ones = np.hstack([v, np.ones((n, 1))])
     for r0, r1 in _row_spans(indptr, max(sides.q.shape[1], d_v)):
         e0, e1 = indptr[r0], indptr[r1]
-        t = _span_weights(sides, neighbors, _span_rows(neighbors, r0, r1), r0, r1, scale, mu,
+        t = _span_weights(sides, topology, _span_rows(topology, r0, r1), r0, r1, scale, mu,
                           fresh=True, out=None if t_out is None else t_out[e0:e1])
         sums = _product(indptr[r0:r1 + 1] - e0, cols[e0:e1], t, v_ones)
         y[r0:r1], denom[r0:r1] = sums[:, :d_v], sums[:, d_v]
@@ -419,8 +422,7 @@ def local_attention(inputs: AttentionInputs, topology) -> AttentionResult:
     sides = _scored(inputs.q, inputs.k, _level_term(inputs.positions, inputs.embedding, mode), mode)
     exponents = _value_exponents([inputs.v], int(topology.sizes.max()))
     v = inputs.v if exponents is None else np.ldexp(inputs.v, -exponents)
-    mu, denom, y = _level_softmax(sides, v, _sparse_map(topology.indptr, topology.indices),
-                                  math.sqrt(inputs.d))
+    mu, denom, y = _level_softmax(sides, v, topology, math.sqrt(inputs.d))
     e = topology.total_edges
     with np.errstate(over="ignore"):
         normalizers = denom * np.exp(mu)
@@ -474,15 +476,10 @@ class _Pass(NamedTuple):
     z: np.ndarray  # a private read-only copy of the output
 
 
-def _check_call(hierarchy: Hierarchy, embedding, mode: str) -> None:
-    """The checks every pass runs before it reads or makes a forward."""
-    _check_mode(embedding, mode, hierarchy.levels[0].q_tilde.shape[1])
-
-
-def _forward(hierarchy: Hierarchy, embedding, mode: str, keep: bool, weights=None):
-    """The hierarchical forward of checked arguments: its result and its
-    ``_Pass``, whose z is the result's own array. ``keep`` stores every
-    positional term the pass makes on its level; a list ``weights``
+def _forward(hierarchy: Hierarchy, embedding, mode: str, weights=None) -> AttentionResult:
+    """The hierarchical forward of checked arguments, and the one writer of
+    ``hierarchy.forward_pass``: it leaves its ``_Pass`` there, with a
+    private read-only copy of z, and returns its result. A list ``weights``
     receives every level's edge weights t, finest level first."""
     scale = math.sqrt(hierarchy.levels[0].q_tilde.shape[1])
     depth = hierarchy.depth
@@ -495,11 +492,10 @@ def _forward(hierarchy: Hierarchy, embedding, mode: str, keep: bool, weights=Non
     carry_y = carry_d = carry_m = None
     for h in range(depth, -1, -1):
         lv = hierarchy.levels[h]
-        # A one-off forward that finds no kept term holds one level's at a time.
-        sides = _scored(lv.q_tilde, lv.k_tilde, _kept_term(lv, embedding, mode, keep), mode)
+        sides = _scored(lv.q_tilde, lv.k_tilde, _kept_term(lv, embedding, mode), mode)
         v = lv.v_tilde if exponents is None else np.ldexp(lv.v_tilde, -exponents)
         t = None if weights is None else np.empty(lv.topology.total_edges)
-        mu, d_loc, y_loc = _level_softmax(sides, v, lv.neighbors, scale, t)
+        mu, d_loc, y_loc = _level_softmax(sides, v, lv.topology, scale, t)
         if weights is not None:
             weights.insert(0, t)
         mus[h] = mu
@@ -533,28 +529,21 @@ def _forward(hierarchy: Hierarchy, embedding, mode: str, keep: bool, weights=Non
         per_level_weight_count=tuple(per_level),
     )
     frequencies = None if mode == "none" else _readonly(embedding.frequencies.copy())
-    return result, _Pass(mode, frequencies, tuple(mus), tuple(q_rots), carry_d, carry_m,
-                         exponents, result.z)
-
-
-def _leave_pass(hierarchy: Hierarchy, embedding, mode: str, weights=None) -> _Pass:
-    """Run a forward that keeps its positional terms (and fills ``weights``,
-    as in ``_forward``) and leave its pass on the structure."""
-    _, held = _forward(hierarchy, embedding, mode, keep=True, weights=weights)
-    _readonly(held.z)  # no caller edits this z
-    object.__setattr__(hierarchy, "forward_pass", held)
-    return held
+    object.__setattr__(hierarchy, "forward_pass", _Pass(
+        mode, frequencies, tuple(mus), tuple(q_rots), carry_d, carry_m, exponents,
+        _readonly(result.z.copy())))
+    return result
 
 
 def _held_pass(hierarchy: Hierarchy, embedding, mode: str) -> _Pass:
     """The pass the structure holds for (embedding, mode), else the one a
     new forward leaves."""
-    _check_call(hierarchy, embedding, mode)
+    _check_mode(embedding, mode, hierarchy.levels[0].q_tilde.shape[1])
     held = hierarchy.forward_pass
-    if held is not None and held.mode == mode and (
-            mode == "none" or _same_frequencies(held.frequencies, embedding)):
-        return held
-    return _leave_pass(hierarchy, embedding, mode)
+    if held is None or held.mode != mode or (
+            mode != "none" and not _same_frequencies(held.frequencies, embedding)):
+        _forward(hierarchy, embedding, mode)
+    return hierarchy.forward_pass
 
 
 def gha_forward(hierarchy: Hierarchy, embedding: FourierEmbedding | None = None,
@@ -570,7 +559,8 @@ def gha_forward(hierarchy: Hierarchy, embedding: FourierEmbedding | None = None,
     The call reads the positional terms the structure keeps (per token:
     gamma(p) in absolute mode, K' in relative mode; see
     ``positional_table``), or makes each level's term as it reaches that
-    level and keeps none.
+    level, and the structure keeps it: 2m float64 per token over all
+    levels, for as long as the structure lives.
 
     The call leaves its pass on ``hierarchy`` (replacing any earlier one):
     each level's row maxima and, in relative mode, its Q' (the rotated q
@@ -580,10 +570,8 @@ def gha_forward(hierarchy: Hierarchy, embedding: FourierEmbedding | None = None,
     and frequencies reads it instead of running this forward again;
     ``with_values`` and ``truncate`` copies start without one.
     """
-    _check_call(hierarchy, embedding, embedding_mode)
-    result, left = _forward(hierarchy, embedding, embedding_mode, keep=False)
-    object.__setattr__(hierarchy, "forward_pass", left._replace(z=_readonly(result.z.copy())))
-    return result
+    _check_mode(embedding, embedding_mode, hierarchy.levels[0].q_tilde.shape[1])
+    return _forward(hierarchy, embedding, embedding_mode)
 
 
 class Gradients(NamedTuple):
@@ -597,15 +585,15 @@ def _pull_back(hierarchy: Hierarchy, per_level: list) -> np.ndarray:
     maps, emptying the list as it goes, so a level's rows are freed once
     summed. A token sums its groups (one entry in each) in the coarse level's
     ``order``, fixed by the geometry, not by the input numbering: the level's
-    ``pull`` map holds its groups in that order. (Voxel groups are disjoint,
-    so no order matters.)"""
+    pull-back map (``pull_indptr``/``pull_indices``) holds its groups in that
+    order. (Voxel groups are disjoint, so no order matters.)"""
     g = per_level.pop()
     for h in range(hierarchy.depth - 1, -1, -1):
         coarse = hierarchy.levels[h + 1]
-        pull = coarse.pull
+        indptr, indices = coarse.pull_indptr, coarse.pull_indices
         g = g.take(coarse.order, axis=0)
-        g /= np.diff(pull.indptr)[:, None]
-        g = _transposed_product(pull.indptr, pull.indices, np.ones(pull.indices.shape[0]), g,
+        g /= np.diff(indptr)[:, None]
+        g = _transposed_product(indptr, indices, np.ones(indices.shape[0]), g,
                                 hierarchy.levels[h].n_tokens)
         g += per_level.pop()
     return g
@@ -640,8 +628,8 @@ def _fold(hierarchy: Hierarchy, mus: tuple, m_q: np.ndarray, c: np.ndarray) -> l
 
 def _value_cotangent(level, t: np.ndarray, fold: np.ndarray) -> np.ndarray:
     """One level's dv: each edge's t times its query's ``fold`` row, onto its key."""
-    neighbors = level.neighbors
-    return _transposed_product(neighbors.indptr, neighbors.indices, t, fold, level.n_tokens)
+    topology = level.topology
+    return _transposed_product(topology.indptr, topology.indices, t, fold, level.n_tokens)
 
 
 def _edge_weights(hierarchy: Hierarchy, embedding, mode: str):
@@ -649,9 +637,10 @@ def _edge_weights(hierarchy: Hierarchy, embedding, mode: str):
     weights read. The forward keeps each t as it makes it, since every
     level's are alive together here anyway, and leaves its pass for a later
     backward."""
-    _check_call(hierarchy, embedding, mode)
+    _check_mode(embedding, mode, hierarchy.levels[0].q_tilde.shape[1])
     weights = []
-    return _leave_pass(hierarchy, embedding, mode, weights), weights
+    _forward(hierarchy, embedding, mode, weights)
+    return hierarchy.forward_pass, weights
 
 
 def gha_backward(hierarchy: Hierarchy, dz: np.ndarray,
@@ -671,13 +660,12 @@ def gha_backward(hierarchy: Hierarchy, dz: np.ndarray,
     ``gha_forward``, or one an earlier backward or effective-weight call
     ran) when its mode and frequencies match, and runs no forward; in
     relative mode the pass's Q' serves the scores. Without one it runs the
-    forward itself first and leaves its pass (and keeps the positional terms
-    it makes): a backward alone costs about one forward more than a
-    backward after a forward. Each level's edge weights are made again from
-    the pass's row maxima inside the backward's own row spans, so only one
-    level's per-edge weights and ds are alive at a time, and every bit
-    equals a pass that kept them. The structure keeps the terms this call
-    makes.
+    forward itself first and leaves its pass: a backward alone costs about
+    one forward more than a backward after a forward. Each level's edge
+    weights are made again from the pass's row maxima inside the backward's
+    own row spans, so only one level's per-edge weights and ds are alive at
+    a time, and every bit equals a pass that kept them. The structure keeps
+    the terms this call makes.
     """
     level0 = hierarchy.levels[0]
     n, d = level0.q_tilde.shape
@@ -701,10 +689,10 @@ def gha_backward(hierarchy: Hierarchy, dz: np.ndarray,
     per_level = []
     for h, (lv, mu) in enumerate(zip(hierarchy.levels, held.mu)):
         fold, folds[h] = folds[h], None
-        sides = _scored(lv.q_tilde, lv.k_tilde, _kept_term(lv, embedding, embedding_mode, keep=True),
+        sides = _scored(lv.q_tilde, lv.k_tilde, _kept_term(lv, embedding, embedding_mode),
                         embedding_mode, held.q_rot[h])
-        neighbors = lv.neighbors
-        indptr, cols, width = neighbors.indptr, neighbors.indices, neighbors.width
+        topology = lv.topology
+        indptr, cols, width = topology.indptr, topology.indices, topology.width
         v = lv.v_tilde if shift is None else np.ldexp(lv.v_tilde, -shift)
         # t and ds edge by edge in row spans; every sum over the level's
         # edges is then one product over its whole t or ds. The level's
@@ -712,8 +700,8 @@ def gha_backward(hierarchy: Hierarchy, dz: np.ndarray,
         t, ds = np.empty(cols.shape[0]), np.empty(cols.shape[0])
         for r0, r1 in _row_spans(indptr, max(d, d_v + 1)):
             e0, e1 = indptr[r0], indptr[r1]
-            rows = _span_rows(neighbors, r0, r1)
-            _span_weights(sides, neighbors, rows, r0, r1, scale, mu, out=t[e0:e1])
+            rows = _span_rows(topology, r0, r1)
+            _span_weights(sides, topology, rows, r0, r1, scale, mu, out=t[e0:e1])
             # Each edge's query's folded output and normalizer cotangents.
             s = _query_dot(fold[:, :d_v], v.take(cols[e0:e1], axis=0), rows, r0, r1, width)
             _less_query(s, fold[:, d_v], rows, r0, r1, width)

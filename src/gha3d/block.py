@@ -23,7 +23,6 @@ from .attention import (
     dense_attention,
     gha_forward,
     make_fourier_embedding,
-    positional_table,
 )
 from .errors import ConfigError, FormatError, InvalidInputError, UnsupportedVersionError
 from .geometry import _checked, _integer
@@ -268,10 +267,6 @@ def block_forward(
             mode, emb = config.embedding_mode, params.embedding
         else:
             mode, emb = "none", None
-        if mechanism != "dense":
-            # Made on the structure's first pass, then kept by it for every
-            # head, layer and call.
-            positional_table(structure, emb, mode)
 
         # In place where the bits allow: x @ w, then += b, is x @ w + b.
         h = layer_norm(x, lp.ln1_gain, lp.ln1_shift)

@@ -10,7 +10,7 @@ import itertools
 import math
 import operator
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -205,22 +205,25 @@ class NeighborhoodTopology:
     self included, ordered by (squared distance, index) so that summation
     order is canonical. Both arrays are held once, read-only and int32 (see
     ``_csr``), and the attention kernels multiply by them as they are.
+
+    ``width`` is the neighbor count every row shares, or 0 where rows
+    differ or there are none; it is derived here, never passed in. Over
+    rows of one width the kernels broadcast each query's rows instead of
+    gathering them edge by edge.
     """
 
-    kind: str  # "knn" or "kernel_window"
     indptr: np.ndarray  # (n_tokens + 1,) int32
     indices: np.ndarray  # (nnz,) int32
-    k: int | None = None  # neighborhood size for kind == "knn"
+    width: int = field(init=False)
 
     def __post_init__(self):
-        if self.kind not in ("knn", "kernel_window"):
-            raise InvalidInputError(f"unknown topology kind {self.kind!r}")
-        if self.k is not None:
-            object.__setattr__(self, "k", _integer(self.k, "k", 1))
         n = np.size(self.indptr) - 1  # each neighbor is a token of the topology
         indptr, indices = _csr(self.indptr, self.indices, "", n, n)
         object.__setattr__(self, "indptr", indptr)
         object.__setattr__(self, "indices", indices)
+        sizes = np.diff(indptr)
+        object.__setattr__(self, "width",
+                           int(sizes[0]) if sizes.size and (sizes == sizes[0]).all() else 0)
 
     @property
     def n_tokens(self) -> int:
@@ -458,8 +461,8 @@ def knn_from_positions(positions: np.ndarray, k: int) -> NeighborhoodTopology:
     nbrs = deterministic_knn(positions, positions, k)
     # int32 as the topology holds them; past 2^31 entries it refuses the map.
     indptr = np.arange(n + 1, dtype=np.int64) * nbrs.shape[1]
-    return NeighborhoodTopology(kind="knn", indptr=_readonly(indptr.astype(np.int32)),
-                                indices=_readonly(nbrs.astype(np.int32).ravel()), k=k)
+    return NeighborhoodTopology(indptr=_readonly(indptr.astype(np.int32)),
+                                indices=_readonly(nbrs.astype(np.int32).ravel()))
 
 
 def _canonical_order(positions: np.ndarray) -> np.ndarray:
@@ -834,7 +837,7 @@ def _window_topology(keys: np.ndarray, order: np.ndarray | None = None) -> Neigh
     indptr = np.concatenate(([0], np.cumsum(hit.sum(axis=1), dtype=np.int64)))
     indices = loc[hit] if order is None else order[loc[hit]]
     # int32 as the topology holds them; past 2^31 entries it refuses the map.
-    return NeighborhoodTopology(kind="kernel_window", indptr=_readonly(indptr.astype(np.int32)),
+    return NeighborhoodTopology(indptr=_readonly(indptr.astype(np.int32)),
                                 indices=_readonly(indices.astype(np.int32)))
 
 

@@ -13,7 +13,6 @@ the new arrays side by side.
 import copy
 from dataclasses import dataclass, field
 from functools import partial
-from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -45,24 +44,6 @@ VOXEL_WINDOW_K = 27
 # ---------------------------------------------------------------------------
 # Sums over sparse maps
 # ---------------------------------------------------------------------------
-
-class _SparseMap(NamedTuple):
-    """A CSR map, row i being ``indices[indptr[i]:indptr[i + 1]]``, over the
-    int32 arrays of a topology or pooling map, not a copy. ``width`` is the
-    entry count every row shares, or 0 where rows differ or there are none:
-    the attention kernels broadcast a query's rows over rows of one width
-    instead of gathering them edge by edge."""
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    width: int
-
-
-def _sparse_map(indptr: np.ndarray, indices: np.ndarray) -> _SparseMap:
-    sizes = np.diff(indptr)
-    return _SparseMap(indptr, indices,
-                      int(sizes[0]) if sizes.size and (sizes == sizes[0]).all() else 0)
-
 
 def _product(indptr, indices, data, x) -> np.ndarray:
     """A x for the CSR map A = (data, indices, indptr): row i adds data[e] *
@@ -153,16 +134,17 @@ class HierarchyLevel:
     ``order`` is the level's canonical token order, ``_canonical_order``
     of ``positions``. It is derived here and never passed in, so no level
     holds another order; levels that share this one's positions are made
-    with ``_shared`` and keep it without sorting again. So are the maps the
-    kernels multiply by (``_sparse_map``): ``neighbors``, which wraps the
-    topology's own arrays, and ``pull``, the pooling groups in ``order``,
-    which the backward's pull-back sums in: the one reordered copy.
+    with ``_shared`` and keep it without sorting again. So is
+    ``pull_indptr``/``pull_indices`` (None at level 0): the pooling groups
+    in ``order``, which the backward's pull-back sums in, the one reordered
+    copy of a map. The kernels multiply by the topology's own arrays.
 
     ``positional`` is the level's memo of positional terms, which depend
     only on its positions: one slot per embedding mode, each holding a copy
     of the frequencies a term was made for and the term, one row per token
-    (see ``attention._level_term``). It starts empty, the attention passes fill
-    it, and every ``_shared`` copy shares the one dict.
+    (see ``attention._kept_term``). It starts empty, every attention pass
+    fills the slot of its mode, and every ``_shared`` copy shares the one
+    dict.
     """
 
     level_index: int
@@ -177,8 +159,8 @@ class HierarchyLevel:
     pool_indptr: np.ndarray | None = None  # (n_h + 1,) int32
     pool_indices: np.ndarray | None = None  # int32 into level h-1
     order: np.ndarray = field(init=False)  # (n_h,) int64
-    neighbors: _SparseMap = field(init=False, repr=False, compare=False)
-    pull: _SparseMap | None = field(init=False, repr=False, compare=False)
+    pull_indptr: np.ndarray | None = field(init=False, repr=False, compare=False)  # int32
+    pull_indices: np.ndarray | None = field(init=False, repr=False, compare=False)  # int32
     positional: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -193,7 +175,7 @@ class HierarchyLevel:
         # A level refuses float maps; its hierarchy, which knows the
         # neighboring levels' sizes, checks the maps' shapes and ranges. The
         # level checks its pooling map's rows itself, once, as it derives
-        # ``pull`` from them, and keeps the int32 arrays it checked.
+        # the pull-back map from them, and keeps the int32 arrays it checked.
         for name in ("parent_of", "selected"):
             val = getattr(self, name)
             if val is not None:
@@ -206,17 +188,17 @@ class HierarchyLevel:
         if self.topology.n_tokens != n:
             raise InvalidInputError("topology token count does not match level size")
         object.__setattr__(self, "order", _readonly(_canonical_order(self.positions)))
-        object.__setattr__(self, "neighbors", _sparse_map(self.topology.indptr,
-                                                          self.topology.indices))
-        pull = None
+        pull_indptr = pull_indices = None
         if self.pool_indptr is not None:
             indptr, indices = _csr(self.pool_indptr, self.pool_indices, "pool_", None, n)
             object.__setattr__(self, "pool_indptr", indptr)
             object.__setattr__(self, "pool_indices", indices)
             entry, sizes = _csr_rows(indptr, self.order)
-            pull_indptr = np.concatenate((np.zeros(1, np.int32), np.cumsum(sizes, dtype=np.int32)))
-            pull = _sparse_map(_readonly(pull_indptr), _readonly(indices.take(entry)))
-        object.__setattr__(self, "pull", pull)
+            pull_indptr = _readonly(np.concatenate((np.zeros(1, np.int32),
+                                                    np.cumsum(sizes, dtype=np.int32))))
+            pull_indices = _readonly(indices.take(entry))
+        object.__setattr__(self, "pull_indptr", pull_indptr)
+        object.__setattr__(self, "pull_indices", pull_indices)
         object.__setattr__(self, "positional", {})
 
     @property

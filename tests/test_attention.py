@@ -525,7 +525,7 @@ def table_structures(rng):
 def test_positional_table_leaves_every_bit(flavor, mode):
     # positional_table fills the structure's terms, one read-only row per
     # token, and returns the kept arrays; passes that read them have the
-    # bits of passes on a twin structure that keeps no term.
+    # bits of passes on a twin structure that makes its own terms.
     rng = np.random.default_rng(30)
     d = 4
     structure = table_structures(rng)[flavor]
@@ -603,30 +603,6 @@ def test_backward_and_effective_weights_sort_nothing(monkeypatch):
     assert "lexsort" in calls  # the build does sort, so the counters are live
 
 
-def test_one_off_forward_holds_one_level_term_at_a_time():
-    # Without kept terms, each level's positional term is made when that
-    # level runs and dropped after it, not all of them up front: the peak
-    # is within one level-0 term of the peak once the structure keeps them.
-    rng = np.random.default_rng(33)
-    n, d = 2048, 8
-    q, k, v, pos = rand_inputs(rng, n, d)
-    h = build_hierarchy(pos, q, k, v, flavor="point", k=8, r=2)
-    emb = make_fourier_embedding(d, rng)
-
-    def peak():
-        tracemalloc.start()
-        try:
-            gha_forward(h, emb, "relative")
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    without = peak()
-    assert all(lv.positional == {} for lv in h.levels)
-    level0_term = positional_table(h, emb, "relative")[0].nbytes
-    assert without <= peak() + 1.25 * level0_term
-
-
 TERM_FUNCTIONS = [("relative", "embed_points"), ("absolute", "embed_points")]
 
 
@@ -645,8 +621,7 @@ def test_structure_makes_its_positional_terms_once(monkeypatch, mode, term_fn):
     # runs a backward and a forward. The first backward makes each level's
     # term and the structure keeps it for every later pass, the with_values
     # and truncate copies included; the bits are those of a structure whose
-    # terms positional_table made up front. (A one-off forward on a fresh
-    # structure keeps nothing, so here the backward comes first.)
+    # terms positional_table made up front.
     rng = np.random.default_rng(39)
     n, d = 60, 4
     pos = rng.normal(size=(n, 3))
@@ -693,7 +668,7 @@ def test_kept_terms_serve_equal_frequencies_only(monkeypatch, mode, term_fn):
         return build_hierarchy(pos, q, k, v, flavor="point", k=3, r=2)
 
     h = fresh()
-    want = passes(h, emb)  # the backward keeps emb's terms
+    want = passes(h, emb)  # the forward keeps emb's terms
     calls = count_terms(monkeypatch, term_fn)
     copied = FourierEmbedding(frequencies=emb.frequencies.copy())
     for a, b in zip(passes(h, copied), want, strict=True):
@@ -705,66 +680,44 @@ def test_kept_terms_serve_equal_frequencies_only(monkeypatch, mode, term_fn):
     for a, b in zip(passes(h, other), other_want, strict=True):
         assert a.tobytes() == b.tobytes()
     assert not np.array_equal(other_want[0], want[0])
-    # The forward made other's terms and dropped them, then the backward
-    # made them again and kept them in the mode's one slot.
-    assert len(calls) == 2 * len(h.levels)
+    # The forward made other's terms once and kept them in the mode's one
+    # slot, where the backward read them.
+    assert len(calls) == len(h.levels)
     assert all(np.array_equal(lv.positional[mode][0], other.frequencies) for lv in h.levels)
     for a, b in zip(passes(h, emb), want, strict=True):
         assert a.tobytes() == b.tobytes()
 
 
-def test_one_off_forward_keeps_no_term():
-    # A cacheless forward on a fresh structure leaves every slot empty; a
-    # backward, an effective row or positional_table fills its mode's slot, which
-    # with_values and truncate copies share.
+def test_forward_then_backward_makes_each_term_once(monkeypatch):
+    # A bare forward on a fresh structure keeps every term it makes, so the
+    # backward after it makes none: each level's term is made once (twice
+    # when a bare forward kept none) and every slot is filled, in the one
+    # memo that with_values and truncate copies share. Mode "none" keeps
+    # nothing; effective weights fill their own mode's slot.
     rng = np.random.default_rng(41)
     n, d = 40, 4
     q, k, v, pos = rand_inputs(rng, n, d)
     emb = make_fourier_embedding(d, rng)
-    for mode in ("none", "absolute", "relative"):
-        h = build_hierarchy(pos, q, k, v, flavor="point", k=3, r=2)
-        gha_forward(h, emb, mode)
-        assert all(lv.positional == {} for lv in h.levels)
     h = build_hierarchy(pos, q, k, v, flavor="point", k=3, r=2)
-    gha_backward(h, np.ones((n, d)), emb, "relative")
-    effective_attention_row(h, 3, emb, "none")
+    assert h.depth >= 2
+    gha_forward(h, emb, "none")
+    assert all(lv.positional == {} for lv in h.levels)
+    calls = count_terms(monkeypatch, "embed_points")
+    gha_forward(h, emb, "relative")
+    gha_backward(h, rng.normal(size=(n, d)), emb, "relative")
+    assert len(calls) == len(h.levels)
     assert all(list(lv.positional) == ["relative"] for lv in h.levels)
-    positional_table(h, emb, "absolute")
+    effective_attention_row(h, 3, emb, "absolute")
     assert all(sorted(lv.positional) == ["absolute", "relative"] for lv in h.levels)
     for shared in (with_values(h, v=v + 1.0), truncate(h, 1)):
         assert all(a.positional is b.positional for a, b in zip(shared.levels, h.levels))
-
-
-def test_one_off_forward_on_a_fresh_structure_holds_one_level_term_at_a_time():
-    # As above, but the forward without kept terms runs on a structure no
-    # pass has filled, so it makes the terms itself; the kept terms are
-    # another structure's, built from the same inputs.
-    rng = np.random.default_rng(33)
-    n, d = 2048, 8
-    q, k, v, pos = rand_inputs(rng, n, d)
-    emb = make_fourier_embedding(d, rng)
-
-    def peak(h):
-        tracemalloc.start()
-        try:
-            gha_forward(h, emb, "relative")
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    fresh = build_hierarchy(pos, q, k, v, flavor="point", k=8, r=2)
-    without = peak(fresh)
-    assert all(lv.positional == {} for lv in fresh.levels)
-    twin = build_hierarchy(pos, q, k, v, flavor="point", k=8, r=2)
-    level0_term = positional_table(twin, emb, "relative")[0].nbytes
-    assert without <= peak(twin) + 1.25 * level0_term
 
 
 @pytest.mark.parametrize("flavor", ["point", "voxel"])
 @pytest.mark.parametrize("mode", ["absolute", "relative"])
 def test_positional_table_leaves_every_bit_of_a_fresh_structure(flavor, mode):
     # Passes over the kept terms against passes on a twin structure that
-    # keeps no term yet, so those make every term themselves.
+    # keeps no term yet, so its forward makes every term, and keeps it.
     rng = np.random.default_rng(30)
     d = 4
     structure = table_structures(np.random.default_rng(30))[flavor]
@@ -778,7 +731,9 @@ def test_positional_table_leaves_every_bit_of_a_fresh_structure(flavor, mode):
         want, got = gha_forward(twin, emb, mode), gha_forward(h, emb, mode)
         np.testing.assert_array_equal(got.z, want.z)
         np.testing.assert_array_equal(got.normalizers, want.normalizers)
-        assert all(lv.positional == {} for lv in twin.levels)
+        assert all(list(lv.positional) == [mode] for lv in twin.levels)
+        for kept, lv in zip(positional_table(structure, emb, mode), twin.levels, strict=True):
+            np.testing.assert_array_equal(lv.positional[mode][1], kept)
         want_g, got_g = gha_backward(twin, dz, emb, mode), gha_backward(h, dz, emb, mode)
         for name in ("dq", "dk", "dv"):
             np.testing.assert_array_equal(getattr(got_g, name), getattr(want_g, name))
@@ -942,7 +897,7 @@ def test_sums_by_product_keep_every_bit(monkeypatch, case, mode, loop_sums,
 
 def test_forward_edge_temporaries_do_not_grow_with_the_level():
     # The level kernel holds its per-edge temporaries one row span at a
-    # time: doubling k doubles the edges but not the one-off forward's peak,
+    # time: doubling k doubles the edges but not the forward's peak,
     # which stays within a few N x d_v arrays (a span's temporaries are
     # N x d_v-sized here: 2^17 elements at N = 2^14, d_v = 8).
     rng = np.random.default_rng(34)
@@ -1098,7 +1053,7 @@ def gathered(h):
     """``h`` with every level's derived row width zeroed: each span gathers
     its query rows edge by edge instead of broadcasting them."""
     for lv in h.levels:
-        object.__setattr__(lv, "neighbors", lv.neighbors._replace(width=0))
+        object.__setattr__(lv.topology, "width", 0)
     return h
 
 
@@ -1132,7 +1087,7 @@ def test_rows_of_one_width_broadcast_with_the_same_bits(flavor, mode):
         return (fwd.z, fwd.normalizers, *gha_backward(h, dz, emb, mode),
                 effective_attention_row(h, 5, emb, mode))
 
-    widths = [lv.neighbors.width for lv in broadcast.levels]
+    widths = [lv.topology.width for lv in broadcast.levels]
     assert widths == ([6] * 5 if flavor == "point" else [0, 8])
     for got, want in zip(outputs(gathered(width_structure(flavor, d))), outputs(broadcast),
                          strict=True):
@@ -1143,16 +1098,13 @@ def test_rows_of_one_width_broadcast_with_the_same_bits(flavor, mode):
 def test_a_topology_with_no_rows_constructs_and_runs(mode):
     import gha3d.attention as attention_mod
     from gha3d.geometry import NeighborhoodTopology
-    from gha3d.hierarchy import _sparse_map
 
-    topology = NeighborhoodTopology(kind="knn", indptr=np.array([0]),
-                                    indices=np.zeros(0, np.int64))
-    neighbors = _sparse_map(topology.indptr, topology.indices)
-    assert neighbors.width == 0
+    topology = NeighborhoodTopology(indptr=np.array([0]), indices=np.zeros(0, np.int64))
+    assert topology.width == 0
     empty = np.zeros((0, 4))
     term = None if mode == "none" else empty
     sides = attention_mod._scored(empty, empty, term, mode)
-    mu, denom, y = attention_mod._level_softmax(sides, empty, neighbors, 2.0)
+    mu, denom, y = attention_mod._level_softmax(sides, empty, topology, 2.0)
     assert mu.shape == denom.shape == (0,) and y.shape == (0, 4)
 
 

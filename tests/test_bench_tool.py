@@ -60,12 +60,11 @@ def test_kernels_cell_reports_the_structure_it_timed(bench):
     h = build_hierarchy(pos, q, k, v, k=8, r=2)
     assert fig["tokens"] == 600
     assert fig["edges"] == sum(lv.topology.total_edges for lv in h.levels)
-    # The structure's size counts each array a level holds once: the kernels'
-    # neighbor map is the topology's own arrays, not a copy.
+    # The structure's size counts each array a level holds once.
     held = [a for lv in h.levels
             for a in (lv.positions, lv.q_tilde, lv.k_tilde, lv.v_tilde, lv.topology.indptr,
                       lv.topology.indices, lv.parent_of, lv.selected, lv.order, lv.pool_indptr,
-                      lv.pool_indices, *(lv.pull or ())[:2])
+                      lv.pool_indices, lv.pull_indptr, lv.pull_indices)
             if a is not None]
     assert fig["structure_mib"] * 2**20 == bench.structure_bytes(h) == sum(a.nbytes for a in held)
 

@@ -718,24 +718,27 @@ def test_window_rejects_duplicate_cells():
 
 
 def test_topology_rows_name_each_edges_token():
-    # A topology holds its map once, as read-only int32 arrays; the kernels
-    # derive a ragged span's rows (each edge's token) from its indptr.
+    # A topology holds its map once, as read-only int32 arrays, and the
+    # width its rows share (0 where they differ or there are none); the
+    # kernels derive a ragged span's rows (each edge's token) from its indptr.
     from gha3d.attention import _span_rows
-    from gha3d.hierarchy import _SparseMap
 
     rng = np.random.default_rng(6)
     coords = np.unique(rng.integers(0, 4, size=(30, 3)), axis=0)
-    for topo in (kernel_window_topology(coords), knn(PointCloud(rng.normal(size=(40, 3))), 5),
-                 NeighborhoodTopology(kind="knn", indptr=[0, 2, 3, 4], indices=[0, 2, 2, 1]),
-                 NeighborhoodTopology(kind="knn", indptr=[0], indices=np.zeros(0, np.int64))):
+    cases = ((kernel_window_topology(coords), 0), (knn(PointCloud(rng.normal(size=(40, 3))), 5), 5),
+             (NeighborhoodTopology(indptr=[0, 2, 3, 4], indices=[0, 2, 2, 1]), 0),
+             (NeighborhoodTopology(indptr=[0, 2, 4], indices=[0, 1, 1, 0]), 2),
+             (NeighborhoodTopology(indptr=[0], indices=np.zeros(0, np.int64)), 0))
+    for topo, width in cases:
         for a in (topo.indptr, topo.indices):
             assert a.dtype == np.int32 and not a.flags.writeable
+        assert topo.width == width
+        object.__setattr__(topo, "width", 0)  # every span ragged
         want = [i for i in range(topo.n_tokens) for _ in topo.neighbors(i)]
-        ragged = _SparseMap(topo.indptr, topo.indices, 0)
-        np.testing.assert_array_equal(_span_rows(ragged, 0, topo.n_tokens), want)
+        np.testing.assert_array_equal(_span_rows(topo, 0, topo.n_tokens), want)
         if topo.n_tokens > 2:  # a span's rows keep their own numbers
             np.testing.assert_array_equal(
-                _span_rows(ragged, 1, 3), [i for i in (1, 2) for _ in topo.neighbors(i)])
+                _span_rows(topo, 1, 3), [i for i in (1, 2) for _ in topo.neighbors(i)])
 
 
 def test_sparse_maps_of_2_31_entries_or_tokens_are_refused():
@@ -743,13 +746,12 @@ def test_sparse_maps_of_2_31_entries_or_tokens_are_refused():
     # stand in for the large maps, and the check reads none of their entries.
     big = np.broadcast_to(np.int32(0), (2**31,))
     with pytest.raises(CapacityError, match="fewer than 2"):
-        NeighborhoodTopology(kind="knn", indptr=[0, 2**31], indices=big)
+        NeighborhoodTopology(indptr=[0, 2**31], indices=big)
     with pytest.raises(CapacityError):
-        NeighborhoodTopology(kind="knn", indptr=np.broadcast_to(np.int64(1), (2**31 + 1,)),
-                             indices=[0])
+        NeighborhoodTopology(indptr=np.broadcast_to(np.int64(1), (2**31 + 1,)), indices=[0])
     with pytest.raises(CapacityError):
         segment_mean(np.ones((2, 1)), [0, 2**31], big)
-    NeighborhoodTopology(kind="knn", indptr=[0, 1], indices=big[:1])
+    NeighborhoodTopology(indptr=[0, 1], indices=big[:1])
 
 
 def test_window_from_grid():

@@ -416,23 +416,24 @@ def test_pooling_product_keeps_the_gathered_sums_bits(case, loop_sums):
 
 def test_level_derives_its_product_maps_once():
     # Levels copied for new values, truncation or a parent map share the
-    # maps; the kernels' map wraps the topology's own int32 arrays, and the
-    # pull-back map lists the pooling groups in the level's order.
+    # maps: the topology the kernels multiply by, with its row width, and
+    # the pull-back map, which lists the pooling groups in the level's order.
     h = _pooling_structure("k4")
     fresh = with_values(h, v=np.ones((300, 3)))
     for lv, fl in zip(h.levels, fresh.levels):
-        assert fl.neighbors is lv.neighbors and fl.pull is lv.pull
+        assert fl.topology is lv.topology
+        assert fl.pull_indptr is lv.pull_indptr and fl.pull_indices is lv.pull_indices
         assert fl.pool_indices is lv.pool_indices and fl.pool_indptr is lv.pool_indptr
-        assert lv.neighbors.indices is lv.topology.indices
-        assert lv.neighbors.indptr is lv.topology.indptr
+        assert lv.topology.width == min(4, lv.n_tokens)  # rows of k, or of every token
+    assert h.levels[0].pull_indptr is None and h.levels[0].pull_indices is None
     coarse = h.levels[2]
     groups = [coarse.pool_indices[coarse.pool_indptr[i]:coarse.pool_indptr[i + 1]].tolist()
               for i in coarse.order]
-    pull = coarse.pull
-    assert pull.indptr.dtype == pull.indices.dtype == np.int32
-    assert [pull.indices[pull.indptr[i]:pull.indptr[i + 1]].tolist()
-            for i in range(coarse.n_tokens)] == groups
-    assert truncate(h, 2).levels[2].pull is coarse.pull
+    indptr, indices = coarse.pull_indptr, coarse.pull_indices
+    assert indptr.dtype == indices.dtype == np.int32
+    assert not indptr.flags.writeable and not indices.flags.writeable
+    assert [indices[indptr[i]:indptr[i + 1]].tolist() for i in range(coarse.n_tokens)] == groups
+    assert truncate(h, 2).levels[2].pull_indices is coarse.pull_indices
 
 
 # ---------------------------------------------------------------------------
@@ -742,7 +743,7 @@ def test_callers_arrays_stay_writeable_and_detached():
     freqs = rng.normal(size=(2, 3))
     emb = FourierEmbedding(frequencies=freqs)
     indptr, indices = np.array([0, 2, 3]), np.array([0, 1, 1])
-    topo = NeighborhoodTopology(kind="knn", indptr=indptr, indices=indices, k=2)
+    topo = NeighborhoodTopology(indptr=indptr, indices=indices)
     occ, cn = np.array([[0, 0, 0], [1, 0, 0]]), np.array([3, 1])
     cf, cc = rng.normal(size=(2, 1)), rng.uniform(size=(2, 3))
     grid = SparseVoxelGrid(voxel_size=1.0, occupied=occ, cell_features=cf,

@@ -200,8 +200,6 @@ SCALARS = [
      1, None, InvalidInputError),
     ("HierarchyLevel-level_index", lambda v: dataclasses.replace(H.levels[0], level_index=v), 0,
      -1, None, InvalidInputError),
-    ("NeighborhoodTopology-k", lambda v: NeighborhoodTopology("knn", [0, 1, 2], [0, 1], k=v), 1,
-     0, None, InvalidInputError),
 ]
 
 
@@ -230,8 +228,8 @@ TOPOLOGIES = {
 def test_topology_refuses_a_bad_csr_map(case):
     indptr, indices = TOPOLOGIES[case]
     with pytest.raises(InvalidInputError):
-        NeighborhoodTopology(kind="knn", indptr=indptr, indices=indices)
-    NeighborhoodTopology(kind="knn", indptr=[0, 2, 3, 4], indices=[0, 2, 1, 2])
+        NeighborhoodTopology(indptr=indptr, indices=indices)
+    NeighborhoodTopology(indptr=[0, 2, 3, 4], indices=[0, 2, 1, 2])
 
 
 @pytest.mark.parametrize("case", ["empty-row", "negative-neighbor"])
@@ -242,7 +240,7 @@ def test_no_topology_gives_one_token_another_tokens_output(case):
     inputs = AttentionInputs(*(rng.normal(size=(3, 2)) for _ in range(3)),
                              positions=rng.normal(size=(3, 3)))
     with pytest.raises(InvalidInputError):
-        local_attention(inputs, NeighborhoodTopology("knn", *TOPOLOGIES[case]))
+        local_attention(inputs, NeighborhoodTopology(*TOPOLOGIES[case]))
 
 
 @pytest.mark.parametrize("name", ["parent_of", "pool_indptr"])

@@ -3,8 +3,9 @@ no unused imports, no unreferenced module-level private definitions, one
 finiteness check for caller arrays, one range check for caller integers,
 two sparse products for every sum over a sparse map (no reduceat sum), one
 arithmetic for every squared distance in the geometry and one helper for
-every level score; no kernel gather by an index map through fancy indexing; and every
-package name the benchmark's workloads call still resolves."""
+every level score; one writer for each piece of state a structure keeps; no
+kernel gather by an index map through fancy indexing; and every package
+name the benchmark's workloads call still resolves."""
 
 import ast
 import importlib
@@ -194,6 +195,52 @@ def test_scores_are_formed_in_one_span_helper():
                     exps.add(f"{path.name}:{fn.name}")
     assert dots == {"attention.py:_span_weights"}
     assert exps == {"attention.py:_span_weights", "attention.py:_dense_softmax_chunks"}
+
+
+def _functions(path: Path):
+    """Every function of a module, with its name as ``<file>:<function>``."""
+    for fn in ast.walk(_tree(path)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield f"{path.name}:{fn.name}", fn
+
+
+def test_one_function_writes_each_piece_of_kept_state():
+    """A structure keeps two things that passes write: its last forward's
+    pass and each level's positional terms. ``attention._forward`` is the one
+    function that stores a pass in ``forward_pass`` (``Hierarchy`` and
+    ``hierarchy._shared`` only reset it to None), and
+    ``attention._kept_term`` the one that writes a level's ``positional``
+    slot, by item assignment or by a dict method."""
+    passes, resets, slots = set(), set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for name, fn in _functions(path):
+            for node in ast.walk(fn):
+                value = None
+                if (isinstance(node, ast.Call) and ast.unparse(node.func) in
+                        ("object.__setattr__", "setattr") and len(node.args) == 3
+                        and isinstance(node.args[1], ast.Constant)
+                        and node.args[1].value == "forward_pass"):
+                    value = node.args[2]
+                elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    if any(isinstance(t, ast.Attribute) and t.attr == "forward_pass"
+                           for t in targets):
+                        value = node.value
+                if value is not None:
+                    none = isinstance(value, ast.Constant) and value.value is None
+                    (resets if none else passes).add(name)
+                if (isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load)
+                        and isinstance(node.value, ast.Attribute)
+                        and node.value.attr == "positional"):
+                    slots.add(name)
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr in ("update", "setdefault", "pop", "popitem", "clear")
+                        and isinstance(node.func.value, ast.Attribute)
+                        and node.func.value.attr == "positional"):
+                    slots.add(name)
+    assert passes == {"attention.py:_forward"}
+    assert resets == {"hierarchy.py:__post_init__", "hierarchy.py:_shared"}
+    assert slots == {"attention.py:_kept_term"}
 
 
 def test_geometry_squares_distances_one_way():

@@ -93,8 +93,8 @@ def build(cloud: str, n: int) -> dict:
 
 def structure_bytes(h) -> int:
     """The bytes of every array a structure's levels hold, through their
-    fields, topologies and derived maps (the positional memo aside), each
-    buffer counted once however many arrays view it."""
+    fields and topologies (the positional memo aside), each buffer counted
+    once however many arrays view it."""
     owners = {}
 
     def visit(x):
@@ -102,9 +102,6 @@ def structure_bytes(h) -> int:
             while isinstance(x.base, np.ndarray):
                 x = x.base
             owners[id(x)] = x
-        elif isinstance(x, tuple):  # a derived map's arrays
-            for item in x:
-                visit(item)
         elif dataclasses.is_dataclass(x):
             for f in dataclasses.fields(x):
                 if f.name != "positional":
