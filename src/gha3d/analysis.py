@@ -204,8 +204,9 @@ def _pair_inputs(positions, weights) -> tuple:
 def mass_beyond_radius(positions: np.ndarray, weights: np.ndarray, radius: float) -> float:
     """Total weight on pairs strictly farther apart than ``radius``."""
     positions, weights = _pair_inputs(positions, weights)
-    if not (math.isfinite(radius) and radius >= 0.0):
-        raise InvalidInputError(f"radius must be finite and >= 0, got {radius!r}")
+    radius = float(_checked(radius, "radius", ()))
+    if not radius >= 0.0:
+        raise InvalidInputError(f"radius must be non-negative, got {radius!r}")
     d = _pairwise_distances(positions)
     return float(weights[d > radius].sum())
 
@@ -397,8 +398,8 @@ class ScalingReport:
 def weight_bound(k: int, r: int, n_tokens: int) -> float:
     """Guaranteed cap on total attention weights: the level sizes shrink
     at least geometrically by r, so sum_h k * n_h <= k * n * r / (r - 1)."""
-    r = _integer(r, "coarsening ratio", 2)
-    return k * r / (r - 1) * n_tokens
+    k, r = _integer(k, "k", 1), _integer(r, "coarsening ratio", 2)
+    return k * r / (r - 1) * _integer(n_tokens, "n_tokens", 1)
 
 
 def _check_weight_bound(row: ScalingRow) -> None:

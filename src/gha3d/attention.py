@@ -211,8 +211,8 @@ def _rotated(x, term):
 def _same_frequencies(frequencies: np.ndarray, embedding: FourierEmbedding) -> bool:
     """Whether ``embedding`` has these frequencies, now: the one rule by which
     a kept term or a pass serves an embedding. It compares values, so an
-    embedding whose frequencies changed in place (through a writeable base
-    its read-only view shares) is no longer served."""
+    embedding whose frequencies changed in place (their owner's write flag
+    set back) is no longer served."""
     return np.array_equal(frequencies, embedding.frequencies)
 
 
@@ -259,17 +259,16 @@ def _bounded_spans(n: int, width: int) -> list:
 def _dense_softmax_chunks(q, k, pos, emb, mode):
     """Row chunks (start, stop, a, denom, mu) of the dense reference softmax:
     a = exp(s - mu) for query rows start:stop against all keys, with row
-    maxima mu and row sums denom, so the weights are a / denom. Relative
-    mode scores [q | Q'] against [k | K'] on the path of mode "none"."""
+    maxima mu and row sums denom, so the weights are a / denom. The scores
+    are those of ``_scored``'s sides: relative mode scores [q | Q'] against
+    [k | K'] on the path of mode "none"."""
     n, d = q.shape
     _check_mode(emb, mode, d)
     scale = math.sqrt(d)
-    if mode == "absolute":
-        gamma = embed_points(emb, pos)
-        q, k = q + gamma, k + gamma
-    elif mode == "relative":
-        term = _level_term(pos, emb, mode)
-        q, k = np.hstack([q, _rotated(q, term)]), np.hstack([k, term])
+    sides = _scored(q, k, _level_term(pos, emb, mode), mode)
+    q, k = sides.q, sides.k
+    if sides.q_rot is not None:
+        q, k = np.hstack([q, sides.q_rot]), np.hstack([k, sides.k_rot])
     for start, stop in _bounded_spans(n, n):  # rows-by-keys temporaries
         s = np.einsum("id,jd->ij", q[start:stop], k)  # no BLAS: same bits on any thread count
         s /= scale
@@ -613,16 +612,15 @@ def _fold(hierarchy: Hierarchy, mus: tuple, m_q: np.ndarray, c: np.ndarray) -> l
     """
     depth = hierarchy.depth
     n = c.shape[0]
-    # int32 maps where they fit: SciPy multiplies in int32 and would convert
-    # int64 ones on every call.
-    dtype = np.int32 if n < np.iinfo(np.int32).max else np.int64
-    indptr, anc = np.arange(n + 1, dtype=dtype), np.arange(n, dtype=dtype)
+    # int32 maps, which SciPy multiplies in without converting them; a
+    # structure holds fewer than 2^31 tokens (see ``geometry._csr``).
+    indptr, anc = np.arange(n + 1, dtype=np.int32), np.arange(n, dtype=np.int32)
     folds = []
     for h, (lv, mu) in enumerate(zip(hierarchy.levels, mus)):
         w = np.exp(mu.take(anc) - m_q)
         folds.append(_transposed_product(indptr, anc, w, c, lv.n_tokens))
         if h < depth:
-            anc = lv.parent_of.take(anc).astype(dtype)
+            anc = lv.parent_of.take(anc).astype(np.int32)
     return folds
 
 

@@ -58,7 +58,8 @@ class BlockConfig:
                 f"n_heads={self.n_heads} must divide model_dim={self.model_dim}"
             )
         for name in ("attn_dropout", "ffn_dropout"):
-            p = getattr(self, name)
+            p = float(_checked(getattr(self, name), name, ()))
+            object.__setattr__(self, name, p)
             if not 0.0 <= p < 1.0:
                 raise ConfigError(f"{name} must be in [0, 1), got {p}")
         if self.embedding_mode not in _MODES:

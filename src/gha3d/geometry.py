@@ -9,7 +9,6 @@ order so downstream floating-point reductions are reproducible.
 import itertools
 import math
 import operator
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,39 +36,13 @@ def _integer(value, name: str, lo: int | None = None, hi: int | None = None) -> 
 
 
 def _freeze(a, dtype=None) -> np.ndarray:
-    """Read-only C-contiguous array holding ``a``.
-
-    The array is stored as is only where nothing else can write its memory:
-    an array the package made and marked with ``_readonly`` (or a view of
-    one), or a read-only view of a buffer that is never written, such as
-    ``bytes``. Anything else is copied, a caller's read-only array too: a
-    writeable view made before it was marked read-only, or its owner's
-    flag set back, would still reach it, and NumPy cannot list the views of
-    an array, so only the package's own mark tells its arrays apart. The
-    array returned carries that mark, so storing it again pays no copy.
-    """
-    out = np.ascontiguousarray(a, dtype=dtype)
-    if (out is a or not out.flags.owndata) and not _sealed(out):
-        out = out.copy()
-    return _readonly(out)
-
-
-def _sealed(a: np.ndarray) -> bool:
-    """Whether nothing can write the memory of ``a``: no array on its chain of
-    bases is writeable, and the chain reaches an array ``_readonly`` marked
-    or a read-only buffer that owns the memory."""
-    marked = False
-    while isinstance(a, np.ndarray):
-        if a.flags.writeable:
-            return False
-        marked = marked or _MARKED.get(id(a)) is a
-        a = a.base
-    if a is None:  # an array owns the memory: only the package's own is sealed
-        return marked
-    try:
-        return memoryview(a).readonly
-    except TypeError:  # an owner that exposes no buffer may still write
-        return False
+    """A read-only C-contiguous copy of ``a``: what every constructor stores
+    of each array it is given. A copy, never a view, even of a read-only
+    array: a writeable view made before its flag was cleared, or its
+    owner's flag set back, would still reach it."""
+    out = np.array(a, dtype=dtype, order="C")
+    out.flags.writeable = False
+    return out
 
 
 def _checked(a, name: str, shape: tuple) -> np.ndarray:
@@ -98,11 +71,13 @@ def _checked(a, name: str, shape: tuple) -> np.ndarray:
 
 def _index_map(a, rule: str, n: int | None = None, length: int | None = None,
                dtype=np.int64) -> np.ndarray:
-    """A caller's integer map as read-only ``dtype``: a float map is refused,
+    """A caller's integer map, checked, as ``dtype``: a float map is refused,
     not truncated, and with ``n`` it must be 1-D, ``length`` long if given,
     with entries in [0, n) (-1 is refused, not wrapped). Without ``n`` its
     entries need only fit ``dtype``, else CapacityError. The error leads
-    with ``rule``."""
+    with ``rule``. A map of ``dtype`` comes back as is: a constructor
+    stores it through ``_freeze``, and a check that stores nothing copies
+    nothing."""
     out = np.asarray(a)
     if out.dtype.kind not in "iu":
         got = f"dtype {out.dtype}"
@@ -116,7 +91,7 @@ def _index_map(a, rule: str, n: int | None = None, length: int | None = None,
                 and not (info.min <= out.min() and out.max() <= info.max)):
             raise CapacityError(f"{rule}, got entries from {out.min()} to {out.max()},"
                                 f" past {info.dtype}")
-        return _freeze(out, dtype)
+        return out.astype(dtype, copy=False)
     raise InvalidInputError(f"{rule}{'' if n is None else f' in [0, {n})'}, got {got}")
 
 
@@ -127,10 +102,11 @@ _INDEX_LIMIT = 1 << 31
 
 def _csr(indptr, indices, name: str, n: int | None, rows: int) -> tuple[np.ndarray, np.ndarray]:
     """A caller's CSR map (row i is ``indices[indptr[i]:indptr[i + 1]]``) as
-    read-only int32 arrays: every index lies in [0, n) (any int32, with n
-    None) and ``indptr`` rises from 0 to len(indices) in ``rows`` rows, none
-    empty (a row's mean divides by its size). A map of 2^31 or more entries,
-    rows or tokens raises CapacityError before its entries are read."""
+    int32 arrays, checked and not copied, as by ``_index_map``: every index
+    lies in [0, n) (any int32, with n None) and ``indptr`` rises from 0 to
+    len(indices) in ``rows`` rows, none empty (a row's mean divides by its
+    size). A map of 2^31 or more entries, rows or tokens raises
+    CapacityError before its entries are read."""
     indptr, indices = np.asarray(indptr), np.asarray(indices)
     if max(indices.size, rows, n or 0) >= _INDEX_LIMIT:
         raise CapacityError(f"{name}map of {indices.size} entries in {rows} rows over {n} tokens:"
@@ -157,21 +133,13 @@ def _csr_rows(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndar
     return _ranges(indptr[rows], sizes), sizes
 
 
-# The arrays ``_readonly`` marked, by id; an entry goes when its array is
-# freed. It is one record for the process because whether the package made
-# an array is a fact about that array, whichever structure it reaches.
-_MARKED = weakref.WeakValueDictionary()
-
-
 def _readonly(a: np.ndarray) -> np.ndarray:
-    """Mark an array the package just made read-only, in place, with every
-    array whose memory it views (the package made those too), and record
-    them as the package's own, so that ``_freeze`` stores them without a
-    copy."""
+    """Clear the write flag of an array the package just made and stores
+    without a constructor, in place, with that of every array whose memory
+    it views (the package made those too)."""
     base = a
     while isinstance(base, np.ndarray):
         base.flags.writeable = False
-        _MARKED[id(base)] = base
         base = base.base
     return a
 
@@ -218,7 +186,7 @@ class NeighborhoodTopology:
 
     def __post_init__(self):
         n = np.size(self.indptr) - 1  # each neighbor is a token of the topology
-        indptr, indices = _csr(self.indptr, self.indices, "", n, n)
+        indptr, indices = map(_freeze, _csr(self.indptr, self.indices, "", n, n))
         object.__setattr__(self, "indptr", indptr)
         object.__setattr__(self, "indices", indices)
         sizes = np.diff(indptr)
@@ -459,10 +427,9 @@ def knn_from_positions(positions: np.ndarray, k: int) -> NeighborhoodTopology:
     if n < 1:
         raise InvalidInputError("empty point set")
     nbrs = deterministic_knn(positions, positions, k)
-    # int32 as the topology holds them; past 2^31 entries it refuses the map.
+    # The topology holds them as int32; past 2^31 entries it refuses the map.
     indptr = np.arange(n + 1, dtype=np.int64) * nbrs.shape[1]
-    return NeighborhoodTopology(indptr=_readonly(indptr.astype(np.int32)),
-                                indices=_readonly(nbrs.astype(np.int32).ravel()))
+    return NeighborhoodTopology(indptr=indptr, indices=nbrs.ravel())
 
 
 def _canonical_order(positions: np.ndarray) -> np.ndarray:
@@ -769,6 +736,7 @@ def voxelize(cloud: PointCloud, voxel_size: float) -> SparseVoxelGrid:
     """Bin points into cells of side ``voxel_size``; voxel coordinate of a
     point is floor(p / voxel_size) per axis. Cell features and centroid are
     the mean over contained points."""
+    voxel_size = float(_checked(voxel_size, "voxel_size", ()))
     if not voxel_size > 0:
         raise InvalidInputError(f"voxel_size must be positive, got {voxel_size}")
     pos = cloud.positions
@@ -791,11 +759,11 @@ def voxelize(cloud: PointCloud, voxel_size: float) -> SparseVoxelGrid:
     else:
         feats = np.empty((uniq_keys.shape[0], 0), dtype=np.float64)
     return SparseVoxelGrid(
-        voxel_size=float(voxel_size),
-        occupied=_readonly(occ),
-        cell_features=_readonly(feats),
-        cell_centroid=_readonly(centroid),
-        cell_count=_readonly(counts.astype(np.int64)),
+        voxel_size=voxel_size,
+        occupied=occ,
+        cell_features=feats,
+        cell_centroid=centroid,
+        cell_count=counts,
     )
 
 
@@ -836,9 +804,8 @@ def _window_topology(keys: np.ndarray, order: np.ndarray | None = None) -> Neigh
     hit = sorted_keys[loc] == probe
     indptr = np.concatenate(([0], np.cumsum(hit.sum(axis=1), dtype=np.int64)))
     indices = loc[hit] if order is None else order[loc[hit]]
-    # int32 as the topology holds them; past 2^31 entries it refuses the map.
-    return NeighborhoodTopology(indptr=_readonly(indptr.astype(np.int32)),
-                                indices=_readonly(indices.astype(np.int32)))
+    # The topology holds them as int32; past 2^31 entries it refuses the map.
+    return NeighborhoodTopology(indptr=indptr, indices=indices)
 
 
 # ---------------------------------------------------------------------------

@@ -179,7 +179,7 @@ class HierarchyLevel:
         for name in ("parent_of", "selected"):
             val = getattr(self, name)
             if val is not None:
-                object.__setattr__(self, name, _index_map(val, f"{name} must be integers"))
+                object.__setattr__(self, name, _freeze(_index_map(val, f"{name} must be integers")))
         if self.coords is not None:  # one cell per token, as ``build_hierarchy`` reads them
             coords = _voxel_coords(self.coords)
             if coords.shape[0] != n:
@@ -190,7 +190,8 @@ class HierarchyLevel:
         object.__setattr__(self, "order", _readonly(_canonical_order(self.positions)))
         pull_indptr = pull_indices = None
         if self.pool_indptr is not None:
-            indptr, indices = _csr(self.pool_indptr, self.pool_indices, "pool_", None, n)
+            indptr, indices = map(_freeze, _csr(self.pool_indptr, self.pool_indices, "pool_",
+                                                None, n))
             object.__setattr__(self, "pool_indptr", indptr)
             object.__setattr__(self, "pool_indices", indices)
             entry, sizes = _csr_rows(indptr, self.order)
@@ -225,15 +226,13 @@ def _pooled_level(level: HierarchyLevel, pool_indptr: np.ndarray, pool_indices: 
     """The next-coarser level pooled from ``level``: positions and q/k/v are
     the means over the pooling map, ``make_topology(positions)`` gives its
     neighborhoods and ``fields`` the flavor's own arrays. The int32 pooling
-    map is the flavor's own; the new level checks it, once. Every array made
-    here is marked read-only, so the level stores it without a copy."""
+    map is the flavor's own; the new level checks it, once, and stores a
+    copy of it, as it does of every array here."""
     names = ("positions", "q_tilde", "k_tilde", "v_tilde")
     parts = [getattr(level, name) for name in names]
     means = _pooled(np.hstack(parts), pool_indptr, pool_indices)
     fields.update(zip(names, _split_columns(means, parts)),
                   pool_indptr=pool_indptr, pool_indices=pool_indices)
-    for a in fields.values():
-        _readonly(a)
     return HierarchyLevel(level_index=level.level_index + 1,
                           topology=make_topology(fields["positions"]), **fields)
 
@@ -447,7 +446,7 @@ def with_values(
     """
     n, d = hierarchy.levels[0].q_tilde.shape
     new_rows = {}
-    # Each is stored as a read-only copy unless the package made it (see _freeze).
+    # Each is stored as a read-only copy (see _freeze).
     if q is not None:  # a new q keeps the stored width, or sets the one a new k shares
         q = _checked(q, "q", (n, d if k is None else None))
         d = _qk_width(q)

@@ -11,10 +11,9 @@ from gha3d.geometry import (
     PointCloud,
     SparseVoxelGrid,
     _canonical_order,
-    _freeze,
-    _readonly,
     kernel_window_topology,
     knn_from_positions,
+    voxelize,
 )
 from gha3d.hierarchy import (
     Hierarchy,
@@ -775,11 +774,9 @@ def test_callers_arrays_stay_writeable_and_detached():
 
 
 def test_read_only_views_of_writeable_memory_are_copied():
-    """A read-only view is stored as is only if nothing can write its
-    memory: a view of a writeable array or buffer is copied, so writes
+    """A read-only view of a writeable array or buffer is copied, so writes
     through the base never reach the structure, its coarse levels or the
-    embedding. Arrays the package made and marked read-only, and the arrays
-    they view, are stored without a copy."""
+    embedding."""
     rng = np.random.default_rng(31)
     base, fbase = rng.uniform(size=(40, 3)), rng.normal(size=(2, 3))
     buffer = bytearray(rng.uniform(size=(40, 3)).tobytes())
@@ -801,18 +798,12 @@ def test_read_only_views_of_writeable_memory_are_copied():
     assert [dump_hierarchy(x) for x in (h, hb)] == before
     assert not np.any(emb.frequencies == 0.25)
 
-    made = np.ones((4, 3))
-    view = _readonly(made[1:])
-    assert not made.flags.writeable and _freeze(view) is view
-    sealed = np.frombuffer(bytes(24)).reshape(1, 3)  # a bytes object is never written
-    assert _freeze(sealed) is sealed
-
 
 def test_a_callers_read_only_owner_is_copied():
     """A caller's array marked read-only is still writeable through a view
     made before it was marked (or once its owner's flag is set back), so it
     is copied: writes through such views never reach a structure, its
-    values or an embedding. Only arrays the package marked are stored as is."""
+    values or an embedding."""
     rng = np.random.default_rng(49)
     owners = [rng.uniform(size=(40, 3)), *rand_qkv(rng, 40, 3), rng.normal(size=(40, 2)),
               rng.normal(size=(2, 3))]
@@ -837,43 +828,40 @@ def test_a_callers_read_only_owner_is_copied():
     assert all(np.array_equal(a, b) for a, b in zip(before[1:], after[1:], strict=True))
 
 
-def test_the_build_and_with_values_copy_only_caller_arrays(monkeypatch):
-    """The package's own arrays pay no copy: a point build copies the
-    caller's positions, q, k and v, a voxel build also the coords, and
-    with_values each array it is given, as before the package marked its
-    arrays itself."""
-    import gha3d.geometry as geometry_mod
-    import gha3d.hierarchy as hierarchy_mod
-
-    real, copies = geometry_mod._freeze, []
-
-    def counting(a, dtype=None):
-        out = real(a, dtype)
-        if not (isinstance(a, np.ndarray) and np.shares_memory(out, a)):
-            copies.append(1)
-        return out
-
-    monkeypatch.setattr(geometry_mod, "_freeze", counting)
-    monkeypatch.setattr(hierarchy_mod, "_freeze", counting)
+def test_every_constructor_stores_read_only_copies_of_its_arrays():
+    """Each constructor, and with_values for its new rows, stores a read-only
+    copy of every array it is given, the package's own arrays too: nothing
+    it stores shares memory with an argument."""
     rng = np.random.default_rng(50)
-    pos, (q, k_mat, v) = rng.uniform(size=(300, 3)), rand_qkv(rng, 300, 4)
-    coords = np.unique(rng.integers(0, 9, size=(300, 3)), axis=0)
-    m = coords.shape[0]
-
-    def copied(call):
-        del copies[:]
-        out = call()
-        return out, len(copies)
-
-    h, point = copied(lambda: build_hierarchy(pos, q, k_mat, v, k=4, r=2))
-    hv, voxel = copied(lambda: build_hierarchy(coords + 0.5, *rand_qkv(rng, m, 4), flavor="voxel",
-                                               coords=coords))
-    assert h.depth >= 3 and hv.depth >= 2
-    assert (point, voxel) == (4, 5)
-    assert copied(lambda: with_values(h, q=q, k=k_mat, v=v))[1] == 3
-    assert copied(lambda: with_values(hv, v=rng.normal(size=(m, 2))))[1] == 1
-    made = with_values(h, v=v)
-    assert copied(lambda: with_values(h, v=made.levels[0].v_tilde))[1] == 0
+    h = build_hierarchy(rng.uniform(size=(300, 3)), *rand_qkv(rng, 300, 4), k=4, r=2)
+    grid = voxelize(PointCloud(positions=h.levels[0].positions, features=h.levels[0].v_tilde),
+                    0.1)
+    hv = build_hierarchy(grid.cell_centroid, *rand_qkv(rng, grid.n_voxels, 4), flavor="voxel",
+                         coords=grid.occupied)
+    assert h.depth >= 2 and hv.depth >= 2
+    cloud = PointCloud(positions=grid.cell_centroid, features=grid.cell_features)
+    topology, emb = h.levels[1].topology, FourierEmbedding(frequencies=rng.normal(size=(2, 3)))
+    rows = ("q_tilde", "k_tilde", "v_tilde")
+    level = ("positions", *rows, "parent_of", "pool_indptr", "pool_indices")
+    cases = [
+        (cloud, PointCloud(positions=cloud.positions, features=cloud.features),
+         ("positions", "features")),
+        (grid, SparseVoxelGrid(grid.voxel_size, grid.occupied, grid.cell_features,
+                               grid.cell_centroid, grid.cell_count),
+         ("occupied", "cell_features", "cell_centroid", "cell_count")),
+        (topology, NeighborhoodTopology(indptr=topology.indptr, indices=topology.indices),
+         ("indptr", "indices")),
+        (h.levels[1], replace(h.levels[1]), (*level, "selected")),
+        (hv.levels[1], replace(hv.levels[1]), (*level, "coords")),
+        (emb, FourierEmbedding(frequencies=emb.frequencies), ("frequencies",)),
+        (h.levels[0], with_values(h, *(getattr(h.levels[0], name) for name in rows)).levels[0],
+         rows),
+    ]
+    for given, made, names in cases:
+        for name in names:
+            a, b = getattr(given, name), getattr(made, name)
+            assert np.array_equal(a, b) and not b.flags.writeable, name
+            assert not np.shares_memory(a, b), name
 
 
 def test_with_values_matches_fresh_build():

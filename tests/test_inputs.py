@@ -2,7 +2,9 @@
 that takes a float array rejects a non-numeric value, the wrong number of
 axes, a wrong fixed size and a non-finite entry with InvalidInputError;
 every caller count and index refuses a non-integer and a value out of its
-range; and every index map refuses a float dtype and an entry out of range."""
+range; every caller real refuses anything but one finite number and a
+value out of its range; and every index map refuses a float dtype and an
+entry out of range."""
 
 import dataclasses
 
@@ -43,6 +45,7 @@ from gha3d import (
     save_point_cloud_binary,
     scaling_sweep,
     truncate,
+    voxelize,
     weight_bound,
     with_values,
 )
@@ -174,7 +177,9 @@ SCALARS = [
      None, InvalidInputError),
     ("locality_ratio-n_extreme", lambda v: locality_ratio(POS, W, n_extreme=v), 2, 0, None,
      InvalidInputError),
+    ("weight_bound-k", lambda v: weight_bound(v, 2, 100), 8, 0, None, InvalidInputError),
     ("weight_bound-r", lambda v: weight_bound(8, v, 100), 2, 1, None, InvalidInputError),
+    ("weight_bound-n_tokens", lambda v: weight_bound(8, 2, v), 100, 0, None, InvalidInputError),
     ("scaling_sweep-size", lambda v: scaling_sweep([v], mechanism="dense", d=2), 4, 0, None,
      InvalidInputError),
     ("scaling_sweep-d", lambda v: scaling_sweep([4], mechanism="dense", d=v), 2, 0, None,
@@ -213,6 +218,30 @@ def test_entry_point_reads_an_integer_in_range(site):
         if bad is not None:
             with pytest.raises(out_of_range):
                 call(bad)
+
+
+# (site, call, a valid value, values out of its range, the error they raise).
+# A value that is not one finite real number always raises InvalidInputError.
+REALS = [
+    ("voxelize-voxel_size", lambda v: voxelize(CLOUD, v), 0.5, (0.0, -0.5), InvalidInputError),
+    ("mass_beyond_radius-radius", lambda v: mass_beyond_radius(POS, W, v), 0.5, (-0.5,),
+     InvalidInputError),
+    ("BlockConfig-attn_dropout", lambda v: _config(attn_dropout=v), 0.1, (-0.1, 1.0), ConfigError),
+    ("BlockConfig-ffn_dropout", lambda v: _config(ffn_dropout=v), 0.3, (-0.1, 1.0), ConfigError),
+]
+
+
+@pytest.mark.parametrize("site", REALS, ids=[s[0] for s in REALS])
+def test_entry_point_reads_a_finite_real_in_range(site):
+    _, call, valid, out, out_of_range = site
+    call(valid)
+    call(np.float32(valid))  # a NumPy real is a real
+    for bad in ("x", None, np.inf, np.nan, [valid], 1j):
+        with pytest.raises(InvalidInputError):
+            call(bad)
+    for bad in out:
+        with pytest.raises(out_of_range):
+            call(bad)
 
 
 # Three tokens; a neighbor list holds the token itself and its neighbors.
