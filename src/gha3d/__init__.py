@@ -47,7 +47,6 @@ from .block import (
     BlockConfig,
     GhaBlockParams,
     LayerParams,
-    attention_structure,
     block_forward,
     init_params,
     layer_norm,
@@ -80,6 +79,7 @@ from .hierarchy import (
     VOXEL_WINDOW_K,
     Hierarchy,
     HierarchyLevel,
+    attention_structure,
     build_hierarchy,
     children_of,
     dump_hierarchy,

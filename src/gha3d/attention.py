@@ -108,7 +108,11 @@ MECHANISMS = ("gha", "local", "dense")
 
 
 def _check_mode(embedding, embedding_mode: str, d: int | None) -> None:
-    """A known mode with the embedding it needs; with d, also the width."""
+    """A known mode with the embedding it needs; with d, the width of the q
+    and k a pass scores, also the embedding's width. A structure's q and k
+    are 0 wide: a pass refuses it."""
+    if d == 0:
+        raise InvalidInputError("a pass needs values: give the structure q, k, v by with_values")
     if embedding_mode not in _MODES:
         raise ConfigError(f"embedding_mode must be one of {_MODES}, got {embedding_mode!r}")
     if embedding_mode != "none":
@@ -141,7 +145,7 @@ class AttentionInputs:
         checked = {"q": q, "k": _checked(self.k, "k", q.shape), "v": _checked(self.v, "v", q.shape),
                    "positions": _checked(self.positions, "positions", (n, 3))}
         for name, a in checked.items():
-            object.__setattr__(self, name, np.ascontiguousarray(a))
+            object.__setattr__(self, name, _freeze(a))
         _check_mode(self.embedding, self.embedding_mode, d)
 
     @property
@@ -536,8 +540,7 @@ def _forward(hierarchy: Hierarchy, embedding, mode: str, weights=None) -> Attent
 
 def _held_pass(hierarchy: Hierarchy, embedding, mode: str) -> _Pass:
     """The pass the structure holds for (embedding, mode), else the one a
-    new forward leaves."""
-    _check_mode(embedding, mode, hierarchy.levels[0].q_tilde.shape[1])
+    new forward leaves; the arguments are checked."""
     held = hierarchy.forward_pass
     if held is None or held.mode != mode or (
             mode != "none" and not _same_frequencies(held.frequencies, embedding)):
@@ -667,6 +670,7 @@ def gha_backward(hierarchy: Hierarchy, dz: np.ndarray,
     """
     level0 = hierarchy.levels[0]
     n, d = level0.q_tilde.shape
+    _check_mode(embedding, embedding_mode, d)
     d_v = level0.v_tilde.shape[1]
     dz = _checked(dz, "dz", (n, d_v))
     held = _held_pass(hierarchy, embedding, embedding_mode)

@@ -1,10 +1,10 @@
 """Stacked attention blocks: LayerNorm -> multi-head hierarchical attention
 -> residual, then LayerNorm -> FFN -> residual, repeated L times.
 
-The hierarchy's structure (topologies, sampling, parent maps) is computed
-once per forward call, or once by the caller, and its positional terms once
+The hierarchy's structure (topologies, sampling, parent maps) is built
+once by the caller (``attention_structure``), and its positional terms once
 per structure; both are shared by every layer and head, and only the
-projected q/k/v rows are re-coarsened per head.
+projected q/k/v rows are coarsened per head (``with_values``).
 Initialization, dropout masks, and Fourier frequencies all derive from the
 config seed, so a forward pass is a pure function of (inputs, config).
 """
@@ -25,8 +25,8 @@ from .attention import (
     make_fourier_embedding,
 )
 from .errors import ConfigError, FormatError, InvalidInputError, UnsupportedVersionError
-from .geometry import _checked, _integer
-from .hierarchy import Hierarchy, build_hierarchy, truncate, with_values
+from .geometry import _checked, _freeze, _integer
+from .hierarchy import Hierarchy, truncate, with_values
 from .seeding import substream
 
 LAYERNORM_EPS = 1e-5
@@ -94,6 +94,11 @@ class LayerParams:
     ln1_shift: np.ndarray
     ln2_gain: np.ndarray
     ln2_shift: np.ndarray
+
+    def __post_init__(self):  # GhaBlockParams checks the widths against its config
+        for name in _LAYER_FIELDS:
+            a = _checked(getattr(self, name), name, (None,) * (2 if name[0] == "w" else 1))
+            object.__setattr__(self, name, _freeze(a))
 
 
 _LAYER_FIELDS = [f.name for f in fields(LayerParams)]
@@ -197,36 +202,11 @@ def _dropout(x: np.ndarray, p: float, config: BlockConfig, layer: int, role: int
     return x * keep / (1.0 - p)
 
 
-def attention_structure(
-    positions: np.ndarray,
-    *,
-    flavor: str = "point",
-    k: int = 8,
-    r: int = 2,
-    coords: np.ndarray | None = None,
-) -> Hierarchy:
-    """The value-independent hierarchy skeleton block_forward attends over.
-
-    Building it once and passing it in amortizes the sampling/topology cost
-    and the positional terms, which it keeps once made, across calls (and
-    gives access to level sizes and edge counts)."""
-    positions = _checked(positions, "positions", (None, 3))
-    placeholder = np.zeros((positions.shape[0], 1))
-    return build_hierarchy(
-        positions, placeholder, placeholder, placeholder,
-        flavor=flavor, k=k, r=r, coords=coords,
-    )
-
-
 def block_forward(
     x: np.ndarray,
     positions: np.ndarray,
     params: GhaBlockParams,
     *,
-    flavor: str = "point",
-    k: int = 8,
-    r: int = 2,
-    coords: np.ndarray | None = None,
     mechanism: str = "gha",
     structure: Hierarchy | None = None,
 ) -> np.ndarray:
@@ -239,9 +219,10 @@ def block_forward(
 
     mechanism selects the attention kernel: "gha" (default), "local"
     (hierarchy truncated to level 0), or "dense" (exact softmax, no
-    hierarchy). A prebuilt ``structure`` from attention_structure skips
-    the per-call rebuild; one built from other positions raises
-    InvalidInputError.
+    hierarchy). "gha" and "local" attend over ``structure``, which
+    ``attention_structure`` builds from these positions; "dense" takes
+    none. A missing structure, one built from other positions, or one
+    passed to "dense" raises InvalidInputError.
     """
     config = params.config
     x = _checked(x, "x", (None, config.model_dim))
@@ -250,17 +231,15 @@ def block_forward(
     if mechanism not in MECHANISMS:
         raise InvalidInputError(f"mechanism must be one of {MECHANISMS}, got {mechanism!r}")
 
-    if mechanism != "dense":
-        if structure is None:
-            structure = attention_structure(positions, flavor=flavor, k=k, r=r, coords=coords)
-        elif structure.levels[0].n_tokens != n:
-            raise InvalidInputError(
-                f"structure has {structure.levels[0].n_tokens} tokens, expected {n}"
-            )
-        elif not np.array_equal(structure.levels[0].positions, positions):
-            raise InvalidInputError("structure was built for other positions")
-        if mechanism == "local":
-            structure = truncate(structure, 0)
+    if mechanism == "dense":
+        if structure is not None:
+            raise InvalidInputError('mechanism "dense" attends over no structure')
+    elif structure is None:
+        raise InvalidInputError(f"mechanism {mechanism!r} needs a structure (attention_structure)")
+    elif not np.array_equal(structure.levels[0].positions, positions):
+        raise InvalidInputError("structure was built for other positions")
+    elif mechanism == "local":
+        structure = truncate(structure, 0)
 
     ch = config.head_dim
     for layer_idx, lp in enumerate(params.layers):
@@ -342,7 +321,7 @@ def _read_tensor(f) -> np.ndarray:
     shape = struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim))
     count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
     data = _read_exact(f, 8 * count)
-    return np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+    return np.frombuffer(data, dtype="<f8").reshape(shape)
 
 
 def save_params(params: GhaBlockParams, path) -> None:
@@ -392,15 +371,14 @@ def load_params(path) -> GhaBlockParams:
         except ConfigError as e:
             raise FormatError(f"invalid config block: {e}") from None
         (has_embedding,) = struct.unpack("<B", _read_exact(f, 1))
-        embedding = FourierEmbedding(frequencies=_read_tensor(f)) if has_embedding else None
-        layers = []
-        for _ in range(config.n_layers):
-            vals = {name: _read_tensor(f) for name in _LAYER_FIELDS}
-            layers.append(LayerParams(**vals))
+        frequencies = _read_tensor(f) if has_embedding else None
+        layers = [{name: _read_tensor(f) for name in _LAYER_FIELDS} for _ in range(config.n_layers)]
         trailing = f.read(1)
         if trailing:
             raise FormatError("trailing bytes after parameter tensors")
-    try:
-        return GhaBlockParams(config=config, embedding=embedding, layers=tuple(layers))
+    try:  # the constructors check every tensor, and store a copy of it
+        embedding = None if frequencies is None else FourierEmbedding(frequencies=frequencies)
+        return GhaBlockParams(config=config, embedding=embedding,
+                              layers=tuple(LayerParams(**vals) for vals in layers))
     except InvalidInputError as e:
         raise FormatError(str(e)) from None

@@ -47,7 +47,7 @@ from .attention import (
     local_attention,
     make_fourier_embedding,
 )
-from .block import BlockConfig, attention_structure, block_forward, init_params, load_params
+from .block import BlockConfig, block_forward, init_params, load_params
 from .errors import (
     CapacityError,
     ConfigError,
@@ -56,7 +56,7 @@ from .errors import (
     InvariantViolation,
 )
 from .geometry import _integer, load_point_cloud, save_point_cloud_binary, voxelize
-from .hierarchy import build_hierarchy, truncate, with_values
+from .hierarchy import attention_structure, build_hierarchy, truncate, with_values
 from .seeding import substream
 
 

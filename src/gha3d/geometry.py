@@ -220,10 +220,17 @@ class SparseVoxelGrid:
     cell_count: np.ndarray  # (M,) int64 number of source points
 
     def __post_init__(self):
-        object.__setattr__(self, "occupied", _freeze(self.occupied, np.int64))
-        object.__setattr__(self, "cell_features", _freeze(self.cell_features, np.float64))
-        object.__setattr__(self, "cell_centroid", _freeze(self.cell_centroid, np.float64))
-        object.__setattr__(self, "cell_count", _freeze(self.cell_count, np.int64))
+        object.__setattr__(self, "voxel_size", _voxel_size(self.voxel_size))
+        occupied = _voxel_coords(self.occupied)
+        m = occupied.shape[0]
+        count = _index_map(self.cell_count, "cell_count must be integers")
+        if count.shape != (m,) or count.min(initial=1) < 1:
+            raise InvalidInputError(f"cell_count must hold {m} counts, each at least 1")
+        for name, a in (("occupied", occupied),
+                        ("cell_features", _checked(self.cell_features, "cell_features", (m, None))),
+                        ("cell_centroid", _checked(self.cell_centroid, "cell_centroid", (m, 3))),
+                        ("cell_count", count)):
+            object.__setattr__(self, name, _freeze(a))
 
     @property
     def n_voxels(self) -> int:
@@ -724,6 +731,14 @@ def _voxel_coords(coords) -> np.ndarray:
     return c.astype(np.int64, copy=False)
 
 
+def _voxel_size(value) -> float:
+    """A caller's voxel side: one finite real > 0, else InvalidInputError."""
+    size = float(_checked(value, "voxel_size", ()))
+    if not size > 0:
+        raise InvalidInputError(f"voxel_size must be positive, got {size}")
+    return size
+
+
 def pack_voxel_coords(coords: np.ndarray) -> np.ndarray:
     """Pack integer (x, y, z) voxel coordinates into one int64 key whose
     natural order equals lexicographic order on (x, y, z)."""
@@ -736,9 +751,7 @@ def voxelize(cloud: PointCloud, voxel_size: float) -> SparseVoxelGrid:
     """Bin points into cells of side ``voxel_size``; voxel coordinate of a
     point is floor(p / voxel_size) per axis. Cell features and centroid are
     the mean over contained points."""
-    voxel_size = float(_checked(voxel_size, "voxel_size", ()))
-    if not voxel_size > 0:
-        raise InvalidInputError(f"voxel_size must be positive, got {voxel_size}")
+    voxel_size = _voxel_size(voxel_size)
     pos = cloud.positions
     with np.errstate(over="ignore"):  # a quotient past float64 is inf, rejected below
         cells = np.floor(pos / voxel_size)

@@ -1,13 +1,14 @@
 """Multi-level coarsening hierarchies.
 
-A hierarchy carries, per level, the coarsened q/k/v rows, token positions,
-the local neighborhood topology, the parent map that links each token to
-the next-coarser level, and the pooling map that averaged the finer level
-into this one. Structure (topologies, parent and pooling maps, positions)
-depends only on geometry and is built once; values can be swapped out and
-re-coarsened through the same structure with ``with_values``, which is one
-mean over each level's pooling map (``segment_mean``'s arithmetic) for all
-the new arrays side by side.
+A hierarchy carries, per level, token positions, the local neighborhood
+topology, the parent map that links each token to the next-coarser level,
+the pooling map that averaged the finer level into this one, and the
+coarsened q/k/v rows. The structure (everything but q/k/v) depends only on
+geometry: ``attention_structure`` builds it once, with levels that hold q,
+k and v of width 0, and ``with_values`` gives it values, re-coarsened
+through the same structure as one mean over each level's pooling map
+(``segment_mean``'s arithmetic) for all the new arrays side by side.
+``build_hierarchy`` is the two in turn.
 """
 
 import copy
@@ -116,6 +117,9 @@ def segment_mean(values: np.ndarray, indptr: np.ndarray, indices: np.ndarray) ->
 class HierarchyLevel:
     """One resolution of the hierarchy.
 
+    ``q_tilde``/``k_tilde``/``v_tilde`` are its values, k as wide as q; a
+    structure's levels hold them at width 0 (see ``attention_structure``).
+
     ``parent_of`` maps this level's tokens to the next-coarser level and is
     None at the top. ``selected`` (point flavor) lists the finer-level
     indices this level was subsampled from; ``coords`` (voxel flavor) are
@@ -168,7 +172,7 @@ class HierarchyLevel:
         positions = _checked(self.positions, "positions", (None, 3))
         n = positions.shape[0]
         q = _checked(self.q_tilde, "q_tilde", (n, None))
-        k = _checked(self.k_tilde, "k_tilde", (n, _qk_width(q)))  # scored against q
+        k = _checked(self.k_tilde, "k_tilde", (n, q.shape[1]))
         for name, a in (("positions", positions), ("q_tilde", q), ("k_tilde", k),
                         ("v_tilde", _checked(self.v_tilde, "v_tilde", (n, None)))):
             object.__setattr__(self, name, _freeze(a))
@@ -223,18 +227,17 @@ def _shared(obj, **changes):
 
 def _pooled_level(level: HierarchyLevel, pool_indptr: np.ndarray, pool_indices: np.ndarray,
                   make_topology, **fields) -> HierarchyLevel:
-    """The next-coarser level pooled from ``level``: positions and q/k/v are
-    the means over the pooling map, ``make_topology(positions)`` gives its
-    neighborhoods and ``fields`` the flavor's own arrays. The int32 pooling
-    map is the flavor's own; the new level checks it, once, and stores a
-    copy of it, as it does of every array here."""
-    names = ("positions", "q_tilde", "k_tilde", "v_tilde")
-    parts = [getattr(level, name) for name in names]
-    means = _pooled(np.hstack(parts), pool_indptr, pool_indices)
-    fields.update(zip(names, _split_columns(means, parts)),
-                  pool_indptr=pool_indptr, pool_indices=pool_indices)
-    return HierarchyLevel(level_index=level.level_index + 1,
-                          topology=make_topology(fields["positions"]), **fields)
+    """The next-coarser structure level (q, k and v of width 0) pooled from
+    ``level``: positions are the means over the pooling map,
+    ``make_topology(positions)`` gives its neighborhoods and ``fields`` the
+    flavor's own arrays. The new level checks the flavor's int32 pooling
+    map, once, and stores a copy of it, as of every array here."""
+    positions = _pooled(level.positions, pool_indptr, pool_indices)
+    no_values = np.empty((positions.shape[0], 0))
+    return HierarchyLevel(level_index=level.level_index + 1, positions=positions,
+                          q_tilde=no_values, k_tilde=no_values, v_tilde=no_values,
+                          topology=make_topology(positions), pool_indptr=pool_indptr,
+                          pool_indices=pool_indices, **fields)
 
 
 @dataclass(frozen=True)
@@ -306,10 +309,11 @@ def _coarsen_point(level: HierarchyLevel, k: int, r: int) -> tuple[HierarchyLeve
     """The build's point step on a level of more than k tokens, whose
     topology is the exact kNN topology with rows of k tokens.
 
-    Keeps the ceil(n/r) farthest-point-sampled tokens, pools positions and
-    q/k/v over each one's kNN row, and assigns every token to its nearest
+    Keeps the ceil(n/r) farthest-point-sampled tokens, pools positions
+    over each one's kNN row, and assigns every token to its nearest
     selected token (ties to the lower selected index; a selected token is
-    always its own parent). Returns the coarse level and the parent map.
+    always its own parent). Returns the coarse level, which holds no
+    values, and the parent map.
     """
     n = level.n_tokens
     m = -(-n // r)  # ceil
@@ -335,8 +339,9 @@ def _coarsen_point(level: HierarchyLevel, k: int, r: int) -> tuple[HierarchyLeve
 def coarsen_voxel(level: HierarchyLevel) -> tuple[HierarchyLevel, np.ndarray]:
     """One voxel pooling step at the smallest power-of-two stride s that
     reduces the cell count: parent cell = floor(child / s) per axis, parent
-    rows/positions = unweighted means over children, parents sorted
-    lexicographically. Returns the coarse level and the fine parent map.
+    positions = unweighted means over children, parents sorted
+    lexicographically. Returns the coarse level, which holds no values
+    (``with_values`` pools them), and the fine parent map.
 
     Strides run from 2 to 2^20; from there on every parent is one of the 8
     cells around the origin, so a level that no stride in that range
@@ -373,34 +378,25 @@ def coarsen_voxel(level: HierarchyLevel) -> tuple[HierarchyLevel, np.ndarray]:
 # Construction
 # ---------------------------------------------------------------------------
 
-def _qk_width(q: np.ndarray) -> int:
-    """The width of a checked q, which k must share: q and k are scored
-    against each other, so it is at least 1."""
-    if q.shape[1] < 1:
-        raise InvalidInputError(f"q and k need one shared width >= 1, got q of shape {q.shape}")
-    return q.shape[1]
-
-
-def build_hierarchy(
+def attention_structure(
     positions: np.ndarray,
-    q: np.ndarray,
-    k_mat: np.ndarray,
-    v: np.ndarray,
     *,
     flavor: str = "point",
     k: int = 8,
     r: int = 2,
     coords: np.ndarray | None = None,
 ) -> Hierarchy:
-    """Build the full hierarchy for one attention call.
+    """The hierarchy's structure over ``positions``: every level's positions,
+    topology, parent and pooling maps, with q, k and v of width 0.
 
-    Level 0 holds the inputs unchanged; coarsening repeats until the top
+    Level 0 holds the positions unchanged; coarsening repeats until the top
     level has at most ``k`` tokens (N <= k gives a single level). Point
     flavor uses kNN topologies and ratio-r farthest-point subsampling;
     voxel flavor (pass occupied-cell ``coords``) uses 3x3x3 window
     topologies and pools each level at the smallest power-of-two stride
     that reduces its cell count (``coarsen_voxel``), so every recorded
-    level strictly shrinks.
+    level strictly shrinks. Passes need values: ``with_values`` gives each
+    call's to the one structure, which keeps its positional terms.
     """
     # An empty set is refused by either flavor's topology.
     positions = _checked(positions, "positions", (None, 3))
@@ -421,8 +417,10 @@ def build_hierarchy(
     else:
         raise InvalidInputError(f"unknown flavor {flavor!r}")
 
-    level = HierarchyLevel(level_index=0, positions=positions, q_tilde=q, k_tilde=k_mat,
-                           v_tilde=v, topology=topology, coords=coords)
+    no_values = np.empty((positions.shape[0], 0))
+    level = HierarchyLevel(level_index=0, positions=positions, q_tilde=no_values,
+                           k_tilde=no_values, v_tilde=no_values, topology=topology,
+                           coords=coords)
     levels = []
     while level.n_tokens > k:
         coarse, parent_of = step(level)
@@ -432,24 +430,45 @@ def build_hierarchy(
     return Hierarchy(flavor=flavor, neighborhood_k=k, coarsen_ratio=r, levels=tuple(levels))
 
 
+def build_hierarchy(
+    positions: np.ndarray,
+    q: np.ndarray,
+    k_mat: np.ndarray,
+    v: np.ndarray,
+    *,
+    flavor: str = "point",
+    k: int = 8,
+    r: int = 2,
+    coords: np.ndarray | None = None,
+) -> Hierarchy:
+    """The hierarchy for one attention call: ``attention_structure`` over
+    ``positions``, given the level-0 q, k and v by ``with_values``."""
+    return with_values(attention_structure(positions, flavor=flavor, k=k, r=r, coords=coords),
+                       q, k_mat, v)
+
+
 def with_values(
     hierarchy: Hierarchy,
     q: np.ndarray | None = None,
     k: np.ndarray | None = None,
     v: np.ndarray | None = None,
 ) -> Hierarchy:
-    """Re-coarsen new level-0 values through the existing structure.
+    """New level-0 values, coarsened through the existing structure: the
+    one place that checks and pools q, k and v.
 
     Only the matrices passed are replaced; geometry, topologies, parent
     and pooling maps, and the positional terms the levels keep, are shared
-    with the input hierarchy.
+    with the input hierarchy. q and k share one width of at least 1, so a
+    structure's first values include both.
     """
     n, d = hierarchy.levels[0].q_tilde.shape
     new_rows = {}
     # Each is stored as a read-only copy (see _freeze).
     if q is not None:  # a new q keeps the stored width, or sets the one a new k shares
         q = _checked(q, "q", (n, d if k is None else None))
-        d = _qk_width(q)
+        d = q.shape[1]
+        if d < 1:  # scored against k
+            raise InvalidInputError(f"q and k need one shared width >= 1, got q of shape {q.shape}")
         new_rows["q_tilde"] = _freeze(q)
     if k is not None:
         new_rows["k_tilde"] = _freeze(_checked(k, "k", (n, d)))

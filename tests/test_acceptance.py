@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 
+from gha3d import attention_structure
 from gha3d.analysis import (
     locality_ratio,
     mass_beyond_radius,
@@ -405,6 +406,6 @@ def test_criterion_11_zero_weight_block_is_identity():
         rng = np.random.default_rng(110 + n_layers)
         pos = rng.normal(size=(30, 3))
         x = rng.normal(size=(30, 8))
-        out = block_forward(x, pos, params, k=4, r=2)
+        out = block_forward(x, pos, params, structure=attention_structure(pos, k=4, r=2))
         ok = ok and np.array_equal(out, x)
     _report(11, "zero-weight block acts as the identity (L in {1, 6})", ok)

@@ -34,9 +34,25 @@ from gha3d.analysis import (
     _ranked_columns,
     _relative_errors,
 )
-from gha3d.attention import _bounded_spans, _edge_weights, gha_forward, make_fourier_embedding
+from gha3d.attention import (
+    MECHANISMS,
+    _bounded_spans,
+    _edge_weights,
+    gha_backward,
+    gha_forward,
+    make_fourier_embedding,
+    positional_table,
+)
 from gha3d.errors import CapacityError, InvalidInputError, InvariantViolation
-from gha3d.hierarchy import build_hierarchy, with_values
+from gha3d.hierarchy import (
+    attention_structure,
+    build_hierarchy,
+    children_of,
+    dump_hierarchy,
+    interpolate,
+    truncate,
+    with_values,
+)
 from gha3d.seeding import substream
 
 PAIR_POSITIONS = np.array(
@@ -876,3 +892,31 @@ def test_heatmap_csv_roundtrip():
     assert sum(float(r[3]) for r in rows) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(InvalidInputError):
         heatmap_csv(pos, row[:5])
+
+
+def test_passes_refuse_a_structure_without_values():
+    """A structure holds q and k of width 0: every pass refuses it, naming
+    with_values, and the geometry-only functions read it as they read any
+    hierarchy."""
+    rng = np.random.default_rng(60)
+    pos = rng.normal(size=(30, 3))
+    structure = attention_structure(pos, k=4, r=2)
+    emb = make_fourier_embedding(4, rng)
+    only_v = with_values(structure, v=rng.normal(size=(30, 4)))  # still no q or k
+    for h in (structure, only_v):
+        passes = [lambda: gha_forward(h), lambda: gha_forward(h, emb, "relative"),
+                  lambda: gha_backward(h, np.zeros((30, h.levels[0].v_tilde.shape[1]))),
+                  lambda: gha_backward(h, np.zeros((30, 4)), emb, "absolute"),
+                  lambda: effective_attention_row(h, 3),
+                  lambda: approximation_report(h)]
+        passes += [lambda m=m: mechanism_weights(h, m) for m in MECHANISMS]
+        for call in passes:
+            with pytest.raises(InvalidInputError, match="with_values"):
+                call()
+        assert h.forward_pass is None
+    terms = positional_table(structure, emb, "relative")
+    assert [t.shape for t in terms] == [(lv.n_tokens, 4) for lv in structure.levels]
+    assert truncate(structure, 1).depth == 1
+    assert dump_hierarchy(structure).startswith("gha-hierarchy v1 flavor=point k=4 r=2")
+    assert interpolate(np.eye(structure.levels[1].n_tokens), 1, structure).shape[0] == 30
+    assert children_of(structure, 0, 0).size >= 1

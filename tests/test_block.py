@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import gha3d.block as block_mod
+from gha3d import attention_structure
 from gha3d.attention import gha_forward
 from gha3d.block import (
     LAYERNORM_EPS,
@@ -20,7 +21,7 @@ from gha3d.block import (
     _dropout,
 )
 from gha3d.errors import ConfigError, FormatError, InvalidInputError, UnsupportedVersionError
-from gha3d.hierarchy import build_hierarchy, with_values
+from gha3d.hierarchy import with_values
 
 PAIR_POSITIONS = np.array(
     [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [10.0, 0.0, 0.0], [11.0, 0.0, 0.0]]
@@ -166,7 +167,8 @@ def test_block_forward_is_finite_on_huge_features(scale):
     rng = np.random.default_rng(5)
     pos = rng.normal(size=(40, 3))
     x = rng.normal(size=(40, 4)) * scale
-    out = block_forward(x, pos, init_params(small_config()), k=4)
+    out = block_forward(x, pos, init_params(small_config()),
+                        structure=attention_structure(pos, k=4))
     assert np.all(np.isfinite(out))
     assert np.abs(out).max() > 0.1 * scale  # the residual carries x through
 
@@ -198,12 +200,13 @@ def test_residual_identity_zero_weights():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(10, 4))
     pos = rng.normal(size=(10, 3))
+    structure = attention_structure(pos, k=3, r=2)
     for n_layers in (1, 6):
         for dropout_enabled in (False, True):
             cfg = small_config(n_layers=n_layers, dropout_enabled=dropout_enabled,
                                attn_dropout=0.5, ffn_dropout=0.5)
             params = zeroed(init_params(cfg))
-            out = block_forward(x, pos, params, k=3, r=2)
+            out = block_forward(x, pos, params, structure=structure)
             np.testing.assert_array_equal(out, x)
 
 
@@ -218,10 +221,9 @@ def test_forward_composition_oracle(monkeypatch):
     x = rng.normal(size=(12, 4))
     pos = rng.normal(size=(12, 3))
 
-    out = block_forward(x, pos, params, k=3, r=2)
+    struct = attention_structure(pos, flavor="point", k=3, r=2)
+    out = block_forward(x, pos, params, structure=struct)
 
-    struct = build_hierarchy(pos, np.zeros((12, 1)), np.zeros((12, 1)), np.zeros((12, 1)),
-                             flavor="point", k=3, r=2)
     h = with_values(struct, q=x @ lp.w_q + lp.b_q, k=x @ lp.w_k + lp.b_k, v=x @ lp.w_v + lp.b_v)
     x1 = x + (gha_forward(h).z @ lp.w_o + lp.b_o)
     u = np.maximum(x1 @ lp.w1 + lp.b1, 0.0) @ lp.w2 + lp.b2
@@ -235,10 +237,9 @@ def test_multi_head_splits_and_concatenates():
     lp = params.layers[0]
     x = rng.normal(size=(15, 8))
     pos = rng.normal(size=(15, 3))
-    out = block_forward(x, pos, params, k=4, r=2)
+    struct = attention_structure(pos, flavor="point", k=4, r=2)
+    out = block_forward(x, pos, params, structure=struct)
 
-    struct = build_hierarchy(pos, np.zeros((15, 1)), np.zeros((15, 1)), np.zeros((15, 1)),
-                             flavor="point", k=4, r=2)
     hn = layer_norm(x, lp.ln1_gain, lp.ln1_shift)
     q, k_rows, v = hn @ lp.w_q + lp.b_q, hn @ lp.w_k + lp.b_k, hn @ lp.w_v + lp.b_v
     heads = []
@@ -257,12 +258,13 @@ def test_forward_deterministic_with_dropout():
     params = init_params(cfg)
     x = rng.normal(size=(9, 4))
     pos = rng.normal(size=(9, 3))
-    a = block_forward(x, pos, params, k=3, r=2)
-    b = block_forward(x, pos, params, k=3, r=2)
+    structure = attention_structure(pos, k=3, r=2)
+    a = block_forward(x, pos, params, structure=structure)
+    b = block_forward(x, pos, params, structure=structure)
     np.testing.assert_array_equal(a, b)
     # and dropout does change the result vs eval mode
     eval_params = init_params(dataclasses.replace(cfg, dropout_enabled=False))
-    c = block_forward(x, pos, eval_params, k=3, r=2)
+    c = block_forward(x, pos, eval_params, structure=structure)
     assert not np.array_equal(a, c)
 
 
@@ -272,9 +274,10 @@ def test_forward_permutation_equivariance():
     params = init_params(cfg)
     x = rng.normal(size=(20, 4))
     pos = rng.normal(size=(20, 3))
-    out = block_forward(x, pos, params, k=4, r=2)
+    out = block_forward(x, pos, params, structure=attention_structure(pos, k=4, r=2))
     perm = rng.permutation(20)
-    out_p = block_forward(x[perm], pos[perm], params, k=4, r=2)
+    out_p = block_forward(x[perm], pos[perm], params,
+                          structure=attention_structure(pos[perm], k=4, r=2))
     np.testing.assert_array_equal(out_p, out[perm])
 
 
@@ -287,7 +290,9 @@ def test_forward_voxel_flavor():
     cfg = small_config(model_dim=4, embedding_mode="relative")
     params = init_params(cfg)
     x = rng.normal(size=(n, 4))
-    out = block_forward(x, coords.astype(np.float64) + 0.5, params, flavor="voxel", coords=coords)
+    pos = coords.astype(np.float64) + 0.5
+    out = block_forward(x, pos, params,
+                        structure=attention_structure(pos, flavor="voxel", coords=coords))
     assert out.shape == (n, 4)
     assert np.all(np.isfinite(out))
     assert not np.array_equal(out, x)
@@ -299,8 +304,9 @@ def test_positional_every_layer_switch():
     pos = rng.normal(size=(12, 3))
     cfg_all = small_config(n_layers=2, embedding_mode="relative", positional_every_layer=True)
     cfg_first = small_config(n_layers=2, embedding_mode="relative", positional_every_layer=False)
-    a = block_forward(x, pos, init_params(cfg_all), k=3, r=2)
-    b = block_forward(x, pos, init_params(cfg_first), k=3, r=2)
+    structure = attention_structure(pos, k=3, r=2)
+    a = block_forward(x, pos, init_params(cfg_all), structure=structure)
+    b = block_forward(x, pos, init_params(cfg_first), structure=structure)
     assert not np.array_equal(a, b)
 
 
@@ -342,9 +348,10 @@ def test_params_same_forward_after_reload(tmp_path):
     pos = rng.normal(size=(10, 3))
     path = tmp_path / "p.ghab"
     save_params(params, path)
+    structure = attention_structure(pos, k=3, r=2)
     np.testing.assert_array_equal(
-        block_forward(x, pos, params, k=3, r=2),
-        block_forward(x, pos, load_params(path), k=3, r=2),
+        block_forward(x, pos, params, structure=structure),
+        block_forward(x, pos, load_params(path), structure=structure),
     )
 
 
@@ -377,35 +384,38 @@ def test_load_rejects_truncation_and_trailing(tmp_path):
         load_params(path)
 
 
+@pytest.mark.parametrize("tensor", ["frequencies", "last layer tensor"])
+def test_load_rejects_a_non_finite_tensor(tmp_path, tensor):
+    params = init_params(small_config(embedding_mode="relative"))
+    path = tmp_path / "p.ghab"
+    save_params(params, path)
+    data = path.read_bytes()
+    nan = np.float64(np.nan).tobytes()
+    if tensor == "frequencies":
+        first = params.embedding.frequencies[0, 0].tobytes()
+        assert data.count(first) == 1
+        data = data.replace(first, nan)
+    else:
+        data = data[:-8] + nan
+    path.write_bytes(data)
+    with pytest.raises(FormatError, match="non-finite"):
+        load_params(path)
+
+
 # ---------------------------------------------------------------------------
 # Mechanism selection / prebuilt structure
 # ---------------------------------------------------------------------------
 
-def test_forward_prebuilt_structure_bitwise():
-    from gha3d.block import attention_structure
-
-    rng = np.random.default_rng(31)
-    pos = rng.normal(size=(12, 3))
-    x = rng.normal(size=(12, 4))
-    params = init_params(small_config())
-    structure = attention_structure(pos, flavor="point", k=3, r=2)
-    base = block_forward(x, pos, params, k=3, r=2)
-    np.testing.assert_array_equal(
-        block_forward(x, pos, params, k=3, r=2, structure=structure), base
-    )
-
-
 def test_forward_local_mechanism_is_truncated_gha():
-    from gha3d.block import attention_structure
     from gha3d.hierarchy import truncate
 
     rng = np.random.default_rng(32)
     pos = rng.normal(size=(14, 3))
     x = rng.normal(size=(14, 4))
     params = init_params(small_config())
-    got = block_forward(x, pos, params, k=3, r=2, mechanism="local")
-    flat = truncate(attention_structure(pos, flavor="point", k=3, r=2), 0)
-    want = block_forward(x, pos, params, k=3, r=2, structure=flat)
+    structure = attention_structure(pos, flavor="point", k=3, r=2)
+    got = block_forward(x, pos, params, mechanism="local", structure=structure)
+    want = block_forward(x, pos, params, structure=truncate(structure, 0))
     np.testing.assert_array_equal(got, want)
 
 
@@ -416,13 +426,12 @@ def test_forward_dense_mechanism_matches_flat_hierarchy():
     x = rng.normal(size=(n, 4))
     params = init_params(small_config())
     dense = block_forward(x, pos, params, mechanism="dense")
-    flat = block_forward(x, pos, params, k=n, r=2)  # single level over all tokens
+    # A single level over all tokens.
+    flat = block_forward(x, pos, params, structure=attention_structure(pos, k=n, r=2))
     np.testing.assert_allclose(dense, flat, atol=1e-12)
 
 
 def test_forward_mechanism_validation():
-    from gha3d.block import attention_structure
-
     rng = np.random.default_rng(34)
     pos = rng.normal(size=(8, 3))
     x = rng.normal(size=(8, 4))
@@ -443,6 +452,25 @@ def test_forward_mechanism_validation():
             attention_structure(bad_pos, flavor="point", k=3, r=2)
 
 
+@pytest.mark.parametrize("mechanism", ["gha", "local", "dense"])
+def test_forward_takes_the_structure_its_mechanism_needs(mechanism):
+    # gha and local attend over a structure the caller builds; dense over none.
+    rng = np.random.default_rng(39)
+    pos = rng.normal(size=(8, 3))
+    x = rng.normal(size=(8, 4))
+    params = init_params(small_config())
+    structure = attention_structure(pos, flavor="point", k=3, r=2)
+    if mechanism == "dense":
+        with pytest.raises(InvalidInputError, match="no structure"):
+            block_forward(x, pos, params, mechanism=mechanism, structure=structure)
+        assert block_forward(x, pos, params, mechanism=mechanism).shape == x.shape
+    else:
+        with pytest.raises(InvalidInputError, match="needs a structure"):
+            block_forward(x, pos, params, mechanism=mechanism)
+        assert block_forward(x, pos, params, mechanism=mechanism,
+                             structure=structure).shape == x.shape
+
+
 def test_forward_frozen_regression_values():
     """Bit-frozen end-to-end fixture: seeded init, relative embeddings,
     2 layers x 2 heads over the two-pair layout. Catches any silent change
@@ -455,7 +483,8 @@ def test_forward_frozen_regression_values():
                          embedding_mode="relative")
     params = init_params(config)
     x = substream(11, "features").normal(size=(4, 4))
-    out = block_forward(x, PAIR_POSITIONS, params, k=2, r=2)
+    out = block_forward(x, PAIR_POSITIONS, params,
+                        structure=attention_structure(PAIR_POSITIONS, k=2, r=2))
 
     want = np.array([
         [float.fromhex(h) for h in
@@ -505,8 +534,6 @@ def per_head_reference(x, params, structure):
 @pytest.mark.parametrize("mode,every", [("none", True), ("absolute", True),
                                         ("relative", True), ("relative", False)])
 def test_forward_shared_table_equals_per_head_loop(flavor, mode, every):
-    from gha3d.block import attention_structure
-
     rng = np.random.default_rng(35)
     if flavor == "point":
         pos, coords = rng.normal(size=(40, 3)), None
@@ -526,8 +553,6 @@ def test_in_place_arithmetic_keeps_the_bits_with_dropout(mode):
     # block_forward adds biases, residuals and the ReLU in place; with
     # dropout on, its output has the bits of the out-of-place wiring, and
     # the caller's x is left as it was.
-    from gha3d.block import attention_structure
-
     rng = np.random.default_rng(38)
     pos = rng.normal(size=(40, 3))
     structure = attention_structure(pos, flavor="point", k=3, r=2)
@@ -543,8 +568,6 @@ def test_in_place_arithmetic_keeps_the_bits_with_dropout(mode):
 @pytest.mark.parametrize("mode,term_fn", [("relative", "embed_points"), ("absolute", "embed_points")])
 def test_forward_builds_positional_terms_once_per_level(monkeypatch, mode, term_fn):
     import gha3d.attention as attention_mod
-    from gha3d.block import attention_structure
-
     rng = np.random.default_rng(36)
     pos = rng.normal(size=(40, 3))
     structure = attention_structure(pos, flavor="point", k=3, r=2)
@@ -560,8 +583,6 @@ def test_forward_builds_positional_terms_once_per_level(monkeypatch, mode, term_
 @pytest.mark.parametrize("mode,term_fn", [("relative", "embed_points"), ("absolute", "embed_points")])
 def test_forwards_on_one_structure_share_its_positional_terms(monkeypatch, mode, term_fn):
     import gha3d.attention as attention_mod
-    from gha3d.block import attention_structure
-
     rng = np.random.default_rng(37)
     pos = rng.normal(size=(40, 3))
     structure = attention_structure(pos, flavor="point", k=3, r=2)

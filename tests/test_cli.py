@@ -117,10 +117,10 @@ def test_run_uses_input_features_exactly(tmp_path):
                  "--heads", "1", "--embedding", "none", "--seed", "9"])
     assert code == 0
 
-    from gha3d.block import block_forward
+    from gha3d import attention_structure, block_forward
     params = init_params(BlockConfig(n_layers=1, model_dim=4, ffn_dim=8, n_heads=1,
                                      seed=9, embedding_mode="none"))
-    want = block_forward(feats, pts, params, k=3, r=2)
+    want = block_forward(feats, pts, params, structure=attention_structure(pts, k=3, r=2))
     expect = tmp_path / "want.gpc"
     save_point_cloud_binary(expect, pts, want)
     assert out.read_bytes() == expect.read_bytes()

@@ -4,7 +4,8 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from gha3d.attention import FourierEmbedding
+from gha3d.attention import AttentionInputs, FourierEmbedding
+from gha3d.block import BlockConfig, init_params
 from gha3d.errors import InvalidCoarsenError, InvalidInputError
 from gha3d.geometry import (
     NeighborhoodTopology,
@@ -16,10 +17,12 @@ from gha3d.geometry import (
     voxelize,
 )
 from gha3d.hierarchy import (
+    VOXEL_WINDOW_K,
     Hierarchy,
     HierarchyLevel,
     _pooled,
     _product,
+    attention_structure,
     build_hierarchy,
     children_of,
     coarsen_voxel,
@@ -130,14 +133,26 @@ def make_voxel_level(coords, q, k_mat, v, positions=None):
     )
 
 
+def voxel_step(level, rows):
+    """``coarsen_voxel``'s step on ``level``, its parent map, and the level
+    over it holding ``rows`` as q, k and v pooled through ``with_values``:
+    the step pools positions only, so its coarse level holds no values."""
+    coarse, parent_of = coarsen_voxel(level)
+    assert coarse.q_tilde.shape == coarse.k_tilde.shape == coarse.v_tilde.shape == \
+        (coarse.n_tokens, 0)
+    h = Hierarchy("voxel", VOXEL_WINDOW_K, 2, (replace(level, parent_of=parent_of), coarse))
+    return coarse, parent_of, with_values(h, rows, rows, rows).levels[1]
+
+
 def test_coarsen_voxel_two_children():
     a = np.array([[1.0, 2.0]])
     b = np.array([[3.0, 6.0]])
     level = make_voxel_level([[0, 0, 0], [1, 1, 1]], np.vstack([a, b]), np.vstack([a, b]), np.vstack([a, b]))
-    coarse, parent_of = coarsen_voxel(level)
+    coarse, parent_of, pooled = voxel_step(level, np.vstack([a, b]))
     assert coarse.n_tokens == 1
     assert tuple(coarse.coords[0]) == (0, 0, 0)
-    np.testing.assert_allclose(coarse.q_tilde, (a + b) / 2)
+    np.testing.assert_array_equal(coarse.positions, [[1.0, 1.0, 1.0]])
+    np.testing.assert_allclose(pooled.q_tilde, (a + b) / 2)
     assert list(parent_of) == [0, 0]
 
 
@@ -146,10 +161,11 @@ def test_coarsen_voxel_skips_strides_that_copy_rows():
     # step pools them at stride 4, the first stride that reduces.
     rows = np.array([[1.0], [2.0]])
     level = make_voxel_level([[0, 0, 0], [2, 0, 0]], rows, rows, rows)
-    coarse, parent_of = coarsen_voxel(level)
+    coarse, parent_of, pooled = voxel_step(level, rows)
     assert coarse.n_tokens == 1
     assert [tuple(c) for c in coarse.coords] == [(0, 0, 0)]
-    np.testing.assert_array_equal(coarse.q_tilde, [[1.5]])
+    np.testing.assert_array_equal(coarse.positions, [[1.5, 0.5, 0.5]])
+    np.testing.assert_array_equal(pooled.q_tilde, [[1.5]])
     np.testing.assert_array_equal(coarse.pool_indices, [0, 1])
     assert list(parent_of) == [0, 0]
 
@@ -185,11 +201,13 @@ def test_coarsen_voxel_full_block():
     rng = np.random.default_rng(4)
     rows = rng.normal(size=(64, 3))
     level = make_voxel_level(coords, rows, rows, rows)
-    coarse, parent_of = coarsen_voxel(level)
+    coarse, parent_of, got = voxel_step(level, rows)
     assert coarse.n_tokens == 8
     keys, pooled, parent = brute_voxel_pool(coords, rows)
     assert [tuple(c) for c in coarse.coords] == keys
-    np.testing.assert_allclose(coarse.q_tilde, pooled, atol=1e-14)
+    np.testing.assert_allclose(coarse.positions, brute_voxel_pool(coords, level.positions)[1],
+                               atol=1e-14)
+    np.testing.assert_allclose(got.q_tilde, pooled, atol=1e-14)
     assert list(parent_of) == list(parent)
     assert all(len(children_of_brute) == 8 for children_of_brute in
                [np.flatnonzero(parent_of == j) for j in range(8)])
@@ -211,10 +229,12 @@ def test_coarsen_voxel_random_matches_bruteforce():
         coords = coords[order]
         rows = rng.normal(size=(coords.shape[0], 4))
         level = make_voxel_level(coords, rows, rows, rows)
-        coarse, parent_of = coarsen_voxel(level)
+        coarse, parent_of, got = voxel_step(level, rows)
         keys, pooled, parent = brute_voxel_pool(coords, rows)
         assert [tuple(c) for c in coarse.coords] == keys
-        np.testing.assert_allclose(coarse.v_tilde, pooled, atol=1e-14)
+        np.testing.assert_allclose(coarse.positions, brute_voxel_pool(coords, level.positions)[1],
+                                   atol=1e-14)
+        np.testing.assert_allclose(got.v_tilde, pooled, atol=1e-14)
         assert list(parent_of) == list(parent)
 
 
@@ -841,6 +861,9 @@ def test_every_constructor_stores_read_only_copies_of_its_arrays():
     assert h.depth >= 2 and hv.depth >= 2
     cloud = PointCloud(positions=grid.cell_centroid, features=grid.cell_features)
     topology, emb = h.levels[1].topology, FourierEmbedding(frequencies=rng.normal(size=(2, 3)))
+    level_0 = h.levels[0]
+    inputs = AttentionInputs(level_0.q_tilde, level_0.k_tilde, level_0.v_tilde, level_0.positions)
+    layer = init_params(BlockConfig(n_layers=1, model_dim=4, ffn_dim=6, n_heads=1)).layers[0]
     rows = ("q_tilde", "k_tilde", "v_tilde")
     level = ("positions", *rows, "parent_of", "pool_indptr", "pool_indices")
     cases = [
@@ -854,6 +877,8 @@ def test_every_constructor_stores_read_only_copies_of_its_arrays():
         (h.levels[1], replace(h.levels[1]), (*level, "selected")),
         (hv.levels[1], replace(hv.levels[1]), (*level, "coords")),
         (emb, FourierEmbedding(frequencies=emb.frequencies), ("frequencies",)),
+        (inputs, replace(inputs), ("q", "k", "v", "positions")),
+        (layer, replace(layer), tuple(f.name for f in fields(layer))),
         (h.levels[0], with_values(h, *(getattr(h.levels[0], name) for name in rows)).levels[0],
          rows),
     ]
@@ -862,6 +887,36 @@ def test_every_constructor_stores_read_only_copies_of_its_arrays():
             a, b = getattr(given, name), getattr(made, name)
             assert np.array_equal(a, b) and not b.flags.writeable, name
             assert not np.shares_memory(a, b), name
+
+
+@pytest.mark.parametrize("flavor", ["point", "voxel"])
+def test_a_structure_is_geometry_and_with_values_gives_it_values(flavor):
+    """attention_structure's levels hold q, k and v of width 0, and
+    build_hierarchy is with_values over it: the same arrays, bit for bit."""
+    rng = np.random.default_rng(51)
+    if flavor == "point":
+        pos, coords = rng.uniform(size=(300, 3)), None
+    else:
+        coords = np.unique(rng.integers(0, 12, size=(400, 3)), axis=0)
+        pos = coords + 0.5
+    structure = attention_structure(pos, flavor=flavor, k=4, r=2, coords=coords)
+    assert structure.depth >= 2
+    for lv in structure.levels:
+        assert lv.q_tilde.shape == lv.k_tilde.shape == lv.v_tilde.shape == (lv.n_tokens, 0)
+    q, k_mat, v = rand_qkv(rng, pos.shape[0], 4)
+    built = build_hierarchy(pos, q, k_mat, v, flavor=flavor, k=4, r=2, coords=coords)
+    given = with_values(structure, q, k_mat, v)
+    assert built.level_sizes() == given.level_sizes()
+    for a, b in zip(built.levels, given.levels):
+        for name in ("positions", "q_tilde", "k_tilde", "v_tilde", "parent_of", "selected",
+                     "coords", "pool_indptr", "pool_indices", "order"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert (x is None and y is None) or (
+                x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()), name
+        assert a.topology.indices.tobytes() == b.topology.indices.tobytes()
+    # q and k share one width, so a structure's first values hold both.
+    with pytest.raises(InvalidInputError):
+        with_values(structure, q=q)
 
 
 def test_with_values_matches_fresh_build():

@@ -21,6 +21,7 @@ from gha3d import (
     InvalidInputError,
     NeighborhoodTopology,
     PointCloud,
+    SparseVoxelGrid,
     approximation_report,
     attention_histogram,
     attention_structure,
@@ -59,10 +60,17 @@ Q, K, V = (_rng.normal(size=(N, D)) for _ in range(3))
 X = _rng.normal(size=(N, D))
 EMB = make_fourier_embedding(D, np.random.default_rng(1))
 H = build_hierarchy(POS, Q, K, V, k=4)
+STRUCTURE = attention_structure(POS, k=4)
+GRID = voxelize(PointCloud(positions=POS, features=Q), 0.5)
 W = effective_attention(H)
 LEVEL_1_VALUES = _rng.normal(size=(H.levels[1].n_tokens, 2))
 PARAMS = init_params(BlockConfig(n_layers=1, model_dim=D, ffn_dim=6, n_heads=1,
                                  embedding_mode="none"))
+
+
+def _grid(**fields):
+    """GRID with ``fields`` replaced, made by its constructor."""
+    return dataclasses.replace(GRID, **fields)
 
 
 def _params_with_w1(a):
@@ -99,8 +107,13 @@ ENTRIES = [
     ("with_values-k", K, 1, lambda a, _: with_values(H, k=a)),
     ("with_values-v", V, 0, lambda a, _: with_values(H, v=a)),
     ("GhaBlockParams-w1", PARAMS.layers[0].w1, 1, lambda a, _: _params_with_w1(a)),
-    ("block_forward-x", X, 1, lambda a, _: block_forward(a, POS, PARAMS, k=4)),
-    ("block_forward-positions", POS, 1, lambda a, _: block_forward(X, a, PARAMS, k=4)),
+    ("block_forward-x", X, 1, lambda a, _: block_forward(a, POS, PARAMS, structure=STRUCTURE)),
+    ("block_forward-positions", POS, 1,
+     lambda a, _: block_forward(X, a, PARAMS, structure=STRUCTURE)),
+    ("SparseVoxelGrid-cell_features", GRID.cell_features, 0,
+     lambda a, _: _grid(cell_features=a)),
+    ("SparseVoxelGrid-cell_centroid", GRID.cell_centroid, 1,
+     lambda a, _: _grid(cell_centroid=a)),
     ("locality_ratio-positions", POS, 1, lambda a, _: locality_ratio(a, W)),
     ("locality_ratio-weights", W, 1, lambda a, _: locality_ratio(POS, a)),
     ("mass_beyond_radius-weights", W, 0, lambda a, _: mass_beyond_radius(POS, a, 0.5)),
@@ -224,6 +237,8 @@ def test_entry_point_reads_an_integer_in_range(site):
 # A value that is not one finite real number always raises InvalidInputError.
 REALS = [
     ("voxelize-voxel_size", lambda v: voxelize(CLOUD, v), 0.5, (0.0, -0.5), InvalidInputError),
+    ("SparseVoxelGrid-voxel_size", lambda v: _grid(voxel_size=v), 0.5, (0.0, -0.5),
+     InvalidInputError),
     ("mass_beyond_radius-radius", lambda v: mass_beyond_radius(POS, W, v), 0.5, (-0.5,),
      InvalidInputError),
     ("BlockConfig-attn_dropout", lambda v: _config(attn_dropout=v), 0.1, (-0.1, 1.0), ConfigError),
@@ -313,3 +328,30 @@ def test_segment_mean_refuses_a_map_outside_its_values(case):
 def test_segment_mean_refuses_values_that_are_not_a_finite_matrix(values):
     with pytest.raises(InvalidInputError):
         segment_mean(values, [0, 2, 3], [0, 1, 3])
+
+
+# Cells and counts a grid's constructor refuses, each beside GRID's other
+# fields. The constructor once accepted all of them, a string voxel size
+# and per-cell arrays of three different lengths included.
+GRID_FIELDS = {
+    "occupied-non-integer": {"occupied": GRID.occupied + 0.5},
+    "occupied-2-wide": {"occupied": GRID.occupied[:, :2]},
+    "occupied-out-of-range": {"occupied": GRID.occupied + (1 << 20)},
+    "occupied-one-short": {"occupied": GRID.occupied[:-1]},
+    "cell_count-float": {"cell_count": GRID.cell_count + 0.5},
+    "cell_count-zero": {"cell_count": GRID.cell_count * 0},
+    "cell_count-negative": {"cell_count": -GRID.cell_count},
+    "cell_count-one-short": {"cell_count": GRID.cell_count[:-1]},
+    "cell_count-2-d": {"cell_count": GRID.cell_count[:, None]},
+    "all-inconsistent": {"voxel_size": "x", "occupied": np.zeros((3, 3)),
+                         "cell_features": np.zeros((5, 0)), "cell_centroid": np.zeros((2, 3)),
+                         "cell_count": [1.5, -1]},
+}
+
+
+@pytest.mark.parametrize("case", GRID_FIELDS)
+def test_voxel_grid_refuses_cells_and_counts_that_do_not_match(case):
+    with pytest.raises(InvalidInputError):
+        _grid(**GRID_FIELDS[case])
+    grid = _grid()
+    assert grid.n_voxels == GRID.n_voxels and not grid.cell_count.flags.writeable

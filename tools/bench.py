@@ -10,7 +10,9 @@ SRC CASE``), trees interleaved; the JSON keeps each figure's median. A case
 
 - ``build`` (seed 17; d=8, k=8, r=2): ``knn_s`` is spent in
   ``knn_from_positions``, ``fps_s`` in farthest-point sampling (which also
-  gives the parent maps), ``pool_s`` in the rest of ``build_hierarchy``.
+  gives the parent maps), ``pool_s`` in the rest of ``build_hierarchy``:
+  the structure's position pooling and topologies' bookkeeping, then
+  ``with_values``' pooling of q, k and v.
 - ``kernels`` (seed 19; relative mode, d=8, the positional terms kept on
   the structure, after one untimed forward): the wall time of the case's
   structure's first ``positional_table`` (``table_s``, the terms it then
