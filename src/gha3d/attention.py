@@ -30,8 +30,9 @@ forward's; without a pass it runs the forward first. Effective weights
 run a forward of their own, which also hands back every level's edge
 weights.
 
-The kernels walk a level's ``NeighborhoodTopology`` as it is, its int32
-CSR arrays and its row ``width``.
+The kernels walk a level's ``NeighborhoodTopology`` as it is: its width
+classes in row spans (``_spans``), each query's rows broadcast over its
+edges, and its int32 CSR arrays in every sum.
 """
 
 import math
@@ -305,18 +306,25 @@ def dense_attention(inputs: AttentionInputs) -> AttentionResult:
 _SPAN_ELEMENTS = 1 << 17
 
 
-def _row_spans(indptr: np.ndarray, width: int):
-    """Row-aligned pieces (r0, r1) of a CSR topology whose edges-by-``width``
-    temporaries hold at most ``_SPAN_ELEMENTS``; a row with more edges than
-    that is a piece by itself."""
-    step = max(1, _SPAN_ELEMENTS // max(1, width))
-    n = indptr.shape[0] - 1
-    r0 = 0
-    while r0 < n:
-        end = min(int(indptr[r0]) + step, int(indptr[-1]))  # no int32 sum to overflow
-        r1 = max(r0 + 1, int(np.searchsorted(indptr, end, side="right")) - 1)
-        yield r0, r1
-        r0 = r1
+def _rows(x, at):
+    """Rows ``at`` of x: the view x[at] at a slice, else ``x.take(at)`` at an
+    int32 array. The one place a width class's slices (a one-width
+    topology's, which start at row 0) and arrays differ: it also cuts them,
+    so part ``at`` of a slice is that slice."""
+    if isinstance(at, slice):
+        return at if isinstance(x, slice) else x[at]
+    return x.take(at, axis=0)
+
+
+def _spans(topology, columns: int):
+    """Pieces (rows, edges, cols, width) of ``topology``'s width classes whose
+    edges-by-``columns`` temporaries hold at most ``_SPAN_ELEMENTS``; a row
+    with more edges than that is a piece by itself."""
+    for rows, edges, cols, width in topology.classes:
+        step = max(1, _SPAN_ELEMENTS // (max(1, columns) * width))
+        for lo in range(0, cols.shape[0] // width, step):
+            part = slice(lo * width, (lo + step) * width)
+            yield _rows(rows, slice(lo, lo + step)), _rows(edges, part), cols[part], width
 
 
 class _Sides(NamedTuple):
@@ -340,81 +348,49 @@ def _scored(q, k, term, mode, q_rot=None) -> _Sides:
     return _Sides(q, k, None, None)
 
 
-def _span_rows(topology, r0: int, r1: int) -> np.ndarray | None:
-    """Each edge's query in rows r0:r1 of ``topology``, which a span of
-    ragged rows gathers by; None over rows of one width, which broadcast
-    (see ``_query_dot``)."""
-    if topology.width:
-        return None
-    return np.repeat(np.arange(r0, r1), np.diff(topology.indptr[r0:r1 + 1]))
+def _query_dot(x_rows, y_rows, width):
+    """Per edge of a span, its query's row of x (``x_rows``, one per row of
+    the span) dotted with the edge's row of ``y_rows``: every row of a span
+    holds ``width`` edges, so each query's row broadcasts over them."""
+    return np.einsum("rd,rwd->rw", x_rows, y_rows.reshape(x_rows.shape[0], width, -1)).reshape(-1)
 
 
-def _query_dot(x, y_rows, rows, r0, r1, width):
-    """Per edge of rows r0:r1, its query's row of x dotted with the edge's
-    row of ``y_rows``. Over rows of one ``width`` (every kNN level) the
-    query rows broadcast; with ``width`` 0 they are gathered edge by edge,
-    ``rows`` naming each edge's query (``_span_rows``). Both give the same
-    bits."""
-    if width:
-        return np.einsum("rd,rwd->rw", x[r0:r1], y_rows.reshape(r1 - r0, width, -1)).reshape(-1)
-    return np.einsum("ed,ed->e", x.take(rows, axis=0), y_rows)
-
-
-def _less_query(s, a, rows, r0, r1, width):
-    """s -= each edge's query's entry of a, broadcast or gathered as in
-    ``_query_dot``."""
-    if width:
-        by_row = s.reshape(r1 - r0, width)
-        by_row -= a[r0:r1, None]
-    else:
-        s -= a.take(rows)
-
-
-def _span_weights(sides, topology, rows, r0, r1, scale, mu, fresh=False, out=None):
-    """The softmax weights t = exp(s - mu[row]) of the edges of rows r0:r1 of
-    ``topology``, written into ``out`` where given: the one place a level's
-    score s = (q . k, plus Q' . K' in relative mode) / scale is formed, from
-    its ``_Sides``. A ``fresh`` pass (the forward's) first writes the span's
-    row maxima into ``mu`` (a max is exact in any order); later passes read
-    them, so their t is bitwise the forward's. ``rows`` is the span's
-    ``_span_rows``."""
-    indptr, width = topology.indptr, topology.width
-    e0, e1 = indptr[r0], indptr[r1]
-    cols = topology.indices[e0:e1]
-    s = _query_dot(sides.q, sides.k.take(cols, axis=0), rows, r0, r1, width)
+def _span_weights(sides, rows, cols, width, scale, mu, fresh=False):
+    """The softmax weights t = exp(s - mu[row]) of the edges of one span
+    (``_spans``): the one place a level's score s = (q . k, plus Q' . K' in
+    relative mode) / scale is formed, from its ``_Sides``. A ``fresh`` pass
+    (the forward's) first writes the span's row maxima into ``mu`` (a max is
+    exact in any order); later passes read them, so their t is bitwise the
+    forward's."""
+    s = _query_dot(_rows(sides.q, rows), sides.k.take(cols, axis=0), width)
     if sides.k_rot is not None:
-        s += _query_dot(sides.q_rot, sides.k_rot.take(cols, axis=0), rows, r0, r1, width)
+        s += _query_dot(_rows(sides.q_rot, rows), sides.k_rot.take(cols, axis=0), width)
     s /= scale
     if fresh:
-        np.maximum.reduceat(s, indptr[r0:r1] - e0, out=mu[r0:r1])
-    _less_query(s, mu, rows, r0, r1, width)
-    return np.exp(s, out=s if out is None else out)
+        mu[rows] = np.maximum.reduceat(s, np.arange(0, s.shape[0], width))
+    by_row = s.reshape(-1, width)
+    by_row -= _rows(mu, rows)[:, None]
+    return np.exp(s, out=s)
 
 
-def _level_softmax(sides, v, topology, scale, t_out=None):
+def _level_softmax(sides, v, topology, scale):
     """Max-shifted softmax sums over one ``topology``, of the scores of
-    ``sides`` (``_scored``); ``t_out``, where given, receives every edge's
-    softmax weight t.
+    ``sides`` (``_scored``).
 
-    Returns the per-token local max scores mu, the shifted denominators and
-    the shifted unnormalized outputs: denom_i * exp(mu_i) and y_i * exp(mu_i)
-    are the true local sums. The edges run in ``_row_spans``; each span's
-    y and denominators are one ``_product`` of its own CSR, t as data, with
-    [v | 1], so every row adds its terms from +0.0 in entry order, whatever
-    the cut, and no edge rows of v are gathered. Nothing per-edge but
-    ``t_out`` outlives its span."""
+    Returns the per-token local max scores mu, the shifted denominators, the
+    shifted unnormalized outputs (denom_i * exp(mu_i) and y_i * exp(mu_i)
+    are the true local sums) and every edge's softmax weight t. The scores
+    run in ``_spans``, each writing its t into the level's; y and the
+    denominators are then one ``_product`` of the topology's CSR, t as data,
+    with [v | 1], so every row adds its terms from +0.0 in entry order and
+    no edge rows of v are gathered."""
     indptr, cols = topology.indptr, topology.indices
     n, d_v = indptr.shape[0] - 1, v.shape[1]
-    mu, denom = np.empty(n), np.empty(n)
-    y = np.empty((n, d_v))
-    v_ones = np.hstack([v, np.ones((n, 1))])
-    for r0, r1 in _row_spans(indptr, max(sides.q.shape[1], d_v)):
-        e0, e1 = indptr[r0], indptr[r1]
-        t = _span_weights(sides, topology, _span_rows(topology, r0, r1), r0, r1, scale, mu,
-                          fresh=True, out=None if t_out is None else t_out[e0:e1])
-        sums = _product(indptr[r0:r1 + 1] - e0, cols[e0:e1], t, v_ones)
-        y[r0:r1], denom[r0:r1] = sums[:, :d_v], sums[:, d_v]
-    return mu, denom, y
+    mu, t = np.empty(n), np.empty(cols.shape[0])
+    for rows, edges, span_cols, width in _spans(topology, max(sides.q.shape[1], d_v)):
+        t[edges] = _span_weights(sides, rows, span_cols, width, scale, mu, fresh=True)
+    sums = _product(indptr, cols, t, np.hstack([v, np.ones((n, 1))]))
+    return mu, sums[:, d_v].copy(), sums[:, :d_v].copy(), t
 
 
 def local_attention(inputs: AttentionInputs, topology) -> AttentionResult:
@@ -425,7 +401,7 @@ def local_attention(inputs: AttentionInputs, topology) -> AttentionResult:
     sides = _scored(inputs.q, inputs.k, _level_term(inputs.positions, inputs.embedding, mode), mode)
     exponents = _value_exponents([inputs.v], int(topology.sizes.max()))
     v = inputs.v if exponents is None else np.ldexp(inputs.v, -exponents)
-    mu, denom, y = _level_softmax(sides, v, topology, math.sqrt(inputs.d))
+    mu, denom, y, _ = _level_softmax(sides, v, topology, math.sqrt(inputs.d))
     e = topology.total_edges
     with np.errstate(over="ignore"):
         normalizers = denom * np.exp(mu)
@@ -497,10 +473,10 @@ def _forward(hierarchy: Hierarchy, embedding, mode: str, weights=None) -> Attent
         lv = hierarchy.levels[h]
         sides = _scored(lv.q_tilde, lv.k_tilde, _kept_term(lv, embedding, mode), mode)
         v = lv.v_tilde if exponents is None else np.ldexp(lv.v_tilde, -exponents)
-        t = None if weights is None else np.empty(lv.topology.total_edges)
-        mu, d_loc, y_loc = _level_softmax(sides, v, lv.topology, scale, t)
+        mu, d_loc, y_loc, t = _level_softmax(sides, v, lv.topology, scale)
         if weights is not None:
             weights.insert(0, t)
+        del t  # else alive through the parent copy below
         mus[h] = mu
         q_rots[h] = None if sides.q_rot is None else _readonly(sides.q_rot)
         per_level[h] = lv.topology.total_edges
@@ -519,7 +495,7 @@ def _forward(hierarchy: Hierarchy, embedding, mode: str, weights=None) -> Attent
             carry_y += y_loc
             carry_d = w_loc * d_loc + w_par * carry_d.take(p)
             carry_m = m
-        del sides, y_loc, d_loc, v, t  # else alive through the next level's softmax
+        del sides, y_loc, d_loc, v  # else alive through the next level's softmax
 
     with np.errstate(over="ignore"):
         normalizers = carry_d * np.exp(carry_m)
@@ -693,23 +669,23 @@ def gha_backward(hierarchy: Hierarchy, dz: np.ndarray,
         fold, folds[h] = folds[h], None
         sides = _scored(lv.q_tilde, lv.k_tilde, _kept_term(lv, embedding, embedding_mode),
                         embedding_mode, held.q_rot[h])
-        topology = lv.topology
-        indptr, cols, width = topology.indptr, topology.indices, topology.width
+        indptr, cols = lv.topology.indptr, lv.topology.indices
         v = lv.v_tilde if shift is None else np.ldexp(lv.v_tilde, -shift)
         # t and ds edge by edge in row spans; every sum over the level's
         # edges is then one product over its whole t or ds. The level's
         # [dq | dk | dv] rows are written in place.
         t, ds = np.empty(cols.shape[0]), np.empty(cols.shape[0])
-        for r0, r1 in _row_spans(indptr, max(d, d_v + 1)):
-            e0, e1 = indptr[r0], indptr[r1]
-            rows = _span_rows(topology, r0, r1)
-            _span_weights(sides, topology, rows, r0, r1, scale, mu, out=t[e0:e1])
+        for rows, edges, span_cols, width in _spans(lv.topology, max(d, d_v + 1)):
+            t[edges] = t_span = _span_weights(sides, rows, span_cols, width, scale, mu)
             # Each edge's query's folded output and normalizer cotangents.
-            s = _query_dot(fold[:, :d_v], v.take(cols[e0:e1], axis=0), rows, r0, r1, width)
-            _less_query(s, fold[:, d_v], rows, r0, r1, width)
-            np.multiply(t[e0:e1], s, out=ds[e0:e1])
-            ds[e0:e1] /= scale
-            del s  # else it is alive next to the next span's gathers
+            f = _rows(fold, rows)
+            s = _query_dot(f[:, :d_v], v.take(span_cols, axis=0), width)
+            by_row = s.reshape(-1, width)
+            by_row -= f[:, d_v, None]
+            s *= t_span
+            s /= scale
+            ds[edges] = s
+            del s, by_row, t_span, f  # else alive next to the next span's gathers
         g = np.empty((lv.n_tokens, 2 * d + d_v))
         dq = g[:, :d]
         dq[:] = _product(indptr, cols, ds, sides.k)  # the key side

@@ -144,6 +144,25 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _width_classes(indptr: np.ndarray, indices: np.ndarray) -> tuple:
+    """A CSR topology's ``classes`` (see ``NeighborhoodTopology``): one stable
+    argsort of the row sizes and one ``_ranges`` over every row, cut at the
+    class bounds."""
+    sizes = np.diff(indptr)
+    if not sizes.size:
+        return ()
+    if (sizes == sizes[0]).all():
+        return ((slice(0, sizes.size), slice(0, indices.size), indices, int(sizes[0])),)
+    rows = np.argsort(sizes, kind="stable").astype(np.int32)
+    widths = sizes.take(rows)
+    edges = _ranges(indptr.take(rows), widths).astype(np.int32)
+    bounds = np.flatnonzero(np.diff(widths)) + 1
+    edge_bounds = np.cumsum(widths)[bounds - 1]
+    return tuple(zip(np.split(_readonly(rows), bounds), np.split(_readonly(edges), edge_bounds),
+                     np.split(_readonly(indices.take(edges)), edge_bounds),
+                     widths.take(np.concatenate(([0], bounds))).tolist()))
+
+
 @dataclass(frozen=True)
 class PointCloud:
     """N points in meters with optional per-point feature rows."""
@@ -174,24 +193,26 @@ class NeighborhoodTopology:
     order is canonical. Both arrays are held once, read-only and int32 (see
     ``_csr``), and the attention kernels multiply by them as they are.
 
-    ``width`` is the neighbor count every row shares, or 0 where rows
-    differ or there are none; it is derived here, never passed in. Over
-    rows of one width the kernels broadcast each query's rows instead of
-    gathering them edge by edge.
+    ``classes`` groups the rows by width, derived here and never passed
+    in: one ``(rows, edges, cols, width)`` per distinct row size, ascending,
+    whose ``rows`` hold ``width`` entries each, at positions ``edges`` of
+    ``indices``, row by row in entry order, and ``cols`` are those entries.
+    In a topology of one width (every kNN level) its one class is the
+    slices ``rows`` and ``edges`` and ``cols`` is ``indices`` itself; ragged
+    rows (voxel windows) hold read-only int32 arrays, ``rows`` ascending. Over
+    a class the kernels broadcast each query's rows across its edges.
     """
 
     indptr: np.ndarray  # (n_tokens + 1,) int32
     indices: np.ndarray  # (nnz,) int32
-    width: int = field(init=False)
+    classes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = np.size(self.indptr) - 1  # each neighbor is a token of the topology
         indptr, indices = map(_freeze, _csr(self.indptr, self.indices, "", n, n))
         object.__setattr__(self, "indptr", indptr)
         object.__setattr__(self, "indices", indices)
-        sizes = np.diff(indptr)
-        object.__setattr__(self, "width",
-                           int(sizes[0]) if sizes.size and (sizes == sizes[0]).all() else 0)
+        object.__setattr__(self, "classes", _width_classes(indptr, indices))
 
     @property
     def n_tokens(self) -> int:

@@ -7,7 +7,7 @@ coarsened q/k/v rows. The structure (everything but q/k/v) depends only on
 geometry: ``attention_structure`` builds it once, with levels that hold q,
 k and v of width 0, and ``with_values`` gives it values, re-coarsened
 through the same structure as one mean over each level's pooling map
-(``segment_mean``'s arithmetic) for all the new arrays side by side.
+(``segment_mean``'s arithmetic) per new array.
 ``build_hierarchy`` is the two in turn.
 """
 
@@ -86,14 +86,6 @@ def _pooled(values: np.ndarray, indptr: np.ndarray, indices: np.ndarray) -> np.n
     scaled = _product(part_indptr, order, np.ones(part.shape[0]), part)
     means[bad] = (scaled / sizes[:, None] * scale)[bad[hit]]
     return means
-
-
-def _split_columns(means: np.ndarray, parts: list) -> list:
-    """Pooled rows of ``parts`` side by side, split back into one C-contiguous
-    array per part. Pooling sums each column on its own, so the arrays of a
-    level pool through one product, whose fixed cost they then share."""
-    return [np.ascontiguousarray(a)
-            for a in np.hsplit(means, np.cumsum([p.shape[1] for p in parts[:-1]]))]
 
 
 def segment_mean(values: np.ndarray, indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -264,9 +256,14 @@ class Hierarchy:
             object.__setattr__(self, name, _integer(getattr(self, name), name, lo))
         if not self.levels:
             raise InvalidInputError("hierarchy has no levels")
+        widths = self.levels[0].q_tilde.shape[1], self.levels[0].v_tilde.shape[1]
         for h, lv in enumerate(self.levels):
             if lv.level_index != h:
                 raise InvalidInputError(f"level {h} has level_index {lv.level_index}")
+            if (lv.q_tilde.shape[1], lv.v_tilde.shape[1]) != widths:  # k is as wide as q
+                raise InvalidInputError(
+                    f"level {h} holds q, k of width {lv.q_tilde.shape[1]} and v of width"
+                    f" {lv.v_tilde.shape[1]}; level 0 holds {widths[0]} and {widths[1]}")
         for h in range(len(self.levels) - 1):
             fine, coarse = self.levels[h], self.levels[h + 1]
             if coarse.n_tokens >= fine.n_tokens:
@@ -478,12 +475,10 @@ def with_values(
     if not new_rows:
         return hierarchy
     levels = [_shared(hierarchy.levels[0], **new_rows)]
-    names, parts = list(new_rows), list(new_rows.values())
-    means = np.hstack(parts)
-    for lv in hierarchy.levels[1:]:  # each coarser level pools the one below
-        means = _pooled(means, lv.pool_indptr, lv.pool_indices)
-        levels.append(_shared(lv, **{name: _readonly(a)
-                                     for name, a in zip(names, _split_columns(means, parts))}))
+    for lv in hierarchy.levels[1:]:  # each coarser level pools the one below, array by array
+        new_rows = {name: _readonly(_pooled(a, lv.pool_indptr, lv.pool_indices))
+                    for name, a in new_rows.items()}
+        levels.append(_shared(lv, **new_rows))
     return _shared(hierarchy, levels=tuple(levels))
 
 

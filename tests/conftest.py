@@ -1,4 +1,5 @@
-"""The summation oracle the sum tests share, as fixtures."""
+"""What several test modules share, as fixtures: the summation oracle of
+the sum tests, and voxel cells whose windows take every width."""
 
 import numpy as np
 import pytest
@@ -41,3 +42,15 @@ def loop_sums():
 @pytest.fixture
 def loop_transposed_sums():
     return _loop_transposed_sums
+
+
+@pytest.fixture
+def every_width_cells():
+    """Voxel cells, shuffled, whose 3 x 3 x 3 windows take every width from
+    1 to 27: group w is a centre cell and w - 1 cells around it, 6 cells
+    from the next group, so the centre's window holds w cells."""
+    block = np.stack(np.meshgrid(*[np.arange(3)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+    around = block[~(block == 1).all(axis=1)]
+    cells = np.vstack([np.vstack([[1, 1, 1], around[:w - 1]]) + [6 * w, 0, 0]
+                       for w in range(1, 28)])
+    return cells[np.random.default_rng(40).permutation(cells.shape[0])]

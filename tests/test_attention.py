@@ -800,13 +800,18 @@ def test_level_spans_keep_every_bit(monkeypatch, flavor, mode):
         return (fwd.z, fwd.normalizers, loc.z, loc.normalizers, *gha_backward(h, dz, emb, mode),
                 effective_attention_row(h, 5, emb, mode))
 
-    monkeypatch.setattr(attention_mod, "_SPAN_ELEMENTS", 1 << 40)  # one span per level
+    monkeypatch.setattr(attention_mod, "_SPAN_ELEMENTS", 1 << 40)  # one span per width class
     whole = outputs()
     assert lv.topology.sizes.max() > 3
     for budget in (1, 3 * d, 40 * d):  # 1, 3 and 40 edges a span
         monkeypatch.setattr(attention_mod, "_SPAN_ELEMENTS", budget)
-        spans = list(attention_mod._row_spans(lv.topology.indptr, d))
-        assert len(spans) > 1 and spans[0][0] == 0 and spans[-1][1] == lv.n_tokens
+        spans = list(attention_mod._spans(lv.topology, d))
+        assert len(spans) > len(lv.topology.classes)
+        # The spans cover every row and every edge once.
+        rows = np.concatenate([np.arange(lv.n_tokens)[r] for r, *_ in spans])
+        edges = np.concatenate([np.arange(lv.topology.total_edges)[e] for _, e, *_ in spans])
+        assert sorted(rows) == list(range(lv.n_tokens))
+        assert sorted(edges) == list(range(lv.topology.total_edges))
         for got, want in zip(outputs(), whole):
             assert np.array_equal(got, want)
 
@@ -1049,48 +1054,93 @@ def test_dense_relative_reference_matches_its_per_edge_form():
 # Rows of one width
 # ---------------------------------------------------------------------------
 
-def gathered(h):
-    """``h`` with every level's derived row width zeroed: each span gathers
-    its query rows edge by edge instead of broadcasting them."""
-    for lv in h.levels:
-        object.__setattr__(lv.topology, "width", 0)
-    return h
+def gathered_level(lv, sides, scale, mu=None):
+    """A level's row maxima (these, where given) and edge weights t, every
+    edge gathering its own query's rows: the oracle of the width classes,
+    whose spans broadcast each query's rows over its edges."""
+    topology = lv.topology
+    rows = np.repeat(np.arange(lv.n_tokens), topology.sizes)
+    cols = topology.indices
+    s = np.einsum("ed,ed->e", sides.q.take(rows, axis=0), sides.k.take(cols, axis=0))
+    if sides.k_rot is not None:
+        s += np.einsum("ed,ed->e", sides.q_rot.take(rows, axis=0), sides.k_rot.take(cols, axis=0))
+    s /= scale
+    if mu is None:
+        mu = np.maximum.reduceat(s, topology.indptr[:-1])
+    return rows, mu, np.exp(s - mu.take(rows))
 
 
-def width_structure(flavor, d):
+def gathered_gradients(h, dz, emb, mode):
+    """``gha_backward`` after a forward, with every edge's t and ds made from
+    per-edge gathers (``gathered_level``), on the package's fold, products
+    and pull-back."""
+    import gha3d.attention as attention_mod
+
+    held, d = h.forward_pass, h.levels[0].q_tilde.shape[1]
+    c = np.column_stack([dz / held.d_hat[:, None],
+                         np.einsum("qd,qd->q", dz, held.z) / held.d_hat])
+    per_level = []
+    for lv, mu, fold, q_rot in zip(h.levels, held.mu, attention_mod._fold(h, held.mu, held.m_q, c),
+                                   held.q_rot):
+        sides = attention_mod._scored(lv.q_tilde, lv.k_tilde,
+                                      attention_mod._kept_term(lv, emb, mode), mode, q_rot)
+        rows, _, t = gathered_level(lv, sides, math.sqrt(d), mu)
+        indptr, cols, d_v = lv.topology.indptr, lv.topology.indices, lv.v_tilde.shape[1]
+        s = np.einsum("ed,ed->e", fold[:, :d_v].take(rows, axis=0), lv.v_tilde.take(cols, axis=0))
+        s -= fold[:, d_v].take(rows)
+        ds = t * s / math.sqrt(d)
+        dq = attention_mod._product(indptr, cols, ds, sides.k)
+        if sides.k_rot is not None:
+            dq += attention_mod._rotated(attention_mod._product(indptr, cols, ds, sides.k_rot),
+                                         sides.k_rot)
+        dk = attention_mod._transposed_product(indptr, cols, ds, sides.q, lv.n_tokens)
+        dv = attention_mod._transposed_product(indptr, cols, t, fold, lv.n_tokens)[:, :d_v]
+        per_level.append(np.hstack([dq, dk, dv]))
+    return np.hsplit(attention_mod._pull_back(h, per_level), [d, 2 * d])
+
+
+def width_structure(flavor, d, cells=None):
     """The point structure of ``span_structure`` (rows of 6 at every level),
-    or a 4 x 4 x 4 voxel block: windows of 8 to 27 cells at level 0, and
-    the 2 x 2 x 2 cells of level 1, each window holding all 8."""
+    a 4 x 4 x 4 voxel block (windows of 8 to 27 cells at level 0, and the
+    2 x 2 x 2 cells of level 1, each window holding all 8), or a voxel
+    structure over ``cells``."""
     if flavor == "point":
         return span_structure(flavor, d)
     rng = np.random.default_rng(39)
     coords = np.stack(np.meshgrid(*[np.arange(4)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
-    coords = coords[rng.permutation(64)]
-    q, k, v, _ = rand_inputs(rng, 64, d)
+    coords = coords[rng.permutation(64)] if cells is None else cells
+    q, k, v, _ = rand_inputs(rng, coords.shape[0], d)
     return build_hierarchy(coords + 0.5, q, k, v, flavor="voxel", coords=coords)
 
 
-@pytest.mark.parametrize("flavor", ["point", "voxel"])
+@pytest.mark.parametrize("flavor", ["point", "voxel", "every_width"])
 @pytest.mark.parametrize("mode", ["none", "absolute", "relative"])
-def test_rows_of_one_width_broadcast_with_the_same_bits(flavor, mode):
-    # Levels whose rows share one width (every kNN level, and here a voxel
-    # level of one full window per cell) broadcast each query's q, Q', row
-    # maximum and folded cotangents; with the width zeroed they gather
-    # them: z, the gradients and effective rows keep every bit.
+def test_rows_of_one_width_broadcast_with_the_same_bits(flavor, mode, every_width_cells):
+    # Each width class (every kNN level, a voxel level's windows of one
+    # size) broadcasts each query's q, Q', row maximum and folded
+    # cotangents over its edges: the forward's row maxima and edge weights
+    # and the gradients keep the bits of a pass that gathers them edge by
+    # edge, on windows of up to 27 cells and of every width from 1 to 27.
+    import gha3d.attention as attention_mod
+
     d = 4
     emb = make_fourier_embedding(d, np.random.default_rng(62)) if mode != "none" else None
-    broadcast = width_structure(flavor, d)
-    dz = np.random.default_rng(63).normal(size=(broadcast.n_tokens, d))
-
-    def outputs(h):
-        fwd = gha_forward(h, emb, mode)
-        return (fwd.z, fwd.normalizers, *gha_backward(h, dz, emb, mode),
-                effective_attention_row(h, 5, emb, mode))
-
-    widths = [lv.topology.width for lv in broadcast.levels]
-    assert widths == ([6] * 5 if flavor == "point" else [0, 8])
-    for got, want in zip(outputs(gathered(width_structure(flavor, d))), outputs(broadcast),
-                         strict=True):
+    h = width_structure("voxel" if flavor == "every_width" else flavor, d,
+                        every_width_cells if flavor == "every_width" else None)
+    dz = np.random.default_rng(63).normal(size=(h.n_tokens, d))
+    widths = [[w for *_, w in lv.topology.classes] for lv in h.levels]
+    if flavor == "point":
+        assert widths == [[6]] * 5
+    else:
+        assert widths[0] == (list(range(1, 28)) if flavor == "every_width" else [8, 12, 18, 27])
+    held, weights = attention_mod._edge_weights(h, emb, mode)
+    for lv, mu, t in zip(h.levels, held.mu, weights, strict=True):
+        sides = attention_mod._scored(lv.q_tilde, lv.k_tilde,
+                                      attention_mod._kept_term(lv, emb, mode), mode)
+        _, want_mu, want_t = gathered_level(lv, sides, math.sqrt(d))
+        assert mu.tobytes() == want_mu.tobytes() and t.tobytes() == want_t.tobytes()
+    oracle = gathered_gradients(h, dz, emb, mode)
+    for got, want in zip(gha_backward(h, dz, emb, mode), oracle, strict=True):
         assert got.tobytes() == want.tobytes()
 
 
@@ -1100,12 +1150,12 @@ def test_a_topology_with_no_rows_constructs_and_runs(mode):
     from gha3d.geometry import NeighborhoodTopology
 
     topology = NeighborhoodTopology(indptr=np.array([0]), indices=np.zeros(0, np.int64))
-    assert topology.width == 0
+    assert topology.classes == ()
     empty = np.zeros((0, 4))
     term = None if mode == "none" else empty
     sides = attention_mod._scored(empty, empty, term, mode)
-    mu, denom, y = attention_mod._level_softmax(sides, empty, topology, 2.0)
-    assert mu.shape == denom.shape == (0,) and y.shape == (0, 4)
+    mu, denom, y, t = attention_mod._level_softmax(sides, empty, topology, 2.0)
+    assert mu.shape == denom.shape == t.shape == (0,) and y.shape == (0, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,22 @@ def test_kernels_cell_reports_the_structure_it_timed(bench):
     assert fig["structure_mib"] * 2**20 == bench.structure_bytes(h) == sum(a.nbytes for a in held)
 
 
+def test_structure_size_counts_the_width_classes(bench, every_width_cells):
+    # Ragged windows hold their width classes in three int32 arrays, rows
+    # and two per edge; a one-width topology's classes view its own map.
+    h = hierarchy.attention_structure(every_width_cells + 0.5, flavor="voxel",
+                                      coords=every_width_cells)
+    held = [a for lv in h.levels
+            for a in (lv.positions, lv.topology.indptr, lv.topology.indices, lv.parent_of,
+                      lv.coords, lv.order, lv.pool_indptr, lv.pool_indices, lv.pull_indptr,
+                      lv.pull_indices)
+            if a is not None]
+    ragged = [lv for lv in h.levels if len(lv.topology.classes) > 1]
+    assert ragged
+    classes = sum(4 * lv.n_tokens + 8 * lv.topology.total_edges for lv in ragged)
+    assert bench.structure_bytes(h) == sum(a.nbytes for a in held) + classes
+
+
 def test_child_cell_runs_the_named_tree(bench):
     fig = bench.run_cell("build", str(ROOT / "src"), "distinct10/600")
     assert fig["levels"] == bench.build("distinct10", 600)["levels"]

@@ -717,28 +717,42 @@ def test_window_rejects_duplicate_cells():
         kernel_window_topology(dup)
 
 
-def test_topology_rows_name_each_edges_token():
-    # A topology holds its map once, as read-only int32 arrays, and the
-    # width its rows share (0 where they differ or there are none); the
-    # kernels derive a ragged span's rows (each edge's token) from its indptr.
-    from gha3d.attention import _span_rows
-
+def test_topology_rows_name_each_edges_token(every_width_cells):
+    # A topology holds its map once, as read-only int32 arrays, and its rows
+    # in width classes that split the rows and the edges exactly: a class's
+    # rows (ascending) each hold its width of entries, at its edges, in
+    # entry order, and its cols are those entries. One width is one class of
+    # slices over the map itself, so nothing is copied.
     rng = np.random.default_rng(6)
     coords = np.unique(rng.integers(0, 4, size=(30, 3)), axis=0)
-    cases = ((kernel_window_topology(coords), 0), (knn(PointCloud(rng.normal(size=(40, 3))), 5), 5),
-             (NeighborhoodTopology(indptr=[0, 2, 3, 4], indices=[0, 2, 2, 1]), 0),
-             (NeighborhoodTopology(indptr=[0, 2, 4], indices=[0, 1, 1, 0]), 2),
-             (NeighborhoodTopology(indptr=[0], indices=np.zeros(0, np.int64)), 0))
-    for topo, width in cases:
+    cases = ((kernel_window_topology(coords), None),
+             (kernel_window_topology(every_width_cells), list(range(1, 28))),
+             (knn(PointCloud(rng.normal(size=(40, 3))), 5), [5]),
+             (NeighborhoodTopology(indptr=[0, 2, 3, 4], indices=[0, 2, 2, 1]), [1, 2]),
+             (NeighborhoodTopology(indptr=[0, 2, 4], indices=[0, 1, 1, 0]), [2]),
+             (NeighborhoodTopology(indptr=[0], indices=np.zeros(0, np.int64)), []))
+    for topo, widths in cases:
         for a in (topo.indptr, topo.indices):
             assert a.dtype == np.int32 and not a.flags.writeable
-        assert topo.width == width
-        object.__setattr__(topo, "width", 0)  # every span ragged
-        want = [i for i in range(topo.n_tokens) for _ in topo.neighbors(i)]
-        np.testing.assert_array_equal(_span_rows(topo, 0, topo.n_tokens), want)
-        if topo.n_tokens > 2:  # a span's rows keep their own numbers
-            np.testing.assert_array_equal(
-                _span_rows(topo, 1, 3), [i for i in (1, 2) for _ in topo.neighbors(i)])
+        got = [width for *_, width in topo.classes]
+        assert got == sorted(set(topo.sizes.tolist())) == (got if widths is None else widths)
+        if len(topo.classes) == 1:
+            rows, edges, cols, width = topo.classes[0]
+            assert (rows, edges) == (slice(0, topo.n_tokens), slice(0, topo.total_edges))
+            assert cols is topo.indices
+            continue
+        want_edges = []
+        for rows, edges, cols, width in topo.classes:
+            for a in (rows, edges, cols):
+                assert a.dtype == np.int32 and not a.flags.writeable
+            assert np.all(np.diff(rows) > 0) and np.all(topo.sizes[rows] == width)
+            rows_edges = [e for i in rows for e in range(topo.indptr[i], topo.indptr[i + 1])]
+            assert edges.tolist() == rows_edges
+            assert np.array_equal(cols, topo.indices[edges])
+            want_edges += rows_edges
+        all_rows = [i for rows, *_ in topo.classes for i in rows.tolist()]
+        assert sorted(all_rows) == list(range(topo.n_tokens))
+        assert sorted(want_edges) == list(range(topo.total_edges))
 
 
 def test_sparse_maps_of_2_31_entries_or_tokens_are_refused():

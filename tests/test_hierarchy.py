@@ -136,11 +136,14 @@ def make_voxel_level(coords, q, k_mat, v, positions=None):
 def voxel_step(level, rows):
     """``coarsen_voxel``'s step on ``level``, its parent map, and the level
     over it holding ``rows`` as q, k and v pooled through ``with_values``:
-    the step pools positions only, so its coarse level holds no values."""
+    the step pools positions only, so its coarse level holds no values, and
+    the two levels join as a structure, level 0 without values too."""
     coarse, parent_of = coarsen_voxel(level)
     assert coarse.q_tilde.shape == coarse.k_tilde.shape == coarse.v_tilde.shape == \
         (coarse.n_tokens, 0)
-    h = Hierarchy("voxel", VOXEL_WINDOW_K, 2, (replace(level, parent_of=parent_of), coarse))
+    bare = np.empty((level.n_tokens, 0))
+    fine = replace(level, parent_of=parent_of, q_tilde=bare, k_tilde=bare, v_tilde=bare)
+    h = Hierarchy("voxel", VOXEL_WINDOW_K, 2, (fine, coarse))
     return coarse, parent_of, with_values(h, rows, rows, rows).levels[1]
 
 
@@ -435,15 +438,18 @@ def test_pooling_product_keeps_the_gathered_sums_bits(case, loop_sums):
 
 def test_level_derives_its_product_maps_once():
     # Levels copied for new values, truncation or a parent map share the
-    # maps: the topology the kernels multiply by, with its row width, and
-    # the pull-back map, which lists the pooling groups in the level's order.
+    # maps: the topology the kernels multiply by, with its width classes,
+    # and the pull-back map, which lists the pooling groups in the level's
+    # order.
     h = _pooling_structure("k4")
     fresh = with_values(h, v=np.ones((300, 3)))
     for lv, fl in zip(h.levels, fresh.levels):
         assert fl.topology is lv.topology
         assert fl.pull_indptr is lv.pull_indptr and fl.pull_indices is lv.pull_indices
         assert fl.pool_indices is lv.pool_indices and fl.pool_indptr is lv.pool_indptr
-        assert lv.topology.width == min(4, lv.n_tokens)  # rows of k, or of every token
+        # One class, rows of k or of every token, over the map itself.
+        (rows, edges, cols, width), = fl.topology.classes
+        assert width == min(4, lv.n_tokens) and cols is lv.topology.indices
     assert h.levels[0].pull_indptr is None and h.levels[0].pull_indices is None
     coarse = h.levels[2]
     groups = [coarse.pool_indices[coarse.pool_indptr[i]:coarse.pool_indptr[i + 1]].tolist()
@@ -679,6 +685,27 @@ def test_hierarchy_rejects_a_level_index_out_of_place(small_point_hierarchy):
     h = small_point_hierarchy
     with pytest.raises(InvalidInputError, match="level_index"):
         Hierarchy(**_swap_level(h, 2, level_index=7))
+
+
+@pytest.mark.parametrize("case", ["bare_coarse", "wider_q", "wider_v"])
+def test_hierarchy_rejects_levels_of_other_value_widths(small_point_hierarchy, case):
+    # Every level holds level 0's q, k and v widths: a level with values
+    # joined to a bare structure's coarse levels, or a coarse level of
+    # other widths, is refused as it is made, not by numpy in a pass.
+    h = small_point_hierarchy
+    if case == "bare_coarse":
+        bare = attention_structure(h.levels[0].positions, flavor="point", k=4)
+        levels = dict(flavor=h.flavor, neighborhood_k=h.neighborhood_k,
+                      coarsen_ratio=h.coarsen_ratio, levels=(h.levels[0], *bare.levels[1:]))
+    else:
+        lv = h.levels[2]
+        name = "q_tilde" if case == "wider_q" else "v_tilde"
+        wider = {name: np.hstack([getattr(lv, name)] * 2)}
+        if case == "wider_q":
+            wider["k_tilde"] = np.hstack([lv.k_tilde] * 2)
+        levels = _swap_level(h, 2, **wider)
+    with pytest.raises(InvalidInputError, match="level 0 holds 2 and 2"):
+        Hierarchy(**levels)
 
 
 @pytest.mark.parametrize("case", ["negative", "too_large", "short", "two_d"])

@@ -25,7 +25,8 @@ SRC CASE``), trees interleaved; the JSON keeps each figure's median. A case
   ``gha_backward`` on a fresh ``with_values`` copy (made untimed), which
   holds no pass, so it runs its own forward. ``structure_mib`` is the size
   of the built structure (``structure_bytes``): every array its levels hold,
-  the topologies and maps included, each buffer counted once.
+  the topologies (with their width classes) and maps included, each buffer
+  counted once.
 
 The record's ``command`` holds no machine path: a tree inside the working
 directory is written relative to it, any other as ``<label checkout>/`` and
@@ -95,8 +96,9 @@ def build(cloud: str, n: int) -> dict:
 
 def structure_bytes(h) -> int:
     """The bytes of every array a structure's levels hold, through their
-    fields and topologies (the positional memo aside), each buffer counted
-    once however many arrays view it."""
+    fields, topologies and the tuples in them (a topology's width classes;
+    the positional memo aside), each buffer counted once however many arrays
+    view it."""
     owners = {}
 
     def visit(x):
@@ -104,6 +106,9 @@ def structure_bytes(h) -> int:
             while isinstance(x.base, np.ndarray):
                 x = x.base
             owners[id(x)] = x
+        elif isinstance(x, tuple):
+            for item in x:
+                visit(item)
         elif dataclasses.is_dataclass(x):
             for f in dataclasses.fields(x):
                 if f.name != "positional":
