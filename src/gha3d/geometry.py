@@ -95,8 +95,9 @@ def _index_map(a, rule: str, n: int | None = None, length: int | None = None,
     raise InvalidInputError(f"{rule}{'' if n is None else f' in [0, {n})'}, got {got}")
 
 
-# Sparse maps are int32, the index dtype SciPy multiplies in (it would
-# convert int64 ones on every product): fewer than 2^31 entries and tokens.
+# Sparse maps are int32, one index dtype for both arrays, which SciPy's
+# kernel reads as they are (it would convert a mixed pair on every product)
+# at half an int64 map's bytes: fewer than 2^31 entries and tokens.
 _INDEX_LIMIT = 1 << 31
 
 

@@ -901,10 +901,13 @@ def test_sums_by_product_keep_every_bit(monkeypatch, case, mode, loop_sums,
 
 
 def test_forward_edge_temporaries_do_not_grow_with_the_level():
-    # The level kernel holds its per-edge temporaries one row span at a
-    # time: doubling k doubles the edges but not the forward's peak,
-    # which stays within a few N x d_v arrays (a span's temporaries are
-    # N x d_v-sized here: 2^17 elements at N = 2^14, d_v = 8).
+    # One thing per edge is level-wide: a level's edge weights t, E floats,
+    # live whole from its spans through its softmax product. The rest of
+    # the per-edge temporaries (gathered key and value rows, scores) live
+    # one row span at a time, each within 2^17 elements (``_SPAN_ELEMENTS``,
+    # N x d_v here at N = 2^14, d_v = 8). So doubling k doubles t (1 MB at
+    # k=8) but not the span temporaries, and the forward's peak stays within
+    # a few N x d_v arrays.
     rng = np.random.default_rng(34)
     n, d = 16384, 8
     q, k, v = (rng.normal(size=(n, d)) for _ in range(3))

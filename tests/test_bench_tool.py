@@ -69,6 +69,35 @@ def test_kernels_cell_reports_the_structure_it_timed(bench):
     assert fig["structure_mib"] * 2**20 == bench.structure_bytes(h) == sum(a.nbytes for a in held)
 
 
+def test_kernels_cell_times_each_kernel_after_an_untimed_call(bench, monkeypatch):
+    # The table is timed on its one first call; every other kernel runs once
+    # untimed, then CALLS timed calls, and forward and backward once more
+    # for the peak. The backward after the forward reads its pass; the
+    # backward alone runs on a fresh with_values copy, which holds none.
+    from gha3d import attention
+    calls = []
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            held = args[0].forward_pass is not None
+            calls.append((name, held) if name == "gha_backward" else name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((attention, "positional_table"), (hierarchy, "with_values"),
+                         (attention, "gha_forward"), (attention, "gha_backward")):
+        counted(module, name)
+    bench.kernels("uniform", 600)
+    runs = 1 + bench.CALLS
+    assert bench.CALLS == 3
+    assert calls == (["with_values", "positional_table"]  # the build's, then the table
+                     + ["with_values"] * runs + ["gha_forward"] * (runs + 1)
+                     + [("gha_backward", True)] * (runs + 1)
+                     + ["with_values", ("gha_backward", False)] * runs)
+
+
 def test_structure_size_counts_the_width_classes(bench, every_width_cells):
     # Ragged windows hold their width classes in three int32 arrays, rows
     # and two per edge; a one-width topology's classes view its own map.

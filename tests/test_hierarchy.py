@@ -3,6 +3,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from gha3d.attention import AttentionInputs, FourierEmbedding
 from gha3d.block import BlockConfig, init_params
@@ -22,6 +23,7 @@ from gha3d.hierarchy import (
     HierarchyLevel,
     _pooled,
     _product,
+    _transposed_product,
     attention_structure,
     build_hierarchy,
     children_of,
@@ -374,6 +376,68 @@ def test_products_sum_signed_zero_groups_to_plus_zero(weighted, loop_sums):
     gathered = np.add.reduceat(x.take(indices, axis=0) * data[:, None], indptr[:-1], axis=0)
     assert np.signbit(gathered[signed_zero]).all()
     assert np.abs(got - gathered).max() <= 1e-14 * np.abs(gathered).max()
+
+
+@pytest.mark.parametrize("width", [0, 1, 2, 9, 25])
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+def test_products_keep_the_bits_of_scipys_matrix_products(index_dtype, width):
+    # The two products call SciPy's compiled kernel on the map's own
+    # arrays, with no matrix built: the shape, dtype and bytes of
+    # csr_matrix @ x and csc_matrix @ x over the same arrays, for empty rows,
+    # output columns that no entry reaches (5 and 40-49), groups of -0.0 and
+    # an x that is a strided view.
+    rng = np.random.default_rng(48)
+    sizes = rng.integers(0, 7, size=70)
+    sizes[::6] = 0
+    indptr = np.concatenate(([0], np.cumsum(sizes))).astype(index_dtype)
+    indices = rng.integers(0, 40, size=indptr[-1]).astype(index_dtype)
+    indices[indices == 5] = 6
+    for g in range(1, 70, 5):  # rows that read only the -0.0 rows 0-3 of x
+        indices[indptr[g]:indptr[g + 1]] = rng.integers(0, 4, size=sizes[g])
+    for g in range(0, 70, 7):  # output 40 sums only the -0.0 rows of y
+        indices[indptr[g]:indptr[g + 1]] = 40
+    data = spread(rng, indptr[-1])
+    data[::9] = 0.0
+    for step in (1, 2):  # contiguous, then strided views
+        x = spread(rng, (50, step * width))[:, ::step]
+        y = spread(rng, (70, step * width))[:, ::step]
+        x[:4] = -0.0
+        y[::7] = -0.0
+        for got, want in ((_product(indptr, indices, data, x),
+                           sparse.csr_matrix((data, indices, indptr), shape=(70, 50)) @ x),
+                          (_transposed_product(indptr, indices, data, y, 50),
+                           sparse.csc_matrix((data, indices, indptr), shape=(50, 70)) @ y)):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+
+def test_products_refuse_a_short_map_before_the_kernel_reads_it(monkeypatch):
+    # SciPy's O(1) checks stay: the kernel does not bounds-check, so a map
+    # whose arrays disagree in length, or an x of the wrong row count, raises
+    # ValueError and the kernel is never reached.
+    import gha3d.hierarchy as hierarchy_mod
+
+    reached = []
+
+    class Kernels:
+        def __getattr__(self, name):
+            reached.append(name)
+            raise AssertionError(name)
+
+    monkeypatch.setattr(hierarchy_mod, "_sparsetools", Kernels())
+    indptr, indices = np.array([0, 2, 4], np.int32), np.array([0, 1, 1, 0], np.int32)
+    x = np.ones((2, 3))
+    for args, match in (
+            ((indptr, indices, np.ones(3)), "same size"),  # data shorter than indices
+            ((np.array([0, 2, 5], np.int32), indices, np.ones(4)), "last value"),
+            ((np.array([1, 2, 4], np.int32), indices, np.ones(4)), "start with 0"),
+            ((np.zeros(0, np.int32), indices, np.ones(4)), "start with 0")):
+        for product in (_product, lambda *a: _transposed_product(*a, 2)):
+            with pytest.raises(ValueError, match=match):
+                product(*args, x)
+    with pytest.raises(ValueError, match="rows"):
+        _transposed_product(indptr, indices, np.ones(4), np.ones((3, 3)), 2)
+    assert reached == []
 
 
 def loop_means(values, indptr, indices, loop_sums):

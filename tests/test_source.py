@@ -1,9 +1,10 @@
 """Source hygiene of the package modules, checked with the stdlib ``ast``:
 no unused imports, no unreferenced module-level private definitions, one
 finiteness check for caller arrays, one range check for caller integers,
-two sparse products for every sum over a sparse map (no reduceat sum), one
-arithmetic for every squared distance in the geometry and one helper for
-every level score; one writer for each piece of state a structure keeps; no
+two sparse products over one compiled-kernel call for every sum over a
+sparse map (no sparse matrix built, no reduceat sum), one arithmetic for
+every squared distance in the geometry and one helper for every level
+score; one writer for each piece of state a structure keeps; no
 kernel gather by an index map through fancy indexing; and every package
 name the benchmark's workloads call still resolves."""
 
@@ -135,16 +136,24 @@ def test_only_the_integer_check_reads_and_bounds_integers():
     assert bounders == {"geometry.py:_integer"}
 
 
+# SciPy's sparse containers, each of which a product could build per call.
+SPARSE_CONTAINERS = {f"{fmt}_{kind}" for fmt in ("bsr", "coo", "csc", "csr", "dia", "dok", "lil")
+                     for kind in ("matrix", "array")}
+
+
 def test_only_the_transposed_product_scatters():
     """Every sum over a sparse map is one of the two products in
     hierarchy.py, which add from +0.0 in entry order: ``_product`` (A x:
     the pooling, the forward's y and denominators, dq) and
-    ``_transposed_product`` (A^T x, every adjoint scatter). Only hierarchy.py
-    imports ``scipy.sparse``, no other function reads it, and no
-    ``np.add.reduceat`` sum, ``np.bincount`` or ``np.add.at`` scatter is left
-    in the kernels, the pooling or the analysis (a row maximum stays a
-    ``np.maximum.reduceat``: a max is exact in any order)."""
-    importers, readers, scatters = set(), set(), []
+    ``_transposed_product`` (A^T x, every adjoint scatter). Both are
+    ``_kernel_product``, the one function that reads SciPy's compiled
+    ``_sparsetools`` kernels. Only hierarchy.py imports from
+    ``scipy.sparse``, no module names a sparse matrix or array container
+    (none is built per call), and no ``np.add.reduceat`` sum, ``np.bincount``
+    or ``np.add.at`` scatter is left in the kernels, the pooling or the
+    analysis (a row maximum stays a ``np.maximum.reduceat``: a max is exact
+    in any order)."""
+    importers, readers, containers, scatters = set(), set(), [], []
     for path in sorted(SRC.glob("*.py")):
         tree = _tree(path)
         for node in ast.walk(tree):
@@ -157,14 +166,21 @@ def test_only_the_transposed_product_scatters():
                 importers.add(path.name)
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 readers.update(f"{path.name}:{node.name}" for inner in ast.walk(node)
-                               if (isinstance(inner, ast.Name) and inner.id == "sparse")
-                               or (isinstance(inner, ast.Attribute) and inner.attr == "sparse"))
+                               if (isinstance(inner, ast.Name) and inner.id == "_sparsetools")
+                               or (isinstance(inner, ast.Attribute)
+                                   and inner.attr == "_sparsetools"))
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute) else None)
+            if name in SPARSE_CONTAINERS or (isinstance(node, ast.ImportFrom) and any(
+                    a.name in SPARSE_CONTAINERS for a in node.names)):
+                containers.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
             if (path.name in ("attention.py", "analysis.py", "hierarchy.py")
                     and isinstance(node, ast.Attribute)
                     and ast.unparse(node) in ("np.bincount", "np.add.at", "np.add.reduceat")):
                 scatters.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
     assert importers == {"hierarchy.py"}
-    assert readers == {"hierarchy.py:_product", "hierarchy.py:_transposed_product"}
+    assert readers == {"hierarchy.py:_kernel_product"}
+    assert containers == []
     assert scatters == []
 
 

@@ -14,19 +14,20 @@ SRC CASE``), trees interleaved; the JSON keeps each figure's median. A case
   the structure's position pooling and topologies' bookkeeping, then
   ``with_values``' pooling of q, k and v.
 - ``kernels`` (seed 19; relative mode, d=8, the positional terms kept on
-  the structure, after one untimed forward): the wall time of the case's
-  structure's first ``positional_table`` (``table_s``, the terms it then
-  keeps), of one
-  ``with_values(h, q, k, v)`` re-pooling (``with_values_s``) and of one
-  ``gha_forward`` or ``gha_backward`` (``*_s``), and the tracemalloc peak
-  of one more call (``*_peak_mb``), on uniform clouds and on the
-  ``voxel_infer`` scene (100k points at 1 cm). The backward reads the pass
-  the forward before it left; ``backward_alone_s`` is the wall time of one
-  ``gha_backward`` on a fresh ``with_values`` copy (made untimed), which
-  holds no pass, so it runs its own forward. ``structure_mib`` is the size
-  of the built structure (``structure_bytes``): every array its levels hold,
-  the topologies (with their width classes) and maps included, each buffer
-  counted once.
+  the structure): the wall time of the case's structure's first
+  ``positional_table`` (``table_s``, the terms it then keeps; a structure
+  pays it once), and of ``with_values(h, q, k, v)`` re-pooling
+  (``with_values_s``) and ``gha_forward`` or ``gha_backward`` (``*_s``),
+  each the median of 3 calls after one untimed call of the same kind, so
+  the first-touch page faults of a fresh interpreter stay out of them; then
+  the tracemalloc peak of one more call (``*_peak_mb``), on uniform clouds
+  and on the ``voxel_infer`` scene (100k points at 1 cm). The backward reads
+  the pass the forward before it left; ``backward_alone_s`` times
+  ``gha_backward`` on a fresh ``with_values`` copy per call (made untimed),
+  which holds no pass, so it runs its own forward. ``structure_mib`` is the
+  size of the built structure (``structure_bytes``): every array its levels
+  hold, the topologies (with their width classes) and maps included, each
+  buffer counted once.
 
 The record's ``command`` holds no machine path: a tree inside the working
 directory is written relative to it, any other as ``<label checkout>/`` and
@@ -51,6 +52,7 @@ sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
 from harness import THREAD_VARS
 
 REPEATS = 3
+CALLS = 3  # timed calls of each warm kernel in a kernels cell
 D, K, R = 8, 8, 2
 
 
@@ -119,6 +121,18 @@ def structure_bytes(h) -> int:
     return sum(a.nbytes for a in owners.values())
 
 
+def _warm_median(call, make=lambda: None) -> float:
+    """The median wall time of ``CALLS`` calls of ``call(make())`` after one
+    untimed call of the same kind; ``make`` runs untimed before each call."""
+    times = []
+    for _ in range(1 + CALLS):
+        arg = make()
+        t = time.perf_counter()
+        call(arg)
+        times.append(time.perf_counter() - t)
+    return statistics.median(times[1:])
+
+
 def kernels(cloud: str, n: int) -> dict:
     from gha3d import attention, hierarchy
     rng = np.random.default_rng(19)
@@ -132,27 +146,21 @@ def kernels(cloud: str, n: int) -> dict:
     t = time.perf_counter()
     attention.positional_table(h, emb, "relative")
     out["table_s"] = time.perf_counter() - t
-    t = time.perf_counter()
-    hierarchy.with_values(h, q, k, v)
-    out["with_values_s"] = time.perf_counter() - t
-    calls = {"forward": lambda: attention.gha_forward(h, emb, "relative"),
-             "backward": lambda: attention.gha_backward(h, dz, emb, "relative")}
-    calls["forward"]()
-    # Wall time of one call, then the peak of one more.
+    out["with_values_s"] = _warm_median(lambda _: hierarchy.with_values(h, q, k, v))
+    calls = {"forward": lambda _: attention.gha_forward(h, emb, "relative"),
+             "backward": lambda _: attention.gha_backward(h, dz, emb, "relative")}
+    # The timed calls, then the peak of one more.
     for name, call in calls.items():
-        t = time.perf_counter()
-        call()
-        out[name + "_s"] = time.perf_counter() - t
+        out[name + "_s"] = _warm_median(call)
         tracemalloc.start()
         try:
-            call()
+            call(None)
             out[name + "_peak_mb"] = tracemalloc.get_traced_memory()[1] / 2**20
         finally:
             tracemalloc.stop()
-    fresh = hierarchy.with_values(h, q, k, v)
-    t = time.perf_counter()
-    attention.gha_backward(fresh, dz, emb, "relative")
-    out["backward_alone_s"] = time.perf_counter() - t
+    out["backward_alone_s"] = _warm_median(
+        lambda fresh: attention.gha_backward(fresh, dz, emb, "relative"),
+        lambda: hierarchy.with_values(h, q, k, v))
     return {**out, "tokens": tokens, "edges": sum(lv.topology.total_edges for lv in h.levels)}
 
 
@@ -162,8 +170,9 @@ SUITES = {
     "build": (build, [f"{c}/{n}" for c in ("uniform", "scene", "distinct10") for n in SIZES],
               "build_hierarchy(positions, q, k, v, k=8, r=2), d=8, one BLAS thread"),
     "kernels": (kernels, [f"uniform/{n}" for n in SIZES] + ["voxel_scene/100000"],
-                "positional_table, with_values, gha_forward and gha_backward (after a forward,"
-                " and alone on a with_values copy), relative mode, d=8, positional terms kept"),
+                "positional_table (first call), then with_values, gha_forward and gha_backward"
+                " (after a forward, and alone on a with_values copy), each the median of 3 calls"
+                " after one untimed call; relative mode, d=8, positional terms kept"),
 }
 
 
