@@ -214,8 +214,12 @@ def block_forward(
 
     Layer wiring is pre-norm: x += MultiHeadGHA(LN1(x)); x += FFN(LN2(x)).
     Multi-head attention projects q/k/v with full c x c matrices, splits
-    the rows into n_heads contiguous groups, runs hierarchical attention
-    per head on the shared structure, concatenates, and output-projects.
+    each projection's columns into n_heads contiguous groups, runs
+    hierarchical attention per head on the shared structure, concatenates,
+    and output-projects. One head's values are held at a time: each
+    projection is cut into per-head arrays as soon as it is made, and a
+    head's arrays are dropped once its pass has copied them, so a layer
+    never holds its LayerNorm output or a whole projection next to a pass.
 
     mechanism selects the attention kernel: "gha" (default), "local"
     (hierarchy truncated to level 0), or "dense" (exact softmax, no
@@ -249,25 +253,31 @@ def block_forward(
             mode, emb = "none", None
 
         # In place where the bits allow: x @ w, then += b, is x @ w + b.
+        # Each projection is made whole (a product per head would round
+        # differently) and cut into one contiguous array per head at once.
         h = layer_norm(x, lp.ln1_gain, lp.ln1_shift)
-        q, k_rows, v = h @ lp.w_q, h @ lp.w_k, h @ lp.w_v
-        q += lp.b_q
-        k_rows += lp.b_k
-        v += lp.b_v
+        qs, ks, vs = [], [], []
+        for heads, w, b in ((qs, lp.w_q, lp.b_q), (ks, lp.w_k, lp.b_k), (vs, lp.w_v, lp.b_v)):
+            rows = h @ w
+            rows += b
+            heads.extend(np.ascontiguousarray(rows[:, i * ch:(i + 1) * ch])
+                         for i in range(config.n_heads))
+            del rows
+        del h
         head_outs = []
-        for head in range(config.n_heads):
-            sl = slice(head * ch, (head + 1) * ch)
+        for _ in range(config.n_heads):
+            # Popped, so each head's rows live only in the copy its pass reads.
             if mechanism == "dense":
                 head_outs.append(dense_attention(AttentionInputs(
-                    q=q[:, sl], k=k_rows[:, sl], v=v[:, sl], positions=positions,
+                    q=qs.pop(0), k=ks.pop(0), v=vs.pop(0), positions=positions,
                     embedding=emb, embedding_mode=mode,
                 )).z)
             else:
                 head_outs.append(gha_forward(
-                    with_values(structure, q=q[:, sl], k=k_rows[:, sl], v=v[:, sl]),
+                    with_values(structure, q=qs.pop(0), k=ks.pop(0), v=vs.pop(0)),
                     emb, mode).z)
         attn = np.concatenate(head_outs, axis=1) @ lp.w_o
-        del h, q, k_rows, v, head_outs  # else alive next to the FFN's temporaries
+        del head_outs  # else alive next to the FFN's temporaries
         attn += lp.b_o
         attn = _dropout(attn, config.attn_dropout, config, layer_idx, 0)
         attn += x  # never into x: the first layer's is the caller's

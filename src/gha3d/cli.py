@@ -268,11 +268,7 @@ def cmd_run(args) -> int:
         params = init_params(config)
     c = params.config.model_dim
 
-    if feats is None:
-        x = substream(args.seed, "features").normal(size=(n, c))
-    elif feats.shape[1] == c:
-        x = feats
-    else:
+    if feats is not None and feats.shape[1] != c:
         raise InvalidInputError(
             f"input features are {feats.shape[1]} wide but the block needs {c}"
         )
@@ -285,7 +281,11 @@ def cmd_run(args) -> int:
     if args.mechanism != "dense":
         structure = attention_structure(positions, flavor=args.flavor,
                                         k=args.k, r=args.r, coords=coords)
-    out = block_forward(x, positions, params, mechanism=args.mechanism, structure=structure)
+    # Seeded features are made in the call, so no name here keeps them
+    # alive once the first layer's residual has read them.
+    out = block_forward(substream(args.seed, "features").normal(size=(n, c)) if feats is None
+                        else feats, positions, params, mechanism=args.mechanism,
+                        structure=structure)
     wall = time.perf_counter() - t0
 
     if args.mechanism == "dense":

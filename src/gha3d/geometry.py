@@ -820,10 +820,12 @@ def kernel_window_topology(occupied: np.ndarray | SparseVoxelGrid) -> Neighborho
     return _window_topology(keys, order)
 
 
-# The step from a cell's packed key to each window neighbor's, in
-# lexicographic (dx, dy, dz) order, so the steps ascend.
-_WINDOW_STEPS = np.array([(dx << 42) + (dy << 21) + dz for dx, dy, dz
-                          in itertools.product((-1, 0, 1), repeat=3)], dtype=np.int64)
+# The step from a cell's packed key to the first key of each window column
+# (dz = -1) in lexicographic (dx, dy) order, so the steps ascend. The cell's
+# own column, (0, 0), is the fifth.
+_COLUMN_STEPS = np.array([(dx << 42) + (dy << 21) - 1 for dx, dy
+                          in itertools.product((-1, 0, 1), repeat=2)], dtype=np.int64)
+_OWN_COLUMN = 4
 
 
 def _window_topology(keys: np.ndarray, order: np.ndarray | None = None) -> NeighborhoodTopology:
@@ -831,12 +833,32 @@ def _window_topology(keys: np.ndarray, order: np.ndarray | None = None) -> Neigh
     ``order`` sorts (None: ascending already). A neighbor's key is the
     cell's key plus its step, exactly: each packed field holds coordinate +
     2^20, in [1, 2^21 - 1], so a +/-1 step stays in its field or leaves
-    that field 0, which no key holds (x past 2^21 - 1 turns the key negative).
-    Rows list hits in step order, by ascending cell coordinates."""
+    that field 0, which no key holds (x past 2^21 - 1 turns the key
+    negative). Rows list hits in step order, by ascending cell coordinates.
+
+    A window is 9 (dx, dy) columns of three consecutive keys (dz = -1, 0,
+    +1), so a column's present keys sit side by side among the sorted keys:
+    one search for its first key finds them all. The cell's own column
+    needs none: key - 1, when present, sits just before the cell."""
+    n = keys.shape[0]
     sorted_keys = keys if order is None else keys[order]
-    probe = keys[:, None] + _WINDOW_STEPS
-    loc = np.minimum(np.searchsorted(sorted_keys, probe), keys.shape[0] - 1)
-    hit = sorted_keys[loc] == probe
+    first = keys + _COLUMN_STEPS[:, None]  # (9, n): each column's dz = -1 key
+    at = np.empty_like(first)  # where each column's first present key would sit
+    for j in range(first.shape[0]):
+        if j != _OWN_COLUMN:
+            at[j] = np.searchsorted(sorted_keys, first[j])
+    own = np.arange(n)  # each cell's place among the sorted keys
+    if order is not None:
+        own[order] = own.copy()
+    # The first cell's look below reads its own key, never key - 1.
+    at[_OWN_COLUMN] = own - (sorted_keys[np.maximum(own - 1, 0)] == first[_OWN_COLUMN])
+    # (9, 3, n): a hit is a sorted key that is one of its column's three,
+    # compared by the difference's bits, which wrap as the steps do.
+    loc = at[:, None, :] + np.arange(3)[:, None]
+    hit = loc < n
+    np.minimum(loc, n - 1, out=loc)
+    hit &= (sorted_keys[loc] - first[:, None, :]).view(np.uint64) <= 2
+    loc, hit = loc.reshape(27, n).T, hit.reshape(27, n).T
     indptr = np.concatenate(([0], np.cumsum(hit.sum(axis=1), dtype=np.int64)))
     indices = loc[hit] if order is None else order[loc[hit]]
     # The topology holds them as int32; past 2^31 entries it refuses the map.

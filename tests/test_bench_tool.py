@@ -98,6 +98,28 @@ def test_kernels_cell_times_each_kernel_after_an_untimed_call(bench, monkeypatch
                      + ["with_values", ("gha_backward", False)] * runs)
 
 
+def test_block_cell_times_warm_calls_then_traces_one_more(bench, monkeypatch):
+    # One untimed call, CALLS timed ones, then one under tracemalloc, all on
+    # voxel_infer's block settings and one structure built from the case.
+    from gha3d import block
+    real, calls = block.block_forward, []
+
+    def counted(x, positions, params, **kwargs):
+        calls.append((x.shape, params.config, kwargs["structure"]))
+        return real(x, positions, params, **kwargs)
+
+    monkeypatch.setattr(block, "block_forward", counted)
+    fig = bench.block("uniform", 600)
+    assert list(fig) == ["block_s", "block_peak_mb", "tokens"]
+    assert fig["block_s"] > 0 and fig["block_peak_mb"] > 0 and fig["tokens"] == 600
+    assert len(calls) == 1 + bench.CALLS + 1
+    shape, config, structure = calls[0]
+    assert shape == (600, 32) and all(call[2] is structure for call in calls)
+    assert (config.n_layers, config.n_heads, config.model_dim, config.ffn_dim,
+            config.embedding_mode) == (2, 4, 32, 64, "relative")
+    assert (structure.flavor, structure.neighborhood_k) == ("point", bench.K)
+
+
 def test_structure_size_counts_the_width_classes(bench, every_width_cells):
     # Ragged windows hold their width classes in three int32 arrays, rows
     # and two per edge; a one-width topology's classes view its own map.

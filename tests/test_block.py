@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -563,6 +564,42 @@ def test_in_place_arithmetic_keeps_the_bits_with_dropout(mode):
     out = block_forward(x, pos, params, structure=structure)
     assert x.tobytes() == before.tobytes()
     assert out.tobytes() == per_head_reference(x, params, structure).tobytes()
+
+
+@pytest.mark.parametrize("mechanism", ["gha", "dense"])
+def test_a_layer_holds_one_heads_values_at_a_time(monkeypatch, mechanism):
+    # Traced memory on entry to each head's with_values (or AttentionInputs
+    # for dense), after a warm-up call that leaves the positional terms kept.
+    # The first head finds the three projections cut into per-head arrays,
+    # 3 n c floats, with neither the LayerNorm output nor a whole projection
+    # beside them (4 n c). From one head to the next, the block drops the
+    # head's q, k and v and keeps its z: memory falls by 2 n d floats, less
+    # a few small Python objects.
+    rng = np.random.default_rng(39)
+    n, c, heads = 3000 if mechanism == "gha" else 600, 16, 4
+    d = c // heads
+    pos = rng.normal(size=(n, 3))
+    structure = attention_structure(pos, flavor="point", k=4, r=2) if mechanism == "gha" else None
+    params = init_params(small_config(n_layers=2, model_dim=c, ffn_dim=8, n_heads=heads,
+                                      embedding_mode="relative"))
+    x = rng.normal(size=(n, c))
+    block_forward(x, pos, params, mechanism=mechanism, structure=structure)
+    name = "with_values" if mechanism == "gha" else "AttentionInputs"
+    real, seen = getattr(block_mod, name), []
+    monkeypatch.setattr(block_mod, name,
+                        lambda *a, **kw: seen.append(tracemalloc.get_traced_memory()[0])
+                        or real(*a, **kw))
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        block_forward(x, pos, params, mechanism=mechanism, structure=structure)
+    finally:
+        tracemalloc.stop()
+    assert len(seen) == 2 * heads
+    assert seen[0] - entry < 3.5 * n * c * 8
+    for layer in (seen[:heads], seen[heads:]):
+        for before, after in zip(layer, layer[1:]):
+            assert before - after >= 2 * n * d * 8 - 4096
 
 
 @pytest.mark.parametrize("mode,term_fn", [("relative", "embed_points"), ("absolute", "embed_points")])

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -692,6 +694,50 @@ def test_window_matches_bruteforce_at_the_range_limits(seed):
                        .reshape(-1, 3), axis=0)
     coords = coords[rng.permutation(coords.shape[0])]
     assert topo_as_lists(kernel_window_topology(coords)) == brute_window(coords)
+
+
+def probe_window(keys, order=None):
+    """The 27-probe window rule: every cell's key plus each (dx, dy, dz)
+    step, in lexicographic step order, searched for among the sorted keys."""
+    steps = np.array([(dx << 42) + (dy << 21) + dz
+                      for dx, dy, dz in itertools.product((-1, 0, 1), repeat=3)], dtype=np.int64)
+    sorted_keys = keys if order is None else keys[order]
+    probe = keys[:, None] + steps
+    loc = np.minimum(np.searchsorted(sorted_keys, probe), keys.shape[0] - 1)
+    hit = sorted_keys[loc] == probe
+    indptr = np.concatenate(([0], np.cumsum(hit.sum(axis=1), dtype=np.int64)))
+    return indptr, loc[hit] if order is None else order[loc[hit]]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_window_column_search_equals_the_27_probe_rule(seed):
+    # One search per (dx, dy) column, none for the cell's own, gives the
+    # probes' rows in their order: on dense small grids, on grids around the
+    # +/-(2^20 - 1) corners (where steps carry between packed fields or pass
+    # the sign bit) and on sparse grids over the whole range, with the cells
+    # in key order (as coarse levels pass them) and shuffled.
+    rng = np.random.default_rng(seed)
+    b = 2**20 - 1
+    for trial in range(50):
+        n = int(rng.integers(1, 300))
+        kind = trial % 3
+        if kind == 0:
+            cells = rng.integers(-3, 4, size=(n, 3))
+        elif kind == 1:
+            cells = rng.choice([-b, -b + 1, -1, 0, 1, b - 1, b], size=(n, 3))
+            cells += rng.integers(-1, 2, size=(n, 3))
+        else:
+            cells = rng.integers(-b, b + 1, size=(n, 3))
+        cells = np.unique(np.clip(cells, -b, b), axis=0)
+        keys = geometry.pack_voxel_coords(cells)
+        sorted_keys = np.sort(keys)
+        shuffled = keys[rng.permutation(keys.shape[0])]
+        for got, want in ((geometry._window_topology(sorted_keys), probe_window(sorted_keys)),
+                          (kernel_window_topology(cells), probe_window(keys, np.argsort(keys))),
+                          (geometry._window_topology(shuffled, np.argsort(shuffled)),
+                           probe_window(shuffled, np.argsort(shuffled)))):
+            np.testing.assert_array_equal(got.indptr, want[0])
+            np.testing.assert_array_equal(got.indices, want[1])
 
 
 def test_window_isolated_voxels():

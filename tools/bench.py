@@ -1,12 +1,13 @@
-"""Figures of the point build and of the attention kernels, per source tree:
+"""Figures of the point build, the attention kernels and the block, per
+source tree:
 
     python3 tools/bench.py build BENCH_build.json parent=../old/src change=src
 
-The suite is ``build`` or ``kernels``; each ``label=path`` is a ``src/``
-directory holding a ``gha3d`` package. Every (tree, case) cell runs three
-times, each in a fresh interpreter on one BLAS thread (``bench.py cell SUITE
-SRC CASE``), trees interleaved; the JSON keeps each figure's median. A case
-``cloud/n`` draws n points with ``perfbench/workloads.py``'s generators.
+The suite is ``build``, ``kernels`` or ``block``; each ``label=path`` is a
+``src/`` directory holding a ``gha3d`` package. Every (tree, case) cell runs
+three times, each in a fresh interpreter on one BLAS thread (``bench.py cell
+SUITE SRC CASE``), trees interleaved; the JSON keeps each figure's median. A
+case ``cloud/n`` draws n points with ``perfbench/workloads.py``'s generators.
 
 - ``build`` (seed 17; d=8, k=8, r=2): ``knn_s`` is spent in
   ``knn_from_positions``, ``fps_s`` in farthest-point sampling (which also
@@ -28,6 +29,13 @@ SRC CASE``), trees interleaved; the JSON keeps each figure's median. A case
   size of the built structure (``structure_bytes``): every array its levels
   hold, the topologies (with their width classes) and maps included, each
   buffer counted once.
+- ``block`` (seed 23; ``voxel_infer``'s block: 2 layers, 4 heads,
+  ``model_dim`` 32, ``ffn_dim`` 64, relative mode, on the case's structure,
+  point flavor at k=8, r=2): ``block_s`` is the median of 3 ``block_forward``
+  calls after one untimed call, on the same kinds of cloud as ``kernels``,
+  and ``block_peak_mb`` the tracemalloc peak of one more call: what the
+  layers hold above the caller's features and the structure, which keeps
+  the positional terms the first call made.
 
 The record's ``command`` holds no machine path: a tree inside the working
 directory is written relative to it, any other as ``<label checkout>/`` and
@@ -133,6 +141,16 @@ def _warm_median(call, make=lambda: None) -> float:
     return statistics.median(times[1:])
 
 
+def _peak_mb(call) -> float:
+    """The tracemalloc peak of one ``call(None)``, in MiB."""
+    tracemalloc.start()
+    try:
+        call(None)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def kernels(cloud: str, n: int) -> dict:
     from gha3d import attention, hierarchy
     rng = np.random.default_rng(19)
@@ -152,16 +170,29 @@ def kernels(cloud: str, n: int) -> dict:
     # The timed calls, then the peak of one more.
     for name, call in calls.items():
         out[name + "_s"] = _warm_median(call)
-        tracemalloc.start()
-        try:
-            call(None)
-            out[name + "_peak_mb"] = tracemalloc.get_traced_memory()[1] / 2**20
-        finally:
-            tracemalloc.stop()
+        out[name + "_peak_mb"] = _peak_mb(call)
     out["backward_alone_s"] = _warm_median(
         lambda fresh: attention.gha_backward(fresh, dz, emb, "relative"),
         lambda: hierarchy.with_values(h, q, k, v))
     return {**out, "tokens": tokens, "edges": sum(lv.topology.total_edges for lv in h.levels)}
+
+
+def block(cloud: str, n: int) -> dict:
+    from gha3d import attention_structure
+    from gha3d.block import BlockConfig, block_forward, init_params
+    rng = np.random.default_rng(23)
+    pos, coords = _cloud(cloud, rng, n)
+    structure = attention_structure(pos, flavor="point" if coords is None else "voxel",
+                                    k=K, r=R, coords=coords)
+    params = init_params(BlockConfig(n_layers=2, model_dim=32, ffn_dim=64, n_heads=4,
+                                     embedding_mode="relative"))
+    x = rng.normal(size=(pos.shape[0], 32))
+
+    def call(_):
+        block_forward(x, pos, params, structure=structure)
+
+    return {"block_s": _warm_median(call), "block_peak_mb": _peak_mb(call),
+            "tokens": pos.shape[0]}
 
 
 SIZES = (8192, 32768, 131072)
@@ -173,6 +204,10 @@ SUITES = {
                 "positional_table (first call), then with_values, gha_forward and gha_backward"
                 " (after a forward, and alone on a with_values copy), each the median of 3 calls"
                 " after one untimed call; relative mode, d=8, positional terms kept"),
+    "block": (block, [f"uniform/{n}" for n in SIZES] + ["voxel_scene/100000"],
+              "block_forward with 2 layers, 4 heads, model_dim 32, ffn_dim 64, relative mode"
+              " (voxel_infer's settings; point structures at k=8, r=2), the median of 3 calls"
+              " after one untimed call, then the tracemalloc peak of one more"),
 }
 
 
