@@ -33,7 +33,7 @@ from .attention import (
     gha_forward,
 )
 from .errors import CapacityError, InvalidInputError, InvariantViolation
-from .geometry import PointCloud, _checked, _integer, voxelize
+from .geometry import PointCloud, _checked, _integer, _squared_dist_to, voxelize
 from .hierarchy import VOXEL_WINDOW_K, Hierarchy, build_hierarchy, truncate
 from .seeding import substream
 
@@ -173,14 +173,15 @@ class DistanceHistogram:
 
 
 def _pairwise_distances(queries: np.ndarray, tokens: np.ndarray | None = None) -> np.ndarray:
-    """Distances from each query row to each token row (default: the queries)."""
+    """Distances from each query row to each token row (default: the
+    queries) by the one squared distance; one past float64 reads inf."""
     tokens = queries if tokens is None else tokens
     out = np.empty((queries.shape[0], tokens.shape[0]), dtype=np.float64)
-    for lo, hi in _bounded_spans(queries.shape[0], 3 * tokens.shape[0]):  # rows x tokens x axes
-        diff = queries[lo:hi, None, :] - tokens[None, :, :]
-        np.einsum("ijk,ijk->ij", diff, diff, out=out[lo:hi])
-        del diff  # else two chunks are alive while the next one is made
-    return np.sqrt(out, out=out)
+    # Row chunks whose two temporaries of rows x tokens stay within the bound.
+    for lo, hi in _bounded_spans(queries.shape[0], 2 * tokens.shape[0]):
+        with np.errstate(over="ignore"):
+            np.sqrt(_squared_dist_to(tokens[None], queries[lo:hi, None]), out=out[lo:hi])
+    return out
 
 
 def neighborhood_radius(hierarchy: Hierarchy) -> float:
@@ -189,8 +190,9 @@ def neighborhood_radius(hierarchy: Hierarchy) -> float:
     lv = hierarchy.levels[0]
     pos, topo = lv.positions, lv.topology
     rows = np.repeat(np.arange(topo.n_tokens), topo.sizes)  # each edge's query
-    diff = pos.take(rows, axis=0) - pos.take(topo.indices, axis=0)
-    return float(np.sqrt(np.einsum("ed,ed->e", diff, diff)).max())
+    with np.errstate(over="ignore"):
+        d2 = _squared_dist_to(pos.take(topo.indices, axis=0), pos.take(rows, axis=0))
+    return float(np.sqrt(d2.max()))
 
 
 def _pair_inputs(positions, weights) -> tuple:

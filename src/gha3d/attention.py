@@ -42,8 +42,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError
-from .geometry import _checked, _freeze, _integer, _readonly
-from .hierarchy import Hierarchy, _product, _transposed_product
+from .geometry import _checked, _freeze, _integer, _product, _readonly, _transposed_product
+from .hierarchy import Hierarchy
 
 
 # ---------------------------------------------------------------------------

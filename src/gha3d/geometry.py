@@ -12,9 +12,9 @@ import operator
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
+from scipy.sparse import _sparsetools
 
-from .errors import CapacityError, InvalidInputError
+from .errors import CapacityError, FormatError, InvalidInputError
 
 # Packed voxel keys use 21 bits per axis.
 _VOXEL_COORD_BOUND = 1 << 20
@@ -132,6 +132,83 @@ def _csr_rows(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndar
     into the map's indices, and each row's size."""
     sizes = indptr[rows + 1] - indptr[rows]
     return _ranges(indptr[rows], sizes), sizes
+
+
+# ---------------------------------------------------------------------------
+# Sums over sparse maps
+# ---------------------------------------------------------------------------
+
+def _kernel_product(kind: str, indptr, indices, data, x, n_out: int) -> np.ndarray:
+    """The (n_out, x.shape[1]) product of the ``kind`` ("csr" or "csc") matrix
+    over the map's own arrays with a 2-D x, by the compiled kernel that
+    ``csr_matrix @ x`` / ``csc_matrix @ x`` runs, called with the arguments
+    SciPy passes it: ``*_matvec`` for one column, ``*_matvecs`` for any other
+    width, into fresh zeros, so every bit is that product's. No matrix is
+    built. The kernel does not bounds-check, so SciPy's O(1) checks of the
+    arrays' lengths and of x's rows stay, as ValueError; the index ranges
+    are ``_csr``'s to check, as they are for SciPy."""
+    rows = indptr.shape[0] - 1  # the rows of the map, the compressed axis
+    n_in = x.shape[0] if kind == "csr" else rows
+    if indptr.ndim != 1 or indices.ndim != 1 or data.ndim != 1:
+        raise ValueError("data, indices, and indptr should be 1-D")
+    if rows < 0 or indptr[0] != 0:
+        raise ValueError("index pointer should start with 0")
+    if indices.shape[0] != data.shape[0]:
+        raise ValueError("indices and data should have the same size")
+    if indptr[-1] > indices.shape[0]:
+        raise ValueError("last value of index pointer should not pass the size of indices")
+    if x.ndim != 2 or x.shape[0] != n_in:
+        raise ValueError(f"x must have {n_in} rows, got shape {x.shape}")
+    width = x.shape[1]
+    out = np.zeros((n_out, width))
+    arrays = (indptr, indices, data, x.ravel(), out.ravel())
+    if width == 1:
+        getattr(_sparsetools, kind + "_matvec")(n_out, n_in, *arrays)
+    else:
+        getattr(_sparsetools, kind + "_matvecs")(n_out, n_in, width, *arrays)
+    return out
+
+
+def _product(indptr, indices, data, x) -> np.ndarray:
+    """A x for the CSR map A = (data, indices, indptr): row i adds data[e] *
+    x[indices[e]] over its entries e from +0.0 in entry order, with no rows
+    gathered, so a row of -0.0 terms sums to +0.0; a column's sums do not
+    depend on the width. Every sum over a map in the package is this
+    product or its transpose."""
+    return _kernel_product("csr", indptr, indices, data, x, indptr.shape[0] - 1)
+
+
+def _transposed_product(indptr, indices, data, x, n_out: int) -> np.ndarray:
+    """A^T x for the CSR map A = (data, indices, indptr) with ``n_out`` columns,
+    as the CSC kernel over the same arrays: out[indices[e]] += data[e] * x[row
+    of e] from +0.0 in edge order, as ``np.add.at`` sums, with no edge rows
+    gathered; a column's sums do not depend on the width."""
+    return _kernel_product("csc", indptr, indices, data, x, n_out)
+
+
+def _pooled(values: np.ndarray, indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Each group's mean over a checked int32 map, the package's one pooled
+    mean: one ``_product``, then each sum divided by its group's size. Where
+    finite terms overflow a sum (to +-inf: a sum from +0.0 in order cannot
+    reach NaN), the hit groups' terms, each divided by the group's largest
+    magnitude in its column, are summed again by the same product."""
+    with np.errstate(over="ignore"):  # mended below
+        means = _product(indptr, indices, np.ones(indices.shape[0]), values)
+    means /= np.diff(indptr)[:, None]  # a sum that overflowed stays inf
+    if -np.inf < means.min(initial=0.0) and means.max(initial=0.0) < np.inf:
+        return means
+    bad = np.isinf(means)
+    hit = bad.any(axis=1)
+    entry, sizes = _csr_rows(indptr, np.flatnonzero(hit))
+    part = values.take(indices.take(entry), axis=0)
+    part_indptr = np.concatenate(([0], np.cumsum(sizes))).astype(np.int32)
+    scale = np.maximum.reduceat(np.abs(part), part_indptr[:-1], axis=0)
+    scale[scale == 0.0] = 1.0  # an all-zero column's entry is not replaced
+    part /= np.repeat(scale, sizes, axis=0)
+    order = np.arange(part.shape[0], dtype=np.int32)
+    scaled = _product(part_indptr, order, np.ones(part.shape[0]), part)
+    means[bad] = (scaled / sizes[:, None] * scale)[bad[hit]]
+    return means
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -366,6 +443,7 @@ def deterministic_knn(points: np.ndarray, queries: np.ndarray, k: int) -> np.nda
     """
     n = points.shape[0]
     k = min(k, n)
+    from scipy.spatial import cKDTree  # only point builds load it
     _check_extent(points, queries)
     groups = _position_groups(points)
     order, starts, counts = groups
@@ -532,6 +610,7 @@ def _fps_in_order(positions: np.ndarray, m: int, canon: np.ndarray,
       cost O(blocks + candidates); a batch recomputes only the blocks it
       touched.
     """
+    from scipy.spatial import cKDTree  # only point builds load it
     n = positions.shape[0]
     m = _integer(m, "m", 1, n)
     _check_extent(positions)
@@ -772,7 +851,10 @@ def pack_voxel_coords(coords: np.ndarray) -> np.ndarray:
 def voxelize(cloud: PointCloud, voxel_size: float) -> SparseVoxelGrid:
     """Bin points into cells of side ``voxel_size``; voxel coordinate of a
     point is floor(p / voxel_size) per axis. Cell features and centroid are
-    the mean over contained points."""
+    the mean over contained points, by ``_pooled``: each cell sums its
+    points from +0.0 in (x, y, z, index) order, so the centroids do not
+    depend on the input order, a cell of -0.0 points averages to +0.0, and
+    the means of finite points are finite."""
     voxel_size = _voxel_size(voxel_size)
     pos = cloud.positions
     with np.errstate(over="ignore"):  # a quotient past float64 is inf, rejected below
@@ -781,23 +863,17 @@ def voxelize(cloud: PointCloud, voxel_size: float) -> SparseVoxelGrid:
     coords = cells.astype(np.int64)
     keys = pack_voxel_coords(coords)
 
-    # Canonical in-cell aggregation order: position-lex, then index (lexsort
-    # is stable). This keeps cell means bit-reproducible under input permutation.
+    # Each cell's points in (x, y, z, index) order (lexsort is stable).
     order = np.lexsort((pos[:, 2], pos[:, 1], pos[:, 0], keys))
-    keys_s = keys[order]
-    uniq_keys, starts, counts = np.unique(keys_s, return_index=True, return_counts=True)
-
-    occ = coords[order[starts]]
-    centroid = np.add.reduceat(pos.take(order, axis=0), starts) / counts[:, None]
-    if cloud.features is not None:
-        feats = np.add.reduceat(cloud.features.take(order, axis=0), starts) / counts[:, None]
-    else:
-        feats = np.empty((uniq_keys.shape[0], 0), dtype=np.float64)
+    _, starts, counts = np.unique(keys.take(order), return_index=True, return_counts=True)
+    indptr, indices = _csr(np.append(starts, order.shape[0]), order, "voxel ", None,
+                           starts.shape[0])
+    features = np.empty((pos.shape[0], 0)) if cloud.features is None else cloud.features
     return SparseVoxelGrid(
         voxel_size=voxel_size,
-        occupied=occ,
-        cell_features=feats,
-        cell_centroid=centroid,
+        occupied=coords.take(order.take(starts), axis=0),
+        cell_features=_pooled(features, indptr, indices),
+        cell_centroid=_pooled(pos, indptr, indices),
         cell_count=counts,
     )
 
@@ -886,8 +962,6 @@ def load_point_cloud(path) -> PointCloud:
 
 
 def load_point_cloud_text(path) -> PointCloud:
-    from .errors import FormatError
-
     rows = []
     width = None
     with open(path, "r", encoding="utf-8") as f:
@@ -916,8 +990,6 @@ def load_point_cloud_text(path) -> PointCloud:
 
 
 def load_point_cloud_binary(path) -> PointCloud:
-    from .errors import FormatError
-
     with open(path, "rb") as f:
         data = f.read()
     if len(data) < 12 or data[:4] != GPC_MAGIC:

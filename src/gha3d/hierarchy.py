@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.sparse import _sparsetools
 
 from .errors import InvalidCoarsenError, InvalidInputError
 from .geometry import (
@@ -29,6 +28,7 @@ from .geometry import (
     _freeze,
     _index_map,
     _integer,
+    _pooled,
     _readonly,
     _voxel_coords,
     _window_topology,
@@ -40,83 +40,6 @@ from .geometry import (
 # Max occupancy of the 3x3x3 voxel window; doubles as the voxel-flavor
 # stopping threshold (a level this small fits one neighborhood).
 VOXEL_WINDOW_K = 27
-
-
-# ---------------------------------------------------------------------------
-# Sums over sparse maps
-# ---------------------------------------------------------------------------
-
-def _kernel_product(kind: str, indptr, indices, data, x, n_out: int) -> np.ndarray:
-    """The (n_out, x.shape[1]) product of the ``kind`` ("csr" or "csc") matrix
-    over the map's own arrays with a 2-D x, by the compiled kernel that
-    ``csr_matrix @ x`` / ``csc_matrix @ x`` runs, called with the arguments
-    SciPy passes it: ``*_matvec`` for one column, ``*_matvecs`` for any other
-    width, into fresh zeros, so every bit is that product's. No matrix is
-    built. The kernel does not bounds-check, so SciPy's O(1) checks of the
-    arrays' lengths and of x's rows stay, as ValueError; the index ranges
-    are ``geometry._csr``'s to check, as they are for SciPy."""
-    rows = indptr.shape[0] - 1  # the rows of the map, the compressed axis
-    n_in = x.shape[0] if kind == "csr" else rows
-    if indptr.ndim != 1 or indices.ndim != 1 or data.ndim != 1:
-        raise ValueError("data, indices, and indptr should be 1-D")
-    if rows < 0 or indptr[0] != 0:
-        raise ValueError("index pointer should start with 0")
-    if indices.shape[0] != data.shape[0]:
-        raise ValueError("indices and data should have the same size")
-    if indptr[-1] > indices.shape[0]:
-        raise ValueError("last value of index pointer should not pass the size of indices")
-    if x.ndim != 2 or x.shape[0] != n_in:
-        raise ValueError(f"x must have {n_in} rows, got shape {x.shape}")
-    width = x.shape[1]
-    out = np.zeros((n_out, width))
-    arrays = (indptr, indices, data, x.ravel(), out.ravel())
-    if width == 1:
-        getattr(_sparsetools, kind + "_matvec")(n_out, n_in, *arrays)
-    else:
-        getattr(_sparsetools, kind + "_matvecs")(n_out, n_in, width, *arrays)
-    return out
-
-
-def _product(indptr, indices, data, x) -> np.ndarray:
-    """A x for the CSR map A = (data, indices, indptr): row i adds data[e] *
-    x[indices[e]] over its entries e from +0.0 in entry order, with no rows
-    gathered, so a row of -0.0 terms sums to +0.0; a column's sums do not
-    depend on the width. Every sum over a map in the package is this
-    product or its transpose."""
-    return _kernel_product("csr", indptr, indices, data, x, indptr.shape[0] - 1)
-
-
-def _transposed_product(indptr, indices, data, x, n_out: int) -> np.ndarray:
-    """A^T x for the CSR map A = (data, indices, indptr) with ``n_out`` columns,
-    as the CSC kernel over the same arrays: out[indices[e]] += data[e] * x[row
-    of e] from +0.0 in edge order, as ``np.add.at`` sums, with no edge rows
-    gathered; a column's sums do not depend on the width."""
-    return _kernel_product("csc", indptr, indices, data, x, n_out)
-
-
-def _pooled(values: np.ndarray, indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """``segment_mean`` over a checked int32 map: one ``_product``, then each
-    sum divided by its group's size. Where finite terms overflow a sum (to
-    +-inf: a sum from +0.0 in order cannot reach NaN), the hit groups' terms,
-    each divided by the group's largest magnitude in its column, are summed
-    again by the same product."""
-    with np.errstate(over="ignore"):  # mended below
-        means = _product(indptr, indices, np.ones(indices.shape[0]), values)
-    means /= np.diff(indptr)[:, None]  # a sum that overflowed stays inf
-    if -np.inf < means.min(initial=0.0) and means.max(initial=0.0) < np.inf:
-        return means
-    bad = np.isinf(means)
-    hit = bad.any(axis=1)
-    entry, sizes = _csr_rows(indptr, np.flatnonzero(hit))
-    part = values.take(indices.take(entry), axis=0)
-    part_indptr = np.concatenate(([0], np.cumsum(sizes))).astype(np.int32)
-    scale = np.maximum.reduceat(np.abs(part), part_indptr[:-1], axis=0)
-    scale[scale == 0.0] = 1.0  # an all-zero column's entry is not replaced
-    part /= np.repeat(scale, sizes, axis=0)
-    order = np.arange(part.shape[0], dtype=np.int32)
-    scaled = _product(part_indptr, order, np.ones(part.shape[0]), part)
-    means[bad] = (scaled / sizes[:, None] * scale)[bad[hit]]
-    return means
 
 
 def segment_mean(values: np.ndarray, indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:

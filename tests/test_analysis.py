@@ -547,6 +547,31 @@ def test_neighborhood_radius_matches_brute():
     assert neighborhood_radius(h) == pytest.approx(best, abs=0.0)
 
 
+def einsum_distances(queries, tokens):
+    """The analysis's former distance arithmetic, kept as the reference:
+    (rows x tokens x 3) differences summed by an einsum."""
+    diff = queries[:, None, :] - tokens[None, :, :]
+    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-3, 1.0, 1e3, 1e150])
+def test_distances_keep_the_einsum_bits(scale):
+    """Pair distances and the neighborhood radius square distances with the
+    geometry's one arithmetic, bit for bit what the einsum over differences
+    gave, from subnormal squares to squares near the float64 limit; a
+    distance past float64 still reads inf, with no warning."""
+    rng = np.random.default_rng(44)
+    pos = rng.normal(size=(700, 3)) * scale
+    for queries, tokens in ((pos, pos), (pos[:90], pos[300:]), (pos[:40] * 1e8, pos[40:80])):
+        assert (_pairwise_distances(queries, tokens).tobytes()
+                == einsum_distances(queries, tokens).tobytes())
+    h = attention_structure(pos, flavor="point", k=8)
+    lv = h.levels[0]
+    rows = np.repeat(np.arange(lv.n_tokens), lv.topology.sizes)
+    diff = lv.positions[rows] - lv.positions[lv.topology.indices]
+    assert neighborhood_radius(h) == float(np.sqrt(np.einsum("ed,ed->e", diff, diff)).max())
+
+
 def test_histogram_coincident_points_degenerate_span():
     pos = np.zeros((3, 3))
     q, k, v = (np.ones((3, 2)) for _ in range(3))

@@ -832,7 +832,7 @@ def test_sums_by_product_keep_every_bit(monkeypatch, case, mode, loop_sums,
     import sys
 
     import gha3d.attention as attention_mod
-    import gha3d.hierarchy as hierarchy_mod
+    import gha3d.geometry as geometry_mod
 
     calls = []
 
@@ -844,9 +844,9 @@ def test_sums_by_product_keep_every_bit(monkeypatch, case, mode, loop_sums,
             return out
         return product
 
-    products = (recorded(hierarchy_mod._product, False),
-                recorded(hierarchy_mod._transposed_product, True))
-    for module in (attention_mod, hierarchy_mod):
+    products = (recorded(geometry_mod._product, False),
+                recorded(geometry_mod._transposed_product, True))
+    for module in (attention_mod, geometry_mod):
         monkeypatch.setattr(module, "_product", products[0])
         monkeypatch.setattr(module, "_transposed_product", products[1])
 

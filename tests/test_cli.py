@@ -387,6 +387,32 @@ def test_module_entry_point_runs_without_warnings():
     assert "4/4 checks passed" in proc.stdout
 
 
+def test_only_point_builds_import_the_kd_tree(cloud_file, tmp_path):
+    # scipy.spatial is the kNN's and FPS's alone: importing the package and
+    # a voxel run leave it unloaded, and a point build loads it.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    script = f"""
+import sys
+import numpy as np
+import gha3d
+loaded = ["scipy.spatial" in sys.modules]
+from gha3d.cli import main
+assert main(["run", "--input", {cloud_file!r}, "--output", {str(tmp_path / "v.gpc")!r},
+             "--flavor", "voxel", "--voxel-size", "0.4", "--layers", "1",
+             "--model-dim", "8", "--heads", "2"]) == 0
+loaded.append("scipy.spatial" in sys.modules)
+gha3d.attention_structure(np.random.default_rng(0).normal(size=(40, 3)), flavor="point", k=4)
+loaded.append("scipy.spatial" in sys.modules)
+print(loaded)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[-2] == "[False, False, True]"
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()

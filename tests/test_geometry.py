@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.spatial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
@@ -154,7 +155,7 @@ def test_knn_answers_each_position_once(cloud, monkeypatch):
             candidates.append(sum(map(len, balls)))
             return balls
 
-    monkeypatch.setattr(geometry, "cKDTree", CountingTree)
+    monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
     got = deterministic_knn(pos, pos, k)
     assert sum(candidates) <= n * k
     sample = np.random.default_rng(10).choice(n, size=32, replace=False)
@@ -592,6 +593,54 @@ def test_voxelize_permutation_invariant_bits():
     assert np.array_equal(g1.occupied, g2.occupied)
     assert np.array_equal(g1.cell_features, g2.cell_features)  # bitwise
     assert np.array_equal(g1.cell_centroid, g2.cell_centroid)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("width", [0, 5])
+def test_voxelize_means_are_segment_means_over_its_cells(seed, width):
+    """Each cell's centroid and features are ``segment_mean`` over its
+    points in (x, y, z, index) order, bit for bit: the package's one pooling
+    mean, for sorted and shuffled input. Features spread over 16 decades and
+    coincident points with different features make any other order show."""
+    rng = np.random.default_rng(900 + seed)
+    n = int(rng.integers(1, 400))
+    pos = rng.uniform(-2.0, 2.0, size=(n, 3)) * 10.0 ** rng.integers(-3, 4)
+    pos[rng.random(n) < 0.2] = pos[0]  # coincident points: ties go by index
+    feats = rng.normal(size=(n, width)) * 10.0 ** rng.integers(-8, 9, size=(n, width))
+    voxel_size = float(np.abs(pos).max() or 1.0) / rng.integers(1, 5)
+    for order in (np.lexsort(pos.T[::-1]), rng.permutation(n)):
+        p, f = pos[order], feats[order]
+        grid = voxelize(PointCloud(positions=p, features=f if width else None), voxel_size)
+        cells = brute_voxel_cells(p, voxel_size)
+        members = [sorted(cells[tuple(c)], key=lambda i: (*p[i], i)) for c in grid.occupied]
+        indptr = np.cumsum([0] + [len(m) for m in members])
+        indices = np.concatenate(members)
+        assert grid.cell_centroid.tobytes() == segment_mean(p, indptr, indices).tobytes()
+        assert grid.cell_features.shape == (grid.n_voxels, width)
+        assert grid.cell_features.tobytes() == segment_mean(f, indptr, indices).tobytes()
+
+
+def test_voxelize_averages_finite_points_near_the_float_limit():
+    # Two finite points of one cell used to overflow the cell's sum, and
+    # voxelize raised InvalidInputError on its own non-finite centroid.
+    pos = np.array([[1.75000002e308, -1.75000002e308, 1.0],
+                    [1.75000005e308, -1.75000005e308, 2.0]])
+    feats = np.full((2, 3), 1.7e308)
+    grid = voxelize(PointCloud(positions=pos, features=feats), 1e303)
+    assert grid.n_voxels == 1 and grid.cell_count.tolist() == [2]
+    np.testing.assert_allclose(grid.cell_centroid, [[1.750000035e308, -1.750000035e308, 1.5]],
+                               rtol=1e-15)
+    assert grid.cell_features.tolist() == [[1.7e308] * 3]
+
+
+def test_voxelize_averages_a_cell_of_negative_zeros_to_plus_zero():
+    # Each cell sums from +0.0, as every pooling does; reduceat kept -0.0.
+    pos = np.array([[-0.0, -0.0, -0.0], [-0.0, -0.0, -0.0], [1.5, -0.0, 0.5]])
+    feats = np.array([[-0.0, 1.0], [-0.0, -1.0], [-0.0, -0.0]])
+    grid = voxelize(PointCloud(positions=pos, features=feats), 1.0)
+    assert grid.cell_centroid.tolist() == [[0.0, 0.0, 0.0], [1.5, 0.0, 0.5]]
+    assert not np.signbit(grid.cell_centroid).any()
+    assert not np.signbit(grid.cell_features).any()
 
 
 def test_voxelize_rejects_bad_size():

@@ -13,6 +13,9 @@ from gha3d.geometry import (
     PointCloud,
     SparseVoxelGrid,
     _canonical_order,
+    _pooled,
+    _product,
+    _transposed_product,
     kernel_window_topology,
     knn_from_positions,
     voxelize,
@@ -21,9 +24,6 @@ from gha3d.hierarchy import (
     VOXEL_WINDOW_K,
     Hierarchy,
     HierarchyLevel,
-    _pooled,
-    _product,
-    _transposed_product,
     attention_structure,
     build_hierarchy,
     children_of,
@@ -415,7 +415,7 @@ def test_products_refuse_a_short_map_before_the_kernel_reads_it(monkeypatch):
     # SciPy's O(1) checks stay: the kernel does not bounds-check, so a map
     # whose arrays disagree in length, or an x of the wrong row count, raises
     # ValueError and the kernel is never reached.
-    import gha3d.hierarchy as hierarchy_mod
+    import gha3d.geometry as geometry_mod
 
     reached = []
 
@@ -424,7 +424,7 @@ def test_products_refuse_a_short_map_before_the_kernel_reads_it(monkeypatch):
             reached.append(name)
             raise AssertionError(name)
 
-    monkeypatch.setattr(hierarchy_mod, "_sparsetools", Kernels())
+    monkeypatch.setattr(geometry_mod, "_sparsetools", Kernels())
     indptr, indices = np.array([0, 2, 4], np.int32), np.array([0, 1, 1, 0], np.int32)
     x = np.ones((2, 3))
     for args, match in (

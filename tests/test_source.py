@@ -3,7 +3,7 @@ no unused imports, no unreferenced module-level private definitions, one
 finiteness check for caller arrays, one range check for caller integers,
 two sparse products over one compiled-kernel call for every sum over a
 sparse map (no sparse matrix built, no reduceat sum), one arithmetic for
-every squared distance in the geometry and one helper for every level
+every squared distance in the geometry and the analysis, one helper for every level
 score; one writer for each piece of state a structure keeps; no
 kernel gather by an index map through fancy indexing; and every package
 name the benchmark's workloads call still resolves."""
@@ -143,16 +143,16 @@ SPARSE_CONTAINERS = {f"{fmt}_{kind}" for fmt in ("bsr", "coo", "csc", "csr", "di
 
 def test_only_the_transposed_product_scatters():
     """Every sum over a sparse map is one of the two products in
-    hierarchy.py, which add from +0.0 in entry order: ``_product`` (A x:
-    the pooling, the forward's y and denominators, dq) and
-    ``_transposed_product`` (A^T x, every adjoint scatter). Both are
+    geometry.py, which add from +0.0 in entry order: ``_product`` (A x:
+    the pooling, voxelize's cell means, the forward's y and denominators,
+    dq) and ``_transposed_product`` (A^T x, every adjoint scatter). Both are
     ``_kernel_product``, the one function that reads SciPy's compiled
-    ``_sparsetools`` kernels. Only hierarchy.py imports from
+    ``_sparsetools`` kernels. Only geometry.py imports from
     ``scipy.sparse``, no module names a sparse matrix or array container
     (none is built per call), and no ``np.add.reduceat`` sum, ``np.bincount``
-    or ``np.add.at`` scatter is left in the kernels, the pooling or the
-    analysis (a row maximum stays a ``np.maximum.reduceat``: a max is exact
-    in any order)."""
+    or ``np.add.at`` scatter is left in the geometry, the kernels, the
+    pooling or the analysis (a row maximum stays a ``np.maximum.reduceat``:
+    a max is exact in any order)."""
     importers, readers, containers, scatters = set(), set(), [], []
     for path in sorted(SRC.glob("*.py")):
         tree = _tree(path)
@@ -174,12 +174,12 @@ def test_only_the_transposed_product_scatters():
             if name in SPARSE_CONTAINERS or (isinstance(node, ast.ImportFrom) and any(
                     a.name in SPARSE_CONTAINERS for a in node.names)):
                 containers.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
-            if (path.name in ("attention.py", "analysis.py", "hierarchy.py")
+            if (path.name in ("attention.py", "analysis.py", "geometry.py", "hierarchy.py")
                     and isinstance(node, ast.Attribute)
                     and ast.unparse(node) in ("np.bincount", "np.add.at", "np.add.reduceat")):
                 scatters.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
-    assert importers == {"hierarchy.py"}
-    assert readers == {"hierarchy.py:_kernel_product"}
+    assert importers == {"geometry.py"}
+    assert readers == {"geometry.py:_kernel_product"}
     assert containers == []
     assert scatters == []
 
@@ -260,11 +260,13 @@ def test_one_function_writes_each_piece_of_kept_state():
 
 
 def test_geometry_squares_distances_one_way():
-    """geometry.py calls no ``einsum``: every squared distance there is
-    ``_squared_dist_cols``'s explicit sum, so no second summation order can
-    split a distance tie that the samples and neighbor lists break by index."""
-    found = [f"geometry.py:{node.lineno} {ast.unparse(node)}"
-             for node in ast.walk(_tree(SRC / "geometry.py"))
+    """geometry.py and analysis.py call no ``einsum``: every squared
+    distance there is ``_squared_dist_cols``'s explicit sum, so no second
+    summation order can split a distance tie that the samples and neighbor
+    lists break by index, or bin a pair apart from its neighbor list."""
+    found = [f"{name}:{node.lineno} {ast.unparse(node)}"
+             for name in ("geometry.py", "analysis.py")
+             for node in ast.walk(_tree(SRC / name))
              if isinstance(node, ast.Attribute) and node.attr == "einsum"]
     assert found == []
 
