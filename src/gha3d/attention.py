@@ -22,9 +22,10 @@ unshifted sums. ``gha_backward`` is the exact adjoint of the forward map
 
 Every forward (``_forward``, the one writer of a pass) leaves its pass on
 the hierarchy object (``_Pass``): each level's row maxima and, in relative
-mode, each level's Q', the level-0 denominators and maxima, the value
-scaling and a private copy of z, no per-edge array. The backward reads it
-and makes each level's edge weights again, from the same span helper
+mode, each level's Q', level 0's edge weights (scored last, so still alive
+when the forward ends), the level-0 denominators and maxima, the value
+scaling and a private copy of z. The backward reads it: level 0's weights
+as they are, and each coarser level's made again from the same span helper
 (``_span_weights``) and the same maxima, so they are bitwise the
 forward's; without a pass it runs the forward first. Effective weights
 run a forward of their own, which also hands back every level's edge
@@ -91,9 +92,12 @@ def fourier_embed(emb: FourierEmbedding, p) -> np.ndarray:
 
 
 def embed_points(emb: FourierEmbedding, pts: np.ndarray) -> np.ndarray:
-    """Vectorized gamma over rows of an (n, 3) array -> (n, 2m)."""
+    """Vectorized gamma over rows of an (n, 3) array -> (n, 2m). Points so
+    far out that an angle 2 pi b.p is not finite raise InvalidInputError."""
     pts = _checked(pts, "points", (None, 3))
-    angles = (2.0 * np.pi) * (pts @ emb.frequencies.T)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        angles = (2.0 * np.pi) * (pts @ emb.frequencies.T)
+    angles = _checked(angles, "angle array 2 pi B p of points", (None, emb.m))
     out = np.empty((angles.shape[0], 2 * emb.m), dtype=np.float64)
     out[:, 0::2] = np.cos(angles)
     out[:, 1::2] = np.sin(angles)
@@ -191,12 +195,13 @@ def _level_term(positions, embedding, mode):
     """One level's positional term, read-only: each token's gamma(p) in
     absolute mode, its K' = gamma(p - c) in relative mode, or None in mode
     "none". Any c cancels in a relative score; the bounding-box centre
-    keeps the angles small on a cloud far from the origin and does not
+    keeps the angles small on a cloud far from the origin (halves summed,
+    so even one near the float limit has a finite centre) and does not
     depend on token order."""
     if mode == "none":
         return None
     if mode == "relative":  # column by column: 10x faster than min(axis=0) on (n, 3)
-        positions = positions - np.array([(p.min() + p.max()) / 2 for p in positions.T])
+        positions = positions - np.array([p.min() / 2 + p.max() / 2 for p in positions.T])
     return _readonly(embed_points(embedding, positions))
 
 
@@ -442,13 +447,16 @@ def _value_exponents(values: list, terms: int) -> np.ndarray | None:
 
 class _Pass(NamedTuple):
     """What a forward leaves on its hierarchy for the adjoint over the same
-    values: O(N d_v + sum of n_h d) floats and no per-edge array. It serves
-    only its own mode and frequencies (a private copy, compared by value)."""
+    values: O(N d_v + sum of n_h d) floats and one per-edge array, level 0's
+    weights (E_0 floats, N k on a point structure); coarser levels' weights
+    are scored again. It serves only its own mode and frequencies (a
+    private copy, compared by value)."""
 
     mode: str
     frequencies: np.ndarray | None  # None in mode "none"
     mu: tuple  # each level's per-token local max scores
     q_rot: tuple  # each level's Q' in relative mode, else Nones
+    t0: np.ndarray  # level 0's edge weights, read-only
     d_hat: np.ndarray  # the level-0 denominators, shifted by m_q
     m_q: np.ndarray  # the level-0 running maxima
     exponents: np.ndarray | None  # the value columns' scaling (see _value_exponents)
@@ -458,8 +466,9 @@ class _Pass(NamedTuple):
 def _forward(hierarchy: Hierarchy, embedding, mode: str, weights=None) -> AttentionResult:
     """The hierarchical forward of checked arguments, and the one writer of
     ``hierarchy.forward_pass``: it leaves its ``_Pass`` there, with a
-    private read-only copy of z, and returns its result. A list ``weights``
-    receives every level's edge weights t, finest level first."""
+    private read-only copy of z and level 0's edge weights, made read-only,
+    and returns its result. A list ``weights`` receives every level's edge
+    weights t, finest level first; its level-0 entry is the pass's array."""
     scale = math.sqrt(hierarchy.levels[0].q_tilde.shape[1])
     depth = hierarchy.depth
     exponents = _value_exponents([lv.v_tilde for lv in hierarchy.levels],
@@ -476,6 +485,8 @@ def _forward(hierarchy: Hierarchy, embedding, mode: str, weights=None) -> Attent
         mu, d_loc, y_loc, t = _level_softmax(sides, v, lv.topology, scale)
         if weights is not None:
             weights.insert(0, t)
+        if h == 0:  # scored last: the pass keeps it for the backward
+            t0 = _readonly(t)
         del t  # else alive through the parent copy below
         mus[h] = mu
         q_rots[h] = None if sides.q_rot is None else _readonly(sides.q_rot)
@@ -509,7 +520,7 @@ def _forward(hierarchy: Hierarchy, embedding, mode: str, weights=None) -> Attent
     )
     frequencies = None if mode == "none" else _readonly(embedding.frequencies.copy())
     object.__setattr__(hierarchy, "forward_pass", _Pass(
-        mode, frequencies, tuple(mus), tuple(q_rots), carry_d, carry_m, exponents,
+        mode, frequencies, tuple(mus), tuple(q_rots), t0, carry_d, carry_m, exponents,
         _readonly(result.z.copy())))
     return result
 
@@ -542,11 +553,12 @@ def gha_forward(hierarchy: Hierarchy, embedding: FourierEmbedding | None = None,
 
     The call leaves its pass on ``hierarchy`` (replacing any earlier one):
     each level's row maxima and, in relative mode, its Q' (the rotated q
-    rows), the level-0 denominators and maxima, the value scaling and a
-    private read-only copy of z, O(N d_v + sum of n_h d) floats that live
-    as long as the hierarchy object. A ``gha_backward`` with the same mode
-    and frequencies reads it instead of running this forward again;
-    ``with_values`` and ``truncate`` copies start without one.
+    rows), level 0's edge weights, the level-0 denominators and maxima, the
+    value scaling and a private read-only copy of z, O(N d_v + sum of n_h d)
+    floats plus one per level-0 edge, that live as long as the hierarchy
+    object. A ``gha_backward`` with the same mode and frequencies reads it
+    instead of running this forward again; ``with_values`` and ``truncate``
+    copies start without one.
     """
     _check_mode(embedding, embedding_mode, hierarchy.levels[0].q_tilde.shape[1])
     return _forward(hierarchy, embedding, embedding_mode)
@@ -613,7 +625,7 @@ def _edge_weights(hierarchy: Hierarchy, embedding, mode: str):
     """A forward's pass and every level's edge weights t, what effective
     weights read. The forward keeps each t as it makes it, since every
     level's are alive together here anyway, and leaves its pass for a later
-    backward."""
+    backward; level 0's t is the read-only array that pass holds."""
     _check_mode(embedding, mode, hierarchy.levels[0].q_tilde.shape[1])
     weights = []
     _forward(hierarchy, embedding, mode, weights)
@@ -638,11 +650,12 @@ def gha_backward(hierarchy: Hierarchy, dz: np.ndarray,
     ran) when its mode and frequencies match, and runs no forward; in
     relative mode the pass's Q' serves the scores. Without one it runs the
     forward itself first and leaves its pass: a backward alone costs about
-    one forward more than a backward after a forward. Each level's edge
-    weights are made again from the pass's row maxima inside the backward's
-    own row spans, so only one level's per-edge weights and ds are alive at
-    a time, and every bit equals a pass that kept them. The structure keeps
-    the terms this call makes.
+    one forward more than a backward after a forward. Level 0's edge
+    weights are the pass's; each coarser level's are made again from the
+    pass's row maxima inside the backward's own row spans, so besides level
+    0's only one level's per-edge weights and ds are alive at a time, and
+    every bit equals a pass that kept them all. The structure keeps the
+    terms this call makes.
     """
     level0 = hierarchy.levels[0]
     n, d = level0.q_tilde.shape
@@ -671,12 +684,16 @@ def gha_backward(hierarchy: Hierarchy, dz: np.ndarray,
                         embedding_mode, held.q_rot[h])
         indptr, cols = lv.topology.indptr, lv.topology.indices
         v = lv.v_tilde if shift is None else np.ldexp(lv.v_tilde, -shift)
-        # t and ds edge by edge in row spans; every sum over the level's
-        # edges is then one product over its whole t or ds. The level's
-        # [dq | dk | dv] rows are written in place.
-        t, ds = np.empty(cols.shape[0]), np.empty(cols.shape[0])
+        # t (at level 0, the pass's) and ds edge by edge in row spans; every
+        # sum over the level's edges is then one product over its whole t or
+        # ds. The level's [dq | dk | dv] rows are written in place.
+        t = held.t0 if h == 0 else np.empty(cols.shape[0])
+        ds = np.empty(cols.shape[0])
         for rows, edges, span_cols, width in _spans(lv.topology, max(d, d_v + 1)):
-            t[edges] = t_span = _span_weights(sides, rows, span_cols, width, scale, mu)
+            if h == 0:
+                t_span = _rows(held.t0, edges)
+            else:
+                t[edges] = t_span = _span_weights(sides, rows, span_cols, width, scale, mu)
             # Each edge's query's folded output and normalizer cotangents.
             f = _rows(fold, rows)
             s = _query_dot(f[:, :d_v], v.take(span_cols, axis=0), width)

@@ -1053,6 +1053,26 @@ def test_dense_relative_reference_matches_its_per_edge_form():
     np.testing.assert_allclose(out.normalizers, w.sum(axis=1), rtol=1e-13)
 
 
+def test_a_cloud_near_the_float_limit_runs_relative_and_refuses_absolute():
+    # Each level's centre sums the halves of its bounding box, so a cloud
+    # near 1.7e308 has a finite one and its relative terms are those of the
+    # same tokens at the origin. Absolute mode's angles 2 pi B p overflow:
+    # they are refused by name, with no RuntimeWarning first.
+    rng = np.random.default_rng(64)
+    n, d = 60, 4
+    pos = 1.7e308 - rng.uniform(0.0, 1e150, size=(n, 3))
+    q, k, v, dz = (rng.normal(size=(n, d)) for _ in range(4))
+    emb = make_fourier_embedding(d, rng)
+    h = build_hierarchy(pos, q, k, v, flavor="point", k=4)
+    z = gha_forward(h, emb, "relative").z
+    grads = gha_backward(h, dz, emb, "relative")
+    assert all(np.isfinite(a).all() for a in (z, *grads))
+    origin = build_hierarchy(np.zeros((n, 3)), q, k, v, flavor="point", k=4)
+    assert z.tobytes() == gha_forward(origin, emb, "relative").z.tobytes()
+    with pytest.raises(InvalidInputError, match="angle array 2 pi B p of points"):
+        gha_forward(h, emb, "absolute")
+
+
 # ---------------------------------------------------------------------------
 # Rows of one width
 # ---------------------------------------------------------------------------
@@ -1281,6 +1301,34 @@ def test_backward_after_a_forward_runs_no_level_softmax(monkeypatch):
     assert calls == []
     gha_backward(with_values(h, v=v + 1.0), dz, emb, "relative")  # no pass: its own forward
     assert len(calls) == len(h.levels)
+
+
+@pytest.mark.parametrize("flavor", ["point", "voxel"])
+@pytest.mark.parametrize("mode", ["none", "absolute", "relative"])
+def test_backward_reads_level_0_weights_from_the_pass(monkeypatch, flavor, mode):
+    # The forward scores level 0 last, and its pass keeps those edge weights
+    # read-only: a backward after it scores levels 1..H again from the kept
+    # row maxima and reads level 0's. Level sizes strictly fall, so the
+    # length of the row maxima a span is scored against names its level.
+    import gha3d.attention as attention_mod
+
+    d = 4
+    h = span_structure(flavor, d)
+    sizes = [lv.n_tokens for lv in h.levels]
+    assert len(sizes) > 1 and sizes == sorted(set(sizes), reverse=True)
+    emb = make_fourier_embedding(d, np.random.default_rng(49)) if mode != "none" else None
+    dz = np.random.default_rng(50).normal(size=(h.n_tokens, d))
+    result, held = gha_forward(h, emb, mode), h.forward_pass
+    real, scored = attention_mod._span_weights, []
+    monkeypatch.setattr(attention_mod, "_span_weights",
+                        lambda *a, **kw: scored.append(a[5].shape[0]) or real(*a, **kw))
+    grads = gha_backward(h, dz, emb, mode)
+    assert sizes[0] not in scored and set(scored) == set(sizes[1:])
+    t0 = held.t0
+    assert h.forward_pass is held and not t0.flags.writeable and t0.shape == (h.levels[0].topology.total_edges,)
+    assert not any(np.shares_memory(t0, a) for a in (result.z, result.normalizers, *grads))
+    _, weights = attention_mod._edge_weights(h, emb, mode)
+    assert weights[0].tobytes() == t0.tobytes() and weights[0] is h.forward_pass.t0
 
 
 @pytest.mark.parametrize("mode", ["none", "absolute", "relative"])

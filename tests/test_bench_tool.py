@@ -50,7 +50,7 @@ def test_kernels_cell_reports_the_structure_it_timed(bench):
     fig = bench.kernels("uniform", 600)
     assert list(fig) == ["structure_mib", "table_s", "with_values_s", "forward_s",
                          "forward_peak_mb", "backward_s", "backward_peak_mb", "backward_alone_s",
-                         "tokens", "edges"]
+                         "pass_mib", "tokens", "edges"]
     assert all(fig[key] > 0 for key in ("table_s", "with_values_s", "forward_s",
                                         "forward_peak_mb", "backward_s", "backward_peak_mb",
                                         "backward_alone_s"))
@@ -67,6 +67,8 @@ def test_kernels_cell_reports_the_structure_it_timed(bench):
                       lv.pool_indices, lv.pull_indptr, lv.pull_indices)
             if a is not None]
     assert fig["structure_mib"] * 2**20 == bench.structure_bytes(h) == sum(a.nbytes for a in held)
+    # The pass holds level 0's edge weights, besides O(N) rows per level.
+    assert fig["pass_mib"] * 2**20 > 8 * h.levels[0].topology.total_edges
 
 
 def test_kernels_cell_times_each_kernel_after_an_untimed_call(bench, monkeypatch):

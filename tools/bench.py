@@ -23,12 +23,15 @@ case ``cloud/n`` draws n points with ``perfbench/workloads.py``'s generators.
   the first-touch page faults of a fresh interpreter stay out of them; then
   the tracemalloc peak of one more call (``*_peak_mb``), on uniform clouds
   and on the ``voxel_infer`` scene (100k points at 1 cm). The backward reads
-  the pass the forward before it left; ``backward_alone_s`` times
-  ``gha_backward`` on a fresh ``with_values`` copy per call (made untimed),
-  which holds no pass, so it runs its own forward. ``structure_mib`` is the
-  size of the built structure (``structure_bytes``): every array its levels
-  hold, the topologies (with their width classes) and maps included, each
-  buffer counted once.
+  the pass the forward before it left: level 0's edge weights as they are,
+  and each level's row maxima and Q', from which it scores the coarser
+  levels again. ``backward_alone_s`` times ``gha_backward`` on a fresh
+  ``with_values`` copy per call (made untimed), which holds no pass, so it
+  runs its own forward. ``structure_mib`` is the size of the built
+  structure (``structure_bytes``): every array its levels hold, the
+  topologies (with their width classes) and maps included, and
+  ``pass_mib`` that of the pass the structure holds after those calls;
+  each buffer counted once.
 - ``block`` (seed 23; ``voxel_infer``'s block: 2 layers, 4 heads,
   ``model_dim`` 32, ``ffn_dim`` 64, relative mode, on the case's structure,
   point flavor at k=8, r=2): ``block_s`` is the median of 3 ``block_forward``
@@ -104,10 +107,10 @@ def build(cloud: str, n: int) -> dict:
             "us_per_token": total / n * 1e6, "levels": len(h.levels)}
 
 
-def structure_bytes(h) -> int:
-    """The bytes of every array a structure's levels hold, through their
-    fields, topologies and the tuples in them (a topology's width classes;
-    the positional memo aside), each buffer counted once however many arrays
+def held_bytes(root) -> int:
+    """The bytes of every array ``root`` holds, through dataclass fields and
+    tuples (a topology's width classes, a pass's per-level arrays; a level's
+    positional memo aside), each buffer counted once however many arrays
     view it."""
     owners = {}
 
@@ -124,9 +127,13 @@ def structure_bytes(h) -> int:
                 if f.name != "positional":
                     visit(getattr(x, f.name))
 
-    for level in h.levels:
-        visit(level)
+    visit(root)
     return sum(a.nbytes for a in owners.values())
+
+
+def structure_bytes(h) -> int:
+    """The bytes of every array a structure's levels hold (``held_bytes``)."""
+    return held_bytes(tuple(h.levels))
 
 
 def _warm_median(call, make=lambda: None) -> float:
@@ -174,6 +181,7 @@ def kernels(cloud: str, n: int) -> dict:
     out["backward_alone_s"] = _warm_median(
         lambda fresh: attention.gha_backward(fresh, dz, emb, "relative"),
         lambda: hierarchy.with_values(h, q, k, v))
+    out["pass_mib"] = held_bytes(h.forward_pass) / 2**20
     return {**out, "tokens": tokens, "edges": sum(lv.topology.total_edges for lv in h.levels)}
 
 
