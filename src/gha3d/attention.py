@@ -24,7 +24,8 @@ Every forward (``_forward``, the one writer of a pass) leaves its pass on
 the hierarchy object (``_Pass``): each level's row maxima and, in relative
 mode, each level's Q', level 0's edge weights (scored last, so still alive
 when the forward ends), the level-0 denominators and maxima, the value
-scaling and a private copy of z. The backward reads it: level 0's weights
+scaling and a private copy of z, with a reference to the level-0 term it
+scored with, which decides what it serves. The backward reads it: level 0's weights
 as they are, and each coarser level's made again from the same span helper
 (``_span_weights``) and the same maxima, so they are bitwise the
 forward's; without a pass it runs the forward first. Effective weights
@@ -43,7 +44,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError
-from .geometry import _checked, _freeze, _integer, _product, _readonly, _transposed_product
+from .geometry import (_checked, _freeze, _integer, _product, _readonly, _transposed_product,
+                       _value_exponents)
 from .hierarchy import Hierarchy
 
 
@@ -218,23 +220,17 @@ def _rotated(x, term):
     return out
 
 
-def _same_frequencies(frequencies: np.ndarray, embedding: FourierEmbedding) -> bool:
-    """Whether ``embedding`` has these frequencies, now: the one rule by which
-    a kept term or a pass serves an embedding. It compares values, so an
-    embedding whose frequencies changed in place (their owner's write flag
-    set back) is no longer served."""
-    return np.array_equal(frequencies, embedding.frequencies)
-
-
 def _kept_term(level, embedding, mode: str):
     """``level``'s positional term for (embedding, mode): the one its
     ``positional`` memo holds, when made for equal frequencies, else a new
     one, which it stores in the mode's slot with a private copy of the
-    frequencies it was made for."""
+    frequencies. The one rule by which kept state (a term, or a pass through
+    level 0's) serves an embedding: by value, so frequencies changed in place
+    (their owner's write flag set back) are no longer served."""
     if mode == "none":
         return None
     held = level.positional.get(mode)
-    if held is not None and _same_frequencies(held[0], embedding):
+    if held is not None and np.array_equal(held[0], embedding.frequencies):
         return held[1]
     term = _level_term(level.positions, embedding, mode)
     level.positional[mode] = (_readonly(embedding.frequencies.copy()), term)
@@ -283,7 +279,8 @@ def _dense_softmax_chunks(q, k, pos, emb, mode):
         s = np.einsum("id,jd->ij", q[start:stop], k)  # no BLAS: same bits on any thread count
         s /= scale
         mu = s.max(axis=1)
-        a = np.exp(s - mu[:, None])
+        s -= mu[:, None]
+        a = np.exp(s, out=s)
         yield start, stop, a, a.sum(axis=1), mu
 
 
@@ -423,37 +420,15 @@ def local_attention(inputs: AttentionInputs, topology) -> AttentionResult:
 # Hierarchical forward
 # ---------------------------------------------------------------------------
 
-def _value_exponents(values: list, terms: int) -> np.ndarray | None:
-    """Per column of the value arrays ``values``, the power of two that scales
-    it down so that no output sum of at most ``terms`` terms can overflow, or
-    None where no column needs one.
-
-    Each term is a v entry times a weight of at most 1, so an output's
-    partial sums stay below the column's largest magnitude times ``terms``.
-    Scaling by a power of two is exact, and the output is linear in v, so
-    scaling it back gives the bits an unbounded exponent would; a column that
-    cannot overflow is not touched. The kernels share this rule: a gha row
-    sums at most one neighborhood per level, a local row one neighborhood and
-    a dense row every token.
-    """
-    bound = np.finfo(np.float64).max / 4 / terms  # the largest magnitude that is safe
-    # Whole-array extremes first: far cheaper than per-column ones.
-    if max(max(v.max(initial=0.0), -v.min(initial=0.0)) for v in values) <= bound:
-        return None
-    top = np.max([np.maximum(v.max(axis=0), -v.min(axis=0)) for v in values], axis=0)
-    # top * terms < 2^(exponent of top + bit length of terms); keep it below 2^1022.
-    return np.where(top > bound, np.frexp(top)[1] + terms.bit_length() - 1022, 0)
-
-
 class _Pass(NamedTuple):
     """What a forward leaves on its hierarchy for the adjoint over the same
     values: O(N d_v + sum of n_h d) floats and one per-edge array, level 0's
     weights (E_0 floats, N k on a point structure); coarser levels' weights
-    are scored again. It serves only its own mode and frequencies (a
-    private copy, compared by value)."""
+    are scored again. It serves only the embedding and mode whose level-0
+    term (``_kept_term``) it scored with: ``term`` is that very object,
+    which level 0's memo owns."""
 
-    mode: str
-    frequencies: np.ndarray | None  # None in mode "none"
+    term: np.ndarray | None  # level 0's positional term; None in mode "none"
     mu: tuple  # each level's per-token local max scores
     q_rot: tuple  # each level's Q' in relative mode, else Nones
     t0: np.ndarray  # level 0's edge weights, read-only
@@ -480,7 +455,8 @@ def _forward(hierarchy: Hierarchy, embedding, mode: str, weights=None) -> Attent
     carry_y = carry_d = carry_m = None
     for h in range(depth, -1, -1):
         lv = hierarchy.levels[h]
-        sides = _scored(lv.q_tilde, lv.k_tilde, _kept_term(lv, embedding, mode), mode)
+        term = _kept_term(lv, embedding, mode)  # at h = 0, the one the pass keeps
+        sides = _scored(lv.q_tilde, lv.k_tilde, term, mode)
         v = lv.v_tilde if exponents is None else np.ldexp(lv.v_tilde, -exponents)
         mu, d_loc, y_loc, t = _level_softmax(sides, v, lv.topology, scale)
         if weights is not None:
@@ -518,19 +494,19 @@ def _forward(hierarchy: Hierarchy, embedding, mode: str, weights=None) -> Attent
         weight_count=int(sum(per_level)),
         per_level_weight_count=tuple(per_level),
     )
-    frequencies = None if mode == "none" else _readonly(embedding.frequencies.copy())
     object.__setattr__(hierarchy, "forward_pass", _Pass(
-        mode, frequencies, tuple(mus), tuple(q_rots), t0, carry_d, carry_m, exponents,
+        term, tuple(mus), tuple(q_rots), t0, carry_d, carry_m, exponents,
         _readonly(result.z.copy())))
     return result
 
 
 def _held_pass(hierarchy: Hierarchy, embedding, mode: str) -> _Pass:
-    """The pass the structure holds for (embedding, mode), else the one a
-    new forward leaves; the arguments are checked."""
+    """The pass the structure holds for (embedding, mode) when level 0's kept
+    term for them is the very one it scored with, else the one a new forward
+    leaves (also after the slot was filled again by a copy sharing the memo);
+    the arguments are checked."""
     held = hierarchy.forward_pass
-    if held is None or held.mode != mode or (
-            mode != "none" and not _same_frequencies(held.frequencies, embedding)):
+    if held is None or _kept_term(hierarchy.levels[0], embedding, mode) is not held.term:
         _forward(hierarchy, embedding, mode)
     return hierarchy.forward_pass
 
@@ -556,8 +532,9 @@ def gha_forward(hierarchy: Hierarchy, embedding: FourierEmbedding | None = None,
     rows), level 0's edge weights, the level-0 denominators and maxima, the
     value scaling and a private read-only copy of z, O(N d_v + sum of n_h d)
     floats plus one per level-0 edge, that live as long as the hierarchy
-    object. A ``gha_backward`` with the same mode and frequencies reads it
-    instead of running this forward again; ``with_values`` and ``truncate``
+    object. A ``gha_backward`` whose level-0 kept term is the one this pass
+    scored with (same mode, equal frequencies, the term not made again
+    since) reads it instead of running this forward again; ``with_values`` and ``truncate``
     copies start without one.
     """
     _check_mode(embedding, embedding_mode, hierarchy.levels[0].q_tilde.shape[1])
@@ -647,7 +624,8 @@ def gha_backward(hierarchy: Hierarchy, dz: np.ndarray,
 
     The call reads the pass the last forward on this hierarchy left (a
     ``gha_forward``, or one an earlier backward or effective-weight call
-    ran) when its mode and frequencies match, and runs no forward; in
+    ran) when it scored with the structure's level-0 term for this
+    embedding and mode (``_held_pass``), and runs no forward; in
     relative mode the pass's Q' serves the scores. Without one it runs the
     forward itself first and leaves its pass: a backward alone costs about
     one forward more than a backward after a forward. Level 0's edge

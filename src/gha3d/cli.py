@@ -55,7 +55,7 @@ from .errors import (
     InvalidInputError,
     InvariantViolation,
 )
-from .geometry import _integer, load_point_cloud, save_point_cloud_binary, voxelize
+from .geometry import _check_float32, _integer, load_point_cloud, save_point_cloud_binary, voxelize
 from .hierarchy import attention_structure, build_hierarchy, truncate, with_values
 from .seeding import substream
 
@@ -253,6 +253,8 @@ def _emit(text: str, output) -> None:
 
 def cmd_run(args) -> int:
     positions, coords, feats = _load_tokens(args)
+    # Refused before the block runs; the output features are checked as written.
+    _check_float32(positions, "positions")
     n = positions.shape[0]
 
     if args.params:

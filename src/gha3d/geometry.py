@@ -127,13 +127,6 @@ def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return np.repeat(starts - ends + sizes, sizes) + np.arange(ends[-1] if ends.size else 0)
 
 
-def _csr_rows(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The entries of CSR ``rows``, concatenated in that order, as positions
-    into the map's indices, and each row's size."""
-    sizes = indptr[rows + 1] - indptr[rows]
-    return _ranges(indptr[rows], sizes), sizes
-
-
 # ---------------------------------------------------------------------------
 # Sums over sparse maps
 # ---------------------------------------------------------------------------
@@ -186,28 +179,48 @@ def _transposed_product(indptr, indices, data, x, n_out: int) -> np.ndarray:
     return _kernel_product("csc", indptr, indices, data, x, n_out)
 
 
+def _value_exponents(values: list, terms: int) -> np.ndarray | None:
+    """Per column of the value arrays ``values``, the power of two that scales
+    it down so that no output sum of at most ``terms`` terms can overflow, or
+    None where no column needs one.
+
+    Each term is a v entry times a weight of at most 1, so an output's
+    partial sums stay below the column's largest magnitude times ``terms``.
+    Scaling by a power of two is exact, and the output is linear in v, so
+    scaling it back gives the bits an unbounded exponent would; a column that
+    cannot overflow is not touched. Every sum that finite terms near the
+    float64 limit could overflow follows this rule: a pooled mean
+    (``_pooled``) sums one group, and in the attention kernels a gha row sums
+    at most one neighborhood per level, a local row one neighborhood and a
+    dense row every token.
+    """
+    bound = np.finfo(np.float64).max / 4 / terms  # the largest magnitude that is safe
+    # Whole-array extremes first: far cheaper than per-column ones.
+    if max(max(v.max(initial=0.0), -v.min(initial=0.0)) for v in values) <= bound:
+        return None
+    top = np.max([np.maximum(v.max(axis=0), -v.min(axis=0)) for v in values], axis=0)
+    # top * terms < 2^(exponent of top + bit length of terms); keep it below 2^1022.
+    return np.where(top > bound, np.frexp(top)[1] + terms.bit_length() - 1022, 0)
+
+
 def _pooled(values: np.ndarray, indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
     """Each group's mean over a checked int32 map, the package's one pooled
     mean: one ``_product``, then each sum divided by its group's size. Where
     finite terms overflow a sum (to +-inf: a sum from +0.0 in order cannot
-    reach NaN), the hit groups' terms, each divided by the group's largest
-    magnitude in its column, are summed again by the same product."""
+    reach NaN), the entry is taken from the same product over the values
+    scaled down by ``_value_exponents``' power of two, divided by the size
+    and scaled back: exact, so it holds the bits of an unbounded exponent."""
+    ones, sizes = np.ones(indices.shape[0]), np.diff(indptr)[:, None]
     with np.errstate(over="ignore"):  # mended below
-        means = _product(indptr, indices, np.ones(indices.shape[0]), values)
-    means /= np.diff(indptr)[:, None]  # a sum that overflowed stays inf
+        means = _product(indptr, indices, ones, values)
+    means /= sizes  # a sum that overflowed stays inf
     if -np.inf < means.min(initial=0.0) and means.max(initial=0.0) < np.inf:
         return means
     bad = np.isinf(means)
-    hit = bad.any(axis=1)
-    entry, sizes = _csr_rows(indptr, np.flatnonzero(hit))
-    part = values.take(indices.take(entry), axis=0)
-    part_indptr = np.concatenate(([0], np.cumsum(sizes))).astype(np.int32)
-    scale = np.maximum.reduceat(np.abs(part), part_indptr[:-1], axis=0)
-    scale[scale == 0.0] = 1.0  # an all-zero column's entry is not replaced
-    part /= np.repeat(scale, sizes, axis=0)
-    order = np.arange(part.shape[0], dtype=np.int32)
-    scaled = _product(part_indptr, order, np.ones(part.shape[0]), part)
-    means[bad] = (scaled / sizes[:, None] * scale)[bad[hit]]
+    exponents = _value_exponents([values], int(sizes.max()))
+    scaled = _product(indptr, indices, ones, np.ldexp(values, -exponents))
+    scaled /= sizes
+    means[bad] = np.ldexp(scaled, exponents)[bad]
     return means
 
 
@@ -878,13 +891,11 @@ def voxelize(cloud: PointCloud, voxel_size: float) -> SparseVoxelGrid:
     )
 
 
-def kernel_window_topology(occupied: np.ndarray | SparseVoxelGrid) -> NeighborhoodTopology:
-    """3x3x3 window topology on occupied voxels: T_i holds every occupied
-    voxel within Chebyshev distance 1 of voxel i, self included."""
-    if isinstance(occupied, SparseVoxelGrid):
-        coords = occupied.occupied
-    else:
-        coords = _voxel_coords(occupied)
+def kernel_window_topology(occupied: np.ndarray) -> NeighborhoodTopology:
+    """3x3x3 window topology on occupied voxels, given by their (n, 3) voxel
+    coordinates: T_i holds every occupied voxel within Chebyshev distance 1
+    of voxel i, self included."""
+    coords = _voxel_coords(occupied)
     if coords.shape[0] < 1:
         raise InvalidInputError("empty voxel grid")
     keys = pack_voxel_coords(coords)
@@ -1005,6 +1016,12 @@ def load_point_cloud_binary(path) -> PointCloud:
     return PointCloud(positions=arr[:, :3], features=feats)
 
 
+def _check_float32(rows: np.ndarray, what: str) -> None:
+    """Refuse ``rows`` past the float32 range: GPC1's cast would write inf."""
+    if np.any(np.abs(rows) > np.finfo(np.float32).max):
+        raise InvalidInputError(f"{what} must lie in the float32 range")
+
+
 def save_point_cloud_binary(path, positions: np.ndarray, features: np.ndarray | None) -> None:
     """Write a GPC1 file. The points are checked as a ``PointCloud`` and
     against the float32 range of the format first, so bad input raises
@@ -1014,8 +1031,7 @@ def save_point_cloud_binary(path, positions: np.ndarray, features: np.ndarray | 
     features = np.empty((n, 0)) if cloud.features is None else cloud.features
     d = features.shape[1]
     rows = np.hstack([cloud.positions, features])
-    if np.any(np.abs(rows) > np.finfo(np.float32).max):  # the cast would write inf
-        raise InvalidInputError("positions and features must lie in the float32 range")
+    _check_float32(rows, "positions and features")
     rows = rows.astype("<f4")
     with open(path, "wb") as f:
         f.write(GPC_MAGIC)

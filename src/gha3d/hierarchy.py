@@ -23,12 +23,12 @@ from .geometry import (
     _canonical_order,
     _checked,
     _csr,
-    _csr_rows,
     _fps_in_order,
     _freeze,
     _index_map,
     _integer,
     _pooled,
+    _ranges,
     _readonly,
     _voxel_coords,
     _window_topology,
@@ -51,9 +51,10 @@ def segment_mean(values: np.ndarray, indptr: np.ndarray, indices: np.ndarray) ->
     group sums its members from +0.0 in member order, by one sparse
     product, so a group of -0.0 members sums to +0.0. Where finite terms
     near the float64 limit overflow that sum, the entry is summed again in
-    the same order, each term divided by the group's largest magnitude in
-    that column, so the mean of finite values stays finite; every other
-    entry keeps the plain sum's bits.
+    the same order over its column scaled down by a power of two, then
+    scaled back (the attention kernels' rule for their value columns), so
+    the mean of finite values is finite and holds the bits of an unbounded
+    exponent; every other entry keeps the plain sum's bits.
     """
     values = _checked(values, "values", (None, None))
     return _pooled(values, *_csr(indptr, indices, "", values.shape[0], np.size(indptr) - 1))
@@ -144,10 +145,10 @@ class HierarchyLevel:
                                                 None, n))
             object.__setattr__(self, "pool_indptr", indptr)
             object.__setattr__(self, "pool_indices", indices)
-            entry, sizes = _csr_rows(indptr, self.order)
+            sizes = np.diff(indptr).take(self.order)
             pull_indptr = _readonly(np.concatenate((np.zeros(1, np.int32),
                                                     np.cumsum(sizes, dtype=np.int32))))
-            pull_indices = _readonly(indices.take(entry))
+            pull_indices = _readonly(indices.take(_ranges(indptr.take(self.order), sizes)))
         object.__setattr__(self, "pull_indptr", pull_indptr)
         object.__setattr__(self, "pull_indices", pull_indices)
         object.__setattr__(self, "positional", {})

@@ -1267,6 +1267,33 @@ def test_a_pass_serves_only_its_own_values_mode_and_frequencies(monkeypatch, mod
     assert same_bits(gha_backward(h, dz, changing, mode), gha_backward(fresh(), dz, changed, mode))
 
 
+def test_a_pass_is_served_only_by_the_term_it_scored_with(monkeypatch):
+    # A pass is served when level 0's kept term is the very one it scored
+    # with. Another with_values copy shares the memo: filling level 0's slot
+    # again, with other frequencies and then with the pass's own, leaves an
+    # equal term but not the same one, so the structure runs a forward of
+    # its own, and its gradients are bitwise a fresh structure's.
+    rng = np.random.default_rng(48)
+    n, d = 60, 4
+    q, k, v, pos = rand_inputs(rng, n, d)
+    dz, v2 = rng.normal(size=(n, d)), rng.normal(size=(n, d))
+    emb, other = make_fourier_embedding(d, rng), make_fourier_embedding(d, rng)
+    h = build_hierarchy(pos, q, k, v, flavor="point", k=3, r=2)
+    gha_forward(h, emb, "relative")
+    held = h.forward_pass
+    assert held.term is h.levels[0].positional["relative"][1]
+    copy = with_values(h, v=v2)
+    gha_forward(copy, other, "relative")
+    gha_forward(copy, emb, "relative")
+    assert h.forward_pass is held and held.term is not h.levels[0].positional["relative"][1]
+    calls = count_softmax(monkeypatch)
+    fresh = build_hierarchy(pos, q, k, v, flavor="point", k=3, r=2)
+    assert same_bits(gha_backward(h, dz, emb, "relative"),
+                     gha_backward(fresh, dz, emb, "relative"))
+    assert len(calls) == 2 * len(h.levels)  # h's own forward, then the fresh structure's
+    assert h.forward_pass is not held
+
+
 def test_editing_the_returned_z_leaves_the_gradients():
     # The pass holds a private read-only copy of z.
     rng = np.random.default_rng(46)

@@ -158,6 +158,24 @@ def test_run_voxel_flavor(cloud_file, tmp_path, capsys):
     assert f"tokens={n_cells}" in capsys.readouterr().out
 
 
+def test_run_refuses_positions_past_float32_before_the_block(tmp_path, monkeypatch, capsys):
+    # Cells of a cloud that only float64 can hold: the output could not hold
+    # their positions, so the command refuses them as it reads them, before
+    # it builds a structure or runs the block.
+    pts = 1.7e308 - np.random.default_rng(43).uniform(0.0, 1e305, size=(60, 3))
+    cloud = tmp_path / "far.txt"
+    cloud.write_text("\n".join(" ".join(repr(float(c)) for c in p) for p in pts) + "\n")
+    reached = []
+    for name in ("attention_structure", "block_forward"):
+        monkeypatch.setattr(cli, name, lambda *a, name=name, **kw: reached.append(name))
+    out = tmp_path / "far.gpc"
+    code = main(["run", "--input", str(cloud), "--output", str(out), "--flavor", "voxel",
+                 "--voxel-size", "1e303", "--embedding", "relative"])
+    assert code == 2
+    assert "positions must lie in the float32 range" in capsys.readouterr().err
+    assert reached == [] and not out.exists()
+
+
 def test_run_dense_mechanism_and_cap(cloud_file, tmp_path, monkeypatch, capsys):
     out = tmp_path / "dense.gpc"
     assert main(["run", "--input", cloud_file, "--output", str(out),

@@ -867,7 +867,7 @@ def test_window_from_grid():
     rng = np.random.default_rng(5)
     pos = rng.uniform(0, 3, size=(50, 3))
     grid = voxelize(PointCloud(positions=pos), 1.0)
-    topo = kernel_window_topology(grid)
+    topo = kernel_window_topology(grid.occupied)
     assert topo.n_tokens == grid.n_voxels
     assert topo_as_lists(topo) == brute_window(grid.occupied)
 

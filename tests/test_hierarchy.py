@@ -300,6 +300,53 @@ def test_pooled_means_near_the_float_limit_stay_finite():
         assert np.all(lv.v_tilde == 1.5e308) and np.all(fl.v_tilde == -1.5e308)
 
 
+def near_limit_voxel_cloud(rng, n):
+    """n points just below the float64 limit, features near it too, in
+    cells of side 1e303: most sums a voxel structure pools overflow."""
+    pos = 1.7e308 - rng.uniform(0.0, 1e305, size=(n, 3))
+    return PointCloud(positions=pos, features=rng.normal(size=(n, 4)) * 1e307), 1e303
+
+
+def test_near_limit_voxel_cloud_pools_every_mean_by_the_one_rule(monkeypatch, loop_sums):
+    # A voxelized cloud just below the float64 limit, its structure and
+    # values of +-1.5e308: every pooled mean is finite, and each one whose
+    # plain sum overflows is summed again over its terms scaled down by a
+    # power of two, which gives the bits of an unbounded exponent.
+    import gha3d.geometry as geometry_mod
+    import gha3d.hierarchy as hierarchy_mod
+
+    calls = []
+
+    def recorded(values, indptr, indices):
+        out = real(values, indptr, indices)
+        calls.append((values.copy(), indptr.copy(), indices.copy(), out.copy()))
+        return out
+
+    real = geometry_mod._pooled
+    for module in (geometry_mod, hierarchy_mod):
+        monkeypatch.setattr(module, "_pooled", recorded)
+    rng = np.random.default_rng(49)
+    cloud, voxel_size = near_limit_voxel_cloud(rng, 600)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = voxelize(cloud, voxel_size)
+        structure = attention_structure(grid.cell_centroid, flavor="voxel", coords=grid.occupied)
+        n = grid.n_voxels
+        q, k_mat, _ = rand_qkv(rng, n, 2)
+        h = with_values(structure, q, k_mat, rng.choice([-1.5e308, 1.5e308], size=(n, 2)))
+    assert h.depth >= 3
+    for a in (grid.cell_centroid, grid.cell_features,
+              *(getattr(lv, name) for lv in h.levels
+                for name in ("positions", "q_tilde", "k_tilde", "v_tilde"))):
+        assert np.isfinite(a).all()
+    overflowed = 0
+    for values, indptr, indices, got in calls:
+        sums = loop_sums(indptr, indices, np.ones(indices.shape[0]), values)
+        overflowed += int(np.isinf(sums).sum())
+        assert got.tobytes() == loop_means(values, indptr, indices, loop_sums).tobytes()
+    assert overflowed > 100
+
+
 # ---------------------------------------------------------------------------
 # Sums by sparse product: from +0.0 in entry order
 # ---------------------------------------------------------------------------
@@ -443,15 +490,18 @@ def test_products_refuse_a_short_map_before_the_kernel_reads_it(monkeypatch):
 def loop_means(values, indptr, indices, loop_sums):
     """The pooling means by the one rule: each group's loop sum over its
     size, and each entry whose sum overflows summed again the same way over
-    its terms divided by their largest magnitude (1 where all are 0)."""
+    its terms scaled by the fixed power 2^-64, its mean scaled back by 2^64.
+    Scaling by a power of two is exact while nothing turns subnormal, so
+    this is the mean an unbounded exponent would give, whatever power the
+    package picks."""
     sizes = np.diff(indptr)
     sums = loop_sums(indptr, indices, np.ones(len(indices)), values)
     means = sums / sizes[:, None]
     for i, c in zip(*np.nonzero(np.isinf(sums))):
         terms = values[indices[indptr[i]:indptr[i + 1]], c]
-        scale = np.abs(terms).max() or 1.0
-        scaled = loop_sums([0, sizes[i]], np.arange(sizes[i]), np.ones(sizes[i]), terms / scale)
-        means[i, c] = scaled[0] / sizes[i] * scale
+        scaled = loop_sums([0, sizes[i]], np.arange(sizes[i]), np.ones(sizes[i]),
+                           np.ldexp(terms, -64))
+        means[i, c] = np.ldexp(scaled[0] / sizes[i], 64)
     return means
 
 
@@ -1232,7 +1282,8 @@ def test_voxel_coords_checked_before_the_cast(bad):
 def test_non_integer_voxel_coords_are_not_duplicates():
     with pytest.raises(InvalidInputError, match="integer"):
         kernel_window_topology([[0.5, 0, 0], [0.7, 0, 0]])
-    for bad_shape in ([1, 2, 3], [[1, 2], [3, 4]]):
+    grid = voxelize(PointCloud(positions=np.array([[0.5, 0.5, 0.5], [1.5, 0.5, 0.5]])), 1.0)
+    for bad_shape in ([1, 2, 3], [[1, 2], [3, 4]], grid):  # a grid is not its coordinates
         with pytest.raises(InvalidInputError, match="voxel coordinates"):
             kernel_window_topology(bad_shape)
 

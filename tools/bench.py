@@ -30,8 +30,9 @@ case ``cloud/n`` draws n points with ``perfbench/workloads.py``'s generators.
   runs its own forward. ``structure_mib`` is the size of the built
   structure (``structure_bytes``): every array its levels hold, the
   topologies (with their width classes) and maps included, and
-  ``pass_mib`` that of the pass the structure holds after those calls;
-  each buffer counted once.
+  ``pass_mib`` that of the pass the structure holds after those calls,
+  less the level-0 term it refers to (the level's memo owns that); each
+  buffer counted once.
 - ``block`` (seed 23; ``voxel_infer``'s block: 2 layers, 4 heads,
   ``model_dim`` 32, ``ffn_dim`` 64, relative mode, on the case's structure,
   point flavor at k=8, r=2): ``block_s`` is the median of 3 ``block_forward``
@@ -181,7 +182,8 @@ def kernels(cloud: str, n: int) -> dict:
     out["backward_alone_s"] = _warm_median(
         lambda fresh: attention.gha_backward(fresh, dz, emb, "relative"),
         lambda: hierarchy.with_values(h, q, k, v))
-    out["pass_mib"] = held_bytes(h.forward_pass) / 2**20
+    # The level-0 term the pass refers to is the memo's, not the pass's.
+    out["pass_mib"] = held_bytes(h.forward_pass._replace(term=None)) / 2**20
     return {**out, "tokens": tokens, "edges": sum(lv.topology.total_edges for lv in h.levels)}
 
 
