@@ -393,9 +393,19 @@ _BALL_MIN_D2 = 1e-250
 # Candidates ordered per batch on the tied-boundary kNN path.
 _KNN_CANDIDATE_BUDGET = 1 << 20
 
+# Up to these sizes the kNN (points and queries) and FPS (distinct
+# positions) run the plain loop over the full squared-distance matrix,
+# which the tree and batch paths reproduce; below them a kd-tree and
+# batches cost more than the whole matrix.
+_KNN_DENSE = 64
+_FPS_DENSE = 256
+
 
 def _check_extent(*point_sets: np.ndarray) -> None:
-    """Reject point sets whose squared distances could overflow."""
+    """Reject point sets whose squared distances could overflow. A build
+    checks its level 0 only: coarser positions are pooled means of level 0's,
+    so they stay inside its bounding box up to a few ulps, far below the
+    margin of ``_MAX_SQUARED_EXTENT``."""
     lo = np.min([p.min(axis=0) for p in point_sets], axis=0)
     hi = np.max([p.max(axis=0) for p in point_sets], axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -450,14 +460,31 @@ def deterministic_knn(points: np.ndarray, queries: np.ndarray, k: int) -> np.nda
     position stands for its first k points in index order, so a group of
     points at one position costs O(k) per query, not O(group). Rows whose k
     nearest positions hold one point each and no further position ties the
-    k-th are ordered in one row-wise sort; only the others are ordered by
+    k-th keep the tree's order where it is already (squared distance,
+    index), and the rest of them are sorted; only the others are ordered by
     position groups, and only queries whose distance tie straddles the k-th
-    place fetch a ball of candidate positions.
+    place fetch a ball of candidate positions. At most ``_KNN_DENSE`` points
+    and queries skip the tree: one stable sort of each row of the full
+    squared-distance matrix.
     """
+    k = _integer(k, "k", 1)
+    if queries is points:  # one scan of a set queried against itself
+        _check_extent(points)
+    else:
+        _check_extent(points, queries)
+    return _knn_rows(points, queries, k)[0]
+
+
+def _knn_rows(points: np.ndarray, queries: np.ndarray, k: int) -> tuple[np.ndarray, tuple | None]:
+    """``deterministic_knn`` of checked points and a checked k, and the
+    kd-tree it built over the distinct positions, as (tree, the point index
+    of each tree entry), or None on the dense path."""
+    from scipy.spatial import cKDTree  # only point builds load it
     n = points.shape[0]
     k = min(k, n)
-    from scipy.spatial import cKDTree  # only point builds load it
-    _check_extent(points, queries)
+    if n <= _KNN_DENSE and queries.shape[0] <= _KNN_DENSE:
+        d2 = _squared_dist_to(points, queries[:, None])
+        return d2.argsort(axis=1, kind="stable")[:, :k], None
     groups = _position_groups(points)
     order, starts, counts = groups
     first = order.take(starts)
@@ -484,10 +511,14 @@ def deterministic_knn(points: np.ndarray, queries: np.ndarray, k: int) -> np.nda
     rows = np.flatnonzero(plain)
     if rows.size:  # then every row has k positions
         cand = first.take(idx[rows, :k])
-        cand.sort(axis=1)
         d2 = _squared_dist_to(points.take(cand, axis=0), distinct.take(rows, axis=0)[:, None])
-        # A stable sort keeps equal distances in the ascending index order.
-        out[rows] = np.take_along_axis(cand, d2.argsort(axis=1, kind="stable"), axis=1)
+        # Only rows whose tree order is not (squared distance, index) are sorted.
+        fall = d2[:, 1:] < d2[:, :-1]
+        fall |= (d2[:, 1:] == d2[:, :-1]) & (cand[:, 1:] < cand[:, :-1])
+        redo = np.flatnonzero(fall.any(axis=1))
+        if redo.size:
+            cand[redo] = np.take_along_axis(cand[redo], np.lexsort((cand[redo], d2[redo])), axis=1)
+        out[rows] = cand
 
     # Rows with duplicates among their nearest positions: those positions.
     rest = np.flatnonzero(~plain & ~tied)
@@ -513,7 +544,7 @@ def deterministic_knn(points: np.ndarray, queries: np.ndarray, k: int) -> np.nda
     # Each query takes the row of its distinct position.
     position = np.empty(queries.shape[0], dtype=np.int64)
     position[q_order] = np.arange(n_q).repeat(q_counts)
-    return out.take(position, axis=0)
+    return out.take(position, axis=0), (tree, first)
 
 
 def _order_by_position(points: np.ndarray, queries: np.ndarray, rows: np.ndarray,
@@ -539,17 +570,24 @@ def knn(cloud: PointCloud, k: int) -> NeighborhoodTopology:
 
     |T_i| = min(k, N); distance ties are broken by lower point index.
     """
-    return knn_from_positions(cloud.positions, _integer(k, "k", 1))
+    return knn_from_positions(cloud.positions, k)
 
 
 def knn_from_positions(positions: np.ndarray, k: int) -> NeighborhoodTopology:
-    n = positions.shape[0]
-    if n < 1:
+    if positions.shape[0] < 1:
         raise InvalidInputError("empty point set")
-    nbrs = deterministic_knn(positions, positions, k)
+    k = _integer(k, "k", 1)
+    _check_extent(positions)
+    return _knn_topology(positions, k)[0]
+
+
+def _knn_topology(positions: np.ndarray, k: int) -> tuple[NeighborhoodTopology, tuple | None]:
+    """The kNN topology of checked, non-empty positions and a checked k, and
+    the kd-tree ``_knn_rows`` built, which the build hands to the level's FPS."""
+    nbrs, tree = _knn_rows(positions, positions, k)
     # The topology holds them as int32; past 2^31 entries it refuses the map.
-    indptr = np.arange(n + 1, dtype=np.int64) * nbrs.shape[1]
-    return NeighborhoodTopology(indptr=indptr, indices=nbrs.ravel())
+    indptr = np.arange(positions.shape[0] + 1, dtype=np.int64) * nbrs.shape[1]
+    return NeighborhoodTopology(indptr=indptr, indices=nbrs.ravel()), tree
 
 
 def _canonical_order(positions: np.ndarray) -> np.ndarray:
@@ -573,6 +611,8 @@ def farthest_point_sample(cloud: PointCloud, m: int) -> np.ndarray:
 def fps_from_positions(positions: np.ndarray, m: int) -> np.ndarray:
     """Farthest point sampling (see ``farthest_point_sample``), run in the
     points' canonical order (see ``_fps_in_order``)."""
+    m = _integer(m, "m", 1, positions.shape[0])
+    _check_extent(positions)
     return _fps_in_order(positions, m, _canonical_order(positions))[0]
 
 
@@ -583,30 +623,118 @@ _FPS_BATCH = 64
 
 
 def _fps_in_order(positions: np.ndarray, m: int, canon: np.ndarray,
-                  rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Farthest point sampling given the points' canonical (x, y, z, index)
-    order ``canon`` (a hierarchy level stores it, so a build sorts each level
-    once) and, from a build, each point's exact kNN ``rows`` as ranks in
-    ``canon``. Returns the sample (input indices, ascending) and the parent
-    map: each point's nearest sampled point by (squared distance, index), as
-    a position in the sample; a sampled point is its own parent.
+                  rows: np.ndarray | None = None,
+                  tree: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Farthest point sampling of checked positions and a checked m, given
+    the points' canonical (x, y, z, index) order ``canon`` (a hierarchy
+    level stores it, so a build sorts each level once) and, from a build,
+    each point's exact kNN ``rows`` as ranks in ``canon`` and the kd-tree the
+    level's kNN built (see ``_knn_rows``). Returns the sample (input
+    indices, ascending) and the parent map: each point's nearest sampled
+    point by (squared distance, index), as a position in the sample; a
+    sampled point is its own parent.
 
     The sample is exactly that of the plain O(N*m) loop, run in canonical
     order, where the first of several equal maxima *is* the tie rule (the
-    lexicographically smallest coordinates, then the lowest index):
+    lexicographically smallest coordinates, then the lowest index). Points
+    at one position share every distance and sit together in canonical
+    order, lowest index first, so the first of them is picked before the
+    others, which then lie at 0. The loop runs over distinct positions,
+    kept as (x, y, z) columns, until the largest min-distance is 0; from
+    there it would take the remaining points in canonical order and update
+    nothing. Up to ``_FPS_DENSE`` distinct positions FPS is that loop
+    (``_fps_loop``); beyond, it picks in exact batches (``_fps_batches``).
+    """
+    n = positions.shape[0]
+    pts = positions.take(canon, axis=0)
+    lead = np.ones(n, dtype=bool)  # the first point at each distinct position
+    np.any(pts[1:] != pts[:-1], axis=1, out=lead[1:])
+    group = np.cumsum(lead) - 1  # each point's position, in canonical order
+    lead = np.flatnonzero(lead)
+    cols = np.ascontiguousarray(pts.take(lead, axis=0).T)  # the positions as (x, y, z) columns
+    lead_index = canon.take(lead)
 
-    - Points at one position share every distance and sit together in
-      canonical order, lowest index first, so the first of them is picked
-      before the others, which then lie at 0. The loop runs over distinct
-      positions until the largest min-distance is 0; from there it would
-      take the remaining points in canonical order and update nothing.
-    - Picks come in batches. A batch weighs the top candidates by
-      (-min-distance, canonical index) and accepts the best one while it
-      still beats every other position; each acceptance lowers the
-      candidates' values with the same ``_squared_dist_cols`` arithmetic
-      as a full update, so the batch picks what the loop would. The
-      positions are kept as (x, y, z) columns, from which the candidates'
-      distances and every update are computed.
+    # Summing rows in canonical order keeps the start pick (and thus the
+    # whole sample) independent of how the caller ordered the points. On a
+    # far, flat cloud the centroid may drift far enough to overflow to inf.
+    with np.errstate(over="ignore"):
+        start = int(np.argmax(_squared_dist_cols(cols, pts.mean(axis=0))))
+    if lead.shape[0] <= _FPS_DENSE:
+        picks, min_d2, nearest = _fps_loop(cols, start, m, lead_index)
+    else:
+        if rows is not None:  # as positions
+            rows = group.take(rows.take(lead_index, axis=0))
+        if tree is not None:  # each tree entry as a position (-0.0 and 0.0 may share one)
+            position = np.empty(n, dtype=np.int64)
+            position[canon] = group
+            tree = tree[0], position.take(tree[1])
+        picks, min_d2, nearest = _fps_batches(cols, start, m, lead_index, rows, tree)
+
+    # The other points at a picked position lie at 0 from it, their nearest.
+    min_d2[picks] = 0.0
+    nearest[picks] = lead_index.take(picks)
+    sampled = np.zeros(n, dtype=bool)
+    sampled[lead.take(picks)] = True
+    sampled[np.flatnonzero(~sampled)[: m - len(picks)]] = True  # the points taken at 0
+    selected = np.sort(canon.take(np.flatnonzero(sampled)))
+    parent_of = np.empty(n, dtype=np.int64)
+    parent_of[canon] = np.searchsorted(selected, nearest.take(group))
+    # A point at 0 from its nearest pick may tie with a pick taken at 0,
+    # which updated nothing. That pick shares its position, and so comes
+    # after the position's first point in index order, unless distinct
+    # positions can lie at 0: that needs a nonzero coordinate whose square
+    # is below _BALL_MIN_D2 (two distinct coordinates differ by more than
+    # 2^-53 times the smaller nonzero magnitude, which then squares to far
+    # above 0). There, those points ask the kNN.
+    zero = canon.take(np.flatnonzero((min_d2.take(group) == 0.0) & ~sampled))
+    if zero.size and (np.min(np.abs(pts), where=pts != 0.0, initial=np.inf)
+                      < math.sqrt(_BALL_MIN_D2)):
+        parent_of[zero] = _knn_rows(positions.take(selected, axis=0),
+                                    positions.take(zero, axis=0), 1)[0][:, 0]
+    parent_of[selected] = np.arange(m, dtype=np.int64)
+    return selected, parent_of
+
+
+def _fps_loop(cols: np.ndarray, start: int, m: int,
+              lead_index: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
+    """The plain farthest-point loop over the positions whose columns
+    ``cols`` holds, in canonical order, from the pick ``start``, over their
+    full squared-distance matrix: each pick is the first largest
+    min-distance and lowers every one, until m picks or the largest is 0.
+    Returns the picks (positions), the min-distances (picked ones at -1)
+    and each position's nearest pick, the lowest input index of
+    ``lead_index`` among the picks at its minimum: what ``_fps_batches``
+    returns."""
+    d2 = _squared_dist_cols(cols[:, :, None], cols[:, None])
+    picks = [start]
+    min_d2 = d2[start].copy()
+    min_d2[start] = -1.0
+    while len(picks) < m:
+        i = int(min_d2.argmax())
+        if min_d2[i] <= 0.0:
+            break
+        picks.append(i)
+        np.minimum(min_d2, d2[i], out=min_d2)
+        min_d2[i] = -1.0
+    d2 = d2.take(picks, axis=0)
+    nearest = np.where(d2 == d2.min(axis=0), lead_index.take(picks)[:, None],
+                       np.iinfo(np.int64).max).min(axis=0)
+    return picks, min_d2, nearest
+
+
+def _fps_batches(cols: np.ndarray, start: int, m: int, lead_index: np.ndarray,
+                 rows: np.ndarray | None,
+                 tree: tuple | None) -> tuple[list, np.ndarray, np.ndarray]:
+    """``_fps_loop``'s picks, min-distances and nearest picks, in batches,
+    from each position's kNN ``rows`` as positions (or None) and a kd-tree
+    over the positions as (tree, the position of each entry), or None: the
+    first ball builds one over ``cols``.
+
+    - A batch weighs the top candidates by (-min-distance, canonical index)
+      and accepts the best one while it still beats every other position;
+      each acceptance lowers the candidates' values with the same
+      ``_squared_dist_cols`` arithmetic as a full update, so the batch picks
+      what the loop would.
     - After a pick at min-distance ``best``, a min-distance can only drop
       (or tie) where the squared distance to the pick is at most ``best``.
       So one update per batch visits, for each pick, a kd-tree ball of
@@ -624,37 +752,22 @@ def _fps_in_order(positions: np.ndarray, m: int, canon: np.ndarray,
       touched.
     """
     from scipy.spatial import cKDTree  # only point builds load it
-    n = positions.shape[0]
-    m = _integer(m, "m", 1, n)
-    _check_extent(positions)
-    pts = positions.take(canon, axis=0)
-    lead = np.ones(n, dtype=bool)  # the first point at each distinct position
-    np.any(pts[1:] != pts[:-1], axis=1, out=lead[1:])
-    group = np.cumsum(lead) - 1  # each point's position, in canonical order
-    lead = np.flatnonzero(lead)
-    upts = pts.take(lead, axis=0)
-    cols = np.ascontiguousarray(upts.T)  # the positions as (x, y, z) columns
-    lead_index = canon.take(lead)
-
-    # Summing rows in canonical order keeps the start pick (and thus the
-    # whole sample) independent of how the caller ordered the points. On a
-    # far, flat cloud the centroid may drift far enough to overflow to inf.
-    with np.errstate(over="ignore"):
-        picks = [int(np.argmax(_squared_dist_cols(cols, pts.mean(axis=0))))]
+    n = cols.shape[1]
+    tree, entries = (None, None) if tree is None else tree
+    picks = [start]
     # Min-distances of the positions, padded to whole blocks with -inf.
     # Picked entries are parked at -1, below any real squared distance, so
     # no candidate search revisits them and no separate mask is needed.
-    blocks = np.full((-(-lead.shape[0] // _FPS_BLOCK), _FPS_BLOCK), -np.inf)
-    min_d2 = blocks.reshape(-1)[: lead.shape[0]]
-    min_d2[:] = _squared_dist_cols(cols, cols[:, picks[0]])
-    min_d2[picks[0]] = -1.0
+    blocks = np.full((-(-n // _FPS_BLOCK), _FPS_BLOCK), -np.inf)
+    min_d2 = blocks.reshape(-1)[:n]
+    min_d2[:] = _squared_dist_cols(cols, cols[:, start])
+    min_d2[start] = -1.0
     block_max = blocks.max(axis=1)
     # The input index of each position's nearest pick so far, ties to the lower.
-    nearest = np.full(lead.shape[0], lead_index[picks[0]], dtype=np.int64)
-    if rows is not None:  # as positions, with the squared distance each row reaches
-        rows = group.take(rows.take(lead_index, axis=0))
+    nearest = np.full(n, lead_index[start], dtype=np.int64)
+    if rows is not None:  # the squared distance each row reaches
         reach = _squared_dist_cols(cols.take(rows[:, -1], axis=1), cols)
-    tree, wide = None, True  # the first picks' balls hold most positions
+    wide = True  # the first picks' balls hold most positions
 
     while len(picks) < m and block_max.max() > 0.0:
         cand, bound, first_out = _fps_candidates(blocks, block_max)
@@ -689,14 +802,15 @@ def _fps_in_order(positions: np.ndarray, m: int, canon: np.ndarray,
             owner.append(batch[by_row].repeat(rows.shape[1]))
         by_ball = ~dense & ~by_row
         if by_ball.any():
-            tree = cKDTree(upts) if tree is None else tree
+            tree = cKDTree(cols.T) if tree is None else tree
             radii = np.sqrt(best[by_ball]) * (1.0 + _BALL_MARGIN)
-            balls = tree.query_ball_point(upts.take(batch[by_ball], axis=0), radii,
+            balls = tree.query_ball_point(cols.take(batch[by_ball], axis=1).T, radii,
                                           return_sorted=False)
             sizes = np.fromiter(map(len, balls), dtype=np.int64, count=radii.shape[0])
             widest = max(widest, int(sizes.max()))
-            visit.append(np.fromiter(itertools.chain.from_iterable(balls), dtype=np.int64,
-                                     count=int(sizes.sum())))
+            hits = np.fromiter(itertools.chain.from_iterable(balls), dtype=np.int64,
+                               count=int(sizes.sum()))
+            visit.append(hits if entries is None else entries.take(hits))
             owner.append(batch[by_ball].repeat(sizes))
         touched = np.full(block_max.shape[0], dense.any())
         touched[batch // _FPS_BLOCK] = True
@@ -710,39 +824,16 @@ def _fps_in_order(positions: np.ndarray, m: int, canon: np.ndarray,
             after = min_d2.take(visit)
             # A position whose min-distance dropped forgets its old nearest
             # pick; then every pick at the new minimum offers its input index.
-            nearest[visit[after < before]] = n
+            nearest[visit[after < before]] = np.iinfo(np.int64).max
             tie = d2 == after
             np.minimum.at(nearest, visit[tie], lead_index.take(owner[tie]))
             touched[visit // _FPS_BLOCK] = True
         min_d2[batch] = -1.0
         block_max[touched] = blocks[touched].max(axis=1)
         # A ball over an eighth of the positions costs more than a full pass.
-        wide = widest * 8 > lead.shape[0]
+        wide = widest * 8 > n
         picks.extend(batch.tolist())
-
-    # The other points at a picked position lie at 0 from it, their nearest.
-    min_d2[picks] = 0.0
-    nearest[picks] = lead_index.take(picks)
-    sampled = np.zeros(n, dtype=bool)
-    sampled[lead.take(picks)] = True
-    sampled[np.flatnonzero(~sampled)[: m - len(picks)]] = True  # the points taken at 0
-    selected = np.sort(canon.take(np.flatnonzero(sampled)))
-    parent_of = np.empty(n, dtype=np.int64)
-    parent_of[canon] = np.searchsorted(selected, nearest.take(group))
-    # A point at 0 from its nearest pick may tie with a pick taken at 0,
-    # which updated nothing. That pick shares its position, and so comes
-    # after the position's first point in index order, unless distinct
-    # positions can lie at 0: that needs a nonzero coordinate whose square
-    # is below _BALL_MIN_D2 (two distinct coordinates differ by more than
-    # 2^-53 times the smaller nonzero magnitude, which then squares to far
-    # above 0). There, those points ask the kNN.
-    zero = canon.take(np.flatnonzero((min_d2.take(group) == 0.0) & ~sampled))
-    if zero.size and (np.min(np.abs(pts), where=pts != 0.0, initial=np.inf)
-                      < math.sqrt(_BALL_MIN_D2)):
-        parent_of[zero] = deterministic_knn(positions.take(selected, axis=0),
-                                            positions.take(zero, axis=0), 1)[:, 0]
-    parent_of[selected] = np.arange(m, dtype=np.int64)
-    return selected, parent_of
+    return picks, min_d2, nearest
 
 
 # A dense FPS update weighs at most this many (pick, position) pairs at once.
@@ -762,7 +853,7 @@ def _fps_dense_update(cols: np.ndarray, picks: np.ndarray, tops: np.ndarray,
     included where the old min-distance ties it. Neither depends on the
     order of the picks, so chunks of picks are weighed in one pass each.
     """
-    # Picks by input index: the first of equal minima is then the lowest.
+    # Picks by input index: the first row at a minimum is then the lowest.
     order = np.argsort(lead_index.take(picks))
     picks, tops = picks.take(order), tops.take(order)
     n = cols.shape[1]
@@ -773,8 +864,8 @@ def _fps_dense_update(cols: np.ndarray, picks: np.ndarray, tops: np.ndarray,
         d2 = _squared_dist_cols(cols[:, None], cols.take(chunk, axis=1)[:, :, None])
         widest = max(widest, int(np.count_nonzero(d2 <= tops[lo : lo + step, None],
                                                   axis=1).max()))
-        first = d2.argmin(axis=0)
-        low = d2[first, np.arange(n)]
+        low = d2.min(axis=0)
+        first = (d2 == low).argmax(axis=0)
         at = np.flatnonzero(low <= min_d2)
         offer = lead_index.take(chunk.take(first.take(at)))
         tie = low.take(at) == min_d2.take(at)

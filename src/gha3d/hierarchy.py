@@ -21,19 +21,20 @@ from .errors import InvalidCoarsenError, InvalidInputError
 from .geometry import (
     NeighborhoodTopology,
     _canonical_order,
+    _check_extent,
     _checked,
     _csr,
     _fps_in_order,
     _freeze,
     _index_map,
     _integer,
+    _knn_topology,
     _pooled,
     _ranges,
     _readonly,
     _voxel_coords,
     _window_topology,
     kernel_window_topology,
-    knn_from_positions,
     pack_voxel_coords,
 )
 
@@ -172,19 +173,15 @@ def _shared(obj, **changes):
     return out
 
 
-def _pooled_level(level: HierarchyLevel, pool_indptr: np.ndarray, pool_indices: np.ndarray,
-                  make_topology, **fields) -> HierarchyLevel:
-    """The next-coarser structure level (q, k and v of width 0) pooled from
-    ``level``: positions are the means over the pooling map,
-    ``make_topology(positions)`` gives its neighborhoods and ``fields`` the
-    flavor's own arrays. The new level checks the flavor's int32 pooling
-    map, once, and stores a copy of it, as of every array here."""
-    positions = _pooled(level.positions, pool_indptr, pool_indices)
+def _structure_level(level_index: int, positions: np.ndarray, topology: NeighborhoodTopology,
+                     **fields) -> HierarchyLevel:
+    """A structure level (q, k and v of width 0) over ``positions`` and
+    ``topology``, with the flavor's and the pooling map's ``fields``. A
+    coarse level checks the flavor's int32 pooling map, once, and stores a
+    copy of it, as of every array here."""
     no_values = np.empty((positions.shape[0], 0))
-    return HierarchyLevel(level_index=level.level_index + 1, positions=positions,
-                          q_tilde=no_values, k_tilde=no_values, v_tilde=no_values,
-                          topology=make_topology(positions), pool_indptr=pool_indptr,
-                          pool_indices=pool_indices, **fields)
+    return HierarchyLevel(level_index=level_index, positions=positions, q_tilde=no_values,
+                          k_tilde=no_values, v_tilde=no_values, topology=topology, **fields)
 
 
 @dataclass(frozen=True)
@@ -257,15 +254,19 @@ def children_of(hierarchy: Hierarchy, level: int, parent: int) -> np.ndarray:
 # Coarsening
 # ---------------------------------------------------------------------------
 
-def _coarsen_point(level: HierarchyLevel, k: int, r: int) -> tuple[HierarchyLevel, np.ndarray]:
+def _coarsen_point(level: HierarchyLevel, tree: tuple | None, k: int,
+                   r: int) -> tuple[HierarchyLevel, np.ndarray, tuple | None]:
     """The build's point step on a level of more than k tokens, whose
-    topology is the exact kNN topology with rows of k tokens.
+    topology is the exact kNN topology with rows of k tokens and whose kNN
+    built ``tree`` (see ``geometry._knn_rows``).
 
     Keeps the ceil(n/r) farthest-point-sampled tokens, pools positions
     over each one's kNN row, and assigns every token to its nearest
     selected token (ties to the lower selected index; a selected token is
     always its own parent). Returns the coarse level, which holds no
-    values, and the parent map.
+    values, the parent map and the coarse level's kd-tree. No extent is
+    checked: the build checked level 0's, whose bounding box holds every
+    pooled mean.
     """
     n = level.n_tokens
     m = -(-n // r)  # ceil
@@ -274,7 +275,7 @@ def _coarsen_point(level: HierarchyLevel, k: int, r: int) -> tuple[HierarchyLeve
     rank[level.order] = np.arange(n)
     ranks = rank.take(level.topology.indices.reshape(n, k))
     # FPS also gives the parent map: each token's nearest selected token.
-    selected, parent_of = _fps_in_order(level.positions, m, level.order, ranks)
+    selected, parent_of = _fps_in_order(level.positions, m, level.order, ranks, tree)
 
     # Only the selected tokens' smoothed rows survive, so only their rows
     # become pooling groups. Each sums in the level's order, not in its
@@ -283,9 +284,12 @@ def _coarsen_point(level: HierarchyLevel, k: int, r: int) -> tuple[HierarchyLeve
     pool_indices = level.order.take(
         np.sort(ranks.take(selected, axis=0), axis=1).ravel()).astype(np.int32)
     pool_indptr = np.arange(m + 1, dtype=np.int32) * k  # m k < n k, the level's edge count
-    coarse = _pooled_level(level, pool_indptr, pool_indices,
-                           lambda positions: knn_from_positions(positions, k), selected=selected)
-    return coarse, parent_of
+    positions = _pooled(level.positions, pool_indptr, pool_indices)
+    topology, tree = _knn_topology(positions, k)
+    coarse = _structure_level(level.level_index + 1, positions, topology,
+                              pool_indptr=pool_indptr, pool_indices=pool_indices,
+                              selected=selected)
+    return coarse, parent_of, tree
 
 
 def coarsen_voxel(level: HierarchyLevel) -> tuple[HierarchyLevel, np.ndarray]:
@@ -321,8 +325,10 @@ def coarsen_voxel(level: HierarchyLevel) -> tuple[HierarchyLevel, np.ndarray]:
     pool_indices = np.lexsort((pack_voxel_coords(coords), parent_of)).astype(np.int32)
     # The parents' keys are unique and sorted already: the window neither
     # re-checks nor re-sorts them.
-    coarse = _pooled_level(level, pool_indptr, pool_indices, lambda _: _window_topology(uniq_keys),
-                           coords=parent_coords[first_idx])
+    coarse = _structure_level(level.level_index + 1,
+                              _pooled(level.positions, pool_indptr, pool_indices),
+                              _window_topology(uniq_keys), pool_indptr=pool_indptr,
+                              pool_indices=pool_indices, coords=parent_coords[first_idx])
     return coarse, parent_of
 
 
@@ -354,28 +360,30 @@ def attention_structure(
     positions = _checked(positions, "positions", (None, 3))
 
     # Each flavor fixes its neighborhood size, ratio, level-0 topology and
-    # coarsening step; one loop then coarsens until a level fits k tokens.
+    # coarsening step, which takes the level and its kd-tree (None for
+    # voxels) and returns the next level's; one loop then coarsens until a
+    # level fits k tokens.
     if flavor == "point":
         k, r = _integer(k, "k", 1), _integer(r, "coarsen ratio", 2)
         coords = None  # point levels carry no cells
-        topology = knn_from_positions(positions, k)
+        if positions.shape[0] < 1:
+            raise InvalidInputError("empty point set")
+        _check_extent(positions)  # level 0's box holds every coarser level
+        topology, tree = _knn_topology(positions, k)
         step = partial(_coarsen_point, k=k, r=r)
     elif flavor == "voxel":
         if coords is None:
             raise InvalidInputError("voxel flavor requires occupied-cell coords")
         k, r = VOXEL_WINDOW_K, 2  # level 0 checks that coords hold one cell per point
-        topology = kernel_window_topology(coords)
-        step = coarsen_voxel
+        topology, tree = kernel_window_topology(coords), None
+        step = lambda level, _: (*coarsen_voxel(level), None)
     else:
         raise InvalidInputError(f"unknown flavor {flavor!r}")
 
-    no_values = np.empty((positions.shape[0], 0))
-    level = HierarchyLevel(level_index=0, positions=positions, q_tilde=no_values,
-                           k_tilde=no_values, v_tilde=no_values, topology=topology,
-                           coords=coords)
+    level = _structure_level(0, positions, topology, coords=coords)
     levels = []
     while level.n_tokens > k:
-        coarse, parent_of = step(level)
+        coarse, parent_of, tree = step(level, tree)
         levels.append(_shared(level, parent_of=_readonly(parent_of)))
         level = coarse
     levels.append(level)

@@ -11,7 +11,7 @@ from gha3d import hierarchy
 from gha3d.hierarchy import build_hierarchy
 
 ROOT = Path(__file__).resolve().parent.parent
-STAGES = ("knn_from_positions", "_fps_in_order")
+STAGES = ("_knn_topology", "_fps_in_order")
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from gha3d import geometry
+from gha3d import geometry, hierarchy
 from gha3d.errors import CapacityError, FormatError, InvalidInputError
 from gha3d.geometry import (
     NeighborhoodTopology,
@@ -21,7 +21,7 @@ from gha3d.geometry import (
     save_point_cloud_binary,
     voxelize,
 )
-from gha3d.hierarchy import build_hierarchy, segment_mean
+from gha3d.hierarchy import attention_structure, build_hierarchy, segment_mean
 
 
 # ---------------------------------------------------------------------------
@@ -390,9 +390,11 @@ def test_fps_batches_match_loop_oracles_with_small_blocks(name, monkeypatch):
 def test_fps_dense_updates_in_chunks_match_loop_oracles(name, block, batch, monkeypatch):
     """A batch's dense picks update every position in one pass per chunk.
     With chunks of 3 picks on the cloud's own positions (coarser levels
-    take more), samples and parent maps still equal the per-pick loop's."""
+    take more), samples and parent maps still equal the per-pick loop's.
+    Every level runs in batches, the small ones too."""
     pos = _oracle_cloud(name)
     distinct = np.unique(pos, axis=0).shape[0]
+    monkeypatch.setattr(geometry, "_FPS_DENSE", 0)
     monkeypatch.setattr(geometry, "_FPS_DENSE_CHUNK", 3 * distinct)
     monkeypatch.setattr(geometry, "_FPS_BLOCK", block)
     monkeypatch.setattr(geometry, "_FPS_BATCH", batch)
@@ -407,6 +409,126 @@ def test_fps_dense_updates_in_chunks_match_loop_oracles(name, block, batch, monk
     monkeypatch.setattr(geometry, "_fps_dense_update", spy)
     _assert_matches_loop_oracles(pos)
     assert max(chunks) > 3  # some batch had more dense picks than one chunk
+
+
+def _first_positions(pos, size):
+    """The points of ``pos`` at its first ``size`` distinct positions, by
+    first appearance; -0.0 and 0.0 are one position, as FPS counts them."""
+    canon = np.lexsort(pos.T[::-1])
+    s = pos[canon]
+    new = np.r_[True, np.any(s[1:] != s[:-1], axis=1)]
+    group = np.empty(pos.shape[0], dtype=np.int64)
+    group[canon] = np.cumsum(new) - 1
+    _, first = np.unique(group, return_index=True)
+    return pos[np.isin(group, group[np.sort(first)[:size]])]
+
+
+@pytest.mark.parametrize("size", [geometry._FPS_DENSE - 1, geometry._FPS_DENSE,
+                                  geometry._FPS_DENSE + 1])
+@pytest.mark.parametrize("name", ["uniform", "scene", "distinct10", "near_duplicates",
+                                  "collinear", "coplanar_grid", "cubic_grid"])
+def test_fps_dense_loop_and_batches_match_loop_oracles_at_the_cutoff(name, size, monkeypatch):
+    """Up to ``_FPS_DENSE`` distinct positions FPS is the plain loop over
+    the full squared-distance matrix, beyond it the batches: on either side
+    of the cutoff, duplicates included, samples, parent maps and the
+    build's levels equal the loop oracles."""
+    pos = _first_positions(_oracle_cloud(name), size)
+    loops = []
+    loop = geometry._fps_loop
+    monkeypatch.setattr(geometry, "_fps_loop", lambda cols, *args: loops.append(cols.shape[1])
+                        or loop(cols, *args))
+    _assert_matches_loop_oracles(pos)
+    for m in (size // 3, size // 2):
+        selected, parent_of = geometry._fps_in_order(pos, m, geometry._canonical_order(pos))
+        assert np.array_equal(selected, loop_fps(pos, m))
+        assert np.array_equal(parent_of, loop_parent_of(pos, selected))
+    # The level itself runs the loop only at or below the cutoff.
+    assert (size in loops) == (size <= geometry._FPS_DENSE)
+
+
+@pytest.mark.parametrize("size", [geometry._KNN_DENSE - 1, geometry._KNN_DENSE,
+                                  geometry._KNN_DENSE + 1])
+@pytest.mark.parametrize("name", ORACLE_CLOUDS)
+def test_knn_dense_rows_match_loop_oracles_at_the_cutoff(name, size, monkeypatch):
+    """Up to ``_KNN_DENSE`` points and queries the kNN sorts each row of
+    the full squared-distance matrix and builds no kd-tree; beyond, the tree
+    path gives the same rows, duplicates and signed zeros included."""
+    pos = _oracle_cloud(name)[:size]  # the small cloud holds fewer points
+    n = pos.shape[0]
+    trees = []
+
+    class CountingTree(cKDTree):
+        def __init__(self, data, *args, **kwargs):
+            trees.append(len(data))
+            super().__init__(data, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
+    for k in (1, 8, n, n + 1):
+        trees.clear()
+        got = deterministic_knn(pos, pos, k)
+        assert got.tolist() == brute_knn(pos, k), k
+        assert bool(trees) == (n > geometry._KNN_DENSE)
+    # Few points against more queries than the cutoff take the tree.
+    queries = _oracle_cloud(name)[-200:]
+    assert np.array_equal(deterministic_knn(pos, queries, 8), loop_knn(pos, queries, 8))
+
+
+@pytest.mark.parametrize("name", ["uniform", "scene", "distinct10", "cubic_grid"])
+@pytest.mark.parametrize("k, r", [(8, 2), (4, 3)])
+def test_point_build_makes_one_kd_tree_per_level(name, k, r, monkeypatch):
+    """The kd-tree a level's kNN builds is the one its FPS queries: a build
+    makes one per level above the dense kNN size and none below, however
+    many balls FPS fetches."""
+    pos = _oracle_cloud(name)
+    trees, balls = [], []
+
+    class CountingTree(cKDTree):
+        def __init__(self, data, *args, **kwargs):
+            trees.append(len(data))
+            super().__init__(data, *args, **kwargs)
+
+        def query_ball_point(self, x, r, **kwargs):
+            balls.append(len(x))
+            return super().query_ball_point(x, r, **kwargs)
+
+    monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
+    h = build_hierarchy(pos, np.zeros((pos.shape[0], 1)), np.zeros((pos.shape[0], 1)),
+                        np.zeros((pos.shape[0], 1)), k=k, r=r)
+    assert len(trees) == sum(lv.n_tokens > geometry._KNN_DENSE for lv in h.levels)
+    assert sum(balls) > 0
+
+
+def test_build_checks_the_extent_of_level_0_only(monkeypatch):
+    """Coarse positions are pooled means of level 0's, inside its bounding
+    box, so a build checks level 0's extent once: a cloud just inside the
+    bound builds, and one just outside it is refused before any kNN."""
+    bound = geometry._MAX_SQUARED_EXTENT
+    inside = np.sqrt(bound)
+    while inside * inside > bound:
+        inside = np.nextafter(inside, 0.0)
+    while np.nextafter(inside, np.inf) ** 2 <= bound:
+        inside = np.nextafter(inside, np.inf)
+    pos = np.random.default_rng(31).uniform(size=(600, 3))
+    pos[:2, 0] = 0.0, 1.0  # the x span is the scale, y and z add below its last bit
+    checked = []
+    check = geometry._check_extent
+
+    def spy(*point_sets):
+        checked.append(point_sets)
+        check(*point_sets)
+
+    monkeypatch.setattr(geometry, "_check_extent", spy)
+    monkeypatch.setattr(hierarchy, "_check_extent", spy)
+    wide = pos * [inside, 1.0, 1.0]
+    h = attention_structure(wide, k=8, r=2)
+    assert len(checked) == 1 and len(checked[0]) == 1 and np.array_equal(checked[0][0], wide)
+    assert len(h.levels) > 2
+    lo, hi = wide.min(axis=0), wide.max(axis=0)
+    assert all(np.all((lv.positions >= lo) & (lv.positions <= hi)) for lv in h.levels)
+    too_wide = pos * [np.nextafter(inside, np.inf), 1.0, 1.0]
+    monkeypatch.setattr(hierarchy, "_knn_topology", None)  # never reached
+    with pytest.raises(InvalidInputError, match="squared diagonal"):
+        attention_structure(too_wide, k=8, r=2)
 
 
 @pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e-150, 1e-100, 1.0, 1e100, 1e150])

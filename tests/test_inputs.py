@@ -50,7 +50,7 @@ from gha3d import (
     weight_bound,
     with_values,
 )
-from gha3d.geometry import fps_from_positions
+from gha3d.geometry import deterministic_knn, fps_from_positions, knn_from_positions
 from gha3d.hierarchy import segment_mean
 
 N, D = 12, 4
@@ -171,6 +171,9 @@ def _config(**kw):
 # raising ConfigError.
 SCALARS = [
     ("knn-k", lambda v: knn(CLOUD, v), 3, 0, None, InvalidInputError),
+    ("knn_from_positions-k", lambda v: knn_from_positions(POS, v), 4, 0, None, InvalidInputError),
+    ("deterministic_knn-k", lambda v: deterministic_knn(POS, POS, v), 4, 0, None,
+     InvalidInputError),
     ("farthest_point_sample-m", lambda v: farthest_point_sample(CLOUD, v), 3, 0, N + 1,
      InvalidInputError),
     ("fps_from_positions-m", lambda v: fps_from_positions(POS, v), N, 0, N + 1,
