@@ -393,11 +393,9 @@ _BALL_MIN_D2 = 1e-250
 # Candidates ordered per batch on the tied-boundary kNN path.
 _KNN_CANDIDATE_BUDGET = 1 << 20
 
-# Up to these sizes the kNN (points and queries) and FPS (distinct
-# positions) run the plain loop over the full squared-distance matrix,
-# which the tree and batch paths reproduce; below them a kd-tree and
-# batches cost more than the whole matrix.
-_KNN_DENSE = 64
+# Up to this many distinct positions FPS runs the plain loop over the full
+# squared-distance matrix, which the batches reproduce; below it batches
+# cost more than the whole matrix.
 _FPS_DENSE = 256
 
 
@@ -463,28 +461,20 @@ def deterministic_knn(points: np.ndarray, queries: np.ndarray, k: int) -> np.nda
     k-th keep the tree's order where it is already (squared distance,
     index), and the rest of them are sorted; only the others are ordered by
     position groups, and only queries whose distance tie straddles the k-th
-    place fetch a ball of candidate positions. At most ``_KNN_DENSE`` points
-    and queries skip the tree: one stable sort of each row of the full
-    squared-distance matrix.
+    place fetch a ball of candidate positions.
     """
     k = _integer(k, "k", 1)
-    if queries is points:  # one scan of a set queried against itself
-        _check_extent(points)
-    else:
-        _check_extent(points, queries)
+    _check_extent(points, queries)
     return _knn_rows(points, queries, k)[0]
 
 
-def _knn_rows(points: np.ndarray, queries: np.ndarray, k: int) -> tuple[np.ndarray, tuple | None]:
+def _knn_rows(points: np.ndarray, queries: np.ndarray, k: int) -> tuple[np.ndarray, tuple]:
     """``deterministic_knn`` of checked points and a checked k, and the
     kd-tree it built over the distinct positions, as (tree, the point index
-    of each tree entry), or None on the dense path."""
+    of each tree entry)."""
     from scipy.spatial import cKDTree  # only point builds load it
     n = points.shape[0]
     k = min(k, n)
-    if n <= _KNN_DENSE and queries.shape[0] <= _KNN_DENSE:
-        d2 = _squared_dist_to(points, queries[:, None])
-        return d2.argsort(axis=1, kind="stable")[:, :k], None
     groups = _position_groups(points)
     order, starts, counts = groups
     first = order.take(starts)
@@ -581,7 +571,7 @@ def knn_from_positions(positions: np.ndarray, k: int) -> NeighborhoodTopology:
     return _knn_topology(positions, k)[0]
 
 
-def _knn_topology(positions: np.ndarray, k: int) -> tuple[NeighborhoodTopology, tuple | None]:
+def _knn_topology(positions: np.ndarray, k: int) -> tuple[NeighborhoodTopology, tuple]:
     """The kNN topology of checked, non-empty positions and a checked k, and
     the kd-tree ``_knn_rows`` built, which the build hands to the level's FPS."""
     nbrs, tree = _knn_rows(positions, positions, k)

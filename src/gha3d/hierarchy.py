@@ -254,8 +254,8 @@ def children_of(hierarchy: Hierarchy, level: int, parent: int) -> np.ndarray:
 # Coarsening
 # ---------------------------------------------------------------------------
 
-def _coarsen_point(level: HierarchyLevel, tree: tuple | None, k: int,
-                   r: int) -> tuple[HierarchyLevel, np.ndarray, tuple | None]:
+def _coarsen_point(level: HierarchyLevel, tree: tuple, k: int,
+                   r: int) -> tuple[HierarchyLevel, np.ndarray, tuple]:
     """The build's point step on a level of more than k tokens, whose
     topology is the exact kNN topology with rows of k tokens and whose kNN
     built ``tree`` (see ``geometry._knn_rows``).

@@ -446,29 +446,16 @@ def test_fps_dense_loop_and_batches_match_loop_oracles_at_the_cutoff(name, size,
     assert (size in loops) == (size <= geometry._FPS_DENSE)
 
 
-@pytest.mark.parametrize("size", [geometry._KNN_DENSE - 1, geometry._KNN_DENSE,
-                                  geometry._KNN_DENSE + 1])
+@pytest.mark.parametrize("size", [2, 16, 65])
 @pytest.mark.parametrize("name", ORACLE_CLOUDS)
-def test_knn_dense_rows_match_loop_oracles_at_the_cutoff(name, size, monkeypatch):
-    """Up to ``_KNN_DENSE`` points and queries the kNN sorts each row of
-    the full squared-distance matrix and builds no kd-tree; beyond, the tree
-    path gives the same rows, duplicates and signed zeros included."""
+def test_knn_rows_of_small_clouds_match_loop_oracles(name, size):
+    """Small clouds, like a build's coarsest levels, take the kd-tree path
+    too, and its rows equal the loop oracles' for every k, duplicates and
+    signed zeros included."""
     pos = _oracle_cloud(name)[:size]  # the small cloud holds fewer points
     n = pos.shape[0]
-    trees = []
-
-    class CountingTree(cKDTree):
-        def __init__(self, data, *args, **kwargs):
-            trees.append(len(data))
-            super().__init__(data, *args, **kwargs)
-
-    monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
     for k in (1, 8, n, n + 1):
-        trees.clear()
-        got = deterministic_knn(pos, pos, k)
-        assert got.tolist() == brute_knn(pos, k), k
-        assert bool(trees) == (n > geometry._KNN_DENSE)
-    # Few points against more queries than the cutoff take the tree.
+        assert deterministic_knn(pos, pos, k).tolist() == brute_knn(pos, k), k
     queries = _oracle_cloud(name)[-200:]
     assert np.array_equal(deterministic_knn(pos, queries, 8), loop_knn(pos, queries, 8))
 
@@ -477,8 +464,7 @@ def test_knn_dense_rows_match_loop_oracles_at_the_cutoff(name, size, monkeypatch
 @pytest.mark.parametrize("k, r", [(8, 2), (4, 3)])
 def test_point_build_makes_one_kd_tree_per_level(name, k, r, monkeypatch):
     """The kd-tree a level's kNN builds is the one its FPS queries: a build
-    makes one per level above the dense kNN size and none below, however
-    many balls FPS fetches."""
+    makes one per level, however many balls FPS fetches."""
     pos = _oracle_cloud(name)
     trees, balls = [], []
 
@@ -494,7 +480,7 @@ def test_point_build_makes_one_kd_tree_per_level(name, k, r, monkeypatch):
     monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
     h = build_hierarchy(pos, np.zeros((pos.shape[0], 1)), np.zeros((pos.shape[0], 1)),
                         np.zeros((pos.shape[0], 1)), k=k, r=r)
-    assert len(trees) == sum(lv.n_tokens > geometry._KNN_DENSE for lv in h.levels)
+    assert trees == [np.unique(lv.positions, axis=0).shape[0] for lv in h.levels]
     assert sum(balls) > 0
 
 
