@@ -20,23 +20,25 @@ results cannot overflow, while staying mathematically identical to the
 unshifted sums. ``gha_backward`` is the exact adjoint of the forward map
 (including the coarsening averages) with respect to level-0 q/k/v.
 
-Every forward (``_forward``, the one writer of a pass) leaves its pass on
-the hierarchy object (``_Pass``): each level's row maxima and, in relative
-mode, each level's Q', level 0's edge weights (scored last, so still alive
-when the forward ends), the level-0 denominators and maxima, the value
-scaling and a private copy of z, with a reference to the level-0 term it
-scored with, which decides what it serves. The backward reads it: level 0's weights
-as they are, and each coarser level's made again from the same span helper
-(``_span_weights``) and the same maxima, so they are bitwise the
-forward's; without a pass it runs the forward first. Effective weights
-run a forward of their own, which also hands back every level's edge
-weights.
+Every kernel ends through one finish (``_finished``). A forward
+(``_forward``, the one writer of a pass) leaves on the hierarchy object
+only what the backward reads (``_Pass``): each level's row maxima, each
+coarser level's Q' in relative mode, level 0's edge weights (scored last,
+so still alive when the forward ends), the level-0 denominators and
+maxima, the value shift and a private copy of z, with a reference to the
+level-0 term it scored with, which decides what it serves. The backward
+reads level 0's weights as they are and makes each coarser level's again
+from the same span helper (``_span_weights``) and maxima, so they are
+bitwise the forward's; without a pass it runs the forward first.
+Effective weights run a forward of their own, which also hands back every
+level's edge weights.
 
 The kernels walk a level's ``NeighborhoodTopology`` as it is: its width
 classes in row spans (``_spans``), each query's rows broadcast over its
 edges, and its int32 CSR arrays in every sum.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -273,7 +275,7 @@ def _dense_softmax_chunks(q, k, pos, emb, mode):
     scale = math.sqrt(d)
     sides = _scored(q, k, _level_term(pos, emb, mode), mode)
     q, k = sides.q, sides.k
-    if sides.q_rot is not None:
+    if sides.k_rot is not None:
         q, k = np.hstack([q, sides.q_rot]), np.hstack([k, sides.k_rot])
     for start, stop in _bounded_spans(n, n):  # rows-by-keys temporaries
         s = np.einsum("id,jd->ij", q[start:stop], k)  # no BLAS: same bits on any thread count
@@ -284,23 +286,31 @@ def _dense_softmax_chunks(q, k, pos, emb, mode):
         yield start, stop, a, a.sum(axis=1), mu
 
 
+def _finished(y, denom, mu, exponents, per_level: tuple) -> AttentionResult:
+    """The one finish of a dense, local or hierarchical pass from its
+    shifted sums: the normalizers denom * exp(mu), z = y / denom in y's
+    memory, scaled back by the value ``exponents``, and the per-level
+    weight counts."""
+    with np.errstate(over="ignore"):  # extreme scores saturate to inf
+        normalizers = denom * np.exp(mu)
+    y /= denom[:, None]
+    return AttentionResult(z=y if exponents is None else np.ldexp(y, exponents),
+                           normalizers=normalizers, weight_count=sum(per_level),
+                           per_level_weight_count=per_level)
+
+
 def dense_attention(inputs: AttentionInputs) -> AttentionResult:
     """Exact softmax(q k^T / sqrt(d)) v with per-row max subtraction."""
     n = inputs.n_tokens
     exponents = _value_exponents([inputs.v], n)
     v = inputs.v if exponents is None else np.ldexp(inputs.v, -exponents)
-    z = np.empty_like(v)
-    normalizers = np.empty(n, dtype=np.float64)
-    for start, stop, a, denom, mu in _dense_softmax_chunks(
+    y, denom, mu = np.empty_like(v), np.empty(n), np.empty(n)
+    for start, stop, a, a_sum, a_max in _dense_softmax_chunks(
         inputs.q, inputs.k, inputs.positions, inputs.embedding, inputs.embedding_mode
     ):
-        z[start:stop] = np.einsum("ij,jd->id", a, v) / denom[:, None]
-        with np.errstate(over="ignore"):  # extreme scores saturate to inf
-            normalizers[start:stop] = denom * np.exp(mu)
-    return AttentionResult(
-        z=z if exponents is None else np.ldexp(z, exponents), normalizers=normalizers,
-        weight_count=n * n, per_level_weight_count=(n * n,)
-    )
+        y[start:stop] = np.einsum("ij,jd->id", a, v)
+        denom[start:stop], mu[start:stop] = a_sum, a_max
+    return _finished(y, denom, mu, exponents, (n * n,))
 
 
 # Edge-by-column elements that one span of a level kernel holds per
@@ -329,25 +339,29 @@ def _spans(topology, columns: int):
             yield _rows(rows, slice(lo, lo + step)), _rows(edges, part), cols[part], width
 
 
-class _Sides(NamedTuple):
+class _Sides:
     """What a level's scores read: s = (q . k + q_rot . k_rot) / scale over
     each edge, the second term (Q' . K') in relative mode only, where
-    ``q_rot`` and ``k_rot`` are not None. Absolute mode adds gamma to q and k."""
+    ``k_rot`` (K') is not None. Absolute mode adds gamma to q and k. Q' =
+    ``_rotated(q, K')`` is made when a score first reads it, unless a pass
+    that kept it hands it in: a backward never forms level 0's."""
 
-    q: np.ndarray
-    k: np.ndarray
-    q_rot: np.ndarray | None
-    k_rot: np.ndarray | None
+    def __init__(self, q, k, k_rot=None, q_rot=None):
+        self.q, self.k, self.k_rot = q, k, k_rot
+        if q_rot is not None:
+            self.q_rot = q_rot
+
+    @functools.cached_property
+    def q_rot(self):
+        return None if self.k_rot is None else _rotated(self.q, self.k_rot)
 
 
 def _scored(q, k, term, mode, q_rot=None) -> _Sides:
     """A level's ``_Sides`` from its q and k rows and positional ``term``;
     a relative pass that kept the level's Q' passes it as ``q_rot``."""
     if mode == "absolute":
-        return _Sides(q + term, k + term, None, None)
-    if mode == "relative":
-        return _Sides(q, k, _rotated(q, term) if q_rot is None else q_rot, term)
-    return _Sides(q, k, None, None)
+        return _Sides(q + term, k + term)
+    return _Sides(q, k, term if mode == "relative" else None, q_rot)
 
 
 def _query_dot(x_rows, y_rows, width):
@@ -395,25 +409,21 @@ def _level_softmax(sides, v, topology, scale):
     return mu, sums[:, d_v].copy(), sums[:, :d_v].copy(), t
 
 
+def _widest(topology) -> int:
+    """The most edges a row of ``topology`` holds: its last width class's."""
+    return topology.classes[-1][3]
+
+
 def local_attention(inputs: AttentionInputs, topology) -> AttentionResult:
     """Softmax attention restricted to j in T_i."""
     if topology.n_tokens != inputs.n_tokens:
         raise InvalidInputError("topology token count does not match inputs")
     mode = inputs.embedding_mode
     sides = _scored(inputs.q, inputs.k, _level_term(inputs.positions, inputs.embedding, mode), mode)
-    exponents = _value_exponents([inputs.v], int(topology.sizes.max()))
+    exponents = _value_exponents([inputs.v], _widest(topology))
     v = inputs.v if exponents is None else np.ldexp(inputs.v, -exponents)
     mu, denom, y, _ = _level_softmax(sides, v, topology, math.sqrt(inputs.d))
-    e = topology.total_edges
-    with np.errstate(over="ignore"):
-        normalizers = denom * np.exp(mu)
-    z = y / denom[:, None]
-    return AttentionResult(
-        z=z if exponents is None else np.ldexp(z, exponents),
-        normalizers=normalizers,
-        weight_count=e,
-        per_level_weight_count=(e,),
-    )
+    return _finished(y, denom, mu, exponents, (topology.total_edges,))
 
 
 # ---------------------------------------------------------------------------
@@ -422,19 +432,19 @@ def local_attention(inputs: AttentionInputs, topology) -> AttentionResult:
 
 class _Pass(NamedTuple):
     """What a forward leaves on its hierarchy for the adjoint over the same
-    values: O(N d_v + sum of n_h d) floats and one per-edge array, level 0's
-    weights (E_0 floats, N k on a point structure); coarser levels' weights
-    are scored again. It serves only the embedding and mode whose level-0
-    term (``_kept_term``) it scored with: ``term`` is that very object,
-    which level 0's memo owns."""
+    values, and no more: O(N d_v + sum over h >= 1 of n_h d) floats and one
+    per-edge array, level 0's weights (E_0 floats, N k on a point
+    structure); coarser levels' weights are scored again. It serves only
+    the embedding and mode whose level-0 term (``_kept_term``) it scored
+    with: ``term`` is that very object, which level 0's memo owns."""
 
     term: np.ndarray | None  # level 0's positional term; None in mode "none"
     mu: tuple  # each level's per-token local max scores
-    q_rot: tuple  # each level's Q' in relative mode, else Nones
+    q_rot: tuple  # each coarser level's Q' in relative mode; None at level 0 and otherwise
     t0: np.ndarray  # level 0's edge weights, read-only
     d_hat: np.ndarray  # the level-0 denominators, shifted by m_q
     m_q: np.ndarray  # the level-0 running maxima
-    exponents: np.ndarray | None  # the value columns' scaling (see _value_exponents)
+    shift: int | None  # the largest power of two the forward scaled v down by, if any
     z: np.ndarray  # a private read-only copy of the output
 
 
@@ -445,15 +455,11 @@ def _forward(hierarchy: Hierarchy, embedding, mode: str, weights=None) -> Attent
     and returns its result. A list ``weights`` receives every level's edge
     weights t, finest level first; its level-0 entry is the pass's array."""
     scale = math.sqrt(hierarchy.levels[0].q_tilde.shape[1])
-    depth = hierarchy.depth
     exponents = _value_exponents([lv.v_tilde for lv in hierarchy.levels],
-                                 sum(int(lv.topology.sizes.max()) for lv in hierarchy.levels))
-
-    mus: list = [None] * (depth + 1)
-    q_rots: list = [None] * (depth + 1)
-    per_level = [0] * (depth + 1)
+                                 sum(_widest(lv.topology) for lv in hierarchy.levels))
+    mus, q_rots = [None] * len(hierarchy.levels), [None] * len(hierarchy.levels)
     carry_y = carry_d = carry_m = None
-    for h in range(depth, -1, -1):
+    for h in range(hierarchy.depth, -1, -1):
         lv = hierarchy.levels[h]
         term = _kept_term(lv, embedding, mode)  # at h = 0, the one the pass keeps
         sides = _scored(lv.q_tilde, lv.k_tilde, term, mode)
@@ -465,8 +471,8 @@ def _forward(hierarchy: Hierarchy, embedding, mode: str, weights=None) -> Attent
             t0 = _readonly(t)
         del t  # else alive through the parent copy below
         mus[h] = mu
-        q_rots[h] = None if sides.q_rot is None else _readonly(sides.q_rot)
-        per_level[h] = lv.topology.total_edges
+        if h and sides.k_rot is not None:  # the backward scores levels 1..H again
+            q_rots[h] = _readonly(sides.q_rot)
 
         if carry_y is None:  # top level: nothing above contributes
             carry_y, carry_d, carry_m = y_loc, d_loc, mu
@@ -484,19 +490,11 @@ def _forward(hierarchy: Hierarchy, embedding, mode: str, weights=None) -> Attent
             carry_m = m
         del sides, y_loc, d_loc, v  # else alive through the next level's softmax
 
-    with np.errstate(over="ignore"):
-        normalizers = carry_d * np.exp(carry_m)
-    z = carry_y
-    z /= carry_d[:, None]
-    result = AttentionResult(
-        z=z if exponents is None else np.ldexp(z, exponents),
-        normalizers=normalizers,
-        weight_count=int(sum(per_level)),
-        per_level_weight_count=tuple(per_level),
-    )
+    result = _finished(carry_y, carry_d, carry_m, exponents,
+                       tuple(lv.topology.total_edges for lv in hierarchy.levels))
     object.__setattr__(hierarchy, "forward_pass", _Pass(
-        term, tuple(mus), tuple(q_rots), t0, carry_d, carry_m, exponents,
-        _readonly(result.z.copy())))
+        term, tuple(mus), tuple(q_rots), t0, carry_d, carry_m,
+        None if exponents is None else int(exponents.max()), _readonly(result.z.copy())))
     return result
 
 
@@ -528,14 +526,15 @@ def gha_forward(hierarchy: Hierarchy, embedding: FourierEmbedding | None = None,
     levels, for as long as the structure lives.
 
     The call leaves its pass on ``hierarchy`` (replacing any earlier one):
-    each level's row maxima and, in relative mode, its Q' (the rotated q
-    rows), level 0's edge weights, the level-0 denominators and maxima, the
-    value scaling and a private read-only copy of z, O(N d_v + sum of n_h d)
-    floats plus one per level-0 edge, that live as long as the hierarchy
-    object. A ``gha_backward`` whose level-0 kept term is the one this pass
-    scored with (same mode, equal frequencies, the term not made again
-    since) reads it instead of running this forward again; ``with_values`` and ``truncate``
-    copies start without one.
+    each level's row maxima and, in relative mode, each coarser level's Q'
+    (the rotated q rows), level 0's edge weights, the level-0 denominators
+    and maxima, the value shift and a private read-only copy of z,
+    O(N d_v + sum over h >= 1 of n_h d) floats plus one per level-0 edge,
+    that live as long as the hierarchy object. A ``gha_backward`` whose
+    level-0 kept term is the one this pass scored with (same mode, equal
+    frequencies, the term not made again since) reads it instead of running
+    this forward again; ``with_values`` and ``truncate`` copies start
+    without one.
     """
     _check_mode(embedding, embedding_mode, hierarchy.levels[0].q_tilde.shape[1])
     return _forward(hierarchy, embedding, embedding_mode)
@@ -625,10 +624,11 @@ def gha_backward(hierarchy: Hierarchy, dz: np.ndarray,
     The call reads the pass the last forward on this hierarchy left (a
     ``gha_forward``, or one an earlier backward or effective-weight call
     ran) when it scored with the structure's level-0 term for this
-    embedding and mode (``_held_pass``), and runs no forward; in
-    relative mode the pass's Q' serves the scores. Without one it runs the
-    forward itself first and leaves its pass: a backward alone costs about
-    one forward more than a backward after a forward. Level 0's edge
+    embedding and mode (``_held_pass``), and runs no forward; in relative
+    mode the pass's Q' serves the coarser levels' scores, and level 0's,
+    never scored, is not formed. Without one it runs the forward itself
+    first and leaves its pass: a backward alone costs about one forward more
+    than a backward after a forward. Level 0's edge
     weights are the pass's; each coarser level's are made again from the
     pass's row maxima inside the backward's own row spans, so besides level
     0's only one level's per-edge weights and ds are alive at a time, and
@@ -646,8 +646,7 @@ def gha_backward(hierarchy: Hierarchy, dz: np.ndarray,
     # scales v's columns down, their v terms (v in ds, z in the b column) run
     # on v scaled by the largest of those powers of two, and dq and dk are
     # scaled back: exact, as in the forward, and no edge sum overflows.
-    shift = None if held.exponents is None else int(held.exponents.max())
-    z = held.z if shift is None else np.ldexp(held.z, -shift)
+    z = held.z if held.shift is None else np.ldexp(held.z, -held.shift)
 
     # Per-query scaled cotangents: dY_q = dz_q / D_q, then -dD_q = (dz_q.z_q)/D_q,
     # with D_q = d_hat_q * exp(m_q) kept in the shifted form.
@@ -661,7 +660,7 @@ def gha_backward(hierarchy: Hierarchy, dz: np.ndarray,
         sides = _scored(lv.q_tilde, lv.k_tilde, _kept_term(lv, embedding, embedding_mode),
                         embedding_mode, held.q_rot[h])
         indptr, cols = lv.topology.indptr, lv.topology.indices
-        v = lv.v_tilde if shift is None else np.ldexp(lv.v_tilde, -shift)
+        v = lv.v_tilde if held.shift is None else np.ldexp(lv.v_tilde, -held.shift)
         # t (at level 0, the pass's) and ds edge by edge in row spans; every
         # sum over the level's edges is then one product over its whole t or
         # ds. The level's [dq | dk | dv] rows are written in place.
@@ -692,6 +691,6 @@ def gha_backward(hierarchy: Hierarchy, dz: np.ndarray,
         per_level.append(g)
         del g, dq, ds, sides  # else alive next to the next level's
     g = _pull_back(hierarchy, per_level)
-    if shift is not None:
-        g[:, :2 * d] = np.ldexp(g[:, :2 * d], shift)
+    if held.shift is not None:
+        g[:, :2 * d] = np.ldexp(g[:, :2 * d], held.shift)
     return Gradients(*np.hsplit(g, [d, 2 * d]))

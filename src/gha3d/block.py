@@ -139,7 +139,8 @@ class GhaBlockParams:
 
 
 def xavier_bound(fan_in: int, fan_out: int) -> float:
-    return float(np.sqrt(6.0 / (fan_in + fan_out)))
+    fans = _integer(fan_in, "fan_in", 1) + _integer(fan_out, "fan_out", 1)
+    return float(np.sqrt(6.0 / fans))
 
 
 def init_params(config: BlockConfig) -> GhaBlockParams:
@@ -166,8 +167,20 @@ def init_params(config: BlockConfig) -> GhaBlockParams:
 
 def layer_norm(x: np.ndarray, gain: np.ndarray, shift: np.ndarray,
                eps: float = LAYERNORM_EPS) -> np.ndarray:
-    """Each row less its mean over its standard deviation, then ``gain``
-    and ``shift``. A row of finite features whose mean or variance
+    """Each row of the (n, c) x less its mean over its standard deviation,
+    then times ``gain`` and plus ``shift``, each c long (``_layer_norm``);
+    ``eps``, added to each variance, is a finite real > 0."""
+    x = _checked(x, "x", (None, None))
+    eps = float(_checked(eps, "eps", ()))
+    if not eps > 0:
+        raise InvalidInputError(f"eps must be positive, got {eps}")
+    return _layer_norm(x, _checked(gain, "gain", (x.shape[1],)),
+                       _checked(shift, "shift", (x.shape[1],)), eps)
+
+
+def _layer_norm(x, gain, shift, eps=LAYERNORM_EPS):
+    """``layer_norm`` of checked arrays, which ``block_forward`` calls on the
+    x it checked once. A row of finite features whose mean or variance
     overflows is normalized again scaled by 2^-e, e the exponent of its
     largest magnitude: its variance scales by the even power 2^-2e, so the
     square root scales exactly, and eps is absorbed at such a variance.
@@ -185,9 +198,6 @@ def layer_norm(x: np.ndarray, gain: np.ndarray, shift: np.ndarray,
         sd = np.sqrt(np.mean(centred**2, axis=1, keepdims=True))
         # A zero variance leaves each centred entry 0, as eps would.
         out[bad] = np.divide(centred, sd, out=np.zeros_like(centred), where=sd > 0.0)
-    if (np.result_type(out, gain, shift) != out.dtype
-            or np.broadcast_shapes(out.shape, np.shape(gain), np.shape(shift)) != out.shape):
-        return out * gain + shift  # promoted or broadcast: not in place
     out *= gain
     out += shift
     return out
@@ -255,7 +265,7 @@ def block_forward(
         # In place where the bits allow: x @ w, then += b, is x @ w + b.
         # Each projection is made whole (a product per head would round
         # differently) and cut into one contiguous array per head at once.
-        h = layer_norm(x, lp.ln1_gain, lp.ln1_shift)
+        h = _layer_norm(x, lp.ln1_gain, lp.ln1_shift)
         qs, ks, vs = [], [], []
         for heads, w, b in ((qs, lp.w_q, lp.b_q), (ks, lp.w_k, lp.b_k), (vs, lp.w_v, lp.b_v)):
             rows = h @ w
@@ -283,7 +293,7 @@ def block_forward(
         attn += x  # never into x: the first layer's is the caller's
         x = attn
 
-        f = layer_norm(x, lp.ln2_gain, lp.ln2_shift)
+        f = _layer_norm(x, lp.ln2_gain, lp.ln2_shift)
         u = f @ lp.w1
         del f
         u += lp.b1

@@ -399,6 +399,15 @@ _KNN_CANDIDATE_BUDGET = 1 << 20
 _FPS_DENSE = 256
 
 
+def _point_set(a, name: str) -> np.ndarray:
+    """A caller's (n, 3) points read through ``_checked``; an empty set
+    raises InvalidInputError."""
+    points = _checked(a, name, (None, 3))
+    if points.shape[0] < 1:
+        raise InvalidInputError(f"empty point set: {name} holds no point")
+    return points
+
+
 def _check_extent(*point_sets: np.ndarray) -> None:
     """Reject point sets whose squared distances could overflow. A build
     checks its level 0 only: coarser positions are pooled means of level 0's,
@@ -463,6 +472,7 @@ def deterministic_knn(points: np.ndarray, queries: np.ndarray, k: int) -> np.nda
     position groups, and only queries whose distance tie straddles the k-th
     place fetch a ball of candidate positions.
     """
+    points, queries = _point_set(points, "points"), _point_set(queries, "queries")
     k = _integer(k, "k", 1)
     _check_extent(points, queries)
     return _knn_rows(points, queries, k)[0]
@@ -564,8 +574,7 @@ def knn(cloud: PointCloud, k: int) -> NeighborhoodTopology:
 
 
 def knn_from_positions(positions: np.ndarray, k: int) -> NeighborhoodTopology:
-    if positions.shape[0] < 1:
-        raise InvalidInputError("empty point set")
+    positions = _point_set(positions, "positions")
     k = _integer(k, "k", 1)
     _check_extent(positions)
     return _knn_topology(positions, k)[0]
@@ -601,6 +610,7 @@ def farthest_point_sample(cloud: PointCloud, m: int) -> np.ndarray:
 def fps_from_positions(positions: np.ndarray, m: int) -> np.ndarray:
     """Farthest point sampling (see ``farthest_point_sample``), run in the
     points' canonical order (see ``_fps_in_order``)."""
+    positions = _point_set(positions, "positions")
     m = _integer(m, "m", 1, positions.shape[0])
     _check_extent(positions)
     return _fps_in_order(positions, m, _canonical_order(positions))[0]
@@ -937,8 +947,7 @@ def _voxel_size(value) -> float:
 def pack_voxel_coords(coords: np.ndarray) -> np.ndarray:
     """Pack integer (x, y, z) voxel coordinates into one int64 key whose
     natural order equals lexicographic order on (x, y, z)."""
-    _check_voxel_range(coords)
-    c = coords + _VOXEL_COORD_BOUND
+    c = _voxel_coords(coords) + _VOXEL_COORD_BOUND
     return (c[:, 0] << 42) | (c[:, 1] << 21) | c[:, 2]
 
 

@@ -29,6 +29,7 @@ from .geometry import (
     _index_map,
     _integer,
     _knn_topology,
+    _point_set,
     _pooled,
     _ranges,
     _readonly,
@@ -356,8 +357,7 @@ def attention_structure(
     level strictly shrinks. Passes need values: ``with_values`` gives each
     call's to the one structure, which keeps its positional terms.
     """
-    # An empty set is refused by either flavor's topology.
-    positions = _checked(positions, "positions", (None, 3))
+    positions = _point_set(positions, "positions")
 
     # Each flavor fixes its neighborhood size, ratio, level-0 topology and
     # coarsening step, which takes the level and its kd-tree (None for
@@ -366,8 +366,6 @@ def attention_structure(
     if flavor == "point":
         k, r = _integer(k, "k", 1), _integer(r, "coarsen ratio", 2)
         coords = None  # point levels carry no cells
-        if positions.shape[0] < 1:
-            raise InvalidInputError("empty point set")
         _check_extent(positions)  # level 0's box holds every coarser level
         topology, tree = _knn_topology(positions, k)
         step = partial(_coarsen_point, k=k, r=r)

@@ -1358,6 +1358,53 @@ def test_backward_reads_level_0_weights_from_the_pass(monkeypatch, flavor, mode)
     assert weights[0].tobytes() == t0.tobytes() and weights[0] is h.forward_pass.t0
 
 
+@pytest.mark.parametrize("flavor", ["point", "voxel"])
+def test_a_relative_pass_keeps_only_what_the_backward_reads(monkeypatch, flavor):
+    # The backward reads level 0's weights and never scores level 0: the
+    # pass keeps no level-0 Q' and the backward forms none, so its one
+    # rotation per level is dq's relative half. Of the value scaling it
+    # keeps the one shift the backward applies.
+    import gha3d.attention as attention_mod
+
+    d = 4
+    h = span_structure(flavor, d)
+    emb = make_fourier_embedding(d, np.random.default_rng(51))
+    dz = np.random.default_rng(52).normal(size=(h.n_tokens, d))
+    gha_forward(h, emb, "relative")
+    held = h.forward_pass
+    assert held.q_rot[0] is None and all(q_rot is not None for q_rot in held.q_rot[1:])
+    assert "exponents" not in held._fields and held.shift is None
+    rotated = []
+    real = attention_mod._rotated
+    monkeypatch.setattr(attention_mod, "_rotated",
+                        lambda x, term: rotated.append(x.shape[0]) or real(x, term))
+    gha_backward(h, dz, emb, "relative")
+    assert h.forward_pass is held and rotated == [lv.n_tokens for lv in h.levels]
+    v = h.levels[0].v_tilde * np.array([1.0, 1e307, 1.0, 1e306])
+    scaled = with_values(h, h.levels[0].q_tilde, h.levels[0].k_tilde, v)
+    gha_forward(scaled, emb, "relative")
+    assert isinstance(scaled.forward_pass.shift, int) and scaled.forward_pass.shift > 0
+
+
+def test_no_pass_reads_a_topology_row_size(monkeypatch):
+    # The overflow bound takes each level's widest row from its width
+    # classes: a forward or local pass runs no np.diff over any indptr.
+    from gha3d.geometry import NeighborhoodTopology
+
+    d = 4
+    h = span_structure("voxel", d)
+    emb = make_fourier_embedding(d, np.random.default_rng(53))
+    lv = h.levels[0]
+    inputs = AttentionInputs(lv.q_tilde, lv.k_tilde, lv.v_tilde, lv.positions, emb, "relative")
+    real, diffed = np.diff, []
+    monkeypatch.setattr(np, "diff", lambda a, *rest: diffed.append(a) or real(a, *rest))
+    monkeypatch.setattr(NeighborhoodTopology, "sizes", property(lambda _: pytest.fail("sizes")))
+    gha_forward(h, emb, "relative")
+    local_attention(inputs, lv.topology)
+    indptrs = [level.topology.indptr for level in h.levels]
+    assert not any(np.shares_memory(a, p) for a in diffed for p in indptrs)
+
+
 @pytest.mark.parametrize("mode", ["none", "absolute", "relative"])
 def test_effective_rows_with_a_pass_stay_the_single_rows(mode):
     rng = np.random.default_rng(48)

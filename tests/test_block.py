@@ -214,7 +214,7 @@ def test_residual_identity_zero_weights():
 def test_forward_composition_oracle(monkeypatch):
     """L=1, one head, LayerNorm bypassed: the block must equal the spelled
     out composition x + W_o(attn(xW_q, xW_k, xW_v)) then + FFN."""
-    monkeypatch.setattr(block_mod, "layer_norm", lambda x, g, s, eps=0.0: x)
+    monkeypatch.setattr(block_mod, "_layer_norm", lambda x, g, s, eps=0.0: x)
     rng = np.random.default_rng(2)
     cfg = small_config()
     params = init_params(cfg)

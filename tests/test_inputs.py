@@ -15,6 +15,7 @@ from gha3d import (
     AttentionInputs,
     BlockConfig,
     ConfigError,
+    FormatError,
     FourierEmbedding,
     GhaBlockParams,
     Hierarchy,
@@ -37,21 +38,29 @@ from gha3d import (
     heatmap_csv,
     init_params,
     interpolate,
+    kernel_window_topology,
     knn,
+    layer_norm,
+    load_params,
     local_attention,
     locality_ratio,
     make_fourier_embedding,
     mass_beyond_radius,
     mechanism_weights,
+    save_params,
     save_point_cloud_binary,
     scaling_sweep,
+    substream,
     truncate,
     voxelize,
     weight_bound,
     with_values,
+    xavier_bound,
 )
-from gha3d.geometry import deterministic_knn, fps_from_positions, knn_from_positions
-from gha3d.hierarchy import segment_mean
+from gha3d.block import _CONFIG_STRUCT
+from gha3d.geometry import (deterministic_knn, fps_from_positions, knn_from_positions,
+                            load_point_cloud_binary, load_point_cloud_text, pack_voxel_coords)
+from gha3d.hierarchy import coarsen_voxel, segment_mean
 
 N, D = 12, 4
 _rng = np.random.default_rng(0)
@@ -119,6 +128,13 @@ ENTRIES = [
     ("mass_beyond_radius-weights", W, 0, lambda a, _: mass_beyond_radius(POS, a, 0.5)),
     ("heatmap_csv-positions", POS, 1, lambda a, _: heatmap_csv(a, W[0])),
     ("heatmap_csv-weights", W[0], 0, lambda a, _: heatmap_csv(POS, a)),
+    ("knn_from_positions-positions", POS, 1, lambda a, _: knn_from_positions(a, 4)),
+    ("fps_from_positions-positions", POS, 1, lambda a, _: fps_from_positions(a, 3)),
+    ("deterministic_knn-points", POS, 1, lambda a, _: deterministic_knn(a, POS, 4)),
+    ("deterministic_knn-queries", POS, 1, lambda a, _: deterministic_knn(POS, a, 4)),
+    ("layer_norm-x", X, 1, lambda a, _: layer_norm(a, np.ones(D), np.zeros(D))),
+    ("layer_norm-gain", np.ones(D), 0, lambda a, _: layer_norm(X, a, np.zeros(D))),
+    ("layer_norm-shift", np.zeros(D), 0, lambda a, _: layer_norm(X, np.ones(D), a)),
 ]
 
 
@@ -136,6 +152,21 @@ def _malformed(case, good, axis):
         bad.flat[good.size // 2] = value
         out.append(bad)
     return out
+
+
+@pytest.mark.parametrize("name, call", [
+    ("knn_from_positions", lambda p: knn_from_positions(p, 4).indices),
+    ("fps_from_positions", lambda p: fps_from_positions(p, 3)),
+    ("deterministic_knn", lambda p: deterministic_knn(p, p, 4)),
+])
+def test_point_helpers_read_any_array_like_and_refuse_an_empty_set(name, call):
+    # A list of points reads as its array; an empty set is refused, not
+    # left to a NumPy reduction over zero rows.
+    assert np.array_equal(call(POS.tolist()), call(POS))
+    with pytest.raises(InvalidInputError, match="empty point set"):
+        call(np.zeros((0, 3)))
+    with pytest.raises(InvalidInputError, match="empty point set"):
+        deterministic_knn(POS, np.zeros((0, 3)), 4)
 
 
 @pytest.mark.parametrize("case", ["non-numeric", "ndim", "size", "non-finite"])
@@ -221,6 +252,10 @@ SCALARS = [
      1, None, InvalidInputError),
     ("HierarchyLevel-level_index", lambda v: dataclasses.replace(H.levels[0], level_index=v), 0,
      -1, None, InvalidInputError),
+    ("xavier_bound-fan_in", lambda v: xavier_bound(v, 1), 2, 0, None, InvalidInputError),
+    ("xavier_bound-fan_out", lambda v: xavier_bound(1, v), 2, 0, None, InvalidInputError),
+    ("substream-seed", lambda v: substream(v, "params"), 3, -1, None, InvalidInputError),
+    ("substream-extra", lambda v: substream(3, "params", 1, v), 2, -1, None, InvalidInputError),
 ]
 
 
@@ -236,6 +271,15 @@ def test_entry_point_reads_an_integer_in_range(site):
                 call(bad)
 
 
+def test_substream_refuses_an_unknown_name():
+    with pytest.raises(InvalidInputError, match="substream name"):
+        substream(3, "parameters")
+    with pytest.raises(InvalidInputError, match="substream name"):
+        substream(3, ["params"])
+    draw = substream(3, "params", 1).normal()
+    assert substream(np.int64(3), "params", np.int8(1)).normal() == draw
+
+
 # (site, call, a valid value, values out of its range, the error they raise).
 # A value that is not one finite real number always raises InvalidInputError.
 REALS = [
@@ -246,6 +290,8 @@ REALS = [
      InvalidInputError),
     ("BlockConfig-attn_dropout", lambda v: _config(attn_dropout=v), 0.1, (-0.1, 1.0), ConfigError),
     ("BlockConfig-ffn_dropout", lambda v: _config(ffn_dropout=v), 0.3, (-0.1, 1.0), ConfigError),
+    ("layer_norm-eps", lambda v: layer_norm(X, np.ones(D), np.zeros(D), v), 1e-5, (0.0, -1e-5),
+     InvalidInputError),
 ]
 
 
@@ -352,9 +398,146 @@ GRID_FIELDS = {
 }
 
 
+# Voxel coordinates ``pack_voxel_coords`` refuses; integer-valued floats
+# read as their integers. At the parent they raised TypeError or IndexError.
+VOXEL_COORDS = {
+    "non-integer": GRID.occupied + 0.5,
+    "2-wide": GRID.occupied[:, :2],
+    "1-D": GRID.occupied.ravel(),
+    "out-of-range": GRID.occupied + (1 << 20),
+    "bool": GRID.occupied > 0,
+    "object": GRID.occupied.astype(object),
+    "nan": np.where(GRID.occupied == GRID.occupied[0, 0], np.nan, GRID.occupied),
+}
+
+
+@pytest.mark.parametrize("case", VOXEL_COORDS)
+def test_pack_voxel_coords_refuses_coordinates_that_are_not_integer_cells(case):
+    with pytest.raises(InvalidInputError, match="voxel coordinates"):
+        pack_voxel_coords(VOXEL_COORDS[case])
+    keys = pack_voxel_coords(GRID.occupied)
+    assert np.array_equal(pack_voxel_coords(GRID.occupied.astype(np.float64)), keys)
+    assert np.array_equal(pack_voxel_coords(GRID.occupied.tolist()), keys)
+
+
 @pytest.mark.parametrize("case", GRID_FIELDS)
 def test_voxel_grid_refuses_cells_and_counts_that_do_not_match(case):
     with pytest.raises(InvalidInputError):
         _grid(**GRID_FIELDS[case])
     grid = _grid()
     assert grid.n_voxels == GRID.n_voxels and not grid.cell_count.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# Refusal branches
+# ---------------------------------------------------------------------------
+
+def _level(h, **fields):
+    """Level h of H with ``fields`` replaced, made by its constructor."""
+    return dataclasses.replace(H.levels[h], **fields)
+
+
+def _params_file(tmp_path, offset=None, raw=None):
+    """PARAMS saved to a file, with ``raw`` bytes written at ``offset``."""
+    path = tmp_path / "params.ghab"
+    save_params(PARAMS, path)
+    if offset is not None:
+        data = bytearray(path.read_bytes())
+        data[offset:offset + len(raw)] = raw
+        path.write_bytes(bytes(data))
+    return path
+
+
+def _written(tmp_path, data: bytes):
+    path = tmp_path / "cloud"
+    path.write_bytes(data)
+    return path
+
+
+# The GHAB header: magic, u32 version, then the config block (see block.py).
+_CONFIG = 8
+_MODE_CODE = _CONFIG + 34  # after 4 u32 dimensions, 2 f64 dropouts and 2 flag bytes
+# The first tensor follows the config block and the has-embedding byte.
+_FIRST_TENSOR = _CONFIG + _CONFIG_STRUCT.size + 1
+
+# (case, call of a temporary directory, the error, a match for its message):
+# each input reaches a refusal of its own.
+REFUSALS = [
+    ("Hierarchy-no-levels", lambda _: Hierarchy("point", 4, 2, ()), InvalidInputError,
+     "no levels"),
+    ("Hierarchy-unknown-flavor", lambda _: Hierarchy("mesh", 4, 2, H.levels), InvalidInputError,
+     "unknown flavor"),
+    ("Hierarchy-levels-that-do-not-shrink",
+     lambda _: Hierarchy("point", 4, 2, (H.levels[0], _level(0, level_index=1))),
+     InvalidInputError, "strictly coarsening"),
+    ("Hierarchy-missing-parent-map",
+     lambda _: Hierarchy("point", 4, 2, (_level(0, parent_of=None), *H.levels[1:])),
+     InvalidInputError, "missing its parent map"),
+    ("HierarchyLevel-topology-of-another-size",
+     lambda _: _level(1, topology=H.levels[0].topology), InvalidInputError,
+     "topology token count"),
+    ("coarsen_voxel-without-coords", lambda _: coarsen_voxel(H.levels[0]), InvalidInputError,
+     "requires cell coordinates"),
+    ("attention_structure-empty", lambda _: attention_structure(np.zeros((0, 3))),
+     InvalidInputError, "empty point set"),
+    ("knn_from_positions-empty", lambda _: knn_from_positions(np.zeros((0, 3)), 4),
+     InvalidInputError, "empty point set"),
+    ("kernel_window_topology-no-cells",
+     lambda _: kernel_window_topology(np.zeros((0, 3), np.int64)), InvalidInputError,
+     "empty voxel grid"),
+    ("FourierEmbedding-no-rows", lambda _: FourierEmbedding(np.zeros((0, 3))), InvalidInputError,
+     "at least one row"),
+    ("AttentionInputs-no-tokens", lambda _: AttentionInputs(*[np.zeros((0, D))] * 3,
+                                                            np.zeros((0, 3))),
+     InvalidInputError, "N, d >= 1"),
+    ("AttentionInputs-no-features", lambda _: AttentionInputs(*[np.zeros((N, 0))] * 3, POS),
+     InvalidInputError, "N, d >= 1"),
+    ("local_attention-topology-of-another-size",
+     lambda _: local_attention(AttentionInputs(Q, K, V, POS), H.levels[1].topology),
+     InvalidInputError, "topology token count"),
+    ("layer_norm-broadcast-gain", lambda _: layer_norm(X, np.ones(1), np.zeros(D)),
+     InvalidInputError, "gain"),
+    ("load_params-unknown-mode-code",
+     lambda tmp: load_params(_params_file(tmp, _MODE_CODE, b"\x07")),
+     FormatError, "unknown embedding mode code 7"),
+    ("load_params-invalid-config-block",
+     lambda tmp: load_params(_params_file(tmp, _CONFIG, (0).to_bytes(4, "little"))),
+     FormatError, "invalid config block"),
+    ("load_params-tensor-of-rank-3",
+     lambda tmp: load_params(_params_file(tmp, _FIRST_TENSOR, (3).to_bytes(4, "little"))),
+     FormatError, "unexpected tensor rank 3"),
+    ("load_point_cloud_text-unparsed-number",
+     lambda tmp: load_point_cloud_text(_written(tmp, b"0 0 0\n1 x 2\n")), FormatError, ":2:"),
+    ("load_point_cloud_binary-not-GPC1",
+     lambda tmp: load_point_cloud_binary(_written(tmp, b"GPC2" + bytes(8))), FormatError,
+     "bad magic"),
+]
+
+
+@pytest.mark.parametrize("case", REFUSALS, ids=[r[0] for r in REFUSALS])
+def test_each_refusal_branch_is_reached(case, tmp_path):
+    _, call, error, match = case
+    with pytest.raises(error, match=match):
+        call(tmp_path)
+
+
+def test_the_params_file_offsets_name_the_fields_they_corrupt(tmp_path):
+    # The refusals above corrupt a saved file at fixed offsets; unchanged,
+    # the same file loads.
+    assert _CONFIG_STRUCT.format == "<4I2d3BQ"
+    assert load_params(_params_file(tmp_path)).config == PARAMS.config
+
+
+def test_with_values_of_no_arrays_is_the_hierarchy_itself():
+    assert with_values(H) is H
+
+
+def test_locality_ratio_is_infinite_when_no_weight_is_far():
+    # Each token puts all its weight on its nearest neighbor, and none on
+    # its farthest: the ratio of the two means is +inf, not a division by 0.
+    x = np.array([0.0, 1.0, 3.0, 6.0, 10.0, 15.0])
+    pos = np.column_stack([x, np.zeros(6), np.zeros(6)])
+    nearest = [1, 0, 1, 2, 3, 4]
+    weights = np.zeros((6, 6))
+    weights[np.arange(6), nearest] = 1.0
+    assert locality_ratio(pos, weights, n_extreme=1) == np.inf

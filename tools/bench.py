@@ -11,14 +11,13 @@ case ``cloud/n`` draws n points with ``perfbench/workloads.py``'s generators.
 
 - ``build`` (seed 17; d=8, k=8, r=2): ``knn_s`` is spent in the build's
   kNN stage, ``hierarchy._knn_topology`` (each level's topology and the
-  kd-tree its FPS reuses; ``knn_from_positions`` in a tree whose build
-  calls that), ``fps_s`` in farthest-point sampling (which also gives the
-  parent maps), ``pool_s`` in the rest of ``build_hierarchy``: the
-  structure's position pooling and topologies' bookkeeping, then
-  ``with_values``' pooling of q, k and v. ``scipy.spatial`` is imported
-  before the clock starts, so no stage pays for loading it. Besides the
-  three sizes of each cloud it times ``scene/2048``, the ``heatmap``
-  workload's cloud.
+  kd-tree its FPS reuses), ``fps_s`` in farthest-point sampling (which
+  also gives the parent maps), ``pool_s`` in the rest of
+  ``build_hierarchy``: the structure's position pooling and topologies'
+  bookkeeping, then ``with_values``' pooling of q, k and v.
+  ``scipy.spatial`` is imported before the clock starts, so no stage pays
+  for loading it. Besides the three sizes of each cloud it times
+  ``scene/2048``, the ``heatmap`` workload's cloud.
 - ``kernels`` (seed 19; relative mode, d=8, the positional terms kept on
   the structure): the wall time of the case's structure's first
   ``positional_table`` (``table_s``, the terms it then keeps; a structure
@@ -29,15 +28,15 @@ case ``cloud/n`` draws n points with ``perfbench/workloads.py``'s generators.
   the tracemalloc peak of one more call (``*_peak_mb``), on uniform clouds
   and on the ``voxel_infer`` scene (100k points at 1 cm). The backward reads
   the pass the forward before it left: level 0's edge weights as they are,
-  and each level's row maxima and Q', from which it scores the coarser
-  levels again. ``backward_alone_s`` times ``gha_backward`` on a fresh
-  ``with_values`` copy per call (made untimed), which holds no pass, so it
-  runs its own forward. ``structure_mib`` is the size of the built
-  structure (``structure_bytes``): every array its levels hold, the
-  topologies (with their width classes) and maps included, and
-  ``pass_mib`` that of the pass the structure holds after those calls,
-  less the level-0 term it refers to (the level's memo owns that); each
-  buffer counted once.
+  and each level's row maxima and each coarser level's Q', from which it
+  scores the coarser levels again. ``backward_alone_s`` times
+  ``gha_backward`` on a fresh ``with_values`` copy per call (made
+  untimed), which holds no pass, so it runs its own forward.
+  ``structure_mib`` is the size of the built structure
+  (``structure_bytes``): every array its levels hold, the topologies (with
+  their width classes) and maps included, and ``pass_mib`` that of the
+  pass the structure holds after those calls, less the level-0 term it
+  refers to (the level's memo owns that); each buffer counted once.
 - ``block`` (seed 23; ``voxel_infer``'s block: 2 layers, 4 heads,
   ``model_dim`` 32, ``ffn_dim`` 64, relative mode, on the case's structure,
   point flavor at k=8, r=2): ``block_s`` is the median of 3 ``block_forward``
@@ -71,8 +70,6 @@ from harness import THREAD_VARS
 REPEATS = 3
 CALLS = 3  # timed calls of each warm kernel in a kernels cell
 D, K, R = 8, 8, 2
-# The build's kNN stage, then its name in a tree whose build calls the public one.
-KNN_STAGES = ("_knn_topology", "knn_from_positions")
 
 
 def _cloud(name: str, rng, n: int):
@@ -107,8 +104,7 @@ def build(cloud: str, n: int) -> dict:
     pos, _ = _cloud(cloud, rng, n)
     q, k, v = (rng.normal(size=(n, D)) for _ in range(3))
     spent = {"knn_s": 0.0, "fps_s": 0.0}
-    knn_stage = next((name for name in KNN_STAGES if hasattr(hierarchy, name)), KNN_STAGES[0])
-    with (_timed(spent, "knn_s", hierarchy, knn_stage),
+    with (_timed(spent, "knn_s", hierarchy, "_knn_topology"),
           _timed(spent, "fps_s", hierarchy, "_fps_in_order")):
         t = time.perf_counter()
         h = hierarchy.build_hierarchy(pos, q, k, v, k=K, r=R)
